@@ -9,6 +9,7 @@ same configuration and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -262,7 +263,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="pararp",
         description="Parafermion algebra and reflection-positivity checks",
@@ -309,7 +313,10 @@ def main(argv=None) -> int:
         code, report = COMMANDS[args.command](args)
         emit_report(report, args.out)
         return code
-    except (SpecError, DimensionCapError, ValueError, OSError) as exc:
+    except (
+        SpecError, DimensionCapError, ValueError, OSError,
+        OverflowError, rp.OverflowError_,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR
 

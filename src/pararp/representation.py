@@ -11,6 +11,14 @@ where tau^{x(a-1)} means tau on each of the first a-1 factors.  The
 zeta^{n-1} prefactor (zeta = e^{i pi / n}) fixes c^n = Id for every parity
 of n, since (sigma tau)^n = (-1)^{n-1} Id.
 
+Every generator power, and so every ordered monomial C_I, is a generalized
+permutation matrix whose nonzero entries are powers of zeta: column k holds
+zeta^phase[k] in row perm[k].  The representation stores each power c_j^e as
+that pair of integer arrays (phase taken mod 2n).  A monomial is then a
+chain of gathers over its sites with exact integer phase sums, costing
+O(L dim) instead of L dense products, and a polynomial is assembled by
+scattering O(dim) values per term.
+
 This module is the numerical oracle for every symbolic identity in
 :mod:`pararp.algebra`.
 """
@@ -23,10 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Polynomial, zeta_power
-from .exponents import ExponentVector, zero_vector
+from .exponents import ExponentVector
 
 DEFAULT_DIM_CAP = 4096
 DEFAULT_ENUM_CAP = 100_000
+
+# Complex entries per temporary array in decompose (4 MiB): bounds its
+# memory independently of the basis size.
+_DECOMPOSE_BLOCK = 1 << 18
 
 
 class DimensionCapError(RuntimeError):
@@ -47,33 +59,70 @@ def clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class Representation:
-    """L generator matrices of size n^{L/2} acting on the full chain."""
+    """L generators acting on the full chain, of dimension n^{L/2}.
+
+    ``perm[j, e]`` and ``phase[j, e]`` describe c_{j+1}^e: column k of it
+    holds ``zeta[phase[j, e, k]]`` in row ``perm[j, e, k]``.  ``generators``
+    are the same c_j as dense matrices.
+    """
 
     order: int
     sites: int
     dim: int
     generators: list[np.ndarray]
-    _monomial_cache: dict[tuple[int, ...], np.ndarray] = field(
+    perm: np.ndarray
+    phase: np.ndarray
+    zeta: np.ndarray
+    _entries: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False
     )
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
 
+    def monomials(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and zeta exponents (mod 2n) of the ordered monomials whose
+        exponent vectors are the rows of the (T, L) integer array
+        ``exponents``: two (T, dim) arrays, as ``perm``/``phase`` per term."""
+        dim = self.dim
+        rows, phase = np.arange(dim), 0
+        # C_I acts on a column through c_L^{a_L} first, c_1^{a_1} last.  The
+        # first site always takes part, so the results have shape (T, dim).
+        active = exponents.any(axis=0)
+        active[0] = True
+        for j in np.flatnonzero(active)[::-1]:
+            index = exponents[:, j, None] * dim + rows
+            phase = phase + self.phase[j].take(index)
+            rows = self.perm[j].take(index)
+        return rows, phase % (2 * self.order)
+
+    def monomial_entries(self, keys: list[tuple[int, ...]]) -> list:
+        """Flat indices ``row * dim + column`` and values of the dim nonzero
+        entries of each monomial C_I, given by its exponent tuple, cached
+        per representation."""
+        cache = self._entries
+        missing = [k for k in keys if k not in cache]
+        if missing:
+            rows, phase = self.monomials(np.array(missing))
+            flat = rows * self.dim + np.arange(self.dim)
+            cache.update(zip(missing, zip(flat, self.zeta[phase])))
+        return [cache[k] for k in keys]
+
     def monomial_matrix(self, vec: ExponentVector) -> np.ndarray:
-        """Matrix of the ordered monomial C_I, cached per exponent tuple."""
+        """Dense matrix of the ordered monomial C_I."""
         if vec.order != self.order or vec.sites != self.sites:
             raise ValueError("exponent vector does not match representation")
-        key = vec.entries
-        cached = self._monomial_cache.get(key)
-        if cached is not None:
-            return cached
-        m = self.identity()
-        for j, e in enumerate(vec.entries):
-            if e:
-                m = m @ np.linalg.matrix_power(self.generators[j], e)
-        self._monomial_cache[key] = m
-        return m
+        [(flat, values)] = self.monomial_entries([vec.entries])
+        m = np.zeros(self.dim * self.dim, dtype=complex)
+        m[flat] = values
+        return m.reshape(self.dim, self.dim)
+
+
+def _dense(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Matrix with values[k] in row rows[k] of column k, zero elsewhere."""
+    m = np.zeros((len(rows), len(rows)), dtype=complex)
+    m[rows, np.arange(len(rows))] = values
+    return m
 
 
 def build_generators(
@@ -90,31 +139,42 @@ def build_generators(
         raise DimensionCapError(
             f"representation dimension {dim} exceeds cap {dim_cap}"
         )
-    sigma, tau = clock_shift(n)
-    eye = np.eye(n, dtype=complex)
-    prefactor = zeta_power(n, n - 1)
-    generators = []
+    zeta = np.array([zeta_power(n, k) for k in range(2 * n)])
+    # Column k is the basis state with tensor-factor digits digits[:, k],
+    # the first factor most significant (numpy.kron order).
+    weights = n ** np.arange(half - 1, -1, -1)
+    digits = np.arange(dim) // weights[:, None] % n
+    perm = np.empty((L, n, dim), dtype=np.intp)
+    phase = np.empty((L, n, dim), dtype=np.intp)
     for a in range(half):
-        odd_factors = [tau] * a + [sigma] + [eye] * (half - a - 1)
-        even_factors = [tau] * a + [sigma @ tau] + [eye] * (half - a - 1)
-        m_odd = odd_factors[0]
-        m_even = even_factors[0]
-        for f_o, f_e in zip(odd_factors[1:], even_factors[1:]):
-            m_odd = np.kron(m_odd, f_o)
-            m_even = np.kron(m_even, f_e)
-        generators.append(m_odd)
-        generators.append(prefactor * m_even)
-    return Representation(order=n, sites=L, dim=dim, generators=generators)
+        shifted = digits.copy()
+        shifted[:a] = (digits[:a] + 1) % n  # tau on the first a factors
+        odd = weights @ shifted, 2 * digits[a]  # sigma: omega^{d_a}
+        shifted[a] = (digits[a] + 1) % n
+        # zeta^{n-1} sigma tau: shift d_a, then omega^{d_a + 1}
+        even = weights @ shifted, 2 * shifted[a] + n - 1
+        for j, (rows, ph) in ((2 * a, odd), (2 * a + 1, even)):
+            perm[j, 0], phase[j, 0] = np.arange(dim), 0
+            for e in range(1, n):  # c^e = c c^{e-1}
+                prev = perm[j, e - 1]
+                perm[j, e] = rows[prev]
+                phase[j, e] = (phase[j, e - 1] + ph[prev]) % (2 * n)
+    generators = [_dense(perm[j, 1], zeta[phase[j, 1]]) for j in range(L)]
+    return Representation(
+        order=n, sites=L, dim=dim, generators=generators,
+        perm=perm, phase=phase, zeta=zeta,
+    )
 
 
 def to_matrix(p: Polynomial, rep: Representation) -> np.ndarray:
     """Evaluate a normal-ordered polynomial in the representation."""
     if p.order != rep.order or p.sites != rep.sites:
         raise ValueError("polynomial does not match representation")
-    m = np.zeros((rep.dim, rep.dim), dtype=complex)
-    for vec, coeff in p.terms.items():
-        m += coeff * rep.monomial_matrix(vec)
-    return m
+    m = np.zeros(rep.dim * rep.dim, dtype=complex)
+    entries = rep.monomial_entries([v.entries for v in p.terms])
+    for (flat, values), coeff in zip(entries, p.terms.values()):
+        m[flat] += coeff * values
+    return m.reshape(rep.dim, rep.dim)
 
 
 def trace_monomial(vec: ExponentVector) -> complex:
@@ -135,28 +195,133 @@ def decompose(
     tol: float = 1e-12,
 ) -> Polynomial:
     """Expand a matrix in the monomial basis: coefficients
-    Tr(C_I^* A) / n^{L/2}.  Enumerates all n^L monomials."""
-    n, L = rep.order, rep.sites
-    if a.shape != (rep.dim, rep.dim):
+    Tr(C_I^* A) / n^{L/2}.  Enumerates all n^L monomials.
+
+    Each C_I splits as C_P C_S into a monomial on sites 1..L/2 and one on
+    sites L/2+1..L, and each half has exactly n^{L/2} = dim monomials.  For
+    each P, C_P^* A is a row gather of A, and Tr(C_S^* C_P^* A) is a sum of
+    dim gathered entries, so all n^L coefficients cost O(n^L dim).
+    """
+    n, L, dim = rep.order, rep.sites, rep.dim
+    if a.shape != (dim, dim):
         raise ValueError(
-            f"matrix shape {a.shape} does not match dimension {rep.dim}"
+            f"matrix shape {a.shape} does not match dimension {dim}"
         )
     if n**L > enum_cap:
         raise DimensionCapError(
             f"basis size {n**L} exceeds enumeration cap {enum_cap}"
         )
     scale = 1.0 + float(np.abs(a).max(initial=0.0))
-    terms = {}
-    for vec in all_exponent_vectors(n, L):
-        c_i = rep.monomial_matrix(vec)
-        coeff = np.trace(c_i.conj().T @ a) / rep.dim
-        if abs(coeff) > tol * scale:
-            terms[vec] = coeff
-    return Polynomial(terms, n, L)
+    half = np.array(list(itertools.product(range(n), repeat=L // 2)))
+    pad = np.zeros_like(half)
+    minus_rows, minus_phase = rep.monomials(np.hstack([half, pad]))
+    plus_rows, plus_phase = rep.monomials(np.hstack([pad, half]))
+    conj_zeta = rep.zeta.conj()
+    plus_index = plus_rows * dim + np.arange(dim)
+    plus_conj = conj_zeta[plus_phase]
+    coeffs = np.empty((dim, dim), dtype=complex)
+    block = max(1, _DECOMPOSE_BLOCK // (dim * dim))
+    for start in range(0, dim, block):
+        sl = slice(start, start + block)
+        # rows m of C_P^* A: conj(zeta^{phase_P[m]}) A[perm_P[m], :]
+        b = conj_zeta[minus_phase[sl]][:, :, None] * a[minus_rows[sl]]
+        gathered = b.reshape(len(b), dim * dim)[:, plus_index]
+        coeffs[sl] = np.einsum("psk,sk->ps", gathered, plus_conj)
+    coeffs /= dim
+    keep = np.flatnonzero(np.abs(coeffs) > tol * scale)
+    entries = np.hstack([half[keep // dim], half[keep % dim]]).tolist()
+    return Polynomial(
+        {
+            ExponentVector(tuple(e), n): c
+            for e, c in zip(entries, coeffs.ravel()[keep].tolist())
+        },
+        n, L,
+    )
 
 
 def verify_yamazaki(rep: Representation) -> dict[str, float]:
-    """Max residuals of the defining relations; reported, never raised."""
+    """Max residuals of the defining relations; reported, never raised.
+
+    The residuals are Frobenius norms of c^n - Id, c c^* - Id and
+    c_j c_k - omega c_k c_j (j < k) over the dense ``rep.generators``.
+    When every generator has at most one nonzero entry per column, as the
+    clock/shift generators do, they are computed from those entries in
+    O(L^2 dim); otherwise from dense products.
+    """
+    gens = _column_entries(rep.generators)
+    if gens is None:
+        return _verify_dense(rep)
+    rows, vals = gens
+
+    power = gens
+    for _ in range(rep.order - 1):
+        power = _product(gens, power)
+    identity = np.broadcast_to(np.arange(rep.dim), rows.shape)
+    r_order = _distance(power, (identity, np.ones(rows.shape)))
+
+    # c c^* is diagonal, holding per row the sum of |v|^2 of the columns
+    # mapped there.
+    weight = np.zeros(rows.shape)
+    np.add.at(weight, (np.arange(len(rows))[:, None], rows), np.abs(vals) ** 2)
+    r_unitary = np.sqrt(((weight - 1.0) ** 2).sum(axis=1))
+
+    # c_j c_k - omega c_k c_j for all pairs j < k at once.
+    j, k = np.triu_indices(len(rows), 1)
+    c_j, c_k = (rows[j], vals[j]), (rows[k], vals[k])
+    kj_rows, kj_vals = _product(c_k, c_j)
+    omega = np.exp(2j * np.pi / rep.order)
+    r_commute = _distance(_product(c_j, c_k), (kj_rows, omega * kj_vals))
+    return {
+        "order_residual": float(r_order.max(initial=0.0)),
+        "unitarity_residual": float(r_unitary.max(initial=0.0)),
+        "commutation_residual": float(r_commute.max(initial=0.0)),
+    }
+
+
+# Below, a matrix with at most one nonzero entry per column is a pair
+# (rows, values) of arrays over its columns, with any leading batch axes.
+
+
+def _product(a, b):
+    """The product A B: column k of B is b_v[k] e_{b_r[k]}, which A maps
+    to b_v[k] a_v[b_r[k]] e_{a_r[b_r[k]]}."""
+    (a_rows, a_vals), (b_rows, b_vals) = a, b
+    return (
+        np.take_along_axis(a_rows, b_rows, axis=-1),
+        b_vals * np.take_along_axis(a_vals, b_rows, axis=-1),
+    )
+
+
+def _distance(a, b) -> np.ndarray:
+    """Frobenius norm of A - B: per column, the entries subtract when they
+    share a row and add in square otherwise."""
+    (a_rows, a_vals), (b_rows, b_vals) = a, b
+    sq = np.where(
+        a_rows == b_rows,
+        np.abs(a_vals - b_vals) ** 2,
+        np.abs(a_vals) ** 2 + np.abs(b_vals) ** 2,
+    )
+    return np.sqrt(sq.sum(axis=-1))
+
+
+def _column_entries(
+    generators: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rows, values), each (L, dim): the row and value of the nonzero
+    entry of every column (row 0, value 0 for a zero column), or None if
+    some column has two or more nonzero entries."""
+    rows, vals = [], []
+    for g in generators:
+        nonzero = g != 0
+        if (nonzero.sum(axis=0) > 1).any():
+            return None
+        r = nonzero.argmax(axis=0)
+        rows.append(r)
+        vals.append(g[r, np.arange(len(r))])
+    return np.array(rows), np.array(vals, dtype=complex)
+
+
+def _verify_dense(rep: Representation) -> dict[str, float]:
     n = rep.order
     eye = rep.identity()
     omega = np.exp(2j * np.pi / n)
@@ -178,19 +343,3 @@ def verify_yamazaki(rep: Representation) -> dict[str, float]:
 def _opnorm(a: np.ndarray) -> float:
     """Frobenius norm, a conservative stand-in for the operator norm."""
     return float(np.linalg.norm(a))
-
-
-def matrix_dump(a: np.ndarray) -> str:
-    """Row-major text grid with `re+im i` entries, for debugging."""
-    rows = []
-    for row in a:
-        rows.append("  ".join(f"{z.real:+.6e}{z.imag:+.6e}i" for z in row))
-    return "\n".join(rows) + "\n"
-
-
-def identity_polynomial_matrix(rep: Representation) -> np.ndarray:
-    return to_matrix(Polynomial.identity(rep.order, rep.sites), rep)
-
-
-def zero_exponent(rep: Representation) -> ExponentVector:
-    return zero_vector(rep.order, rep.sites)

@@ -39,7 +39,6 @@ from .exponents import ExponentVector, degree, unit_vector
 from .hamiltonian import CouplingTable, HamiltonianSpec, assemble
 from .representation import (
     Representation,
-    all_exponent_vectors,
     build_generators,
     to_matrix,
 )
@@ -57,7 +56,10 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     if not np.any(a):
         return np.eye(a.shape[0], dtype=complex)
-    e = scipy.linalg.expm(np.asarray(a, dtype=complex))
+    # An overflow is reported by the finiteness check below, not as a
+    # floating-point warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = scipy.linalg.expm(np.asarray(a, dtype=complex))
     if not np.all(np.isfinite(e)):
         raise OverflowError_("matrix exponential overflowed")
     return e

@@ -167,3 +167,45 @@ class TestDeterminism:
         capsys.readouterr()
         assert code == code2 == 2
         assert path.read_text() == out
+
+
+class TestParserReuse:
+    def test_consecutive_calls_share_no_state(self, capsys):
+        from pararp.cli import build_parser
+        from pararp.rp import DEFAULT_TOL
+
+        code, out, _ = run(
+            capsys, "bounds", "--n", "2", "--samples", "3", "--seed", "9",
+            "--tol", "1e-3",
+        )
+        assert code == 0
+        first = json.loads(out)
+        assert (first["pairs"], first["seed"], first["tolerance"]) == (4, 9, 1e-3)
+        code, out, _ = run(capsys, "gram", "--n", "3")
+        assert code == 0
+        assert json.loads(out)["tolerance"] == DEFAULT_TOL
+        code, out, _ = run(capsys, "bounds", "--n", "2", "--samples", "2")
+        assert code == 0
+        second = json.loads(out)
+        assert (second["pairs"], second["seed"], second["tolerance"]) == (
+            3, 0, DEFAULT_TOL)
+        assert build_parser() is build_parser()
+
+
+class TestNumericalFailures:
+    """Overflow inside the library exits 1 with one line, not a traceback."""
+
+    def test_boltzmann_overflow(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"baxter": {"n": 3, "L": 6, "t": [400, 400, -400, 400, 400]}}))
+        code, out, err = run(capsys, "rp-check", "--spec", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_series_overflow(self, capsys):
+        code, out, err = run(capsys, "counterexample", "--n", "200")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from pararp.algebra import Polynomial, adjoint, canonical_product, reflect
+from pararp.algebra import (
+    Polynomial, adjoint, canonical_product, reflect, zeta_power,
+)
 from pararp.exponents import ExponentVector
 from pararp.representation import (
     DimensionCapError,
+    _column_entries,
+    _verify_dense,
     all_exponent_vectors,
     build_generators,
     clock_shift,
@@ -193,3 +197,111 @@ class TestPrimitiveRP:
                 )
                 expected = rep.dim * abs(a.constant_term()) ** 2
                 assert abs(tr - expected) < 1e-9
+
+
+# -- the permutation-form kernel against the dense construction ------------
+
+
+def _dense_generators(n, L):
+    """The generators built densely with numpy.kron: the reference."""
+    sigma, tau = clock_shift(n)
+    eye = np.eye(n)
+    half = L // 2
+    gens = []
+    for a in range(half):
+        for site, prefactor in ((sigma, 1.0), (sigma @ tau, zeta_power(n, n - 1))):
+            m = np.ones((1, 1))
+            for f in [tau] * a + [site] + [eye] * (half - a - 1):
+                m = np.kron(m, f)
+            gens.append(prefactor * m)
+    return gens
+
+
+def _dense_monomials(gens, n):
+    """(entries, C_I) for all n^L ordered monomials in lexicographic order,
+    as products of dense generator powers.  Depth first, so only L partial
+    products are held at a time."""
+    powers = []
+    for g in gens:
+        powers.append([np.eye(len(g), dtype=complex)])
+        for _ in range(n - 1):
+            powers[-1].append(powers[-1][-1] @ g)
+
+    def walk(j, entries, m):
+        if j == len(gens):
+            yield entries, m
+            return
+        for e in range(n):
+            step = m @ powers[j][e] if e else m
+            yield from walk(j + 1, entries + (e,), step)
+
+    yield from walk(0, (), np.eye(len(gens[0]), dtype=complex))
+
+
+KERNEL_CELLS = [
+    (n, L) for n in range(2, 65) for L in range(2, 13, 2) if n**L <= 4096
+]
+
+
+@pytest.mark.parametrize("n,L", KERNEL_CELLS)
+def test_permutation_kernel_matches_dense(n, L):
+    rep = build_generators(n, L)
+    gens = _dense_generators(n, L)
+    for g, ref in zip(rep.generators, gens):
+        assert np.abs(g - ref).max() < 1e-12
+    dim = rep.dim
+    rng = np.random.default_rng(100 * n + L)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    ref_coeffs = {}
+    chosen = {}
+    dense_sum = np.zeros((dim, dim), dtype=complex)
+    for entries, c_ref in _dense_monomials(gens, n):
+        vec = ExponentVector(entries, n)
+        assert np.abs(rep.monomial_matrix(vec) - c_ref).max() < 1e-12
+        ref_coeffs[vec] = np.vdot(c_ref, a) / dim  # Tr(C_I^* A) / dim
+        if rng.random() < 0.3:
+            chosen[vec] = complex(rng.normal(), rng.normal())
+            dense_sum += chosen[vec] * c_ref
+
+    p = decompose(a, rep)
+    scale = 1.0 + np.abs(a).max()
+    assert set(p.terms) == {
+        v for v, c in ref_coeffs.items() if abs(c) > 1e-12 * scale
+    }
+    assert max(abs(c - ref_coeffs[v]) for v, c in p.terms.items()) < 1e-12
+
+    q = Polynomial(chosen, n, L)
+    # Relative: each of the terms carries the reference's rounding.
+    gap = np.abs(to_matrix(q, rep) - dense_sum).max()
+    assert gap < 1e-12 * (1.0 + np.abs(dense_sum).max())
+    assert set(decompose(dense_sum, rep).terms) == set(chosen)
+
+
+class TestVerifyFastPath:
+    """Generators with one nonzero entry per column are verified from those
+    entries; the residuals must equal the dense computation's."""
+
+    @staticmethod
+    def _assert_matches_dense(rep):
+        assert _column_entries(rep.generators) is not None
+        fast, dense = verify_yamazaki(rep), _verify_dense(rep)
+        for key in dense:
+            assert abs(fast[key] - dense[key]) < 1e-12
+        return fast
+
+    @pytest.mark.parametrize("n,L", [(2, 2), (2, 6), (3, 4), (4, 4), (5, 2)])
+    def test_exact_generators(self, n, L):
+        residuals = self._assert_matches_dense(build_generators(n, L))
+        assert max(residuals.values()) < 1e-12
+
+    def test_flipped_phase_reported(self):
+        rep = build_generators(3, 4)
+        g = rep.generators[1]
+        g[np.flatnonzero(g[:, 0])[0], 0] *= -1
+        assert max(self._assert_matches_dense(rep).values()) > 0.1
+
+    def test_swapped_columns_reported(self):
+        rep = build_generators(3, 4)
+        g = rep.generators[2]
+        g[:, [0, 1]] = g[:, [1, 0]]
+        assert max(self._assert_matches_dense(rep).values()) > 0.1
