@@ -100,13 +100,9 @@ def cmd_gram(args):
         for vec in rp.minus_monomials_of_degree(spec.order, spec.sites, d)
     ]
     gram, min_eig = rp.gram_psd(spec, rep, basis)
-    schwarz_ok = True
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            lhs = abs(gram[i, j]) ** 2
-            rhs = gram[i, i].real * gram[j, j].real
-            if lhs > rhs + tol * (1 + lhs):
-                schwarz_ok = False
+    # Schwarz: |G_ij|^2 <= G_ii G_jj for every pair.
+    lhs, diag = np.abs(gram) ** 2, gram.diagonal().real
+    schwarz_ok = not (lhs > np.outer(diag, diag) + tol * (1 + lhs)).any()
     ok = min_eig >= -tol and schwarz_ok
     report = {
         "command": "gram",
@@ -149,10 +145,11 @@ def cmd_bounds(args):
         a = reflect(rp.random_minus_observable(spec.order, spec.sites, rng))
         b = reflect(rp.random_minus_observable(spec.order, spec.sites, rng))
         pairs.append((a, b))
+    factors = rp.bounds_factors(spec, rep)
     worst = None
     all_ok = True
     for a, b in pairs:
-        res = rp.rp_bounds_check(a, b, spec, rep, tol=tol)
+        res = rp.rp_bounds_check(a, b, spec, rep, tol=tol, factors=factors)
         all_ok = all_ok and res["ok"]
         margin = min(res["margin1"], res["margin2"], res["partition_margin"])
         if worst is None or margin < worst["min_margin"]:

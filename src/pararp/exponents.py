@@ -38,12 +38,21 @@ class ExponentVector:
         L = len(self.entries)
         if L < 2 or L % 2 != 0:
             raise ValueError(f"number of sites must be even and >= 2, got {L}")
-        for j, e in enumerate(self.entries):
-            if not (0 <= e < self.order):
-                raise ValueError(
-                    f"entry {e} at site {j + 1} outside 0..{self.order - 1}"
-                )
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        # One min/max test; if it fails, or int() refuses a NaN that min/max
+        # let through, the per-site loop names the first offending site.
+        try:
+            ok = 0 <= min(self.entries) and max(self.entries) < self.order
+            ints = tuple(map(int, self.entries)) if ok else ()
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            for j, e in enumerate(self.entries):
+                if not (0 <= e < self.order):
+                    raise ValueError(
+                        f"entry {e} at site {j + 1} outside 0..{self.order - 1}"
+                    )
+            ints = tuple(int(e) for e in self.entries)
+        object.__setattr__(self, "entries", ints)
 
     @property
     def sites(self) -> int:

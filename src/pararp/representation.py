@@ -36,9 +36,9 @@ from .exponents import ExponentVector
 DEFAULT_DIM_CAP = 4096
 DEFAULT_ENUM_CAP = 100_000
 
-# Complex entries per temporary array in decompose (4 MiB): bounds its
-# memory independently of the basis size.
-_DECOMPOSE_BLOCK = 1 << 18
+# Entries per temporary array in decompose and trace_products (4 MiB of
+# complex values): bounds their memory independently of the batch size.
+_BLOCK = 1 << 18
 
 
 class DimensionCapError(RuntimeError):
@@ -177,6 +177,31 @@ def to_matrix(p: Polynomial, rep: Representation) -> np.ndarray:
     return m.reshape(rep.dim, rep.dim)
 
 
+def trace_products(
+    rep: Representation, exponents: np.ndarray, s: np.ndarray, t: np.ndarray,
+    e: np.ndarray,
+) -> np.ndarray:
+    """Tr(C_s C_t E) for each index pair (s[p], t[p]) into the rows of the
+    (M, L) integer array ``exponents``, with E a dense dim x dim matrix.
+
+    Column k of C_s C_t holds zeta^{phase_t[k] + phase_s[rows_t[k]]} in row
+    rows_s[rows_t[k]], so each trace is a sum of dim gathered entries of E:
+    O(dim) per pair, after O(L dim) per monomial.
+    """
+    rows, phases = rep.monomials(exponents)
+    # E[k, row] sits at flat index k * dim + row.
+    flat_e, diag = e.ravel(), np.arange(rep.dim) * rep.dim
+    out = np.empty(len(s), dtype=complex)
+    block = max(1, _BLOCK // rep.dim)
+    for start in range(0, len(s), block):
+        bs, bt = s[start:start + block, None], t[start:start + block]
+        via = rows[bt]
+        phase = (phases[bt] + phases[bs, via]) % (2 * rep.order)
+        values = rep.zeta[phase] * flat_e[diag + rows[bs, via]]
+        out[start:start + block] = values.sum(axis=1)
+    return out
+
+
 def trace_monomial(vec: ExponentVector) -> complex:
     """Analytic trace of C_I: n^{L/2} for the identity, else 0."""
     if vec.is_zero():
@@ -220,7 +245,7 @@ def decompose(
     plus_index = plus_rows * dim + np.arange(dim)
     plus_conj = conj_zeta[plus_phase]
     coeffs = np.empty((dim, dim), dtype=complex)
-    block = max(1, _DECOMPOSE_BLOCK // (dim * dim))
+    block = max(1, _BLOCK // (dim * dim))
     for start in range(0, dim, block):
         sl = slice(start, start + block)
         # rows m of C_P^* A: conj(zeta^{phase_P[m]}) A[perm_P[m], :]

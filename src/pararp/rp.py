@@ -19,6 +19,7 @@ aggregates within tolerance) holds exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,6 +42,7 @@ from .representation import (
     Representation,
     build_generators,
     to_matrix,
+    trace_products,
 )
 
 DEFAULT_TOL = 1e-9
@@ -140,8 +142,6 @@ def random_minus_observable(
 
 def minus_monomials_of_degree(n: int, L: int, d: int):
     """All exponent vectors on sites 1..L/2 with total degree exactly d."""
-    import itertools
-
     half = L // 2
     for head in itertools.product(range(n), repeat=half):
         if sum(head) == d:
@@ -157,6 +157,41 @@ def structured_observables(n: int, L: int) -> list[tuple[str, Polynomial]]:
 
 
 # -- trace functionals ----------------------------------------------------
+
+
+def _traces(
+    xs: list[Polynomial], ys: list[Polynomial], rep: Representation,
+    e: np.ndarray, grid: bool = False,
+) -> np.ndarray:
+    """Tr(X_i Y_i E) for each pair (X_i, Y_i), or with ``grid`` the matrix
+    of Tr(X_i Y_j E) over all i, j.
+
+    Each trace is a bilinear sum of monomial traces Tr(C_s C_t E) from
+    trace_products, so it costs O(terms_X terms_Y dim), with no dense
+    matrix of X or Y and no dim^3 product.
+    """
+    # Every distinct monomial of xs and ys gets one row of an exponent array.
+    index: dict[tuple[int, ...], int] = {}
+    x_terms, y_terms = (
+        [[(index.setdefault(v.entries, len(index)), c) for v, c in p.terms.items()]
+         for p in polys]
+        for polys in (xs, ys)
+    )
+    pairs = (itertools.product if grid else zip)(range(len(xs)), range(len(ys)))
+    owner, s, t, weight = [], [], [], []
+    for p, (i, j) in enumerate(pairs):
+        for (u, a), (v, b) in itertools.product(x_terms[i], y_terms[j]):
+            owner.append(p)
+            s.append(u)
+            t.append(v)
+            weight.append(a * b)
+    traces = trace_products(
+        rep, np.array(list(index), dtype=np.intp).reshape(-1, rep.sites),
+        np.array(s, dtype=np.intp), np.array(t, dtype=np.intp), e,
+    )
+    out = np.zeros(len(xs) * len(ys) if grid else len(xs), dtype=complex)
+    np.add.at(out, np.array(owner, dtype=np.intp), np.array(weight) * traces)
+    return out.reshape(len(xs), len(ys)) if grid else out
 
 
 def _compatible_sides(a: Polynomial, b: Polynomial) -> bool:
@@ -178,9 +213,8 @@ def rp_functional(
         raise ValueError("A and B must be localized on the same side")
     if boltzmann is None:
         boltzmann = matrix_exp(-to_matrix(spec.total(), rep))
-    ma = to_matrix(a, rep)
-    mtb = to_matrix(reflect(b), rep)
-    return complex(np.trace(ma @ mtb @ boltzmann))
+    [val] = _traces([a], [reflect(b)], rep, boltzmann)
+    return complex(val)
 
 
 def check_rp(
@@ -208,19 +242,19 @@ def check_rp(
     if abs(z.imag) > tol * zscale or z.real <= 0:
         violations.append(["partition_function", z.imag if z.real > 0 else z.real])
 
-    probes = structured_observables(n, L)
-    probes += [
+    structured = structured_observables(n, L)
+    probes = structured + [
         (f"random[{i}]", random_minus_observable(n, L, rng))
         for i in range(samples)
     ]
+    polys = [a for _, a in probes]
+    refl = [reflect(a) for a in polys]
+    # f(A, A) = Tr(A theta(A) E) and the symmetric Tr(theta(A) A E).
+    traces = _traces(polys + refl, refl + polys, rep, boltzmann)
 
     min_diag = math.inf
     max_imag = 0.0
-    for label, a in probes:
-        ma = to_matrix(a, rep)
-        mta = to_matrix(reflect(a), rep)
-        val = complex(np.trace(ma @ mta @ boltzmann))
-        sym = complex(np.trace(mta @ ma @ boltzmann))
+    for (label, _), val, sym in zip(probes, *traces.reshape(2, -1).tolist()):
         scale = 1.0 + abs(val)
         re_n = val.real / scale
         im_n = abs(val.imag) / scale
@@ -233,7 +267,7 @@ def check_rp(
         if abs(val - sym) > tol * scale:
             violations.append([f"{label}:symmetry", abs(val - sym)])
 
-    basis = [p for _, p in structured_observables(n, L)]
+    basis = [p for _, p in structured]
     _, min_eig = gram_psd(spec, rep, basis, boltzmann=boltzmann)
     if min_eig < -tol:
         violations.append(["gram", min_eig])
@@ -260,13 +294,7 @@ def gram_psd(
     eigenvalue (divided by 1 + max |G_ab|)."""
     if boltzmann is None:
         boltzmann = matrix_exp(-to_matrix(spec.total(), rep))
-    mats = [to_matrix(p, rep) for p in basis]
-    refl = [to_matrix(reflect(p), rep) for p in basis]
-    m = len(basis)
-    g = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            g[i, j] = np.trace(mats[i] @ refl[j] @ boltzmann)
+    g = _traces(basis, [reflect(p) for p in basis], rep, boltzmann, grid=True)
     gh = (g + g.conj().T) / 2
     scale = 1.0 + float(np.abs(gh).max(initial=0.0))
     min_eig = float(np.linalg.eigvalsh(gh).min()) / scale
@@ -382,51 +410,55 @@ def conservation_law_check(
 # -- reflection bounds ----------------------------------------------------
 
 
+def bounds_factors(spec: HamiltonianSpec, rep: Representation) -> tuple:
+    """The Boltzmann factors of rp_bounds_check: e^{-H} and those of the
+    auxiliary H_- + H_0 + theta(H_-) and theta(H_+) + H_0 + H_+."""
+    h_m_aux = spec.h_minus + spec.h_zero + reflect(spec.h_minus)
+    h_p_aux = reflect(spec.h_plus) + spec.h_zero + spec.h_plus
+    return tuple(
+        matrix_exp(-to_matrix(h, rep)) for h in (spec.total(), h_m_aux, h_p_aux)
+    )
+
+
 def rp_bounds_check(
     a: Polynomial,
     b: Polynomial,
     spec: HamiltonianSpec,
     rep: Representation,
     tol: float = DEFAULT_TOL,
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> dict:
     """Check |f(A, B)| <= ||A||_- ||B||_+ and |f(A, B)| <= ||A||_+ ||B||_-
     for A, B in the plus observable algebra, plus the A = B = I partition
     function bound.
 
     The auxiliary norms use the Hamiltonians H_- + H_0 + theta(H_-) and
-    theta(H_+) + H_0 + H_+.
+    theta(H_+) + H_0 + H_+.  ``factors``, from bounds_factors, lets many
+    pairs share the three matrix exponentials.
     """
     for name, p in (("A", a), ("B", b)):
         sc = classify(p)
         if sc.side not in (Side.PLUS, Side.SCALAR) or not sc.observable:
             raise ValueError(f"{name} must be in the plus observable algebra")
 
-    h_m_aux = spec.h_minus + spec.h_zero + reflect(spec.h_minus)
-    h_p_aux = reflect(spec.h_plus) + spec.h_zero + spec.h_plus
-    e_full = matrix_exp(-to_matrix(spec.total(), rep))
-    e_minus = matrix_exp(-to_matrix(h_m_aux, rep))
-    e_plus = matrix_exp(-to_matrix(h_p_aux, rep))
+    e_full, e_minus, e_plus = factors or bounds_factors(spec, rep)
+    ta, tb = reflect(a), reflect(b)
+    [f_ab] = _traces([a], [tb], rep, e_full).tolist()
+    sq_minus = _traces([a, b], [ta, tb], rep, e_minus).tolist()
+    sq_plus = _traces([a, b], [ta, tb], rep, e_plus).tolist()
 
-    def norm_sq(p: Polynomial, boltzmann: np.ndarray, label: str) -> float:
-        val = complex(
-            np.trace(
-                to_matrix(p, rep) @ to_matrix(reflect(p), rep) @ boltzmann
-            )
-        )
+    def norm(val: complex, label: str) -> float:
         if val.real < -tol * (1 + abs(val)):
             raise ValueError(
                 f"auxiliary Hamiltonian for {label} is RP-violating: "
                 f"||.||^2 = {val}"
             )
-        return max(val.real, 0.0)
+        return math.sqrt(max(val.real, 0.0))
 
-    f_ab = complex(
-        np.trace(to_matrix(a, rep) @ to_matrix(reflect(b), rep) @ e_full)
-    )
-    na_m = math.sqrt(norm_sq(a, e_minus, "minus"))
-    na_p = math.sqrt(norm_sq(a, e_plus, "plus"))
-    nb_m = math.sqrt(norm_sq(b, e_minus, "minus"))
-    nb_p = math.sqrt(norm_sq(b, e_plus, "plus"))
+    na_m = norm(sq_minus[0], "minus")
+    na_p = norm(sq_plus[0], "plus")
+    nb_m = norm(sq_minus[1], "minus")
+    nb_p = norm(sq_plus[1], "plus")
 
     bound1 = na_m * nb_p
     bound2 = na_p * nb_m
@@ -484,12 +516,8 @@ def counterexample_f(
         raise ValueError(f"j must be in 1..{n}, got {j}")
     if rep is None:
         rep = build_generators(n, 2)
-    spec = crossing_only_spec(n)
-    boltzmann = matrix_exp(-to_matrix(spec.total(), rep))
     a = Polynomial.monomial(1.0, unit_vector(n, 2, 1, power=j))
-    ma = to_matrix(a, rep)
-    mta = to_matrix(reflect(a), rep)
-    return complex(np.trace(ma @ mta @ boltzmann))
+    return rp_functional(a, a, crossing_only_spec(n), rep)
 
 
 FAMILY_DESCRIPTIONS = {

@@ -1,0 +1,342 @@
+"""The permutation-form trace kernel against dense matrix products.
+
+Every trace functional Tr(X Y E) in pararp.rp is evaluated by one kernel,
+``representation.trace_products``, through the bilinear helper
+``rp._traces``.  The references here multiply dense matrices instead:
+Tr(to_matrix(X) @ to_matrix(Y) @ E).
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from pararp import cli, rp
+from pararp.algebra import Polynomial, reflect
+from pararp.exponents import ExponentVector
+from pararp.hamiltonian import baxter
+from pararp.representation import to_matrix, trace_products
+
+from conftest import rep_for
+
+# Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256.
+CELLS = [
+    (n, L)
+    for n in range(2, 6)
+    for L in range(2, 17, 2)
+    if n ** (L // 2) <= 256
+]
+
+
+def dense_traces(xs, ys, rep, e, grid=False):
+    """Reference for rp._traces from dense triple products."""
+    mx = [to_matrix(x, rep) for x in xs]
+    my = [to_matrix(y, rep) for y in ys]
+    if grid:
+        return np.array([[np.trace(a @ b @ e) for b in my] for a in mx])
+    return np.array([np.trace(a @ b @ e) for a, b in zip(mx, my)])
+
+
+def random_vector(n, L, rng, kind):
+    """Exponent vector on the minus half, the plus half, both halves, or
+    the identity; observable (degree = 0 mod n) or not at random."""
+    half = L // 2
+    if kind == "identity":
+        return ExponentVector((0,) * L, n)
+    entries = [int(x) for x in rng.integers(0, n, size=L)]
+    if kind == "minus":
+        entries[half:] = [0] * half
+    elif kind == "plus":
+        entries[:half] = [0] * half
+    if rng.random() < 0.5:  # observable: fix the degree on one site
+        site = 0 if kind != "plus" else L - 1
+        entries[site] = (entries[site] - sum(entries)) % n
+    return ExponentVector(tuple(entries), n)
+
+
+def random_poly(n, L, rng, max_terms=4):
+    kinds = ("identity", "minus", "plus", "both")
+    terms = {}
+    for _ in range(int(rng.integers(1, max_terms + 1))):
+        vec = random_vector(n, L, rng, kinds[int(rng.integers(0, 4))])
+        terms[vec] = complex(rng.normal(), rng.normal())
+    return Polynomial(terms, n, L)
+
+
+def random_matrix(dim, rng):
+    """A dense non-hermitian matrix."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def assert_close(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert (np.abs(got - ref) <= 1e-12 * (1 + np.abs(ref))).all(), (
+        float((np.abs(got - ref) / (1 + np.abs(ref))).max())
+    )
+
+
+class TestKernelAgainstDense:
+    @pytest.mark.parametrize("n,L", CELLS)
+    def test_pairs_and_grid(self, n, L):
+        rng = np.random.default_rng(1000 * n + L)
+        rep = rep_for(n, L)
+        e = random_matrix(rep.dim, rng)
+        xs = [random_poly(n, L, rng) for _ in range(4)]
+        ys = [random_poly(n, L, rng) for _ in range(3)]
+        xs.append(Polynomial.identity(n, L))
+        ys.append(reflect(xs[0]))
+        pairs = rp._traces(xs[:4], ys, rep, e)
+        assert_close(pairs, dense_traces(xs[:4], ys, rep, e))
+        grid = rp._traces(xs, ys, rep, e, grid=True)
+        assert_close(grid, dense_traces(xs, ys, rep, e, grid=True))
+
+    @pytest.mark.parametrize("n,L", [(2, 8), (3, 6), (5, 4)])
+    def test_monomial_pairs(self, n, L):
+        rng = np.random.default_rng(n * L)
+        rep = rep_for(n, L)
+        e = random_matrix(rep.dim, rng)
+        exponents = rng.integers(0, n, size=(6, L))
+        exponents[0] = 0  # the identity
+        s, t = rng.integers(0, 6, size=40), rng.integers(0, 6, size=40)
+        got = trace_products(rep, exponents, s, t, e)
+
+        def monomial(i):
+            return rep.monomial_matrix(ExponentVector(tuple(exponents[i]), n))
+
+        ref = [np.trace(monomial(i) @ monomial(j) @ e) for i, j in zip(s, t)]
+        assert_close(got, ref)
+
+    def test_empty_polynomial_gives_zero(self):
+        rep = rep_for(3, 4)
+        rng = np.random.default_rng(0)
+        e = random_matrix(rep.dim, rng)
+        zero, x = Polynomial.zero(3, 4), random_poly(3, 4, rng)
+        assert rp._traces([zero], [x], rep, e).tolist() == [0j]
+        assert rp._traces([x], [zero], rep, e).tolist() == [0j]
+        grid = rp._traces([zero, x], [zero], rep, e, grid=True)
+        assert grid.shape == (2, 1) and not grid.any()
+        assert rp._traces([], [], rep, e).shape == (0,)
+        empty = np.zeros((0, 4), dtype=np.intp)
+        none = np.zeros(0, dtype=np.intp)
+        assert trace_products(rep, empty, none, none, e).shape == (0,)
+
+
+class TestRoutedFunctionals:
+    def test_gram_psd_multi_term_basis(self):
+        n, L = 3, 6
+        rng = np.random.default_rng(7)
+        rep = rep_for(n, L)
+        spec = baxter(n, L, [1.0, 0.7, -0.4, 0.7, 1.0])
+        basis = [Polynomial.identity(n, L)] + [
+            rp.random_minus_observable(n, L, rng, max_terms=5) for _ in range(6)
+        ]
+        boltzmann = rp.matrix_exp(-to_matrix(spec.total(), rep))
+        g = dense_traces(basis, [reflect(p) for p in basis], rep, boltzmann,
+                         grid=True)
+        gh = (g + g.conj().T) / 2
+        scale = 1.0 + float(np.abs(gh).max())
+        ref_min = float(np.linalg.eigvalsh(gh).min()) / scale
+        got, got_min = rp.gram_psd(spec, rep, basis)
+        assert_close(got, gh)
+        assert abs(got_min - ref_min) <= 1e-12 * (1 + abs(ref_min))
+
+    def test_no_dense_matrix_of_observables(self, monkeypatch):
+        """check_rp builds one dense matrix, that of H, whatever the number
+        of probes, and builds the structured observables once."""
+        n, L = 3, 6
+        spec = baxter(n, L, [1.0, 0.7, -0.4, 0.7, 1.0])
+        rep = rep_for(n, L)
+        calls = {"to_matrix": 0, "structured": 0}
+        to_matrix_orig = rp.to_matrix
+        structured_orig = rp.structured_observables
+
+        def counting_to_matrix(p, r):
+            calls["to_matrix"] += 1
+            return to_matrix_orig(p, r)
+
+        def counting_structured(*args):
+            calls["structured"] += 1
+            return structured_orig(*args)
+
+        monkeypatch.setattr(rp, "to_matrix", counting_to_matrix)
+        monkeypatch.setattr(rp, "structured_observables", counting_structured)
+        rp.check_rp(spec, rep, samples=10, seed=2)
+        assert calls == {"to_matrix": 1, "structured": 1}
+
+    def test_counterexample_matches_dense(self):
+        for n in (2, 3, 5):
+            rep = rep_for(n, 2)
+            spec = rp.crossing_only_spec(n)
+            boltzmann = rp.matrix_exp(-to_matrix(spec.total(), rep))
+            for j in range(1, n + 1):
+                a = Polynomial.monomial(
+                    1.0, ExponentVector((j % n, 0), n)
+                )
+                [ref] = dense_traces([a], [reflect(a)], rep, boltzmann)
+                assert_close(rp.counterexample_f(n, j, rep), ref)
+
+
+class TestBoundsFactors:
+    def test_hoisted_factors_give_identical_dicts(self):
+        n, L = 3, 6
+        spec = baxter(n, L, [1.0, 0.6, -0.5, 0.6, 1.0])
+        rep = rep_for(n, L)
+        rng = np.random.default_rng(5)
+        factors = rp.bounds_factors(spec, rep)
+        pairs = [(Polynomial.identity(n, L),) * 2] + [
+            (reflect(rp.random_minus_observable(n, L, rng)),
+             reflect(rp.random_minus_observable(n, L, rng)))
+            for _ in range(4)
+        ]
+        for a, b in pairs:
+            fresh = rp.rp_bounds_check(a, b, spec, rep, tol=1e-9)
+            hoisted = rp.rp_bounds_check(a, b, spec, rep, tol=1e-9,
+                                         factors=factors)
+            assert fresh == hoisted
+
+    def test_cli_bounds_runs_three_exponentials(self, tmp_path, monkeypatch):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(
+            {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.6, -0.5, 0.6, 1.0]}}
+        ))
+        calls = []
+        exp_orig = rp.matrix_exp
+        monkeypatch.setattr(
+            rp, "matrix_exp", lambda a: calls.append(1) or exp_orig(a)
+        )
+        code, _ = run_cli(["bounds", "--spec", str(path), "--samples", "4"])
+        assert code == 0 and len(calls) == 3
+
+
+# -- CLI reports against the dense reference --------------------------------
+
+SPECS = {
+    "baxter-valid": {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.7, -0.4, 0.7, 1.0]}},
+    "baxter-even": {"baxter": {"n": 2, "L": 8,
+                               "t": [0.9, 1.1, 0.8, -0.6, 0.8, 1.1, 0.9]}},
+    "baxter-violating": {"baxter": {"n": 3, "L": 4, "t": [1.0, 0.8, 1.0]}},
+    "general": {
+        "n": 4, "L": 6,
+        "h_minus": [{"coefficient": [0.4, -0.2], "exponents": [1, 3, 0, 0, 0, 0]},
+                    {"coefficient": [-0.3, 0.1], "exponents": [2, 1, 1, 0, 0, 0]}],
+        "couplings": [{"exponents": [1, 0, 2, 0, 0, 0], "J": 0.5},
+                      {"exponents": [0, 1, 0, 0, 0, 0], "J": 0.8}],
+    },
+}
+
+COMMANDS = (
+    ["rp-check", "--samples", "6", "--seed", "3"],
+    ["gram"],
+    ["bounds", "--samples", "3", "--seed", "4"],
+)
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())
+
+
+def assert_reports_close(got, ref, path="report"):
+    if isinstance(ref, dict):
+        assert set(got) == set(ref), path
+        for key in ref:
+            assert_reports_close(got[key], ref[key], f"{path}.{key}")
+    elif isinstance(ref, list):
+        assert len(got) == len(ref), path
+        for i, (g, r) in enumerate(zip(got, ref)):
+            assert_reports_close(g, r, f"{path}[{i}]")
+    elif isinstance(ref, float) and not isinstance(ref, bool):
+        assert abs(got - ref) <= 1e-12 * (1 + abs(ref)), (path, got, ref)
+    else:
+        assert got == ref, (path, got, ref)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_cli_report_matches_dense_reference(command, name, tmp_path,
+                                            monkeypatch):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPECS[name]))
+    argv = command + ["--spec", str(path)]
+    code, report = run_cli(argv)
+    monkeypatch.setattr(rp, "_traces", dense_traces)
+    ref_code, ref_report = run_cli(argv)
+    assert code == ref_code
+    assert_reports_close(report, ref_report)
+    if name == "baxter-violating" and command[0] != "bounds":
+        assert code == cli.VIOLATIONS
+
+
+# -- the Schwarz check in cmd_gram and ExponentVector validation -------------
+
+
+def schwarz_loop(gram, tol):
+    """The per-pair Schwarz check |G_ij|^2 <= G_ii G_jj (relative tol)."""
+    ok = True
+    for i in range(len(gram)):
+        for j in range(len(gram)):
+            lhs = abs(gram[i, j]) ** 2
+            rhs = gram[i, i].real * gram[j, j].real
+            if lhs > rhs + tol * (1 + lhs):
+                ok = False
+    return ok
+
+
+def test_vectorised_schwarz_matches_loop(tmp_path, monkeypatch):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPECS["baxter-valid"]))
+    rng = np.random.default_rng(11)
+    grams = []
+    for m in (1, 2, 5, 9):
+        v = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        psd = v @ v.conj().T
+        grams += [psd, psd - 2.0 * np.eye(m), psd + 0.3 * (1 - np.eye(m))]
+    # Gram matrices at the Schwarz bound and just past it, where only the
+    # relative part of the tolerance (tol |G_ij|^2 = 0.1 here) decides.
+    swap = np.array([[0, 1], [1, 0]])
+    for big in (1.0, 1e4):
+        edge = big * np.ones((2, 2), dtype=complex)
+        grams += [edge + big * 1e-6 * swap]
+        grams += [edge + math.sqrt(big**2 + c) * swap - big * swap
+                  for c in (0.0, 0.05, 0.2)]
+    seen = set()
+    for g in grams:
+        monkeypatch.setattr(rp, "gram_psd", lambda *a, g=g, **k: (g, 1.0))
+        _, report = run_cli(["gram", "--spec", str(path)])
+        assert report["schwarz_ok"] == schwarz_loop(g, rp.DEFAULT_TOL)
+        seen.add(report["schwarz_ok"])
+    assert seen == {True, False}
+
+
+def exponent_vector_loop(entries, order):
+    """ExponentVector's per-site validation: the message of the first
+    offending site, or the int-normalized entries."""
+    for j, e in enumerate(entries):
+        if not (0 <= e < order):
+            raise ValueError(f"entry {e} at site {j + 1} outside 0..{order - 1}")
+    return tuple(int(e) for e in entries)
+
+
+@pytest.mark.parametrize("entries", [
+    (0, 1, 2, 0), (2, 2), (0, 3), (-1, 0), (1, 0, 0, 5), (3, -1),
+    (0.5, 1), (-0.5, 1), (1.0, 2.0), (True, False), (np.int64(2), 1),
+    (1, math.nan), (math.nan, 1), (2, math.inf), (1, "a"), ("a", 1),
+])
+def test_exponent_vector_validation_unchanged(entries):
+    try:
+        expected = ("ok", exponent_vector_loop(entries, 3))
+    except (ValueError, TypeError) as exc:
+        expected = (type(exc), str(exc))
+    try:
+        vec = ExponentVector(entries, 3)
+        got = ("ok", vec.entries)
+        assert all(type(e) is int for e in vec.entries)
+    except (ValueError, TypeError) as exc:
+        got = (type(exc), str(exc))
+    assert got == expected
