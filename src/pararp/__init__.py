@@ -25,6 +25,8 @@ from .algebra import (
     hermitian_pair,
     hermiticity_condition,
     reflect,
+    reflect_all,
+    sum_polynomials,
     zeta_power,
     omega_power,
 )

@@ -11,15 +11,42 @@ root of unity zeta = e^{i pi / n} (zeta^2 = omega).  Phase exponents are
 computed with exact integer arithmetic mod 2n and converted to complex
 numbers through a per-order table of exactly-constructed roots, so repeated
 products do not accumulate phase drift beyond a single rounding per factor.
+
+Storage.  A polynomial with K terms is two arrays: ``exponents``, a (K, L)
+integer matrix whose rows are the distinct exponent vectors, and ``coeffs``,
+the (K,) complex128 vector of their nonzero coefficients.  Every operation
+works on whole arrays: circ(I, J) for all term pairs of a product is one
+integer matrix product A T B^T, with T the strictly lower-triangular ones
+matrix (T B^T holds the exclusive prefix sums of B's rows), reflection and
+adjoint are column reversals and complements, and terms with equal exponent
+rows are merged through one integer code per row and ``np.bincount``.  The
+matrix oracle (``representation.to_matrix``, ``rp._traces``) reads the same
+exponent matrix.  ``terms``, the read-only map ExponentVector ->
+coefficient, builds its ExponentVector keys on first lookup and keeps them.
+
+Coefficients are bit-for-bit those of the term-by-term definitions
+(``exponents.circ``, ``exponents.add``, Python complex arithmetic):
+
+* complex products are written out as xr*yr - xi*yi and xr*yi + xi*yr on
+  float64 arrays, each product rounded on its own, because numpy's complex
+  multiply may use fused multiply-add and then differs in the last bit;
+* a merged coefficient is a sum started from 0 that adds its terms in array
+  order (``np.bincount`` does), which for a product is the row-major order
+  of (left term, right term) pairs;
+* merged terms keep the position of their first occurrence.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from collections.abc import Mapping
+
+import numpy as np
 
 from .exponents import (
     ExponentVector,
@@ -33,10 +60,23 @@ from .exponents import (
 
 COEFF_TOL = 1e-12
 
+# Entries per temporary array (4 MiB of complex values): bounds the P*Q*L
+# exponent sums of a product here, and the blocks of decompose and
+# trace_products in representation, independently of the input size.
+_BLOCK = 1 << 18
+
 
 @lru_cache(maxsize=None)
 def _zeta_table(n: int) -> tuple[complex, ...]:
     return tuple(cmath.exp(1j * math.pi * k / n) for k in range(2 * n))
+
+
+@lru_cache(maxsize=None)
+def _zeta_array(n: int) -> np.ndarray:
+    """_zeta_table(n) as a read-only complex array, indexed by exponent."""
+    table = np.array(_zeta_table(n))
+    table.flags.writeable = False
+    return table
 
 
 def zeta_power(n: int, k: int) -> complex:
@@ -99,13 +139,137 @@ class SideClass:
     observable: bool
 
 
+# -- array kernels ------------------------------------------------------
+
+
+def _cmul(x, y) -> np.ndarray:
+    """x * y elementwise as Python's complex multiply computes it: each part
+    from two separately rounded products, never a fused multiply-add."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    real = xr * yr - xi * yi
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
+    out.imag = xr * yi + xi * yr
+    return out
+
+
+@lru_cache(maxsize=None)
+def _circ_weights(L: int) -> np.ndarray:
+    """W with W[i, j] = -2 for i > j, else 0: for exponent rows a and b,
+    a @ W @ b is -2 circ(a, b), the zeta exponent of omega^{-circ(a, b)}."""
+    weights = -2 * np.tri(L, k=-1, dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
+
+
+@lru_cache(maxsize=None)
+def _radix(n: int, L: int) -> np.ndarray:
+    """(L, C) weights: column c maps an exponent row to the mixed-radix code
+    of its c-th chunk of sites.  Chunks hold as many sites as keep n^sites
+    within int64, so rows are equal exactly when their C codes are, for
+    every n and L (n^L may exceed 2^63)."""
+    per = 1
+    while n ** (per + 1) <= 2**63:
+        per += 1
+    weights = np.zeros((L, -(-L // per)), dtype=np.int64)
+    for j in range(L):
+        chunk, k = divmod(j, per)
+        weights[j, chunk] = n**k
+    weights.flags.writeable = False
+    return weights
+
+
+def _codes(exponents: np.ndarray, n: int) -> np.ndarray:
+    return exponents @ _radix(n, exponents.shape[1])
+
+
+def _group(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows of equal codes: the group of every row, groups numbered in
+    order of first occurrence, and the first row of each group."""
+    if codes.shape[1] == 1:
+        keys = codes[:, 0]
+    else:  # n^L beyond int64: number the distinct rows of codes first
+        order = np.lexsort(codes.T)
+        ranked = codes[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        keys = np.empty(len(order), dtype=np.int64)
+        keys[order] = np.cumsum(new)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    if starts.all():  # no two rows alike: every row is its own group
+        rows = np.arange(len(keys))
+        return rows, rows
+    run = np.cumsum(starts) - 1
+    # The sort is not stable: a run's first row is its smallest index.
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    by_first = np.argsort(first)
+    renumber = np.empty_like(by_first)
+    renumber[by_first] = np.arange(len(first))
+    group = np.empty_like(order)
+    group[order] = renumber[run]
+    return group, first[by_first]
+
+
+def _merge(codes: np.ndarray, values: np.ndarray):
+    """First row of each group of equal codes, and the sum of its values
+    from 0 in array order."""
+    group, first = _group(codes)
+    sums = np.empty(len(first), dtype=complex)
+    sums.real = np.bincount(group, values.real, len(first))
+    sums.imag = np.bincount(group, values.imag, len(first))
+    return first, sums
+
+
+_set = object.__setattr__
+
+
+class Terms(Mapping):
+    """Read-only map ExponentVector -> coefficient over a polynomial's terms.
+
+    Its length comes from the arrays; the dict of ExponentVector keys behind
+    the lookups is built on first use and kept.
+    """
+
+    __slots__ = ("_exponents", "_coeffs", "_order", "_dict")
+
+    def __init__(self, exponents, coeffs, n: int, items: dict | None = None):
+        self._exponents, self._coeffs, self._order = exponents, coeffs, n
+        self._dict = items
+
+    def _items(self) -> dict[ExponentVector, complex]:
+        if self._dict is None:
+            n = self._order
+            self._dict = {
+                ExponentVector(tuple(row), n): c
+                for row, c in zip(self._exponents.tolist(), self._coeffs.tolist())
+            }
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._coeffs)
+
+    def __getitem__(self, vec):
+        return self._items()[vec]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __repr__(self) -> str:
+        return repr(self._items())
+
+
 class Polynomial:
     """Normal-ordered polynomial in parafermion generators.
 
-    Immutable; ``terms`` maps ExponentVector -> nonzero complex coefficient.
+    Immutable; ``exponents`` (K, L) and ``coeffs`` (K,) hold the terms, and
+    ``terms`` maps ExponentVector -> nonzero complex coefficient.
     """
 
-    __slots__ = ("terms", "order", "sites")
+    __slots__ = ("exponents", "coeffs", "order", "sites", "_terms")
 
     def __init__(self, terms, n: int, L: int, _drop_tol: float = 0.0):
         clean: dict[ExponentVector, complex] = {}
@@ -115,12 +279,39 @@ class Polynomial:
             c = complex(coeff)
             if c != 0 and abs(c) > _drop_tol:
                 clean[vec] = c
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "order", n)
-        object.__setattr__(self, "sites", L)
+        exponents = np.array([v.entries for v in clean], dtype=np.int64)
+        coeffs = np.fromiter(clean.values(), dtype=complex, count=len(clean))
+        exponents = exponents.reshape(len(clean), L)
+        self._init(exponents, coeffs, n, L, Terms(exponents, coeffs, n, clean))
+
+    def _init(self, exponents, coeffs, n, L, terms) -> None:
+        exponents.flags.writeable = False
+        coeffs.flags.writeable = False
+        _set(self, "exponents", exponents)
+        _set(self, "coeffs", coeffs)
+        _set(self, "order", n)
+        _set(self, "sites", L)
+        _set(self, "_terms", terms)
+
+    @classmethod
+    def _from_arrays(cls, exponents, coeffs, n: int, L: int) -> "Polynomial":
+        """Polynomial of distinct int64 exponent rows, dropping zero (and
+        NaN) coefficients as the dict constructor does."""
+        if not np.abs(coeffs).min(initial=1.0) > 0:
+            keep = np.abs(coeffs) > 0
+            exponents, coeffs = exponents[keep], coeffs[keep]
+        p = cls.__new__(cls)
+        p._init(exponents, coeffs, n, L, None)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> "Terms":
+        if self._terms is None:
+            _set(self, "_terms", Terms(self.exponents, self.coeffs, self.order))
+        return self._terms
 
     # -- constructors -------------------------------------------------
 
@@ -143,23 +334,15 @@ class Polynomial:
             raise ValueError("polynomials on different algebras")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._require_same_space(other)
-        out = dict(self.terms)
-        for vec, c in other.terms.items():
-            s = out.get(vec, 0) + c
-            if s == 0:
-                out.pop(vec, None)
-            else:
-                out[vec] = s
-        return Polynomial(out, self.order, self.sites)
+        return sum_polynomials((self, other))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "Polynomial":
-        s = complex(scalar)
-        return Polynomial(
-            {v: s * c for v, c in self.terms.items()}, self.order, self.sites
+        return Polynomial._from_arrays(
+            self.exponents, _cmul(complex(scalar), self.coeffs),
+            self.order, self.sites,
         )
 
     def __mul__(self, other):
@@ -173,28 +356,30 @@ class Polynomial:
     # -- queries --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.coeffs)
 
     def coefficient(self, vec: ExponentVector) -> complex:
         return self.terms.get(vec, 0j)
 
     def constant_term(self) -> complex:
-        return self.terms.get(zero_vector(self.order, self.sites), 0j)
+        rows = np.flatnonzero(~self.exponents.any(axis=1))
+        return complex(self.coeffs[rows[0]]) if len(rows) else 0j
 
     def norm1(self) -> float:
-        return sum(abs(c) for c in self.terms.values())
+        # Python's abs: numpy's complex abs may differ in the last bit.
+        return sum(map(abs, self.coeffs.tolist()))
 
     def almost_equal(self, other: "Polynomial", tol: float = COEFF_TOL) -> bool:
-        self._require_same_space(other)
-        keys = set(self.terms) | set(other.terms)
+        if self.exponents is other.exponents:  # the same terms in the same order
+            diff = self.coeffs - other.coeffs
+        else:
+            _, diff, rows = _union((self, other))
+            diff[rows] -= other.coeffs
         scale = 1.0 + max(self.norm1(), other.norm1())
-        return all(
-            abs(self.terms.get(k, 0) - other.terms.get(k, 0)) <= tol * scale
-            for k in keys
-        )
+        return bool((np.abs(diff) <= tol * scale).all())
 
     def __repr__(self):
-        if not self.terms:
+        if self.is_zero():
             return f"Polynomial.zero(n={self.order}, L={self.sites})"
         parts = [f"{c!r}*C{v.entries}" for v, c in sorted(
             self.terms.items(), key=lambda kv: kv[0].entries)]
@@ -204,31 +389,74 @@ class Polynomial:
 # -- core operations ----------------------------------------------------
 
 
+def _union(polys):
+    """All distinct exponent rows of ``polys`` in order of first occurrence,
+    the coefficients of polys[0] padded with zeros, and the row of each term
+    of polys[1:]."""
+    first = polys[0]
+    for q in polys[1:]:
+        first._require_same_space(q)
+    exponents = np.concatenate([p.exponents for p in polys])
+    group, rows = _group(_codes(exponents, first.order))
+    k = len(first.coeffs)
+    coeffs = np.zeros(len(rows), dtype=complex)
+    coeffs[:k] = first.coeffs
+    if len(rows) < len(exponents):
+        exponents = exponents[rows]
+    return exponents, coeffs, group[k:]
+
+
+def sum_polynomials(polys) -> Polynomial:
+    """p_1 + p_2 + ... in one merge, term for term the left fold of ``+``:
+    the coefficients of p_1 as they are, every later term added in order."""
+    polys = list(polys)
+    exponents, coeffs, rows = _union(polys)
+    added = np.concatenate([p.coeffs for p in polys])[len(polys[0].coeffs):]
+    np.add.at(coeffs, rows, added)
+    return Polynomial._from_arrays(exponents, coeffs, polys[0].order, polys[0].sites)
+
+
+
 def canonical_product(p: Polynomial, q: Polynomial) -> Polynomial:
     """Normal-ordered product: C_I C_J = omega^{-circ(I, J)} C_{I+J}."""
     p._require_same_space(q)
     n, L = p.order, p.sites
-    out: dict[ExponentVector, complex] = {}
-    for vi, ci in p.terms.items():
-        for vj, cj in q.terms.items():
-            phase = omega_power(n, -circ(vi, vj))
-            key = add(vi, vj)
-            s = out.get(key, 0) + ci * cj * phase
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return Polynomial(out, n, L)
+    a, b = p.exponents, q.exponents
+    phase = _zeta_array(n)[(a @ _circ_weights(L) @ b.T) % (2 * n)]
+    values = _cmul(_cmul(p.coeffs[:, None], q.coeffs), phase).ravel()
+    if len(a) <= 1 or len(b) <= 1:
+        # I -> I + J is then one-to-one: no two pairs share a key.
+        keys = (a[:, None] + b).reshape(-1, L) % n
+        return Polynomial._from_arrays(keys, values + 0.0, n, L)
+    step = max(1, _BLOCK // (len(b) * L))
+    codes = np.concatenate([
+        _codes((a[i:i + step, None] + b).reshape(-1, L) % n, n)
+        for i in range(0, len(a), step)
+    ])
+    first, coeffs = _merge(codes, values)
+    keys = (a[first // len(b)] + b[first % len(b)]) % n
+    return Polynomial._from_arrays(keys, coeffs, n, L)
+
+
+def _conjugate_terms(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
+    """0 + conj(c) omega^{-circ(I, I)} for the terms with exponent rows a and
+    coefficients c, shared by adjoint and reflect, with Python's rounding:
+    conj(c) w has real part cr wr + ci wi and imaginary part cr wi - ci wr."""
+    index = ((a @ _circ_weights(a.shape[1])) * a).sum(axis=1) % (2 * n)
+    w = _zeta_array(n)[index]
+    out = np.empty(len(c), dtype=complex)
+    out.real = c.real * w.real + c.imag * w.imag
+    out.imag = c.real * w.imag - c.imag * w.real
+    out += 0
+    return out
 
 
 def adjoint(p: Polynomial) -> Polynomial:
     """Hermitian adjoint: C_I^* = omega^{-circ(I, I)} C_{I^c}."""
-    n, L = p.order, p.sites
-    out: dict[ExponentVector, complex] = {}
-    for vec, c in p.terms.items():
-        key = complement(vec)
-        out[key] = out.get(key, 0) + c.conjugate() * omega_power(n, -circ(vec, vec))
-    return Polynomial(out, n, L)
+    n, a = p.order, p.exponents
+    return Polynomial._from_arrays(
+        (n - a) % n, _conjugate_terms(a, p.coeffs, n), n, p.sites
+    )
 
 
 def reflect(p: Polynomial) -> Polynomial:
@@ -237,12 +465,26 @@ def reflect(p: Polynomial) -> Polynomial:
     Sends c_i to c_{L-i+1}^{n-1}; on monomials
     C_I -> omega^{-circ(I, I)} C_{reverse(I^c)} with conjugated coefficient.
     """
-    n, L = p.order, p.sites
-    out: dict[ExponentVector, complex] = {}
-    for vec, c in p.terms.items():
-        key = reflect_vector(complement(vec))
-        out[key] = out.get(key, 0) + c.conjugate() * omega_power(n, -circ(vec, vec))
-    return Polynomial(out, n, L)
+    [out] = reflect_all((p,))
+    return out
+
+
+def reflect_all(polys) -> list[Polynomial]:
+    """[reflect(p) for p in polys], computed on all their terms at once."""
+    polys = list(polys)
+    if not polys:
+        return []
+    for q in polys[1:]:
+        polys[0]._require_same_space(q)
+    n, L = polys[0].order, polys[0].sites
+    a = np.concatenate([p.exponents for p in polys])
+    keys = (n - a[:, ::-1]) % n
+    coeffs = _conjugate_terms(a, np.concatenate([p.coeffs for p in polys]), n)
+    ends = np.cumsum([len(p.coeffs) for p in polys]).tolist()
+    return [
+        Polynomial._from_arrays(keys[start:end], coeffs[start:end], n, L)
+        for start, end in zip([0, *ends], ends)
+    ]
 
 
 def gauge_apply(p: Polynomial, site: int | None = None) -> Polynomial:
@@ -251,11 +493,9 @@ def gauge_apply(p: Polynomial, site: int | None = None) -> Polynomial:
     n, L = p.order, p.sites
     if site is not None and not 1 <= site <= L:
         raise ValueError(f"site {site} outside 1..{L}")
-    out = {}
-    for vec, c in p.terms.items():
-        k = degree(vec) if site is None else vec.entries[site - 1]
-        out[vec] = c * omega_power(n, k)
-    return Polynomial(out, n, L)
+    k = p.exponents.sum(axis=1) if site is None else p.exponents[:, site - 1]
+    omega_k = _zeta_array(n)[(2 * k) % (2 * n)]
+    return Polynomial._from_arrays(p.exponents, _cmul(p.coeffs, omega_k), n, L)
 
 
 def classify(p: Polynomial) -> SideClass:
@@ -264,13 +504,16 @@ def classify(p: Polynomial) -> SideClass:
     A polynomial is observable when every term has degree divisible by n
     (global gauge invariance).
     """
-    observable = all(degree(v) % p.order == 0 for v in p.terms)
-    nonscalar = [v for v in p.terms if not v.is_zero()]
-    if not nonscalar:
+    a, half = p.exponents, p.sites // 2
+    observable = not (a.sum(axis=1) % p.order).any()
+    # A nonscalar term is supported on the minus half when its plus half is
+    # zero, and the other way round.
+    on_minus, on_plus = a[:, :half].any(), a[:, half:].any()
+    if not (on_minus or on_plus):
         return SideClass(Side.SCALAR, observable)
-    if all(v.supported_on_minus() for v in nonscalar):
+    if not on_plus:
         return SideClass(Side.MINUS, observable)
-    if all(v.supported_on_plus() for v in nonscalar):
+    if not on_minus:
         return SideClass(Side.PLUS, observable)
     return SideClass(Side.CROSSING, observable)
 
@@ -278,6 +521,10 @@ def classify(p: Polynomial) -> SideClass:
 def build_X(vec: ExponentVector, coupling: float) -> Polynomial:
     """Reflection- and gauge-invariant crossing monomial
     J * omega^{d^2/2} C_I theta(C_I), with d = degree(I) and I on the minus half.
+
+    theta(C_I) = omega^{-circ(I, I)} C_{reverse(I^c)} lies on the plus half,
+    so circ(I, reverse(I^c)) = 0 and the product is the single monomial
+    omega^{-circ(I, I)} C_{I + reverse(I^c)}.
     """
     if not vec.supported_on_minus():
         raise ValueError("exponent vector must be supported on sites 1..L/2")
@@ -285,10 +532,8 @@ def build_X(vec: ExponentVector, coupling: float) -> Polynomial:
     if d == 0:
         raise ValueError("degree must be positive")
     n = vec.order
-    c_i = Polynomial.monomial(1.0, vec)
-    body = canonical_product(c_i, reflect(c_i))
-    phase = zeta_power(n, d * d)
-    return (coupling * phase) * body
+    coeff = (coupling * zeta_power(n, d * d)) * omega_power(n, -circ(vec, vec))
+    return Polynomial.monomial(coeff, add(vec, reflect_vector(complement(vec))))
 
 
 def hermiticity_condition(vec: ExponentVector) -> bool:
@@ -308,47 +553,93 @@ def hermitian_pair(p: Polynomial) -> Polynomial:
 # -- textual serialization ----------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _factor_names(n: int, L: int) -> tuple[str, ...]:
+    """Text of the factor c_{j+1}^e, with a leading space, at j * n + e."""
+    return tuple(f" c{j + 1}^{e}" for j in range(L) for e in range(n))
+
+
 def to_text(p: Polynomial) -> str:
     """One term per line, ``(re+imj) * c1^a1 c2^a2 ...``; the identity term
     is written ``(re+imj) * 1``.  Round-trips exactly (float repr)."""
-    lines = [f"# n={p.order} L={p.sites}"]
-    for vec in sorted(p.terms, key=lambda v: v.entries):
-        c = p.terms[vec]
-        factors = " ".join(
-            f"c{j + 1}^{e}" for j, e in enumerate(vec.entries) if e != 0
-        )
-        lines.append(f"{c!r} * {factors if factors else '1'}")
+    n, L = p.order, p.sites
+    order = np.lexsort(p.exponents.T[::-1])  # by entries, site 1 first
+    a = p.exponents[order]
+    rows, sites = np.nonzero(a)
+    names = _factor_names(n, L)
+    factors = [names[i] for i in (sites * n + a[rows, sites]).tolist()]
+    ends = np.cumsum(np.count_nonzero(a, axis=1)).tolist()
+    lines = [f"# n={n} L={L}"]
+    start = 0
+    for c, end in zip(p.coeffs[order].tolist(), ends):
+        lines.append(f"{c!r} *{''.join(factors[start:end]) or ' 1'}")
+        start = end
     return "\n".join(lines) + "\n"
 
 
+_MONOMIAL = re.compile(r"c[0-9]{1,18}\^[0-9]{1,18}(?:\s+c[0-9]{1,18}\^[0-9]{1,18})*")
+
+
 def from_text(text: str) -> Polynomial:
-    header = None
-    terms: dict[ExponentVector, complex] = {}
+    """Inverse of to_text.  Equal monomials on several lines add up.  A
+    header or term line that does not parse, a site outside 1..L, an
+    exponent outside 0..n-1 or a site written twice in one monomial is a
+    ValueError naming the line."""
+    coeffs: list[complex] = []
+    monomials: list[str] = []
+    linenos: list[int] = []
     n = L = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if header is None:
-                fields = dict(f.split("=") for f in line[1:].split())
-                n, L = int(fields["n"]), int(fields["L"])
-                header = lineno
+            if n is None:
+                try:
+                    fields = dict(f.split("=") for f in line[1:].split())
+                    n, L = int(fields["n"]), int(fields["L"])
+                except (KeyError, ValueError):
+                    raise ValueError(
+                        f"line {lineno}: header is not '# n=.. L=..'"
+                    ) from None
             continue
         if n is None:
             raise ValueError(f"line {lineno}: term before '# n=.. L=..' header")
-        coeff_str, _, mono_str = line.partition("*")
-        coeff = complex(coeff_str.strip())
-        entries = [0] * L
-        mono_str = mono_str.strip()
-        if mono_str != "1":
-            for factor in mono_str.split():
-                site_str, _, exp_str = factor.partition("^")
-                if not site_str.startswith("c"):
-                    raise ValueError(f"line {lineno}: bad factor {factor!r}")
-                entries[int(site_str[1:]) - 1] = int(exp_str)
-        vec = ExponentVector(tuple(entries), n)
-        terms[vec] = terms.get(vec, 0) + coeff
+        coeff_str, _, mono = line.partition("*")
+        mono = mono.strip()
+        try:
+            coeffs.append(complex(coeff_str))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if mono == "1":
+            mono = ""
+        elif _MONOMIAL.fullmatch(mono) is None:
+            raise ValueError(f"line {lineno}: bad monomial {mono!r}")
+        monomials.append(mono)
+        linenos.append(lineno)
     if n is None:
         raise ValueError("missing '# n=.. L=..' header")
-    return Polynomial(terms, n, L)
+    zero_vector(n, L)  # validates n and L
+
+    # Every factor c<site>^<power> as one row (term, site - 1, power).
+    numbers = " ".join(monomials).replace("c", " ").replace("^", " ").split()
+    site, power = (np.array(numbers, dtype=np.int64).reshape(-1, 2) - (1, 0)).T
+    term = np.repeat(np.arange(len(monomials)), [m.count("^") for m in monomials])
+    bad = (site < 0) | (site >= L) | (power >= n)
+    # A factor is repeated when its (term, site) slot was taken before.
+    slot = np.where(bad, -1 - np.arange(len(site)), term * L + site)
+    repeated = np.ones(len(slot), dtype=bool)
+    repeated[np.unique(slot, return_index=True)[1]] = False
+    if (bad | repeated).any():
+        k = int(np.argmax(bad | repeated))
+        s, e = int(site[k]) + 1, int(power[k])
+        reason = (
+            f"site {s} outside 1..{L}" if not 0 < s <= L
+            else f"exponent {e} of site {s} outside 0..{n - 1}" if e >= n
+            else f"site {s} appears twice"
+        )
+        raise ValueError(f"line {linenos[term[k]]}: {reason}")
+    exponents = np.zeros((len(monomials), L), dtype=np.int64)
+    exponents[term, site] = power
+    first, sums = _merge(_codes(exponents, n), np.array(coeffs, dtype=complex))
+    return Polynomial._from_arrays(exponents[first], sums, n, L)

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .algebra import Polynomial, reflect
+from .algebra import Polynomial, reflect_all
 from .hamiltonian import (
     CouplingRule,
     HamiltonianSpec,
@@ -140,11 +140,13 @@ def cmd_bounds(args):
     rep = _rep_for(spec)
     tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
     rng = np.random.default_rng(args.seed)
+    # Each sample pair (A, B) reflects two fresh minus observables.
+    plus = reflect_all(
+        rp.random_minus_observable(spec.order, spec.sites, rng)
+        for _ in range(2 * args.samples)
+    )
     pairs = [(Polynomial.identity(spec.order, spec.sites),) * 2]
-    for _ in range(args.samples):
-        a = reflect(rp.random_minus_observable(spec.order, spec.sites, rng))
-        b = reflect(rp.random_minus_observable(spec.order, spec.sites, rng))
-        pairs.append((a, b))
+    pairs += zip(plus[::2], plus[1::2])
     factors = rp.bounds_factors(spec, rep)
     worst = None
     all_ok = True

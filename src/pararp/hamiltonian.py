@@ -24,10 +24,11 @@ import numpy as np
 from .algebra import (
     Polynomial,
     Side,
-    canonical_product,
+    build_X,
     classify,
     gauge_apply,
     reflect,
+    sum_polynomials,
     zeta_power,
 )
 from .exponents import ExponentVector, degree, unit_vector
@@ -78,16 +79,14 @@ class CouplingTable:
 
 def build_h0(couplings: CouplingTable, n: int, L: int) -> Polynomial:
     """Crossing Hamiltonian: sum of (-1)^{d+1} zeta^{d^2} J C_I theta(C_I)."""
-    h0 = Polynomial.zero(n, L)
+    terms: dict[ExponentVector, complex] = {}
     for vec, j in couplings:
         if vec.order != n or vec.sites != L:
             raise SpecError("coupling key does not match n, L")
-        d = degree(vec)
-        c_i = Polynomial.monomial(1.0, vec)
-        body = canonical_product(c_i, reflect(c_i))
-        sign = -1.0 if d % 2 == 0 else 1.0  # (-1)^{d+1}
-        h0 = h0 + (sign * zeta_power(n, d * d) * j) * body
-    return h0
+        sign = -1.0 if degree(vec) % 2 == 0 else 1.0  # (-1)^{d+1}
+        for key, c in build_X(vec, sign * j).terms.items():
+            terms[key] = terms.get(key, 0) + c
+    return Polynomial(terms, n, L)
 
 
 def validate_couplings(couplings: CouplingTable, n: int) -> CouplingRule:
@@ -111,7 +110,7 @@ class HamiltonianSpec:
     validated_rule: CouplingRule
 
     def total(self) -> Polynomial:
-        return self.h_minus + self.h_zero + self.h_plus
+        return sum_polynomials((self.h_minus, self.h_zero, self.h_plus))
 
 
 def assemble(h_minus: Polynomial, couplings: CouplingTable) -> HamiltonianSpec:
@@ -196,13 +195,14 @@ def baxter(n: int, L: int, t) -> HamiltonianSpec:
                 f"t_{L - j}={t[L - j - 1]}"
             )
     zeta = zeta_power(n, 1)
-    h_minus = Polynomial.zero(n, L)
+    bonds = {}
     for j in range(1, half):
         entries = [0] * L
         entries[j - 1] = 1
         entries[j] = n - 1
-        vec = ExponentVector(tuple(entries), n)
-        h_minus = h_minus + Polynomial.monomial(-zeta * t[j - 1], vec)
+        # 0 + c: the bond terms summed from zero, as distinct monomials
+        bonds[ExponentVector(tuple(entries), n)] = 0 + -zeta * t[j - 1]
+    h_minus = Polynomial(bonds, n, L)
     couplings = CouplingTable({unit_vector(n, L, half): -t[half - 1]})
     return assemble(h_minus, couplings)
 

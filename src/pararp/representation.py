@@ -16,8 +16,9 @@ permutation matrix whose nonzero entries are powers of zeta: column k holds
 zeta^phase[k] in row perm[k].  The representation stores each power c_j^e as
 that pair of integer arrays (phase taken mod 2n).  A monomial is then a
 chain of gathers over its sites with exact integer phase sums, costing
-O(L dim) instead of L dense products, and a polynomial is assembled by
-scattering O(dim) values per term.
+O(L dim) instead of L dense products, and a polynomial is assembled from
+its exponent matrix (``Polynomial.exponents``, the encoding the symbolic
+algebra computes on) by scattering O(dim) values per term.
 
 This module is the numerical oracle for every symbolic identity in
 :mod:`pararp.algebra`.
@@ -30,15 +31,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Polynomial, zeta_power
+from .algebra import _BLOCK, Polynomial, zeta_power
 from .exponents import ExponentVector
 
 DEFAULT_DIM_CAP = 4096
 DEFAULT_ENUM_CAP = 100_000
-
-# Entries per temporary array in decompose and trace_products (4 MiB of
-# complex values): bounds their memory independently of the batch size.
-_BLOCK = 1 << 18
 
 
 class DimensionCapError(RuntimeError):
@@ -73,8 +70,8 @@ class Representation:
     perm: np.ndarray
     phase: np.ndarray
     zeta: np.ndarray
-    _entries: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False
+    _known: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, repr=False, compare=False
     )
 
     def identity(self) -> np.ndarray:
@@ -83,7 +80,23 @@ class Representation:
     def monomials(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows and zeta exponents (mod 2n) of the ordered monomials whose
         exponent vectors are the rows of the (T, L) integer array
-        ``exponents``: two (T, dim) arrays, as ``perm``/``phase`` per term."""
+        ``exponents``: two (T, dim) arrays, as ``perm``/``phase`` per term.
+        Each exponent row is chained once per representation and kept."""
+        exponents = np.ascontiguousarray(exponents, dtype=np.int64)
+        keys = list(map(bytes, exponents))
+        known = self._known
+        missing = [k for k in dict.fromkeys(keys) if k not in known]
+        if missing:
+            fresh = np.frombuffer(b"".join(missing), dtype=np.int64)
+            rows, phase = self._chain(fresh.reshape(len(missing), self.sites))
+            known.update(zip(missing, zip(rows, phase)))
+        entries = [known[k] for k in keys]
+        shape = (len(keys), self.dim)
+        return (np.array([r for r, _ in entries], dtype=np.intp).reshape(shape),
+                np.array([p for _, p in entries], dtype=np.intp).reshape(shape))
+
+    def _chain(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """monomials without the store: a chain of gathers over the sites."""
         dim = self.dim
         rows, phase = np.arange(dim), 0
         # C_I acts on a column through c_L^{a_L} first, c_1^{a_1} last.  The
@@ -96,26 +109,12 @@ class Representation:
             rows = self.perm[j].take(index)
         return rows, phase % (2 * self.order)
 
-    def monomial_entries(self, keys: list[tuple[int, ...]]) -> list:
-        """Flat indices ``row * dim + column`` and values of the dim nonzero
-        entries of each monomial C_I, given by its exponent tuple, cached
-        per representation."""
-        cache = self._entries
-        missing = [k for k in keys if k not in cache]
-        if missing:
-            rows, phase = self.monomials(np.array(missing))
-            flat = rows * self.dim + np.arange(self.dim)
-            cache.update(zip(missing, zip(flat, self.zeta[phase])))
-        return [cache[k] for k in keys]
-
     def monomial_matrix(self, vec: ExponentVector) -> np.ndarray:
         """Dense matrix of the ordered monomial C_I."""
         if vec.order != self.order or vec.sites != self.sites:
             raise ValueError("exponent vector does not match representation")
-        [(flat, values)] = self.monomial_entries([vec.entries])
-        m = np.zeros(self.dim * self.dim, dtype=complex)
-        m[flat] = values
-        return m.reshape(self.dim, self.dim)
+        rows, phase = self.monomials(np.array([vec.entries]))
+        return _dense(rows[0], self.zeta[phase[0]])
 
 
 def _dense(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -170,11 +169,16 @@ def to_matrix(p: Polynomial, rep: Representation) -> np.ndarray:
     """Evaluate a normal-ordered polynomial in the representation."""
     if p.order != rep.order or p.sites != rep.sites:
         raise ValueError("polynomial does not match representation")
-    m = np.zeros(rep.dim * rep.dim, dtype=complex)
-    entries = rep.monomial_entries([v.entries for v in p.terms])
-    for (flat, values), coeff in zip(entries, p.terms.values()):
-        m[flat] += coeff * values
-    return m.reshape(rep.dim, rep.dim)
+    dim = rep.dim
+    m = np.zeros(dim * dim, dtype=complex)
+    step = max(1, _BLOCK // dim)
+    for start in range(0, len(p.coeffs), step):
+        # Column k of term t holds coeff_t zeta^phase[t, k] in row rows[t, k];
+        # add.at sums each entry over the terms in order.
+        rows, phase = rep.monomials(p.exponents[start:start + step])
+        values = p.coeffs[start:start + step, None] * rep.zeta[phase]
+        np.add.at(m, rows * dim + np.arange(dim), values)
+    return m.reshape(dim, dim)
 
 
 def trace_products(
@@ -239,8 +243,8 @@ def decompose(
     scale = 1.0 + float(np.abs(a).max(initial=0.0))
     half = np.array(list(itertools.product(range(n), repeat=L // 2)))
     pad = np.zeros_like(half)
-    minus_rows, minus_phase = rep.monomials(np.hstack([half, pad]))
-    plus_rows, plus_phase = rep.monomials(np.hstack([pad, half]))
+    minus_rows, minus_phase = rep._chain(np.hstack([half, pad]))
+    plus_rows, plus_phase = rep._chain(np.hstack([pad, half]))
     conj_zeta = rep.zeta.conj()
     plus_index = plus_rows * dim + np.arange(dim)
     plus_conj = conj_zeta[plus_phase]
@@ -254,14 +258,8 @@ def decompose(
         coeffs[sl] = np.einsum("psk,sk->ps", gathered, plus_conj)
     coeffs /= dim
     keep = np.flatnonzero(np.abs(coeffs) > tol * scale)
-    entries = np.hstack([half[keep // dim], half[keep % dim]]).tolist()
-    return Polynomial(
-        {
-            ExponentVector(tuple(e), n): c
-            for e, c in zip(entries, coeffs.ravel()[keep].tolist())
-        },
-        n, L,
-    )
+    exponents = np.hstack([half[keep // dim], half[keep % dim]])
+    return Polynomial._from_arrays(exponents, coeffs.ravel()[keep], n, L)
 
 
 def verify_yamazaki(rep: Representation) -> dict[str, float]:

@@ -30,10 +30,13 @@ import scipy.linalg
 from .algebra import (
     Polynomial,
     Side,
+    _cmul,
     canonical_product,
     classify,
     omega_power,
     reflect,
+    reflect_all,
+    sum_polynomials,
     zeta_power,
 )
 from .exponents import ExponentVector, degree, unit_vector
@@ -170,27 +173,32 @@ def _traces(
     trace_products, so it costs O(terms_X terms_Y dim), with no dense
     matrix of X or Y and no dim^3 product.
     """
-    # Every distinct monomial of xs and ys gets one row of an exponent array.
-    index: dict[tuple[int, ...], int] = {}
-    x_terms, y_terms = (
-        [[(index.setdefault(v.entries, len(index)), c) for v, c in p.terms.items()]
-         for p in polys]
-        for polys in (xs, ys)
+    # The exponent rows of every distinct polynomial, stacked: polynomial u
+    # owns rows offset[u] to offset[u] + size[u].
+    polys = {id(p): p for p in (*xs, *ys)}
+    slot = {key: u for u, key in enumerate(polys)}
+    size = np.array([len(p.coeffs) for p in polys.values()], dtype=np.intp)
+    offset = np.cumsum(size) - size
+    x = np.array([slot[id(p)] for p in xs], dtype=np.intp)
+    y = np.array([slot[id(p)] for p in ys], dtype=np.intp)
+    if grid:
+        x, y = np.repeat(x, len(y)), np.tile(y, len(x))
+    # Pair p contributes size[x[p]] * size[y[p]] term pairs, in row-major
+    # order over (term of X, term of Y).
+    count = size[x] * size[y]
+    owner = np.repeat(np.arange(len(x)), count)
+    local = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    width = size[y][owner]
+    s = offset[x][owner] + local // width
+    t = offset[y][owner] + local % width
+    coeffs = np.concatenate([np.zeros(0), *(p.coeffs for p in polys.values())])
+    exponents = np.concatenate(
+        [np.zeros((0, rep.sites), dtype=np.int64),
+         *(p.exponents for p in polys.values())]
     )
-    pairs = (itertools.product if grid else zip)(range(len(xs)), range(len(ys)))
-    owner, s, t, weight = [], [], [], []
-    for p, (i, j) in enumerate(pairs):
-        for (u, a), (v, b) in itertools.product(x_terms[i], y_terms[j]):
-            owner.append(p)
-            s.append(u)
-            t.append(v)
-            weight.append(a * b)
-    traces = trace_products(
-        rep, np.array(list(index), dtype=np.intp).reshape(-1, rep.sites),
-        np.array(s, dtype=np.intp), np.array(t, dtype=np.intp), e,
-    )
-    out = np.zeros(len(xs) * len(ys) if grid else len(xs), dtype=complex)
-    np.add.at(out, np.array(owner, dtype=np.intp), np.array(weight) * traces)
+    traces = trace_products(rep, exponents, s, t, e)
+    out = np.zeros(len(x), dtype=complex)
+    np.add.at(out, owner, _cmul(coeffs[s], coeffs[t]) * traces)
     return out.reshape(len(xs), len(ys)) if grid else out
 
 
@@ -248,7 +256,7 @@ def check_rp(
         for i in range(samples)
     ]
     polys = [a for _, a in probes]
-    refl = [reflect(a) for a in polys]
+    refl = reflect_all(polys)
     # f(A, A) = Tr(A theta(A) E) and the symmetric Tr(theta(A) A E).
     traces = _traces(polys + refl, refl + polys, rep, boltzmann)
 
@@ -267,8 +275,8 @@ def check_rp(
         if abs(val - sym) > tol * scale:
             violations.append([f"{label}:symmetry", abs(val - sym)])
 
-    basis = [p for _, p in structured]
-    _, min_eig = gram_psd(spec, rep, basis, boltzmann=boltzmann)
+    count = len(structured)
+    _, min_eig = _gram(polys[:count], refl[:count], rep, boltzmann)
     if min_eig < -tol:
         violations.append(["gram", min_eig])
 
@@ -294,7 +302,11 @@ def gram_psd(
     eigenvalue (divided by 1 + max |G_ab|)."""
     if boltzmann is None:
         boltzmann = matrix_exp(-to_matrix(spec.total(), rep))
-    g = _traces(basis, [reflect(p) for p in basis], rep, boltzmann, grid=True)
+    return _gram(basis, reflect_all(basis), rep, boltzmann)
+
+
+def _gram(basis, reflected, rep, e) -> tuple[np.ndarray, float]:
+    g = _traces(basis, reflected, rep, e, grid=True)
     gh = (g + g.conj().T) / 2
     scale = 1.0 + float(np.abs(gh).max(initial=0.0))
     min_eig = float(np.linalg.eigvalsh(gh).min()) / scale
@@ -310,21 +322,42 @@ def trotter_approximant(
     """[(Id - H_0/k) e^{-H_-/k} e^{-theta(H_-)/k}]^k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    eye = rep.identity()
-    h0 = to_matrix(spec.h_zero, rep)
-    hm = to_matrix(spec.h_minus, rep)
-    hp = to_matrix(spec.h_plus, rep)
-    step = (eye - h0 / k) @ matrix_exp(-hm / k) @ matrix_exp(-hp / k)
+    h0, hm, hp = _trotter_parts(spec, rep)
+    return _trotter_power(h0, matrix_exp(-hm / k), matrix_exp(-hp / k), k)
+
+
+def _trotter_parts(spec: HamiltonianSpec, rep: Representation) -> tuple:
+    return tuple(
+        to_matrix(h, rep) for h in (spec.h_zero, spec.h_minus, spec.h_plus)
+    )
+
+
+def _trotter_power(h0, e_minus, e_plus, k: int) -> np.ndarray:
+    step = (np.eye(len(h0), dtype=complex) - h0 / k) @ e_minus @ e_plus
     return np.linalg.matrix_power(step, k)
 
 
 def trotter_convergence(
     spec: HamiltonianSpec, rep: Representation, ks
 ) -> dict:
-    """Errors ||approximant(k) - e^{-H}|| and consecutive ratios."""
+    """Errors ||approximant(k) - e^{-H}|| and consecutive ratios.
+
+    The parts of H are evaluated once, and e^{-H_-/k}, e^{-H_+/k} are the
+    squares of those for 2k whenever 2k is among ``ks``.
+    """
+    ks = [int(k) for k in ks]
+    if min(ks, default=1) < 1:
+        raise ValueError("k must be >= 1")
+    h0, hm, hp = _trotter_parts(spec, rep)
     exact = matrix_exp(-to_matrix(spec.total(), rep))
+    factors: dict[int, tuple] = {}
+    for k in sorted(set(ks), reverse=True):
+        if 2 * k in factors:
+            factors[k] = tuple(f @ f for f in factors[2 * k])
+        else:
+            factors[k] = (matrix_exp(-hm / k), matrix_exp(-hp / k))
     errors = {
-        int(k): float(np.linalg.norm(trotter_approximant(spec, rep, k) - exact))
+        k: float(np.linalg.norm(_trotter_power(h0, *factors[k], k) - exact))
         for k in ks
     }
     ks_sorted = sorted(errors)
@@ -413,8 +446,9 @@ def conservation_law_check(
 def bounds_factors(spec: HamiltonianSpec, rep: Representation) -> tuple:
     """The Boltzmann factors of rp_bounds_check: e^{-H} and those of the
     auxiliary H_- + H_0 + theta(H_-) and theta(H_+) + H_0 + H_+."""
-    h_m_aux = spec.h_minus + spec.h_zero + reflect(spec.h_minus)
-    h_p_aux = reflect(spec.h_plus) + spec.h_zero + spec.h_plus
+    t_minus, t_plus = reflect_all((spec.h_minus, spec.h_plus))
+    h_m_aux = sum_polynomials((spec.h_minus, spec.h_zero, t_minus))
+    h_p_aux = sum_polynomials((t_plus, spec.h_zero, spec.h_plus))
     return tuple(
         matrix_exp(-to_matrix(h, rep)) for h in (spec.total(), h_m_aux, h_p_aux)
     )
@@ -442,7 +476,7 @@ def rp_bounds_check(
             raise ValueError(f"{name} must be in the plus observable algebra")
 
     e_full, e_minus, e_plus = factors or bounds_factors(spec, rep)
-    ta, tb = reflect(a), reflect(b)
+    ta, tb = reflect_all((a, b))
     [f_ab] = _traces([a], [tb], rep, e_full).tolist()
     sq_minus = _traces([a, b], [ta, tb], rep, e_minus).tolist()
     sq_plus = _traces([a, b], [ta, tb], rep, e_plus).tolist()
