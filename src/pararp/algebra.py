@@ -258,6 +258,12 @@ class Terms(Mapping):
     def __iter__(self):
         return iter(self._items())
 
+    def items(self):
+        return self._items().items()
+
+    def values(self):
+        return self._items().values()
+
     def __repr__(self) -> str:
         return repr(self._items())
 
