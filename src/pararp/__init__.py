@@ -35,6 +35,8 @@ from .representation import (
     build_generators,
     clock_shift,
     decompose,
+    sector_blocks,
+    sector_matrix,
     to_matrix,
     trace_monomial,
     verify_yamazaki,
@@ -52,6 +54,7 @@ from .hamiltonian import (
 )
 from .rp import (
     RPReport,
+    boltzmann,
     check_rp,
     conservation_law_check,
     counterexample_f,

@@ -34,6 +34,10 @@ from .representation import (
 
 PASS, VIOLATIONS, ERROR = 0, 2, 1
 
+# bounds: how much lower a later pair's normalised min_margin must be to
+# replace the reported worst pair.
+WORST_TIE = 1e-12
+
 
 def emit_report(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, sort_keys=True) + "\n"
@@ -154,7 +158,10 @@ def cmd_bounds(args):
         res = rp.rp_bounds_check(a, b, spec, rep, tol=tol, factors=factors)
         all_ok = all_ok and res["ok"]
         margin = min(res["margin1"], res["margin2"], res["partition_margin"])
-        if worst is None or margin < worst["min_margin"]:
+        # The margins are normalised, so a pair within WORST_TIE of the
+        # current worst ties with it, and ties keep the earlier pair
+        # (identity first) however they round.
+        if worst is None or margin < worst["min_margin"] - WORST_TIE:
             worst = {"min_margin": margin, **res}
     report = {
         "command": "bounds",
@@ -231,7 +238,7 @@ def cmd_baxter(args):
 def cmd_decompose(args):
     spec = _resolve_spec(args)
     rep = _rep_for(spec)
-    boltzmann = rp.matrix_exp(-to_matrix(spec.total(), rep))
+    boltzmann = rp.boltzmann(spec.total(), rep)
     poly = decompose(boltzmann, rep)
     gap = float(np.linalg.norm(to_matrix(poly, rep) - boltzmann))
     ok = gap <= 1e-10 * (1 + float(np.linalg.norm(boltzmann)))

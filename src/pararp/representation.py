@@ -20,6 +20,23 @@ O(L dim) instead of L dense products, and a polynomial is assembled from
 its exponent matrix (``Polynomial.exponents``, the encoding the symbolic
 algebra computes on) by scattering O(dim) values per term.
 
+Charge sectors.  The shift T = tau^{tensor L/2}, applied to every tensor
+factor, implements the global gauge automorphism: T c_j T^{-1} = omega^{-1}
+c_j.  So a gauge-invariant polynomial (every term of degree 0 mod n) gives a
+matrix A that commutes with T.  T adds 1 to every digit of a basis state, so
+each of its orbits has exactly n states; index them as (o, m), with o the
+orbit's state whose first digit is 0 and m the position T^m o.  A then splits
+into n blocks of size dim/n,
+
+    A_q[o, o'] = sum_m omega^{q m} A[T^m o, o'],
+
+one gather and one length-n DFT over m (``sector_blocks``); the inverse DFT
+and one gather rebuild A (``sector_matrix``).  The map is an
+algebra homomorphism, so e^{A} has blocks e^{A_q}, and by Parseval
+sum_q ||A_q||_F^2 = ||A||_F^2.  A dense exponential at dim 4096 (n = 4,
+L = 12) thus becomes four of dimension 1024, which take 4.5 s on a 2-vCPU
+Xeon host; the dense one costs about as much as 64 of them.
+
 This module is the numerical oracle for every symbolic identity in
 :mod:`pararp.algebra`.
 """
@@ -59,20 +76,36 @@ class Representation:
     """L generators acting on the full chain, of dimension n^{L/2}.
 
     ``perm[j, e]`` and ``phase[j, e]`` describe c_{j+1}^e: column k of it
-    holds ``zeta[phase[j, e, k]]`` in row ``perm[j, e, k]``.  ``generators``
-    are the same c_j as dense matrices.
+    holds ``zeta[phase[j, e, k]]`` in row ``perm[j, e, k]``.  ``orbit[m, o]``
+    is the state T^m o of the charge-sector index (o, m), and
+    ``orbit_index[k]`` is m * dim/n + o for the state k = T^m o.
+    ``generators`` are the c_j as dense matrices, built on first access and
+    then kept.
     """
 
     order: int
     sites: int
     dim: int
-    generators: list[np.ndarray]
     perm: np.ndarray
     phase: np.ndarray
     zeta: np.ndarray
+    orbit: np.ndarray
+    orbit_index: np.ndarray
+    _generators: list[np.ndarray] | None = field(
+        default=None, repr=False, compare=False
+    )
     _known: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    @property
+    def generators(self) -> list[np.ndarray]:
+        if self._generators is None:
+            self._generators = [
+                _dense(self.perm[j, 1], self.zeta[self.phase[j, 1]])
+                for j in range(self.sites)
+            ]
+        return self._generators
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
@@ -158,11 +191,40 @@ def build_generators(
                 prev = perm[j, e - 1]
                 perm[j, e] = rows[prev]
                 phase[j, e] = (phase[j, e - 1] + ph[prev]) % (2 * n)
-    generators = [_dense(perm[j, 1], zeta[phase[j, 1]]) for j in range(L)]
+    # T^m o adds m to every digit of o, whose first digit is 0; o runs over
+    # the states 0 .. dim/n - 1, those with first digit 0.
+    shifts = np.arange(n)[:, None, None]
+    orbit = weights @ ((digits[:, : dim // n] + shifts) % n)
+    orbit_index = np.empty(dim, dtype=np.intp)
+    orbit_index[orbit.ravel()] = np.arange(dim)
     return Representation(
-        order=n, sites=L, dim=dim, generators=generators,
-        perm=perm, phase=phase, zeta=zeta,
+        order=n, sites=L, dim=dim, perm=perm, phase=phase, zeta=zeta,
+        orbit=orbit, orbit_index=orbit_index,
     )
+
+
+def sector_blocks(a: np.ndarray, rep: Representation) -> np.ndarray:
+    """The (n, dim/n, dim/n) charge-sector blocks
+    A_q[o, o'] = sum_m omega^{q m} A[T^m o, o'] of a matrix A that commutes
+    with the gauge shift T, such as the matrix of a gauge-invariant
+    polynomial.  For any other A the result is meaningless."""
+    g = a[rep.orbit[:, :, None], rep.orbit[0]]
+    return np.fft.ifft(g, axis=0, norm="forward")
+
+
+def sector_matrix(blocks: np.ndarray, rep: Representation) -> np.ndarray:
+    """The dim x dim matrix whose charge-sector blocks are ``blocks``: the
+    inverse of sector_blocks."""
+    n, r = rep.order, rep.dim // rep.order
+    # a[d, o, o'] = A[T^d o, o'], and A commutes with T, so
+    # A[T^m o, T^s o'] = a[m - s, o, o'].  The states T^m o are those of
+    # first digit m, rows m r .. m r + r - 1: one gather from
+    # b[o, d r + o'] = a[d, o, o'] fills all rows at once.
+    a = np.fft.fft(blocks, axis=0, norm="forward")
+    b = a.transpose(1, 0, 2).reshape(r, rep.dim)
+    shift, o = np.divmod(rep.orbit_index, r)  # state k = T^shift[k] o[k]
+    cols = (np.arange(n)[:, None] - shift) % n * r + o
+    return b[o.reshape(n, r, 1), cols[:, None, :]].reshape(rep.dim, rep.dim)
 
 
 def to_matrix(p: Polynomial, rep: Representation) -> np.ndarray:
@@ -269,9 +331,13 @@ def verify_yamazaki(rep: Representation) -> dict[str, float]:
     c_j c_k - omega c_k c_j (j < k) over the dense ``rep.generators``.
     When every generator has at most one nonzero entry per column, as the
     clock/shift generators do, they are computed from those entries in
-    O(L^2 dim); otherwise from dense products.
+    O(L^2 dim); otherwise from dense products.  While the dense generators
+    have not been built, their entries are read from ``perm`` and ``phase``.
     """
-    gens = _column_entries(rep.generators)
+    if rep._generators is None:
+        gens = rep.perm[:, 1], rep.zeta[rep.phase[:, 1]]
+    else:
+        gens = _column_entries(rep.generators)
     if gens is None:
         return _verify_dense(rep)
     rows, vals = gens

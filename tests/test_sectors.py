@@ -1,0 +1,399 @@
+"""Charge sectors of the gauge shift, the sectored Boltzmann factor, the
+exact two-site counterexample and the CLI reports built on them.
+
+The gauge shift T = tau (x) ... (x) tau is built here with numpy.kron, and
+every sectored result is compared with the dense computation it replaces:
+scipy.linalg.expm of the full matrix, dense Trotter products, and CLI
+reports with the sector transforms switched off.
+"""
+
+import contextlib
+import io
+import json
+from functools import reduce
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from pararp import cli, rp
+from pararp.algebra import Polynomial, adjoint
+from pararp.exponents import ExponentVector, unit_vector
+from pararp.hamiltonian import CouplingTable, assemble, baxter
+from pararp.representation import (
+    build_generators,
+    clock_shift,
+    sector_blocks,
+    sector_matrix,
+    to_matrix,
+    verify_yamazaki,
+)
+
+from conftest import rep_for
+
+# Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256, L = 2 included.
+CELLS = [
+    (n, L)
+    for n in range(2, 6)
+    for L in range(2, 17, 2)
+    if n ** (L // 2) <= 256
+]
+# The cells of the benchmark's rp_suite workload.
+RP_CELLS = [(2, 8), (3, 6), (2, 10), (4, 6), (3, 8), (2, 12), (5, 6),
+            (2, 14), (3, 10)]
+
+
+def gauge_shift(n, L):
+    """T = tau^{(x) L/2} as a dense matrix."""
+    _, tau = clock_shift(n)
+    return reduce(np.kron, [tau] * (L // 2), np.eye(1))
+
+
+def minus_vector(n, L, rng, observable):
+    """A random nonzero exponent vector on the minus half, of degree 0
+    mod n if ``observable`` (there is none at L = 2)."""
+    half = L // 2
+    while True:
+        entries = [int(x) for x in rng.integers(0, n, size=half)] + [0] * half
+        if observable:
+            entries[half - 1] = (entries[half - 1] - sum(entries)) % n
+        if any(entries):
+            return ExponentVector(tuple(entries), n)
+
+
+def general_spec(n, L, rng):
+    """A gauge-invariant H from random complex minus terms and crossing
+    couplings; its minus part is not hermitian, so neither is H (at L = 2
+    the crossing terms alone make it so)."""
+    h_minus = Polynomial(
+        {minus_vector(n, L, rng, True): complex(*rng.normal(0, 0.5, size=2))
+         for _ in range(3 if L > 2 else 0)},
+        n, L,
+    )
+    couplings = CouplingTable(
+        {minus_vector(n, L, rng, False): abs(rng.normal()) for _ in range(2)}
+    )
+    return assemble(h_minus, couplings)
+
+
+def baxter_spec(n, L, rng):
+    side = list(rng.uniform(0.5, 1.5, size=L // 2 - 1))
+    return baxter(n, L, side + [-rng.uniform(0.2, 1.0)] + side[::-1])
+
+
+def random_invariant(n, L, rng, terms=6):
+    """A random polynomial whose every term has degree 0 mod n, spread over
+    both halves of the chain."""
+    out = {}
+    for _ in range(terms):
+        entries = [int(x) for x in rng.integers(0, n, size=L)]
+        entries[-1] = (entries[-1] - sum(entries)) % n
+        out[ExponentVector(tuple(entries), n)] = complex(*rng.normal(size=2))
+    return Polynomial(out, n, L)
+
+
+def scaled_gap(got, ref):
+    return float(np.abs(got - ref).max() / (1 + np.abs(ref).max()))
+
+
+# -- the gauge shift and its orbits ------------------------------------------
+
+
+@pytest.mark.parametrize("n,L", CELLS)
+def test_gauge_shift_scales_generators_and_has_orbits_of_n(n, L):
+    rep = rep_for(n, L)
+    t = gauge_shift(n, L)
+    omega = np.exp(2j * np.pi / n)
+    for c in rep.generators:
+        assert np.abs(t @ c @ t.conj().T - c / omega).max() < 1e-12
+    # orbit[m, o] is T^m o, with o running over the states of first digit 0.
+    r = rep.dim // n
+    assert rep.orbit.shape == (n, r)
+    assert rep.orbit[0].tolist() == list(range(r))
+    power = np.eye(rep.dim)
+    for m in range(n):
+        assert power[:, :r].argmax(axis=0).tolist() == rep.orbit[m].tolist()
+        power = t @ power
+    # n distinct states per orbit, and the orbits partition the states.
+    assert sorted(rep.orbit.ravel().tolist()) == list(range(rep.dim))
+    assert (rep.orbit_index[rep.orbit.ravel()] == np.arange(rep.dim)).all()
+
+
+# -- sector_blocks and sector_matrix -------------------------------------------
+
+
+@pytest.mark.parametrize("n,L", CELLS)
+def test_round_trip_parseval_and_products(n, L):
+    rng = np.random.default_rng(7 * n + L)
+    rep = rep_for(n, L)
+    p, q = random_invariant(n, L, rng), random_invariant(n, L, rng)
+    a, b = to_matrix(p, rep), to_matrix(q, rep)
+    blocks_a, blocks_b = sector_blocks(a, rep), sector_blocks(b, rep)
+    assert blocks_a.shape == (n, rep.dim // n, rep.dim // n)
+    assert scaled_gap(sector_matrix(blocks_a, rep), a) < 1e-13
+    parseval = (np.abs(blocks_a) ** 2).sum()
+    assert abs(parseval - (np.abs(a) ** 2).sum()) < 1e-12 * parseval
+    # The block map is an algebra homomorphism: the blocks of AB are the
+    # products of the blocks, and the blocks of A^* their adjoints.
+    assert scaled_gap(sector_blocks(a @ b, rep), blocks_a @ blocks_b) < 1e-12
+    assert scaled_gap(
+        sector_blocks(to_matrix(adjoint(p), rep), rep),
+        blocks_a.conj().transpose(0, 2, 1),
+    ) < 1e-12
+    # Block q is the action on the eigenspace of T with eigenvalue omega^-q:
+    # a T-eigenvector rebuilt from block q's coordinates.
+    t = gauge_shift(n, L)
+    for charge in range(n):
+        v = np.zeros(rep.dim, dtype=complex)
+        coords = rng.normal(size=rep.dim // n)
+        for m in range(n):
+            v[rep.orbit[m]] = np.exp(-2j * np.pi * charge * m / n) * coords
+        assert np.abs(t @ v - np.exp(2j * np.pi * charge / n) * v).max() < 1e-12
+        w = a @ v  # stays in the eigenspace, with coordinates A_q coords
+        assert np.abs(w[rep.orbit[0]] - blocks_a[charge] @ coords).max() < (
+            1e-12 * (1 + np.abs(w).max())
+        )
+
+
+# -- boltzmann ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "non-hermitian", "baxter"])
+@pytest.mark.parametrize("n,L", RP_CELLS)
+def test_boltzmann_matches_dense_expm(n, L, kind):
+    rng = np.random.default_rng(n * L)
+    if kind == "baxter":
+        h = baxter_spec(n, L, rng).total()
+    else:
+        h = general_spec(n, L, rng).total()
+        if kind == "hermitian":
+            h = h + adjoint(h)
+    m = to_matrix(h, build_generators(n, L))
+    if kind != "baxter":
+        assert (np.abs(m - m.conj().T).max() < 1e-12) == (kind == "hermitian")
+    ref = scipy.linalg.expm(-m)
+    got = rp.boltzmann(h, build_generators(n, L))
+    assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(ref).max())
+
+
+def test_boltzmann_rejects_non_observable():
+    rep = rep_for(3, 4)
+    h = Polynomial.monomial(1.0, unit_vector(3, 4, 1)) + Polynomial.identity(3, 4)
+    with pytest.raises(ValueError, match="gauge invariant"):
+        rp.boltzmann(h, rep)
+
+
+def test_boltzmann_of_zero_is_identity():
+    rep = rep_for(3, 6)
+    assert np.array_equal(rp.boltzmann(Polynomial.zero(3, 6), rep), np.eye(27))
+
+
+# -- stacked matrix_exp ----------------------------------------------------------
+
+
+def test_stacked_matrix_exp_equals_per_block_expm():
+    rng = np.random.default_rng(5)
+    stack = rng.normal(size=(2, 3, 6, 6)) + 1j * rng.normal(size=(2, 3, 6, 6))
+    stack[1, 2] = np.diag(rng.normal(size=6))  # a diagonal block
+    got = rp.matrix_exp(stack)
+    assert got.shape == stack.shape
+    for index in np.ndindex(2, 3):
+        assert np.array_equal(got[index], scipy.linalg.expm(stack[index]))
+
+
+def test_stacked_matrix_exp_zero_nonfinite_and_overflow():
+    zero = rp.matrix_exp(np.zeros((3, 4, 4)))
+    assert np.array_equal(zero, np.broadcast_to(np.eye(4), (3, 4, 4)))
+    assert zero.dtype == complex and zero.flags.writeable
+    bad = np.zeros((3, 4, 4))
+    bad[2, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        rp.matrix_exp(bad)
+    big = np.zeros((3, 4, 4))
+    big[1] = 1e4 * np.ones((4, 4))
+    with pytest.raises(rp.OverflowError_):
+        rp.matrix_exp(big)
+
+
+# -- Trotter -----------------------------------------------------------------------
+
+
+def dense_trotter(spec, rep, k):
+    h0, hm, hp = (to_matrix(h, rep) for h in
+                  (spec.h_zero, spec.h_minus, spec.h_plus))
+    step = (
+        (np.eye(rep.dim) - h0 / k)
+        @ scipy.linalg.expm(-hm / k) @ scipy.linalg.expm(-hp / k)
+    )
+    return np.linalg.matrix_power(step, k)
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "non-hermitian"])
+@pytest.mark.parametrize("n,L", [(2, 8), (3, 6), (4, 6), (5, 4), (2, 2)])
+def test_trotter_matches_dense_reference(n, L, kind):
+    rng = np.random.default_rng(3 * n + L)
+    make = baxter_spec if kind == "hermitian" else general_spec
+    spec = make(n, L, rng)
+    rep = rep_for(n, L)
+    exact = scipy.linalg.expm(-to_matrix(spec.total(), rep))
+    ks = [4, 8, 16, 3]
+    conv = rp.trotter_convergence(spec, rep, ks)
+    for k in ks:
+        approx = dense_trotter(spec, rep, k)
+        ref = float(np.linalg.norm(approx - exact))
+        assert abs(conv["errors"][k] - ref) <= 1e-10 * ref
+        assert scaled_gap(rp.trotter_approximant(spec, rep, k), approx) < 1e-12
+    assert set(conv["ratios"]) == {4, 8}
+
+
+# -- the exact two-site counterexample ----------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(2, 41))
+def test_exact_counterexample_matches_series(n):
+    val = rp.counterexample_f(n, 1)
+    ref = rp.counterexample_reference(n)
+    assert abs(val - ref) <= 1e-15 * abs(ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_exact_counterexample_matches_dense_for_every_power(n):
+    rep = rep_for(n, 2)
+    e = scipy.linalg.expm(-to_matrix(rp.crossing_only_spec(n).total(), rep))
+    for j in range(1, n + 1):
+        a = to_matrix(Polynomial.monomial(1.0, unit_vector(n, 2, 1, j)), rep)
+        # theta(c_1^j) = c_2^{n-j}, with no phase at L = 2.
+        ta = np.linalg.matrix_power(rep.generators[1], (n - j) % n)
+        ref = complex(np.trace(a @ ta @ e))
+        assert abs(rp.counterexample_f(n, j, rep) - ref) <= 1e-12 * (1 + abs(ref))
+
+
+@pytest.mark.parametrize("n,j", [(8, 4), (27, 9), (9, 3)])
+def test_family_values_are_exactly_real(n, j):
+    val = rp.counterexample_f(n, j)
+    assert val.imag == 0.0 and val.real > 0
+
+
+# -- lazily built dense generators --------------------------------------------------
+
+
+def test_generators_are_built_on_first_access_and_kept():
+    rep = build_generators(3, 4)
+    spec = baxter(3, 4, [1.0, -0.5, 1.0])
+    rp.check_rp(spec, rep, samples=3)
+    rp.trotter_convergence(spec, rep, [4, 8])
+    assert rep._generators is None
+    fast = verify_yamazaki(rep)
+    assert rep._generators is None
+    gens = rep.generators
+    assert rep.generators is gens and len(gens) == 4
+    assert verify_yamazaki(rep) == fast
+    rep.generators[0] = rep.generators[0] + 0.5
+    assert max(verify_yamazaki(rep).values()) > 0.1
+
+
+# -- deterministic worst pair in bounds ---------------------------------------------
+
+
+def run_cli(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("offsets,expected", [
+    ([0.0, -1e-16, -2e-16, 1e-16], 0),   # ties within rounding: identity
+    ([0.0, 1e-3, -1e-16, -1e-9], 3),     # a real drop replaces the worst
+    ([0.0, -1e-9, -1e-9 - 1e-16, 0.0], 1),
+])
+def test_bounds_worst_breaks_ties_towards_the_earlier_pair(
+    offsets, expected, tmp_path, monkeypatch
+):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"baxter": {"n": 2, "L": 4, "t": [1, -0.5, 1]}}))
+    calls = iter(range(len(offsets)))
+
+    def fake(a, b, spec, rep, tol=rp.DEFAULT_TOL, factors=None):
+        i = next(calls)
+        margin = 0.25 + offsets[i]
+        return {"f_ab": [float(i), 0.0], "bound1": 1.0, "bound2": 1.0,
+                "margin1": margin, "margin2": 0.5, "partition_margin": 0.5,
+                "ok": True}
+
+    monkeypatch.setattr(rp, "rp_bounds_check", fake)
+    code, report = run_cli(["bounds", "--spec", str(path), "--samples",
+                            str(len(offsets) - 1)])
+    assert code == cli.PASS
+    assert report["worst"]["f_ab"] == [float(expected), 0.0]
+
+
+# -- CLI reports against the dense Boltzmann factor ----------------------------------
+
+SPECS = {
+    "baxter-valid": {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.7, -0.4, 0.7, 1.0]}},
+    "baxter-even": {"baxter": {"n": 2, "L": 8,
+                               "t": [0.9, 1.1, 0.8, -0.6, 0.8, 1.1, 0.9]}},
+    "baxter-violating": {"baxter": {"n": 3, "L": 4, "t": [1.0, 0.8, 1.0]}},
+    "general": {
+        "n": 4, "L": 6,
+        "h_minus": [{"coefficient": [0.4, -0.2], "exponents": [1, 3, 0, 0, 0, 0]},
+                    {"coefficient": [-0.3, 0.1], "exponents": [2, 1, 1, 0, 0, 0]}],
+        "couplings": [{"exponents": [1, 0, 2, 0, 0, 0], "J": 0.5},
+                      {"exponents": [0, 1, 0, 0, 0, 0], "J": 0.8}],
+    },
+}
+
+COMMANDS = (
+    ["rp-check", "--samples", "6", "--seed", "3"],
+    ["gram"],
+    ["bounds", "--samples", "3", "--seed", "4"],
+    ["trotter", "--k", "16"],
+    ["decompose"],
+)
+
+
+def dense_boltzmann(h, rep):
+    return rp.matrix_exp(-to_matrix(h, rep))
+
+
+def assert_reports_close(got, ref, path="report"):
+    if isinstance(ref, dict):
+        assert set(got) == set(ref), path
+        for key in ref:
+            assert_reports_close(got[key], ref[key], f"{path}.{key}")
+    elif isinstance(ref, list):
+        assert len(got) == len(ref), path
+        for i, (g, r) in enumerate(zip(got, ref)):
+            assert_reports_close(g, r, f"{path}[{i}]")
+    elif isinstance(ref, float) and not isinstance(ref, bool):
+        assert abs(got - ref) <= 1e-11 * (1 + abs(ref)), (path, got, ref)
+    else:
+        assert got == ref, (path, got, ref)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_cli_report_matches_dense_boltzmann(command, name, tmp_path,
+                                           monkeypatch):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPECS[name]))
+    argv = command + ["--spec", str(path)]
+    code, report = run_cli(argv)
+    # The dense path: e^{-H} from the full matrix, and Trotter products on
+    # one block holding the whole matrix.
+    monkeypatch.setattr(rp, "boltzmann", dense_boltzmann)
+    monkeypatch.setattr(rp, "sector_blocks", lambda a, rep: a[None])
+    monkeypatch.setattr(rp, "sector_matrix", lambda blocks, rep: blocks[0])
+    ref_code, ref_report = run_cli(argv)
+    assert code == ref_code
+    if command[0] == "decompose":
+        terms = {tuple(t["exponents"]): t["coefficient"] for t in report["terms"]}
+        ref_terms = {
+            tuple(t["exponents"]): t["coefficient"] for t in ref_report["terms"]
+        }
+        assert set(terms) == set(ref_terms)
+        assert_reports_close(terms, ref_terms)
+    assert_reports_close(report, ref_report)
+    if name == "baxter-violating" and command[0] in ("rp-check", "gram"):
+        assert code == cli.VIOLATIONS
