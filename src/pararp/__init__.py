@@ -57,6 +57,7 @@ from .rp import (
     boltzmann,
     check_rp,
     conservation_law_check,
+    counterexample_check,
     counterexample_f,
     family_check,
     gram_psd,

@@ -1,7 +1,8 @@
 """Batch front-end: run named verification suites and emit JSON reports.
 
 Exit codes: 0 all checks passed, 2 the suite ran and found mathematical
-violations (the report is still written), 1 usage / IO / parse errors.
+violations (the report is still written), 1 usage / IO / parse errors,
+with one line on stderr.  Each subcommand accepts only the flags it reads.
 Reports are deterministic: sorted keys, shortest round-trip floats, so the
 same configuration and seed produce byte-identical output.
 """
@@ -181,9 +182,7 @@ def cmd_counterexample(args):
         raise SpecError("--n is required")
     j = args.j if args.j is not None else 1
     tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
-    val = rp.counterexample_f(args.n, j)
-    scale = 1.0 + abs(val)
-    positive = val.real >= -tol * scale and abs(val.imag) <= tol * scale
+    positive, val = rp.counterexample_check(args.n, j, tol=tol)
     report = {
         "command": "counterexample",
         "n": args.n,
@@ -256,67 +255,89 @@ def cmd_decompose(args):
     return (PASS if ok else VIOLATIONS), report
 
 
+# Each subcommand with the flags it reads; --out is read by every one.
 COMMANDS = {
-    "verify-relations": cmd_verify_relations,
-    "rp-check": cmd_rp_check,
-    "gram": cmd_gram,
-    "trotter": cmd_trotter,
-    "bounds": cmd_bounds,
-    "counterexample": cmd_counterexample,
-    "families": cmd_families,
-    "baxter": cmd_baxter,
-    "decompose": cmd_decompose,
+    "verify-relations": (cmd_verify_relations, "--n --L --tol"),
+    "rp-check": (cmd_rp_check, "--spec --n --samples --seed --tol"),
+    "gram": (cmd_gram, "--spec --n --tol"),
+    "trotter": (cmd_trotter, "--spec --n --k"),
+    "bounds": (cmd_bounds, "--spec --n --samples --seed --tol"),
+    "counterexample": (cmd_counterexample, "--n --j --tol"),
+    "families": (cmd_families, "--family --kparam --jprime --tol"),
+    "baxter": (cmd_baxter, "--spec"),
+    "decompose": (cmd_decompose, "--spec --n"),
 }
+
+def _checked(kind, ok, need: str):
+    """An argparse type: ``kind`` of the text, rejected unless ``ok``."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse's "invalid int value: ..."
+    return parse
+
+
+FLAGS = {
+    "--n": dict(type=_checked(int, lambda n: n >= 2, ">= 2")),
+    "--L": dict(type=_checked(int, lambda L: L >= 2 and L % 2 == 0,
+                              "even and >= 2")),
+    "--j": dict(type=int),
+    "--k": dict(type=_checked(int, lambda k: k >= 1, ">= 1"), default=64),
+    "--samples": dict(type=_checked(int, lambda s: s >= 1, ">= 1"),
+                      default=100),
+    "--seed": dict(type=int, default=0),
+    "--tol": dict(type=_checked(float, lambda t: 0 < t < float("inf"),
+                                "finite and > 0")),
+    "--spec": dict(),
+    "--out": dict(),
+    "--family": dict(type=int, choices=(1, 2, 3)),
+    "--kparam": dict(type=int),
+    "--jprime": dict(type=int),
+}
+
+
+class UsageError(ValueError):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
-    state between calls."""
-    parser = argparse.ArgumentParser(
+    state between calls.  A flag a subcommand does not read, or an
+    abbreviated one, is an error."""
+    parser = _Parser(
         prog="pararp",
         description="Parafermion algebra and reflection-positivity checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--L", type=int, default=None)
-        p.add_argument("--j", type=int, default=None)
-        p.add_argument("--k", type=int, default=64)
-        p.add_argument("--samples", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--spec", type=str, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--family", type=int, choices=(1, 2, 3), default=None)
-        p.add_argument("--kparam", type=int, default=None)
-        p.add_argument("--jprime", type=int, default=None)
+    for name, (_, flags) in COMMANDS.items():
+        p = sub.add_parser(name, allow_abbrev=False)
+        for flag in flags.split() + ["--out"]:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
-def _validate(args) -> None:
-    if args.n is not None and args.n < 2:
-        raise SpecError("--n must be >= 2")
-    if args.L is not None and (args.L < 2 or args.L % 2):
-        raise SpecError("--L must be even and >= 2")
-    if args.samples < 1:
-        raise SpecError("--samples must be >= 1")
-    if args.k < 1:
-        raise SpecError("--k must be >= 1")
-    if args.tol is not None and args.tol <= 0:
-        raise SpecError("--tol must be > 0")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify-relations" and (args.n is None or args.L is None):
-        print("verify-relations requires --n and --L", file=sys.stderr)
-        return ERROR
     try:
-        _validate(args)
-        code, report = COMMANDS[args.command](args)
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise UsageError(
+                f"pararp {args.command}: unrecognized arguments: "
+                + " ".join(extra)
+            )
+        if args.command == "verify-relations" and (
+            args.n is None or args.L is None
+        ):
+            raise UsageError("verify-relations requires --n and --L")
+        code, report = COMMANDS[args.command][0](args)
         emit_report(report, args.out)
         return code
     except (

@@ -22,6 +22,12 @@ far below ||e^{-H}|| come out of a cancellation across the sectors and so
 lose relative accuracy; the two-site counterexample, where that would show,
 is computed exactly without matrices.
 
+Bounds and Trotter products rest on the form H = H_- + H_0 + theta(H_-),
+which they check: the bounds' auxiliary Hamiltonians are H, so they are
+Cauchy-Schwarz for the one RP form with e^{-H}, and H_-, theta(H_-) are
+commuting observables on disjoint halves, so e^{-H_-/k} e^{-theta(H_-)/k}
+is one exponential.
+
 Positivity tolerances are relative: a value v counts as a violation when
 it falls below -tol * (1 + |v|).  Aggregate report statistics are stored in
 the same normalized units so the report invariant (no violations iff all
@@ -362,23 +368,24 @@ def trotter_approximant(
     spec: HamiltonianSpec, rep: Representation, k: int
 ) -> np.ndarray:
     """[(Id - H_0/k) e^{-H_-/k} e^{-theta(H_-)/k}]^k, computed blockwise
-    over the charge sectors."""
+    over the charge sectors with e^{-(H_- + theta(H_-))/k} for the commuting
+    pair of exponentials."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    h0, hm, hp = _trotter_parts(spec, rep)
-    power = _trotter_power(h0, matrix_exp(-hm / k), matrix_exp(-hp / k), k)
-    return sector_matrix(power, rep)
+    h0, halves = _trotter_parts(spec, rep)
+    return sector_matrix(_trotter_power(h0, matrix_exp(-halves / k), k), rep)
 
 
 def _trotter_parts(spec: HamiltonianSpec, rep: Representation) -> tuple:
-    """The charge-sector blocks of H_0, H_- and H_+."""
-    return tuple(
-        _sectors(h, rep) for h in (spec.h_zero, spec.h_minus, spec.h_plus)
-    )
+    """The charge-sector blocks of H_0 and of H_- + H_+, for a spec of the
+    form H_- + H_0 + theta(H_-)."""
+    _require_reflection_form(spec)
+    halves = sum_polynomials((spec.h_minus, spec.h_plus))
+    return _sectors(spec.h_zero, rep), _sectors(halves, rep)
 
 
-def _trotter_power(h0, e_minus, e_plus, k: int) -> np.ndarray:
-    step = (np.eye(h0.shape[-1], dtype=complex) - h0 / k) @ e_minus @ e_plus
+def _trotter_power(h0, e_halves, k: int) -> np.ndarray:
+    step = (np.eye(h0.shape[-1], dtype=complex) - h0 / k) @ e_halves
     return np.linalg.matrix_power(step, k)
 
 
@@ -388,23 +395,21 @@ def trotter_convergence(
     """Errors ||approximant(k) - e^{-H}|| (Frobenius) and consecutive ratios.
 
     Everything is computed on the charge-sector blocks, whose stacked
-    Frobenius norm is that of the full matrix.  The parts of H are evaluated
-    once, and e^{-H_-/k}, e^{-H_+/k} are the squares of those for 2k
-    whenever 2k is among ``ks``.
+    Frobenius norm is that of the full matrix.  The blocks of H are those of
+    H_0 plus those of H_- + H_+, and e^{-(H_- + H_+)/k} is the square of the
+    one for 2k whenever 2k is among ``ks``.
     """
     ks = [int(k) for k in ks]
     if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
-    h0, hm, hp = _trotter_parts(spec, rep)
-    exact = matrix_exp(-_sectors(spec.total(), rep))
-    factors: dict[int, tuple] = {}
+    h0, halves = _trotter_parts(spec, rep)
+    exact = matrix_exp(-(h0 + halves))
+    factors: dict[int, np.ndarray] = {}
     for k in sorted(set(ks), reverse=True):
-        if 2 * k in factors:
-            factors[k] = tuple(f @ f for f in factors[2 * k])
-        else:
-            factors[k] = (matrix_exp(-hm / k), matrix_exp(-hp / k))
+        twice = factors.get(2 * k)
+        factors[k] = matrix_exp(-halves / k) if twice is None else twice @ twice
     errors = {
-        k: float(np.linalg.norm(_trotter_power(h0, *factors[k], k) - exact))
+        k: float(np.linalg.norm(_trotter_power(h0, factors[k], k) - exact))
         for k in ks
     }
     ks_sorted = sorted(errors)
@@ -490,13 +495,26 @@ def conservation_law_check(
 # -- reflection bounds ----------------------------------------------------
 
 
-def bounds_factors(spec: HamiltonianSpec, rep: Representation) -> tuple:
-    """The Boltzmann factors of rp_bounds_check: e^{-H} and those of the
-    auxiliary H_- + H_0 + theta(H_-) and theta(H_+) + H_0 + H_+."""
-    t_minus, t_plus = reflect_all((spec.h_minus, spec.h_plus))
-    h_m_aux = sum_polynomials((spec.h_minus, spec.h_zero, t_minus))
-    h_p_aux = sum_polynomials((t_plus, spec.h_zero, spec.h_plus))
-    return tuple(boltzmann(h, rep) for h in (spec.total(), h_m_aux, h_p_aux))
+def _require_reflection_form(spec: HamiltonianSpec) -> None:
+    """ValueError unless H = H_- + H_0 + theta(H_-), checked symbolically:
+    H_- on the minus half (so H_+ = theta(H_-) is on the plus half) and
+    theta(H_0) = H_0.  ``assemble`` builds every spec in this form."""
+    t_minus, t_zero = reflect_all((spec.h_minus, spec.h_zero))
+    if not (
+        classify(spec.h_minus).side in (Side.MINUS, Side.SCALAR)
+        and t_minus.almost_equal(spec.h_plus)
+        and t_zero.almost_equal(spec.h_zero)
+    ):
+        raise ValueError("spec is not of the form H_- + H_0 + theta(H_-)")
+
+
+def bounds_factors(spec: HamiltonianSpec, rep: Representation) -> np.ndarray:
+    """e^{-H}, the one Boltzmann factor of rp_bounds_check.  ValueError
+    unless the spec has the form H = H_- + H_0 + theta(H_-), for which the
+    auxiliary Hamiltonians H_- + H_0 + theta(H_-) and theta(H_+) + H_0 + H_+
+    of the reflection bounds are both H."""
+    _require_reflection_form(spec)
+    return boltzmann(spec.total(), rep)
 
 
 def rp_bounds_check(
@@ -505,57 +523,43 @@ def rp_bounds_check(
     spec: HamiltonianSpec,
     rep: Representation,
     tol: float = DEFAULT_TOL,
-    factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    factors: np.ndarray | None = None,
 ) -> dict:
     """Check |f(A, B)| <= ||A||_- ||B||_+ and |f(A, B)| <= ||A||_+ ||B||_-
     for A, B in the plus observable algebra, plus the A = B = I partition
     function bound.
 
-    The auxiliary norms use the Hamiltonians H_- + H_0 + theta(H_-) and
-    theta(H_+) + H_0 + H_+.  ``factors``, from bounds_factors, lets many
-    pairs share the three matrix exponentials.
+    Both auxiliary Hamiltonians are H, so ||A||_-^2 = ||A||_+^2 = f(A, A):
+    the bounds are Cauchy-Schwarz for the one RP form f, three traces
+    against e^{-H}.  ``factors`` is e^{-H} from bounds_factors.
     """
     for name, p in (("A", a), ("B", b)):
         sc = classify(p)
         if sc.side not in (Side.PLUS, Side.SCALAR) or not sc.observable:
             raise ValueError(f"{name} must be in the plus observable algebra")
 
-    e_full, e_minus, e_plus = factors or bounds_factors(spec, rep)
+    e = bounds_factors(spec, rep) if factors is None else factors
     ta, tb = reflect_all((a, b))
-    [f_ab] = _traces([a], [tb], rep, e_full).tolist()
-    sq_minus = _traces([a, b], [ta, tb], rep, e_minus).tolist()
-    sq_plus = _traces([a, b], [ta, tb], rep, e_plus).tolist()
+    f_ab, sq_a, sq_b = _traces([a, a, b], [tb, ta, tb], rep, e).tolist()
 
     def norm(val: complex, label: str) -> float:
         if val.real < -tol * (1 + abs(val)):
-            raise ValueError(
-                f"auxiliary Hamiltonian for {label} is RP-violating: "
-                f"||.||^2 = {val}"
-            )
+            raise ValueError(f"H is RP-violating: f({label}, {label}) = {val}")
         return math.sqrt(max(val.real, 0.0))
 
-    na_m = norm(sq_minus[0], "minus")
-    na_p = norm(sq_plus[0], "plus")
-    nb_m = norm(sq_minus[1], "minus")
-    nb_p = norm(sq_plus[1], "plus")
-
-    bound1 = na_m * nb_p
-    bound2 = na_p * nb_m
-    z = abs(complex(np.trace(e_full)))
-    z_bound = math.sqrt(
-        max(np.trace(e_minus).real, 0.0) * max(np.trace(e_plus).real, 0.0)
-    )
-    margin1 = (bound1 - abs(f_ab)) / (1.0 + bound1)
-    margin2 = (bound2 - abs(f_ab)) / (1.0 + bound2)
-    margin_z = (z_bound - z) / (1.0 + z_bound)
+    bound = norm(sq_a, "A") * norm(sq_b, "B")
+    z = complex(np.trace(e))
+    z_bound = max(z.real, 0.0)
+    margin = (bound - abs(f_ab)) / (1.0 + bound)
+    margin_z = (z_bound - abs(z)) / (1.0 + z_bound)
     return {
         "f_ab": [f_ab.real, f_ab.imag],
-        "bound1": bound1,
-        "bound2": bound2,
-        "margin1": margin1,
-        "margin2": margin2,
+        "bound1": bound,
+        "bound2": bound,
+        "margin1": margin,
+        "margin2": margin,
         "partition_margin": margin_z,
-        "ok": margin1 >= -tol and margin2 >= -tol and margin_z >= -tol,
+        "ok": margin >= -tol and margin_z >= -tol,
     }
 
 
@@ -599,18 +603,9 @@ def _reflected(i: ExponentVector) -> tuple:
     return reflect_vector(complement(i)), -2 * circ(i, i)
 
 
-def counterexample_f(
-    n: int, j: int, rep: Representation | None = None
-) -> complex:
-    """f(c^j) = Tr(c^j theta(c^j) e^{-H}) for H = zeta c theta(c), L = 2,
-    computed exactly without matrices (``rep`` is not needed).
-
-    c^j theta(c^j) H^k is one monomial zeta^{p_k} C_{I_k}, so the term
-    (-1)^k Tr(c^j theta(c^j) H^k) / k! of the series is (-1)^k n zeta^{p_k}
-    / k! when C_{I_k} is the identity (k = -j mod n) and 0 otherwise.  The
-    rationals n / k! are summed exactly per phase mod 2n, and the result is
-    rounded once at the end.
-    """
+def _counterexample_sums(n: int, j: int) -> list[Fraction]:
+    """The exact rationals r_p, p = 0..n-1, with f(c^j) = sum_p r_p zeta^p
+    (see counterexample_f)."""
     if not 1 <= j <= n:
         raise ValueError(f"j must be in 1..{n}, got {j}")
     c = unit_vector(n, 2, 1)
@@ -632,13 +627,81 @@ def counterexample_f(
                 first = term
             sums[(phase + n * k) % (2 * n)] += term  # (-1)^k = zeta^{n k}
         power = _times(power, step)
-    parts = [
-        (float(sums[p] - sums[p + n]), zeta_power(n, p)) for p in range(n)
-    ]
+    return [sums[p] - sums[p + n] for p in range(n)]  # zeta^n = -1
+
+
+def counterexample_f(
+    n: int, j: int, rep: Representation | None = None
+) -> complex:
+    """f(c^j) = Tr(c^j theta(c^j) e^{-H}) for H = zeta c theta(c), L = 2,
+    computed exactly without matrices (``rep`` is not needed).
+
+    c^j theta(c^j) H^k is one monomial zeta^{p_k} C_{I_k}, so the term
+    (-1)^k Tr(c^j theta(c^j) H^k) / k! of the series is (-1)^k n zeta^{p_k}
+    / k! when C_{I_k} is the identity (k = -j mod n) and 0 otherwise.  The
+    rationals n / k! are summed exactly per phase mod 2n, and the result is
+    rounded once at the end.
+    """
+    return _rounded(n, _counterexample_sums(n, j))
+
+
+def _rounded(n: int, sums: list[Fraction]) -> complex:
+    """sum_p sums[p] zeta^p, each rational rounded once."""
+    parts = [(float(r), zeta_power(n, p)) for p, r in enumerate(sums)]
     return complex(
         math.fsum(r * z.real for r, z in parts),
         math.fsum(r * z.imag for r, z in parts),
     )
+
+
+def _divmod_monic(num: list[int], den: list[int]) -> tuple[list, list]:
+    """Quotient and remainder of integer polynomials, ``den`` monic, the
+    coefficients constant term first."""
+    rem, top = list(num), len(den) - 1
+    quot = [0] * max(len(rem) - top, 0)
+    for i in reversed(range(len(quot))):
+        quot[i] = lead = rem[i + top]
+        for t, coeff in enumerate(den):
+            rem[i + t] -= lead * coeff
+    return quot, rem[:top]
+
+
+def _cyclotomic(m: int) -> list[int]:
+    """The cyclotomic polynomial Phi_m, constant term first: x^m - 1 divided
+    by Phi_d for every proper divisor d of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly, _ = _divmod_monic(poly, _cyclotomic(d))
+    return poly
+
+
+def is_real_cyclotomic(n: int, coeffs: list[Fraction]) -> bool:
+    """Whether sum_p coeffs[p] zeta^p over p < n, with rational coefficients
+    and zeta = e^{i pi / n}, is real, decided exactly in Q(zeta).
+
+    With zeta^{-q} = -zeta^{n - q}, twice i times its imaginary part is
+    D(zeta) = sum_q (coeffs[q] + coeffs[n - q]) zeta^q over q = 1..n-1, and
+    D(zeta) = 0 exactly when Phi_2n, the minimal polynomial of zeta,
+    divides D, denominators cleared.
+    """
+    d = [Fraction(0)] + [coeffs[q] + coeffs[n - q] for q in range(1, n)]
+    scale = math.lcm(*(x.denominator for x in d))
+    _, rem = _divmod_monic([int(x * scale) for x in d], _cyclotomic(2 * n))
+    return not any(rem)
+
+
+def counterexample_check(
+    n: int, j: int, tol: float = DEFAULT_TOL
+) -> tuple[bool, complex]:
+    """(positive, f(c^j)): f(c^j) is positive when it is exactly real, as
+    is_real_cyclotomic decides, and its real part is at least -tol (1 +
+    |f|).  A value that is not exactly real is never positive, however
+    small it is."""
+    sums = _counterexample_sums(n, j)
+    val = _rounded(n, sums)
+    real = is_real_cyclotomic(n, sums)
+    return real and val.real >= -tol * (1.0 + abs(val)), val
 
 
 FAMILY_DESCRIPTIONS = {
@@ -674,12 +737,8 @@ def family_check(
     tol: float = DEFAULT_TOL,
 ) -> tuple[bool, complex]:
     """Evaluate f(c^j) for one of the known positive (n, j) families and
-    report whether it is real and non-negative."""
-    n, j = family_pair(family, k, jprime)
-    val = counterexample_f(n, j)
-    scale = 1.0 + abs(val)
-    ok = val.real >= -tol * scale and abs(val.imag) <= tol * scale
-    return ok, val
+    report whether it is exactly real and non-negative."""
+    return counterexample_check(*family_pair(family, k, jprime), tol=tol)
 
 
 # -- loop operators and ground states -------------------------------------

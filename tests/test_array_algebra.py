@@ -380,7 +380,7 @@ def test_trotter_convergence_reuses_parts(monkeypatch):
 
         monkeypatch.setattr(rp, name, counting)
     conv = rp.trotter_convergence(spec, rep, [8, 16])
-    assert calls == {"matrix_exp": 3, "to_matrix": 4}
+    assert calls == {"matrix_exp": 2, "to_matrix": 2}
     for k, err in conv["errors"].items():
         assert abs(err - expected[k]) <= 1e-10 * expected[k]
     with pytest.raises(ValueError):

@@ -1,0 +1,87 @@
+"""tools/bench_record.py assembles BENCH_<label>.json from the output of
+perfbench runs.  The runs are replaced by canned output here: no benchmark
+starts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
+
+
+@pytest.fixture
+def bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def canned(correct, metrics, attempted=120, failed=0):
+    """What perfbench/run.py prints for one workload: summary lines, the
+    provenance line, then the result object."""
+    result = {"correct": correct, "attempted": attempted, "failed": failed,
+              "metrics": {k: {"value": v, "unit": "u"} for k, v in metrics.items()}}
+    return (
+        "rp_suite seed=3 trace=0: 120 jobs in 2 cycles\n"
+        "  jobs_per_s = 250 1/s\n"
+        'provenance {"nproc": 2, "seed": 3}\n'
+        + json.dumps(result) + "\n"
+    )
+
+
+def test_assemble_record_keeps_the_last_json_line_of_each_run(bench_record):
+    outputs = {
+        ("rp_suite", 0): canned(True, {"jobs_per_s": 280.5, "setup_s": 0.27}),
+        ("rp_suite", 1): canned(True, {"rp.matrix_exp_calls": 1.0}),
+        ("basis", 0): canned(False, {"jobs_per_s": 650.0}, failed=2),
+        ("basis", 1): "Traceback (most recent call last):\n",
+    }
+    record = bench_record.assemble_record(
+        "6", 3, 30, outputs, {"rp.py": 700, "total": 700}, {"nproc": 2})
+    assert record["label"] == "6" and record["seed"] == 3
+    assert record["seconds"] == 30
+    assert record["src_lines"] == {"rp.py": 700, "total": 700}
+    assert record["machine"] == {"nproc": 2}
+    rp_suite = record["workloads"]["rp_suite"]
+    assert rp_suite["end_to_end"] == {"jobs_per_s": 280.5, "setup_s": 0.27}
+    assert rp_suite["per_layer"] == {"rp.matrix_exp_calls": 1.0}
+    assert rp_suite["end_to_end_jobs"] == {"attempted": 120, "failed": 0}
+    basis = record["workloads"]["basis"]
+    assert basis["end_to_end_jobs"] == {"attempted": 120, "failed": 2}
+    assert basis["per_layer"] is None
+    assert record["correct"] is False
+
+
+def test_main_writes_the_record_without_running_a_benchmark(
+    bench_record, tmp_path, monkeypatch
+):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "rp_suite"}, {"name": "symbolic"}]}))
+    src = tmp_path / "src" / "pararp"
+    src.mkdir(parents=True)
+    (src / "a.py").write_text("x = 1\ny = 2\n")
+    (src / "b.py").write_text("z = 3\n")
+    calls = []
+
+    def fake_run(workload, trace, seed, seconds):
+        calls.append((workload, trace, seed, seconds))
+        return canned(True, {"jobs_per_s": 100.0 + trace})
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "run_benchmark", fake_run)
+    assert bench_record.main(["7", "--seed", "5", "--seconds", "2"]) == 0
+    assert calls == [("rp_suite", 0, 5, 2), ("rp_suite", 1, 5, 2),
+                     ("symbolic", 0, 5, 2), ("symbolic", 1, 5, 2)]
+    record = json.loads((tmp_path / "BENCH_7.json").read_text())
+    assert record["src_lines"] == {"a.py": 2, "b.py": 1, "total": 3}
+    assert record["workloads"]["symbolic"]["per_layer"] == {"jobs_per_s": 101.0}
+    assert record["correct"] is True
+    assert {"python", "numpy", "scipy", "nproc"} <= set(record["machine"])
+
+
+def test_last_json_line_ignores_trailing_noise(bench_record):
+    assert bench_record.last_json_line('a\n{"x": 1}\nnot json\n') == {"x": 1}
+    assert bench_record.last_json_line("no result\n") is None

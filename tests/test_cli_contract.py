@@ -1,0 +1,123 @@
+"""The command-line contract: every argument error exits 1 with one line on
+stderr, each subcommand takes only the flags it reads, and the two-site
+counterexample's verdict is exact about whether the value is real."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from pararp import cli, rp
+from pararp.algebra import zeta_power
+from pararp.cli import main
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["rp-check", "--n", "abc"],
+        ["rp-check", "--bogus", "1"],
+        ["rp-check", "--n", "3", "--L", "30"],
+        ["rp-check", "--n", "3", "--sam", "4"],  # no abbreviations
+        ["nonsense"],
+        ["families", "--family", "4", "--kparam", "2"],
+        ["counterexample", "--n", "2", "--samples", "3"],
+        ["baxter", "--n", "3"],
+        ["verify-relations", "--n", "2", "--L", "4", "--seed", "1"],
+        ["trotter", "--n", "2", "--k"],
+        ["gram", "--n", "3", "--tol", "inf"],  # would pass every check
+        ["gram", "--n", "3", "--tol", "nan"],
+    ],
+)
+def test_argument_errors_exit_1_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.ERROR
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unread_flag_names_the_command(capsys):
+    _, _, err = run(capsys, "rp-check", "--n", "3", "--L", "30")
+    assert err == "error: pararp rp-check: unrecognized arguments: --L 30\n"
+
+
+@pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+def test_each_command_rejects_every_flag_it_does_not_read(capsys, name):
+    _, reads = cli.COMMANDS[name]
+    for flag in set(cli.FLAGS) - set(reads.split()) - {"--out"}:
+        code, out, err = run(capsys, name, flag, "1")
+        assert code == cli.ERROR and out == "", (name, flag)
+        assert "unrecognized arguments" in err, (name, flag)
+
+
+# -- exact verdicts for the two-site counterexample ---------------------------
+
+
+def float_verdict(val, tol=rp.DEFAULT_TOL):
+    """The verdict the float test gives: real and non-negative within tol."""
+    scale = 1.0 + abs(val)
+    return val.real >= -tol * scale and abs(val.imag) <= tol * scale
+
+
+def test_counterexample_verdicts_up_to_n_40():
+    for n in range(2, 41):
+        for j in range(1, n + 1):
+            positive, val = rp.counterexample_check(n, j)
+            assert val == rp.counterexample_f(n, j)
+            if abs(val) > 1e-6:  # resolved in floats: the verdicts agree
+                assert positive == float_verdict(val), (n, j, val)
+            elif positive != float_verdict(val):
+                # Below the tolerance the float test calls every value
+                # positive; the exact one calls a non-real value negative.
+                assert not positive and abs(val) < 1e-8, (n, j, val)
+        # f(c) carries the phase omega^{(n-1)/2} != 1 for every n.
+        assert not rp.counterexample_check(n, 1)[0]
+
+
+@pytest.mark.parametrize("family,k,jprime", [
+    (2, 2, 1), (3, 3, 1), (3, 3, 2), (1, 3, None), (1, 7, None),
+])
+def test_families_stay_positive(family, k, jprime):
+    positive, val = rp.family_check(family, k, jprime)
+    assert positive and val.imag == 0.0
+
+
+def test_cli_counterexample_171_is_not_positive(capsys):
+    code, out, _ = run(capsys, "counterexample", "--n", "171")
+    assert code == cli.VIOLATIONS
+    assert '"positive": false' in out
+
+
+def test_cli_counterexample_observable_power_is_positive(capsys):
+    code, _, _ = run(capsys, "counterexample", "--n", "6", "--j", "6")
+    assert code == cli.PASS
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_is_real_cyclotomic_against_floats(n):
+    """Random rational combinations against the float imaginary part, and
+    real ones alpha + conj(alpha) plus multiples of x^s Phi_2n(x), which
+    vanish at zeta although they break the symmetry of the coefficients."""
+    rng = np.random.default_rng(n)
+    phi = rp._cyclotomic(2 * n)
+
+    def value(coeffs):
+        return sum(float(c) * zeta_power(n, p) for p, c in enumerate(coeffs))
+
+    assert abs(value(phi)) < 1e-12
+    for _ in range(20):
+        c = [Fraction(int(x), 7) for x in rng.integers(-3, 4, size=n)]
+        assert rp.is_real_cyclotomic(n, c) == (abs(value(c).imag) < 1e-9)
+        real = [2 * c[0]] + [c[q] - c[n - q] for q in range(1, n)]
+        for s in range(n - len(phi) + 1):
+            for p, y in enumerate(phi):
+                real[s + p] += Fraction(3 * y, s + 2)
+        assert abs(value(real).imag) < 1e-9
+        assert rp.is_real_cyclotomic(n, real)

@@ -198,7 +198,7 @@ class TestBoundsFactors:
                                          factors=factors)
             assert fresh == hoisted
 
-    def test_cli_bounds_runs_three_exponentials(self, tmp_path, monkeypatch):
+    def test_cli_bounds_runs_one_exponential(self, tmp_path, monkeypatch):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(
             {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.6, -0.5, 0.6, 1.0]}}
@@ -209,7 +209,7 @@ class TestBoundsFactors:
             rp, "matrix_exp", lambda a: calls.append(1) or exp_orig(a)
         )
         code, _ = run_cli(["bounds", "--spec", str(path), "--samples", "4"])
-        assert code == 0 and len(calls) == 3
+        assert code == 0 and len(calls) == 1
 
 
 # -- CLI reports against the dense reference --------------------------------
