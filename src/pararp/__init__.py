@@ -13,7 +13,6 @@ from .exponents import (
     zero_vector,
 )
 from .algebra import (
-    PhaseExponent,
     Polynomial,
     Side,
     SideClass,

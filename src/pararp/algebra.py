@@ -89,43 +89,6 @@ def omega_power(n: int, k: int) -> complex:
     return _zeta_table(n)[(2 * k) % (2 * n)]
 
 
-@dataclass(frozen=True)
-class PhaseExponent:
-    """Exact root-of-unity phase zeta^value, value an integer mod 2n."""
-
-    value: int
-    order: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.value % (2 * self.order))
-
-    @classmethod
-    def one(cls, n: int) -> "PhaseExponent":
-        return cls(0, n)
-
-    @classmethod
-    def minus_one(cls, n: int) -> "PhaseExponent":
-        return cls(n, n)
-
-    @classmethod
-    def from_omega(cls, n: int, k: int) -> "PhaseExponent":
-        return cls(2 * k, n)
-
-    def __mul__(self, other: "PhaseExponent") -> "PhaseExponent":
-        if self.order != other.order:
-            raise ValueError("phase exponents of different order")
-        return PhaseExponent(self.value + other.value, self.order)
-
-    def inverse(self) -> "PhaseExponent":
-        return PhaseExponent(-self.value, self.order)
-
-    def is_one(self) -> bool:
-        return self.value == 0
-
-    def to_complex(self) -> complex:
-        return zeta_power(self.order, self.value)
-
-
 class Side(Enum):
     MINUS = "minus"
     PLUS = "plus"
@@ -168,6 +131,8 @@ def _radix(n: int, L: int) -> np.ndarray:
     of its c-th chunk of sites.  Chunks hold as many sites as keep n^sites
     within int64, so rows are equal exactly when their C codes are, for
     every n and L (n^L may exceed 2^63)."""
+    if n < 2:
+        raise ValueError(f"order must be >= 2, got {n}")
     per = 1
     while n ** (per + 1) <= 2**63:
         per += 1
@@ -277,13 +242,13 @@ class Polynomial:
 
     __slots__ = ("exponents", "coeffs", "order", "sites", "_terms")
 
-    def __init__(self, terms, n: int, L: int, _drop_tol: float = 0.0):
+    def __init__(self, terms, n: int, L: int):
         clean: dict[ExponentVector, complex] = {}
         for vec, coeff in dict(terms).items():
             if vec.order != n or vec.sites != L:
                 raise ValueError("term key does not match polynomial n, L")
             c = complex(coeff)
-            if c != 0 and abs(c) > _drop_tol:
+            if abs(c) > 0:  # drops zero and NaN coefficients
                 clean[vec] = c
         exponents = np.array([v.entries for v in clean], dtype=np.int64)
         coeffs = np.fromiter(clean.values(), dtype=complex, count=len(clean))

@@ -58,10 +58,6 @@ def _resolve_spec(args) -> HamiltonianSpec:
     raise SpecError("either --spec or --n is required")
 
 
-def _rep_for(spec: HamiltonianSpec):
-    return build_generators(spec.order, spec.sites)
-
-
 def cmd_verify_relations(args):
     rep = build_generators(args.n, args.L)
     residuals = verify_yamazaki(rep)
@@ -80,7 +76,7 @@ def cmd_verify_relations(args):
 
 def cmd_rp_check(args):
     spec = _resolve_spec(args)
-    rep = _rep_for(spec)
+    rep = build_generators(spec.order, spec.sites)
     tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
     result = rp.check_rp(
         spec, rep, samples=args.samples, seed=args.seed, tol=tol
@@ -97,7 +93,7 @@ def cmd_rp_check(args):
 
 def cmd_gram(args):
     spec = _resolve_spec(args)
-    rep = _rep_for(spec)
+    rep = build_generators(spec.order, spec.sites)
     tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
     basis = [
         Polynomial.monomial(1.0, vec)
@@ -124,7 +120,7 @@ def cmd_gram(args):
 
 def cmd_trotter(args):
     spec = _resolve_spec(args)
-    rep = _rep_for(spec)
+    rep = build_generators(spec.order, spec.sites)
     conv = rp.trotter_convergence(spec, rep, [args.k, 2 * args.k])
     ratio = conv["ratios"].get(args.k)
     ok = ratio is not None and 1.6 <= ratio <= 2.4
@@ -142,7 +138,7 @@ def cmd_trotter(args):
 
 def cmd_bounds(args):
     spec = _resolve_spec(args)
-    rep = _rep_for(spec)
+    rep = build_generators(spec.order, spec.sites)
     tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
     rng = np.random.default_rng(args.seed)
     # Each sample pair (A, B) reflects two fresh minus observables.
@@ -219,7 +215,7 @@ def cmd_baxter(args):
     if args.spec is None:
         raise SpecError("--spec with a baxter shortcut is required")
     spec = load_spec(args.spec)
-    rep = _rep_for(spec)
+    rep = build_generators(spec.order, spec.sites)
     sym = check_symmetries(spec, rep)
     ok = sym["reflection_symbolic"] and sym["gauge_symbolic"] and sym["matrix_ok"]
     report = {
@@ -236,7 +232,7 @@ def cmd_baxter(args):
 
 def cmd_decompose(args):
     spec = _resolve_spec(args)
-    rep = _rep_for(spec)
+    rep = build_generators(spec.order, spec.sites)
     boltzmann = rp.boltzmann(spec.total(), rep)
     poly = decompose(boltzmann, rep)
     gap = float(np.linalg.norm(to_matrix(poly, rep) - boltzmann))

@@ -149,11 +149,11 @@ def assemble(h_minus: Polynomial, couplings: CouplingTable) -> HamiltonianSpec:
 
 
 def check_symmetries(
-    spec: HamiltonianSpec, rep: Representation | None = None,
-    tol: float = 1e-10,
+    spec: HamiltonianSpec, rep: Representation | None = None
 ) -> dict:
     """Verify theta(H) = H and U(H) = H, symbolically and (optionally)
-    at matrix level."""
+    at matrix level, to 1e-10 relative."""
+    tol = 1e-10
     h = spec.total()
     report = {
         "reflection_symbolic": reflect(h).almost_equal(h),
@@ -233,31 +233,34 @@ def load_spec(path: str) -> HamiltonianSpec:
     return spec_from_dict(data)
 
 
-def spec_from_dict(data: dict) -> HamiltonianSpec:
+def spec_from_dict(data) -> HamiltonianSpec:
+    """The Hamiltonian of a parsed JSON spec (see load_spec); SpecError,
+    naming the field, for a document of any other shape."""
+    if not isinstance(data, dict):
+        raise SpecError("spec must be a JSON object")
     if "baxter" in data:
         b = data["baxter"]
-        return baxter(_get_int(b, "n"), _get_int(b, "L"), b.get("t", []))
-    n = _get_int(data, "n")
-    L = _get_int(data, "L")
+        if not isinstance(b, dict):
+            raise SpecError("field 'baxter' must be an object")
+        return baxter(*_size(b), _get_list(b, "t", _is_real, "finite reals"))
+    n, L = _size(data)
     terms = {}
-    for pos, term in enumerate(data.get("h_minus", [])):
+    for pos, term in enumerate(_get_list(data, "h_minus", _is_object, "objects")):
         coeff = term.get("coefficient")
-        exps = term.get("exponents")
         if (
             not isinstance(coeff, (list, tuple)) or len(coeff) != 2
-            or not all(isinstance(x, (int, float)) and math.isfinite(x)
-                       for x in coeff)
+            or not all(map(_is_real, coeff))
         ):
             raise SpecError(f"h_minus[{pos}]: coefficient must be [re, im]")
-        vec = _parse_exponents(exps, n, L, f"h_minus[{pos}]")
+        vec = _parse_exponents(term.get("exponents"), n, L, f"h_minus[{pos}]")
         terms[vec] = terms.get(vec, 0) + complex(coeff[0], coeff[1])
     couplings = CouplingTable()
-    for pos, entry in enumerate(data.get("couplings", [])):
+    for pos, entry in enumerate(_get_list(data, "couplings", _is_object, "objects")):
         vec = _parse_exponents(
             entry.get("exponents"), n, L, f"couplings[{pos}]"
         )
         j = entry.get("J")
-        if not isinstance(j, (int, float)) or not math.isfinite(j):
+        if not _is_real(j):
             raise SpecError(f"couplings[{pos}]: J must be a finite real")
         try:
             couplings[vec] = j
@@ -266,18 +269,39 @@ def spec_from_dict(data: dict) -> HamiltonianSpec:
     return assemble(Polynomial(terms, n, L), couplings)
 
 
-def _get_int(data: dict, key: str) -> int:
-    val = data.get(key)
-    if not isinstance(val, int):
-        raise SpecError(f"field {key!r} must be an integer, got {val!r}")
+def _is_real(val) -> bool:
+    """A finite JSON number; true and false are not numbers here."""
+    return type(val) in (int, float) and math.isfinite(val)
+
+
+def _is_object(val) -> bool:
+    return isinstance(val, dict)
+
+
+def _get_list(data: dict, key: str, ok, what: str) -> list:
+    """The list in field ``key`` (empty if absent), every item ``ok``."""
+    val = data.get(key, [])
+    if not isinstance(val, list) or not all(map(ok, val)):
+        raise SpecError(f"field {key!r} must be a list of {what}")
     return val
+
+
+def _size(data: dict) -> tuple[int, int]:
+    """The order n >= 2 and the even number of sites L >= 2; true and false
+    are not integers here."""
+    n, L = data.get("n"), data.get("L")
+    if type(n) is not int or n < 2:
+        raise SpecError(f"field 'n' must be an integer >= 2, got {n!r}")
+    if type(L) is not int or L < 2 or L % 2 != 0:
+        raise SpecError(f"field 'L' must be an even integer >= 2, got {L!r}")
+    return n, L
 
 
 def _parse_exponents(exps, n: int, L: int, where: str) -> ExponentVector:
     if not isinstance(exps, (list, tuple)) or len(exps) != L:
         raise SpecError(f"{where}: exponents must be a list of {L} integers")
     for k, e in enumerate(exps):
-        if not isinstance(e, int) or not 0 <= e < n:
+        if type(e) is not int or not 0 <= e < n:
             raise SpecError(
                 f"{where}: exponent {e!r} at site {k + 1} outside 0..{n - 1}"
             )

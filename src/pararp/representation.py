@@ -51,8 +51,10 @@ import numpy as np
 from .algebra import _BLOCK, Polynomial, zeta_power
 from .exponents import ExponentVector
 
-DEFAULT_DIM_CAP = 4096
-DEFAULT_ENUM_CAP = 100_000
+DIM_CAP = 4096
+ENUM_CAP = 100_000
+# decompose drops coefficients at most this times 1 + max |A_ij|.
+DECOMPOSE_TOL = 1e-12
 
 
 class DimensionCapError(RuntimeError):
@@ -79,8 +81,9 @@ class Representation:
     holds ``zeta[phase[j, e, k]]`` in row ``perm[j, e, k]``.  ``orbit[m, o]``
     is the state T^m o of the charge-sector index (o, m), and
     ``orbit_index[k]`` is m * dim/n + o for the state k = T^m o.
-    ``generators`` are the c_j as dense matrices, built on first access and
-    then kept.
+    ``generators`` is a read-only view derived from ``perm`` and ``phase``:
+    the c_j as a tuple of non-writeable dense matrices, built on first
+    access and then kept.
     """
 
     order: int
@@ -91,7 +94,7 @@ class Representation:
     zeta: np.ndarray
     orbit: np.ndarray
     orbit_index: np.ndarray
-    _generators: list[np.ndarray] | None = field(
+    _generators: tuple[np.ndarray, ...] | None = field(
         default=None, repr=False, compare=False
     )
     _known: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(
@@ -99,12 +102,14 @@ class Representation:
     )
 
     @property
-    def generators(self) -> list[np.ndarray]:
+    def generators(self) -> tuple[np.ndarray, ...]:
         if self._generators is None:
-            self._generators = [
+            self._generators = tuple(
                 _dense(self.perm[j, 1], self.zeta[self.phase[j, 1]])
                 for j in range(self.sites)
-            ]
+            )
+            for g in self._generators:
+                g.flags.writeable = False
         return self._generators
 
     def identity(self) -> np.ndarray:
@@ -157,9 +162,7 @@ def _dense(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return m
 
 
-def build_generators(
-    n: int, L: int, dim_cap: int = DEFAULT_DIM_CAP
-) -> Representation:
+def build_generators(n: int, L: int) -> Representation:
     """Construct the clock/shift ladder representation for L (even) sites."""
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -167,9 +170,9 @@ def build_generators(
         raise ValueError(f"number of sites must be even and >= 2, got {L}")
     half = L // 2
     dim = n**half
-    if dim > dim_cap:
+    if dim > DIM_CAP:
         raise DimensionCapError(
-            f"representation dimension {dim} exceeds cap {dim_cap}"
+            f"representation dimension {dim} exceeds cap {DIM_CAP}"
         )
     zeta = np.array([zeta_power(n, k) for k in range(2 * n)])
     # Column k is the basis state with tensor-factor digits digits[:, k],
@@ -281,10 +284,7 @@ def all_exponent_vectors(n: int, L: int):
         yield ExponentVector(entries, n)
 
 
-def decompose(
-    a: np.ndarray, rep: Representation, enum_cap: int = DEFAULT_ENUM_CAP,
-    tol: float = 1e-12,
-) -> Polynomial:
+def decompose(a: np.ndarray, rep: Representation) -> Polynomial:
     """Expand a matrix in the monomial basis: coefficients
     Tr(C_I^* A) / n^{L/2}.  Enumerates all n^L monomials.
 
@@ -298,9 +298,9 @@ def decompose(
         raise ValueError(
             f"matrix shape {a.shape} does not match dimension {dim}"
         )
-    if n**L > enum_cap:
+    if n**L > ENUM_CAP:
         raise DimensionCapError(
-            f"basis size {n**L} exceeds enumeration cap {enum_cap}"
+            f"basis size {n**L} exceeds enumeration cap {ENUM_CAP}"
         )
     scale = 1.0 + float(np.abs(a).max(initial=0.0))
     half = np.array(list(itertools.product(range(n), repeat=L // 2)))
@@ -319,7 +319,7 @@ def decompose(
         gathered = b.reshape(len(b), dim * dim)[:, plus_index]
         coeffs[sl] = np.einsum("psk,sk->ps", gathered, plus_conj)
     coeffs /= dim
-    keep = np.flatnonzero(np.abs(coeffs) > tol * scale)
+    keep = np.flatnonzero(np.abs(coeffs) > DECOMPOSE_TOL * scale)
     exponents = np.hstack([half[keep // dim], half[keep % dim]])
     return Polynomial._from_arrays(exponents, coeffs.ravel()[keep], n, L)
 
@@ -328,19 +328,12 @@ def verify_yamazaki(rep: Representation) -> dict[str, float]:
     """Max residuals of the defining relations; reported, never raised.
 
     The residuals are Frobenius norms of c^n - Id, c c^* - Id and
-    c_j c_k - omega c_k c_j (j < k) over the dense ``rep.generators``.
-    When every generator has at most one nonzero entry per column, as the
-    clock/shift generators do, they are computed from those entries in
-    O(L^2 dim); otherwise from dense products.  While the dense generators
-    have not been built, their entries are read from ``perm`` and ``phase``.
+    c_j c_k - omega c_k c_j (j < k).  They are computed in O(L^2 dim) from
+    the tables ``perm`` and ``phase`` that every matrix of the
+    representation is built from: each generator has one nonzero entry per
+    column.
     """
-    if rep._generators is None:
-        gens = rep.perm[:, 1], rep.zeta[rep.phase[:, 1]]
-    else:
-        gens = _column_entries(rep.generators)
-    if gens is None:
-        return _verify_dense(rep)
-    rows, vals = gens
+    gens = rows, vals = rep.perm[:, 1], rep.zeta[rep.phase[:, 1]]
 
     power = gens
     for _ in range(rep.order - 1):
@@ -393,24 +386,9 @@ def _distance(a, b) -> np.ndarray:
     return np.sqrt(sq.sum(axis=-1))
 
 
-def _column_entries(
-    generators: list[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """(rows, values), each (L, dim): the row and value of the nonzero
-    entry of every column (row 0, value 0 for a zero column), or None if
-    some column has two or more nonzero entries."""
-    rows, vals = [], []
-    for g in generators:
-        nonzero = g != 0
-        if (nonzero.sum(axis=0) > 1).any():
-            return None
-        r = nonzero.argmax(axis=0)
-        rows.append(r)
-        vals.append(g[r, np.arange(len(r))])
-    return np.array(rows), np.array(vals, dtype=complex)
-
-
 def _verify_dense(rep: Representation) -> dict[str, float]:
+    """verify_yamazaki from dense products of ``rep.generators``: the
+    reference it is tested against."""
     n = rep.order
     eye = rep.identity()
     omega = np.exp(2j * np.pi / n)

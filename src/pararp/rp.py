@@ -6,10 +6,10 @@ Everything here evaluates trace functionals of the form
 
 against explicit matrices: positivity of f on the diagonal over the
 observable algebra of the minus half, Gram positive-semidefiniteness and
-the Schwarz inequality, Trotter product approximants of e^{-H}, the
-conservation law behind the positivity proof, reflection bounds, the
-known f(c) counterexample on the non-gauge-invariant algebra, and loop
-operator expectations in ground states.
+the Schwarz inequality, Trotter product approximants of e^{-H}, reflection
+bounds, the known f(c) counterexample on the non-gauge-invariant algebra,
+and loop operator expectations in ground states.  The conservation law
+behind the positivity proof is checked symbolically.
 
 Every Boltzmann factor e^{-H} comes from ``boltzmann``: H is gauge
 invariant, so its matrix is block-diagonal across the n charge sectors of
@@ -260,15 +260,12 @@ def rp_functional(
     b: Polynomial,
     spec: HamiltonianSpec,
     rep: Representation,
-    factor: np.ndarray | None = None,
 ) -> complex:
-    """f(A, B) = Tr(A theta(B) e^{-H}); linear in A, anti-linear in B.
-    ``factor`` is e^{-H} when already computed."""
+    """f(A, B) = Tr(A theta(B) e^{-H}); linear in A, anti-linear in B."""
     if not _compatible_sides(a, b):
         raise ValueError("A and B must be localized on the same side")
-    if factor is None:
-        factor = boltzmann(spec.total(), rep)
-    [val] = _traces([a], [reflect(b)], rep, factor)
+    e = boltzmann(spec.total(), rep)
+    [val] = _traces([a], [reflect(b)], rep, e)
     return complex(val)
 
 
@@ -343,14 +340,11 @@ def gram_psd(
     spec: HamiltonianSpec,
     rep: Representation,
     basis: list[Polynomial],
-    factor: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Hermitized Gram matrix G_ab = f(A_a, A_b) and its normalized minimum
-    eigenvalue (divided by 1 + max |G_ab|).  ``factor`` is e^{-H} when
-    already computed."""
-    if factor is None:
-        factor = boltzmann(spec.total(), rep)
-    return _gram(basis, reflect_all(basis), rep, factor)
+    eigenvalue (divided by 1 + max |G_ab|)."""
+    e = boltzmann(spec.total(), rep)
+    return _gram(basis, reflect_all(basis), rep, e)
 
 
 def _gram(basis, reflected, rep, e) -> tuple[np.ndarray, float]:
@@ -437,15 +431,22 @@ def conservation_law_check(
     * the rearrangement identity
       A theta(A) prod_j [C_{I_j} theta(C_{I_j}) B_j theta(B_j)]
       = omega^{sum_{j<j'} |I_j||I_j'|} (A D) theta(A D)
-      with D = prod_j C_{I_j} B_j, compared as matrices;
+      with D = prod_j C_{I_j} B_j, compared as polynomials;
     * Tr((A D) theta(A D)) = 0 whenever sum_j |I_j| != 0 mod n.
 
-    Gaps are normalized by the size of the matrices involved.
+    Both sides are polynomials, and Tr(C_I^* C_J) = dim delta_IJ: the
+    Frobenius norm of an operator is sqrt(dim) ||coeffs||_2, and its trace
+    dim times its constant term, exactly 0 at a forbidden degree.  Gaps are
+    normalized by the size of the operators involved.
     """
     rng = np.random.default_rng(seed)
     max_phase_gap = 0.0
     max_forbidden_trace = 0.0
     forbidden = 0
+
+    def norm(p: Polynomial) -> float:
+        return math.sqrt(rep.dim) * float(np.linalg.norm(p.coeffs))
+
     for _ in range(trials):
         k = int(rng.integers(1, 4))
         i_vecs = [
@@ -456,32 +457,27 @@ def conservation_law_check(
         bs = [random_minus_observable(n, L, rng, max_terms=2) for _ in range(k)]
 
         d = Polynomial.identity(n, L)
-        lhs = to_matrix(a, rep) @ to_matrix(reflect(a), rep)
+        lhs = canonical_product(a, reflect(a))
         for vec, b in zip(i_vecs, bs):
             c_i = Polynomial.monomial(1.0, vec)
-            lhs = lhs @ to_matrix(c_i, rep) @ to_matrix(reflect(c_i), rep)
-            lhs = lhs @ to_matrix(b, rep) @ to_matrix(reflect(b), rep)
+            for x in (c_i, reflect(c_i), b, reflect(b)):
+                lhs = canonical_product(lhs, x)
             d = canonical_product(d, canonical_product(c_i, b))
 
         ad = canonical_product(a, d)
-        m_ad = to_matrix(ad, rep)
-        m_tad = to_matrix(reflect(ad), rep)
+        ad_tad = canonical_product(ad, reflect(ad))
         degs = [degree(v) for v in i_vecs]
         phase_exp = sum(
             degs[j] * degs[jp] for j in range(k) for jp in range(j + 1, k)
         )
-        rhs = omega_power(n, phase_exp) * (m_ad @ m_tad)
-        scale = 1.0 + float(np.linalg.norm(lhs)) + float(np.linalg.norm(rhs))
-        max_phase_gap = max(
-            max_phase_gap, float(np.linalg.norm(lhs - rhs)) / scale
-        )
+        rhs = omega_power(n, phase_exp) * ad_tad
+        scale = 1.0 + norm(lhs) + norm(rhs)
+        max_phase_gap = max(max_phase_gap, norm(lhs - rhs) / scale)
 
         if sum(degs) % n != 0:
             forbidden += 1
-            tr = abs(complex(np.trace(m_ad @ m_tad)))
-            tscale = 1.0 + float(
-                np.linalg.norm(m_ad) * np.linalg.norm(m_tad)
-            )
+            tr = abs(rep.dim * ad_tad.constant_term())
+            tscale = 1.0 + norm(ad) ** 2  # ||theta(X)|| = ||X||
             max_forbidden_trace = max(max_forbidden_trace, tr / tscale)
 
     return {
@@ -630,11 +626,9 @@ def _counterexample_sums(n: int, j: int) -> list[Fraction]:
     return [sums[p] - sums[p + n] for p in range(n)]  # zeta^n = -1
 
 
-def counterexample_f(
-    n: int, j: int, rep: Representation | None = None
-) -> complex:
+def counterexample_f(n: int, j: int) -> complex:
     """f(c^j) = Tr(c^j theta(c^j) e^{-H}) for H = zeta c theta(c), L = 2,
-    computed exactly without matrices (``rep`` is not needed).
+    computed exactly without matrices.
 
     c^j theta(c^j) H^k is one monomial zeta^{p_k} C_{I_k}, so the term
     (-1)^k Tr(c^j theta(c^j) H^k) / k! of the series is (-1)^k n zeta^{p_k}
@@ -748,8 +742,6 @@ def loop_expectation(
     a: Polynomial,
     spec: HamiltonianSpec,
     rep: Representation,
-    herm_tol: float = 1e-10,
-    ground_tol: float = 1e-8,
 ) -> dict:
     """Ground-state expectations of the loop operator W_A = A theta(A).
 
@@ -758,6 +750,7 @@ def loop_expectation(
     between ground states) and, if so, whether all expectations are
     non-negative.
     """
+    herm_tol, ground_tol = 1e-10, 1e-8
     sc = classify(a)
     if sc.side not in (Side.MINUS, Side.SCALAR) or not sc.observable:
         raise ValueError("A must be in the minus observable algebra")

@@ -281,6 +281,13 @@ def test_wide_rows_group_by_every_site():
         {a: 2.0 + 0j, b: 2.0 + 0j})
 
 
+def test_order_below_two_is_refused_not_looped():
+    """Powers of 1 never exceed 2^63, so order 1 has no mixed-radix code."""
+    zero = Polynomial({}, 1, 4)
+    with pytest.raises(ValueError, match="order must be >= 2"):
+        zero + zero
+
+
 def test_symbolic_job_outputs_match_reference():
     """H^2, H^3 and the loop operator of a Baxter chain, as the benchmark's
     symbolic jobs build them."""

@@ -2,6 +2,7 @@
 stderr, each subcommand takes only the flags it reads, and the two-site
 counterexample's verdict is exact about whether the value is real."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -41,6 +42,36 @@ def test_argument_errors_exit_1_with_one_line(capsys, argv):
     assert code == cli.ERROR
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [1, 2],
+        {"baxter": 5},
+        {"baxter": {"n": 3, "L": 4, "t": [1, None, 1]}},
+        {"baxter": {"n": 3, "L": 4, "t": [1, "-0.5", 1]}},
+        {"n": 3, "L": 4, "h_minus": 7},
+        {"n": 3, "L": 4, "h_minus": [5]},
+        {"n": 3, "L": 4, "couplings": [3]},
+        {"n": 3, "L": 4, "h_minus": [
+            {"coefficient": [True, 0], "exponents": [1, 2, 0, 0]}]},
+        {"n": 3, "L": 4, "couplings": [{"exponents": [1, 0, 0, 0], "J": True}]},
+        {"n": 3, "L": 4, "couplings": [{"exponents": [True, 0, 0, 0], "J": 1}]},
+        {"n": 1, "L": 4},  # must not loop: no power of 1 exceeds 2^63
+        {"n": True, "L": 4},
+        {"n": 3, "L": 3},
+        {"n": 3, "L": 0},
+        {"baxter": {"n": 3, "L": 5, "t": [1, 1, 1, 1]}},
+    ],
+)
+def test_malformed_spec_exits_1_with_one_line(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "rp-check", "--spec", str(path))
+    assert code == cli.ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_unread_flag_names_the_command(capsys):

@@ -7,7 +7,6 @@ from pararp.algebra import (
 from pararp.exponents import ExponentVector
 from pararp.representation import (
     DimensionCapError,
-    _column_entries,
     _verify_dense,
     all_exponent_vectors,
     build_generators,
@@ -73,11 +72,11 @@ class TestBuildGenerators:
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
-            build_generators(2, 4, dim_cap=3)
+            build_generators(2, 26)  # dim 8192, refused before any table
 
     def test_corrupted_generator_reported_not_raised(self):
         rep = build_generators(3, 2)
-        rep.generators[0] = rep.generators[0] + 0.5
+        rep.phase[0, 1] = (rep.phase[0, 1] + 1) % 6  # c_1 -> zeta c_1
         residuals = verify_yamazaki(rep)
         assert max(residuals.values()) > 0.1
 
@@ -278,12 +277,11 @@ def test_permutation_kernel_matches_dense(n, L):
 
 
 class TestVerifyFastPath:
-    """Generators with one nonzero entry per column are verified from those
-    entries; the residuals must equal the dense computation's."""
+    """The generators are verified from the perm/phase tables; the
+    residuals must equal the dense computation's."""
 
     @staticmethod
     def _assert_matches_dense(rep):
-        assert _column_entries(rep.generators) is not None
         fast, dense = verify_yamazaki(rep), _verify_dense(rep)
         for key in dense:
             assert abs(fast[key] - dense[key]) < 1e-12
@@ -296,12 +294,11 @@ class TestVerifyFastPath:
 
     def test_flipped_phase_reported(self):
         rep = build_generators(3, 4)
-        g = rep.generators[1]
-        g[np.flatnonzero(g[:, 0])[0], 0] *= -1
+        rep.phase[1, 1, 0] = (rep.phase[1, 1, 0] + 3) % 6  # zeta^n = -1
         assert max(self._assert_matches_dense(rep).values()) > 0.1
 
     def test_swapped_columns_reported(self):
         rep = build_generators(3, 4)
-        g = rep.generators[2]
-        g[:, [0, 1]] = g[:, [1, 0]]
+        for table in (rep.perm, rep.phase):
+            table[2, 1, [0, 1]] = table[2, 1, [1, 0]]
         assert max(self._assert_matches_dense(rep).values()) > 0.1

@@ -237,6 +237,18 @@ class TestConservationLaw:
         assert out["max_forbidden_trace"] < 1e-10
         assert out["forbidden_degree_tuples"] > 0
 
+    @pytest.mark.parametrize("n,L,trials,seed,forbidden", [
+        (3, 4, 350, 303, 241), (4, 8, 100, 1, 75),
+    ])
+    def test_symbolic_check_is_exact(self, n, L, trials, seed, forbidden):
+        """The forbidden traces are dim times a constant term that is exactly
+        0, and the identity holds to rounding of the coefficients."""
+        out = rp.conservation_law_check(rep_for(n, L), n, L, trials, seed)
+        assert out["trials"] == trials
+        assert out["forbidden_degree_tuples"] == forbidden
+        assert out["max_forbidden_trace"] == 0.0
+        assert out["max_phase_identity_gap"] <= 1e-14
+
 
 class TestBounds:
     def test_degenerate_splitting_equality(self):
@@ -294,7 +306,7 @@ class TestCounterexample:
     def test_observable_power_is_partition_function(self):
         n = 3
         rep = rep_for(n, 2)
-        val = rp.counterexample_f(n, n, rep)
+        val = rp.counterexample_f(n, n)
         spec = rp.crossing_only_spec(n)
         z = np.trace(rp.matrix_exp(-to_matrix(spec.total(), rep)))
         assert abs(val - z) < 1e-10

@@ -177,7 +177,7 @@ class TestRoutedFunctionals:
                     1.0, ExponentVector((j % n, 0), n)
                 )
                 [ref] = dense_traces([a], [reflect(a)], rep, boltzmann)
-                assert_close(rp.counterexample_f(n, j, rep), ref)
+                assert_close(rp.counterexample_f(n, j), ref)
 
 
 class TestBoundsFactors:
