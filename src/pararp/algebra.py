@@ -61,7 +61,7 @@ from .exponents import (
 COEFF_TOL = 1e-12
 
 # Entries per temporary array (4 MiB of complex values): bounds the P*Q*L
-# exponent sums of a product here, and the blocks of decompose and
+# exponent sums of a product here, and the blocks of to_matrix and
 # trace_products in representation, independently of the input size.
 _BLOCK = 1 << 18
 

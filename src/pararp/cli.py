@@ -22,11 +22,14 @@ from .hamiltonian import (
     HamiltonianSpec,
     SpecError,
     check_symmetries,
-    load_spec,
+    read_spec,
+    spec_from_dict,
+    spec_size,
 )
 from . import rp
 from .representation import (
     DimensionCapError,
+    Representation,
     build_generators,
     decompose,
     to_matrix,
@@ -49,12 +52,17 @@ def emit_report(report: dict, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _resolve_spec(args) -> HamiltonianSpec:
-    """Spec file if given, else the two-site crossing-only Hamiltonian."""
+def _resolve_spec(args) -> tuple[HamiltonianSpec, Representation]:
+    """Spec file if given, else the two-site crossing-only Hamiltonian, and
+    its representation.  The representation is built first, so that a size
+    beyond the dimension cap is refused before anything is assembled."""
     if args.spec is not None:
-        return load_spec(args.spec)
+        data = read_spec(args.spec)
+        rep = build_generators(*spec_size(data))
+        return spec_from_dict(data), rep
     if args.n is not None:
-        return rp.crossing_only_spec(args.n)
+        rep = build_generators(args.n, 2)
+        return rp.crossing_only_spec(args.n), rep
     raise SpecError("either --spec or --n is required")
 
 
@@ -75,8 +83,7 @@ def cmd_verify_relations(args):
 
 
 def cmd_rp_check(args):
-    spec = _resolve_spec(args)
-    rep = build_generators(spec.order, spec.sites)
+    spec, rep = _resolve_spec(args)
     tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
     result = rp.check_rp(
         spec, rep, samples=args.samples, seed=args.seed, tol=tol
@@ -92,8 +99,7 @@ def cmd_rp_check(args):
 
 
 def cmd_gram(args):
-    spec = _resolve_spec(args)
-    rep = build_generators(spec.order, spec.sites)
+    spec, rep = _resolve_spec(args)
     tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
     basis = [
         Polynomial.monomial(1.0, vec)
@@ -119,8 +125,7 @@ def cmd_gram(args):
 
 
 def cmd_trotter(args):
-    spec = _resolve_spec(args)
-    rep = build_generators(spec.order, spec.sites)
+    spec, rep = _resolve_spec(args)
     conv = rp.trotter_convergence(spec, rep, [args.k, 2 * args.k])
     ratio = conv["ratios"].get(args.k)
     ok = ratio is not None and 1.6 <= ratio <= 2.4
@@ -137,8 +142,7 @@ def cmd_trotter(args):
 
 
 def cmd_bounds(args):
-    spec = _resolve_spec(args)
-    rep = build_generators(spec.order, spec.sites)
+    spec, rep = _resolve_spec(args)
     tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
     rng = np.random.default_rng(args.seed)
     # Each sample pair (A, B) reflects two fresh minus observables.
@@ -214,8 +218,7 @@ def cmd_families(args):
 def cmd_baxter(args):
     if args.spec is None:
         raise SpecError("--spec with a baxter shortcut is required")
-    spec = load_spec(args.spec)
-    rep = build_generators(spec.order, spec.sites)
+    spec, rep = _resolve_spec(args)
     sym = check_symmetries(spec, rep)
     ok = sym["reflection_symbolic"] and sym["gauge_symbolic"] and sym["matrix_ok"]
     report = {
@@ -231,8 +234,7 @@ def cmd_baxter(args):
 
 
 def cmd_decompose(args):
-    spec = _resolve_spec(args)
-    rep = build_generators(spec.order, spec.sites)
+    spec, rep = _resolve_spec(args)
     boltzmann = rp.boltzmann(spec.total(), rep)
     poly = decompose(boltzmann, rep)
     gap = float(np.linalg.norm(to_matrix(poly, rep) - boltzmann))

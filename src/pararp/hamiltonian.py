@@ -222,28 +222,45 @@ def load_spec(path: str) -> HamiltonianSpec:
     "exponents": [...]}, ...], "couplings": [{"exponents": [...],
     "J": x}, ...]}.
     """
+    return spec_from_dict(read_spec(path))
+
+
+def read_spec(path: str):
+    """The parsed JSON document of a spec file, not yet checked."""
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SpecError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return spec_from_dict(data)
+
+
+def spec_size(data) -> tuple[int, int]:
+    """The order n >= 2 and even number of sites L >= 2 of a parsed JSON
+    spec (see load_spec); true and false are not integers here."""
+    if not isinstance(data, dict):
+        raise SpecError("spec must be a JSON object")
+    if "baxter" in data:
+        data = data["baxter"]
+        if not isinstance(data, dict):
+            raise SpecError("field 'baxter' must be an object")
+    n, L = data.get("n"), data.get("L")
+    if type(n) is not int or n < 2:
+        raise SpecError(f"field 'n' must be an integer >= 2, got {n!r}")
+    if type(L) is not int or L < 2 or L % 2 != 0:
+        raise SpecError(f"field 'L' must be an even integer >= 2, got {L!r}")
+    return n, L
 
 
 def spec_from_dict(data) -> HamiltonianSpec:
     """The Hamiltonian of a parsed JSON spec (see load_spec); SpecError,
     naming the field, for a document of any other shape."""
-    if not isinstance(data, dict):
-        raise SpecError("spec must be a JSON object")
+    n, L = spec_size(data)
     if "baxter" in data:
-        b = data["baxter"]
-        if not isinstance(b, dict):
-            raise SpecError("field 'baxter' must be an object")
-        return baxter(*_size(b), _get_list(b, "t", _is_real, "finite reals"))
-    n, L = _size(data)
+        t = _get_list(data["baxter"], "t", _is_real, "finite reals")
+        return baxter(n, L, t)
     terms = {}
     for pos, term in enumerate(_get_list(data, "h_minus", _is_object, "objects")):
         coeff = term.get("coefficient")
@@ -284,17 +301,6 @@ def _get_list(data: dict, key: str, ok, what: str) -> list:
     if not isinstance(val, list) or not all(map(ok, val)):
         raise SpecError(f"field {key!r} must be a list of {what}")
     return val
-
-
-def _size(data: dict) -> tuple[int, int]:
-    """The order n >= 2 and the even number of sites L >= 2; true and false
-    are not integers here."""
-    n, L = data.get("n"), data.get("L")
-    if type(n) is not int or n < 2:
-        raise SpecError(f"field 'n' must be an integer >= 2, got {n!r}")
-    if type(L) is not int or L < 2 or L % 2 != 0:
-        raise SpecError(f"field 'L' must be an even integer >= 2, got {L!r}")
-    return n, L
 
 
 def _parse_exponents(exps, n: int, L: int, where: str) -> ExponentVector:

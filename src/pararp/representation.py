@@ -1,24 +1,32 @@
 """Explicit irreducible matrix representation of the parafermion algebra.
 
-The representation acts on (C^n)^{tensor L/2} and is built from the clock
-matrix sigma = diag(1, omega, ..., omega^{n-1}) and the shift matrix tau
-(cyclic permutation), which satisfy sigma tau = omega tau sigma.  Generators:
+It acts on (C^n)^{tensor L/2}: the state k has a digit d_f(k) in each
+tensor factor f = 0 .. L/2 - 1, the first most significant (numpy.kron
+order).  The shift X = tau adds 1 to a digit and the clock Z = sigma
+multiplies by omega^digit, so Z X = omega X Z.  With zeta = e^{i pi / n}
+and X^{<f} acting on each factor before f,
 
-    c_{2a-1} = tau^{x(a-1)} (x) sigma      (x) Id ...
-    c_{2a}   = zeta^{n-1} tau^{x(a-1)} (x) (sigma tau) (x) Id ...
+    c_{2f+1} = X^{<f} Z_f,
+    c_{2f+2} = zeta^{n-1} X^{<f} (Z X)_f = zeta^{n+1} X^{<=f} Z_f,
 
-where tau^{x(a-1)} means tau on each of the first a-1 factors.  The
-zeta^{n-1} prefactor (zeta = e^{i pi / n}) fixes c^n = Id for every parity
-of n, since (sigma tau)^n = (-1)^{n-1} Id.
+where zeta^{n-1} fixes c^n = Id for every parity of n.
 
-Every generator power, and so every ordered monomial C_I, is a generalized
-permutation matrix whose nonzero entries are powers of zeta: column k holds
-zeta^phase[k] in row perm[k].  The representation stores each power c_j^e as
-that pair of integer arrays (phase taken mod 2n).  A monomial is then a
-chain of gathers over its sites with exact integer phase sums, costing
-O(L dim) instead of L dense products, and a polynomial is assembled from
-its exponent matrix (``Polynomial.exponents``, the encoding the symbolic
-algebra computes on) by scattering O(dim) values per term.
+So each ordered monomial is a Weyl operator C_I = zeta^{phi(I)} X^{a(I)}
+Z^{b(I)} (Jaffe-Pedrocchi, arXiv:1406.1384): with c_j = zeta^{p_j}
+X^{alpha_j} Z^{beta_j}, a = I.alpha and b = I.beta mod n, and
+Z^B X^A = omega^{B.A} X^A Z^B gives, in zeta units mod 2n,
+
+    phi(I) = sum_j p_j I_j + sum_j (beta_j.alpha_j) I_j (I_j - 1)
+             + 2 sum_{j<j'} I_j I_j' (beta_j.alpha_j').
+
+Column k of C_I holds zeta^{phi + 2 b.d(k)} in row k (+) a, where (+) adds
+digits mod n: a polynomial's matrix is O(L dim) integer arithmetic and a
+scatter of O(dim) values per row of its exponent matrix
+(``Polynomial.exponents``, the encoding the symbolic algebra computes on).
+Conversely Tr(C_I^* A) = zeta^{-phi} sum_k omega^{-b.d(k)} A[k (+) a, k] is,
+for each a, an n-ary FFT over the digits of k: ``decompose`` finds all
+n^L = dim^2 coefficients in O(dim^2 log dim), for n = 2 the Walsh-Hadamard
+form of the Pauli decomposition.
 
 Charge sectors.  The shift T = tau^{tensor L/2}, applied to every tensor
 factor, implements the global gauge automorphism: T c_j T^{-1} = omega^{-1}
@@ -48,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _BLOCK, Polynomial, zeta_power
+from .algebra import _BLOCK, Polynomial, _zeta_array
 from .exponents import ExponentVector
 
 DIM_CAP = 4096
@@ -77,37 +85,33 @@ def clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
 class Representation:
     """L generators acting on the full chain, of dimension n^{L/2}.
 
-    ``perm[j, e]`` and ``phase[j, e]`` describe c_{j+1}^e: column k of it
-    holds ``zeta[phase[j, e, k]]`` in row ``perm[j, e, k]``.  ``orbit[m, o]``
-    is the state T^m o of the charge-sector index (o, m), and
-    ``orbit_index[k]`` is m * dim/n + o for the state k = T^m o.
-    ``generators`` is a read-only view derived from ``perm`` and ``phase``:
-    the c_j as a tuple of non-writeable dense matrices, built on first
-    access and then kept.
+    c_{j+1} = zeta^{zeta_exp[j]} X^{x_exp[j]} Z^{z_exp[j]}, with digit rows
+    ``x_exp[j]`` and ``z_exp[j]``; ``digits[f, k]`` is digit f of state k.
+    ``orbit[m, o]`` is the state T^m o of the charge-sector index (o, m),
+    and ``orbit_index[k]`` is m * dim/n + o for the state k = T^m o.
+    ``generators`` is a read-only view of the same data: the c_j as a tuple
+    of non-writeable dense matrices, built on first access and then kept.
     """
 
     order: int
     sites: int
     dim: int
-    perm: np.ndarray
-    phase: np.ndarray
+    x_exp: np.ndarray
+    z_exp: np.ndarray
+    zeta_exp: np.ndarray
+    digits: np.ndarray
     zeta: np.ndarray
     orbit: np.ndarray
     orbit_index: np.ndarray
     _generators: tuple[np.ndarray, ...] | None = field(
         default=None, repr=False, compare=False
     )
-    _known: dict[bytes, tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
         if self._generators is None:
-            self._generators = tuple(
-                _dense(self.perm[j, 1], self.zeta[self.phase[j, 1]])
-                for j in range(self.sites)
-            )
+            rows, phase = self.monomials(np.eye(self.sites, dtype=np.int64))
+            self._generators = tuple(map(_dense, rows, self.zeta[phase]))
             for g in self._generators:
                 g.flags.writeable = False
         return self._generators
@@ -115,37 +119,28 @@ class Representation:
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
 
+    def phases(self, exponents: np.ndarray) -> np.ndarray:
+        """phi(I) mod 2n (see the module docstring) for each row I of the
+        (T, L) integer array ``exponents``."""
+        n = self.order
+        # g[j, j'] = beta_j.alpha_j'; it only ever multiplies even numbers,
+        # so mod n suffices.
+        g = self.z_exp @ self.x_exp.T % n
+        cross = (exponents @ np.triu(g, 1) * exponents).sum(axis=1)
+        own = (exponents * (exponents - 1)) @ g.diagonal()
+        return (exponents @ self.zeta_exp + own + 2 * cross) % (2 * n)
+
     def monomials(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows and zeta exponents (mod 2n) of the ordered monomials whose
         exponent vectors are the rows of the (T, L) integer array
-        ``exponents``: two (T, dim) arrays, as ``perm``/``phase`` per term.
-        Each exponent row is chained once per representation and kept."""
-        exponents = np.ascontiguousarray(exponents, dtype=np.int64)
-        keys = list(map(bytes, exponents))
-        known = self._known
-        missing = [k for k in dict.fromkeys(keys) if k not in known]
-        if missing:
-            fresh = np.frombuffer(b"".join(missing), dtype=np.int64)
-            rows, phase = self._chain(fresh.reshape(len(missing), self.sites))
-            known.update(zip(missing, zip(rows, phase)))
-        entries = [known[k] for k in keys]
-        shape = (len(keys), self.dim)
-        return (np.array([r for r, _ in entries], dtype=np.intp).reshape(shape),
-                np.array([p for _, p in entries], dtype=np.intp).reshape(shape))
-
-    def _chain(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """monomials without the store: a chain of gathers over the sites."""
-        dim = self.dim
-        rows, phase = np.arange(dim), 0
-        # C_I acts on a column through c_L^{a_L} first, c_1^{a_1} last.  The
-        # first site always takes part, so the results have shape (T, dim).
-        active = exponents.any(axis=0)
-        active[0] = True
-        for j in np.flatnonzero(active)[::-1]:
-            index = exponents[:, j, None] * dim + rows
-            phase = phase + self.phase[j].take(index)
-            rows = self.perm[j].take(index)
-        return rows, phase % (2 * self.order)
+        ``exponents``: two (T, dim) arrays; column k of C_I holds
+        zeta^phase[t, k] in row rows[t, k]."""
+        n = self.order
+        a = exponents @ self.x_exp % n
+        b = exponents @ self.z_exp % n
+        rows = _digit_sum(n, self.digits, a.T[:, :, None])
+        phase = self.phases(exponents)[:, None] + 2 * (b @ self.digits)
+        return rows, phase % (2 * n)
 
     def monomial_matrix(self, vec: ExponentVector) -> np.ndarray:
         """Dense matrix of the ordered monomial C_I."""
@@ -162,6 +157,16 @@ def _dense(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
     return m
 
 
+def _digit_sum(n: int, k_digits, s_digits):
+    """k (+) s from digit sequences of k and s over the factors: k + s less
+    n times the place value of each digit sum that reaches n."""
+    k = s = wrapped = 0
+    for d, e in zip(k_digits, s_digits):
+        k, s = k * n + d, s * n + e
+        wrapped = wrapped * n + (d + e >= n)
+    return k + s - n * wrapped
+
+
 def build_generators(n: int, L: int) -> Representation:
     """Construct the clock/shift ladder representation for L (even) sites."""
     if n < 2:
@@ -169,40 +174,28 @@ def build_generators(n: int, L: int) -> Representation:
     if L < 2 or L % 2 != 0:
         raise ValueError(f"number of sites must be even and >= 2, got {L}")
     half = L // 2
-    dim = n**half
-    if dim > DIM_CAP:
+    # n^half > DIM_CAP once half reaches its bit length, as n >= 2.
+    if n ** min(half, DIM_CAP.bit_length()) > DIM_CAP:
         raise DimensionCapError(
-            f"representation dimension {dim} exceeds cap {DIM_CAP}"
+            f"representation dimension {n}^{half} exceeds cap {DIM_CAP}"
         )
-    zeta = np.array([zeta_power(n, k) for k in range(2 * n)])
-    # Column k is the basis state with tensor-factor digits digits[:, k],
-    # the first factor most significant (numpy.kron order).
-    weights = n ** np.arange(half - 1, -1, -1)
-    digits = np.arange(dim) // weights[:, None] % n
-    perm = np.empty((L, n, dim), dtype=np.intp)
-    phase = np.empty((L, n, dim), dtype=np.intp)
-    for a in range(half):
-        shifted = digits.copy()
-        shifted[:a] = (digits[:a] + 1) % n  # tau on the first a factors
-        odd = weights @ shifted, 2 * digits[a]  # sigma: omega^{d_a}
-        shifted[a] = (digits[a] + 1) % n
-        # zeta^{n-1} sigma tau: shift d_a, then omega^{d_a + 1}
-        even = weights @ shifted, 2 * shifted[a] + n - 1
-        for j, (rows, ph) in ((2 * a, odd), (2 * a + 1, even)):
-            perm[j, 0], phase[j, 0] = np.arange(dim), 0
-            for e in range(1, n):  # c^e = c c^{e-1}
-                prev = perm[j, e - 1]
-                perm[j, e] = rows[prev]
-                phase[j, e] = (phase[j, e - 1] + ph[prev]) % (2 * n)
+    dim = n**half
+    digits = np.array(np.unravel_index(np.arange(dim), (n,) * half))
+    # c_{j+1} has X on each factor g with 2 g < j and Z on factor j // 2.
+    j, g = np.arange(L)[:, None], np.arange(half)
+    x_exp = (2 * g < j).astype(np.int64)
+    z_exp = (g == j // 2).astype(np.int64)
+    zeta_exp = np.tile([0, n + 1], half)
     # T^m o adds m to every digit of o, whose first digit is 0; o runs over
     # the states 0 .. dim/n - 1, those with first digit 0.
-    shifts = np.arange(n)[:, None, None]
-    orbit = weights @ ((digits[:, : dim // n] + shifts) % n)
+    m = np.arange(n)[:, None]
+    orbit = _digit_sum(n, digits[:, : dim // n], [m] * half)
     orbit_index = np.empty(dim, dtype=np.intp)
     orbit_index[orbit.ravel()] = np.arange(dim)
     return Representation(
-        order=n, sites=L, dim=dim, perm=perm, phase=phase, zeta=zeta,
-        orbit=orbit, orbit_index=orbit_index,
+        order=n, sites=L, dim=dim, x_exp=x_exp, z_exp=z_exp,
+        zeta_exp=zeta_exp, digits=digits, zeta=_zeta_array(n), orbit=orbit,
+        orbit_index=orbit_index,
     )
 
 
@@ -286,42 +279,37 @@ def all_exponent_vectors(n: int, L: int):
 
 def decompose(a: np.ndarray, rep: Representation) -> Polynomial:
     """Expand a matrix in the monomial basis: coefficients
-    Tr(C_I^* A) / n^{L/2}.  Enumerates all n^L monomials.
-
-    Each C_I splits as C_P C_S into a monomial on sites 1..L/2 and one on
-    sites L/2+1..L, and each half has exactly n^{L/2} = dim monomials.  For
-    each P, C_P^* A is a row gather of A, and Tr(C_S^* C_P^* A) is a sum of
-    dim gathered entries, so all n^L coefficients cost O(n^L dim).
+    Tr(C_I^* A) / n^{L/2} for all n^L = dim^2 monomials, from one gather
+    D[a, k] = A[k (+) a, k] and an n-ary FFT over the digits of k (see the
+    module docstring); each (a, b) is then mapped back to its I.
     """
     n, L, dim = rep.order, rep.sites, rep.dim
     if a.shape != (dim, dim):
         raise ValueError(
             f"matrix shape {a.shape} does not match dimension {dim}"
         )
-    if n**L > ENUM_CAP:
+    if dim * dim > ENUM_CAP:
         raise DimensionCapError(
-            f"basis size {n**L} exceeds enumeration cap {ENUM_CAP}"
+            f"basis size {dim * dim} exceeds enumeration cap {ENUM_CAP}"
         )
     scale = 1.0 + float(np.abs(a).max(initial=0.0))
-    half = np.array(list(itertools.product(range(n), repeat=L // 2)))
-    pad = np.zeros_like(half)
-    minus_rows, minus_phase = rep._chain(np.hstack([half, pad]))
-    plus_rows, plus_phase = rep._chain(np.hstack([pad, half]))
-    conj_zeta = rep.zeta.conj()
-    plus_index = plus_rows * dim + np.arange(dim)
-    plus_conj = conj_zeta[plus_phase]
-    coeffs = np.empty((dim, dim), dtype=complex)
-    block = max(1, _BLOCK // (dim * dim))
-    for start in range(0, dim, block):
-        sl = slice(start, start + block)
-        # rows m of C_P^* A: conj(zeta^{phase_P[m]}) A[perm_P[m], :]
-        b = conj_zeta[minus_phase[sl]][:, :, None] * a[minus_rows[sl]]
-        gathered = b.reshape(len(b), dim * dim)[:, plus_index]
-        coeffs[sl] = np.einsum("psk,sk->ps", gathered, plus_conj)
-    coeffs /= dim
+    half, digits = L // 2, rep.digits
+    shifted = a[_digit_sum(n, digits[:, :, None], digits), np.arange(dim)]
+    f = np.fft.fftn(shifted.reshape((dim,) + (n,) * half),
+                    axes=range(1, half + 1))
+    coeffs = f.ravel() / dim
     keep = np.flatnonzero(np.abs(coeffs) > DECOMPOSE_TOL * scale)
-    exponents = np.hstack([half[keep // dim], half[keep % dim]])
-    return Polynomial._from_arrays(exponents, coeffs.ravel()[keep], n, L)
+    x, z = digits[:, keep // dim], digits[:, keep % dim]
+    # Invert b_f = I_{2f} + I_{2f+1} and a_f = I_{2f+1} + sum_{g>f} b_g.
+    later = np.cumsum(z[::-1], axis=0)[::-1] - z
+    exponents = np.empty((len(keep), L), dtype=np.int64)
+    exponents[:, 1::2] = ((x - later) % n).T
+    exponents[:, 0::2] = (z.T - exponents[:, 1::2]) % n
+    # Lexicographic order of I, as the enumeration of the basis.
+    order = np.lexsort(exponents.T[::-1])
+    exponents = exponents[order]
+    values = coeffs[keep[order]] * rep.zeta[rep.phases(exponents)].conj()
+    return Polynomial._from_arrays(exponents, values, n, L)
 
 
 def verify_yamazaki(rep: Representation) -> dict[str, float]:
@@ -329,11 +317,12 @@ def verify_yamazaki(rep: Representation) -> dict[str, float]:
 
     The residuals are Frobenius norms of c^n - Id, c c^* - Id and
     c_j c_k - omega c_k c_j (j < k).  They are computed in O(L^2 dim) from
-    the tables ``perm`` and ``phase`` that every matrix of the
-    representation is built from: each generator has one nonzero entry per
+    the generators' Weyl data, from which every matrix of the
+    representation is built: each generator has one nonzero entry per
     column.
     """
-    gens = rows, vals = rep.perm[:, 1], rep.zeta[rep.phase[:, 1]]
+    rows, phase = rep.monomials(np.eye(rep.sites, dtype=np.int64))
+    gens = rows, vals = rows, rep.zeta[phase]
 
     power = gens
     for _ in range(rep.order - 1):

@@ -575,7 +575,9 @@ def series_sum(n: int) -> float:
     total = 0.0
     ell = 1
     while True:
-        term = 1.0 / math.factorial(ell * n - 1)
+        k = math.factorial(ell * n - 1)
+        # float(k) overflows past 170! (1027 bits); 1 / k rounds once.
+        term = 1.0 / k if k.bit_length() < 1024 else 1 / k
         total += term
         if term < 1e-18:
             return total

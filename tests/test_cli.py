@@ -204,8 +204,11 @@ class TestNumericalFailures:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_series_overflow(self, capsys):
+    def test_series_reference_past_float_range(self, capsys):
+        # 1/199! is below the float range: the reference is 0, the exact
+        # verdict stands.
         code, out, err = run(capsys, "counterexample", "--n", "200")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        report = json.loads(out)
+        assert code == 2 and err == ""
+        assert report["positive"] is False
+        assert report["series_reference"] == [0.0, 0.0]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pararp import cli, rp
+from pararp import cli, hamiltonian, rp
 from pararp.algebra import zeta_power
 from pararp.cli import main
 
@@ -72,6 +72,40 @@ def test_malformed_spec_exits_1_with_one_line(capsys, tmp_path, spec):
     assert code == cli.ERROR and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec,size",
+    [
+        ({"n": 1000000, "L": 2}, "1000000^1"),
+        ({"n": 2, "L": 2000}, "2^1000"),
+        ({"baxter": {"n": 3, "L": 20000, "t": []}}, "3^10000"),
+    ],
+)
+def test_oversized_spec_refused_before_assembly(
+    capsys, tmp_path, monkeypatch, spec, size
+):
+    def assemble(*args):
+        raise AssertionError("assembled before the dimension cap")
+
+    monkeypatch.setattr(hamiltonian, "assemble", assemble)
+    monkeypatch.setattr(rp, "assemble", assemble)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    for name in ("rp-check", "gram", "trotter", "bounds", "baxter", "decompose"):
+        code, out, err = run(capsys, name, "--spec", str(path))
+        assert code == cli.ERROR and out == "", name
+        assert err == (
+            f"error: representation dimension {size} exceeds cap 4096\n"), name
+    code, out, err = run(capsys, "rp-check", "--n", "1000000")
+    assert code == cli.ERROR and out == ""
+    assert err == "error: representation dimension 1000000^1 exceeds cap 4096\n"
+
+
+def test_verify_relations_far_past_the_cap(capsys):
+    code, out, err = run(capsys, "verify-relations", "--n", "3", "--L", "2000000")
+    assert code == cli.ERROR and out == ""
+    assert err == "error: representation dimension 3^1000000 exceeds cap 4096\n"
 
 
 def test_unread_flag_names_the_command(capsys):

@@ -74,9 +74,20 @@ class TestBuildGenerators:
         with pytest.raises(DimensionCapError):
             build_generators(2, 26)  # dim 8192, refused before any table
 
+    def test_cap_boundaries(self):
+        assert build_generators(4, 12).dim == 4096
+        with pytest.raises(DimensionCapError) as exc:
+            build_generators(2, 26)
+        assert str(exc.value) == "representation dimension 2^13 exceeds cap 4096"
+        # Never formed as an integer: 3^1000000 has 477122 digits.
+        with pytest.raises(DimensionCapError) as exc:
+            build_generators(3, 2_000_000)
+        assert str(exc.value) == (
+            "representation dimension 3^1000000 exceeds cap 4096")
+
     def test_corrupted_generator_reported_not_raised(self):
         rep = build_generators(3, 2)
-        rep.phase[0, 1] = (rep.phase[0, 1] + 1) % 6  # c_1 -> zeta c_1
+        rep.zeta_exp[0] += 1  # c_1 -> zeta c_1
         residuals = verify_yamazaki(rep)
         assert max(residuals.values()) > 0.1
 
@@ -277,8 +288,8 @@ def test_permutation_kernel_matches_dense(n, L):
 
 
 class TestVerifyFastPath:
-    """The generators are verified from the perm/phase tables; the
-    residuals must equal the dense computation's."""
+    """The generators are verified from their Weyl data; the residuals
+    must equal the dense computation's."""
 
     @staticmethod
     def _assert_matches_dense(rep):
@@ -294,11 +305,33 @@ class TestVerifyFastPath:
 
     def test_flipped_phase_reported(self):
         rep = build_generators(3, 4)
-        rep.phase[1, 1, 0] = (rep.phase[1, 1, 0] + 3) % 6  # zeta^n = -1
+        rep.zeta_exp[1] += 3  # zeta^n = -1: c_2 -> -c_2
         assert max(self._assert_matches_dense(rep).values()) > 0.1
 
     def test_swapped_columns_reported(self):
         rep = build_generators(3, 4)
-        for table in (rep.perm, rep.phase):
-            table[2, 1, [0, 1]] = table[2, 1, [1, 0]]
+        rep.x_exp[[2, 3]] = rep.x_exp[[3, 2]]  # c_3 and c_4 swap X rows
         assert max(self._assert_matches_dense(rep).values()) > 0.1
+
+    def test_swapped_digit_columns_reported(self):
+        # Any X row gives a digit translation, whose powers and commutators
+        # keep their rows; two swapped states do not.
+        rep = build_generators(3, 4)
+        rep.digits[:, [0, 1]] = rep.digits[:, [1, 0]]
+        assert max(self._assert_matches_dense(rep).values()) > 0.1
+
+
+@pytest.mark.parametrize("n,L", [(4, 8), (3, 10), (2, 16)])
+def test_weyl_transform_matches_traces(n, L):
+    """decompose (one gather and an FFT) against Tr(C_I^* A) / dim from the
+    dense monomial matrices, on sampled I."""
+    rep = build_generators(n, L)
+    dim = rep.dim
+    rng = np.random.default_rng(10 * n + L)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    p = decompose(a, rep)
+    for entries in rng.integers(0, n, size=(200, L)):
+        vec = ExponentVector(tuple(int(e) for e in entries), n)
+        ref = np.vdot(rep.monomial_matrix(vec), a) / dim
+        assert abs(p.terms.get(vec, 0) - ref) < 1e-12
+    assert np.abs(to_matrix(p, rep) - a).max() < 1e-10

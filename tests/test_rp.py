@@ -303,6 +303,20 @@ class TestCounterexample:
         scale = 1.0 + abs(val)
         assert abs(val.imag) > 1e-9 * scale or val.real < -1e-9 * scale
 
+    def test_series_sum_past_float_range(self):
+        def float_series(n):  # each term 1.0 / k!, k! rounded to a float
+            terms = (1.0 / math.factorial(ell * n - 1) for ell in range(1, 30))
+            total = 0.0
+            for term in terms:
+                total += term
+                if term < 1e-18:
+                    return total
+
+        for n in (2, 3, 24, 100, 168, 171):
+            assert rp.series_sum(n) == float_series(n)
+        assert rp.series_sum(172) == 1 / math.factorial(171) > 0
+        assert rp.series_sum(200) == 0.0
+
     def test_observable_power_is_partition_function(self):
         n = 3
         rep = rep_for(n, 2)
