@@ -243,9 +243,10 @@ def cmd_decompose(args):
         "command": "decompose",
         "n": spec.order,
         "L": spec.sites,
+        # decompose returns its terms in lexicographic order.
         "terms": [
-            {"exponents": list(v.entries), "coefficient": [c.real, c.imag]}
-            for v, c in sorted(poly.terms.items(), key=lambda kv: kv[0].entries)
+            {"exponents": row, "coefficient": [c.real, c.imag]}
+            for row, c in zip(poly.exponents.tolist(), poly.coeffs.tolist())
         ],
         "roundtrip_gap": gap,
         "passed": ok,

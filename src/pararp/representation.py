@@ -42,8 +42,9 @@ one gather and one length-n DFT over m (``sector_blocks``); the inverse DFT
 and one gather rebuild A (``sector_matrix``).  The map is an
 algebra homomorphism, so e^{A} has blocks e^{A_q}, and by Parseval
 sum_q ||A_q||_F^2 = ||A||_F^2.  A dense exponential at dim 4096 (n = 4,
-L = 12) thus becomes four of dimension 1024, which take 4.5 s on a 2-vCPU
-Xeon host; the dense one costs about as much as 64 of them.
+L = 12) thus becomes four of dimension 1024, which take 8 s on a 2-vCPU
+Xeon host with one BLAS thread; the dense one costs about as much as 64 of
+them.
 
 This module is the numerical oracle for every symbolic identity in
 :mod:`pararp.algebra`.
@@ -110,11 +111,20 @@ class Representation:
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
         if self._generators is None:
-            rows, phase = self.monomials(np.eye(self.sites, dtype=np.int64))
+            rows, phase = self.generator_columns()
             self._generators = tuple(map(_dense, rows, self.zeta[phase]))
             for g in self._generators:
                 g.flags.writeable = False
         return self._generators
+
+    def generator_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """``monomials`` of the unit vectors e_j, whose phase form is
+        phi(e_j) = zeta_exp[j]: column k of c_{j+1} holds
+        zeta^{zeta_exp[j] + 2 z_exp[j].d(k)} in row k (+) x_exp[j]."""
+        n = self.order
+        rows = _digit_sum(n, self.digits, self.x_exp.T[:, :, None])
+        phase = self.zeta_exp[:, None] + 2 * (self.z_exp @ self.digits)
+        return rows, phase % (2 * n)
 
     def identity(self) -> np.ndarray:
         return np.eye(self.dim, dtype=complex)
@@ -321,7 +331,7 @@ def verify_yamazaki(rep: Representation) -> dict[str, float]:
     representation is built: each generator has one nonzero entry per
     column.
     """
-    rows, phase = rep.monomials(np.eye(rep.sites, dtype=np.int64))
+    rows, phase = rep.generator_columns()
     gens = rows, vals = rows, rep.zeta[phase]
 
     power = gens

@@ -13,14 +13,17 @@ behind the positivity proof is checked symbolically.
 
 Every Boltzmann factor e^{-H} comes from ``boltzmann``: H is gauge
 invariant, so its matrix is block-diagonal across the n charge sectors of
-:mod:`pararp.representation`, and e^{-H} costs one stacked ``expm`` of n
-blocks of size dim/n instead of one of size dim, about n^2 times fewer
+:mod:`pararp.representation`, and e^{-H} costs one stacked ``matrix_exp``
+of n blocks of size dim/n instead of one of size dim, about n^2 times fewer
 flops: at n = 4, L = 12 (dim 4096) ``rp-check --samples 4`` takes about
-7 s on a 2-vCPU Xeon host, 4.5 s of it the four dim-1024 exponentials.
-Trotter products are computed blockwise the same way.  Entries of e^{-H}
-far below ||e^{-H}|| come out of a cancellation across the sectors and so
-lose relative accuracy; the two-site counterexample, where that would show,
-is computed exactly without matrices.
+10 s on a 2-vCPU Xeon host with one BLAS thread, 8 s of it the four
+dim-1024 exponentials.  ``matrix_exp`` is the degree-13
+scaling-and-squaring Pade method in numpy, with its own scaling per block,
+so numpy is the one numerical dependency.  Trotter products are computed
+blockwise the same way.  Entries of e^{-H} far below ||e^{-H}|| come out
+of a cancellation across the sectors and so lose relative accuracy; the
+two-site counterexample, where that would show, is computed exactly
+without matrices.
 
 Bounds and Trotter products rest on the form H = H_- + H_0 + theta(H_-),
 which they check: the bounds' auxiliary Hamiltonians are H, so they are
@@ -44,7 +47,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
     Polynomial,
@@ -80,24 +82,61 @@ from .representation import (
 DEFAULT_TOL = 1e-9
 
 
+# Coefficients b_0 .. b_13 of the [13/13] Pade approximant to e^x, and the
+# 1-norm up to which it is accurate to double precision (Higham 2005).
+_PADE_13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA_13 = 5.371920351148152
+
+
 class OverflowError_(RuntimeError):
     """Matrix exponential overflowed."""
 
 
 def matrix_exp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring with Pade approximant) of a
-    matrix, or of each matrix in a stack of shape (..., m, m)."""
+    """Matrix exponential of a matrix, or of each matrix in a stack of shape
+    (..., m, m): the degree-13 scaling-and-squaring Pade method (Higham,
+    SIAM J. Matrix Anal. Appl. 26(4), 2005).
+
+    Each block A_q gets its own scaling s_q, the least s >= 0 with
+    ||A_q / 2^s||_1 <= theta_13, and s_q squarings of the Pade approximant
+    r_13(A_q / 2^s_q), so each block of the result is bit-identical to the
+    exponential of that block alone; a zero block gives the exact identity.
+    """
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if not np.any(a):
-        return np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+    shape, m = a.shape, a.shape[-1]
+    a = np.asarray(a, dtype=complex).reshape(-1, m, m)
+    b, eye = _PADE_13, np.eye(m)
     # An overflow is reported by the finiteness check below, not as a
     # floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        e = scipy.linalg.expm(np.asarray(a, dtype=complex))
+        # ceil(log2(x)) is the frexp exponent e, less one when x = 2^(e-1).
+        frac, exp = np.frexp(np.abs(a).sum(axis=1).max(axis=1) / _THETA_13)
+        s = np.maximum(exp - (frac == 0.5), 0)
+        a = a * np.ldexp(1.0, -s)[:, None, None]
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+        del a2, a4, a6  # each as large as the input: free them for the solve
+        p = v + u
+        v -= u
+        e = np.linalg.solve(v, p)
+        e[~a.any(axis=(1, 2))] = eye  # exact where r_13 is off by an ulp
+        for step in range(s.max(initial=0)):
+            more = s > step
+            half = e[more]
+            e[more] = half @ half
     if not np.all(np.isfinite(e)):
         raise OverflowError_("matrix exponential overflowed")
-    return e
+    return e.reshape(shape)
 
 
 def _sectors(h: Polynomial, rep: Representation) -> np.ndarray:

@@ -1,8 +1,12 @@
 """The command-line contract: every argument error exits 1 with one line on
 stderr, each subcommand takes only the flags it reads, and the two-site
-counterexample's verdict is exact about whether the value is real."""
+counterexample's verdict is exact about whether the value is real; the
+CLI runs on numpy alone."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -186,3 +190,37 @@ def test_is_real_cyclotomic_against_floats(n):
                 real[s + p] += Fraction(3 * y, s + 2)
         assert abs(value(real).imag) < 1e-9
         assert rp.is_real_cyclotomic(n, real)
+
+
+def test_cli_never_imports_scipy(tmp_path):
+    """In a fresh interpreter, each of the nine subcommands runs once on a
+    tiny input, and scipy is never imported."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"baxter": {"n": 2, "L": 4, "t": [0.8, -0.5, 0.8]}}))
+    runs = [
+        ["verify-relations", "--n", "2", "--L", "4"],
+        ["rp-check", "--spec", str(spec), "--samples", "2"],
+        ["gram", "--spec", str(spec)],
+        ["trotter", "--spec", str(spec), "--k", "4"],
+        ["bounds", "--spec", str(spec), "--samples", "2"],
+        ["counterexample", "--n", "2"],
+        ["families", "--family", "2", "--kparam", "2", "--jprime", "1"],
+        ["baxter", "--spec", str(spec)],
+        ["decompose", "--spec", str(spec)],
+    ]
+    assert sorted(argv[0] for argv in runs) == sorted(cli.COMMANDS)
+    script = (
+        "import sys\n"
+        "from pararp import cli\n"
+        f"for argv in {runs!r}:\n"
+        "    assert cli.main(argv + ['--out', 'report.json']) in (0, 2), argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
