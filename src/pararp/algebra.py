@@ -15,11 +15,12 @@ products do not accumulate phase drift beyond a single rounding per factor.
 Storage.  A polynomial with K terms is two arrays: ``exponents``, a (K, L)
 integer matrix whose rows are the distinct exponent vectors, and ``coeffs``,
 the (K,) complex128 vector of their nonzero coefficients.  Every operation
-works on whole arrays: circ(I, J) for all term pairs of a product is one
-integer matrix product A T B^T, with T the strictly lower-triangular ones
-matrix (T B^T holds the exclusive prefix sums of B's rows), reflection and
-adjoint are column reversals and complements, and terms with equal exponent
-rows are merged through one integer code per row and ``np.bincount``.  The
+works on whole arrays: circ(I, J) for all term pairs of a product is the
+integer product S B^T of the exclusive suffix sums S of A's rows (one
+reversed ``cumsum``) with the rows of B, circ(I, I) of the adjoint and the
+reflection is ((sum a)^2 - sum a^2) / 2 per row, reflection and adjoint are
+column reversals and complements, and terms with equal exponent rows are
+merged through one integer code per row and ``np.bincount``.  The
 matrix oracle (``representation.to_matrix``, ``rp._traces``) reads the same
 exponent matrix.  ``terms``, the read-only map ExponentVector ->
 coefficient, builds its ExponentVector keys on first lookup and keeps them.
@@ -44,6 +45,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import chain, filterfalse, islice, repeat
+from operator import itemgetter, methodcaller
 from collections.abc import Mapping
 
 import numpy as np
@@ -114,15 +117,6 @@ def _cmul(x, y) -> np.ndarray:
     out.real = real
     out.imag = xr * yi + xi * yr
     return out
-
-
-@lru_cache(maxsize=None)
-def _circ_weights(L: int) -> np.ndarray:
-    """W with W[i, j] = -2 for i > j, else 0: for exponent rows a and b,
-    a @ W @ b is -2 circ(a, b), the zeta exponent of omega^{-circ(a, b)}."""
-    weights = -2 * np.tri(L, k=-1, dtype=np.int64)
-    weights.flags.writeable = False
-    return weights
 
 
 @lru_cache(maxsize=None)
@@ -393,7 +387,10 @@ def canonical_product(p: Polynomial, q: Polynomial) -> Polynomial:
     p._require_same_space(q)
     n, L = p.order, p.sites
     a, b = p.exponents, q.exponents
-    phase = _zeta_array(n)[(a @ _circ_weights(L) @ b.T) % (2 * n)]
+    # circ(I, J) = sum_j (a_{j+1} + ... + a_L) b_j: exclusive suffix sums of
+    # the rows of a against the rows of b, and omega^{-circ} = zeta^{-2 circ}.
+    suffix = np.cumsum(a[:, ::-1], axis=1)[:, ::-1] - a
+    phase = _zeta_array(n)[(-2 * suffix @ b.T) % (2 * n)]
     values = _cmul(_cmul(p.coeffs[:, None], q.coeffs), phase).ravel()
     if len(a) <= 1 or len(b) <= 1:
         # I -> I + J is then one-to-one: no two pairs share a key.
@@ -412,8 +409,9 @@ def canonical_product(p: Polynomial, q: Polynomial) -> Polynomial:
 def _conjugate_terms(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     """0 + conj(c) omega^{-circ(I, I)} for the terms with exponent rows a and
     coefficients c, shared by adjoint and reflect, with Python's rounding:
-    conj(c) w has real part cr wr + ci wi and imaginary part cr wi - ci wr."""
-    index = ((a @ _circ_weights(a.shape[1])) * a).sum(axis=1) % (2 * n)
+    conj(c) w has real part cr wr + ci wi and imaginary part cr wi - ci wr.
+    Here -2 circ(I, I) = -2 sum_{i > j} a_i a_j = sum a^2 - (sum a)^2."""
+    index = ((a * a).sum(axis=1) - a.sum(axis=1) ** 2) % (2 * n)
     w = _zeta_array(n)[index]
     out = np.empty(len(c), dtype=complex)
     out.real = c.real * w.real + c.imag * w.imag
@@ -524,84 +522,164 @@ def hermitian_pair(p: Polynomial) -> Polynomial:
 # -- textual serialization ----------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _factor_names(n: int, L: int) -> tuple[str, ...]:
-    """Text of the factor c_{j+1}^e, with a leading space, at j * n + e."""
-    return tuple(f" c{j + 1}^{e}" for j in range(L) for e in range(n))
-
-
 def to_text(p: Polynomial) -> str:
-    """One term per line, ``(re+imj) * c1^a1 c2^a2 ...``; the identity term
-    is written ``(re+imj) * 1``.  Round-trips exactly (float repr)."""
-    n, L = p.order, p.sites
+    """One term per line, ``(re+imj) * c1^a1 c2^a2 ...``, after a header
+    ``# n=.. L=..``; the identity term is written ``(re+imj) * 1``.
+    Round-trips exactly (float repr)."""
     order = np.lexsort(p.exponents.T[::-1])  # by entries, site 1 first
-    a = p.exponents[order]
-    rows, sites = np.nonzero(a)
-    names = _factor_names(n, L)
-    factors = [names[i] for i in (sites * n + a[rows, sites]).tolist()]
-    ends = np.cumsum(np.count_nonzero(a, axis=1)).tolist()
-    lines = [f"# n={n} L={L}"]
-    start = 0
-    for c, end in zip(p.coeffs[order].tolist(), ends):
-        lines.append(f"{c!r} *{''.join(factors[start:end]) or ' 1'}")
-        start = end
-    return "\n".join(lines) + "\n"
+    block = _text_block(p.coeffs[order], p.exponents[order])
+    text = block.tobytes().translate(None, b"\0").decode()
+    return f"# n={p.order} L={p.sites}\n{text}"
 
 
-_MONOMIAL = re.compile(r"c[0-9]{1,18}\^[0-9]{1,18}(?:\s+c[0-9]{1,18}\^[0-9]{1,18})*")
+def _text_block(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The term lines as bytes, a row per term: the coefficient's repr,
+    ' *', then per site j a field holding ' c<j>^' and the digits of the
+    exponent (empty where it is 0), and a newline.  Every field is padded
+    with NULs to a fixed width.  The exponent matrix ``a`` is overwritten."""
+    K, L = a.shape
+    coeffs = np.array(list(map(repr, coeffs.tolist())), dtype=bytes)
+    labels = np.array([f" c{j}^" for j in range(1, L + 1)], dtype=bytes)
+    lead, head = coeffs.itemsize + 2, labels.itemsize
+    digits = len(str(a.max(initial=0)))
+    block = np.zeros((K, lead + (L + 1) * (head + digits)), dtype=np.uint8)
+    block[:, :lead - 2] = coeffs.view(np.uint8).reshape(K, lead - 2)
+    block[:, lead - 2:lead] = np.frombuffer(b" *", dtype=np.uint8)
+    fields = block[:, lead:].reshape(K, L + 1, head + digits)  # a view
+    fields[:, L, 0] = ord("\n")
+    nonzero = (a != 0).view(np.uint8)
+    for i, byte in enumerate(labels.view(np.uint8).reshape(L, head).T):
+        fields[:, :L, i] = byte * nonzero
+    if K and not a[0].any():  # the zero row sorts first
+        fields[0, 0, :2] = np.frombuffer(b" 1", dtype=np.uint8)
+    for i in reversed(range(digits)):  # least significant first
+        digit = fields[:, :L, head + i]
+        np.remainder(a, 10, out=digit, casting="unsafe")
+        digit += ord("0")
+        digit *= a > 0  # no leading zeros
+        a //= 10
+    return block
+
+
+_FACTOR = r"c[0-9]{1,18}\^[0-9]{1,18}"
+# The monomial of a term line after its '*': '1', or factors c<site>^<power>
+# apart by whitespace.
+_MONOMIAL = re.compile(rf"\s*(?:1|{_FACTOR}(?:\s+{_FACTOR})*)")
+
+
+def _header(line: str) -> tuple[int, int]:
+    """n and L of a header line ``# n=.. L=..``."""
+    try:
+        fields = dict(f.split("=") for f in line[1:].split())
+        return int(fields["n"]), int(fields["L"])
+    except (KeyError, ValueError):
+        raise ValueError("header is not '# n=.. L=..'") from None
+
+
+def _term_lines(text: str):
+    """(line number, line) of every term line, stripped: a ValueError at
+    the first line that is neither blank, a comment nor a term after the
+    header."""
+    header = False
+    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
+        if not line:
+            continue
+        if line.startswith("#"):
+            if not header:
+                try:
+                    _header(line)
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                header = True
+        elif not header:
+            raise ValueError(f"line {lineno}: term before '# n=.. L=..' header")
+        else:
+            yield lineno, line
+    if not header:
+        raise ValueError("missing '# n=.. L=..' header")
+
+
+def _syntax_error(text: str) -> ValueError:
+    """The error of the first line that does not parse, read line by line:
+    a bad header, a term before it, then per term line a bad coefficient or
+    a bad monomial."""
+    try:
+        for lineno, line in _term_lines(text):
+            coeff, _, mono = line.partition("*")
+            try:
+                complex(coeff)
+            except ValueError as exc:
+                return ValueError(f"line {lineno}: {exc}")
+            if _MONOMIAL.fullmatch(mono) is None:
+                return ValueError(f"line {lineno}: bad monomial {mono.strip()!r}")
+    except ValueError as exc:
+        return exc
+
+
+def _factors(monomials: bytes) -> tuple[np.ndarray, ...]:
+    """(term, site - 1, power) of every factor c<site>^<power> in lines of
+    valid monomials, each line ended by a newline: a factor's term is the
+    number of newlines before its 'c', its site the digits after the 'c'
+    and its power the digits after the '^'."""
+    chars = np.frombuffer(monomials, dtype=np.uint8)
+    c, ends = np.flatnonzero(chars == ord("c")), np.flatnonzero(chars == ord("\n"))
+    starts = np.concatenate([c, np.flatnonzero(chars == ord("^"))]) + 1
+    per_term = np.diff(np.searchsorted(c, ends), prepend=0)
+    term = np.repeat(np.arange(len(ends)), per_term)
+    # Horner's rule on all numbers at once, one digit position per step;
+    # every number is followed by a non-digit, where its position stops.
+    value = np.zeros(len(starts), dtype=np.int64)
+    for _ in range(19):  # at most 18 digits
+        digit = chars[starts] - 48  # a non-digit byte wraps to >= 10
+        live = digit < 10
+        if not live.any():
+            break
+        np.multiply(value, 10, out=value, where=live)
+        np.add(value, digit, out=value, where=live)
+        starts += live
+    return term, value[:len(c)] - 1, value[len(c):]
 
 
 def from_text(text: str) -> Polynomial:
     """Inverse of to_text.  Equal monomials on several lines add up.  A
     header or term line that does not parse, a site outside 1..L, an
     exponent outside 0..n-1 or a site written twice in one monomial is a
-    ValueError naming the line."""
-    coeffs: list[complex] = []
-    monomials: list[str] = []
-    linenos: list[int] = []
-    n = L = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if n is None:
-                try:
-                    fields = dict(f.split("=") for f in line[1:].split())
-                    n, L = int(fields["n"]), int(fields["L"])
-                except (KeyError, ValueError):
-                    raise ValueError(
-                        f"line {lineno}: header is not '# n=.. L=..'"
-                    ) from None
-            continue
-        if n is None:
-            raise ValueError(f"line {lineno}: term before '# n=.. L=..' header")
-        coeff_str, _, mono = line.partition("*")
-        mono = mono.strip()
-        try:
-            coeffs.append(complex(coeff_str))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if mono == "1":
-            mono = ""
-        elif _MONOMIAL.fullmatch(mono) is None:
-            raise ValueError(f"line {lineno}: bad monomial {mono!r}")
-        monomials.append(mono)
-        linenos.append(lineno)
-    if n is None:
-        raise ValueError("missing '# n=.. L=..' header")
-    zero_vector(n, L)  # validates n and L
+    ValueError naming the line; lines that do not parse are named first.
 
-    # Every factor c<site>^<power> as one row (term, site - 1, power).
-    numbers = " ".join(monomials).replace("c", " ").replace("^", " ").split()
-    site, power = (np.array(numbers, dtype=np.int64).reshape(-1, 2) - (1, 0)).T
-    term = np.repeat(np.arange(len(monomials)), [m.count("^") for m in monomials])
+    The lines are read in bulk: one ``map(complex, ...)`` over the
+    coefficients, one ``map`` of a regular expression over the monomials,
+    one numpy pass over their digits.  Only a text that fails is read again
+    line by line, to name the line."""
+    lines = list(filter(None, map(str.strip, text.splitlines())))
+    if not lines or not lines[0].startswith("#"):
+        raise _syntax_error(text)
+    try:
+        n, L = _header(lines[0])
+    except ValueError:
+        raise _syntax_error(text) from None
+    terms = filterfalse(methodcaller("startswith", "#"), lines)
+    parts = list(map(str.partition, terms, repeat("*")))
+    del lines
+    try:
+        coeffs = np.fromiter(map(complex, map(itemgetter(0), parts)),
+                             dtype=complex, count=len(parts))
+    except ValueError:
+        raise _syntax_error(text) from None
+    if not all(map(_MONOMIAL.fullmatch, map(itemgetter(2), parts))):
+        raise _syntax_error(text)
+    zero_vector(n, L)  # validates n and L
+    term, site, power = _factors(
+        "\n".join(chain(map(itemgetter(2), parts), [""])).encode()
+    )
+    del parts
+    K = len(coeffs)
     bad = (site < 0) | (site >= L) | (power >= n)
-    # A factor is repeated when its (term, site) slot was taken before.
-    slot = np.where(bad, -1 - np.arange(len(site)), term * L + site)
-    repeated = np.ones(len(slot), dtype=bool)
-    repeated[np.unique(slot, return_index=True)[1]] = False
-    if (bad | repeated).any():
+    slot = term * L + site
+    if bad.any() or np.bincount(slot, minlength=K * L).max(initial=0) > 1:
+        # A factor is repeated when its (term, site) slot was taken before.
+        slot[bad] = -1 - np.flatnonzero(bad)
+        repeated = np.ones(len(slot), dtype=bool)
+        repeated[np.unique(slot, return_index=True)[1]] = False
         k = int(np.argmax(bad | repeated))
         s, e = int(site[k]) + 1, int(power[k])
         reason = (
@@ -609,8 +687,9 @@ def from_text(text: str) -> Polynomial:
             else f"exponent {e} of site {s} outside 0..{n - 1}" if e >= n
             else f"site {s} appears twice"
         )
-        raise ValueError(f"line {linenos[term[k]]}: {reason}")
-    exponents = np.zeros((len(monomials), L), dtype=np.int64)
-    exponents[term, site] = power
-    first, sums = _merge(_codes(exponents, n), np.array(coeffs, dtype=complex))
+        lineno = next(islice(_term_lines(text), int(term[k]), None))[0]
+        raise ValueError(f"line {lineno}: {reason}")
+    exponents = np.zeros((K, L), dtype=np.int64)
+    exponents.ravel()[slot] = power
+    first, sums = _merge(_codes(exponents, n), coeffs)
     return Polynomial._from_arrays(exponents[first], sums, n, L)

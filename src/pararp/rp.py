@@ -109,34 +109,56 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     shape, m = a.shape, a.shape[-1]
-    a = np.asarray(a, dtype=complex).reshape(-1, m, m)
     b, eye = _PADE_13, np.eye(m)
     # An overflow is reported by the finiteness check below, not as a
     # floating-point warning.
     with np.errstate(over="ignore", invalid="ignore"):
+        a = np.array(a, dtype=complex).reshape(-1, m, m)  # a copy, scaled in place
         # ceil(log2(x)) is the frexp exponent e, less one when x = 2^(e-1).
         frac, exp = np.frexp(np.abs(a).sum(axis=1).max(axis=1) / _THETA_13)
         s = np.maximum(exp - (frac == 0.5), 0)
-        a = a * np.ldexp(1.0, -s)[:, None, None]
+        a *= np.ldexp(1.0, -s)[:, None, None]
+        zero = ~a.any(axis=(1, 2))
         a2 = a @ a
         a4 = a2 @ a2
         a6 = a4 @ a2
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-        del a2, a4, a6  # each as large as the input: free them for the solve
-        p = v + u
+        powers, out, scratch = (a6, a4, a2), np.empty_like(a), np.empty_like(a)
+        inner = _pade_sum(powers, b[13::-2], eye, out, scratch)
+        u = np.matmul(a, inner, out=scratch)
+        v = _pade_sum(powers, b[12::-2], eye, out, a)
+        del a2, a4, a6, powers  # each as large as the input: free them for the solve
+        p = np.add(v, u, out=a)
         v -= u
         e = np.linalg.solve(v, p)
-        e[~a.any(axis=(1, 2))] = eye  # exact where r_13 is off by an ulp
-        for step in range(s.max(initial=0)):
+        e[zero] = eye  # exact where r_13 is off by an ulp
+        # Squarings every block takes run on the whole stack, the rest on
+        # the blocks that still need them.
+        top = s.max(initial=0)
+        common = s.min(initial=top)
+        for _ in range(common):
+            e, p = np.matmul(e, e, out=p), e
+        for step in range(common, top):
             more = s > step
             half = e[more]
             e[more] = half @ half
     if not np.all(np.isfinite(e)):
         raise OverflowError_("matrix exponential overflowed")
     return e.reshape(shape)
+
+
+def _pade_sum(powers, k, eye, out, scratch):
+    """x6 (k0 x6 + k1 x4 + k2 x2) + k3 x6 + k4 x4 + k5 x2 + k6 I for powers
+    (x6, x4, x2), summed into ``out`` in the order that expression adds its
+    terms; ``scratch`` is overwritten."""
+    x6, x4, x2 = powers
+    np.multiply(k[0], x6, out=scratch)
+    scratch += np.multiply(k[1], x4, out=out)
+    scratch += np.multiply(k[2], x2, out=out)
+    np.matmul(x6, scratch, out=out)
+    for c, x in zip(k[3:6], powers):
+        out += np.multiply(c, x, out=scratch)
+    out += k[6] * eye
+    return out
 
 
 def _sectors(h: Polynomial, rep: Representation) -> np.ndarray:

@@ -7,6 +7,10 @@ bit-identical coefficients (compared through ``float.hex``, so even the sign
 of a zero counts).
 """
 
+import re
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,6 +121,72 @@ def ref_to_text(p):
         )
         lines.append(f"{p.terms[vec]!r} * {factors if factors else '1'}")
     return "\n".join(lines) + "\n"
+
+
+_REF_MONOMIAL = re.compile(
+    r"c[0-9]{1,18}\^[0-9]{1,18}(?:\s+c[0-9]{1,18}\^[0-9]{1,18})*")
+
+
+def ref_from_text(text):
+    """The per-line parser from_text replaced: one loop over the lines, then
+    the factors' numbers through a list of strings."""
+    coeffs, monomials, linenos = [], [], []
+    n = L = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if n is None:
+                try:
+                    fields = dict(f.split("=") for f in line[1:].split())
+                    n, L = int(fields["n"]), int(fields["L"])
+                except (KeyError, ValueError):
+                    raise ValueError(
+                        f"line {lineno}: header is not '# n=.. L=..'"
+                    ) from None
+            continue
+        if n is None:
+            raise ValueError(f"line {lineno}: term before '# n=.. L=..' header")
+        coeff_str, _, mono = line.partition("*")
+        mono = mono.strip()
+        try:
+            coeffs.append(complex(coeff_str))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if mono == "1":
+            mono = ""
+        elif _REF_MONOMIAL.fullmatch(mono) is None:
+            raise ValueError(f"line {lineno}: bad monomial {mono!r}")
+        monomials.append(mono)
+        linenos.append(lineno)
+    if n is None:
+        raise ValueError("missing '# n=.. L=..' header")
+    zero_vector(n, L)  # validates n and L
+    numbers = " ".join(monomials).replace("c", " ").replace("^", " ").split()
+    site, power = (np.array(numbers, dtype=np.int64).reshape(-1, 2) - (1, 0)).T
+    term = np.repeat(np.arange(len(monomials)), [m.count("^") for m in monomials])
+    bad = (site < 0) | (site >= L) | (power >= n)
+    slot = np.where(bad, -1 - np.arange(len(site)), term * L + site)
+    repeated = np.ones(len(slot), dtype=bool)
+    repeated[np.unique(slot, return_index=True)[1]] = False
+    if (bad | repeated).any():
+        k = int(np.argmax(bad | repeated))
+        s, e = int(site[k]) + 1, int(power[k])
+        reason = (
+            f"site {s} outside 1..{L}" if not 0 < s <= L
+            else f"exponent {e} of site {s} outside 0..{n - 1}" if e >= n
+            else f"site {s} appears twice"
+        )
+        raise ValueError(f"line {linenos[term[k]]}: {reason}")
+    out = {}
+    for t, c in enumerate(coeffs):
+        entries = [0] * L
+        for j, e in zip(site[term == t].tolist(), power[term == t].tolist()):
+            entries[j] = e
+        key = ExponentVector(tuple(entries), n)
+        out[key] = out.get(key, 0) + c
+    return out
 
 
 def ref_classify(p):
@@ -422,3 +492,107 @@ def test_from_text_merges_repeated_monomials():
                     ExponentVector((0, 0, 0, 0), 3): 2 + 0j})
     assert from_text("# n=3 L=4\n(1+0j) * c1^0 c2^1\n").terms == {
         ExponentVector((0, 1, 0, 0), 3): 1 + 0j}
+
+
+# -- from_text against the per-line reference ----------------------------------
+
+
+def assert_same_outcome(text):
+    """from_text gives the reference's terms bit for bit, or its error."""
+    try:
+        expected = ref_clean(ref_from_text(text))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            from_text(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert_same(from_text(text), expected)
+
+
+@pytest.mark.parametrize("text", [
+    # several bad lines: syntax errors in line order, then range errors
+    "# n=3 L=4\n1 * cX^1\n(1+0q) * c1^1\n",
+    "# n=3 L=4\n(1+0q) * cX^1\n",
+    "# n=3 L=4\n(1+0j) * c9^1\n(1+0q) * c1^1\n",
+    "# n=3 L=4\n(1+0j) * c1^5\n(1+0j) * c9^1\n",
+    "# n=3 L=4\n(1+0j) * c1^1 c1^2\n(1+0j) * c9^1\n",
+    "# n=3 L=4\n(1+0j) * c2^1 c2^1 c9^1\n",
+    "# n=3 L=4\n(1+0j) * c0^1 c2^1 c2^1\n(1+0j) * c1^9\n",
+    "# n=1 L=4\n(1+0q) * c1^1\n",
+    "# n=1 L=4\n(1+0j) * c1^1\n",
+    "# n=3 L=3\n(1+0j) * c1^1\n",
+    # whitespace between factors and around lines
+    "# n=3 L=4\n(1+0j) * c1^1\xa0c2^2\n(2-1j) * c3^1\x1fc4^2\n",
+    "# n=3 L=4\n(1+0j) * c1^1　c2^2\t c3^1\n  (2-1j)*c4^2  \n",
+    "# n=3 L=4\r\n(1+0j) * c1^1 c2^2\r\n(0.5+0j) * 1\r\n",
+    "# n=3 L=4\n(1+0j) * c1^1 c2^1\n",
+    "# n=3 L=4\x0b(1+0j) * c1^1\x0c(2+0j) * c2^1\x1c(3+0j) * 1\x85",
+    # blank lines and comments, before and after the header
+    "\n  \n# n=3 L=4\n\n# comment * c9^9\n(1+0j) * c1^1\n   \n#\n(2+0j) * c2^2\n",
+    "# comment\n# n=3 L=4\n(1+0j) * c1^1\n",
+    "(1+0j) * c1^1\n# n=3 L=4\n",
+    "xn=3 L=4\n(1+0j) * c1^1\n",
+    "# n=3 L=4\n# a comment\n(1+0q) * c1^1\n",
+    "# n=3 L=4\n# note\n\n(1+0j) * c1^1\n  # n=2\n(1+0j) * c9^1\n",
+    "# L=4 n=3 x=1\n(1+0j) * c1^1\n",
+    "", "\n \n", "# n=3 L=4\n", "# n=3 L=4", "# n=3\n", "# n=3 L\n",
+    # the identity and the monomial grammar
+    "# n=3 L=4\n(1.5-2j) * 1\n(1+0j) *   1\n",
+    "# n=3 L=4\n(1+0j) * 1 c1^1\n",
+    "# n=3 L=4\n(1+0j) * 11\n",
+    "# n=3 L=4\n(1+0j) *\n",
+    "# n=3 L=4\n(1+0j)\n",
+    "# n=3 L=4\n1 * 1 * 1\n1\n",
+    "# n=3 L=4\n(1+0j) * c01^02 c2^0\n",
+    "# n=3 L=4\n(1+0j) * c1^1c2^1\n",
+    "# n=3 L=4\n(1+0j) * c1^١\n",
+    "# n=3 L=4\n(1+0j) * c123456789012345678^1\n",
+    "# n=3 L=4\n(1+0j) * c1234567890123456789^1\n",
+    "# n=3 L=4\n(1+0j) * c1^123456789012345678\n",
+    # coefficients, repeated monomials, cancellation
+    "# n=3 L=4\n1 * c1^1\n-2.5 * c2^1\n3j * c3^1\n ( 1+2j ) * c4^1\n",
+    "# n=3 L=4\n(1+0j) * c1^1 c3^2\n(0.5-1j) * c1^1 c3^2\n(2+0j) * c3^2 c1^1\n",
+    "# n=3 L=4\n(1+0j) * c1^1\n(-1-0j) * c1^1\n(-0.0-0j) * c2^1\n",
+    "# n=3 L=4\n(nan+1j) * c1^1\ninf * c2^1\n(1-infj) * 1\nnan * c3^1\n",
+])
+def test_from_text_matches_per_line_reference(text):
+    assert_same_outcome(text)
+
+
+def test_from_text_names_the_first_bad_line_like_the_reference():
+    with pytest.raises(ValueError, match=r"^line 2: bad monomial 'cX\^1'$"):
+        from_text("# n=3 L=4\n1 * cX^1\n(1+0q) * c1^1\n")
+
+
+def test_from_text_matches_reference_on_edited_texts():
+    """Random edits of written polynomials, with the characters of the text
+    grammar: every edit parses to the same terms or fails on the same line
+    for the same reason as the per-line reference."""
+    rng = np.random.default_rng(10)
+    alphabet = list("c^0123456789 \t\n*#()+-j.1") + ["\xa0", "\x1f", "\r\n", "c1^1 "]
+    texts = [to_text(p) for n, L in [(2, 4), (3, 8), (5, 12)]
+             for p in polys_for(n, L, seed=n + L)[1:4]]
+    for _ in range(600):
+        text = texts[rng.integers(len(texts))]
+        for _ in range(rng.integers(1, 4)):
+            at = int(rng.integers(len(text) + 1))
+            cut, insert = int(rng.integers(0, 3)), int(rng.integers(0, 2))
+            text = text[:at] + str(rng.choice(alphabet)) * insert + text[at + cut:]
+        assert_same_outcome(text)
+
+
+def test_to_text_memory_follows_the_text_not_n_times_L():
+    """One term at n = 2 10^6 is one short line: no table of every factor
+    name c<j>^<e> is built or kept."""
+    n = 2_000_000
+    p = Polynomial({ExponentVector((n - 1, 0), n): 1 + 0j,
+                    ExponentVector((5, n - 7), n): 0.5 - 2j}, n, 2)
+    tracemalloc.start()
+    start = time.perf_counter()
+    text = to_text(p)
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert text == ref_to_text(p)
+    assert elapsed < 0.25 and peak < 1 << 20
+    assert_same(from_text(text), p.terms)

@@ -93,6 +93,21 @@ def test_stack_with_different_scalings_matches_each_block():
         assert_close(got[index], scipy.linalg.expm(stack[index]))
 
 
+def test_stack_whose_blocks_all_square_matches_each_block():
+    """Blocks that all need squarings, five for some and eight for others:
+    the squarings they share run on the whole stack."""
+    rng = np.random.default_rng(8)
+    stack = np.stack([
+        scaled(block, norm)
+        for norm in NORMS[NORMS > 20]
+        for block in blocks(rng, 5).values()
+    ])
+    got = rp.matrix_exp(stack)
+    for block, e in zip(stack, got):
+        assert np.array_equal(e, rp.matrix_exp(block))
+        assert_close(e, scipy.linalg.expm(block))
+
+
 def test_overflow_in_one_block_of_a_stack():
     stack = np.zeros((4, 3, 3), dtype=complex)
     stack[0] = -np.eye(3)
