@@ -3,13 +3,9 @@ reflection-positivity verification of Gibbs trace functionals."""
 
 from .exponents import (
     ExponentVector,
-    add,
     circ,
-    complement,
     degree,
-    reflect_vector,
     unit_vector,
-    wedge,
     zero_vector,
 )
 from .algebra import (
@@ -17,12 +13,9 @@ from .algebra import (
     Side,
     SideClass,
     adjoint,
-    build_X,
     canonical_product,
     classify,
     gauge_apply,
-    hermitian_pair,
-    hermiticity_condition,
     reflect,
     reflect_all,
     sum_polynomials,

@@ -14,19 +14,22 @@ products do not accumulate phase drift beyond a single rounding per factor.
 
 Storage.  A polynomial with K terms is two arrays: ``exponents``, a (K, L)
 integer matrix whose rows are the distinct exponent vectors, and ``coeffs``,
-the (K,) complex128 vector of their nonzero coefficients.  Every operation
-works on whole arrays: circ(I, J) for all term pairs of a product is the
-integer product S B^T of the exclusive suffix sums S of A's rows (one
-reversed ``cumsum``) with the rows of B, circ(I, I) of the adjoint and the
-reflection is ((sum a)^2 - sum a^2) / 2 per row, reflection and adjoint are
-column reversals and complements, and terms with equal exponent rows are
-merged through one integer code per row and ``np.bincount``.  The
+the (K,) complex128 vector of their nonzero coefficients.  These rows are
+the only monomial arithmetic of the package.  Every operation works on
+whole arrays: circ(I, J) for all term pairs of a product is
+``exponents.circ``, the integer product S B^T of the exclusive suffix sums S
+of A's rows (one reversed ``cumsum``) with the rows of B, circ(I, I) of the
+adjoint and the reflection is ((sum a)^2 - sum a^2) / 2 per row, reflection
+and adjoint are column reversals and complements, and terms with equal
+exponent rows are merged through their mixed-radix codes (one int64 per
+chunk of sites, from one power of n per site) and ``np.bincount``.  The
 matrix oracle (``representation.to_matrix``, ``rp._traces``) reads the same
-exponent matrix.  ``terms``, the read-only map ExponentVector ->
-coefficient, builds its ExponentVector keys on first lookup and keeps them.
+exponent matrix.  ``terms`` builds a new dict ExponentVector -> coefficient
+on every call and is not cached; nothing in the package reads it.
 
-Coefficients are bit-for-bit those of the term-by-term definitions
-(``exponents.circ``, ``exponents.add``, Python complex arithmetic):
+Coefficients are bit-for-bit those of the term-by-term definitions with
+Python complex arithmetic, which ``tests/test_array_algebra.py`` keeps as
+its reference loops:
 
 * complex products are written out as xr*yr - xi*yi and xr*yi + xi*yr on
   float64 arrays, each product rounded on its own, because numpy's complex
@@ -47,19 +50,10 @@ from enum import Enum
 from functools import lru_cache
 from itertools import chain, filterfalse, islice, repeat
 from operator import itemgetter, methodcaller
-from collections.abc import Mapping
 
 import numpy as np
 
-from .exponents import (
-    ExponentVector,
-    add,
-    circ,
-    complement,
-    degree,
-    reflect_vector,
-    zero_vector,
-)
+from .exponents import ExponentVector, circ, zero_vector
 
 COEFF_TOL = 1e-12
 
@@ -120,26 +114,28 @@ def _cmul(x, y) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _radix(n: int, L: int) -> np.ndarray:
-    """(L, C) weights: column c maps an exponent row to the mixed-radix code
-    of its c-th chunk of sites.  Chunks hold as many sites as keep n^sites
-    within int64, so rows are equal exactly when their C codes are, for
-    every n and L (n^L may exceed 2^63)."""
+def _powers(n: int) -> np.ndarray:
+    """n^0, n^1, ..., n^(per - 1): the weights of the sites of one chunk of a
+    mixed-radix code, a chunk holding as many sites as keep n^per within
+    int64."""
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
     per = 1
     while n ** (per + 1) <= 2**63:
         per += 1
-    weights = np.zeros((L, -(-L // per)), dtype=np.int64)
-    for j in range(L):
-        chunk, k = divmod(j, per)
-        weights[j, chunk] = n**k
-    weights.flags.writeable = False
-    return weights
+    powers = np.array([n**k for k in range(per)], dtype=np.int64)
+    powers.flags.writeable = False
+    return powers
 
 
 def _codes(exponents: np.ndarray, n: int) -> np.ndarray:
-    return exponents @ _radix(n, exponents.shape[1])
+    """(K, C) codes of the rows of ``exponents``: column c is the mixed-radix
+    code of the c-th chunk of sites, so rows are equal exactly when their C
+    codes are, for every n and L (n^L may exceed 2^63)."""
+    powers = _powers(n)
+    per, L = len(powers), exponents.shape[1]
+    return np.stack([exponents[:, s:s + per] @ powers[:L - s]
+                     for s in range(0, L, per)], axis=1)
 
 
 def _group(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -186,55 +182,13 @@ def _merge(codes: np.ndarray, values: np.ndarray):
 _set = object.__setattr__
 
 
-class Terms(Mapping):
-    """Read-only map ExponentVector -> coefficient over a polynomial's terms.
-
-    Its length comes from the arrays; the dict of ExponentVector keys behind
-    the lookups is built on first use and kept.
-    """
-
-    __slots__ = ("_exponents", "_coeffs", "_order", "_dict")
-
-    def __init__(self, exponents, coeffs, n: int, items: dict | None = None):
-        self._exponents, self._coeffs, self._order = exponents, coeffs, n
-        self._dict = items
-
-    def _items(self) -> dict[ExponentVector, complex]:
-        if self._dict is None:
-            n = self._order
-            self._dict = {
-                ExponentVector(tuple(row), n): c
-                for row, c in zip(self._exponents.tolist(), self._coeffs.tolist())
-            }
-        return self._dict
-
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
-    def __getitem__(self, vec):
-        return self._items()[vec]
-
-    def __iter__(self):
-        return iter(self._items())
-
-    def items(self):
-        return self._items().items()
-
-    def values(self):
-        return self._items().values()
-
-    def __repr__(self) -> str:
-        return repr(self._items())
-
-
 class Polynomial:
     """Normal-ordered polynomial in parafermion generators.
 
-    Immutable; ``exponents`` (K, L) and ``coeffs`` (K,) hold the terms, and
-    ``terms`` maps ExponentVector -> nonzero complex coefficient.
+    Immutable; ``exponents`` (K, L) and ``coeffs`` (K,) hold the terms.
     """
 
-    __slots__ = ("exponents", "coeffs", "order", "sites", "_terms")
+    __slots__ = ("exponents", "coeffs", "order", "sites")
 
     def __init__(self, terms, n: int, L: int):
         clean: dict[ExponentVector, complex] = {}
@@ -247,16 +201,15 @@ class Polynomial:
         exponents = np.array([v.entries for v in clean], dtype=np.int64)
         coeffs = np.fromiter(clean.values(), dtype=complex, count=len(clean))
         exponents = exponents.reshape(len(clean), L)
-        self._init(exponents, coeffs, n, L, Terms(exponents, coeffs, n, clean))
+        self._init(exponents, coeffs, n, L)
 
-    def _init(self, exponents, coeffs, n, L, terms) -> None:
+    def _init(self, exponents, coeffs, n, L) -> None:
         exponents.flags.writeable = False
         coeffs.flags.writeable = False
         _set(self, "exponents", exponents)
         _set(self, "coeffs", coeffs)
         _set(self, "order", n)
         _set(self, "sites", L)
-        _set(self, "_terms", terms)
 
     @classmethod
     def _from_arrays(cls, exponents, coeffs, n: int, L: int) -> "Polynomial":
@@ -266,17 +219,20 @@ class Polynomial:
             keep = np.abs(coeffs) > 0
             exponents, coeffs = exponents[keep], coeffs[keep]
         p = cls.__new__(cls)
-        p._init(exponents, coeffs, n, L, None)
+        p._init(exponents, coeffs, n, L)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     @property
-    def terms(self) -> "Terms":
-        if self._terms is None:
-            _set(self, "_terms", Terms(self.exponents, self.coeffs, self.order))
-        return self._terms
+    def terms(self) -> dict[ExponentVector, complex]:
+        """A new dict ExponentVector -> nonzero coefficient of the terms."""
+        n = self.order
+        return {
+            ExponentVector(tuple(row), n): c
+            for row, c in zip(self.exponents.tolist(), self.coeffs.tolist())
+        }
 
     # -- constructors -------------------------------------------------
 
@@ -324,7 +280,10 @@ class Polynomial:
         return not len(self.coeffs)
 
     def coefficient(self, vec: ExponentVector) -> complex:
-        return self.terms.get(vec, 0j)
+        if vec.order != self.order or vec.sites != self.sites:
+            return 0j
+        rows = np.flatnonzero((self.exponents == vec.entries).all(axis=1))
+        return complex(self.coeffs[rows[0]]) if len(rows) else 0j
 
     def constant_term(self) -> complex:
         rows = np.flatnonzero(~self.exponents.any(axis=1))
@@ -346,9 +305,10 @@ class Polynomial:
     def __repr__(self):
         if self.is_zero():
             return f"Polynomial.zero(n={self.order}, L={self.sites})"
-        parts = [f"{c!r}*C{v.entries}" for v, c in sorted(
-            self.terms.items(), key=lambda kv: kv[0].entries)]
-        return " + ".join(parts)
+        terms = zip(map(tuple, self.exponents.tolist()), self.coeffs.tolist())
+        return " + ".join(
+            f"{c!r}*C{row}" for row, c in sorted(terms, key=itemgetter(0))
+        )
 
 
 # -- core operations ----------------------------------------------------
@@ -387,10 +347,7 @@ def canonical_product(p: Polynomial, q: Polynomial) -> Polynomial:
     p._require_same_space(q)
     n, L = p.order, p.sites
     a, b = p.exponents, q.exponents
-    # circ(I, J) = sum_j (a_{j+1} + ... + a_L) b_j: exclusive suffix sums of
-    # the rows of a against the rows of b, and omega^{-circ} = zeta^{-2 circ}.
-    suffix = np.cumsum(a[:, ::-1], axis=1)[:, ::-1] - a
-    phase = _zeta_array(n)[(-2 * suffix @ b.T) % (2 * n)]
+    phase = _zeta_array(n)[(-2 * circ(a, b)) % (2 * n)]  # omega^{-circ}
     values = _cmul(_cmul(p.coeffs[:, None], q.coeffs), phase).ravel()
     if len(a) <= 1 or len(b) <= 1:
         # I -> I + J is then one-to-one: no two pairs share a key.
@@ -485,38 +442,6 @@ def classify(p: Polynomial) -> SideClass:
     if not on_minus:
         return SideClass(Side.PLUS, observable)
     return SideClass(Side.CROSSING, observable)
-
-
-def build_X(vec: ExponentVector, coupling: float) -> Polynomial:
-    """Reflection- and gauge-invariant crossing monomial
-    J * omega^{d^2/2} C_I theta(C_I), with d = degree(I) and I on the minus half.
-
-    theta(C_I) = omega^{-circ(I, I)} C_{reverse(I^c)} lies on the plus half,
-    so circ(I, reverse(I^c)) = 0 and the product is the single monomial
-    omega^{-circ(I, I)} C_{I + reverse(I^c)}.
-    """
-    if not vec.supported_on_minus():
-        raise ValueError("exponent vector must be supported on sites 1..L/2")
-    d = degree(vec)
-    if d == 0:
-        raise ValueError("degree must be positive")
-    n = vec.order
-    coeff = (coupling * zeta_power(n, d * d)) * omega_power(n, -circ(vec, vec))
-    return Polynomial.monomial(coeff, add(vec, reflect_vector(complement(vec))))
-
-
-def hermiticity_condition(vec: ExponentVector) -> bool:
-    """True iff the crossing monomial built on I can be hermitian: I^c = I,
-    i.e. every nonzero entry equals n/2 (so n must be even)."""
-    n = vec.order
-    if n % 2 != 0:
-        return False
-    return all(e == 0 or e == n // 2 for e in vec.entries)
-
-
-def hermitian_pair(p: Polynomial) -> Polynomial:
-    """p + p^*, reflection symmetry preserved and always hermitian."""
-    return p + adjoint(p)
 
 
 # -- textual serialization ----------------------------------------------

@@ -1,11 +1,17 @@
-"""Integer arithmetic on exponent multi-indices of ordered parafermion monomials.
+"""Exponent multi-indices of ordered parafermion monomials.
 
 A monomial c_1^{a_1} ... c_L^{a_L} is described by its vector of exponents,
-each taken mod n.  The two bilinear forms defined here (``circ`` and
-``wedge``) carry all the phase bookkeeping of the algebra: reordering,
-adjoints and reflection reduce to evaluating them.
+each taken mod n.  The algebra stores the exponent vectors of a polynomial's
+terms as the rows of one integer array; ``ExponentVector`` is the checked
+form of a single vector where one enters the package (spec files, coupling
+tables, the dict constructor of ``Polynomial``).
 
-Convention: ``circ(I, J)`` sums a_i * b_j over index pairs with the *left*
+The bilinear form ``circ`` carries all the phase bookkeeping of the algebra:
+reordering, adjoints and reflection reduce to evaluating it.  ``circ(a, b)``
+takes two integer arrays of exponent rows and gives circ(I, J) for every
+pair of a row I of ``a`` and a row J of ``b``.
+
+Convention: circ(I, J) sums I_i * J_j over index pairs with the *left*
 factor's site index strictly greater (i > j).  This is the unique convention
 under which the reordering, adjoint and reflection identities are all
 satisfied by the explicit clock/shift matrices; the representation test
@@ -16,9 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-class DimensionMismatchError(ValueError):
-    """Two exponent vectors with different order n or site count L."""
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -85,14 +89,6 @@ def unit_vector(n: int, L: int, site: int, power: int = 1) -> ExponentVector:
     return ExponentVector(tuple(entries), n)
 
 
-def _check_compatible(a: ExponentVector, b: ExponentVector) -> None:
-    if a.order != b.order or a.sites != b.sites:
-        raise DimensionMismatchError(
-            f"incompatible exponent vectors: (n={a.order}, L={a.sites}) "
-            f"vs (n={b.order}, L={b.sites})"
-        )
-
-
 def degree(a: ExponentVector) -> int:
     """Total degree sum(a_j), *not* reduced mod n.
 
@@ -101,38 +97,10 @@ def degree(a: ExponentVector) -> int:
     return sum(a.entries)
 
 
-def add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
-    """Componentwise sum mod n."""
-    _check_compatible(a, b)
-    n = a.order
-    return ExponentVector(
-        tuple((x + y) % n for x, y in zip(a.entries, b.entries)), n
-    )
-
-
-def circ(a: ExponentVector, b: ExponentVector) -> int:
-    """Sum of a_i * b_j over pairs with i > j (left factor's index greater)."""
-    _check_compatible(a, b)
-    total = 0
-    prefix = 0
-    for i in range(a.sites):
-        if i > 0:
-            prefix += b.entries[i - 1]
-        total += a.entries[i] * prefix
-    return total
-
-
-def wedge(a: ExponentVector, b: ExponentVector) -> int:
-    """Antisymmetrized form circ(a, b) - circ(b, a)."""
-    return circ(a, b) - circ(b, a)
-
-
-def complement(a: ExponentVector) -> ExponentVector:
-    """Entrywise n - a_j, reduced mod n so zero entries stay zero."""
-    n = a.order
-    return ExponentVector(tuple((n - e) % n for e in a.entries), n)
-
-
-def reflect_vector(a: ExponentVector) -> ExponentVector:
-    """Site reversal i -> L - i + 1."""
-    return ExponentVector(tuple(reversed(a.entries)), a.order)
+def circ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (P, Q) integer matrix of circ(I, J) for the rows I of ``a`` (P, L)
+    and J of ``b`` (Q, L): circ(I, J) = sum_j (I_{j+1} + ... + I_L) J_j, the
+    exclusive suffix sums of the rows of ``a`` (one reversed ``cumsum``)
+    against the rows of ``b``."""
+    suffix = np.cumsum(a[:, ::-1], axis=1)[:, ::-1] - a
+    return suffix @ b.T

@@ -24,7 +24,8 @@ import numpy as np
 from .algebra import (
     Polynomial,
     Side,
-    build_X,
+    _cmul,
+    _zeta_array,
     classify,
     gauge_apply,
     reflect,
@@ -78,15 +79,27 @@ class CouplingTable:
 
 
 def build_h0(couplings: CouplingTable, n: int, L: int) -> Polynomial:
-    """Crossing Hamiltonian: sum of (-1)^{d+1} zeta^{d^2} J C_I theta(C_I)."""
-    terms: dict[ExponentVector, complex] = {}
-    for vec, j in couplings:
-        if vec.order != n or vec.sites != L:
-            raise SpecError("coupling key does not match n, L")
-        sign = -1.0 if degree(vec) % 2 == 0 else 1.0  # (-1)^{d+1}
-        for key, c in build_X(vec, sign * j).terms.items():
-            terms[key] = terms.get(key, 0) + c
-    return Polynomial(terms, n, L)
+    """Crossing Hamiltonian: sum of (-1)^{d+1} zeta^{d^2} J C_I theta(C_I).
+
+    theta(C_I) = omega^{-circ(I, I)} C_{reverse(I^c)} lies on the plus half,
+    so circ(I, reverse(I^c)) = 0 and each term is the single monomial
+    (-1)^{d+1} J zeta^{d^2} omega^{-circ(I, I)} C_{I + reverse(I^c)}, with
+    -2 circ(I, I) = sum a^2 - (sum a)^2 and Python's complex rounding.
+    Distinct I give distinct keys, so no terms merge."""
+    if any(vec.order != n or vec.sites != L for vec in couplings.entries):
+        raise SpecError("coupling key does not match n, L")
+    a = np.array([vec.entries for vec in couplings.entries], dtype=np.int64)
+    a = a.reshape(len(couplings), L)
+    j = np.fromiter(couplings.entries.values(), dtype=float, count=len(a))
+    d = a.sum(axis=1)
+    d2 = (d % (2 * n)) ** 2  # d^2 mod 2n, without an int64 overflow of d^2
+    zeta = _zeta_array(n)
+    coeffs = _cmul(
+        _cmul(np.where(d % 2 == 0, -j, j), zeta[d2 % (2 * n)]),
+        zeta[((a * a).sum(axis=1) - d2) % (2 * n)],
+    )
+    keys = a + (n - a[:, ::-1]) % n
+    return Polynomial._from_arrays(keys, coeffs + 0, n, L)
 
 
 def validate_couplings(couplings: CouplingTable, n: int) -> CouplingRule:
@@ -122,11 +135,9 @@ def assemble(h_minus: Polynomial, couplings: CouplingTable) -> HamiltonianSpec:
     n, L = h_minus.order, h_minus.sites
     side = classify(h_minus)
     if side.side not in (Side.MINUS, Side.SCALAR) or not side.observable:
-        offending = [
-            v.entries
-            for v in h_minus.terms
-            if not v.supported_on_minus() or degree(v) % n != 0
-        ]
+        a = h_minus.exponents
+        bad = a[:, L // 2:].any(axis=1) | (a.sum(axis=1) % n != 0)
+        offending = list(map(tuple, a[bad].tolist()))
         raise SpecError(
             "h_minus must be an observable supported on sites 1..L/2; "
             f"offending terms: {offending}"

@@ -60,16 +60,7 @@ from .algebra import (
     sum_polynomials,
     zeta_power,
 )
-from .exponents import (
-    ExponentVector,
-    add,
-    circ,
-    complement,
-    degree,
-    reflect_vector,
-    unit_vector,
-    zero_vector,
-)
+from .exponents import ExponentVector, degree, unit_vector
 from .hamiltonian import CouplingTable, HamiltonianSpec, assemble
 from .representation import (
     Representation,
@@ -650,33 +641,24 @@ def counterexample_reference(n: int) -> complex:
     return zeta_power(n, n - 1) * series_sum(n) * n
 
 
-def _times(x: tuple, y: tuple) -> tuple:
-    """Product of monomials zeta^p C_I, given as (I, p) with p an integer:
-    C_I C_J = omega^{-circ(I, J)} C_{I+J}."""
-    (i, p), (j, q) = x, y
-    return add(i, j), p + q - 2 * circ(i, j)
-
-
-def _reflected(i: ExponentVector) -> tuple:
-    """theta(C_I) = omega^{-circ(I, I)} C_{reverse(I^c)}, as (I', p)."""
-    return reflect_vector(complement(i)), -2 * circ(i, i)
-
-
 def _counterexample_sums(n: int, j: int) -> list[Fraction]:
     """The exact rationals r_p, p = 0..n-1, with f(c^j) = sum_p r_p zeta^p
-    (see counterexample_f)."""
+    (see counterexample_f).
+
+    A monomial c_1^a c_2^b is the pair (a, b) mod n, so circ((a, b), (a', b'))
+    = b a', a product adds the pairs at phase zeta^{-2 b a'}, and
+    theta(c_1^a c_2^b) = zeta^{-2ab} c_1^{-b} c_2^{-a}.  Then c^j theta(c^j)
+    is (j, -j) at phase 1, and zeta c theta(c) is (1, -1) at phase zeta, so
+    its k-th power is (k, -k) at zeta^{p_k}, p_{k+1} = p_k + 1 - 2 (-k mod n),
+    and c^j theta(c^j) times that power is (j + k, -j - k) at
+    zeta^{p_k - 2 (-j mod n)(k mod n)}: the identity when k = -j mod n."""
     if not 1 <= j <= n:
         raise ValueError(f"j must be in 1..{n}, got {j}")
-    c = unit_vector(n, 2, 1)
-    cj = unit_vector(n, 2, 1, power=j)
-    step = _times((c, 1), _reflected(c))  # the zeta of H counts as p = 1
-    power = (zero_vector(n, 2), 0)
-    head = _times((cj, 0), _reflected(cj))
     sums: dict[int, Fraction] = defaultdict(Fraction)
     first = None
+    p_k = 0
     for k in itertools.count():
-        vec, phase = _times(head, power)
-        if vec.is_zero():
+        if (j + k) % n == 0:
             # Each term is at most half the previous one, so the ones left
             # out sum to less than 2^-63 of the first.
             term = Fraction(n, math.factorial(k))
@@ -684,8 +666,9 @@ def _counterexample_sums(n: int, j: int) -> list[Fraction]:
                 break
             if first is None:
                 first = term
+            phase = p_k - 2 * (-j % n) * (k % n)
             sums[(phase + n * k) % (2 * n)] += term  # (-1)^k = zeta^{n k}
-        power = _times(power, step)
+        p_k += 1 - 2 * (-k % n)
     return [sums[p] - sums[p + n] for p in range(n)]  # zeta^n = -1
 
 

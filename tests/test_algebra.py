@@ -8,19 +8,17 @@ from pararp.algebra import (
     Polynomial,
     Side,
     adjoint,
-    build_X,
     canonical_product,
     classify,
     from_text,
     gauge_apply,
-    hermitian_pair,
-    hermiticity_condition,
     omega_power,
     reflect,
     to_text,
     zeta_power,
 )
 from pararp.exponents import ExponentVector, unit_vector, zero_vector
+from pararp.hamiltonian import CouplingTable, SpecError, build_h0
 
 
 def mono(entries, n, coeff=1.0):
@@ -182,10 +180,15 @@ class TestClassify:
         assert sc.side is Side.PLUS and not sc.observable
 
 
+def build_x(vec, coupling):
+    """The crossing term (-1)^{d+1} zeta^{d^2} J C_I theta(C_I) of I alone."""
+    return build_h0(CouplingTable({vec: coupling}), vec.order, vec.sites)
+
+
 class TestBuildX:
     def test_majorana_case(self):
         # n=2, L=2, I=(1,0): X = i J c_1 c_2
-        x = build_X(ExponentVector((1, 0), 2), 2.0)
+        x = build_x(ExponentVector((1, 0), 2), 2.0)
         assert x.almost_equal(mono((1, 1), 2, coeff=2.0j))
 
     def test_reflection_and_gauge_invariance(self):
@@ -197,23 +200,31 @@ class TestBuildX:
                 if not any(entries[:half]):
                     entries[0] = 1
                 vec = ExponentVector(tuple(entries), n)
-                x = build_X(vec, float(rng.normal()))
+                x = build_x(vec, float(rng.normal()))
                 assert reflect(x).almost_equal(x, 1e-12)
                 assert gauge_apply(x).almost_equal(x, 1e-12)
 
     def test_rejects_wrong_support(self):
-        with pytest.raises(ValueError):
-            build_X(ExponentVector((0, 1), 3), 1.0)
-        with pytest.raises(ValueError):
-            build_X(zero_vector(3, 2), 1.0)
+        with pytest.raises(SpecError, match="not supported on sites 1..L/2"):
+            build_x(ExponentVector((0, 1), 3), 1.0)
+        with pytest.raises(SpecError, match="positive degree"):
+            build_x(zero_vector(3, 2), 1.0)
+        with pytest.raises(SpecError, match="does not match n, L"):
+            build_h0(CouplingTable({ExponentVector((1, 0), 3): 1.0}), 3, 4)
 
 
 class TestHermiticity:
     def test_condition(self):
-        assert not hermiticity_condition(ExponentVector((1, 0), 3))
-        assert hermiticity_condition(ExponentVector((1, 0, 0, 0), 2))
-        assert hermiticity_condition(ExponentVector((2, 2, 0, 0), 4))
-        assert not hermiticity_condition(ExponentVector((1, 3, 0, 0), 4))
+        # The crossing monomial built on I has the monomial of its adjoint,
+        # so can be hermitian, iff I^c = I: every nonzero entry is n/2.
+        for entries, n, same in [
+            ((1, 0), 3, False),
+            ((1, 0, 0, 0), 2, True),
+            ((2, 2, 0, 0), 4, True),
+            ((1, 3, 0, 0), 4, False),
+        ]:
+            x = build_x(ExponentVector(entries, n), 1.0)
+            assert np.array_equal(adjoint(x).exponents, x.exponents) == same
 
     def test_hermitian_pair_example(self):
         # Y = zeta J c_1 theta(c_1) at n=3:
@@ -224,19 +235,19 @@ class TestHermiticity:
             mono((1, 0), n), reflect(mono((1, 0), n))
         )
         expected = (j * zeta) * (mono((1, 2), n) + mono((2, 1), n))
-        assert hermitian_pair(y).almost_equal(expected)
+        assert (y + adjoint(y)).almost_equal(expected)
 
     def test_pair_is_selfadjoint(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             y = random_poly(3, 4, rng)
-            h = hermitian_pair(y)
+            h = y + adjoint(y)
             assert adjoint(h).almost_equal(h, 1e-10)
 
     def test_hermitian_input_doubles(self):
         y = mono((1, 1, 0, 0), 2, coeff=1.0)  # (c_1 c_2)* needs check
-        h = hermitian_pair(hermitian_pair(y))  # twice: 2 * hermitian
-        assert h.almost_equal(2 * hermitian_pair(y))
+        h = y + adjoint(y)
+        assert (h + adjoint(h)).almost_equal(2 * h)  # h is hermitian
 
 
 class TestReflectedCombination:
@@ -286,9 +297,10 @@ class TestSerialization:
         )
         q = from_text(to_text(p))
         assert q.order == n and q.sites == L
-        assert set(q.terms) == set(p.terms)
+        q_terms = q.terms
+        assert set(q_terms) == set(p.terms)
         for vec, c in p.terms.items():
-            assert q.terms[vec] == c  # exact float round-trip
+            assert q_terms[vec] == c  # exact float round-trip
 
     def test_identity_term(self):
         p = Polynomial.identity(4, 2)

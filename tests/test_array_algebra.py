@@ -1,10 +1,11 @@
 """The array-backed symbolic algebra against term-by-term reference loops.
 
 Each reference below is the dict-of-ExponentVector implementation the array
-kernels replaced, written with the scalar definitions of ``exponents`` and
-Python complex arithmetic.  The kernels must give the same terms with
-bit-identical coefficients (compared through ``float.hex``, so even the sign
-of a zero counts).
+kernels replaced, written with the scalar definitions of the exponent
+arithmetic (``ref_circ``, ``ref_add_vectors``, ``ref_complement``,
+``ref_reflect_vector``) and Python complex arithmetic.  The kernels must
+give the same terms with bit-identical coefficients (compared through
+``float.hex``, so even the sign of a zero counts).
 """
 
 import re
@@ -18,7 +19,6 @@ from pararp import algebra, rp
 from pararp.algebra import (
     Polynomial,
     adjoint,
-    build_X,
     canonical_product,
     classify,
     from_text,
@@ -30,17 +30,8 @@ from pararp.algebra import (
     to_text,
     zeta_power,
 )
-from pararp.exponents import (
-    ExponentVector,
-    add,
-    circ,
-    complement,
-    degree,
-    reflect_vector,
-    unit_vector,
-    zero_vector,
-)
-from pararp.hamiltonian import baxter
+from pararp.exponents import ExponentVector, degree, unit_vector, zero_vector
+from pararp.hamiltonian import CouplingTable, baxter, build_h0
 from pararp.representation import build_generators, to_matrix
 
 from conftest import rep_for
@@ -52,6 +43,34 @@ WIDE = (5, 28)  # 5^28 > 2^63: rows need two int64 codes
 # -- reference implementations (one Python loop per term or term pair) ----
 
 
+def ref_circ(a, b):
+    """Sum of a_i * b_j over pairs with i > j (left factor's index greater)."""
+    total = 0
+    prefix = 0
+    for i in range(a.sites):
+        if i > 0:
+            prefix += b.entries[i - 1]
+        total += a.entries[i] * prefix
+    return total
+
+
+def ref_add_vectors(a, b):
+    """Componentwise sum mod n."""
+    n = a.order
+    return ExponentVector(tuple((x + y) % n for x, y in zip(a.entries, b.entries)), n)
+
+
+def ref_complement(a):
+    """Entrywise n - a_j, reduced mod n so zero entries stay zero."""
+    n = a.order
+    return ExponentVector(tuple((n - e) % n for e in a.entries), n)
+
+
+def ref_reflect_vector(a):
+    """Site reversal i -> L - i + 1."""
+    return ExponentVector(tuple(reversed(a.entries)), a.order)
+
+
 def ref_clean(terms):
     return {v: c for v, c in terms.items() if c != 0 and abs(c) > 0}
 
@@ -60,8 +79,8 @@ def ref_product(p, q):
     n, out = p.order, {}
     for vi, ci in p.terms.items():
         for vj, cj in q.terms.items():
-            phase = omega_power(n, -circ(vi, vj))
-            key = add(vi, vj)
+            phase = omega_power(n, -ref_circ(vi, vj))
+            key = ref_add_vectors(vi, vj)
             s = out.get(key, 0) + ci * cj * phase
             if s == 0:
                 out.pop(key, None)
@@ -74,16 +93,17 @@ def ref_conjugate(p, key_of):
     n, out = p.order, {}
     for vec, c in p.terms.items():
         key = key_of(vec)
-        out[key] = out.get(key, 0) + c.conjugate() * omega_power(n, -circ(vec, vec))
+        phase = omega_power(n, -ref_circ(vec, vec))
+        out[key] = out.get(key, 0) + c.conjugate() * phase
     return ref_clean(out)
 
 
 def ref_reflect(p):
-    return ref_conjugate(p, lambda v: reflect_vector(complement(v)))
+    return ref_conjugate(p, lambda v: ref_reflect_vector(ref_complement(v)))
 
 
 def ref_adjoint(p):
-    return ref_conjugate(p, complement)
+    return ref_conjugate(p, ref_complement)
 
 
 def ref_gauge(p, site=None):
@@ -105,21 +125,21 @@ def ref_add(p, q):
 
 
 def ref_almost_equal(p, q, tol=algebra.COEFF_TOL):
-    keys = set(p.terms) | set(q.terms)
-    scale = 1.0 + max(sum(abs(c) for c in p.terms.values()),
-                      sum(abs(c) for c in q.terms.values()))
-    return all(
-        abs(p.terms.get(k, 0) - q.terms.get(k, 0)) <= tol * scale for k in keys
-    )
+    p, q = p.terms, q.terms
+    keys = set(p) | set(q)
+    scale = 1.0 + max(sum(abs(c) for c in p.values()),
+                      sum(abs(c) for c in q.values()))
+    return all(abs(p.get(k, 0) - q.get(k, 0)) <= tol * scale for k in keys)
 
 
 def ref_to_text(p):
     lines = [f"# n={p.order} L={p.sites}"]
-    for vec in sorted(p.terms, key=lambda v: v.entries):
+    terms = p.terms
+    for vec in sorted(terms, key=lambda v: v.entries):
         factors = " ".join(
             f"c{j + 1}^{e}" for j, e in enumerate(vec.entries) if e != 0
         )
-        lines.append(f"{p.terms[vec]!r} * {factors if factors else '1'}")
+        lines.append(f"{terms[vec]!r} * {factors if factors else '1'}")
     return "\n".join(lines) + "\n"
 
 
@@ -341,7 +361,7 @@ def test_wide_rows_group_by_every_site():
     a = ExponentVector(tuple(head + [0]), n)
     b = ExponentVector(tuple(head + [1]), n)
     p = Polynomial({a: 1.0, b: 2.0}, n, L)
-    assert algebra._radix(n, L).shape[1] == 2
+    assert algebra._codes(p.exponents, n).shape[1] == 2
     s = p + Polynomial({b: 0.5, a: -1.0}, n, L)
     assert_same(s, {b: 2.5 + 0j})
     one = Polynomial.identity(n, L)
@@ -370,11 +390,25 @@ def test_symbolic_job_outputs_match_reference():
     assert_same(canonical_product(a, reflect(a)), ref_product(a, reflect(a)))
 
 
-# -- build_X in closed form ----------------------------------------------------
+# -- H_0 in closed form --------------------------------------------------------
+
+
+def ref_build_h0(couplings, n, L):
+    """H_0 coupling by coupling: (-1)^{d+1} J zeta^{d^2} omega^{-circ(I, I)}
+    C_{I + reverse(I^c)} with Python's complex arithmetic, summed from 0."""
+    out = {}
+    for vec, j in couplings:
+        d = degree(vec)
+        sign = -1.0 if d % 2 == 0 else 1.0
+        coeff = (sign * j * zeta_power(n, d * d)) * omega_power(n, -ref_circ(vec, vec))
+        key = ref_add_vectors(vec, ref_reflect_vector(ref_complement(vec)))
+        out[key] = out.get(key, 0) + coeff
+    return ref_clean(out)
 
 
 @pytest.mark.parametrize("n,L", [(2, 6), (3, 6), (4, 4)])
 def test_build_x_closed_form(n, L):
+    """One coupling J on I gives (-1)^{d+1} J zeta^{d^2} C_I theta(C_I)."""
     half = L // 2
     for head in np.ndindex(*(n,) * half):
         if not any(head):
@@ -382,11 +416,43 @@ def test_build_x_closed_form(n, L):
         vec = ExponentVector(tuple(head) + (0,) * half, n)
         c_i = Polynomial.monomial(1.0, vec)
         body = canonical_product(c_i, reflect(c_i))
-        assert len(body.terms) == 1
+        assert len(body.coeffs) == 1
         d = degree(vec)
         for coupling in (1.0, -0.75):
-            expected = (coupling * zeta_power(n, d * d)) * body
-            assert_same(build_X(vec, coupling), expected.terms)
+            sign = -1.0 if d % 2 == 0 else 1.0
+            expected = (sign * coupling * zeta_power(n, d * d)) * body
+            h0 = build_h0(CouplingTable({vec: coupling}), n, L)
+            assert_same(h0, {v: 0 + c for v, c in expected.terms.items()})
+
+
+@pytest.mark.parametrize("n,L", [(2, 8), (3, 6), (4, 8), (5, 4), (7, 4)])
+def test_build_h0_matches_per_coupling_reference(n, L):
+    """Many couplings at once, of every scale down to signed zeros: the
+    same terms, bit for bit and in table order, as coupling by coupling."""
+    rng = np.random.default_rng(n * 100 + L)
+    vecs = [v for d in range(1, (n - 1) * L // 2 + 1)
+            for v in rp.minus_monomials_of_degree(n, L, d)]
+    # Near 1e-308 a product underflows to a signed zero part, which the
+    # sum from 0 turns into 0.0.
+    scales = [1.0, -1.0, 1e300, -1e300, 1e-300, -1e-308, 1e-308, 0.0, -0.0]
+    for _ in range(12):
+        picks = rng.choice(len(vecs), size=min(10, len(vecs)), replace=False)
+        table = CouplingTable({
+            vecs[i]: float(rng.choice(scales)) * rng.normal() for i in picks
+        })
+        h0, ref = build_h0(table, n, L), ref_build_h0(table, n, L)
+        assert_same(h0, ref)
+        assert [tuple(row) for row in h0.exponents.tolist()] == [v.entries for v in ref]
+
+
+def test_build_h0_is_exact_past_int64_squares():
+    """Degree d = 3.1e9 > sqrt(2^63): d^2 mod 2n is taken without forming
+    d^2 in int64, so the phases are those of exact integer arithmetic."""
+    n, L = 10**5, 62_000
+    vec = ExponentVector((n - 1,) * (L // 2) + (0,) * (L // 2), n)
+    assert degree(vec) ** 2 > 2**63
+    table = CouplingTable({vec: 0.5})
+    assert_same(build_h0(table, n, L), ref_build_h0(table, n, L))
 
 
 # -- the matrix oracle reads the exponent matrix --------------------------------
@@ -418,7 +484,6 @@ def test_to_matrix_and_traces_never_build_terms(count_vectors):
     rp._traces([a, b], [b, a], rep, e)
     rp._traces([a], [b], rep, e, grid=True)
     assert count_vectors == []
-    assert a._terms is None and b._terms is None
     # The values agree with the dense products of the terms' matrices.
     dense = sum(c * rep.monomial_matrix(v) for v, c in b.terms.items())
     assert np.abs(m - dense).max() < 1e-12 * (1 + np.abs(dense).max())
@@ -579,6 +644,18 @@ def test_from_text_matches_reference_on_edited_texts():
             cut, insert = int(rng.integers(0, 3)), int(rng.integers(0, 2))
             text = text[:at] + str(rng.choice(alphabet)) * insert + text[at + cut:]
         assert_same_outcome(text)
+
+
+def test_from_text_memory_does_not_grow_with_L_squared():
+    """A one-term text at L = 20000: the merge codes come from one power of
+    n per site of a chunk, not from a dense (L, chunks) weight matrix."""
+    text = "# n=2 L=20000\n(1+0j) * c1^1\n"
+    tracemalloc.start()
+    p = from_text(text)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert p.exponents.shape == (1, 20000) and p.exponents[0, 0] == 1
+    assert peak < 4 << 20
 
 
 def test_to_text_memory_follows_the_text_not_n_times_L():

@@ -330,8 +330,9 @@ def test_weyl_transform_matches_traces(n, L):
     rng = np.random.default_rng(10 * n + L)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     p = decompose(a, rep)
+    terms = p.terms
     for entries in rng.integers(0, n, size=(200, L)):
         vec = ExponentVector(tuple(int(e) for e in entries), n)
         ref = np.vdot(rep.monomial_matrix(vec), a) / dim
-        assert abs(p.terms.get(vec, 0) - ref) < 1e-12
+        assert abs(terms.get(vec, 0) - ref) < 1e-12
     assert np.abs(to_matrix(p, rep) - a).max() < 1e-10
