@@ -341,13 +341,19 @@ def sum_polynomials(polys) -> Polynomial:
     return Polynomial._from_arrays(exponents, coeffs, polys[0].order, polys[0].sites)
 
 
+def _exact(a: np.ndarray, bound: int) -> np.ndarray:
+    """``a``, or Python integers if its phase sums reach ``bound`` >= 2^63."""
+    return a if bound < 2**63 else a.astype(object)
+
 
 def canonical_product(p: Polynomial, q: Polynomial) -> Polynomial:
     """Normal-ordered product: C_I C_J = omega^{-circ(I, J)} C_{I+J}."""
     p._require_same_space(q)
     n, L = p.order, p.sites
     a, b = p.exponents, q.exponents
-    phase = _zeta_array(n)[(-2 * circ(a, b)) % (2 * n)]  # omega^{-circ}
+    # -2 circ(I, J) <= L^2 (n-1)^2 in absolute value.
+    k = -2 * circ(_exact(a, (L * (n - 1)) ** 2), b) % (2 * n)
+    phase = _zeta_array(n)[np.asarray(k, dtype=np.int64)]  # omega^{-circ}
     values = _cmul(_cmul(p.coeffs[:, None], q.coeffs), phase).ravel()
     if len(a) <= 1 or len(b) <= 1:
         # I -> I + J is then one-to-one: no two pairs share a key.
@@ -367,9 +373,11 @@ def _conjugate_terms(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     """0 + conj(c) omega^{-circ(I, I)} for the terms with exponent rows a and
     coefficients c, shared by adjoint and reflect, with Python's rounding:
     conj(c) w has real part cr wr + ci wi and imaginary part cr wi - ci wr.
-    Here -2 circ(I, I) = -2 sum_{i > j} a_i a_j = sum a^2 - (sum a)^2."""
-    index = ((a * a).sum(axis=1) - a.sum(axis=1) ** 2) % (2 * n)
-    w = _zeta_array(n)[index]
+    Here -2 circ(I, I) = -2 sum_{i > j} a_i a_j = sum a^2 - (sum a)^2, and
+    sum a is reduced mod 2n before it is squared."""
+    wide = _exact(a, a.shape[1] * (n - 1) ** 2 + 4 * n * n)
+    index = (wide * wide).sum(axis=1) - (wide.sum(axis=1) % (2 * n)) ** 2
+    w = _zeta_array(n)[np.asarray(index % (2 * n), dtype=np.int64)]
     out = np.empty(len(c), dtype=complex)
     out.real = c.real * w.real + c.imag * w.imag
     out.imag = c.real * w.imag - c.imag * w.real

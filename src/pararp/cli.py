@@ -152,7 +152,7 @@ def cmd_bounds(args):
     )
     pairs = [(Polynomial.identity(spec.order, spec.sites),) * 2]
     pairs += zip(plus[::2], plus[1::2])
-    factors = rp.bounds_factors(spec, rep)
+    factors = rp.boltzmann(spec.total(), rep)
     worst = None
     all_ok = True
     for a, b in pairs:

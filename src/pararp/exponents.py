@@ -101,6 +101,9 @@ def circ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The (P, Q) integer matrix of circ(I, J) for the rows I of ``a`` (P, L)
     and J of ``b`` (Q, L): circ(I, J) = sum_j (I_{j+1} + ... + I_L) J_j, the
     exclusive suffix sums of the rows of ``a`` (one reversed ``cumsum``)
-    against the rows of ``b``."""
+    against the rows of ``b``.  It is computed in the rows' integer type, so
+    it is exact on int64 rows while L^2 (n-1)^2 < 2^63 (circ(I, J) is at
+    most L (L - 1) (n - 1)^2 / 2) and exact at any size on object arrays of
+    Python integers."""
     suffix = np.cumsum(a[:, ::-1], axis=1)[:, ::-1] - a
     return suffix @ b.T

@@ -5,8 +5,11 @@ The crossing part H_0 is a sum of terms
     (-1)^{d+1} omega^{d^2/2} J_I C_I theta(C_I),   d = degree(I) > 0,
 
 over exponent vectors I supported on the minus half, with real couplings
-J_I.  The reflection-positivity theorem needs a sign rule on the couplings:
-either all J_I >= 0 (any n), or (-1)^d J_I >= 0 for all I (even n only).
+J_I.  A ``HamiltonianSpec`` is built from H_- and the couplings alone, and
+derives H_0, H_+ = theta(H_-) and H from them, so every spec has the form
+the reflection-positivity theorem covers; nothing needs to check it later.
+The theorem also needs a sign rule on the couplings: either all J_I >= 0
+(any n), or (-1)^d J_I >= 0 for all I (even n only).
 ``validate_couplings`` reports which rule (if any) a table satisfies.
 
 Hamiltonians are not required to be hermitian.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -25,6 +28,7 @@ from .algebra import (
     Polynomial,
     Side,
     _cmul,
+    _conjugate_terms,
     _zeta_array,
     classify,
     gauge_apply,
@@ -83,23 +87,22 @@ def build_h0(couplings: CouplingTable, n: int, L: int) -> Polynomial:
 
     theta(C_I) = omega^{-circ(I, I)} C_{reverse(I^c)} lies on the plus half,
     so circ(I, reverse(I^c)) = 0 and each term is the single monomial
-    (-1)^{d+1} J zeta^{d^2} omega^{-circ(I, I)} C_{I + reverse(I^c)}, with
-    -2 circ(I, I) = sum a^2 - (sum a)^2 and Python's complex rounding.
+    (-1)^{d+1} J zeta^{d^2} omega^{-circ(I, I)} C_{I + reverse(I^c)}, its
+    phase from the kernel of reflect, with Python's complex rounding.
     Distinct I give distinct keys, so no terms merge."""
     if any(vec.order != n or vec.sites != L for vec in couplings.entries):
         raise SpecError("coupling key does not match n, L")
     a = np.array([vec.entries for vec in couplings.entries], dtype=np.int64)
     a = a.reshape(len(couplings), L)
     j = np.fromiter(couplings.entries.values(), dtype=float, count=len(a))
-    d = a.sum(axis=1)
-    d2 = (d % (2 * n)) ** 2  # d^2 mod 2n, without an int64 overflow of d^2
-    zeta = _zeta_array(n)
-    coeffs = _cmul(
-        _cmul(np.where(d % 2 == 0, -j, j), zeta[d2 % (2 * n)]),
-        zeta[((a * a).sum(axis=1) - d2) % (2 * n)],
-    )
+    d = a.sum(axis=1) % (2 * n)
+    zeta_d2 = _zeta_array(n)[d * d % (2 * n)]
+    signed = _cmul(np.where(d % 2 == 0, -j, j), zeta_d2)
+    # _conjugate_terms gives conj(c) omega^{-circ(I, I)}: c = conj(signed).
     keys = a + (n - a[:, ::-1]) % n
-    return Polynomial._from_arrays(keys, coeffs + 0, n, L)
+    return Polynomial._from_arrays(
+        keys, _conjugate_terms(a, signed.conj(), n), n, L
+    )
 
 
 def validate_couplings(couplings: CouplingTable, n: int) -> CouplingRule:
@@ -112,51 +115,58 @@ def validate_couplings(couplings: CouplingTable, n: int) -> CouplingRule:
     return CouplingRule.NONE
 
 
-@dataclass
+@dataclass(frozen=True)
 class HamiltonianSpec:
-    order: int
-    sites: int
+    """H = H_- + H_0 + theta(H_-), built from H_- and the couplings alone.
+
+    Everything else (order, sites, H_0, H_+ = theta(H_-), the coupling rule
+    and H) is derived once, here; the coupling table is read, not kept.
+    SpecError unless ``h_minus`` is an observable on the minus half, the
+    coupling keys fit the chain and H is finite.
+    """
+
     h_minus: Polynomial
-    couplings: CouplingTable
-    h_zero: Polynomial
-    h_plus: Polynomial
-    validated_rule: CouplingRule
+    couplings: InitVar[CouplingTable]
+    order: int = field(init=False)
+    sites: int = field(init=False)
+    h_zero: Polynomial = field(init=False)
+    h_plus: Polynomial = field(init=False)
+    validated_rule: CouplingRule = field(init=False)
+    _total: Polynomial = field(init=False, repr=False)
+
+    def __post_init__(self, couplings: CouplingTable) -> None:
+        h_minus = self.h_minus
+        n, L = h_minus.order, h_minus.sites
+        side = classify(h_minus)
+        if side.side not in (Side.MINUS, Side.SCALAR) or not side.observable:
+            a = h_minus.exponents
+            bad = a[:, L // 2:].any(axis=1) | (a.sum(axis=1) % n != 0)
+            offending = list(map(tuple, a[bad].tolist()))
+            raise SpecError(
+                "h_minus must be an observable supported on sites 1..L/2; "
+                f"offending terms: {offending}"
+            )
+        h_zero = build_h0(couplings, n, L)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            h_plus = reflect(h_minus)
+            total = sum_polynomials((h_minus, h_zero, h_plus))
+        # H drops NaN terms, and only a non-finite H_- gives one.
+        if not all(np.isfinite(p.coeffs).all() for p in (h_minus, total)):
+            raise SpecError("H has a non-finite coefficient")
+        derived = dict(order=n, sites=L, h_zero=h_zero, h_plus=h_plus,
+                       validated_rule=validate_couplings(couplings, n),
+                       _total=total)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def total(self) -> Polynomial:
-        return sum_polynomials((self.h_minus, self.h_zero, self.h_plus))
+        """H = H_- + H_0 + H_+, summed once when the spec was built."""
+        return self._total
 
 
 def assemble(h_minus: Polynomial, couplings: CouplingTable) -> HamiltonianSpec:
-    """Build the full Hamiltonian from its minus part and crossing couplings.
-
-    h_minus must be a gauge-invariant element of the minus algebra; the plus
-    part is derived as its reflection.
-    """
-    n, L = h_minus.order, h_minus.sites
-    side = classify(h_minus)
-    if side.side not in (Side.MINUS, Side.SCALAR) or not side.observable:
-        a = h_minus.exponents
-        bad = a[:, L // 2:].any(axis=1) | (a.sum(axis=1) % n != 0)
-        offending = list(map(tuple, a[bad].tolist()))
-        raise SpecError(
-            "h_minus must be an observable supported on sites 1..L/2; "
-            f"offending terms: {offending}"
-        )
-    h_zero = build_h0(couplings, n, L)
-    h_plus = reflect(h_minus)
-    spec = HamiltonianSpec(
-        order=n,
-        sites=L,
-        h_minus=h_minus,
-        couplings=couplings,
-        h_zero=h_zero,
-        h_plus=h_plus,
-        validated_rule=validate_couplings(couplings, n),
-    )
-    report = check_symmetries(spec)
-    if not (report["reflection_symbolic"] and report["gauge_symbolic"]):
-        raise SpecError(f"assembled Hamiltonian is not symmetric: {report}")
-    return spec
+    """The spec of H_- + H_0 + theta(H_-); see HamiltonianSpec."""
+    return HamiltonianSpec(h_minus, couplings)
 
 
 def check_symmetries(

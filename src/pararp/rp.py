@@ -26,10 +26,10 @@ two-site counterexample, where that would show, is computed exactly
 without matrices.
 
 Bounds and Trotter products rest on the form H = H_- + H_0 + theta(H_-),
-which they check: the bounds' auxiliary Hamiltonians are H, so they are
-Cauchy-Schwarz for the one RP form with e^{-H}, and H_-, theta(H_-) are
-commuting observables on disjoint halves, so e^{-H_-/k} e^{-theta(H_-)/k}
-is one exponential.
+which every ``HamiltonianSpec`` has by construction: the bounds' auxiliary
+Hamiltonians are H, so they are Cauchy-Schwarz for the one RP form with
+e^{-H}, and H_-, theta(H_-) are commuting observables on disjoint halves, so
+e^{-H_-/k} e^{-theta(H_-)/k} is one exponential.
 
 Positivity tolerances are relative: a value v counts as a violation when
 it falls below -tol * (1 + |v|).  Aggregate report statistics are stored in
@@ -423,9 +423,7 @@ def trotter_approximant(
 
 
 def _trotter_parts(spec: HamiltonianSpec, rep: Representation) -> tuple:
-    """The charge-sector blocks of H_0 and of H_- + H_+, for a spec of the
-    form H_- + H_0 + theta(H_-)."""
-    _require_reflection_form(spec)
+    """The charge-sector blocks of H_0 and of H_- + H_+."""
     halves = sum_polynomials((spec.h_minus, spec.h_plus))
     return _sectors(spec.h_zero, rep), _sectors(halves, rep)
 
@@ -543,28 +541,6 @@ def conservation_law_check(
 # -- reflection bounds ----------------------------------------------------
 
 
-def _require_reflection_form(spec: HamiltonianSpec) -> None:
-    """ValueError unless H = H_- + H_0 + theta(H_-), checked symbolically:
-    H_- on the minus half (so H_+ = theta(H_-) is on the plus half) and
-    theta(H_0) = H_0.  ``assemble`` builds every spec in this form."""
-    t_minus, t_zero = reflect_all((spec.h_minus, spec.h_zero))
-    if not (
-        classify(spec.h_minus).side in (Side.MINUS, Side.SCALAR)
-        and t_minus.almost_equal(spec.h_plus)
-        and t_zero.almost_equal(spec.h_zero)
-    ):
-        raise ValueError("spec is not of the form H_- + H_0 + theta(H_-)")
-
-
-def bounds_factors(spec: HamiltonianSpec, rep: Representation) -> np.ndarray:
-    """e^{-H}, the one Boltzmann factor of rp_bounds_check.  ValueError
-    unless the spec has the form H = H_- + H_0 + theta(H_-), for which the
-    auxiliary Hamiltonians H_- + H_0 + theta(H_-) and theta(H_+) + H_0 + H_+
-    of the reflection bounds are both H."""
-    _require_reflection_form(spec)
-    return boltzmann(spec.total(), rep)
-
-
 def rp_bounds_check(
     a: Polynomial,
     b: Polynomial,
@@ -579,14 +555,15 @@ def rp_bounds_check(
 
     Both auxiliary Hamiltonians are H, so ||A||_-^2 = ||A||_+^2 = f(A, A):
     the bounds are Cauchy-Schwarz for the one RP form f, three traces
-    against e^{-H}.  ``factors`` is e^{-H} from bounds_factors.
+    against e^{-H}.  ``factors`` is e^{-H}, ``boltzmann(spec.total(), rep)``,
+    computed here when not given.
     """
     for name, p in (("A", a), ("B", b)):
         sc = classify(p)
         if sc.side not in (Side.PLUS, Side.SCALAR) or not sc.observable:
             raise ValueError(f"{name} must be in the plus observable algebra")
 
-    e = bounds_factors(spec, rep) if factors is None else factors
+    e = boltzmann(spec.total(), rep) if factors is None else factors
     ta, tb = reflect_all((a, b))
     f_ab, sq_a, sq_b = _traces([a, a, b], [tb, ta, tb], rep, e).tolist()
 

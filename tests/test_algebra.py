@@ -7,6 +7,8 @@ import pytest
 from pararp.algebra import (
     Polynomial,
     Side,
+    _zeta_array,
+    _zeta_table,
     adjoint,
     canonical_product,
     classify,
@@ -17,7 +19,7 @@ from pararp.algebra import (
     to_text,
     zeta_power,
 )
-from pararp.exponents import ExponentVector, unit_vector, zero_vector
+from pararp.exponents import ExponentVector, circ, unit_vector, zero_vector
 from pararp.hamiltonian import CouplingTable, SpecError, build_h0
 
 
@@ -284,6 +286,26 @@ class TestPhaseExponent:
             for alpha in range(0, 9):
                 s = alpha * n
                 assert (s * n + s * s) % (2 * n) == 0, (n, alpha)
+
+
+def test_phase_exponents_past_int64():
+    """The monomial with all L = 4000 entries n - 1 at n = 10^6: (sum a)^2
+    and circ(I, I) are beyond 2^63, and reflect, adjoint and the product
+    still give the phase of exact integer arithmetic."""
+    n, L = 10**6, 4000
+    p = Polynomial.monomial(1.0, ExponentVector((n - 1,) * L, n))
+    s, q = L * (n - 1), L * (n - 1) ** 2  # sum a and sum a^2
+    expected = [zeta_power(n, q - s * s)]  # omega^{-circ(I, I)}
+    try:
+        assert circ(p.exponents.astype(object), p.exponents).tolist() == [
+            [(s * s - q) // 2]
+        ]
+        assert reflect(p).coeffs.tolist() == expected
+        assert adjoint(p).coeffs.tolist() == expected
+        assert canonical_product(p, p).coeffs.tolist() == expected
+    finally:  # the tables of 2n roots at n = 10^6 hold about 100 MB
+        _zeta_table.cache_clear()
+        _zeta_array.cache_clear()
 
 
 class TestSerialization:

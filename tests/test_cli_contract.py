@@ -106,6 +106,27 @@ def test_oversized_spec_refused_before_assembly(
     assert err == "error: representation dimension 1000000^1 exceeds cap 4096\n"
 
 
+@pytest.mark.parametrize("name", ["rp-check", "bounds", "baxter"])
+def test_non_finite_h_exits_1_with_one_line(tmp_path, name):
+    """The constant term of H is 2 * 1e308 = inf: refused with one line and
+    no RuntimeWarning, in a fresh interpreter so that stderr is all there."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "n": 3, "L": 4,
+        "h_minus": [{"coefficient": [1e308, 0], "exponents": [0, 0, 0, 0]}],
+        "couplings": [{"exponents": [1, 2, 0, 0], "J": 0.4}],
+    }))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "pararp.cli", name, "--spec", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": env_path},
+    )
+    assert result.returncode == cli.ERROR and result.stdout == ""
+    assert result.stderr == "error: H has a non-finite coefficient\n"
+
+
 def test_verify_relations_far_past_the_cap(capsys):
     code, out, err = run(capsys, "verify-relations", "--n", "3", "--L", "2000000")
     assert code == cli.ERROR and out == ""

@@ -1,4 +1,7 @@
+import dataclasses
+import inspect
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -126,20 +129,87 @@ class TestAssemble:
 
 class TestCheckSymmetries:
     def test_negative_control(self):
-        # hand-built spec with a wrong plus part fails the reflection check
-        n, L = 3, 4
+        # A spec cannot hold a wrong plus part, so the check gets a stand-in
+        # whose H = H_- + 2 theta(H_-) is not theta-invariant.
+        n = 3
         h_minus = mono((1, 2, 0, 0), n)
-        bad = HamiltonianSpec(
-            order=n,
-            sites=L,
-            h_minus=h_minus,
-            couplings=CouplingTable(),
-            h_zero=Polynomial.zero(n, L),
-            h_plus=mono((0, 0, 2, 1), n, coeff=2.0),
-            validated_rule=CouplingRule.ALL_NONNEG,
-        )
-        report = check_symmetries(bad)
+
+        class Asymmetric:
+            def total(self):
+                return h_minus + mono((0, 0, 2, 1), n, coeff=2.0)
+
+        report = check_symmetries(Asymmetric())
         assert not report["reflection_symbolic"]
+        assert report["gauge_symbolic"]
+
+
+class TestSpecIsDerived:
+    """A spec is determined by (H_-, J): it cannot be given or changed into
+    one that is not of the form H_- + H_0 + theta(H_-)."""
+
+    def spec(self):
+        n = 3
+        return assemble(
+            mono((1, 2, 0, 0), n, coeff=0.7),
+            CouplingTable({ExponentVector((1, 1, 0, 0), n): 0.3}),
+        )
+
+    def test_signature_is_h_minus_and_couplings(self):
+        params = inspect.signature(HamiltonianSpec).parameters
+        assert list(params) == ["h_minus", "couplings"]
+
+    def test_derived_parts_cannot_be_given(self):
+        h_minus = mono((1, 2, 0, 0), 3)
+        with pytest.raises(TypeError):
+            HamiltonianSpec(
+                h_minus=h_minus, couplings=CouplingTable(),
+                h_plus=2.0 * reflect(h_minus),
+            )
+
+    @pytest.mark.parametrize(
+        "name",
+        ["order", "sites", "h_minus", "h_zero", "h_plus", "validated_rule",
+         "couplings", "_total", "new_attribute"],
+    )
+    def test_no_attribute_can_be_assigned(self, name):
+        spec = self.spec()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, spec.h_plus)
+
+    def test_h_minus_on_the_plus_half_is_refused(self):
+        with pytest.raises(SpecError, match="offending terms"):
+            HamiltonianSpec(mono((0, 0, 2, 1), 3), CouplingTable())
+
+    def test_total_is_summed_once(self):
+        spec = self.spec()
+        assert spec.total() is spec.total()
+        assert spec.total().almost_equal(
+            spec.h_minus + spec.h_zero + reflect(spec.h_minus)
+        )
+
+    def test_later_coupling_changes_do_not_reach_the_spec(self):
+        n, L = 3, 4
+        vec = ExponentVector((1, 1, 0, 0), n)
+        table = CouplingTable({vec: 0.3})
+        spec = assemble(Polynomial.zero(n, L), table)
+        table[vec] = -5.0
+        table[ExponentVector((2, 0, 0, 0), n)] = 1.0
+        assert spec.h_zero.almost_equal(build_h0(CouplingTable({vec: 0.3}), n, L))
+        assert spec.validated_rule is CouplingRule.ALL_NONNEG
+        assert not hasattr(spec, "couplings")
+
+    @pytest.mark.parametrize(
+        "coeff", [1e308, complex(1e308, -1e308), float("inf"),
+                  complex(float("inf"), -float("inf"))]
+    )
+    def test_non_finite_h_is_refused_without_warnings(self, coeff):
+        # The constant term of H is c + conj(c): inf for the finite c, and
+        # NaN, dropped from H, for inf - inf j.
+        h_minus = Polynomial.monomial(coeff, ExponentVector((0, 0, 0, 0), 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecError, match="non-finite"):
+                assemble(h_minus, CouplingTable())
 
 
 class TestBaxter:

@@ -5,7 +5,8 @@ Every assembled spec has that form, so both auxiliary Hamiltonians of the
 reflection bounds are H itself and H_-, theta(H_-) commute.  The bounds are
 compared with a dense reference that exponentiates the three auxiliary
 Hamiltonians separately, and the Trotter approximant with the dense product
-of the two half-chain exponentials; a spec not of that form is rejected.
+of the two half-chain exponentials.  A spec of another form cannot be
+built (tests/test_hamiltonian.py, TestSpecIsDerived).
 """
 
 import numpy as np
@@ -19,8 +20,6 @@ from pararp.algebra import (
     reflect,
     sum_polynomials,
 )
-from pararp.exponents import ExponentVector
-from pararp.hamiltonian import CouplingRule, CouplingTable, HamiltonianSpec
 from pararp.representation import to_matrix
 
 from conftest import rep_for
@@ -103,7 +102,7 @@ def test_bounds_match_the_three_factor_dense_reference(kind, n, L):
          reflect(rp.random_minus_observable(n, L, rng)))
         for _ in range(3)
     ]
-    factor = rp.bounds_factors(spec, rep)
+    factor = rp.boltzmann(spec.total(), rep)
     for a, b in pairs:
         got = rp.rp_bounds_check(a, b, spec, rep, tol=1e-9, factors=factor)
         ref = dense_bounds(a, b, spec, rep, tol=1e-9)
@@ -132,56 +131,3 @@ def test_trotter_approximant_matches_the_product_of_half_exponentials(
         ref = np.linalg.matrix_power(step, k)
         got = rp.trotter_approximant(spec, rep, k)
         assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(ref).max())
-
-
-# -- specs not of the form H_- + H_0 + theta(H_-) ----------------------------
-
-
-def mono(entries, n, coeff=1.0):
-    return Polynomial.monomial(coeff, ExponentVector(tuple(entries), n))
-
-
-def asymmetric_plus_spec():
-    """The hand-built spec of test_hamiltonian's negative control: its plus
-    part is twice the reflection of its minus part."""
-    n, L = 3, 4
-    return HamiltonianSpec(
-        order=n,
-        sites=L,
-        h_minus=mono((1, 2, 0, 0), n),
-        couplings=CouplingTable(),
-        h_zero=Polynomial.zero(n, L),
-        h_plus=mono((0, 0, 2, 1), n, coeff=2.0),
-        validated_rule=CouplingRule.ALL_NONNEG,
-    )
-
-
-def swapped_halves_spec():
-    """theta(H_-) = H_+ still holds, but H_- lives on the plus half."""
-    spec = make("baxter", 3, 4)
-    spec.h_minus, spec.h_plus = spec.h_plus, spec.h_minus
-    return spec
-
-
-def odd_crossing_spec():
-    """theta(H_0) = -H_0: an imaginary multiple of a crossing term."""
-    spec = make("baxter", 2, 4)
-    spec.h_zero = 1j * spec.h_zero
-    return spec
-
-
-@pytest.mark.parametrize(
-    "build", [asymmetric_plus_spec, swapped_halves_spec, odd_crossing_spec]
-)
-def test_specs_not_of_the_reflection_form_are_rejected(build):
-    spec = build()
-    rep = rep_for(spec.order, spec.sites)
-    one = Polynomial.identity(spec.order, spec.sites)
-    with pytest.raises(ValueError, match="H_- \\+ H_0 \\+ theta"):
-        rp.bounds_factors(spec, rep)
-    with pytest.raises(ValueError, match="H_- \\+ H_0 \\+ theta"):
-        rp.rp_bounds_check(one, one, spec, rep)
-    with pytest.raises(ValueError, match="H_- \\+ H_0 \\+ theta"):
-        rp.trotter_convergence(spec, rep, [4, 8])
-    with pytest.raises(ValueError, match="H_- \\+ H_0 \\+ theta"):
-        rp.trotter_approximant(spec, rep, 4)
