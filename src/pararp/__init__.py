@@ -25,7 +25,6 @@ from .algebra import (
 from .representation import (
     Representation,
     build_generators,
-    clock_shift,
     decompose,
     sector_blocks,
     sector_matrix,

@@ -9,8 +9,9 @@ is equality of coefficient maps.
 Every phase produced by these operations is a power of the primitive 2n-th
 root of unity zeta = e^{i pi / n} (zeta^2 = omega).  Phase exponents are
 computed with exact integer arithmetic mod 2n and converted to complex
-numbers through a per-order table of exactly-constructed roots, so repeated
-products do not accumulate phase drift beyond a single rounding per factor.
+numbers as cmath.exp(i pi k / n) of the exponent k reduced mod 2n, one at a
+time or gathered from a per-order array, so repeated products do not
+accumulate phase drift beyond a single rounding per factor.
 
 Storage.  A polynomial with K terms is two arrays: ``exponents``, a (K, L)
 integer matrix whose rows are the distinct exponent vectors, and ``coeffs``,
@@ -22,10 +23,12 @@ of A's rows (one reversed ``cumsum``) with the rows of B, circ(I, I) of the
 adjoint and the reflection is ((sum a)^2 - sum a^2) / 2 per row, reflection
 and adjoint are column reversals and complements, and terms with equal
 exponent rows are merged through their mixed-radix codes (one int64 per
-chunk of sites, from one power of n per site) and ``np.bincount``.  The
-matrix oracle (``representation.to_matrix``, ``rp._traces``) reads the same
-exponent matrix.  ``terms`` builds a new dict ExponentVector -> coefficient
-on every call and is not cached; nothing in the package reads it.
+chunk of sites, from one power of n per site) and ``np.bincount``; the
+same codes of the reversed rows sort the lines of ``to_text``.  The matrix
+oracle (``representation.to_matrix`` and the trace kernel
+``representation.pair_traces``) reads the same exponent matrix.  ``terms``
+builds a new dict ExponentVector -> coefficient on every call and is not
+cached; nothing in the package reads it.
 
 Coefficients are bit-for-bit those of the term-by-term definitions with
 Python complex arithmetic, which ``tests/test_array_algebra.py`` keeps as
@@ -59,31 +62,29 @@ COEFF_TOL = 1e-12
 
 # Entries per temporary array (4 MiB of complex values): bounds the P*Q*L
 # exponent sums of a product here, and the blocks of to_matrix and
-# trace_products in representation, independently of the input size.
+# pair_traces in representation, independently of the input size.
 _BLOCK = 1 << 18
 
 
-@lru_cache(maxsize=None)
-def _zeta_table(n: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(1j * math.pi * k / n) for k in range(2 * n))
-
-
-@lru_cache(maxsize=None)
-def _zeta_array(n: int) -> np.ndarray:
-    """_zeta_table(n) as a read-only complex array, indexed by exponent."""
-    table = np.array(_zeta_table(n))
-    table.flags.writeable = False
-    return table
-
-
 def zeta_power(n: int, k: int) -> complex:
-    """zeta^k with zeta = e^{i pi / n}, the primitive 2n-th root of unity."""
-    return _zeta_table(n)[k % (2 * n)]
+    """zeta^k with zeta = e^{i pi / n}, the primitive 2n-th root of unity,
+    from the exponent reduced mod 2n: entry k mod 2n of _zeta_array(n)."""
+    return cmath.exp(1j * math.pi * (k % (2 * n)) / n)
 
 
 def omega_power(n: int, k: int) -> complex:
     """omega^k with omega = e^{2 pi i / n} = zeta^2."""
-    return _zeta_table(n)[(2 * k) % (2 * n)]
+    return zeta_power(n, 2 * k)
+
+
+@lru_cache(maxsize=8)
+def _zeta_array(n: int) -> np.ndarray:
+    """zeta^0 .. zeta^{2n-1} as a read-only complex array, indexed by
+    exponent; the last few orders are kept."""
+    table = np.fromiter((cmath.exp(1j * math.pi * k / n) for k in range(2 * n)),
+                        dtype=complex, count=2 * n)
+    table.flags.writeable = False
+    return table
 
 
 class Side(Enum):
@@ -196,7 +197,7 @@ class Polynomial:
             if vec.order != n or vec.sites != L:
                 raise ValueError("term key does not match polynomial n, L")
             c = complex(coeff)
-            if abs(c) > 0:  # drops zero and NaN coefficients
+            if c != 0 and not cmath.isnan(c):  # drops zero and NaN coefficients
                 clean[vec] = c
         exponents = np.array([v.entries for v in clean], dtype=np.int64)
         coeffs = np.fromiter(clean.values(), dtype=complex, count=len(clean))
@@ -459,7 +460,10 @@ def to_text(p: Polynomial) -> str:
     """One term per line, ``(re+imj) * c1^a1 c2^a2 ...``, after a header
     ``# n=.. L=..``; the identity term is written ``(re+imj) * 1``.
     Round-trips exactly (float repr)."""
-    order = np.lexsort(p.exponents.T[::-1])  # by entries, site 1 first
+    # By entries, site 1 first: the codes of the reversed rows weigh site 1
+    # most, in their last chunk.  The rows are distinct: no two codes tie.
+    codes = _codes(p.exponents[:, ::-1], p.order)
+    order = np.argsort(codes[:, 0]) if codes.shape[1] == 1 else np.lexsort(codes.T)
     block = _text_block(p.coeffs[order], p.exponents[order])
     text = block.tobytes().translate(None, b"\0").decode()
     return f"# n={p.order} L={p.sites}\n{text}"

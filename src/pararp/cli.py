@@ -152,11 +152,11 @@ def cmd_bounds(args):
     )
     pairs = [(Polynomial.identity(spec.order, spec.sites),) * 2]
     pairs += zip(plus[::2], plus[1::2])
-    factors = rp.boltzmann(spec.total(), rep)
+    table = rp.weyl_table(rp.boltzmann(spec.total(), rep), rep)
     worst = None
     all_ok = True
     for a, b in pairs:
-        res = rp.rp_bounds_check(a, b, spec, rep, tol=tol, factors=factors)
+        res = rp.rp_bounds_check(a, b, spec, rep, tol=tol, table=table)
         all_ok = all_ok and res["ok"]
         margin = min(res["margin1"], res["margin2"], res["partition_margin"])
         # The margins are normalised, so a pair within WORST_TIE of the

@@ -26,7 +26,11 @@ scatter of O(dim) values per row of its exponent matrix
 Conversely Tr(C_I^* A) = zeta^{-phi} sum_k omega^{-b.d(k)} A[k (+) a, k] is,
 for each a, an n-ary FFT over the digits of k: ``decompose`` finds all
 n^L = dim^2 coefficients in O(dim^2 log dim), for n = 2 the Walsh-Hadamard
-form of the Pauli decomposition.
+form of the Pauli decomposition.  For a matrix E that commutes with the
+gauge shift T below, such as e^{-H}, the same transform of E's entries
+E[k, k (+) a] needs only one state per T-orbit: ``weyl_table`` builds it once
+per E, and then Tr(C_s C_t E), the one trace kernel of :mod:`pararp.rp`, is
+one lookup in it per pair of monomials (``pair_traces``).
 
 Charge sectors.  The shift T = tau^{tensor L/2}, applied to every tensor
 factor, implements the global gauge automorphism: T c_j T^{-1} = omega^{-1}
@@ -68,18 +72,6 @@ DECOMPOSE_TOL = 1e-12
 
 class DimensionCapError(RuntimeError):
     """Requested representation exceeds the configured resource cap."""
-
-
-def clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n x n clock and shift matrices (sigma, tau)."""
-    if n < 2:
-        raise ValueError(f"order must be >= 2, got {n}")
-    omega = np.exp(2j * np.pi / n)
-    sigma = np.diag(omega ** np.arange(n))
-    tau = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        tau[(k + 1) % n, k] = 1.0
-    return sigma, tau
 
 
 @dataclass
@@ -249,28 +241,68 @@ def to_matrix(p: Polynomial, rep: Representation) -> np.ndarray:
     return m.reshape(dim, dim)
 
 
-def trace_products(
+def weyl_table(e: np.ndarray, rep: Representation) -> np.ndarray:
+    """The (dim, dim/n) Weyl table of a dim x dim matrix E that commutes
+    with the gauge shift T, such as e^{-H}: entry [a, b'] is
+    F[a, b] = sum_k omega^{b.d(k)} E[k, k (+) a] = Tr(X^a Z^b E) for every
+    digit vector b whose digits sum to 0 mod n and end in b'.  For any other
+    b, F[a, b] = 0; for any other E the table is meaningless.
+
+    E[k, k (+) a] is constant on T-orbits, so F[a, b] is n times the
+    character sum G[a, b'] = sum_o omega^{b'.d'(o)} D[a, o] over the orbit
+    representatives o (first digit 0, the others d'(o)) of their entries
+    D[a, o] = E[o, o (+) a]: one gather and two matmuls, the character
+    matrix split into Kronecker factors over the first and the last half of
+    the digits d'.
+    """
+    n, dim = rep.order, rep.dim
+    r = dim // n
+    d = e[np.arange(r), _digit_sum(n, rep.digits[:, None, :r],
+                                   rep.digits[:, :, None])]
+    free = rep.digits[1:, :r]  # d'(o), o = o_lo * r_hi + o_hi
+    cut = len(free) // 2
+    r_hi = n ** (len(free) - cut)
+    w_lo, w_hi = (rep.zeta[2 * (x.T @ x % n)]
+                  for x in (free[:cut, ::r_hi], free[cut:, :r_hi]))
+    g = np.matmul(w_lo, d.reshape(dim, r // r_hi, r_hi) @ w_hi)
+    return n * g.reshape(dim, r)
+
+
+def pair_traces(
     rep: Representation, exponents: np.ndarray, s: np.ndarray, t: np.ndarray,
-    e: np.ndarray,
+    table: np.ndarray,
 ) -> np.ndarray:
     """Tr(C_s C_t E) for each index pair (s[p], t[p]) into the rows of the
-    (M, L) integer array ``exponents``, with E a dense dim x dim matrix.
+    (M, L) integer array ``exponents``, with ``table`` the Weyl table of E
+    (``weyl_table``).
 
-    Column k of C_s C_t holds zeta^{phase_t[k] + phase_s[rows_t[k]]} in row
-    rows_s[rows_t[k]], so each trace is a sum of dim gathered entries of E:
-    O(dim) per pair, after O(L dim) per monomial.
+    Z^b X^a = omega^{b.a} X^a Z^b gives C_s C_t = zeta^{phi_s + phi_t +
+    2 b_s.a_t} X^{a_s (+) a_t} Z^{b_s (+) b_t}, so each trace is one entry
+    of the table times a root of unity, or 0 when s + t has a degree not
+    divisible by n: O(L) integer arithmetic per pair after O(L^2) per
+    monomial.
     """
-    rows, phases = rep.monomials(exponents)
-    # E[k, row] sits at flat index k * dim + row.
-    flat_e, diag = e.ravel(), np.arange(rep.dim) * rep.dim
+    n, half = rep.order, rep.sites // 2
+    # Rows [a | b], and the place value of each digit in the flattened
+    # table: a (+) a' and b (+) b' are the digit-wise sums mod n, and the
+    # first digit of b is not in the index.
+    ab = np.concatenate([exponents @ rep.x_exp, exponents @ rep.z_exp], 1) % n
+    place = n ** np.arange(half - 1, -1, -1)
+    weights = np.concatenate([place * place[0], place % place[0]])
+    phi = rep.phases(exponents)
+    charge = exponents.sum(axis=1) % n
+    flat = table.ravel()
     out = np.empty(len(s), dtype=complex)
-    block = max(1, _BLOCK // rep.dim)
-    for start in range(0, len(s), block):
-        bs, bt = s[start:start + block, None], t[start:start + block]
-        via = rows[bt]
-        phase = (phases[bt] + phases[bs, via]) % (2 * rep.order)
-        values = rep.zeta[phase] * flat_e[diag + rows[bs, via]]
-        out[start:start + block] = values.sum(axis=1)
+    step = max(1, _BLOCK // rep.sites)
+    for start in range(0, len(s), step):
+        bs, bt = s[start:start + step], t[start:start + step]
+        w_s, w_t = ab[bs], ab[bt]
+        index = ((w_s + w_t) % n) @ weights
+        cross = (w_s[:, half:] * w_t[:, :half]).sum(axis=1)  # b_s.a_t
+        phase = (phi[bs] + phi[bt] + 2 * cross) % (2 * n)
+        values = rep.zeta[phase] * flat[index]
+        values[(charge[bs] + charge[bt]) % n != 0] = 0
+        out[start:start + step] = values
     return out
 
 
@@ -383,29 +415,3 @@ def _distance(a, b) -> np.ndarray:
         np.abs(a_vals) ** 2 + np.abs(b_vals) ** 2,
     )
     return np.sqrt(sq.sum(axis=-1))
-
-
-def _verify_dense(rep: Representation) -> dict[str, float]:
-    """verify_yamazaki from dense products of ``rep.generators``: the
-    reference it is tested against."""
-    n = rep.order
-    eye = rep.identity()
-    omega = np.exp(2j * np.pi / n)
-    r_order = 0.0
-    r_unitary = 0.0
-    r_commute = 0.0
-    for j, g in enumerate(rep.generators):
-        r_order = max(r_order, _opnorm(np.linalg.matrix_power(g, n) - eye))
-        r_unitary = max(r_unitary, _opnorm(g @ g.conj().T - eye))
-        for gp in rep.generators[j + 1:]:
-            r_commute = max(r_commute, _opnorm(g @ gp - omega * gp @ g))
-    return {
-        "order_residual": r_order,
-        "unitarity_residual": r_unitary,
-        "commutation_residual": r_commute,
-    }
-
-
-def _opnorm(a: np.ndarray) -> float:
-    """Frobenius norm, a conservative stand-in for the operator norm."""
-    return float(np.linalg.norm(a))

@@ -16,7 +16,7 @@ invariant, so its matrix is block-diagonal across the n charge sectors of
 :mod:`pararp.representation`, and e^{-H} costs one stacked ``matrix_exp``
 of n blocks of size dim/n instead of one of size dim, about n^2 times fewer
 flops: at n = 4, L = 12 (dim 4096) ``rp-check --samples 4`` takes about
-10 s on a 2-vCPU Xeon host with one BLAS thread, 8 s of it the four
+8 s on a 2-vCPU Xeon host with one BLAS thread, most of it the four
 dim-1024 exponentials.  ``matrix_exp`` is the degree-13
 scaling-and-squaring Pade method in numpy, with its own scaling per block,
 so numpy is the one numerical dependency.  Trotter products are computed
@@ -24,6 +24,10 @@ blockwise the same way.  Entries of e^{-H} far below ||e^{-H}|| come out
 of a cancellation across the sectors and so lose relative accuracy; the
 two-site counterexample, where that would show, is computed exactly
 without matrices.
+
+Every trace Tr(X theta(Y) e^{-H}) is a sum of monomial traces, each one
+lookup in the Weyl table of e^{-H} (``representation.weyl_table``), built
+once per Boltzmann factor; the partition function is its entry F[0, 0].
 
 Bounds and Trotter products rest on the form H = H_- + H_0 + theta(H_-),
 which every ``HamiltonianSpec`` has by construction: the bounds' auxiliary
@@ -64,10 +68,11 @@ from .exponents import ExponentVector, degree, unit_vector
 from .hamiltonian import CouplingTable, HamiltonianSpec, assemble
 from .representation import (
     Representation,
+    pair_traces,
     sector_blocks,
     sector_matrix,
     to_matrix,
-    trace_products,
+    weyl_table,
 )
 
 DEFAULT_TOL = 1e-9
@@ -262,14 +267,14 @@ def structured_observables(n: int, L: int) -> list[tuple[str, Polynomial]]:
 
 def _traces(
     xs: list[Polynomial], ys: list[Polynomial], rep: Representation,
-    e: np.ndarray, grid: bool = False,
+    table: np.ndarray, grid: bool = False,
 ) -> np.ndarray:
     """Tr(X_i Y_i E) for each pair (X_i, Y_i), or with ``grid`` the matrix
-    of Tr(X_i Y_j E) over all i, j.
+    of Tr(X_i Y_j E) over all i, j, with ``table`` the Weyl table of E.
 
-    Each trace is a bilinear sum of monomial traces Tr(C_s C_t E) from
-    trace_products, so it costs O(terms_X terms_Y dim), with no dense
-    matrix of X or Y and no dim^3 product.
+    Each trace is a bilinear sum of monomial traces Tr(C_s C_t E), each one
+    lookup in the table (``pair_traces``), so it costs O(terms_X terms_Y L),
+    with no dense matrix of X or Y and no dim^3 product.
     """
     # The exponent rows of every distinct polynomial, stacked: polynomial u
     # owns rows offset[u] to offset[u] + size[u].
@@ -294,7 +299,7 @@ def _traces(
         [np.zeros((0, rep.sites), dtype=np.int64),
          *(p.exponents for p in polys.values())]
     )
-    traces = trace_products(rep, exponents, s, t, e)
+    traces = pair_traces(rep, exponents, s, t, table)
     out = np.zeros(len(x), dtype=complex)
     np.add.at(out, owner, _cmul(coeffs[s], coeffs[t]) * traces)
     return out.reshape(len(xs), len(ys)) if grid else out
@@ -316,8 +321,8 @@ def rp_functional(
     """f(A, B) = Tr(A theta(B) e^{-H}); linear in A, anti-linear in B."""
     if not _compatible_sides(a, b):
         raise ValueError("A and B must be localized on the same side")
-    e = boltzmann(spec.total(), rep)
-    [val] = _traces([a], [reflect(b)], rep, e)
+    table = weyl_table(boltzmann(spec.total(), rep), rep)
+    [val] = _traces([a], [reflect(b)], rep, table)
     return complex(val)
 
 
@@ -338,10 +343,10 @@ def check_rp(
     """
     n, L = spec.order, spec.sites
     rng = np.random.default_rng(seed)
-    e = boltzmann(spec.total(), rep)
+    table = weyl_table(boltzmann(spec.total(), rep), rep)
     violations: list = []
 
-    z = complex(np.trace(e))
+    z = complex(table[0, 0])  # Tr(E) = F[0, 0]
     zscale = 1.0 + abs(z)
     if abs(z.imag) > tol * zscale or z.real <= 0:
         violations.append(["partition_function", z.imag if z.real > 0 else z.real])
@@ -354,7 +359,7 @@ def check_rp(
     polys = [a for _, a in probes]
     refl = reflect_all(polys)
     # f(A, A) = Tr(A theta(A) E) and the symmetric Tr(theta(A) A E).
-    traces = _traces(polys + refl, refl + polys, rep, e)
+    traces = _traces(polys + refl, refl + polys, rep, table)
 
     min_diag = math.inf
     max_imag = 0.0
@@ -372,7 +377,7 @@ def check_rp(
             violations.append([f"{label}:symmetry", abs(val - sym)])
 
     count = len(structured)
-    _, min_eig = _gram(polys[:count], refl[:count], rep, e)
+    _, min_eig = _gram(polys[:count], refl[:count], rep, table)
     if min_eig < -tol:
         violations.append(["gram", min_eig])
 
@@ -395,12 +400,12 @@ def gram_psd(
 ) -> tuple[np.ndarray, float]:
     """Hermitized Gram matrix G_ab = f(A_a, A_b) and its normalized minimum
     eigenvalue (divided by 1 + max |G_ab|)."""
-    e = boltzmann(spec.total(), rep)
-    return _gram(basis, reflect_all(basis), rep, e)
+    table = weyl_table(boltzmann(spec.total(), rep), rep)
+    return _gram(basis, reflect_all(basis), rep, table)
 
 
-def _gram(basis, reflected, rep, e) -> tuple[np.ndarray, float]:
-    g = _traces(basis, reflected, rep, e, grid=True)
+def _gram(basis, reflected, rep, table) -> tuple[np.ndarray, float]:
+    g = _traces(basis, reflected, rep, table, grid=True)
     gh = (g + g.conj().T) / 2
     scale = 1.0 + float(np.abs(gh).max(initial=0.0))
     min_eig = float(np.linalg.eigvalsh(gh).min()) / scale
@@ -547,7 +552,7 @@ def rp_bounds_check(
     spec: HamiltonianSpec,
     rep: Representation,
     tol: float = DEFAULT_TOL,
-    factors: np.ndarray | None = None,
+    table: np.ndarray | None = None,
 ) -> dict:
     """Check |f(A, B)| <= ||A||_- ||B||_+ and |f(A, B)| <= ||A||_+ ||B||_-
     for A, B in the plus observable algebra, plus the A = B = I partition
@@ -555,17 +560,19 @@ def rp_bounds_check(
 
     Both auxiliary Hamiltonians are H, so ||A||_-^2 = ||A||_+^2 = f(A, A):
     the bounds are Cauchy-Schwarz for the one RP form f, three traces
-    against e^{-H}.  ``factors`` is e^{-H}, ``boltzmann(spec.total(), rep)``,
-    computed here when not given.
+    against e^{-H}, read from ``table``, the Weyl table of e^{-H}
+    (``weyl_table(boltzmann(spec.total(), rep), rep)``), built here when not
+    given.
     """
     for name, p in (("A", a), ("B", b)):
         sc = classify(p)
         if sc.side not in (Side.PLUS, Side.SCALAR) or not sc.observable:
             raise ValueError(f"{name} must be in the plus observable algebra")
 
-    e = boltzmann(spec.total(), rep) if factors is None else factors
+    if table is None:
+        table = weyl_table(boltzmann(spec.total(), rep), rep)
     ta, tb = reflect_all((a, b))
-    f_ab, sq_a, sq_b = _traces([a, a, b], [tb, ta, tb], rep, e).tolist()
+    f_ab, sq_a, sq_b = _traces([a, a, b], [tb, ta, tb], rep, table).tolist()
 
     def norm(val: complex, label: str) -> float:
         if val.real < -tol * (1 + abs(val)):
@@ -573,7 +580,7 @@ def rp_bounds_check(
         return math.sqrt(max(val.real, 0.0))
 
     bound = norm(sq_a, "A") * norm(sq_b, "B")
-    z = complex(np.trace(e))
+    z = complex(table[0, 0])  # Tr(e^{-H})
     z_bound = max(z.real, 0.0)
     margin = (bound - abs(f_ab)) / (1.0 + bound)
     margin_z = (z_bound - abs(z)) / (1.0 + z_bound)

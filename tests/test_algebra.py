@@ -8,7 +8,6 @@ from pararp.algebra import (
     Polynomial,
     Side,
     _zeta_array,
-    _zeta_table,
     adjoint,
     canonical_product,
     classify,
@@ -303,8 +302,7 @@ def test_phase_exponents_past_int64():
         assert reflect(p).coeffs.tolist() == expected
         assert adjoint(p).coeffs.tolist() == expected
         assert canonical_product(p, p).coeffs.tolist() == expected
-    finally:  # the tables of 2n roots at n = 10^6 hold about 100 MB
-        _zeta_table.cache_clear()
+    finally:  # the table of 2n roots at n = 10^6 holds 32 MB
         _zeta_array.cache_clear()
 
 
@@ -331,3 +329,51 @@ class TestSerialization:
     def test_bad_input(self):
         with pytest.raises(ValueError):
             from_text("(1+0j) * c1^1\n")
+
+
+def test_zeta_table_is_the_per_exponent_expression():
+    """zeta_power, omega_power and _zeta_array give, bit for bit, the
+    entries cmath.exp(i pi k / n), k = 0 .. 2n - 1, of the former tuple
+    table, for any integer exponent."""
+    for n in (2, 3, 5, 12, 1000, 10**5 + 3):
+        table = [cmath.exp(1j * math.pi * k / n) for k in range(2 * n)]
+        array = _zeta_array(n)
+        assert not array.flags.writeable
+        assert array.tobytes() == np.array(table).tobytes()
+        for k in (0, 1, n - 1, n, 2 * n - 1, 2 * n, -1, -n - 7, 5 * n + 3,
+                  10**30 + 1, -(10**25)):
+            assert zeta_power(n, k) == table[k % (2 * n)]
+            assert omega_power(n, k) == table[2 * k % (2 * n)]
+    _zeta_array.cache_clear()
+
+
+def test_zeta_table_memory_is_one_array():
+    """The first operation at n = 10^5 holds one array of 2n roots (3.1 MiB)
+    and no tuple of 2n Python complex numbers beside it (the tuple and the
+    array together peaked at 11 MiB; at n = 10^6, 137 MiB against 30.5)."""
+    import tracemalloc
+
+    n = 10**5
+    p = Polynomial.monomial(1.0, ExponentVector((n - 1, 3), n))
+    _zeta_array.cache_clear()
+    tracemalloc.start()
+    try:
+        q = reflect(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _zeta_array.cache_clear()
+    assert q.coeffs.tolist() == [zeta_power(n, (n - 1) ** 2 + 9 - (n + 2) ** 2)]
+    assert peak < 2 * n * 16 + (1 << 20), peak
+
+
+def test_huge_finite_coefficient_is_kept_and_nan_dropped():
+    """The dict constructor keeps a finite coefficient whose modulus is
+    beyond the float range, and drops zero and NaN ones."""
+    vecs = [ExponentVector((k, 0), 3) for k in range(3)]
+    big = 1.7e308 + 1.7e308j
+    p = Polynomial({vecs[0]: big, vecs[1]: complex(math.nan, 1.0),
+                    vecs[2]: 0j}, 3, 2)
+    assert p.terms == {vecs[0]: big}
+    q = Polynomial({vecs[0]: complex(1.0, math.nan), vecs[1]: -0.0}, 3, 2)
+    assert q.is_zero()

@@ -32,7 +32,9 @@ from pararp.algebra import (
 )
 from pararp.exponents import ExponentVector, degree, unit_vector, zero_vector
 from pararp.hamiltonian import CouplingTable, baxter, build_h0
-from pararp.representation import build_generators, to_matrix
+from pararp.representation import (
+    build_generators, sector_matrix, to_matrix, weyl_table,
+)
 
 from conftest import rep_for
 
@@ -478,15 +480,21 @@ def test_to_matrix_and_traces_never_build_terms(count_vectors):
     rng = np.random.default_rng(2)
     a = reflect(random_poly(n, L, rng, terms=5))
     b = canonical_product(a, reflect(a))
-    e = rng.normal(size=(rep.dim, rep.dim)) + 0j
+    # An E that commutes with the gauge shift, the Weyl table's contract.
+    e = sector_matrix(rng.normal(size=(n, rep.dim // n, rep.dim // n)) + 0j, rep)
+    table = weyl_table(e, rep)
     count_vectors.clear()
     m = to_matrix(b, rep)
-    rp._traces([a, b], [b, a], rep, e)
-    rp._traces([a], [b], rep, e, grid=True)
+    pairs = rp._traces([a, b], [b, a], rep, table)
+    grid = rp._traces([a], [b], rep, table, grid=True)
     assert count_vectors == []
     # The values agree with the dense products of the terms' matrices.
     dense = sum(c * rep.monomial_matrix(v) for v, c in b.terms.items())
     assert np.abs(m - dense).max() < 1e-12 * (1 + np.abs(dense).max())
+    ma = to_matrix(a, rep)
+    ref = [np.trace(ma @ m @ e), np.trace(m @ ma @ e)]
+    assert np.abs(pairs - ref).max() < 1e-12 * (1 + np.abs(ref).max())
+    assert np.abs(grid[0, 0] - ref[0]) < 1e-12 * (1 + abs(ref[0]))
 
 
 def test_to_matrix_blocks(monkeypatch):
@@ -673,3 +681,33 @@ def test_to_text_memory_follows_the_text_not_n_times_L():
     assert text == ref_to_text(p)
     assert elapsed < 0.25 and peak < 1 << 20
     assert_same(from_text(text), p.terms)
+
+
+def lexsort_to_text(p):
+    """to_text with its rows sorted by np.lexsort over the L sites, site 1
+    the primary key."""
+    order = np.lexsort(p.exponents.T[::-1])
+    block = algebra._text_block(p.coeffs[order], p.exponents[order])
+    text = block.tobytes().translate(None, b"\0").decode()
+    return f"# n={p.order} L={p.sites}\n{text}"
+
+
+@pytest.mark.parametrize("n,L,terms", [
+    (2, 4, 6), (3, 8, 40), (5, 12, 60), (7, 20, 80),
+    (2, 70, 300),  # 2^70 > 2^63: two chunks of codes
+    (3, 90, 300),  # three chunks
+])
+def test_to_text_orders_rows_as_lexsort(n, L, terms):
+    """The argsort (one chunk) or lexsort (several) of the codes of the
+    reversed rows orders the terms as np.lexsort over the sites does.  The
+    rows share their first sites often, so the lower chunks decide too."""
+    rng = np.random.default_rng(n * L)
+    head = rng.integers(0, n, size=(4, L // 3))
+    exponents = rng.integers(0, n, size=(terms, L))
+    exponents[:, :L // 3] = head[rng.integers(0, 4, size=terms)]
+    p = Polynomial({ExponentVector(tuple(row), n): complex(rng.normal(), 1.0)
+                    for row in exponents.tolist()}, n, L)
+    assert algebra._codes(p.exponents, n).shape[1] == -(-L // len(algebra._powers(n)))
+    assert to_text(p) == lexsort_to_text(p)
+    for q in polys_for(n, min(L, 12), seed=L):
+        assert to_text(q) == lexsort_to_text(q) == ref_to_text(q)

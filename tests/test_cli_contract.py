@@ -245,3 +245,26 @@ def test_cli_never_imports_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "[]\n"
+
+
+def test_huge_finite_coefficient_exits_1_with_one_line(tmp_path):
+    """A finite h_minus coefficient whose modulus exceeds the float range is
+    read, not refused by the modulus test: its reflection overflows, and
+    rp-check exits 1 with one line naming the non-finite H, in a fresh
+    interpreter so that stderr is all there."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "n": 3, "L": 4,
+        "h_minus": [{"coefficient": [1.7e308, 1.7e308], "exponents": [1, 2, 0, 0]}],
+        "couplings": [{"exponents": [1, 2, 0, 0], "J": 0.4}],
+    }))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "pararp.cli", "rp-check", "--spec", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": env_path},
+    )
+    assert result.returncode == cli.ERROR and result.stdout == ""
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "absolute value too large" not in result.stderr

@@ -22,14 +22,13 @@ from pararp.exponents import ExponentVector, unit_vector
 from pararp.hamiltonian import CouplingTable, assemble, baxter
 from pararp.representation import (
     build_generators,
-    clock_shift,
     sector_blocks,
     sector_matrix,
     to_matrix,
     verify_yamazaki,
 )
 
-from conftest import rep_for
+from conftest import clock_shift, rep_for
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256, L = 2 included.
 CELLS = [
@@ -317,7 +316,7 @@ def test_bounds_worst_breaks_ties_towards_the_earlier_pair(
     path.write_text(json.dumps({"baxter": {"n": 2, "L": 4, "t": [1, -0.5, 1]}}))
     calls = iter(range(len(offsets)))
 
-    def fake(a, b, spec, rep, tol=rp.DEFAULT_TOL, factors=None):
+    def fake(a, b, spec, rep, tol=rp.DEFAULT_TOL, table=None):
         i = next(calls)
         margin = 0.25 + offsets[i]
         return {"f_ab": [float(i), 0.0], "bound1": 1.0, "bound2": 1.0,

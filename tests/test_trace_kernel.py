@@ -1,9 +1,12 @@
-"""The permutation-form trace kernel against dense matrix products.
+"""The Weyl-table trace kernel against dense matrix products.
 
 Every trace functional Tr(X Y E) in pararp.rp is evaluated by one kernel,
-``representation.trace_products``, through the bilinear helper
-``rp._traces``.  The references here multiply dense matrices instead:
-Tr(to_matrix(X) @ to_matrix(Y) @ E).
+``representation.pair_traces``, through the bilinear helper ``rp._traces``:
+one lookup per term pair in the Weyl table of E (``weyl_table``), built once
+per Boltzmann factor.  The table's contract is an E that commutes with the
+gauge shift T, as e^{-H} of a gauge-invariant H does, so the E here is
+``sector_matrix`` of random blocks.  The references multiply dense matrices
+instead: Tr(to_matrix(X) @ to_matrix(Y) @ E).
 """
 
 import contextlib
@@ -18,7 +21,9 @@ from pararp import cli, rp
 from pararp.algebra import Polynomial, reflect
 from pararp.exponents import ExponentVector
 from pararp.hamiltonian import baxter
-from pararp.representation import to_matrix, trace_products
+from pararp.representation import (
+    _digit_sum, pair_traces, sector_matrix, to_matrix, weyl_table,
+)
 
 from conftest import rep_for
 
@@ -66,9 +71,12 @@ def random_poly(n, L, rng, max_terms=4):
     return Polynomial(terms, n, L)
 
 
-def random_matrix(dim, rng):
-    """A dense non-hermitian matrix."""
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def random_matrix(rep, rng):
+    """A dense non-hermitian matrix that commutes with the gauge shift T:
+    the matrix of n random charge-sector blocks."""
+    n, r = rep.order, rep.dim // rep.order
+    blocks = rng.normal(size=(n, r, r)) + 1j * rng.normal(size=(n, r, r))
+    return sector_matrix(blocks, rep)
 
 
 def assert_close(got, ref):
@@ -84,25 +92,26 @@ class TestKernelAgainstDense:
     def test_pairs_and_grid(self, n, L):
         rng = np.random.default_rng(1000 * n + L)
         rep = rep_for(n, L)
-        e = random_matrix(rep.dim, rng)
+        e = random_matrix(rep, rng)
+        table = weyl_table(e, rep)
         xs = [random_poly(n, L, rng) for _ in range(4)]
         ys = [random_poly(n, L, rng) for _ in range(3)]
         xs.append(Polynomial.identity(n, L))
         ys.append(reflect(xs[0]))
-        pairs = rp._traces(xs[:4], ys, rep, e)
+        pairs = rp._traces(xs[:4], ys, rep, table)
         assert_close(pairs, dense_traces(xs[:4], ys, rep, e))
-        grid = rp._traces(xs, ys, rep, e, grid=True)
+        grid = rp._traces(xs, ys, rep, table, grid=True)
         assert_close(grid, dense_traces(xs, ys, rep, e, grid=True))
 
     @pytest.mark.parametrize("n,L", [(2, 8), (3, 6), (5, 4)])
     def test_monomial_pairs(self, n, L):
         rng = np.random.default_rng(n * L)
         rep = rep_for(n, L)
-        e = random_matrix(rep.dim, rng)
+        e = random_matrix(rep, rng)
         exponents = rng.integers(0, n, size=(6, L))
         exponents[0] = 0  # the identity
         s, t = rng.integers(0, 6, size=40), rng.integers(0, 6, size=40)
-        got = trace_products(rep, exponents, s, t, e)
+        got = pair_traces(rep, exponents, s, t, weyl_table(e, rep))
 
         def monomial(i):
             return rep.monomial_matrix(ExponentVector(tuple(exponents[i]), n))
@@ -113,16 +122,34 @@ class TestKernelAgainstDense:
     def test_empty_polynomial_gives_zero(self):
         rep = rep_for(3, 4)
         rng = np.random.default_rng(0)
-        e = random_matrix(rep.dim, rng)
+        table = weyl_table(random_matrix(rep, rng), rep)
         zero, x = Polynomial.zero(3, 4), random_poly(3, 4, rng)
-        assert rp._traces([zero], [x], rep, e).tolist() == [0j]
-        assert rp._traces([x], [zero], rep, e).tolist() == [0j]
-        grid = rp._traces([zero, x], [zero], rep, e, grid=True)
+        assert rp._traces([zero], [x], rep, table).tolist() == [0j]
+        assert rp._traces([x], [zero], rep, table).tolist() == [0j]
+        grid = rp._traces([zero, x], [zero], rep, table, grid=True)
         assert grid.shape == (2, 1) and not grid.any()
-        assert rp._traces([], [], rep, e).shape == (0,)
+        assert rp._traces([], [], rep, table).shape == (0,)
         empty = np.zeros((0, 4), dtype=np.intp)
         none = np.zeros(0, dtype=np.intp)
-        assert trace_products(rep, empty, none, none, e).shape == (0,)
+        assert pair_traces(rep, empty, none, none, table).shape == (0,)
+
+    @pytest.mark.parametrize("n,L", [(2, 2), (3, 2), (2, 6), (3, 4), (4, 4)])
+    def test_table_is_the_character_sum(self, n, L):
+        """weyl_table against F[a, b] = sum_k omega^{b.d(k)} E[k, k (+) a]
+        over every a and b: n G[a, b'] when the digits of b sum to 0 mod n,
+        else 0."""
+        rep = rep_for(n, L)
+        e = random_matrix(rep, np.random.default_rng(n + L))
+        d = rep.digits
+        gathered = e[np.arange(rep.dim), _digit_sum(n, d[:, None], d[:, :, None])]
+        f = gathered @ np.exp(2j * np.pi / n * (d.T @ d))  # F[a, b]
+        table = weyl_table(e, rep)
+        assert table.shape == (rep.dim, rep.dim // n)
+        charge = d.sum(axis=0) % n == 0
+        assert_close(table[:, np.arange(rep.dim)[charge] % table.shape[1]],
+                     f[:, charge])
+        assert (np.abs(f[:, ~charge]) <= 1e-12 * (1 + np.abs(f).max())).all()
+        assert table[0, 0] == pytest.approx(np.trace(e), rel=1e-13)
 
 
 class TestRoutedFunctionals:
@@ -186,7 +213,7 @@ class TestBoundsFactors:
         spec = baxter(n, L, [1.0, 0.6, -0.5, 0.6, 1.0])
         rep = rep_for(n, L)
         rng = np.random.default_rng(5)
-        factors = rp.boltzmann(spec.total(), rep)
+        table = rp.weyl_table(rp.boltzmann(spec.total(), rep), rep)
         pairs = [(Polynomial.identity(n, L),) * 2] + [
             (reflect(rp.random_minus_observable(n, L, rng)),
              reflect(rp.random_minus_observable(n, L, rng)))
@@ -195,7 +222,7 @@ class TestBoundsFactors:
         for a, b in pairs:
             fresh = rp.rp_bounds_check(a, b, spec, rep, tol=1e-9)
             hoisted = rp.rp_bounds_check(a, b, spec, rep, tol=1e-9,
-                                         factors=factors)
+                                         table=table)
             assert fresh == hoisted
 
     def test_cli_bounds_runs_one_exponential(self, tmp_path, monkeypatch):
@@ -210,6 +237,27 @@ class TestBoundsFactors:
         )
         code, _ = run_cli(["bounds", "--spec", str(path), "--samples", "4"])
         assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["rp-check", "--samples", "6", "--seed", "3"],
+    ["gram"],
+    ["bounds", "--samples", "4", "--seed", "4"],
+], ids=lambda c: c[0])
+def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
+    """One Weyl table per Boltzmann factor: each rp-check, gram and bounds
+    job builds one, however many traces it reads from it."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.6, -0.5, 0.6, 1.0]}}
+    ))
+    calls = []
+    table_orig = rp.weyl_table
+    monkeypatch.setattr(
+        rp, "weyl_table", lambda e, rep: calls.append(1) or table_orig(e, rep)
+    )
+    code, _ = run_cli(command + ["--spec", str(path)])
+    assert code == 0 and len(calls) == 1
 
 
 # -- CLI reports against the dense reference --------------------------------
@@ -265,8 +313,19 @@ def test_cli_report_matches_dense_reference(command, name, tmp_path,
     path.write_text(json.dumps(SPECS[name]))
     argv = command + ["--spec", str(path)]
     code, report = run_cli(argv)
-    monkeypatch.setattr(rp, "_traces", dense_traces)
+    # The dense path: every trace from dense triple products with the E the
+    # job's one table was built from.
+    seen = []
+    table_orig = rp.weyl_table
+    monkeypatch.setattr(
+        rp, "weyl_table", lambda e, rep: seen.append(e) or table_orig(e, rep)
+    )
+    monkeypatch.setattr(
+        rp, "_traces", lambda xs, ys, rep, table, grid=False:
+        dense_traces(xs, ys, rep, seen[-1], grid)
+    )
     ref_code, ref_report = run_cli(argv)
+    assert len(seen) == 1
     assert code == ref_code
     assert_reports_close(report, ref_report)
     if name == "baxter-violating" and command[0] != "bounds":
