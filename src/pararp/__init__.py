@@ -25,6 +25,7 @@ from .algebra import (
 from .representation import (
     Representation,
     build_generators,
+    clock_shift,
     decompose,
     sector_blocks,
     sector_matrix,

@@ -461,9 +461,8 @@ def to_text(p: Polynomial) -> str:
     ``# n=.. L=..``; the identity term is written ``(re+imj) * 1``.
     Round-trips exactly (float repr)."""
     # By entries, site 1 first: the codes of the reversed rows weigh site 1
-    # most, in their last chunk.  The rows are distinct: no two codes tie.
-    codes = _codes(p.exponents[:, ::-1], p.order)
-    order = np.argsort(codes[:, 0]) if codes.shape[1] == 1 else np.lexsort(codes.T)
+    # most, in their last chunk, the primary key of the lexsort.
+    order = np.lexsort(_codes(p.exponents[:, ::-1], p.order).T)
     block = _text_block(p.coeffs[order], p.exponents[order])
     text = block.tobytes().translate(None, b"\0").decode()
     return f"# n={p.order} L={p.sites}\n{text}"

@@ -74,6 +74,18 @@ class DimensionCapError(RuntimeError):
     """Requested representation exceeds the configured resource cap."""
 
 
+def clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n clock and shift matrices (sigma, tau)."""
+    if n < 2:
+        raise ValueError(f"order must be >= 2, got {n}")
+    omega = np.exp(2j * np.pi / n)
+    sigma = np.diag(omega ** np.arange(n))
+    tau = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        tau[(k + 1) % n, k] = 1.0
+    return sigma, tau
+
+
 @dataclass
 class Representation:
     """L generators acting on the full chain, of dimension n^{L/2}.
@@ -415,3 +427,29 @@ def _distance(a, b) -> np.ndarray:
         np.abs(a_vals) ** 2 + np.abs(b_vals) ** 2,
     )
     return np.sqrt(sq.sum(axis=-1))
+
+
+def _verify_dense(rep: Representation) -> dict[str, float]:
+    """verify_yamazaki from dense products of ``rep.generators``: the
+    reference it is tested against."""
+    n = rep.order
+    eye = rep.identity()
+    omega = np.exp(2j * np.pi / n)
+    r_order = 0.0
+    r_unitary = 0.0
+    r_commute = 0.0
+    for j, g in enumerate(rep.generators):
+        r_order = max(r_order, _opnorm(np.linalg.matrix_power(g, n) - eye))
+        r_unitary = max(r_unitary, _opnorm(g @ g.conj().T - eye))
+        for gp in rep.generators[j + 1:]:
+            r_commute = max(r_commute, _opnorm(g @ gp - omega * gp @ g))
+    return {
+        "order_residual": r_order,
+        "unitarity_residual": r_unitary,
+        "commutation_residual": r_commute,
+    }
+
+
+def _opnorm(a: np.ndarray) -> float:
+    """Frobenius norm, a conservative stand-in for the operator norm."""
+    return float(np.linalg.norm(a))

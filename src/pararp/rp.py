@@ -26,8 +26,9 @@ two-site counterexample, where that would show, is computed exactly
 without matrices.
 
 Every trace Tr(X theta(Y) e^{-H}) is a sum of monomial traces, each one
-lookup in the Weyl table of e^{-H} (``representation.weyl_table``), built
-once per Boltzmann factor; the partition function is its entry F[0, 0].
+lookup in the Weyl table of e^{-H} (``boltzmann_table``, from
+``representation.weyl_table``), built once per Boltzmann factor; the
+partition function is its entry F[0, 0].
 
 Bounds and Trotter products rest on the form H = H_- + H_0 + theta(H_-),
 which every ``HamiltonianSpec`` has by construction: the bounds' auxiliary
@@ -171,6 +172,12 @@ def boltzmann(h: Polynomial, rep: Representation) -> np.ndarray:
     """e^{-H} for a gauge-invariant polynomial H, as one stacked matrix
     exponential over its n charge-sector blocks."""
     return sector_matrix(matrix_exp(-_sectors(h, rep)), rep)
+
+
+def boltzmann_table(spec: HamiltonianSpec, rep: Representation) -> np.ndarray:
+    """The Weyl table of e^{-H}, H = spec.total(), that every trace against
+    e^{-H} is read from (``_traces``)."""
+    return weyl_table(boltzmann(spec.total(), rep), rep)
 
 
 @dataclass
@@ -321,7 +328,7 @@ def rp_functional(
     """f(A, B) = Tr(A theta(B) e^{-H}); linear in A, anti-linear in B."""
     if not _compatible_sides(a, b):
         raise ValueError("A and B must be localized on the same side")
-    table = weyl_table(boltzmann(spec.total(), rep), rep)
+    table = boltzmann_table(spec, rep)
     [val] = _traces([a], [reflect(b)], rep, table)
     return complex(val)
 
@@ -343,7 +350,7 @@ def check_rp(
     """
     n, L = spec.order, spec.sites
     rng = np.random.default_rng(seed)
-    table = weyl_table(boltzmann(spec.total(), rep), rep)
+    table = boltzmann_table(spec, rep)
     violations: list = []
 
     z = complex(table[0, 0])  # Tr(E) = F[0, 0]
@@ -400,7 +407,7 @@ def gram_psd(
 ) -> tuple[np.ndarray, float]:
     """Hermitized Gram matrix G_ab = f(A_a, A_b) and its normalized minimum
     eigenvalue (divided by 1 + max |G_ab|)."""
-    table = weyl_table(boltzmann(spec.total(), rep), rep)
+    table = boltzmann_table(spec, rep)
     return _gram(basis, reflect_all(basis), rep, table)
 
 
@@ -560,9 +567,8 @@ def rp_bounds_check(
 
     Both auxiliary Hamiltonians are H, so ||A||_-^2 = ||A||_+^2 = f(A, A):
     the bounds are Cauchy-Schwarz for the one RP form f, three traces
-    against e^{-H}, read from ``table``, the Weyl table of e^{-H}
-    (``weyl_table(boltzmann(spec.total(), rep), rep)``), built here when not
-    given.
+    against e^{-H}, read from ``table``, ``boltzmann_table(spec, rep)``,
+    built here when not given.
     """
     for name, p in (("A", a), ("B", b)):
         sc = classify(p)
@@ -570,7 +576,7 @@ def rp_bounds_check(
             raise ValueError(f"{name} must be in the plus observable algebra")
 
     if table is None:
-        table = weyl_table(boltzmann(spec.total(), rep), rep)
+        table = boltzmann_table(spec, rep)
     ta, tb = reflect_all((a, b))
     f_ab, sq_a, sq_b = _traces([a, a, b], [tb, ta, tb], rep, table).tolist()
 

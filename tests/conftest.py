@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from pararp.representation import build_generators
@@ -16,16 +15,3 @@ def rep_for(n, L):
 @pytest.fixture
 def rep():
     return rep_for
-
-
-def clock_shift(n):
-    """The n x n clock and shift matrices (sigma, tau): the dense reference
-    the generators are checked against."""
-    if n < 2:
-        raise ValueError(f"order must be >= 2, got {n}")
-    omega = np.exp(2j * np.pi / n)
-    sigma = np.diag(omega ** np.arange(n))
-    tau = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        tau[(k + 1) % n, k] = 1.0
-    return sigma, tau

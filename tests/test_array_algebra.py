@@ -698,9 +698,9 @@ def lexsort_to_text(p):
     (3, 90, 300),  # three chunks
 ])
 def test_to_text_orders_rows_as_lexsort(n, L, terms):
-    """The argsort (one chunk) or lexsort (several) of the codes of the
-    reversed rows orders the terms as np.lexsort over the sites does.  The
-    rows share their first sites often, so the lower chunks decide too."""
+    """The lexsort of the chunk codes of the reversed rows orders the terms
+    as np.lexsort over the sites does.  The rows share their first sites
+    often, so the lower chunks decide too."""
     rng = np.random.default_rng(n * L)
     head = rng.integers(0, n, size=(4, L // 3))
     exponents = rng.integers(0, n, size=(terms, L))

@@ -102,7 +102,7 @@ def test_bounds_match_the_three_factor_dense_reference(kind, n, L):
          reflect(rp.random_minus_observable(n, L, rng)))
         for _ in range(3)
     ]
-    table = rp.weyl_table(rp.boltzmann(spec.total(), rep), rep)
+    table = rp.boltzmann_table(spec, rep)
     for a, b in pairs:
         got = rp.rp_bounds_check(a, b, spec, rep, tol=1e-9, table=table)
         ref = dense_bounds(a, b, spec, rep, tol=1e-9)

@@ -7,34 +7,17 @@ from pararp.algebra import (
 from pararp.exponents import ExponentVector
 from pararp.representation import (
     DimensionCapError,
+    _verify_dense,
     all_exponent_vectors,
     build_generators,
+    clock_shift,
     decompose,
     to_matrix,
     trace_monomial,
     verify_yamazaki,
 )
 
-from conftest import clock_shift, rep_for
-
-
-def _verify_dense(rep):
-    """verify_yamazaki from dense products of ``rep.generators``, with
-    Frobenius norms: the reference it is tested against."""
-    n = rep.order
-    eye = rep.identity()
-    omega = np.exp(2j * np.pi / n)
-    r_order = r_unitary = r_commute = 0.0
-    for j, g in enumerate(rep.generators):
-        r_order = max(r_order, np.linalg.norm(np.linalg.matrix_power(g, n) - eye))
-        r_unitary = max(r_unitary, np.linalg.norm(g @ g.conj().T - eye))
-        for gp in rep.generators[j + 1:]:
-            r_commute = max(r_commute, np.linalg.norm(g @ gp - omega * gp @ g))
-    return {
-        "order_residual": float(r_order),
-        "unitarity_residual": float(r_unitary),
-        "commutation_residual": float(r_commute),
-    }
+from conftest import rep_for
 
 
 class TestClockShift:

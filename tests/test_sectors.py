@@ -22,13 +22,14 @@ from pararp.exponents import ExponentVector, unit_vector
 from pararp.hamiltonian import CouplingTable, assemble, baxter
 from pararp.representation import (
     build_generators,
+    clock_shift,
     sector_blocks,
     sector_matrix,
     to_matrix,
     verify_yamazaki,
 )
 
-from conftest import clock_shift, rep_for
+from conftest import rep_for
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256, L = 2 included.
 CELLS = [

@@ -213,7 +213,7 @@ class TestBoundsFactors:
         spec = baxter(n, L, [1.0, 0.6, -0.5, 0.6, 1.0])
         rep = rep_for(n, L)
         rng = np.random.default_rng(5)
-        table = rp.weyl_table(rp.boltzmann(spec.total(), rep), rep)
+        table = rp.boltzmann_table(spec, rep)
         pairs = [(Polynomial.identity(n, L),) * 2] + [
             (reflect(rp.random_minus_observable(n, L, rng)),
              reflect(rp.random_minus_observable(n, L, rng)))
