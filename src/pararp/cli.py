@@ -16,7 +16,6 @@ import sys
 
 import numpy as np
 
-from .algebra import Polynomial, reflect_all
 from .hamiltonian import (
     CouplingRule,
     HamiltonianSpec,
@@ -101,11 +100,9 @@ def cmd_rp_check(args):
 def cmd_gram(args):
     spec, rep = _resolve_spec(args)
     tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
-    basis = [
-        Polynomial.monomial(1.0, vec)
-        for d in range(0, rep.sites // 2 * (spec.order - 1) + 1, spec.order)
-        for vec in rp.minus_monomials_of_degree(spec.order, spec.sites, d)
-    ]
+    n, L = spec.order, spec.sites
+    degrees = range(0, L // 2 * (n - 1) + 1, n)
+    basis = rp.RowStack.monomials(rp.minus_rows(n, L, degrees), n)
     gram, min_eig = rp.gram_psd(spec, rep, basis)
     # Schwarz: |G_ij|^2 <= G_ii G_jj for every pair.
     lhs, diag = np.abs(gram) ** 2, gram.diagonal().real
@@ -113,8 +110,8 @@ def cmd_gram(args):
     ok = min_eig >= -tol and schwarz_ok
     report = {
         "command": "gram",
-        "n": spec.order,
-        "L": spec.sites,
+        "n": n,
+        "L": L,
         "basis_size": len(basis),
         "gram_min_eigenvalue": min_eig,
         "schwarz_ok": schwarz_ok,
@@ -144,19 +141,10 @@ def cmd_trotter(args):
 def cmd_bounds(args):
     spec, rep = _resolve_spec(args)
     tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
-    rng = np.random.default_rng(args.seed)
-    # Each sample pair (A, B) reflects two fresh minus observables.
-    plus = reflect_all(
-        rp.random_minus_observable(spec.order, spec.sites, rng)
-        for _ in range(2 * args.samples)
-    )
-    pairs = [(Polynomial.identity(spec.order, spec.sites),) * 2]
-    pairs += zip(plus[::2], plus[1::2])
-    table = rp.boltzmann_table(spec, rep)
+    pairs = rp.sampled_bounds(spec, rep, args.samples, args.seed, tol)
     worst = None
     all_ok = True
-    for a, b in pairs:
-        res = rp.rp_bounds_check(a, b, spec, rep, tol=tol, table=table)
+    for res in pairs:
         all_ok = all_ok and res["ok"]
         margin = min(res["margin1"], res["margin2"], res["partition_margin"])
         # The margins are normalised, so a pair within WORST_TIE of the
@@ -287,7 +275,7 @@ FLAGS = {
     "--k": dict(type=_checked(int, lambda k: k >= 1, ">= 1"), default=64),
     "--samples": dict(type=_checked(int, lambda s: s >= 1, ">= 1"),
                       default=100),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_checked(int, lambda s: s >= 0, ">= 0"), default=0),
     "--tol": dict(type=_checked(float, lambda t: 0 < t < float("inf"),
                                 "finite and > 0")),
     "--spec": dict(),

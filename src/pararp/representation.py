@@ -269,8 +269,7 @@ def weyl_table(e: np.ndarray, rep: Representation) -> np.ndarray:
     """
     n, dim = rep.order, rep.dim
     r = dim // n
-    d = e[np.arange(r), _digit_sum(n, rep.digits[:, None, :r],
-                                   rep.digits[:, :, None])]
+    d = e[np.arange(r), _orbit_sums(n, rep.digits)]
     free = rep.digits[1:, :r]  # d'(o), o = o_lo * r_hi + o_hi
     cut = len(free) // 2
     r_hi = n ** (len(free) - cut)
@@ -278,6 +277,32 @@ def weyl_table(e: np.ndarray, rep: Representation) -> np.ndarray:
                   for x in (free[:cut, ::r_hi], free[cut:, :r_hi]))
     g = np.matmul(w_lo, d.reshape(dim, r // r_hi, r_hi) @ w_hi)
     return n * g.reshape(dim, r)
+
+
+def _orbit_sums(n: int, digits: np.ndarray) -> np.ndarray:
+    """The (dim, dim/n) array of o (+) a over the states a and the orbit
+    representatives o, from ``digits``, those of the states.
+
+    The first digit of o is 0, so o (+) a is a's first digit times dim/n
+    plus the digit-wise sum over the f = L/2 - 1 others, and that sum splits
+    into one over the first hi and one over the last lo of them: with
+    x = x_hi n^lo + x_lo, x (+) y = (x_hi (+) y_hi) n^lo + (x_lo (+) y_lo).
+    So two tables of digit sums, one when hi = lo, and one broadcast add
+    give it."""
+    f = len(digits) - 1
+    lo = f // 2
+    hi = f - lo
+
+    def table(c):  # k (+) s over the c-digit numbers k, s
+        m = n**c
+        last = digits[f + 1 - c:, :m]  # the digits of 0 .. m - 1
+        return np.reshape(_digit_sum(n, last[:, :, None], last[:, None]), (m, m))
+
+    low = table(lo)
+    high = n**lo * (low if hi == lo else table(hi))
+    high = np.arange(0, n ** (f + 1), n**f)[:, None, None] + high
+    sums = high[:, :, None, :, None] + low[:, None, :]
+    return sums.reshape(n ** (f + 1), n**f)
 
 
 def pair_traces(

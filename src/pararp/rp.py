@@ -15,9 +15,9 @@ Every Boltzmann factor e^{-H} comes from ``boltzmann``: H is gauge
 invariant, so its matrix is block-diagonal across the n charge sectors of
 :mod:`pararp.representation`, and e^{-H} costs one stacked ``matrix_exp``
 of n blocks of size dim/n instead of one of size dim, about n^2 times fewer
-flops: at n = 4, L = 12 (dim 4096) ``rp-check --samples 4`` takes about
-8 s on a 2-vCPU Xeon host with one BLAS thread, most of it the four
-dim-1024 exponentials.  ``matrix_exp`` is the degree-13
+flops: at n = 4, L = 12 (dim 4096) ``rp-check --samples 4`` takes 6-8 s
+on a 2-vCPU Xeon host with one BLAS thread, most of it the four dim-1024
+exponentials.  ``matrix_exp`` is the degree-13
 scaling-and-squaring Pade method in numpy, with its own scaling per block,
 so numpy is the one numerical dependency.  Trotter products are computed
 blockwise the same way.  Entries of e^{-H} far below ||e^{-H}|| come out
@@ -28,7 +28,10 @@ without matrices.
 Every trace Tr(X theta(Y) e^{-H}) is a sum of monomial traces, each one
 lookup in the Weyl table of e^{-H} (``boltzmann_table``, from
 ``representation.weyl_table``), built once per Boltzmann factor; the
-partition function is its entry F[0, 0].
+partition function is its entry F[0, 0].  The probes of a job (check_rp's
+structured and random observables, gram's basis, the pairs of bounds) are
+the blocks of one ``RowStack`` of exponent rows: they are drawn, reflected
+and traced as arrays, every trace of the job in one ``pair_traces`` pass.
 
 Bounds and Trotter products rest on the form H = H_- + H_0 + theta(H_-),
 which every ``HamiltonianSpec`` has by construction: the bounds' auxiliary
@@ -57,11 +60,11 @@ from .algebra import (
     Polynomial,
     Side,
     _cmul,
+    _conjugate_terms,
     canonical_product,
     classify,
     omega_power,
     reflect,
-    reflect_all,
     sum_polynomials,
     zeta_power,
 )
@@ -219,7 +222,78 @@ class RPReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-# -- sampling -------------------------------------------------------------
+# -- probes as one row stack ---------------------------------------------
+
+
+class RowStack:
+    """Polynomials as blocks of one exponent-row array: block u is the terms,
+    in order, of rows sum(sizes[:u]) .. sum(sizes[:u + 1]) - 1 of
+    ``exponents`` (M, L) and ``coeffs`` (M,).  Probes are drawn, reflected
+    and traced as stacks, with no Polynomial per probe.  (A plain class: a
+    dataclass would add about 1.5 ms to ``import pararp.cli``.)"""
+
+    __slots__ = ("order", "exponents", "coeffs", "sizes")
+
+    def __init__(self, order: int, exponents, coeffs, sizes):
+        self.order, self.exponents = order, exponents
+        self.coeffs, self.sizes = coeffs, sizes
+
+    @classmethod
+    def of(cls, polys, n: int, L: int) -> "RowStack":
+        """The stack of ``polys``, one block each."""
+        polys = list(polys)
+        if any(p.order != n or p.sites != L for p in polys):
+            raise ValueError("polynomials on different algebras")
+        return cls(
+            n,
+            np.concatenate([np.zeros((0, L), dtype=np.int64),
+                            *(p.exponents for p in polys)]),
+            np.concatenate([np.zeros(0, dtype=complex),
+                            *(p.coeffs for p in polys)]),
+            np.array([len(p.coeffs) for p in polys], dtype=np.intp),
+        )
+
+    @classmethod
+    def monomials(cls, exponents: np.ndarray, n: int) -> "RowStack":
+        """The monomials C_I, coefficient 1, of the rows I of ``exponents``,
+        one block each."""
+        k = len(exponents)
+        return cls(n, exponents, np.ones(k, dtype=complex),
+                   np.ones(k, dtype=np.intp))
+
+    def __len__(self) -> int:
+        return len(self.sizes)
+
+    def __add__(self, other: "RowStack") -> "RowStack":
+        """The blocks of self, then those of other."""
+        return RowStack(
+            self.order,
+            np.concatenate([self.exponents, other.exponents]),
+            np.concatenate([self.coeffs, other.coeffs]),
+            np.concatenate([self.sizes, other.sizes]),
+        )
+
+    def reflected(self) -> "RowStack":
+        """reflect of every block, on all rows at once (as reflect_all)."""
+        n, a = self.order, self.exponents
+        return RowStack(n, (n - a[:, ::-1]) % n,
+                        _conjugate_terms(a, self.coeffs, n), self.sizes)
+
+
+def _minus_head(
+    n: int, half: int, rng: np.random.Generator, observable: bool,
+    nonzero: bool = False,
+) -> list[int]:
+    """Uniform exponents on sites 1..half, drawn until they are of degree
+    = 0 mod n (``observable``) and nonzero (``nonzero``), as asked: one
+    ``rng.integers`` call per try, so the loop defines the seeded stream."""
+    while True:
+        head = rng.integers(0, n, size=half).tolist()
+        if observable and sum(head) % n != 0:
+            continue
+        if nonzero and not any(head):
+            continue
+        return head
 
 
 def random_minus_vector(
@@ -229,13 +303,33 @@ def random_minus_vector(
     """Uniform exponent vector supported on sites 1..L/2, optionally
     conditioned on degree = 0 mod n and/or on being nonzero."""
     half = L // 2
-    while True:
-        entries = [int(e) for e in rng.integers(0, n, size=half)] + [0] * half
-        if observable and sum(entries) % n != 0:
-            continue
-        if nonzero and not any(entries):
-            continue
-        return ExponentVector(tuple(entries), n)
+    head = _minus_head(n, half, rng, observable, nonzero)
+    return ExponentVector(tuple(head) + (0,) * half, n)
+
+
+def random_minus_rows(
+    n: int, L: int, rng: np.random.Generator, count: int, max_terms: int = 8
+) -> RowStack:
+    """``count`` draws of random_minus_observable as one stack, from the same
+    ``rng`` calls in the same order: per probe the number of terms, then per
+    term its exponents and its coefficient.  A repeated monomial adds its
+    coefficient to the first one's term, and zero sums are dropped, as the
+    dict constructor of Polynomial does."""
+    half = L // 2
+    heads, coeffs, sizes = [], [], []
+    for _ in range(count):
+        terms: dict[tuple[int, ...], complex] = {}
+        for _ in range(int(rng.integers(1, max_terms + 1))):
+            head = tuple(_minus_head(n, half, rng, observable=True))
+            terms[head] = terms.get(head, 0) + complex(rng.normal(), rng.normal())
+        kept = {head: c for head, c in terms.items() if c != 0}
+        heads += kept
+        coeffs += kept.values()
+        sizes.append(len(kept))
+    rows = np.zeros((len(heads), L), dtype=np.int64)
+    rows[:, :half] = np.array(heads, dtype=np.int64).reshape(-1, half)
+    return RowStack(n, rows, np.array(coeffs, dtype=complex),
+                    np.array(sizes, dtype=np.intp))
 
 
 def random_minus_observable(
@@ -244,55 +338,61 @@ def random_minus_observable(
     """Random element of the gauge-invariant minus algebra: up to
     ``max_terms`` observable monomials with standard complex Gaussian
     coefficients."""
-    n_terms = int(rng.integers(1, max_terms + 1))
-    terms: dict[ExponentVector, complex] = {}
-    for _ in range(n_terms):
-        vec = random_minus_vector(n, L, rng, observable=True)
-        coeff = complex(rng.normal(), rng.normal())
-        terms[vec] = terms.get(vec, 0) + coeff
-    return Polynomial(terms, n, L)
+    stack = random_minus_rows(n, L, rng, 1, max_terms)
+    return Polynomial._from_arrays(stack.exponents, stack.coeffs, n, L)
+
+
+def minus_rows(n: int, L: int, degrees) -> np.ndarray:
+    """Exponent rows of the monomials on sites 1..L/2 of each degree in
+    ``degrees``, degree by degree, each degree in lexicographic order."""
+    half = L // 2
+    heads = np.indices((n,) * half).reshape(half, -1).T
+    total = heads.sum(axis=1)
+    picked = np.concatenate([np.flatnonzero(total == d) for d in degrees])
+    rows = np.zeros((len(picked), L), dtype=np.int64)
+    rows[:, :half] = heads[picked]
+    return rows
 
 
 def minus_monomials_of_degree(n: int, L: int, d: int):
     """All exponent vectors on sites 1..L/2 with total degree exactly d."""
-    half = L // 2
-    for head in itertools.product(range(n), repeat=half):
-        if sum(head) == d:
-            yield ExponentVector(tuple(head) + (0,) * half, n)
+    for row in minus_rows(n, L, (d,)).tolist():
+        yield ExponentVector(tuple(row), n)
+
+
+def structured_probes(n: int, L: int) -> tuple[list[str], RowStack]:
+    """Identity plus every degree-n monomial on the minus half: their labels
+    and their stack."""
+    rows = minus_rows(n, L, (0, n))
+    labels = ["identity"] + [f"C{tuple(row)}" for row in rows[1:].tolist()]
+    return labels, RowStack.monomials(rows, n)
 
 
 def structured_observables(n: int, L: int) -> list[tuple[str, Polynomial]]:
     """Identity plus every degree-n monomial on the minus half."""
-    out = [("identity", Polynomial.identity(n, L))]
-    for vec in minus_monomials_of_degree(n, L, n):
-        out.append((f"C{vec.entries}", Polynomial.monomial(1.0, vec)))
-    return out
+    labels, probes = structured_probes(n, L)
+    one = np.ones(1, dtype=complex)
+    return [(label, Polynomial._from_arrays(row[None], one, n, L))
+            for label, row in zip(labels, probes.exponents)]
 
 
 # -- trace functionals ----------------------------------------------------
 
 
-def _traces(
-    xs: list[Polynomial], ys: list[Polynomial], rep: Representation,
-    table: np.ndarray, grid: bool = False,
+def _block_traces(
+    stack: RowStack, x: np.ndarray, y: np.ndarray, rep: Representation,
+    table: np.ndarray,
 ) -> np.ndarray:
-    """Tr(X_i Y_i E) for each pair (X_i, Y_i), or with ``grid`` the matrix
-    of Tr(X_i Y_j E) over all i, j, with ``table`` the Weyl table of E.
+    """Tr(X_p Y_p E) for each pair p of blocks X_p = x[p], Y_p = y[p] of
+    ``stack``, with ``table`` the Weyl table of E, in one kernel pass.
 
     Each trace is a bilinear sum of monomial traces Tr(C_s C_t E), each one
     lookup in the table (``pair_traces``), so it costs O(terms_X terms_Y L),
-    with no dense matrix of X or Y and no dim^3 product.
+    with no dense matrix of X or Y and no dim^3 product; each sum is taken
+    in (term of X, term of Y) order, whatever else the pass holds.
     """
-    # The exponent rows of every distinct polynomial, stacked: polynomial u
-    # owns rows offset[u] to offset[u] + size[u].
-    polys = {id(p): p for p in (*xs, *ys)}
-    slot = {key: u for u, key in enumerate(polys)}
-    size = np.array([len(p.coeffs) for p in polys.values()], dtype=np.intp)
+    size = stack.sizes
     offset = np.cumsum(size) - size
-    x = np.array([slot[id(p)] for p in xs], dtype=np.intp)
-    y = np.array([slot[id(p)] for p in ys], dtype=np.intp)
-    if grid:
-        x, y = np.repeat(x, len(y)), np.tile(y, len(x))
     # Pair p contributes size[x[p]] * size[y[p]] term pairs, in row-major
     # order over (term of X, term of Y).
     count = size[x] * size[y]
@@ -301,14 +401,24 @@ def _traces(
     width = size[y][owner]
     s = offset[x][owner] + local // width
     t = offset[y][owner] + local % width
-    coeffs = np.concatenate([np.zeros(0), *(p.coeffs for p in polys.values())])
-    exponents = np.concatenate(
-        [np.zeros((0, rep.sites), dtype=np.int64),
-         *(p.exponents for p in polys.values())]
-    )
-    traces = pair_traces(rep, exponents, s, t, table)
+    traces = pair_traces(rep, stack.exponents, s, t, table)
     out = np.zeros(len(x), dtype=complex)
-    np.add.at(out, owner, _cmul(coeffs[s], coeffs[t]) * traces)
+    np.add.at(out, owner, _cmul(stack.coeffs[s], stack.coeffs[t]) * traces)
+    return out
+
+
+def _traces(
+    xs: list[Polynomial], ys: list[Polynomial], rep: Representation,
+    table: np.ndarray, grid: bool = False,
+) -> np.ndarray:
+    """Tr(X_i Y_i E) for each pair (X_i, Y_i), or with ``grid`` the matrix
+    of Tr(X_i Y_j E) over all i, j, with ``table`` the Weyl table of E
+    (``_block_traces`` of their stack)."""
+    stack = RowStack.of((*xs, *ys), rep.order, rep.sites)
+    x, y = np.arange(len(xs)), len(xs) + np.arange(len(ys))
+    if grid:
+        x, y = np.repeat(x, len(y)), np.tile(y, len(x))
+    out = _block_traces(stack, x, y, rep, table)
     return out.reshape(len(xs), len(ys)) if grid else out
 
 
@@ -347,6 +457,8 @@ def check_rp(
     checks Re f >= 0 and Im f = 0 (relative tolerance), the symmetric
     equality Tr(A theta(A) e^{-H}) = Tr(theta(A) A e^{-H}), positivity of
     the partition function, and PSD-ness of the structured Gram matrix.
+    Every trace is read in one pass over the stack of the probes and their
+    reflections.
     """
     n, L = spec.order, spec.sites
     rng = np.random.default_rng(seed)
@@ -358,19 +470,21 @@ def check_rp(
     if abs(z.imag) > tol * zscale or z.real <= 0:
         violations.append(["partition_function", z.imag if z.real > 0 else z.real])
 
-    structured = structured_observables(n, L)
-    probes = structured + [
-        (f"random[{i}]", random_minus_observable(n, L, rng))
-        for i in range(samples)
-    ]
-    polys = [a for _, a in probes]
-    refl = reflect_all(polys)
-    # f(A, A) = Tr(A theta(A) E) and the symmetric Tr(theta(A) A E).
-    traces = _traces(polys + refl, refl + polys, rep, table)
+    labels, probes = structured_probes(n, L)
+    count = len(probes)
+    labels += [f"random[{i}]" for i in range(samples)]
+    probes += random_minus_rows(n, L, rng, samples)
+    # Blocks p < m are the probes A, block m + p is theta(A_p): the pairs
+    # give f(A, A) = Tr(A theta(A) E), the symmetric Tr(theta(A) A E), and
+    # the Gram matrix of the structured probes.
+    m, p, g = len(probes), np.arange(len(probes)), np.arange(count)
+    x = np.concatenate([p, m + p, np.repeat(g, count)])
+    y = np.concatenate([m + p, p, m + np.tile(g, count)])
+    traces = _block_traces(probes + probes.reflected(), x, y, rep, table)
 
     min_diag = math.inf
     max_imag = 0.0
-    for (label, _), val, sym in zip(probes, *traces.reshape(2, -1).tolist()):
+    for label, val, sym in zip(labels, *traces[:2 * m].reshape(2, -1).tolist()):
         scale = 1.0 + abs(val)
         re_n = val.real / scale
         im_n = abs(val.imag) / scale
@@ -383,8 +497,7 @@ def check_rp(
         if abs(val - sym) > tol * scale:
             violations.append([f"{label}:symmetry", abs(val - sym)])
 
-    count = len(structured)
-    _, min_eig = _gram(polys[:count], refl[:count], rep, table)
+    _, min_eig = _hermitized(traces[2 * m:].reshape(count, count))
     if min_eig < -tol:
         violations.append(["gram", min_eig])
 
@@ -403,16 +516,22 @@ def check_rp(
 def gram_psd(
     spec: HamiltonianSpec,
     rep: Representation,
-    basis: list[Polynomial],
+    basis: list[Polynomial] | RowStack,
 ) -> tuple[np.ndarray, float]:
     """Hermitized Gram matrix G_ab = f(A_a, A_b) and its normalized minimum
-    eigenvalue (divided by 1 + max |G_ab|)."""
+    eigenvalue (divided by 1 + max |G_ab|), over the polynomials of
+    ``basis`` or the blocks of a stack, read in one trace pass."""
+    if not isinstance(basis, RowStack):
+        basis = RowStack.of(basis, rep.order, rep.sites)
     table = boltzmann_table(spec, rep)
-    return _gram(basis, reflect_all(basis), rep, table)
+    m = len(basis)
+    i = np.arange(m)
+    g = _block_traces(basis + basis.reflected(), np.repeat(i, m),
+                      m + np.tile(i, m), rep, table)
+    return _hermitized(g.reshape(m, m))
 
 
-def _gram(basis, reflected, rep, table) -> tuple[np.ndarray, float]:
-    g = _traces(basis, reflected, rep, table, grid=True)
+def _hermitized(g: np.ndarray) -> tuple[np.ndarray, float]:
     gh = (g + g.conj().T) / 2
     scale = 1.0 + float(np.abs(gh).max(initial=0.0))
     min_eig = float(np.linalg.eigvalsh(gh).min()) / scale
@@ -577,28 +696,59 @@ def rp_bounds_check(
 
     if table is None:
         table = boltzmann_table(spec, rep)
-    ta, tb = reflect_all((a, b))
-    f_ab, sq_a, sq_b = _traces([a, a, b], [tb, ta, tb], rep, table).tolist()
+    plus = RowStack.of((a, b), rep.order, rep.sites)
+    [out] = _bounds(plus, np.array([0]), np.array([1]), rep, table, tol)
+    return out
+
+
+def sampled_bounds(
+    spec: HamiltonianSpec, rep: Representation, samples: int, seed: int,
+    tol: float = DEFAULT_TOL,
+) -> list[dict]:
+    """rp_bounds_check of the pair A = B = I and of ``samples`` pairs (A, B),
+    each the reflection of two fresh random_minus_observable draws, seeded
+    by ``seed``: one trace pass for all pairs, then each pair's bounds in
+    order, so the first RP-violating pair raises."""
+    n, L = spec.order, spec.sites
+    rng = np.random.default_rng(seed)
+    plus = random_minus_rows(n, L, rng, 2 * samples).reflected()
+    plus = RowStack.monomials(np.zeros((1, L), dtype=np.int64), n) + plus
+    # Block 0 is the identity, pair 0 is (I, I) and pair k blocks 2k-1, 2k.
+    k = np.arange(samples + 1)
+    table = boltzmann_table(spec, rep)
+    return _bounds(plus, np.maximum(2 * k - 1, 0), 2 * k, rep, table, tol)
+
+
+def _bounds(plus: RowStack, a, b, rep, table, tol) -> list[dict]:
+    """The rp_bounds_check report of each pair of blocks (A, B) =
+    (a[p], b[p]) of ``plus``, from f(A, B), f(A, A) and f(B, B) read in one
+    trace pass; ValueError at the first f(A, A) or f(B, B) < 0."""
+    m = len(plus)
+    traces = _block_traces(plus + plus.reflected(), np.concatenate([a, a, b]),
+                           m + np.concatenate([b, a, b]), rep, table)
 
     def norm(val: complex, label: str) -> float:
         if val.real < -tol * (1 + abs(val)):
             raise ValueError(f"H is RP-violating: f({label}, {label}) = {val}")
         return math.sqrt(max(val.real, 0.0))
 
-    bound = norm(sq_a, "A") * norm(sq_b, "B")
     z = complex(table[0, 0])  # Tr(e^{-H})
     z_bound = max(z.real, 0.0)
-    margin = (bound - abs(f_ab)) / (1.0 + bound)
     margin_z = (z_bound - abs(z)) / (1.0 + z_bound)
-    return {
-        "f_ab": [f_ab.real, f_ab.imag],
-        "bound1": bound,
-        "bound2": bound,
-        "margin1": margin,
-        "margin2": margin,
-        "partition_margin": margin_z,
-        "ok": margin >= -tol and margin_z >= -tol,
-    }
+    out = []
+    for f_ab, sq_a, sq_b in zip(*traces.reshape(3, -1).tolist()):
+        bound = norm(sq_a, "A") * norm(sq_b, "B")
+        margin = (bound - abs(f_ab)) / (1.0 + bound)
+        out.append({
+            "f_ab": [f_ab.real, f_ab.imag],
+            "bound1": bound,
+            "bound2": bound,
+            "margin1": margin,
+            "margin2": margin,
+            "partition_margin": margin_z,
+            "ok": margin >= -tol and margin_z >= -tol,
+        })
+    return out
 
 
 # -- the section-7 counterexample and positivity families -----------------

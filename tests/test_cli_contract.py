@@ -39,6 +39,8 @@ def run(capsys, *argv):
         ["trotter", "--n", "2", "--k"],
         ["gram", "--n", "3", "--tol", "inf"],  # would pass every check
         ["gram", "--n", "3", "--tol", "nan"],
+        ["rp-check", "--n", "3", "--seed", "-1"],
+        ["bounds", "--n", "3", "--seed", "-1"],
     ],
 )
 def test_argument_errors_exit_1_with_one_line(capsys, argv):
@@ -46,6 +48,8 @@ def test_argument_errors_exit_1_with_one_line(capsys, argv):
     assert code == cli.ERROR
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    if argv[-2:] == ["--seed", "-1"]:  # named at parse time, before any spec
+        assert "argument --seed: must be >= 0, got -1" in err
 
 
 @pytest.mark.parametrize(

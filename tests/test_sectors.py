@@ -315,16 +315,15 @@ def test_bounds_worst_breaks_ties_towards_the_earlier_pair(
 ):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"baxter": {"n": 2, "L": 4, "t": [1, -0.5, 1]}}))
-    calls = iter(range(len(offsets)))
 
-    def fake(a, b, spec, rep, tol=rp.DEFAULT_TOL, table=None):
-        i = next(calls)
-        margin = 0.25 + offsets[i]
-        return {"f_ab": [float(i), 0.0], "bound1": 1.0, "bound2": 1.0,
-                "margin1": margin, "margin2": 0.5, "partition_margin": 0.5,
-                "ok": True}
+    def fake(spec, rep, samples, seed, tol):
+        assert samples == len(offsets) - 1
+        return [{"f_ab": [float(i), 0.0], "bound1": 1.0, "bound2": 1.0,
+                 "margin1": 0.25 + offset, "margin2": 0.5,
+                 "partition_margin": 0.5, "ok": True}
+                for i, offset in enumerate(offsets)]
 
-    monkeypatch.setattr(rp, "rp_bounds_check", fake)
+    monkeypatch.setattr(rp, "sampled_bounds", fake)
     code, report = run_cli(["bounds", "--spec", str(path), "--samples",
                             str(len(offsets) - 1)])
     assert code == cli.PASS

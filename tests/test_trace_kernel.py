@@ -1,12 +1,14 @@
 """The Weyl-table trace kernel against dense matrix products.
 
 Every trace functional Tr(X Y E) in pararp.rp is evaluated by one kernel,
-``representation.pair_traces``, through the bilinear helper ``rp._traces``:
-one lookup per term pair in the Weyl table of E (``weyl_table``), built once
-per Boltzmann factor.  The table's contract is an E that commutes with the
-gauge shift T, as e^{-H} of a gauge-invariant H does, so the E here is
-``sector_matrix`` of random blocks.  The references multiply dense matrices
-instead: Tr(to_matrix(X) @ to_matrix(Y) @ E).
+``representation.pair_traces``, through the bilinear helper
+``rp._block_traces`` on a stack of polynomials (``rp.RowStack``;
+``rp._traces`` stacks two lists): one lookup per term pair in the Weyl table
+of E (``weyl_table``), built once per Boltzmann factor.  The table's
+contract is an E that commutes with the gauge shift T, as e^{-H} of a
+gauge-invariant H does, so the E here is ``sector_matrix`` of random
+blocks.  The references multiply dense matrices instead:
+Tr(to_matrix(X) @ to_matrix(Y) @ E).
 """
 
 import contextlib
@@ -20,12 +22,12 @@ import pytest
 from pararp import cli, rp
 from pararp.algebra import Polynomial, reflect
 from pararp.exponents import ExponentVector
-from pararp.hamiltonian import baxter
+from pararp.hamiltonian import baxter, spec_from_dict
 from pararp.representation import (
     _digit_sum, pair_traces, sector_matrix, to_matrix, weyl_table,
 )
 
-from conftest import rep_for
+from conftest import rep_for, stack_polynomials
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256.
 CELLS = [
@@ -43,6 +45,13 @@ def dense_traces(xs, ys, rep, e, grid=False):
     if grid:
         return np.array([[np.trace(a @ b @ e) for b in my] for a in mx])
     return np.array([np.trace(a @ b @ e) for a, b in zip(mx, my)])
+
+
+def dense_block_traces(stack, x, y, rep, e):
+    """Reference for rp._block_traces from dense triple products."""
+    mats = [to_matrix(p, rep) for p in stack_polynomials(stack)]
+    return np.array([np.trace(mats[i] @ mats[j] @ e) for i, j in zip(x, y)],
+                    dtype=complex)
 
 
 def random_vector(n, L, rng, kind):
@@ -179,7 +188,7 @@ class TestRoutedFunctionals:
         rep = rep_for(n, L)
         calls = {"to_matrix": 0, "structured": 0}
         to_matrix_orig = rp.to_matrix
-        structured_orig = rp.structured_observables
+        structured_orig = rp.structured_probes
 
         def counting_to_matrix(p, r):
             calls["to_matrix"] += 1
@@ -190,7 +199,7 @@ class TestRoutedFunctionals:
             return structured_orig(*args)
 
         monkeypatch.setattr(rp, "to_matrix", counting_to_matrix)
-        monkeypatch.setattr(rp, "structured_observables", counting_structured)
+        monkeypatch.setattr(rp, "structured_probes", counting_structured)
         rp.check_rp(spec, rep, samples=10, seed=2)
         assert calls == {"to_matrix": 1, "structured": 1}
 
@@ -240,24 +249,31 @@ class TestBoundsFactors:
 
 
 @pytest.mark.parametrize("command", [
-    ["rp-check", "--samples", "6", "--seed", "3"],
-    ["gram"],
-    ["bounds", "--samples", "4", "--seed", "4"],
-], ids=lambda c: c[0])
+    pytest.param(["rp-check", "--samples", "6", "--seed", "3"], id="rp-check"),
+    pytest.param(["rp-check", "--samples", "1", "--seed", "3"], id="rp-check-1"),
+    pytest.param(["rp-check", "--samples", "20", "--seed", "3"], id="rp-check-20"),
+    pytest.param(["gram"], id="gram"),
+    pytest.param(["bounds", "--samples", "4", "--seed", "4"], id="bounds"),
+])
 def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
-    """One Weyl table per Boltzmann factor: each rp-check, gram and bounds
-    job builds one, however many traces it reads from it."""
+    """One Weyl table per Boltzmann factor and one kernel pass per job: each
+    rp-check, gram and bounds job builds one table and reads every trace it
+    needs from it in one pair_traces call, however many probes it draws."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(
         {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.6, -0.5, 0.6, 1.0]}}
     ))
-    calls = []
-    table_orig = rp.weyl_table
-    monkeypatch.setattr(
-        rp, "weyl_table", lambda e, rep: calls.append(1) or table_orig(e, rep)
-    )
+    calls = {"weyl_table": 0, "pair_traces": 0}
+    for name in calls:
+        original = getattr(rp, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rp, name, counting)
     code, _ = run_cli(command + ["--spec", str(path)])
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and calls == {"weyl_table": 1, "pair_traces": 1}
 
 
 # -- CLI reports against the dense reference --------------------------------
@@ -321,8 +337,8 @@ def test_cli_report_matches_dense_reference(command, name, tmp_path,
         rp, "weyl_table", lambda e, rep: seen.append(e) or table_orig(e, rep)
     )
     monkeypatch.setattr(
-        rp, "_traces", lambda xs, ys, rep, table, grid=False:
-        dense_traces(xs, ys, rep, seen[-1], grid)
+        rp, "_block_traces", lambda stack, x, y, rep, table:
+        dense_block_traces(stack, x, y, rep, seen[-1])
     )
     ref_code, ref_report = run_cli(argv)
     assert len(seen) == 1
@@ -330,6 +346,114 @@ def test_cli_report_matches_dense_reference(command, name, tmp_path,
     assert_reports_close(report, ref_report)
     if name == "baxter-violating" and command[0] != "bounds":
         assert code == cli.VIOLATIONS
+
+
+# -- CLI reports, exactly, against per-probe references ------------------------
+
+
+def reference_report(argv, spec_dict):
+    """The report of ``argv`` composed from the one-block functions, probe by
+    probe and pair by pair: random_minus_observable, reflect, _traces,
+    gram_psd and rp_bounds_check."""
+    spec = spec_from_dict(spec_dict)
+    n, L = spec.order, spec.sites
+    rep = rep_for(n, L)
+    tol = rp.DEFAULT_TOL
+    command, options = argv[0], dict(zip(argv[1::2], argv[2::2]))
+    samples, seed = int(options.get("--samples", 0)), int(options.get("--seed", 0))
+    rng = np.random.default_rng(seed)
+    head = {"command": command, "n": n, "L": L}
+    if command == "gram":
+        basis = [Polynomial.monomial(1.0, vec)
+                 for d in range(0, L // 2 * (n - 1) + 1, n)
+                 for vec in rp.minus_monomials_of_degree(n, L, d)]
+        gram, min_eig = rp.gram_psd(spec, rep, basis)
+        diag = gram.diagonal().real
+        schwarz_ok = all(
+            abs(gram[i, j]) ** 2 <= diag[i] * diag[j] + tol * (1 + abs(gram[i, j]) ** 2)
+            for i in range(len(basis)) for j in range(len(basis))
+        )
+        ok = min_eig >= -tol and schwarz_ok
+        return (cli.PASS if ok else cli.VIOLATIONS), {
+            **head, "basis_size": len(basis), "gram_min_eigenvalue": min_eig,
+            "schwarz_ok": schwarz_ok, "tolerance": tol, "passed": ok,
+        }
+    table = rp.boltzmann_table(spec, rep)
+    if command == "bounds":
+        plus = [reflect(rp.random_minus_observable(n, L, rng))
+                for _ in range(2 * samples)]
+        pairs = [(Polynomial.identity(n, L),) * 2] + list(zip(plus[::2], plus[1::2]))
+        worst, all_ok = None, True
+        for a, b in pairs:
+            res = rp.rp_bounds_check(a, b, spec, rep, tol=tol, table=table)
+            all_ok = all_ok and res["ok"]
+            margin = min(res["margin1"], res["margin2"], res["partition_margin"])
+            if worst is None or margin < worst["min_margin"] - cli.WORST_TIE:
+                worst = {"min_margin": margin, **res}
+        return (cli.PASS if all_ok else cli.VIOLATIONS), {
+            **head, "pairs": len(pairs), "seed": seed, "tolerance": tol,
+            "worst": worst, "passed": all_ok,
+        }
+    structured = [("identity", Polynomial.identity(n, L))] + [
+        (f"C{vec.entries}", Polynomial.monomial(1.0, vec))
+        for vec in rp.minus_monomials_of_degree(n, L, n)]
+    probes = structured + [(f"random[{i}]", rp.random_minus_observable(n, L, rng))
+                           for i in range(samples)]
+    z = complex(table[0, 0])
+    violations = []
+    if abs(z.imag) > tol * (1.0 + abs(z)) or z.real <= 0:
+        violations.append(["partition_function", z.imag if z.real > 0 else z.real])
+    min_diag, max_imag = math.inf, 0.0
+    for label, a in probes:
+        [val] = rp._traces([a], [reflect(a)], rep, table).tolist()
+        [sym] = rp._traces([reflect(a)], [a], rep, table).tolist()
+        scale = 1.0 + abs(val)
+        re_n, im_n = val.real / scale, abs(val.imag) / scale
+        min_diag, max_imag = min(min_diag, re_n), max(max_imag, im_n)
+        if re_n < -tol:
+            violations.append([f"{label}:diagonal_real", re_n])
+        if im_n > tol:
+            violations.append([f"{label}:diagonal_imag", im_n])
+        if abs(val - sym) > tol * scale:
+            violations.append([f"{label}:symmetry", abs(val - sym)])
+    _, min_eig = rp.gram_psd(spec, rep, [a for _, a in structured])
+    if min_eig < -tol:
+        violations.append(["gram", min_eig])
+    return (cli.VIOLATIONS if violations else cli.PASS), {
+        **head, "validated_rule": spec.validated_rule.value,
+        "partition_function": [z.real, z.imag], "min_diagonal_real": min_diag,
+        "max_diagonal_imag_abs": max_imag, "gram_min_eigenvalue": min_eig,
+        "samples": samples, "seed": seed, "tolerance": tol,
+        "violations": violations,
+    }
+
+
+SEEDED = [
+    [name, "--samples", samples, "--seed", seed]
+    for name, samples in (("rp-check", "6"), ("bounds", "3"))
+    for seed in ("0", "3", "4")
+] + [["gram"], ["bounds", "--samples", "6", "--seed", "3"]]
+
+
+@pytest.mark.parametrize("argv", SEEDED, ids=" ".join)
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_cli_report_is_exactly_the_per_probe_report(name, argv, tmp_path,
+                                                     capsys):
+    """Byte for byte the report the per-probe path gives, exit code and
+    error line included: one trace pass changes no sum.  With 6 samples at
+    seed 3, bounds on the violating spec stops at a later pair with
+    f(B, B) < 0."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPECS[name]))
+    code = cli.main(argv + ["--spec", str(path)])
+    out, err = capsys.readouterr()
+    try:
+        ref_code, ref = reference_report(argv, SPECS[name])
+    except ValueError as exc:  # an RP-violating pair in bounds
+        assert (code, out, err) == (cli.ERROR, "", f"error: {exc}\n")
+        return
+    assert (code, err) == (ref_code, "")
+    assert out == json.dumps(ref, sort_keys=True) + "\n"
 
 
 # -- the Schwarz check in cmd_gram and ExponentVector validation -------------
