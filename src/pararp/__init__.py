@@ -17,7 +17,6 @@ from .algebra import (
     classify,
     gauge_apply,
     reflect,
-    reflect_all,
     sum_polynomials,
     zeta_power,
     omega_power,

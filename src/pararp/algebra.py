@@ -400,26 +400,10 @@ def reflect(p: Polynomial) -> Polynomial:
     Sends c_i to c_{L-i+1}^{n-1}; on monomials
     C_I -> omega^{-circ(I, I)} C_{reverse(I^c)} with conjugated coefficient.
     """
-    [out] = reflect_all((p,))
-    return out
-
-
-def reflect_all(polys) -> list[Polynomial]:
-    """[reflect(p) for p in polys], computed on all their terms at once."""
-    polys = list(polys)
-    if not polys:
-        return []
-    for q in polys[1:]:
-        polys[0]._require_same_space(q)
-    n, L = polys[0].order, polys[0].sites
-    a = np.concatenate([p.exponents for p in polys])
-    keys = (n - a[:, ::-1]) % n
-    coeffs = _conjugate_terms(a, np.concatenate([p.coeffs for p in polys]), n)
-    ends = np.cumsum([len(p.coeffs) for p in polys]).tolist()
-    return [
-        Polynomial._from_arrays(keys[start:end], coeffs[start:end], n, L)
-        for start, end in zip([0, *ends], ends)
-    ]
+    n, a = p.order, p.exponents
+    return Polynomial._from_arrays(
+        (n - a[:, ::-1]) % n, _conjugate_terms(a, p.coeffs, n), n, p.sites
+    )
 
 
 def gauge_apply(p: Polynomial, site: int | None = None) -> Polynomial:

@@ -104,9 +104,10 @@ def cmd_gram(args):
     degrees = range(0, L // 2 * (n - 1) + 1, n)
     basis = rp.RowStack.monomials(rp.minus_rows(n, L, degrees), n)
     gram, min_eig = rp.gram_psd(spec, rep, basis)
-    # Schwarz: |G_ij|^2 <= G_ii G_jj for every pair.
-    lhs, diag = np.abs(gram) ** 2, gram.diagonal().real
-    schwarz_ok = not (lhs > np.outer(diag, diag) + tol * (1 + lhs)).any()
+    # Schwarz |G_ij|^2 <= G_ii G_jj in min_eig's scale, which PSD implies.
+    eps = tol * (1 + np.abs(gram).max(initial=0.0))
+    diag = gram.diagonal().real + eps
+    schwarz_ok = not (np.abs(gram) ** 2 > np.outer(diag, diag)).any()
     ok = min_eig >= -tol and schwarz_ok
     report = {
         "command": "gram",

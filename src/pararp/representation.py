@@ -29,8 +29,8 @@ n^L = dim^2 coefficients in O(dim^2 log dim), for n = 2 the Walsh-Hadamard
 form of the Pauli decomposition.  For a matrix E that commutes with the
 gauge shift T below, such as e^{-H}, the same transform of E's entries
 E[k, k (+) a] needs only one state per T-orbit: ``weyl_table`` builds it once
-per E, and then Tr(C_s C_t E), the one trace kernel of :mod:`pararp.rp`, is
-one lookup in it per pair of monomials (``pair_traces``).
+per E from E's charge-sector blocks, and then Tr(C_s C_t E), the one trace
+kernel of :mod:`pararp.rp`, is one lookup in it per pair of monomials.
 
 Charge sectors.  The shift T = tau^{tensor L/2}, applied to every tensor
 factor, implements the global gauge automorphism: T c_j T^{-1} = omega^{-1}
@@ -129,9 +129,6 @@ class Representation:
         rows = _digit_sum(n, self.digits, self.x_exp.T[:, :, None])
         phase = self.zeta_exp[:, None] + 2 * (self.z_exp @ self.digits)
         return rows, phase % (2 * n)
-
-    def identity(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex)
 
     def phases(self, exponents: np.ndarray) -> np.ndarray:
         """phi(I) mod 2n (see the module docstring) for each row I of the
@@ -253,23 +250,27 @@ def to_matrix(p: Polynomial, rep: Representation) -> np.ndarray:
     return m.reshape(dim, dim)
 
 
-def weyl_table(e: np.ndarray, rep: Representation) -> np.ndarray:
-    """The (dim, dim/n) Weyl table of a dim x dim matrix E that commutes
-    with the gauge shift T, such as e^{-H}: entry [a, b'] is
-    F[a, b] = sum_k omega^{b.d(k)} E[k, k (+) a] = Tr(X^a Z^b E) for every
-    digit vector b whose digits sum to 0 mod n and end in b'.  For any other
-    b, F[a, b] = 0; for any other E the table is meaningless.
+def weyl_table(blocks: np.ndarray, rep: Representation) -> np.ndarray:
+    """The (dim, dim/n) Weyl table of the matrix E whose (n, dim/n, dim/n)
+    charge-sector blocks are ``blocks`` (``sector_blocks``), such as e^{-H}:
+    entry [a, b'] is F[a, b] = sum_k omega^{b.d(k)} E[k, k (+) a] =
+    Tr(X^a Z^b E) for every digit vector b whose digits sum to 0 mod n and
+    end in b'.  For any other b, F[a, b] = 0.
 
-    E[k, k (+) a] is constant on T-orbits, so F[a, b] is n times the
-    character sum G[a, b'] = sum_o omega^{b'.d'(o)} D[a, o] over the orbit
-    representatives o (first digit 0, the others d'(o)) of their entries
-    D[a, o] = E[o, o (+) a]: one gather and two matmuls, the character
-    matrix split into Kronecker factors over the first and the last half of
-    the digits d'.
+    E commutes with T, so E[k, k (+) a] is constant on T-orbits and F[a, b]
+    is n times the character sum G[a, b'] = sum_o omega^{b'.d'(o)} D[a, o]
+    over the orbit representatives o (first digit 0, the others d'(o)) of
+    D[a, o] = E[o, o (+) a] = A[-m mod n, o, o'] for o (+) a = T^m o', with
+    A[d, o, o'] = E[T^d o, o'] the DFT of the blocks (``sector_matrix``):
+    one FFT, one gather of dim^2/n entries, no dense E, and two matmuls, the
+    character matrix split into Kronecker factors over the first and the
+    last half of the digits d'.
     """
     n, dim = rep.order, rep.dim
     r = dim // n
-    d = e[np.arange(r), _orbit_sums(n, rep.digits)]
+    a = np.fft.fft(blocks, axis=0, norm="forward")
+    m, o = np.divmod(rep.orbit_index[_orbit_sums(n, rep.digits)], r)
+    d = a[-m % n, np.arange(r), o]
     free = rep.digits[1:, :r]  # d'(o), o = o_lo * r_hi + o_hi
     cut = len(free) // 2
     r_hi = n ** (len(free) - cut)
@@ -458,23 +459,19 @@ def _verify_dense(rep: Representation) -> dict[str, float]:
     """verify_yamazaki from dense products of ``rep.generators``: the
     reference it is tested against."""
     n = rep.order
-    eye = rep.identity()
+    eye = np.eye(rep.dim, dtype=complex)
     omega = np.exp(2j * np.pi / n)
+    norm = np.linalg.norm  # Frobenius, bounding the operator norm
     r_order = 0.0
     r_unitary = 0.0
     r_commute = 0.0
     for j, g in enumerate(rep.generators):
-        r_order = max(r_order, _opnorm(np.linalg.matrix_power(g, n) - eye))
-        r_unitary = max(r_unitary, _opnorm(g @ g.conj().T - eye))
+        r_order = max(r_order, float(norm(np.linalg.matrix_power(g, n) - eye)))
+        r_unitary = max(r_unitary, float(norm(g @ g.conj().T - eye)))
         for gp in rep.generators[j + 1:]:
-            r_commute = max(r_commute, _opnorm(g @ gp - omega * gp @ g))
+            r_commute = max(r_commute, float(norm(g @ gp - omega * gp @ g)))
     return {
         "order_residual": r_order,
         "unitarity_residual": r_unitary,
         "commutation_residual": r_commute,
     }
-
-
-def _opnorm(a: np.ndarray) -> float:
-    """Frobenius norm, a conservative stand-in for the operator norm."""
-    return float(np.linalg.norm(a))

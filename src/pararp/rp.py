@@ -6,18 +6,20 @@ Everything here evaluates trace functionals of the form
 
 against explicit matrices: positivity of f on the diagonal over the
 observable algebra of the minus half, Gram positive-semidefiniteness and
-the Schwarz inequality, Trotter product approximants of e^{-H}, reflection
-bounds, the known f(c) counterexample on the non-gauge-invariant algebra,
-and loop operator expectations in ground states.  The conservation law
-behind the positivity proof is checked symbolically.
+the Schwarz inequality (both at the scale 1 + max |G_ab|), Trotter product
+approximants of e^{-H}, reflection bounds, the known f(c) counterexample on
+the non-gauge-invariant algebra, and loop operator expectations in ground
+states.  The conservation law behind the positivity proof is checked
+symbolically.
 
-Every Boltzmann factor e^{-H} comes from ``boltzmann``: H is gauge
-invariant, so its matrix is block-diagonal across the n charge sectors of
-:mod:`pararp.representation`, and e^{-H} costs one stacked ``matrix_exp``
-of n blocks of size dim/n instead of one of size dim, about n^2 times fewer
-flops: at n = 4, L = 12 (dim 4096) ``rp-check --samples 4`` takes 6-8 s
-on a 2-vCPU Xeon host with one BLAS thread, most of it the four dim-1024
-exponentials.  ``matrix_exp`` is the degree-13
+H is gauge invariant, so its matrix is block-diagonal across the n charge
+sectors of :mod:`pararp.representation`, and e^{-H} costs one stacked
+``matrix_exp`` of n blocks of size dim/n instead of one of size dim, about
+n^2 times fewer flops: at n = 4, L = 12 (dim 4096) ``rp-check --samples 4``
+takes 6-8 s on a 2-vCPU Xeon host with one BLAS thread, most of it the four
+dim-1024 exponentials.  The trace functionals read e^{-H} only as those
+blocks; ``boltzmann`` assembles the dense matrix where one is the output
+(``decompose``).  ``matrix_exp`` is the degree-13
 scaling-and-squaring Pade method in numpy, with its own scaling per block,
 so numpy is the one numerical dependency.  Trotter products are computed
 blockwise the same way.  Entries of e^{-H} far below ||e^{-H}|| come out
@@ -27,11 +29,12 @@ without matrices.
 
 Every trace Tr(X theta(Y) e^{-H}) is a sum of monomial traces, each one
 lookup in the Weyl table of e^{-H} (``boltzmann_table``, from
-``representation.weyl_table``), built once per Boltzmann factor; the
-partition function is its entry F[0, 0].  The probes of a job (check_rp's
-structured and random observables, gram's basis, the pairs of bounds) are
-the blocks of one ``RowStack`` of exponent rows: they are drawn, reflected
-and traced as arrays, every trace of the job in one ``pair_traces`` pass.
+``representation.weyl_table`` of the sector blocks), built once per
+Boltzmann factor; the partition function is its entry F[0, 0].  The probes
+of every functional here (check_rp's structured and random observables,
+gram's basis, the pairs of bounds, the one pair of rp_functional) are the
+blocks of one ``RowStack`` of exponent rows: they are drawn, reflected and
+traced as arrays, every trace of a job in one ``_block_traces`` pass.
 
 Bounds and Trotter products rest on the form H = H_- + H_0 + theta(H_-),
 which every ``HamiltonianSpec`` has by construction: the bounds' auxiliary
@@ -179,8 +182,8 @@ def boltzmann(h: Polynomial, rep: Representation) -> np.ndarray:
 
 def boltzmann_table(spec: HamiltonianSpec, rep: Representation) -> np.ndarray:
     """The Weyl table of e^{-H}, H = spec.total(), that every trace against
-    e^{-H} is read from (``_traces``)."""
-    return weyl_table(boltzmann(spec.total(), rep), rep)
+    e^{-H} is read from (``_block_traces``), built from its sector blocks."""
+    return weyl_table(matrix_exp(-_sectors(spec.total(), rep)), rep)
 
 
 @dataclass
@@ -274,7 +277,7 @@ class RowStack:
         )
 
     def reflected(self) -> "RowStack":
-        """reflect of every block, on all rows at once (as reflect_all)."""
+        """reflect of every block, on all rows at once."""
         n, a = self.order, self.exponents
         return RowStack(n, (n - a[:, ::-1]) % n,
                         _conjugate_terms(a, self.coeffs, n), self.sizes)
@@ -407,21 +410,6 @@ def _block_traces(
     return out
 
 
-def _traces(
-    xs: list[Polynomial], ys: list[Polynomial], rep: Representation,
-    table: np.ndarray, grid: bool = False,
-) -> np.ndarray:
-    """Tr(X_i Y_i E) for each pair (X_i, Y_i), or with ``grid`` the matrix
-    of Tr(X_i Y_j E) over all i, j, with ``table`` the Weyl table of E
-    (``_block_traces`` of their stack)."""
-    stack = RowStack.of((*xs, *ys), rep.order, rep.sites)
-    x, y = np.arange(len(xs)), len(xs) + np.arange(len(ys))
-    if grid:
-        x, y = np.repeat(x, len(y)), np.tile(y, len(x))
-    out = _block_traces(stack, x, y, rep, table)
-    return out.reshape(len(xs), len(ys)) if grid else out
-
-
 def _compatible_sides(a: Polynomial, b: Polynomial) -> bool:
     sa, sb = classify(a).side, classify(b).side
     if Side.CROSSING in (sa, sb):
@@ -438,8 +426,9 @@ def rp_functional(
     """f(A, B) = Tr(A theta(B) e^{-H}); linear in A, anti-linear in B."""
     if not _compatible_sides(a, b):
         raise ValueError("A and B must be localized on the same side")
-    table = boltzmann_table(spec, rep)
-    [val] = _traces([a], [reflect(b)], rep, table)
+    pair = RowStack.of((a, reflect(b)), rep.order, rep.sites)
+    [val] = _block_traces(pair, np.array([0]), np.array([1]), rep,
+                          boltzmann_table(spec, rep))
     return complex(val)
 
 
@@ -516,13 +505,11 @@ def check_rp(
 def gram_psd(
     spec: HamiltonianSpec,
     rep: Representation,
-    basis: list[Polynomial] | RowStack,
+    basis: RowStack,
 ) -> tuple[np.ndarray, float]:
     """Hermitized Gram matrix G_ab = f(A_a, A_b) and its normalized minimum
-    eigenvalue (divided by 1 + max |G_ab|), over the polynomials of
-    ``basis`` or the blocks of a stack, read in one trace pass."""
-    if not isinstance(basis, RowStack):
-        basis = RowStack.of(basis, rep.order, rep.sites)
+    eigenvalue (divided by 1 + max |G_ab|), over the blocks of ``basis``,
+    read in one trace pass."""
     table = boltzmann_table(spec, rep)
     m = len(basis)
     i = np.arange(m)
@@ -678,7 +665,6 @@ def rp_bounds_check(
     spec: HamiltonianSpec,
     rep: Representation,
     tol: float = DEFAULT_TOL,
-    table: np.ndarray | None = None,
 ) -> dict:
     """Check |f(A, B)| <= ||A||_- ||B||_+ and |f(A, B)| <= ||A||_+ ||B||_-
     for A, B in the plus observable algebra, plus the A = B = I partition
@@ -686,18 +672,16 @@ def rp_bounds_check(
 
     Both auxiliary Hamiltonians are H, so ||A||_-^2 = ||A||_+^2 = f(A, A):
     the bounds are Cauchy-Schwarz for the one RP form f, three traces
-    against e^{-H}, read from ``table``, ``boltzmann_table(spec, rep)``,
-    built here when not given.
+    against e^{-H}, read from ``boltzmann_table(spec, rep)``.
     """
     for name, p in (("A", a), ("B", b)):
         sc = classify(p)
         if sc.side not in (Side.PLUS, Side.SCALAR) or not sc.observable:
             raise ValueError(f"{name} must be in the plus observable algebra")
 
-    if table is None:
-        table = boltzmann_table(spec, rep)
     plus = RowStack.of((a, b), rep.order, rep.sites)
-    [out] = _bounds(plus, np.array([0]), np.array([1]), rep, table, tol)
+    [out] = _bounds(plus, np.array([0]), np.array([1]), rep,
+                    boltzmann_table(spec, rep), tol)
     return out
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pararp.algebra import Polynomial
-from pararp.representation import build_generators
+from pararp.representation import _orbit_sums, build_generators
 
 _CACHE = {}
 
@@ -25,3 +25,20 @@ def stack_polynomials(stack):
     return [Polynomial._from_arrays(stack.exponents[i:j], stack.coeffs[i:j],
                                     stack.order, stack.exponents.shape[1])
             for i, j in zip([0, *ends], ends)]
+
+
+def dense_weyl_table(e, rep):
+    """The Weyl table of a dense E that commutes with the gauge shift, from
+    the gather D[a, o] = E[o, o (+) a] of E's own entries and the character
+    matmuls of representation.weyl_table: the reference for the table read
+    from the sector blocks."""
+    n, dim = rep.order, rep.dim
+    r = dim // n
+    d = e[np.arange(r), _orbit_sums(n, rep.digits)]
+    free = rep.digits[1:, :r]
+    cut = len(free) // 2
+    r_hi = n ** (len(free) - cut)
+    w_lo, w_hi = (rep.zeta[2 * (x.T @ x % n)]
+                  for x in (free[:cut, ::r_hi], free[cut:, :r_hi]))
+    g = np.matmul(w_lo, d.reshape(dim, r // r_hi, r_hi) @ w_hi)
+    return n * g.reshape(dim, r)

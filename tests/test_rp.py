@@ -158,7 +158,7 @@ class TestGram:
         spec = zero_spec(n, L)
         rep = rep_for(n, L)
         basis = [Polynomial.identity(n, L), mono((1, 2, 0, 0), n)]
-        gram, min_eig = rp.gram_psd(spec, rep, basis)
+        gram, min_eig = rp.gram_psd(spec, rep, rp.RowStack.of(basis, n, L))
         assert abs(gram[0, 0] - 9) < 1e-10
         assert abs(gram[1, 1]) < 1e-10
         assert abs(gram[0, 1]) < 1e-10
@@ -172,7 +172,7 @@ class TestGram:
             Polynomial.monomial(1.0, v)
             for v in rp.minus_monomials_of_degree(n, L, 2)
         ]
-        gram, min_eig = rp.gram_psd(spec, rep, basis)
+        gram, min_eig = rp.gram_psd(spec, rep, rp.RowStack.of(basis, n, L))
         assert min_eig >= -1e-9
         for i in range(len(basis)):
             for j in range(len(basis)):
@@ -186,7 +186,7 @@ class TestTrotter:
     def test_k1_definition(self):
         spec = rp.crossing_only_spec(3)
         rep = rep_for(3, 2)
-        eye = rep.identity()
+        eye = np.eye(rep.dim, dtype=complex)
         h0 = to_matrix(spec.h_zero, rep)
         expected = (eye - h0) @ eye @ eye  # H_- = 0
         assert np.abs(rp.trotter_approximant(spec, rep, 1) - expected).max() < 1e-13

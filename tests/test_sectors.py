@@ -29,7 +29,7 @@ from pararp.representation import (
     verify_yamazaki,
 )
 
-from conftest import rep_for
+from conftest import dense_weyl_table, rep_for
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256, L = 2 included.
 CELLS = [
@@ -382,11 +382,14 @@ def test_cli_report_matches_dense_boltzmann(command, name, tmp_path,
     path.write_text(json.dumps(SPECS[name]))
     argv = command + ["--spec", str(path)]
     code, report = run_cli(argv)
-    # The dense path: e^{-H} from the full matrix, and Trotter products on
-    # one block holding the whole matrix.
+    # The dense path: e^{-H} from the full matrix, its Weyl table gathered
+    # from the dense e^{-H}, and Trotter products on one block holding the
+    # whole matrix.
     monkeypatch.setattr(rp, "boltzmann", dense_boltzmann)
     monkeypatch.setattr(rp, "sector_blocks", lambda a, rep: a[None])
     monkeypatch.setattr(rp, "sector_matrix", lambda blocks, rep: blocks[0])
+    monkeypatch.setattr(rp, "weyl_table",
+                        lambda blocks, rep: dense_weyl_table(blocks[0], rep))
     ref_code, ref_report = run_cli(argv)
     assert code == ref_code
     if command[0] == "decompose":

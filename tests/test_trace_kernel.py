@@ -2,12 +2,11 @@
 
 Every trace functional Tr(X Y E) in pararp.rp is evaluated by one kernel,
 ``representation.pair_traces``, through the bilinear helper
-``rp._block_traces`` on a stack of polynomials (``rp.RowStack``;
-``rp._traces`` stacks two lists): one lookup per term pair in the Weyl table
-of E (``weyl_table``), built once per Boltzmann factor.  The table's
-contract is an E that commutes with the gauge shift T, as e^{-H} of a
-gauge-invariant H does, so the E here is ``sector_matrix`` of random
-blocks.  The references multiply dense matrices instead:
+``rp._block_traces`` on a stack of polynomials (``rp.RowStack``): one
+lookup per term pair in the Weyl table of E (``weyl_table``), built once
+per Boltzmann factor from the charge-sector blocks of E.  Here the blocks
+are random, and the dense E they stand for is ``sector_matrix`` of them.
+The references multiply dense matrices instead:
 Tr(to_matrix(X) @ to_matrix(Y) @ E).
 """
 
@@ -27,7 +26,7 @@ from pararp.representation import (
     _digit_sum, pair_traces, sector_matrix, to_matrix, weyl_table,
 )
 
-from conftest import rep_for, stack_polynomials
+from conftest import dense_weyl_table, rep_for, stack_polynomials
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256.
 CELLS = [
@@ -36,10 +35,18 @@ CELLS = [
     for L in range(2, 17, 2)
     if n ** (L // 2) <= 256
 ]
+# The same up to dim 1024.
+TABLE_CELLS = [
+    (n, L)
+    for n in range(2, 6)
+    for L in range(2, 21, 2)
+    if n ** (L // 2) <= 1024
+]
 
 
 def dense_traces(xs, ys, rep, e, grid=False):
-    """Reference for rp._traces from dense triple products."""
+    """Tr(X_i Y_i E), or with ``grid`` Tr(X_i Y_j E) over all i, j, from
+    dense triple products."""
     mx = [to_matrix(x, rep) for x in xs]
     my = [to_matrix(y, rep) for y in ys]
     if grid:
@@ -80,12 +87,11 @@ def random_poly(n, L, rng, max_terms=4):
     return Polynomial(terms, n, L)
 
 
-def random_matrix(rep, rng):
-    """A dense non-hermitian matrix that commutes with the gauge shift T:
-    the matrix of n random charge-sector blocks."""
+def random_blocks(rep, rng):
+    """n random charge-sector blocks: those of a dense non-hermitian matrix
+    that commutes with the gauge shift T."""
     n, r = rep.order, rep.dim // rep.order
-    blocks = rng.normal(size=(n, r, r)) + 1j * rng.normal(size=(n, r, r))
-    return sector_matrix(blocks, rep)
+    return rng.normal(size=(n, r, r)) + 1j * rng.normal(size=(n, r, r))
 
 
 def assert_close(got, ref):
@@ -101,26 +107,29 @@ class TestKernelAgainstDense:
     def test_pairs_and_grid(self, n, L):
         rng = np.random.default_rng(1000 * n + L)
         rep = rep_for(n, L)
-        e = random_matrix(rep, rng)
-        table = weyl_table(e, rep)
+        blocks = random_blocks(rep, rng)
+        e, table = sector_matrix(blocks, rep), weyl_table(blocks, rep)
         xs = [random_poly(n, L, rng) for _ in range(4)]
         ys = [random_poly(n, L, rng) for _ in range(3)]
         xs.append(Polynomial.identity(n, L))
         ys.append(reflect(xs[0]))
-        pairs = rp._traces(xs[:4], ys, rep, table)
+        stack = rp.RowStack.of(xs + ys, n, L)
+        x, y = np.arange(5), 5 + np.arange(4)
+        pairs = rp._block_traces(stack, x[:4], y, rep, table)
         assert_close(pairs, dense_traces(xs[:4], ys, rep, e))
-        grid = rp._traces(xs, ys, rep, table, grid=True)
-        assert_close(grid, dense_traces(xs, ys, rep, e, grid=True))
+        grid = rp._block_traces(stack, np.repeat(x, 4), np.tile(y, 5), rep, table)
+        assert_close(grid.reshape(5, 4), dense_traces(xs, ys, rep, e, grid=True))
 
     @pytest.mark.parametrize("n,L", [(2, 8), (3, 6), (5, 4)])
     def test_monomial_pairs(self, n, L):
         rng = np.random.default_rng(n * L)
         rep = rep_for(n, L)
-        e = random_matrix(rep, rng)
+        blocks = random_blocks(rep, rng)
+        e = sector_matrix(blocks, rep)
         exponents = rng.integers(0, n, size=(6, L))
         exponents[0] = 0  # the identity
         s, t = rng.integers(0, 6, size=40), rng.integers(0, 6, size=40)
-        got = pair_traces(rep, exponents, s, t, weyl_table(e, rep))
+        got = pair_traces(rep, exponents, s, t, weyl_table(blocks, rep))
 
         def monomial(i):
             return rep.monomial_matrix(ExponentVector(tuple(exponents[i]), n))
@@ -131,15 +140,17 @@ class TestKernelAgainstDense:
     def test_empty_polynomial_gives_zero(self):
         rep = rep_for(3, 4)
         rng = np.random.default_rng(0)
-        table = weyl_table(random_matrix(rep, rng), rep)
+        table = weyl_table(random_blocks(rep, rng), rep)
         zero, x = Polynomial.zero(3, 4), random_poly(3, 4, rng)
-        assert rp._traces([zero], [x], rep, table).tolist() == [0j]
-        assert rp._traces([x], [zero], rep, table).tolist() == [0j]
-        grid = rp._traces([zero, x], [zero], rep, table, grid=True)
-        assert grid.shape == (2, 1) and not grid.any()
-        assert rp._traces([], [], rep, table).shape == (0,)
+        stack = rp.RowStack.of([zero, x], 3, 4)
+        # (zero, x), (x, zero) and (zero, zero).
+        got = rp._block_traces(stack, np.array([0, 1, 0]), np.array([1, 0, 0]),
+                               rep, table)
+        assert got.tolist() == [0j, 0j, 0j]
         empty = np.zeros((0, 4), dtype=np.intp)
         none = np.zeros(0, dtype=np.intp)
+        assert rp._block_traces(rp.RowStack.of([], 3, 4), none, none, rep,
+                                table).shape == (0,)
         assert pair_traces(rep, empty, none, none, table).shape == (0,)
 
     @pytest.mark.parametrize("n,L", [(2, 2), (3, 2), (2, 6), (3, 4), (4, 4)])
@@ -148,17 +159,32 @@ class TestKernelAgainstDense:
         over every a and b: n G[a, b'] when the digits of b sum to 0 mod n,
         else 0."""
         rep = rep_for(n, L)
-        e = random_matrix(rep, np.random.default_rng(n + L))
+        blocks = random_blocks(rep, np.random.default_rng(n + L))
+        e = sector_matrix(blocks, rep)
         d = rep.digits
         gathered = e[np.arange(rep.dim), _digit_sum(n, d[:, None], d[:, :, None])]
         f = gathered @ np.exp(2j * np.pi / n * (d.T @ d))  # F[a, b]
-        table = weyl_table(e, rep)
+        table = weyl_table(blocks, rep)
         assert table.shape == (rep.dim, rep.dim // n)
         charge = d.sum(axis=0) % n == 0
         assert_close(table[:, np.arange(rep.dim)[charge] % table.shape[1]],
                      f[:, charge])
         assert (np.abs(f[:, ~charge]) <= 1e-12 * (1 + np.abs(f).max())).all()
         assert table[0, 0] == pytest.approx(np.trace(e), rel=1e-13)
+
+    @pytest.mark.parametrize("n,L", TABLE_CELLS)
+    def test_table_from_blocks_is_the_dense_gather(self, n, L):
+        """weyl_table of the blocks equals, bit for bit, the table gathered
+        from the dense sector_matrix of the same blocks, for random blocks
+        and for those of e^{-H} of the Baxter test spec."""
+        rep = rep_for(n, L)
+        t = [1.0] * (L - 1)
+        t[L // 2 - 1] = -0.5
+        spec = baxter(n, L, t)
+        for blocks in (random_blocks(rep, np.random.default_rng(n * L)),
+                       rp.matrix_exp(-rp._sectors(spec.total(), rep))):
+            dense = dense_weyl_table(sector_matrix(blocks, rep), rep)
+            assert np.array_equal(weyl_table(blocks, rep), dense)
 
 
 class TestRoutedFunctionals:
@@ -176,7 +202,7 @@ class TestRoutedFunctionals:
         gh = (g + g.conj().T) / 2
         scale = 1.0 + float(np.abs(gh).max())
         ref_min = float(np.linalg.eigvalsh(gh).min()) / scale
-        got, got_min = rp.gram_psd(spec, rep, basis)
+        got, got_min = rp.gram_psd(spec, rep, rp.RowStack.of(basis, n, L))
         assert_close(got, gh)
         assert abs(got_min - ref_min) <= 1e-12 * (1 + abs(ref_min))
 
@@ -217,23 +243,6 @@ class TestRoutedFunctionals:
 
 
 class TestBoundsFactors:
-    def test_hoisted_factors_give_identical_dicts(self):
-        n, L = 3, 6
-        spec = baxter(n, L, [1.0, 0.6, -0.5, 0.6, 1.0])
-        rep = rep_for(n, L)
-        rng = np.random.default_rng(5)
-        table = rp.boltzmann_table(spec, rep)
-        pairs = [(Polynomial.identity(n, L),) * 2] + [
-            (reflect(rp.random_minus_observable(n, L, rng)),
-             reflect(rp.random_minus_observable(n, L, rng)))
-            for _ in range(4)
-        ]
-        for a, b in pairs:
-            fresh = rp.rp_bounds_check(a, b, spec, rep, tol=1e-9)
-            hoisted = rp.rp_bounds_check(a, b, spec, rep, tol=1e-9,
-                                         table=table)
-            assert fresh == hoisted
-
     def test_cli_bounds_runs_one_exponential(self, tmp_path, monkeypatch):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(
@@ -257,13 +266,14 @@ class TestBoundsFactors:
 ])
 def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
     """One Weyl table per Boltzmann factor and one kernel pass per job: each
-    rp-check, gram and bounds job builds one table and reads every trace it
+    rp-check, gram and bounds job builds one table, from the sector blocks of
+    e^{-H} with no dense e^{-H} (sector_matrix), and reads every trace it
     needs from it in one pair_traces call, however many probes it draws."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(
         {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.6, -0.5, 0.6, 1.0]}}
     ))
-    calls = {"weyl_table": 0, "pair_traces": 0}
+    calls = {"weyl_table": 0, "pair_traces": 0, "sector_matrix": 0}
     for name in calls:
         original = getattr(rp, name)
 
@@ -273,7 +283,8 @@ def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
 
         monkeypatch.setattr(rp, name, counting)
     code, _ = run_cli(command + ["--spec", str(path)])
-    assert code == 0 and calls == {"weyl_table": 1, "pair_traces": 1}
+    assert code == 0
+    assert calls == {"weyl_table": 1, "pair_traces": 1, "sector_matrix": 0}
 
 
 # -- CLI reports against the dense reference --------------------------------
@@ -329,12 +340,13 @@ def test_cli_report_matches_dense_reference(command, name, tmp_path,
     path.write_text(json.dumps(SPECS[name]))
     argv = command + ["--spec", str(path)]
     code, report = run_cli(argv)
-    # The dense path: every trace from dense triple products with the E the
-    # job's one table was built from.
+    # The dense path: every trace from dense triple products with the E
+    # whose blocks the job's one table was built from.
     seen = []
     table_orig = rp.weyl_table
     monkeypatch.setattr(
-        rp, "weyl_table", lambda e, rep: seen.append(e) or table_orig(e, rep)
+        rp, "weyl_table", lambda blocks, rep:
+        seen.append(sector_matrix(blocks, rep)) or table_orig(blocks, rep)
     )
     monkeypatch.setattr(
         rp, "_block_traces", lambda stack, x, y, rep, table:
@@ -353,8 +365,8 @@ def test_cli_report_matches_dense_reference(command, name, tmp_path,
 
 def reference_report(argv, spec_dict):
     """The report of ``argv`` composed from the one-block functions, probe by
-    probe and pair by pair: random_minus_observable, reflect, _traces,
-    gram_psd and rp_bounds_check."""
+    probe and pair by pair: random_minus_observable, reflect, _block_traces
+    of one probe and its reflection, gram_psd and rp_bounds_check."""
     spec = spec_from_dict(spec_dict)
     n, L = spec.order, spec.sites
     rep = rep_for(n, L)
@@ -367,25 +379,20 @@ def reference_report(argv, spec_dict):
         basis = [Polynomial.monomial(1.0, vec)
                  for d in range(0, L // 2 * (n - 1) + 1, n)
                  for vec in rp.minus_monomials_of_degree(n, L, d)]
-        gram, min_eig = rp.gram_psd(spec, rep, basis)
-        diag = gram.diagonal().real
-        schwarz_ok = all(
-            abs(gram[i, j]) ** 2 <= diag[i] * diag[j] + tol * (1 + abs(gram[i, j]) ** 2)
-            for i in range(len(basis)) for j in range(len(basis))
-        )
+        gram, min_eig = rp.gram_psd(spec, rep, rp.RowStack.of(basis, n, L))
+        schwarz_ok = schwarz_loop(gram, tol)
         ok = min_eig >= -tol and schwarz_ok
         return (cli.PASS if ok else cli.VIOLATIONS), {
             **head, "basis_size": len(basis), "gram_min_eigenvalue": min_eig,
             "schwarz_ok": schwarz_ok, "tolerance": tol, "passed": ok,
         }
-    table = rp.boltzmann_table(spec, rep)
     if command == "bounds":
         plus = [reflect(rp.random_minus_observable(n, L, rng))
                 for _ in range(2 * samples)]
         pairs = [(Polynomial.identity(n, L),) * 2] + list(zip(plus[::2], plus[1::2]))
         worst, all_ok = None, True
         for a, b in pairs:
-            res = rp.rp_bounds_check(a, b, spec, rep, tol=tol, table=table)
+            res = rp.rp_bounds_check(a, b, spec, rep, tol=tol)
             all_ok = all_ok and res["ok"]
             margin = min(res["margin1"], res["margin2"], res["partition_margin"])
             if worst is None or margin < worst["min_margin"] - cli.WORST_TIE:
@@ -399,14 +406,16 @@ def reference_report(argv, spec_dict):
         for vec in rp.minus_monomials_of_degree(n, L, n)]
     probes = structured + [(f"random[{i}]", rp.random_minus_observable(n, L, rng))
                            for i in range(samples)]
+    table = rp.boltzmann_table(spec, rep)
     z = complex(table[0, 0])
     violations = []
     if abs(z.imag) > tol * (1.0 + abs(z)) or z.real <= 0:
         violations.append(["partition_function", z.imag if z.real > 0 else z.real])
     min_diag, max_imag = math.inf, 0.0
     for label, a in probes:
-        [val] = rp._traces([a], [reflect(a)], rep, table).tolist()
-        [sym] = rp._traces([reflect(a)], [a], rep, table).tolist()
+        pair = rp.RowStack.of([a, reflect(a)], n, L)
+        val, sym = rp._block_traces(pair, np.array([0, 1]), np.array([1, 0]),
+                                    rep, table).tolist()
         scale = 1.0 + abs(val)
         re_n, im_n = val.real / scale, abs(val.imag) / scale
         min_diag, max_imag = min(min_diag, re_n), max(max_imag, im_n)
@@ -416,7 +425,8 @@ def reference_report(argv, spec_dict):
             violations.append([f"{label}:diagonal_imag", im_n])
         if abs(val - sym) > tol * scale:
             violations.append([f"{label}:symmetry", abs(val - sym)])
-    _, min_eig = rp.gram_psd(spec, rep, [a for _, a in structured])
+    _, min_eig = rp.gram_psd(
+        spec, rep, rp.RowStack.of([a for _, a in structured], n, L))
     if min_eig < -tol:
         violations.append(["gram", min_eig])
     return (cli.VIOLATIONS if violations else cli.PASS), {
@@ -460,13 +470,15 @@ def test_cli_report_is_exactly_the_per_probe_report(name, argv, tmp_path,
 
 
 def schwarz_loop(gram, tol):
-    """The per-pair Schwarz check |G_ij|^2 <= G_ii G_jj (relative tol)."""
+    """The per-pair Schwarz check |G_ij|^2 <= (G_ii + eps)(G_jj + eps), in
+    the Gram's own scale eps = tol (1 + max |G_ij|)."""
+    eps = tol * (1 + max((abs(g) for g in gram.ravel()), default=0.0))
     ok = True
     for i in range(len(gram)):
         for j in range(len(gram)):
             lhs = abs(gram[i, j]) ** 2
-            rhs = gram[i, i].real * gram[j, j].real
-            if lhs > rhs + tol * (1 + lhs):
+            rhs = (gram[i, i].real + eps) * (gram[j, j].real + eps)
+            if lhs > rhs:
                 ok = False
     return ok
 
@@ -480,8 +492,8 @@ def test_vectorised_schwarz_matches_loop(tmp_path, monkeypatch):
         v = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         psd = v @ v.conj().T
         grams += [psd, psd - 2.0 * np.eye(m), psd + 0.3 * (1 - np.eye(m))]
-    # Gram matrices at the Schwarz bound and just past it, where only the
-    # relative part of the tolerance (tol |G_ij|^2 = 0.1 here) decides.
+    # Gram matrices at the Schwarz bound and just past it, where the
+    # tolerance decides: (G_ii + eps)^2 - G_ii^2 is about 0.2 at 1e4.
     swap = np.array([[0, 1], [1, 0]])
     for big in (1.0, 1e4):
         edge = big * np.ones((2, 2), dtype=complex)
@@ -495,6 +507,22 @@ def test_vectorised_schwarz_matches_loop(tmp_path, monkeypatch):
         assert report["schwarz_ok"] == schwarz_loop(g, rp.DEFAULT_TOL)
         seen.add(report["schwarz_ok"])
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("n,L,crossing,expected", [
+    # RP by the theorem (rule all_nonneg), with entries of scale Z = 2.0e5:
+    # an absolute Schwarz tolerance flagged 942 pairs here.
+    (2, 18, -0.5, (cli.PASS, True)),
+    # Rule none and a Gram eigenvalue of -3e-5: a true violation.
+    (3, 8, 0.05, (cli.VIOLATIONS, False)),
+])
+def test_schwarz_verdict(n, L, crossing, expected, tmp_path):
+    t = [1.0] * (L - 1)
+    t[L // 2 - 1] = crossing
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"baxter": {"n": n, "L": L, "t": t}}))
+    code, report = run_cli(["gram", "--spec", str(path)])
+    assert (code, report["schwarz_ok"]) == expected
 
 
 def exponent_vector_loop(entries, order):
