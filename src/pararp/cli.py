@@ -101,8 +101,7 @@ def cmd_gram(args):
     spec, rep = _resolve_spec(args)
     tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
     n, L = spec.order, spec.sites
-    degrees = range(0, L // 2 * (n - 1) + 1, n)
-    basis = rp.RowStack.monomials(rp.minus_rows(n, L, degrees), n)
+    basis = rp.minus_rows(n, L, range(0, L // 2 * (n - 1) + 1, n))
     gram, min_eig = rp.gram_psd(spec, rep, basis)
     # Schwarz |G_ij|^2 <= G_ii G_jj in min_eig's scale, which PSD implies.
     eps = tol * (1 + np.abs(gram).max(initial=0.0))

@@ -27,10 +27,10 @@ Conversely Tr(C_I^* A) = zeta^{-phi} sum_k omega^{-b.d(k)} A[k (+) a, k] is,
 for each a, an n-ary FFT over the digits of k: ``decompose`` finds all
 n^L = dim^2 coefficients in O(dim^2 log dim), for n = 2 the Walsh-Hadamard
 form of the Pauli decomposition.  For a matrix E that commutes with the
-gauge shift T below, such as e^{-H}, the same transform of E's entries
-E[k, k (+) a] needs only one state per T-orbit: ``weyl_table`` builds it once
-per E from E's charge-sector blocks, and then Tr(C_s C_t E), the one trace
-kernel of :mod:`pararp.rp`, is one lookup in it per pair of monomials.
+gauge shift T below, such as e^{-H}, the same transform of E[k, k (+) a]
+needs one state per T-orbit: ``weyl_table`` builds it from E's sector
+blocks, and Tr(C_s C_t E) is one lookup in it (``pair_traces``), so one
+call fills the RP matrix M_IJ = Tr(C_I theta(C_J) E) of :mod:`pararp.rp`.
 
 Charge sectors.  The shift T = tau^{tensor L/2}, applied to every tensor
 factor, implements the global gauge automorphism: T c_j T^{-1} = omega^{-1}

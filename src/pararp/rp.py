@@ -27,14 +27,15 @@ of a cancellation across the sectors and so lose relative accuracy; the
 two-site counterexample, where that would show, is computed exactly
 without matrices.
 
-Every trace Tr(X theta(Y) e^{-H}) is a sum of monomial traces, each one
-lookup in the Weyl table of e^{-H} (``boltzmann_table``, from
-``representation.weyl_table`` of the sector blocks), built once per
-Boltzmann factor; the partition function is its entry F[0, 0].  The probes
-of every functional here (check_rp's structured and random observables,
-gram's basis, the pairs of bounds, the one pair of rp_functional) are the
-blocks of one ``RowStack`` of exponent rows: they are drawn, reflected and
-traced as arrays, every trace of a job in one ``_block_traces`` pass.
+RP reduces to one object (Jaffe-Pedrocchi): the matrix M_IJ =
+Tr(C_I theta(C_J) e^{-H}) over the monomials C_I of the minus half
+(``rp_matrix``), each entry a root of unity times one lookup in the Weyl
+table of e^{-H} (``boltzmann_table``, from the sector blocks), whose entry
+F[0, 0] is the partition function.  Every functional here is a form on M,
+built once per job over the monomials its probes use: with coefficient
+rows a, b, f(A, B) = a^T M conj(b).  So gram is M, check_rp's structured
+Gram matrix a principal submatrix of M and f(A, A) the diagonal of P M P^H
+for its probes' rows P; bounds, on the plus half, read f(theta(B), theta(A)).
 
 Bounds and Trotter products rest on the form H = H_- + H_0 + theta(H_-),
 which every ``HamiltonianSpec`` has by construction: the bounds' auxiliary
@@ -62,7 +63,6 @@ import numpy as np
 from .algebra import (
     Polynomial,
     Side,
-    _cmul,
     _conjugate_terms,
     canonical_product,
     classify,
@@ -182,7 +182,7 @@ def boltzmann(h: Polynomial, rep: Representation) -> np.ndarray:
 
 def boltzmann_table(spec: HamiltonianSpec, rep: Representation) -> np.ndarray:
     """The Weyl table of e^{-H}, H = spec.total(), that every trace against
-    e^{-H} is read from (``_block_traces``), built from its sector blocks."""
+    e^{-H} is read from (``rp_matrix``), built from its sector blocks."""
     return weyl_table(matrix_exp(-_sectors(spec.total(), rep)), rep)
 
 
@@ -225,62 +225,7 @@ class RPReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-# -- probes as one row stack ---------------------------------------------
-
-
-class RowStack:
-    """Polynomials as blocks of one exponent-row array: block u is the terms,
-    in order, of rows sum(sizes[:u]) .. sum(sizes[:u + 1]) - 1 of
-    ``exponents`` (M, L) and ``coeffs`` (M,).  Probes are drawn, reflected
-    and traced as stacks, with no Polynomial per probe.  (A plain class: a
-    dataclass would add about 1.5 ms to ``import pararp.cli``.)"""
-
-    __slots__ = ("order", "exponents", "coeffs", "sizes")
-
-    def __init__(self, order: int, exponents, coeffs, sizes):
-        self.order, self.exponents = order, exponents
-        self.coeffs, self.sizes = coeffs, sizes
-
-    @classmethod
-    def of(cls, polys, n: int, L: int) -> "RowStack":
-        """The stack of ``polys``, one block each."""
-        polys = list(polys)
-        if any(p.order != n or p.sites != L for p in polys):
-            raise ValueError("polynomials on different algebras")
-        return cls(
-            n,
-            np.concatenate([np.zeros((0, L), dtype=np.int64),
-                            *(p.exponents for p in polys)]),
-            np.concatenate([np.zeros(0, dtype=complex),
-                            *(p.coeffs for p in polys)]),
-            np.array([len(p.coeffs) for p in polys], dtype=np.intp),
-        )
-
-    @classmethod
-    def monomials(cls, exponents: np.ndarray, n: int) -> "RowStack":
-        """The monomials C_I, coefficient 1, of the rows I of ``exponents``,
-        one block each."""
-        k = len(exponents)
-        return cls(n, exponents, np.ones(k, dtype=complex),
-                   np.ones(k, dtype=np.intp))
-
-    def __len__(self) -> int:
-        return len(self.sizes)
-
-    def __add__(self, other: "RowStack") -> "RowStack":
-        """The blocks of self, then those of other."""
-        return RowStack(
-            self.order,
-            np.concatenate([self.exponents, other.exponents]),
-            np.concatenate([self.coeffs, other.coeffs]),
-            np.concatenate([self.sizes, other.sizes]),
-        )
-
-    def reflected(self) -> "RowStack":
-        """reflect of every block, on all rows at once."""
-        n, a = self.order, self.exponents
-        return RowStack(n, (n - a[:, ::-1]) % n,
-                        _conjugate_terms(a, self.coeffs, n), self.sizes)
+# -- probes -----------------------------------------------------------------
 
 
 def _minus_head(
@@ -312,12 +257,13 @@ def random_minus_vector(
 
 def random_minus_rows(
     n: int, L: int, rng: np.random.Generator, count: int, max_terms: int = 8
-) -> RowStack:
-    """``count`` draws of random_minus_observable as one stack, from the same
-    ``rng`` calls in the same order: per probe the number of terms, then per
-    term its exponents and its coefficient.  A repeated monomial adds its
-    coefficient to the first one's term, and zero sums are dropped, as the
-    dict constructor of Polynomial does."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``count`` draws of random_minus_observable as the exponent rows
+    (T, L), coefficients (T,) and probe index (T,) of all their terms, from
+    the same ``rng`` calls in the same order: per probe the number of
+    terms, then per term its exponents and its coefficient.  A repeated
+    monomial adds its coefficient to the first one's term, and zero sums
+    are dropped, as the dict constructor of Polynomial does."""
     half = L // 2
     heads, coeffs, sizes = [], [], []
     for _ in range(count):
@@ -331,8 +277,8 @@ def random_minus_rows(
         sizes.append(len(kept))
     rows = np.zeros((len(heads), L), dtype=np.int64)
     rows[:, :half] = np.array(heads, dtype=np.int64).reshape(-1, half)
-    return RowStack(n, rows, np.array(coeffs, dtype=complex),
-                    np.array(sizes, dtype=np.intp))
+    return (rows, np.array(coeffs, dtype=complex),
+            np.repeat(np.arange(count), sizes))
 
 
 def random_minus_observable(
@@ -341,8 +287,8 @@ def random_minus_observable(
     """Random element of the gauge-invariant minus algebra: up to
     ``max_terms`` observable monomials with standard complex Gaussian
     coefficients."""
-    stack = random_minus_rows(n, L, rng, 1, max_terms)
-    return Polynomial._from_arrays(stack.exponents, stack.coeffs, n, L)
+    rows, coeffs, _ = random_minus_rows(n, L, rng, 1, max_terms)
+    return Polynomial._from_arrays(rows, coeffs, n, L)
 
 
 def minus_rows(n: int, L: int, degrees) -> np.ndarray:
@@ -363,58 +309,59 @@ def minus_monomials_of_degree(n: int, L: int, d: int):
         yield ExponentVector(tuple(row), n)
 
 
-def structured_probes(n: int, L: int) -> tuple[list[str], RowStack]:
+def structured_probes(n: int, L: int) -> tuple[list[str], np.ndarray]:
     """Identity plus every degree-n monomial on the minus half: their labels
-    and their stack."""
+    and their exponent rows."""
     rows = minus_rows(n, L, (0, n))
     labels = ["identity"] + [f"C{tuple(row)}" for row in rows[1:].tolist()]
-    return labels, RowStack.monomials(rows, n)
+    return labels, rows
 
 
 def structured_observables(n: int, L: int) -> list[tuple[str, Polynomial]]:
     """Identity plus every degree-n monomial on the minus half."""
-    labels, probes = structured_probes(n, L)
+    labels, rows = structured_probes(n, L)
     one = np.ones(1, dtype=complex)
     return [(label, Polynomial._from_arrays(row[None], one, n, L))
-            for label, row in zip(labels, probes.exponents)]
+            for label, row in zip(labels, rows)]
 
 
-# -- trace functionals ----------------------------------------------------
+# -- the RP matrix and its forms ------------------------------------------
 
 
-def _block_traces(
-    stack: RowStack, x: np.ndarray, y: np.ndarray, rep: Representation,
-    table: np.ndarray,
-) -> np.ndarray:
-    """Tr(X_p Y_p E) for each pair p of blocks X_p = x[p], Y_p = y[p] of
-    ``stack``, with ``table`` the Weyl table of E, in one kernel pass.
+def rp_matrix(rows, rep: Representation, table: np.ndarray) -> np.ndarray:
+    """M_IJ = Tr(C_I theta(C_J) E) over the rows I, J of the (k, L) array
+    ``rows`` of exponents on the minus half, with ``table`` the Weyl table
+    of E: one ``pair_traces`` call on the grid of the rows and their
+    reflections, theta(C_J) = w_J C_{J'}, times the phase w_J of column J.
 
-    Each trace is a bilinear sum of monomial traces Tr(C_s C_t E), each one
-    lookup in the table (``pair_traces``), so it costs O(terms_X terms_Y L),
-    with no dense matrix of X or Y and no dim^3 product; each sum is taken
-    in (term of X, term of Y) order, whatever else the pass holds.
+    f(A, B) = Tr(A theta(B) E) is linear in A and anti-linear in B, so for
+    A, B with coefficient rows a, b over ``rows``, f(A, B) = a^T M conj(b).
     """
-    size = stack.sizes
-    offset = np.cumsum(size) - size
-    # Pair p contributes size[x[p]] * size[y[p]] term pairs, in row-major
-    # order over (term of X, term of Y).
-    count = size[x] * size[y]
-    owner = np.repeat(np.arange(len(x)), count)
-    local = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    width = size[y][owner]
-    s = offset[x][owner] + local // width
-    t = offset[y][owner] + local % width
-    traces = pair_traces(rep, stack.exponents, s, t, table)
-    out = np.zeros(len(x), dtype=complex)
-    np.add.at(out, owner, _cmul(stack.coeffs[s], stack.coeffs[t]) * traces)
-    return out
+    n, k = rep.order, len(rows)
+    i = np.arange(k)
+    traces = pair_traces(rep, np.concatenate([rows, (n - rows[:, ::-1]) % n]),
+                         np.repeat(i, k), k + np.tile(i, k), table)
+    phase = _conjugate_terms(rows, np.ones(k, dtype=complex), n)
+    return phase * traces.reshape(k, k)
 
 
-def _compatible_sides(a: Polynomial, b: Polynomial) -> bool:
-    sa, sb = classify(a).side, classify(b).side
-    if Side.CROSSING in (sa, sb):
-        return False
-    return sa == sb or Side.SCALAR in (sa, sb)
+def _forms(exponents, coeffs, owner, count: int, rep, table) -> np.ndarray:
+    """[f(A_p, A_q)] = P M P^H over the probes A_p = sum of coeffs[t]
+    C_{exponents[t]} over the terms t with owner[t] = p, no monomial twice
+    in a probe: P holds their coefficient rows over the distinct rows of
+    ``exponents``, and M is rp_matrix over those rows only."""
+    _, first, column = np.unique(exponents @ rep.order ** np.arange(rep.sites),
+                                 return_index=True, return_inverse=True)
+    p = np.zeros((count, len(first)), dtype=complex)
+    p[owner, column] = coeffs
+    return p @ rp_matrix(exponents[first], rep, table) @ p.conj().T
+
+
+def _pair(x: Polynomial, y: Polynomial, rep, table) -> np.ndarray:
+    """The 2 x 2 matrix _forms of the minus-side pair (X, Y)."""
+    return _forms(np.concatenate([x.exponents, y.exponents]),
+                  np.concatenate([x.coeffs, y.coeffs]),
+                  np.repeat([0, 1], [len(x.coeffs), len(y.coeffs)]), 2, rep, table)
 
 
 def rp_functional(
@@ -423,13 +370,20 @@ def rp_functional(
     spec: HamiltonianSpec,
     rep: Representation,
 ) -> complex:
-    """f(A, B) = Tr(A theta(B) e^{-H}); linear in A, anti-linear in B."""
-    if not _compatible_sides(a, b):
+    """f(A, B) = Tr(A theta(B) e^{-H}); linear in A, anti-linear in B.
+
+    A and B lie on one side.  On the plus side f(A, B) = f(theta(B),
+    theta(A)), the form of the minus pair, as A theta(B) = theta(B) A:
+    exact when A or B is gauge invariant, which is required there."""
+    sa, sb = classify(a), classify(b)
+    sides = {sa.side, sb.side} - {Side.SCALAR}
+    if Side.CROSSING in sides or len(sides) > 1:
         raise ValueError("A and B must be localized on the same side")
-    pair = RowStack.of((a, reflect(b)), rep.order, rep.sites)
-    [val] = _block_traces(pair, np.array([0]), np.array([1]), rep,
-                          boltzmann_table(spec, rep))
-    return complex(val)
+    if Side.PLUS in sides:
+        if not (sa.observable or sb.observable):
+            raise ValueError("A or B on the plus side must be gauge invariant")
+        a, b = reflect(b), reflect(a)
+    return complex(_pair(a, b, rep, boltzmann_table(spec, rep))[0, 1])
 
 
 def check_rp(
@@ -443,11 +397,9 @@ def check_rp(
 
     Evaluates f(A, A) on a structured set (identity and all degree-n
     monomials on the minus half) and on ``samples`` random observables,
-    checks Re f >= 0 and Im f = 0 (relative tolerance), the symmetric
-    equality Tr(A theta(A) e^{-H}) = Tr(theta(A) A e^{-H}), positivity of
-    the partition function, and PSD-ness of the structured Gram matrix.
-    Every trace is read in one pass over the stack of the probes and their
-    reflections.
+    checks Re f >= 0 and Im f = 0 (relative tolerance), positivity of the
+    partition function, and PSD-ness of the structured Gram matrix.  All of
+    them are forms on one RP matrix M over the monomials the probes use.
     """
     n, L = spec.order, spec.sites
     rng = np.random.default_rng(seed)
@@ -455,38 +407,32 @@ def check_rp(
     violations: list = []
 
     z = complex(table[0, 0])  # Tr(E) = F[0, 0]
-    zscale = 1.0 + abs(z)
-    if abs(z.imag) > tol * zscale or z.real <= 0:
+    if abs(z.imag) > tol * (1.0 + abs(z)) or z.real <= 0:
         violations.append(["partition_function", z.imag if z.real > 0 else z.real])
 
-    labels, probes = structured_probes(n, L)
-    count = len(probes)
+    labels, rows = structured_probes(n, L)
+    count = len(rows)
     labels += [f"random[{i}]" for i in range(samples)]
-    probes += random_minus_rows(n, L, rng, samples)
-    # Blocks p < m are the probes A, block m + p is theta(A_p): the pairs
-    # give f(A, A) = Tr(A theta(A) E), the symmetric Tr(theta(A) A E), and
-    # the Gram matrix of the structured probes.
-    m, p, g = len(probes), np.arange(len(probes)), np.arange(count)
-    x = np.concatenate([p, m + p, np.repeat(g, count)])
-    y = np.concatenate([m + p, p, m + np.tile(g, count)])
-    traces = _block_traces(probes + probes.reflected(), x, y, rep, table)
+    terms, coeffs, owner = random_minus_rows(n, L, rng, samples)
+    # Probes p < count are the structured monomials, so the top left block
+    # of the forms is their Gram matrix, a principal submatrix of M.
+    g = _forms(np.concatenate([rows, terms]),
+               np.concatenate([np.ones(count), coeffs]),
+               np.concatenate([np.arange(count), count + owner]),
+               count + samples, rep, table)
 
-    min_diag = math.inf
-    max_imag = 0.0
-    for label, val, sym in zip(labels, *traces[:2 * m].reshape(2, -1).tolist()):
+    min_diag, max_imag = math.inf, 0.0
+    for label, val in zip(labels, g.diagonal().tolist()):
         scale = 1.0 + abs(val)
-        re_n = val.real / scale
-        im_n = abs(val.imag) / scale
+        re_n, im_n = val.real / scale, abs(val.imag) / scale
         min_diag = min(min_diag, re_n)
         max_imag = max(max_imag, im_n)
         if re_n < -tol:
             violations.append([f"{label}:diagonal_real", re_n])
         if im_n > tol:
             violations.append([f"{label}:diagonal_imag", im_n])
-        if abs(val - sym) > tol * scale:
-            violations.append([f"{label}:symmetry", abs(val - sym)])
 
-    _, min_eig = _hermitized(traces[2 * m:].reshape(count, count))
+    _, min_eig = _hermitized(g[:count, :count])
     if min_eig < -tol:
         violations.append(["gram", min_eig])
 
@@ -503,19 +449,12 @@ def check_rp(
 
 
 def gram_psd(
-    spec: HamiltonianSpec,
-    rep: Representation,
-    basis: RowStack,
+    spec: HamiltonianSpec, rep: Representation, basis: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Hermitized Gram matrix G_ab = f(A_a, A_b) and its normalized minimum
-    eigenvalue (divided by 1 + max |G_ab|), over the blocks of ``basis``,
-    read in one trace pass."""
-    table = boltzmann_table(spec, rep)
-    m = len(basis)
-    i = np.arange(m)
-    g = _block_traces(basis + basis.reflected(), np.repeat(i, m),
-                      m + np.tile(i, m), rep, table)
-    return _hermitized(g.reshape(m, m))
+    """Hermitized Gram matrix G_ab = f(C_a, C_b) = M_ab over the monomials
+    of the exponent rows ``basis`` on the minus half, and its normalized
+    minimum eigenvalue (divided by 1 + max |G_ab|)."""
+    return _hermitized(rp_matrix(basis, rep, boltzmann_table(spec, rep)))
 
 
 def _hermitized(g: np.ndarray) -> tuple[np.ndarray, float]:
@@ -671,18 +610,17 @@ def rp_bounds_check(
     function bound.
 
     Both auxiliary Hamiltonians are H, so ||A||_-^2 = ||A||_+^2 = f(A, A):
-    the bounds are Cauchy-Schwarz for the one RP form f, three traces
-    against e^{-H}, read from ``boltzmann_table(spec, rep)``.
+    the bounds are Cauchy-Schwarz for the one RP form f, three forms on the
+    RP matrix M of theta(A), theta(B) (see _bounds).
     """
     for name, p in (("A", a), ("B", b)):
         sc = classify(p)
         if sc.side not in (Side.PLUS, Side.SCALAR) or not sc.observable:
             raise ValueError(f"{name} must be in the plus observable algebra")
 
-    plus = RowStack.of((a, b), rep.order, rep.sites)
-    [out] = _bounds(plus, np.array([0]), np.array([1]), rep,
-                    boltzmann_table(spec, rep), tol)
-    return out
+    table = boltzmann_table(spec, rep)
+    g = _pair(reflect(a), reflect(b), rep, table)
+    return _bounds(g, [0], [1], complex(table[0, 0]), tol)[0]
 
 
 def sampled_bounds(
@@ -691,36 +629,38 @@ def sampled_bounds(
 ) -> list[dict]:
     """rp_bounds_check of the pair A = B = I and of ``samples`` pairs (A, B),
     each the reflection of two fresh random_minus_observable draws, seeded
-    by ``seed``: one trace pass for all pairs, then each pair's bounds in
+    by ``seed``: one RP matrix for all pairs, then each pair's bounds in
     order, so the first RP-violating pair raises."""
     n, L = spec.order, spec.sites
     rng = np.random.default_rng(seed)
-    plus = random_minus_rows(n, L, rng, 2 * samples).reflected()
-    plus = RowStack.monomials(np.zeros((1, L), dtype=np.int64), n) + plus
-    # Block 0 is the identity, pair 0 is (I, I) and pair k blocks 2k-1, 2k.
-    k = np.arange(samples + 1)
+    terms, coeffs, owner = random_minus_rows(n, L, rng, 2 * samples)
+    # Probe 0 is the identity, probes 2k - 1 and 2k the draws theta(A),
+    # theta(B) of pair k.
     table = boltzmann_table(spec, rep)
-    return _bounds(plus, np.maximum(2 * k - 1, 0), 2 * k, rep, table, tol)
+    g = _forms(np.concatenate([np.zeros((1, L), dtype=np.int64), terms]),
+               np.concatenate([[1], coeffs]), np.concatenate([[0], 1 + owner]),
+               2 * samples + 1, rep, table)
+    k = np.arange(samples + 1)
+    return _bounds(g, np.maximum(2 * k - 1, 0), 2 * k, complex(table[0, 0]), tol)
 
 
-def _bounds(plus: RowStack, a, b, rep, table, tol) -> list[dict]:
-    """The rp_bounds_check report of each pair of blocks (A, B) =
-    (a[p], b[p]) of ``plus``, from f(A, B), f(A, A) and f(B, B) read in one
-    trace pass; ValueError at the first f(A, A) or f(B, B) < 0."""
-    m = len(plus)
-    traces = _block_traces(plus + plus.reflected(), np.concatenate([a, a, b]),
-                           m + np.concatenate([b, a, b]), rep, table)
+def _bounds(g: np.ndarray, a, b, z: complex, tol: float) -> list[dict]:
+    """The rp_bounds_check report of each pair (A, B) of plus observables
+    whose reflections are the probes a[p], b[p] of the forms ``g``, with
+    z = Tr(e^{-H}); ValueError at the first f(A, A) or f(B, B) < 0.  A and
+    theta(B), gauge invariant on disjoint halves, commute, so
+    f(A, B) = Tr(theta(B) A E) = f(theta(B), theta(A))."""
 
     def norm(val: complex, label: str) -> float:
         if val.real < -tol * (1 + abs(val)):
             raise ValueError(f"H is RP-violating: f({label}, {label}) = {val}")
         return math.sqrt(max(val.real, 0.0))
 
-    z = complex(table[0, 0])  # Tr(e^{-H})
     z_bound = max(z.real, 0.0)
     margin_z = (z_bound - abs(z)) / (1.0 + z_bound)
     out = []
-    for f_ab, sq_a, sq_b in zip(*traces.reshape(3, -1).tolist()):
+    for f_ab, sq_a, sq_b in zip(g[b, a].tolist(), g[a, a].tolist(),
+                                g[b, b].tolist()):
         bound = norm(sq_a, "A") * norm(sq_b, "B")
         margin = (bound - abs(f_ab)) / (1.0 + bound)
         out.append({
@@ -818,26 +758,31 @@ def _rounded(n: int, sums: list[Fraction]) -> complex:
     )
 
 
-def _divmod_monic(num: list[int], den: list[int]) -> tuple[list, list]:
-    """Quotient and remainder of integer polynomials, ``den`` monic, the
-    coefficients constant term first."""
-    rem, top = list(num), len(den) - 1
-    quot = [0] * max(len(rem) - top, 0)
-    for i in reversed(range(len(quot))):
-        quot[i] = lead = rem[i + top]
-        for t, coeff in enumerate(den):
-            rem[i + t] -= lead * coeff
-    return quot, rem[:top]
+def _cyclotomic_cofactor(n: int) -> tuple[int, np.ndarray]:
+    """(s, psi) with (x^2n - 1) / Phi_2n(x) = +-psi(x^s), psi's integer
+    coefficients constant term first.
 
-
-def _cyclotomic(m: int) -> list[int]:
-    """The cyclotomic polynomial Phi_m, constant term first: x^m - 1 divided
-    by Phi_d for every proper divisor d of m."""
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            poly, _ = _divmod_monic(poly, _cyclotomic(d))
-    return poly
+    With r = 2n / s the radical of 2n, Phi_2n(x) = Phi_r(x^s), and by
+    Moebius inversion the cofactor of Phi_r is the product of
+    (1 - x^d)^{-mu(r / d)} over the divisors d < r of r, of degree
+    r - phi(r): a power series to that degree, each factor one shifted
+    subtraction or one running sum per residue mod d."""
+    primes = [p for p in range(2, 2 * n + 1) if 2 * n % p == 0
+              and all(p % q for q in range(2, math.isqrt(p) + 1))]
+    r = math.prod(primes)
+    size = r - math.prod(p - 1 for p in primes) + 1
+    psi = np.zeros(size, dtype=object)
+    psi[0] = 1
+    # d = r / e over squarefree e > 1, mu(e) = -1 for an odd number of
+    # primes: the factors multiplied go before those divided.
+    for k in sorted(range(1, len(primes) + 1), key=lambda k: k % 2 == 0):
+        for d in (r // math.prod(sub) for sub in itertools.combinations(primes, k)):
+            if k % 2:
+                psi[d:] = psi[d:] - psi[:size - d]
+            else:
+                padded = np.concatenate([psi, np.zeros(-size % d, dtype=object)])
+                psi = np.cumsum(padded.reshape(-1, d), axis=0).ravel()[:size]
+    return 2 * n // r, psi
 
 
 def is_real_cyclotomic(n: int, coeffs: list[Fraction]) -> bool:
@@ -847,12 +792,18 @@ def is_real_cyclotomic(n: int, coeffs: list[Fraction]) -> bool:
     With zeta^{-q} = -zeta^{n - q}, twice i times its imaginary part is
     D(zeta) = sum_q (coeffs[q] + coeffs[n - q]) zeta^q over q = 1..n-1, and
     D(zeta) = 0 exactly when Phi_2n, the minimal polynomial of zeta,
-    divides D, denominators cleared.
+    divides D, that is when D times the cofactor (x^2n - 1) / Phi_2n is
+    0 mod x^2n - 1, denominators cleared: one shifted copy of the cofactor
+    per nonzero term of D.
     """
-    d = [Fraction(0)] + [coeffs[q] + coeffs[n - q] for q in range(1, n)]
-    scale = math.lcm(*(x.denominator for x in d))
-    _, rem = _divmod_monic([int(x * scale) for x in d], _cyclotomic(2 * n))
-    return not any(rem)
+    d = {q: c for q in range(1, n) if (c := coeffs[q] + coeffs[n - q])}
+    s, psi = _cyclotomic_cofactor(n)
+    nonzero = np.flatnonzero(psi)
+    scale = math.lcm(*(c.denominator for c in d.values()))
+    product = np.zeros(2 * n, dtype=object)
+    for q, c in d.items():
+        product[(q + s * nonzero) % (2 * n)] += int(c * scale) * psi[nonzero]
+    return not product.any()
 
 
 def counterexample_check(

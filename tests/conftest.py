@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pararp.algebra import Polynomial
 from pararp.representation import _orbit_sums, build_generators
 
 _CACHE = {}
@@ -19,12 +18,6 @@ def rep():
     return rep_for
 
 
-def stack_polynomials(stack):
-    """The Polynomial of each block of an rp.RowStack."""
-    ends = np.cumsum(stack.sizes).tolist()
-    return [Polynomial._from_arrays(stack.exponents[i:j], stack.coeffs[i:j],
-                                    stack.order, stack.exponents.shape[1])
-            for i, j in zip([0, *ends], ends)]
 
 
 def dense_weyl_table(e, rep):

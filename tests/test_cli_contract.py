@@ -3,10 +3,13 @@ stderr, each subcommand takes only the flags it reads, and the two-site
 counterexample's verdict is exact about whether the value is real; the
 CLI runs on numpy alone."""
 
+import functools
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -194,13 +197,71 @@ def test_cli_counterexample_observable_power_is_positive(capsys):
     assert code == cli.PASS
 
 
+def divmod_monic(num, den):
+    """Quotient and remainder of integer polynomials, ``den`` monic, the
+    coefficients constant term first."""
+    rem, top = list(num), len(den) - 1
+    quot = [0] * max(len(rem) - top, 0)
+    for i in reversed(range(len(quot))):
+        quot[i] = lead = rem[i + top]
+        for t, coeff in enumerate(den):
+            rem[i + t] -= lead * coeff
+    return quot, rem[:top]
+
+
+@functools.cache
+def cyclotomic(m):
+    """Phi_m, constant term first: x^m - 1 divided by Phi_d for every
+    proper divisor d of m."""
+    poly = [-1] + [0] * (m - 1) + [1]
+    for d in range(1, m):
+        if m % d == 0:
+            poly, _ = divmod_monic(poly, cyclotomic(d))
+    return tuple(poly)
+
+
+def is_real_by_division(n, coeffs):
+    """is_real_cyclotomic by dense long division of D by Phi_2n: the
+    reference for the cofactor test."""
+    d = [Fraction(0)] + [coeffs[q] + coeffs[n - q] for q in range(1, n)]
+    scale = math.lcm(*(x.denominator for x in d))
+    _, rem = divmod_monic([int(x * scale) for x in d], cyclotomic(2 * n))
+    return not any(rem)
+
+
+@pytest.mark.parametrize("low", range(2, 151, 30))
+def test_is_real_cyclotomic_matches_the_division(low):
+    """Every n <= 150, at each j with n | j^2 (where the positive families
+    lie) and at five seeded others, on the sums of f(c^j)."""
+    for n in range(low, low + 30):
+        rng = np.random.default_rng(n)
+        js = {j for j in range(1, n + 1) if j * j % n == 0}
+        js |= set(rng.integers(1, n + 1, size=5).tolist())
+        for j in sorted(js):
+            sums = rp._counterexample_sums(n, j)
+            assert rp.is_real_cyclotomic(n, sums) == is_real_by_division(n, sums), (n, j)
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--n", "20000"],
+    ["families", "--family", "1", "--kparam", "30"],  # n = 27000
+])
+def test_large_n_exact_verdicts_are_fast(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 10.0
+    assert (code, err) == (cli.VIOLATIONS if argv[0] == "counterexample"
+                           else cli.PASS, "")
+    assert json.loads(out)["n"] in (20000, 27000)
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_is_real_cyclotomic_against_floats(n):
     """Random rational combinations against the float imaginary part, and
     real ones alpha + conj(alpha) plus multiples of x^s Phi_2n(x), which
     vanish at zeta although they break the symmetry of the coefficients."""
     rng = np.random.default_rng(n)
-    phi = rp._cyclotomic(2 * n)
+    phi = cyclotomic(2 * n)
 
     def value(coeffs):
         return sum(float(c) * zeta_power(n, p) for p, c in enumerate(coeffs))

@@ -1,0 +1,67 @@
+"""The names that readers outside the package use: the acceptance gate, the
+README and the benchmark's tracer (perfbench/tracer.py), which wraps
+rp.check_rp, rp.gram_psd, rp.rp_bounds_check and rp.structured_observables
+by name and reads their arguments.  Each still imports, runs and keeps the
+shape those readers rely on."""
+
+import inspect
+import json
+
+import numpy as np
+
+from pararp import rp
+from pararp.algebra import Polynomial, from_text, to_text
+from pararp.exponents import ExponentVector
+from pararp.hamiltonian import baxter
+from pararp.representation import all_exponent_vectors, trace_monomial
+
+from conftest import rep_for
+
+N, L = 3, 4
+
+
+def spec_and_rep():
+    return baxter(N, L, [1.0, -0.5, 1.0]), rep_for(N, L)
+
+
+def test_kept_names_import_and_run():
+    spec, rep = spec_and_rep()
+    vectors = list(all_exponent_vectors(N, L))
+    assert len(vectors) == N**L
+    assert trace_monomial(vectors[0]) == N ** (L // 2)
+    assert trace_monomial(vectors[1]) == 0
+    assert [v.entries for v in rp.minus_monomials_of_degree(N, L, 3)] == [
+        (1, 2, 0, 0), (2, 1, 0, 0)]
+    rng = np.random.default_rng(0)
+    a = rp.random_minus_observable(N, L, rng)
+    assert isinstance(a, Polynomial) and a.sites == L
+    assert rp.random_minus_vector(N, L, rng, observable=True).entries[2:] == (0, 0)
+    one = Polynomial.identity(N, L)
+    assert rp.rp_bounds_check(one, one, spec, rep)["ok"]
+    assert rp.conservation_law_check(rep, N, L, trials=5)["trials"] == 5
+    m = rep.monomial_matrix(ExponentVector((1, 0, 0, 0), N))
+    assert m.shape == (rep.dim, rep.dim)
+    report = rp.check_rp(spec, rep, samples=2, seed=1)
+    assert json.loads(report.to_json())["samples"] == 2
+    assert from_text(to_text(a)).almost_equal(a)
+
+
+def test_tracer_shapes():
+    """What perfbench/tracer.py reads: the ``spec`` and ``samples``
+    arguments of check_rp bound by name, len(basis) of gram_psd's third
+    argument as the basis size, and structured_observables as a list of
+    (label, Polynomial)."""
+    spec, rep = spec_and_rep()
+    bound = inspect.signature(rp.check_rp).bind(spec, rep, samples=3)
+    bound.apply_defaults()
+    assert bound.arguments["spec"] is spec and bound.arguments["samples"] == 3
+    assert list(inspect.signature(rp.gram_psd).parameters) == [
+        "spec", "rep", "basis"]
+    basis = rp.minus_rows(N, L, (0, N))
+    gram, min_eig = rp.gram_psd(spec, rep, basis)
+    assert gram.shape == (len(basis), len(basis)) == (3, 3)
+    assert isinstance(min_eig, float)
+    structured = rp.structured_observables(N, L)
+    assert [label for label, _ in structured] == [
+        "identity", "C(1, 2, 0, 0)", "C(2, 1, 0, 0)"]
+    assert all(isinstance(p, Polynomial) for _, p in structured)

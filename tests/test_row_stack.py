@@ -1,11 +1,11 @@
-"""The probe row stack of pararp.rp against per-term and per-polynomial
+"""The probe draws of pararp.rp against per-term and per-polynomial
 references.
 
-``rp.random_minus_rows`` draws the probes of a job as one ``RowStack``; the
-references below are the per-term loops it replaced, which build an
-ExponentVector per draw and a Polynomial per probe.  The stack must hold the
-same rows and coefficients, bit for bit, and leave the generator in the same
-state.
+``rp.random_minus_rows`` draws the probes of a job as the exponent rows,
+coefficients and probe index of all their terms; the references below are
+the per-term loops it replaced, which build an ExponentVector per draw and
+a Polynomial per probe.  The draws must hold the same rows and
+coefficients, bit for bit, and leave the generator in the same state.
 """
 
 import itertools
@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from pararp import rp
-from pararp.algebra import Polynomial, reflect
+from pararp.algebra import Polynomial
 from pararp.exponents import ExponentVector
 
-from conftest import rep_for, stack_polynomials
+from conftest import rep_for
 
 
 def ref_minus_vector(n, L, rng, observable, nonzero=False):
@@ -48,6 +48,12 @@ def ref_monomials_of_degree(n, L, d):
             yield ExponentVector(tuple(head) + (0,) * half, n)
 
 
+def term_polynomials(rows, coeffs, owner, count, n, L):
+    """The Polynomial of each probe of random_minus_rows's terms."""
+    return [Polynomial._from_arrays(rows[owner == p], coeffs[owner == p], n, L)
+            for p in range(count)]
+
+
 def assert_same_polynomials(got, ref):
     assert len(got) == len(ref)
     for p, q in zip(got, ref):
@@ -65,12 +71,14 @@ def test_sampler_matches_per_term_loop(n, L):
     for seed in range(50):
         count, max_terms = seed % 6 + 1, (8, 3)[seed % 2]
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        stack = rp.random_minus_rows(n, L, rng, count, max_terms)
+        rows, coeffs, owner = rp.random_minus_rows(n, L, rng, count, max_terms)
         ref = [ref_minus_observable(n, L, ref_rng, max_terms)
                for _ in range(count)]
-        assert len(stack) == count
-        assert stack.sizes.tolist() == [len(p.coeffs) for p in ref]
-        assert_same_polynomials(stack_polynomials(stack), ref)
+        assert np.bincount(owner, minlength=count).tolist() == [
+            len(p.coeffs) for p in ref]
+        assert (np.diff(owner) >= 0).all()
+        assert_same_polynomials(
+            term_polynomials(rows, coeffs, owner, count, n, L), ref)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -114,16 +122,3 @@ def test_monomial_rows_in_enumeration_order(n, L):
         for v in ref_monomials_of_degree(n, L, n)]
     assert labels == [label for label, _ in rp.structured_observables(n, L)]
     assert len(probes) == len(labels)
-
-
-def test_reflected_stack_is_reflect_per_block():
-    n, L = 3, 6
-    rng = np.random.default_rng(8)
-    polys = [ref_minus_observable(n, L, rng) for _ in range(5)]
-    reflected = [reflect(p) for p in polys]
-    stack = rp.RowStack.of(polys, n, L)
-    assert_same_polynomials(stack_polynomials(stack.reflected()), reflected)
-    twice = stack_polynomials((stack + stack.reflected()).reflected())
-    assert_same_polynomials(twice[5:], [reflect(p) for p in reflected])
-    with pytest.raises(ValueError):
-        rp.RowStack.of([Polynomial.identity(2, L)], n, L)

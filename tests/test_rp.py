@@ -157,8 +157,8 @@ class TestGram:
         n, L = 3, 4
         spec = zero_spec(n, L)
         rep = rep_for(n, L)
-        basis = [Polynomial.identity(n, L), mono((1, 2, 0, 0), n)]
-        gram, min_eig = rp.gram_psd(spec, rep, rp.RowStack.of(basis, n, L))
+        basis = np.array([[0, 0, 0, 0], [1, 2, 0, 0]])
+        gram, min_eig = rp.gram_psd(spec, rep, basis)
         assert abs(gram[0, 0] - 9) < 1e-10
         assert abs(gram[1, 1]) < 1e-10
         assert abs(gram[0, 1]) < 1e-10
@@ -168,11 +168,8 @@ class TestGram:
         n, L = 2, 4
         spec = baxter(n, L, [0.7, -0.5, 0.7])
         rep = rep_for(n, L)
-        basis = [Polynomial.identity(n, L)] + [
-            Polynomial.monomial(1.0, v)
-            for v in rp.minus_monomials_of_degree(n, L, 2)
-        ]
-        gram, min_eig = rp.gram_psd(spec, rep, rp.RowStack.of(basis, n, L))
+        basis = rp.minus_rows(n, L, (0, 2))
+        gram, min_eig = rp.gram_psd(spec, rep, basis)
         assert min_eig >= -1e-9
         for i in range(len(basis)):
             for j in range(len(basis)):

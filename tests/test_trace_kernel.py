@@ -1,13 +1,14 @@
-"""The Weyl-table trace kernel against dense matrix products.
+"""The Weyl-table trace kernel and the RP matrix against dense matrix
+products.
 
-Every trace functional Tr(X Y E) in pararp.rp is evaluated by one kernel,
-``representation.pair_traces``, through the bilinear helper
-``rp._block_traces`` on a stack of polynomials (``rp.RowStack``): one
-lookup per term pair in the Weyl table of E (``weyl_table``), built once
-per Boltzmann factor from the charge-sector blocks of E.  Here the blocks
-are random, and the dense E they stand for is ``sector_matrix`` of them.
-The references multiply dense matrices instead:
-Tr(to_matrix(X) @ to_matrix(Y) @ E).
+Every trace functional in pararp.rp is a form on one matrix
+M_IJ = Tr(C_I theta(C_J) E) over monomials of the minus half
+(``rp.rp_matrix``), read by one kernel, ``representation.pair_traces``:
+one lookup per monomial pair in the Weyl table of E (``weyl_table``), built
+once per Boltzmann factor from the charge-sector blocks of E.  Here the
+blocks are random, and the dense E they stand for is ``sector_matrix`` of
+them.  The references multiply dense matrices instead:
+Tr(to_matrix(X) @ to_matrix(theta(Y)) @ E).
 """
 
 import contextlib
@@ -21,12 +22,12 @@ import pytest
 from pararp import cli, rp
 from pararp.algebra import Polynomial, reflect
 from pararp.exponents import ExponentVector
-from pararp.hamiltonian import baxter, spec_from_dict
+from pararp.hamiltonian import baxter
 from pararp.representation import (
     _digit_sum, pair_traces, sector_matrix, to_matrix, weyl_table,
 )
 
-from conftest import dense_weyl_table, rep_for, stack_polynomials
+from conftest import dense_weyl_table, rep_for
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256.
 CELLS = [
@@ -44,46 +45,33 @@ TABLE_CELLS = [
 ]
 
 
-def dense_traces(xs, ys, rep, e, grid=False):
-    """Tr(X_i Y_i E), or with ``grid`` Tr(X_i Y_j E) over all i, j, from
-    dense triple products."""
+def dense_forms(xs, ys, rep, e):
+    """Tr(X_i theta(Y_j) E) over all i, j, from dense triple products."""
     mx = [to_matrix(x, rep) for x in xs]
-    my = [to_matrix(y, rep) for y in ys]
-    if grid:
-        return np.array([[np.trace(a @ b @ e) for b in my] for a in mx])
-    return np.array([np.trace(a @ b @ e) for a, b in zip(mx, my)])
+    my = [to_matrix(reflect(y), rep) for y in ys]
+    return np.array([[np.trace(a @ b @ e) for b in my] for a in mx])
 
 
-def dense_block_traces(stack, x, y, rep, e):
-    """Reference for rp._block_traces from dense triple products."""
-    mats = [to_matrix(p, rep) for p in stack_polynomials(stack)]
-    return np.array([np.trace(mats[i] @ mats[j] @ e) for i, j in zip(x, y)],
-                    dtype=complex)
+def dense_rp_matrix(rows, rep, e):
+    """Reference for rp.rp_matrix from dense triple products."""
+    monomials = [Polynomial.monomial(1.0, ExponentVector(tuple(r), rep.order))
+                 for r in rows.tolist()]
+    return dense_forms(monomials, monomials, rep, e).reshape(len(rows), len(rows))
 
 
-def random_vector(n, L, rng, kind):
-    """Exponent vector on the minus half, the plus half, both halves, or
-    the identity; observable (degree = 0 mod n) or not at random."""
+def random_minus_poly(n, L, rng, max_terms=4):
+    """Polynomial on the minus half, observable (every degree = 0 mod n) or
+    not at random, sometimes with an identity term."""
     half = L // 2
-    if kind == "identity":
-        return ExponentVector((0,) * L, n)
-    entries = [int(x) for x in rng.integers(0, n, size=L)]
-    if kind == "minus":
-        entries[half:] = [0] * half
-    elif kind == "plus":
-        entries[:half] = [0] * half
-    if rng.random() < 0.5:  # observable: fix the degree on one site
-        site = 0 if kind != "plus" else L - 1
-        entries[site] = (entries[site] - sum(entries)) % n
-    return ExponentVector(tuple(entries), n)
-
-
-def random_poly(n, L, rng, max_terms=4):
-    kinds = ("identity", "minus", "plus", "both")
+    observable = rng.random() < 0.5
     terms = {}
     for _ in range(int(rng.integers(1, max_terms + 1))):
-        vec = random_vector(n, L, rng, kinds[int(rng.integers(0, 4))])
-        terms[vec] = complex(rng.normal(), rng.normal())
+        entries = [int(x) for x in rng.integers(0, n, size=half)] + [0] * half
+        if rng.random() < 0.2:
+            entries = [0] * L
+        if observable:
+            entries[0] = (entries[0] - sum(entries)) % n
+        terms[ExponentVector(tuple(entries), n)] = complex(rng.normal(), rng.normal())
     return Polynomial(terms, n, L)
 
 
@@ -104,21 +92,24 @@ def assert_close(got, ref):
 
 class TestKernelAgainstDense:
     @pytest.mark.parametrize("n,L", CELLS)
-    def test_pairs_and_grid(self, n, L):
+    def test_rp_matrix_and_its_forms(self, n, L):
+        """M over minus rows, observable or not, and the forms P M P^H of
+        multi-term probes over the rows they use, against Tr(X theta(Y) E)
+        for a random E that commutes with the gauge shift."""
         rng = np.random.default_rng(1000 * n + L)
         rep = rep_for(n, L)
         blocks = random_blocks(rep, rng)
         e, table = sector_matrix(blocks, rep), weyl_table(blocks, rep)
-        xs = [random_poly(n, L, rng) for _ in range(4)]
-        ys = [random_poly(n, L, rng) for _ in range(3)]
+        rows = np.zeros((6, L), dtype=np.int64)
+        rows[1:, :L // 2] = rng.integers(0, n, size=(5, L // 2))
+        assert_close(rp.rp_matrix(rows, rep, table), dense_rp_matrix(rows, rep, e))
+        xs = [random_minus_poly(n, L, rng) for _ in range(4)]
         xs.append(Polynomial.identity(n, L))
-        ys.append(reflect(xs[0]))
-        stack = rp.RowStack.of(xs + ys, n, L)
-        x, y = np.arange(5), 5 + np.arange(4)
-        pairs = rp._block_traces(stack, x[:4], y, rep, table)
-        assert_close(pairs, dense_traces(xs[:4], ys, rep, e))
-        grid = rp._block_traces(stack, np.repeat(x, 4), np.tile(y, 5), rep, table)
-        assert_close(grid.reshape(5, 4), dense_traces(xs, ys, rep, e, grid=True))
+        got = rp._forms(np.concatenate([x.exponents for x in xs]),
+                        np.concatenate([x.coeffs for x in xs]),
+                        np.repeat(np.arange(5), [len(x.coeffs) for x in xs]),
+                        5, rep, table)
+        assert_close(got, dense_forms(xs, xs, rep, e))
 
     @pytest.mark.parametrize("n,L", [(2, 8), (3, 6), (5, 4)])
     def test_monomial_pairs(self, n, L):
@@ -141,16 +132,13 @@ class TestKernelAgainstDense:
         rep = rep_for(3, 4)
         rng = np.random.default_rng(0)
         table = weyl_table(random_blocks(rep, rng), rep)
-        zero, x = Polynomial.zero(3, 4), random_poly(3, 4, rng)
-        stack = rp.RowStack.of([zero, x], 3, 4)
-        # (zero, x), (x, zero) and (zero, zero).
-        got = rp._block_traces(stack, np.array([0, 1, 0]), np.array([1, 0, 0]),
-                               rep, table)
-        assert got.tolist() == [0j, 0j, 0j]
+        zero, x = Polynomial.zero(3, 4), random_minus_poly(3, 4, rng)
+        # f(zero, x), f(x, zero) and f(zero, zero).
+        got = rp._pair(zero, x, rep, table)
+        assert [got[0, 1], got[1, 0], got[0, 0]] == [0j, 0j, 0j]
         empty = np.zeros((0, 4), dtype=np.intp)
         none = np.zeros(0, dtype=np.intp)
-        assert rp._block_traces(rp.RowStack.of([], 3, 4), none, none, rep,
-                                table).shape == (0,)
+        assert rp.rp_matrix(empty, rep, table).shape == (0, 0)
         assert pair_traces(rep, empty, none, none, table).shape == (0,)
 
     @pytest.mark.parametrize("n,L", [(2, 2), (3, 2), (2, 6), (3, 4), (4, 4)])
@@ -188,23 +176,42 @@ class TestKernelAgainstDense:
 
 
 class TestRoutedFunctionals:
-    def test_gram_psd_multi_term_basis(self):
+    def test_gram_psd_is_the_dense_gram(self):
         n, L = 3, 6
-        rng = np.random.default_rng(7)
         rep = rep_for(n, L)
         spec = baxter(n, L, [1.0, 0.7, -0.4, 0.7, 1.0])
-        basis = [Polynomial.identity(n, L)] + [
-            rp.random_minus_observable(n, L, rng, max_terms=5) for _ in range(6)
-        ]
+        basis = rp.minus_rows(n, L, (0, 3, 6))
         boltzmann = rp.matrix_exp(-to_matrix(spec.total(), rep))
-        g = dense_traces(basis, [reflect(p) for p in basis], rep, boltzmann,
-                         grid=True)
+        g = dense_rp_matrix(basis, rep, boltzmann)
         gh = (g + g.conj().T) / 2
         scale = 1.0 + float(np.abs(gh).max())
         ref_min = float(np.linalg.eigvalsh(gh).min()) / scale
-        got, got_min = rp.gram_psd(spec, rep, rp.RowStack.of(basis, n, L))
+        got, got_min = rp.gram_psd(spec, rep, basis)
         assert_close(got, gh)
         assert abs(got_min - ref_min) <= 1e-12 * (1 + abs(ref_min))
+
+    @pytest.mark.parametrize("n,L", [(2, 4), (3, 4), (3, 6), (4, 4)])
+    def test_rp_functional_on_each_side(self, n, L):
+        """f(A, B) against the dense trace with the dense e^{-H}: on the
+        minus side, observable or not, and on the plus side, where it is
+        the form of the reflected pair."""
+        rep = rep_for(n, L)
+        t = [1.0] * (L - 1)
+        t[L // 2 - 1] = -0.5
+        spec = baxter(n, L, t)
+        e = rp.matrix_exp(-to_matrix(spec.total(), rep))
+        rng = np.random.default_rng(n + L)
+        for _ in range(3):
+            a, b = random_minus_poly(n, L, rng), random_minus_poly(n, L, rng)
+            [[ref]] = dense_forms([a], [b], rep, e)
+            assert_close(rp.rp_functional(a, b, spec, rep), ref)
+            a = reflect(rp.random_minus_observable(n, L, rng))
+            b = reflect(random_minus_poly(n, L, rng))
+            [[ref]] = dense_forms([a], [b], rep, e)
+            assert_close(rp.rp_functional(a, b, spec, rep), ref)
+        c = Polynomial.monomial(1.0, ExponentVector((0,) * (L - 1) + (1,), n))
+        with pytest.raises(ValueError):
+            rp.rp_functional(c, c, spec, rep)
 
     def test_no_dense_matrix_of_observables(self, monkeypatch):
         """check_rp builds one dense matrix, that of H, whatever the number
@@ -238,7 +245,7 @@ class TestRoutedFunctionals:
                 a = Polynomial.monomial(
                     1.0, ExponentVector((j % n, 0), n)
                 )
-                [ref] = dense_traces([a], [reflect(a)], rep, boltzmann)
+                [[ref]] = dense_forms([a], [a], rep, boltzmann)
                 assert_close(rp.counterexample_f(n, j), ref)
 
 
@@ -265,15 +272,17 @@ class TestBoundsFactors:
     pytest.param(["bounds", "--samples", "4", "--seed", "4"], id="bounds"),
 ])
 def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
-    """One Weyl table per Boltzmann factor and one kernel pass per job: each
+    """One Weyl table per Boltzmann factor and one RP matrix per job: each
     rp-check, gram and bounds job builds one table, from the sector blocks of
     e^{-H} with no dense e^{-H} (sector_matrix), and reads every trace it
-    needs from it in one pair_traces call, however many probes it draws."""
+    needs from it in one rp_matrix, one pair_traces call, however many
+    probes it draws."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(
         {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.6, -0.5, 0.6, 1.0]}}
     ))
-    calls = {"weyl_table": 0, "pair_traces": 0, "sector_matrix": 0}
+    calls = {"weyl_table": 0, "pair_traces": 0, "sector_matrix": 0,
+             "rp_matrix": 0}
     for name in calls:
         original = getattr(rp, name)
 
@@ -284,7 +293,8 @@ def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
         monkeypatch.setattr(rp, name, counting)
     code, _ = run_cli(command + ["--spec", str(path)])
     assert code == 0
-    assert calls == {"weyl_table": 1, "pair_traces": 1, "sector_matrix": 0}
+    assert calls == {"weyl_table": 1, "pair_traces": 1, "sector_matrix": 0,
+                     "rp_matrix": 1}
 
 
 # -- CLI reports against the dense reference --------------------------------
@@ -303,11 +313,11 @@ SPECS = {
     },
 }
 
-COMMANDS = (
-    ["rp-check", "--samples", "6", "--seed", "3"],
-    ["gram"],
-    ["bounds", "--samples", "3", "--seed", "4"],
-)
+SEEDED = [
+    [name, "--samples", samples, "--seed", seed]
+    for name, samples in (("rp-check", "6"), ("bounds", "3"))
+    for seed in ("0", "3", "4")
+] + [["gram"], ["bounds", "--samples", "6", "--seed", "3"]]
 
 
 def run_cli(argv):
@@ -332,16 +342,35 @@ def assert_reports_close(got, ref, path="report"):
         assert got == ref, (path, got, ref)
 
 
-@pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+def run_cli_lines(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_error_lines_close(got, ref):
+    """The one error line of each run: the same text up to the value, and
+    the values within the tolerance of the reports."""
+    (got_head, _, got_val), (ref_head, _, ref_val) = (
+        line.rpartition(" = ") for line in (got, ref))
+    assert got_head == ref_head, (got, ref)
+    assert abs(complex(got_val) - complex(ref_val)) <= 1e-12 * (
+        1 + abs(complex(ref_val))), (got, ref)
+
+
+@pytest.mark.parametrize("argv", SEEDED, ids=" ".join)
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_cli_report_matches_dense_reference(command, name, tmp_path,
-                                            monkeypatch):
+def test_cli_report_matches_dense_reference(argv, name, tmp_path, monkeypatch,
+                                            capsys):
+    """Each report against the one whose RP matrix is built from dense
+    triple products with the E whose blocks the job's one table was built
+    from: exit code, keys and labels exact, floats within 1e-12.  With 6
+    samples at seed 3, bounds on the violating spec stops at a later pair
+    with f(B, B) < 0, and the error lines agree."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(SPECS[name]))
-    argv = command + ["--spec", str(path)]
-    code, report = run_cli(argv)
-    # The dense path: every trace from dense triple products with the E
-    # whose blocks the job's one table was built from.
+    argv = argv + ["--spec", str(path)]
+    code, out, err = run_cli_lines(argv, capsys)
     seen = []
     table_orig = rp.weyl_table
     monkeypatch.setattr(
@@ -349,121 +378,20 @@ def test_cli_report_matches_dense_reference(command, name, tmp_path,
         seen.append(sector_matrix(blocks, rep)) or table_orig(blocks, rep)
     )
     monkeypatch.setattr(
-        rp, "_block_traces", lambda stack, x, y, rep, table:
-        dense_block_traces(stack, x, y, rep, seen[-1])
+        rp, "rp_matrix", lambda rows, rep, table:
+        dense_rp_matrix(rows, rep, seen[-1])
     )
-    ref_code, ref_report = run_cli(argv)
+    ref_code, ref_out, ref_err = run_cli_lines(argv, capsys)
     assert len(seen) == 1
     assert code == ref_code
-    assert_reports_close(report, ref_report)
-    if name == "baxter-violating" and command[0] != "bounds":
-        assert code == cli.VIOLATIONS
-
-
-# -- CLI reports, exactly, against per-probe references ------------------------
-
-
-def reference_report(argv, spec_dict):
-    """The report of ``argv`` composed from the one-block functions, probe by
-    probe and pair by pair: random_minus_observable, reflect, _block_traces
-    of one probe and its reflection, gram_psd and rp_bounds_check."""
-    spec = spec_from_dict(spec_dict)
-    n, L = spec.order, spec.sites
-    rep = rep_for(n, L)
-    tol = rp.DEFAULT_TOL
-    command, options = argv[0], dict(zip(argv[1::2], argv[2::2]))
-    samples, seed = int(options.get("--samples", 0)), int(options.get("--seed", 0))
-    rng = np.random.default_rng(seed)
-    head = {"command": command, "n": n, "L": L}
-    if command == "gram":
-        basis = [Polynomial.monomial(1.0, vec)
-                 for d in range(0, L // 2 * (n - 1) + 1, n)
-                 for vec in rp.minus_monomials_of_degree(n, L, d)]
-        gram, min_eig = rp.gram_psd(spec, rep, rp.RowStack.of(basis, n, L))
-        schwarz_ok = schwarz_loop(gram, tol)
-        ok = min_eig >= -tol and schwarz_ok
-        return (cli.PASS if ok else cli.VIOLATIONS), {
-            **head, "basis_size": len(basis), "gram_min_eigenvalue": min_eig,
-            "schwarz_ok": schwarz_ok, "tolerance": tol, "passed": ok,
-        }
-    if command == "bounds":
-        plus = [reflect(rp.random_minus_observable(n, L, rng))
-                for _ in range(2 * samples)]
-        pairs = [(Polynomial.identity(n, L),) * 2] + list(zip(plus[::2], plus[1::2]))
-        worst, all_ok = None, True
-        for a, b in pairs:
-            res = rp.rp_bounds_check(a, b, spec, rep, tol=tol)
-            all_ok = all_ok and res["ok"]
-            margin = min(res["margin1"], res["margin2"], res["partition_margin"])
-            if worst is None or margin < worst["min_margin"] - cli.WORST_TIE:
-                worst = {"min_margin": margin, **res}
-        return (cli.PASS if all_ok else cli.VIOLATIONS), {
-            **head, "pairs": len(pairs), "seed": seed, "tolerance": tol,
-            "worst": worst, "passed": all_ok,
-        }
-    structured = [("identity", Polynomial.identity(n, L))] + [
-        (f"C{vec.entries}", Polynomial.monomial(1.0, vec))
-        for vec in rp.minus_monomials_of_degree(n, L, n)]
-    probes = structured + [(f"random[{i}]", rp.random_minus_observable(n, L, rng))
-                           for i in range(samples)]
-    table = rp.boltzmann_table(spec, rep)
-    z = complex(table[0, 0])
-    violations = []
-    if abs(z.imag) > tol * (1.0 + abs(z)) or z.real <= 0:
-        violations.append(["partition_function", z.imag if z.real > 0 else z.real])
-    min_diag, max_imag = math.inf, 0.0
-    for label, a in probes:
-        pair = rp.RowStack.of([a, reflect(a)], n, L)
-        val, sym = rp._block_traces(pair, np.array([0, 1]), np.array([1, 0]),
-                                    rep, table).tolist()
-        scale = 1.0 + abs(val)
-        re_n, im_n = val.real / scale, abs(val.imag) / scale
-        min_diag, max_imag = min(min_diag, re_n), max(max_imag, im_n)
-        if re_n < -tol:
-            violations.append([f"{label}:diagonal_real", re_n])
-        if im_n > tol:
-            violations.append([f"{label}:diagonal_imag", im_n])
-        if abs(val - sym) > tol * scale:
-            violations.append([f"{label}:symmetry", abs(val - sym)])
-    _, min_eig = rp.gram_psd(
-        spec, rep, rp.RowStack.of([a for _, a in structured], n, L))
-    if min_eig < -tol:
-        violations.append(["gram", min_eig])
-    return (cli.VIOLATIONS if violations else cli.PASS), {
-        **head, "validated_rule": spec.validated_rule.value,
-        "partition_function": [z.real, z.imag], "min_diagonal_real": min_diag,
-        "max_diagonal_imag_abs": max_imag, "gram_min_eigenvalue": min_eig,
-        "samples": samples, "seed": seed, "tolerance": tol,
-        "violations": violations,
-    }
-
-
-SEEDED = [
-    [name, "--samples", samples, "--seed", seed]
-    for name, samples in (("rp-check", "6"), ("bounds", "3"))
-    for seed in ("0", "3", "4")
-] + [["gram"], ["bounds", "--samples", "6", "--seed", "3"]]
-
-
-@pytest.mark.parametrize("argv", SEEDED, ids=" ".join)
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_cli_report_is_exactly_the_per_probe_report(name, argv, tmp_path,
-                                                     capsys):
-    """Byte for byte the report the per-probe path gives, exit code and
-    error line included: one trace pass changes no sum.  With 6 samples at
-    seed 3, bounds on the violating spec stops at a later pair with
-    f(B, B) < 0."""
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(SPECS[name]))
-    code = cli.main(argv + ["--spec", str(path)])
-    out, err = capsys.readouterr()
-    try:
-        ref_code, ref = reference_report(argv, SPECS[name])
-    except ValueError as exc:  # an RP-violating pair in bounds
-        assert (code, out, err) == (cli.ERROR, "", f"error: {exc}\n")
+    if code == cli.ERROR:
+        assert out == ref_out == ""
+        assert_error_lines_close(err, ref_err)
         return
-    assert (code, err) == (ref_code, "")
-    assert out == json.dumps(ref, sort_keys=True) + "\n"
+    assert err == ref_err == ""
+    assert_reports_close(json.loads(out), json.loads(ref_out))
+    if name == "baxter-violating" and argv[0] != "bounds":
+        assert code == cli.VIOLATIONS
 
 
 # -- the Schwarz check in cmd_gram and ExponentVector validation -------------
