@@ -30,7 +30,7 @@ form of the Pauli decomposition.  For a matrix E that commutes with the
 gauge shift T below, such as e^{-H}, the same transform of E[k, k (+) a]
 needs one state per T-orbit: ``weyl_table`` builds it from E's sector
 blocks, and Tr(C_s C_t E) is one lookup in it (``pair_traces``), so one
-call fills the RP matrix M_IJ = Tr(C_I theta(C_J) E) of :mod:`pararp.rp`.
+call fills the blocks of the RP matrix M that a job of :mod:`pararp.rp` reads.
 
 Charge sectors.  The shift T = tau^{tensor L/2}, applied to every tensor
 factor, implements the global gauge automorphism: T c_j T^{-1} = omega^{-1}

@@ -31,11 +31,12 @@ RP reduces to one object (Jaffe-Pedrocchi): the matrix M_IJ =
 Tr(C_I theta(C_J) e^{-H}) over the monomials C_I of the minus half
 (``rp_matrix``), each entry a root of unity times one lookup in the Weyl
 table of e^{-H} (``boltzmann_table``, from the sector blocks), whose entry
-F[0, 0] is the partition function.  Every functional here is a form on M,
-built once per job over the monomials its probes use: with coefficient
-rows a, b, f(A, B) = a^T M conj(b).  So gram is M, check_rp's structured
-Gram matrix a principal submatrix of M and f(A, A) the diagonal of P M P^H
-for its probes' rows P; bounds, on the plus half, read f(theta(B), theta(A)).
+F[0, 0] is the partition function.  Every functional here is a form
+f(A, B) = a^T M conj(b), a, b the coefficient rows of A, B over the rows
+and columns of a block of M, and a job builds in one pair_traces call the
+blocks its forms read (``_forms``): gram is M, check_rp's structured Gram
+matrix M over the structured monomials; each random probe, and each bounds
+pair, reads M over its own monomials.
 
 Bounds and Trotter products rest on the form H = H_- + H_0 + theta(H_-),
 which every ``HamiltonianSpec`` has by construction: the bounds' auxiliary
@@ -330,59 +331,54 @@ def structured_observables(n: int, L: int) -> list[tuple[str, Polynomial]]:
 
 def rp_matrix(rows, rep: Representation, table: np.ndarray) -> np.ndarray:
     """M_IJ = Tr(C_I theta(C_J) E) over the rows I, J of the (k, L) array
-    ``rows`` of exponents on the minus half, with ``table`` the Weyl table
-    of E: one ``pair_traces`` call on the grid of the rows and their
-    reflections, theta(C_J) = w_J C_{J'}, times the phase w_J of column J.
+    ``rows`` of exponents, with ``table`` the Weyl table of E: one
+    ``pair_traces`` call on the grid of the rows and their reflections,
+    theta(C_J) = w_J C_{J'}, times the phase w_J of column J.
 
     f(A, B) = Tr(A theta(B) E) is linear in A and anti-linear in B, so for
     A, B with coefficient rows a, b over ``rows``, f(A, B) = a^T M conj(b).
     """
-    n, k = rep.order, len(rows)
-    i = np.arange(k)
+    k = len(rows)
+    m, _ = _forms(rows, np.ones(k), np.array([[0, k, 0, k]]), rep, table)
+    return m.reshape(k, k)
+
+
+def _forms(rows, coeffs, spans, rep: Representation, table) -> tuple:
+    """(m, f): the entries m = M_ij of rp_matrix over ``rows`` in the block
+    i0 <= i < i1, j0 <= j < j1 for each row (i0, i1, j0, j1) of ``spans``,
+    block by block and row-major, in one ``pair_traces`` call; and per
+    block f(X, Y) = x^T M conj(y), X and Y the sums of coeffs[r] C_{rows[r]}
+    over its rows and over its columns."""
+    n = rep.order
+    h, w = spans[:, 1] - spans[:, 0], spans[:, 3] - spans[:, 2]
+    block = np.repeat(np.arange(len(spans)), h * w)
+    e = np.arange(len(block)) - (np.cumsum(h * w) - h * w)[block]
+    i, j = spans[block, 0] + e // w[block], spans[block, 2] + e % w[block]
     traces = pair_traces(rep, np.concatenate([rows, (n - rows[:, ::-1]) % n]),
-                         np.repeat(i, k), k + np.tile(i, k), table)
-    phase = _conjugate_terms(rows, np.ones(k, dtype=complex), n)
-    return phase * traces.reshape(k, k)
-
-
-def _forms(exponents, coeffs, owner, count: int, rep, table) -> np.ndarray:
-    """[f(A_p, A_q)] = P M P^H over the probes A_p = sum of coeffs[t]
-    C_{exponents[t]} over the terms t with owner[t] = p, no monomial twice
-    in a probe: P holds their coefficient rows over the distinct rows of
-    ``exponents``, and M is rp_matrix over those rows only."""
-    _, first, column = np.unique(exponents @ rep.order ** np.arange(rep.sites),
-                                 return_index=True, return_inverse=True)
-    p = np.zeros((count, len(first)), dtype=complex)
-    p[owner, column] = coeffs
-    return p @ rp_matrix(exponents[first], rep, table) @ p.conj().T
+                         i, len(rows) + j, table)
+    m = _conjugate_terms(rows, np.ones(len(rows), dtype=complex), n)[j] * traces
+    terms = coeffs[i] * m * coeffs[j].conj()
+    return m, (np.bincount(block, terms.real, len(spans))
+               + 1j * np.bincount(block, terms.imag, len(spans)))
 
 
 def _pair(x: Polynomial, y: Polynomial, rep, table) -> np.ndarray:
-    """The 2 x 2 matrix _forms of the minus-side pair (X, Y)."""
-    return _forms(np.concatenate([x.exponents, y.exponents]),
-                  np.concatenate([x.coeffs, y.coeffs]),
-                  np.repeat([0, 1], [len(x.coeffs), len(y.coeffs)]), 2, rep, table)
+    """[f(X_p, X_q)] over the pair (X_0, X_1) = (x, y)."""
+    ends = np.cumsum([0, len(x.coeffs), len(y.coeffs)])
+    spans = np.array([[ends[p], ends[p + 1], ends[q], ends[q + 1]]
+                      for p in (0, 1) for q in (0, 1)])
+    _, f = _forms(np.concatenate([x.exponents, y.exponents]),
+                  np.concatenate([x.coeffs, y.coeffs]), spans, rep, table)
+    return f.reshape(2, 2)
 
 
-def rp_functional(
-    a: Polynomial,
-    b: Polynomial,
-    spec: HamiltonianSpec,
-    rep: Representation,
-) -> complex:
-    """f(A, B) = Tr(A theta(B) e^{-H}); linear in A, anti-linear in B.
-
-    A and B lie on one side.  On the plus side f(A, B) = f(theta(B),
-    theta(A)), the form of the minus pair, as A theta(B) = theta(B) A:
-    exact when A or B is gauge invariant, which is required there."""
-    sa, sb = classify(a), classify(b)
-    sides = {sa.side, sb.side} - {Side.SCALAR}
+def rp_functional(a: Polynomial, b: Polynomial, spec: HamiltonianSpec,
+                  rep: Representation) -> complex:
+    """f(A, B) = Tr(A theta(B) e^{-H}) for A and B on one side; linear in
+    A, anti-linear in B."""
+    sides = {classify(a).side, classify(b).side} - {Side.SCALAR}
     if Side.CROSSING in sides or len(sides) > 1:
         raise ValueError("A and B must be localized on the same side")
-    if Side.PLUS in sides:
-        if not (sa.observable or sb.observable):
-            raise ValueError("A or B on the plus side must be gauge invariant")
-        a, b = reflect(b), reflect(a)
     return complex(_pair(a, b, rep, boltzmann_table(spec, rep))[0, 1])
 
 
@@ -411,18 +407,20 @@ def check_rp(
         violations.append(["partition_function", z.imag if z.real > 0 else z.real])
 
     labels, rows = structured_probes(n, L)
-    count = len(rows)
     labels += [f"random[{i}]" for i in range(samples)]
     terms, coeffs, owner = random_minus_rows(n, L, rng, samples)
-    # Probes p < count are the structured monomials, so the top left block
-    # of the forms is their Gram matrix, a principal submatrix of M.
-    g = _forms(np.concatenate([rows, terms]),
-               np.concatenate([np.ones(count), coeffs]),
-               np.concatenate([np.arange(count), count + owner]),
-               count + samples, rep, table)
+    # Structured probes are monomials: their Gram matrix is M over them.  A
+    # random probe reads f(A, A) from M over its own terms, rows [s, e).
+    c = len(rows)
+    ends = c + np.searchsorted(owner, np.arange(samples + 1))
+    spans = np.concatenate([[[0, c, 0, c]], np.stack([ends[:-1], ends[1:]] * 2, 1)])
+    m, f = _forms(np.concatenate([rows, terms]),
+                  np.concatenate([np.ones(c), coeffs]), spans, rep, table)
+    gram = m[:c * c].reshape(c, c)
+    diagonal = np.concatenate([gram.diagonal(), f[1:]])
 
     min_diag, max_imag = math.inf, 0.0
-    for label, val in zip(labels, g.diagonal().tolist()):
+    for label, val in zip(labels, diagonal.tolist()):
         scale = 1.0 + abs(val)
         re_n, im_n = val.real / scale, abs(val.imag) / scale
         min_diag = min(min_diag, re_n)
@@ -432,7 +430,7 @@ def check_rp(
         if im_n > tol:
             violations.append([f"{label}:diagonal_imag", im_n])
 
-    _, min_eig = _hermitized(g[:count, :count])
+    _, min_eig = _hermitized(gram)
     if min_eig < -tol:
         violations.append(["gram", min_eig])
 
@@ -610,8 +608,7 @@ def rp_bounds_check(
     function bound.
 
     Both auxiliary Hamiltonians are H, so ||A||_-^2 = ||A||_+^2 = f(A, A):
-    the bounds are Cauchy-Schwarz for the one RP form f, three forms on the
-    RP matrix M of theta(A), theta(B) (see _bounds).
+    the bounds are Cauchy-Schwarz for the one RP form f (see _bounds).
     """
     for name, p in (("A", a), ("B", b)):
         sc = classify(p)
@@ -620,7 +617,8 @@ def rp_bounds_check(
 
     table = boltzmann_table(spec, rep)
     g = _pair(reflect(a), reflect(b), rep, table)
-    return _bounds(g, [0], [1], complex(table[0, 0]), tol)[0]
+    forms = np.array([[g[1, 0], g[0, 0], g[1, 1]]])
+    return _bounds(forms, complex(table[0, 0]), tol)[0]
 
 
 def sampled_bounds(
@@ -629,27 +627,30 @@ def sampled_bounds(
 ) -> list[dict]:
     """rp_bounds_check of the pair A = B = I and of ``samples`` pairs (A, B),
     each the reflection of two fresh random_minus_observable draws, seeded
-    by ``seed``: one RP matrix for all pairs, then each pair's bounds in
-    order, so the first RP-violating pair raises."""
+    by ``seed``: the blocks of M they read in one call, then each pair's
+    bounds in order, so the first RP-violating pair raises."""
     n, L = spec.order, spec.sites
     rng = np.random.default_rng(seed)
     terms, coeffs, owner = random_minus_rows(n, L, rng, 2 * samples)
-    # Probe 0 is the identity, probes 2k - 1 and 2k the draws theta(A),
-    # theta(B) of pair k.
+    # Row 0 is the identity, A = B = I at pair 0; pair k holds theta(A),
+    # theta(B), draws 2k - 2, 2k - 1, at rows a, b, and f(A, B), f(A, A),
+    # f(B, B) are the forms of the blocks (b, a), (a, a), (b, b).
+    ends = 1 + np.searchsorted(owner, np.arange(2 * samples + 1))
+    a = np.concatenate([[[0, 1]], np.stack([ends[:-1:2], ends[1::2]], 1)])
+    b = np.concatenate([[[0, 1]], np.stack([ends[1::2], ends[2::2]], 1)])
     table = boltzmann_table(spec, rep)
-    g = _forms(np.concatenate([np.zeros((1, L), dtype=np.int64), terms]),
-               np.concatenate([[1], coeffs]), np.concatenate([[0], 1 + owner]),
-               2 * samples + 1, rep, table)
-    k = np.arange(samples + 1)
-    return _bounds(g, np.maximum(2 * k - 1, 0), 2 * k, complex(table[0, 0]), tol)
+    _, f = _forms(np.concatenate([np.zeros((1, L), dtype=np.int64), terms]),
+                  np.concatenate([[1], coeffs]),
+                  np.concatenate([b, a, a, a, b, b], 1).reshape(-1, 4), rep, table)
+    return _bounds(f.reshape(-1, 3), complex(table[0, 0]), tol)
 
 
-def _bounds(g: np.ndarray, a, b, z: complex, tol: float) -> list[dict]:
+def _bounds(forms: np.ndarray, z: complex, tol: float) -> list[dict]:
     """The rp_bounds_check report of each pair (A, B) of plus observables
-    whose reflections are the probes a[p], b[p] of the forms ``g``, with
-    z = Tr(e^{-H}); ValueError at the first f(A, A) or f(B, B) < 0.  A and
-    theta(B), gauge invariant on disjoint halves, commute, so
-    f(A, B) = Tr(theta(B) A E) = f(theta(B), theta(A))."""
+    from its row [f(A, B), f(A, A), f(B, B)] of ``forms``, with z =
+    Tr(e^{-H}); ValueError at the first f(A, A) or f(B, B) < 0.  A and
+    theta(B), gauge invariant on disjoint halves, commute, so the callers
+    read f(A, B) = Tr(theta(B) A E) as f(theta(B), theta(A))."""
 
     def norm(val: complex, label: str) -> float:
         if val.real < -tol * (1 + abs(val)):
@@ -659,8 +660,7 @@ def _bounds(g: np.ndarray, a, b, z: complex, tol: float) -> list[dict]:
     z_bound = max(z.real, 0.0)
     margin_z = (z_bound - abs(z)) / (1.0 + z_bound)
     out = []
-    for f_ab, sq_a, sq_b in zip(g[b, a].tolist(), g[a, a].tolist(),
-                                g[b, b].tolist()):
+    for f_ab, sq_a, sq_b in forms.tolist():
         bound = norm(sq_a, "A") * norm(sq_b, "B")
         margin = (bound - abs(f_ab)) / (1.0 + bound)
         out.append({

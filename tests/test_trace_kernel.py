@@ -22,7 +22,7 @@ import pytest
 from pararp import cli, rp
 from pararp.algebra import Polynomial, reflect
 from pararp.exponents import ExponentVector
-from pararp.hamiltonian import baxter
+from pararp.hamiltonian import baxter, spec_from_dict
 from pararp.representation import (
     _digit_sum, pair_traces, sector_matrix, to_matrix, weyl_table,
 )
@@ -52,11 +52,20 @@ def dense_forms(xs, ys, rep, e):
     return np.array([[np.trace(a @ b @ e) for b in my] for a in mx])
 
 
-def dense_rp_matrix(rows, rep, e):
-    """Reference for rp.rp_matrix from dense triple products."""
-    monomials = [Polynomial.monomial(1.0, ExponentVector(tuple(r), rep.order))
-                 for r in rows.tolist()]
-    return dense_forms(monomials, monomials, rep, e).reshape(len(rows), len(rows))
+def dense_traces(exponents, s, t, rep, e):
+    """Reference for representation.pair_traces from dense products."""
+    mats = [rep.monomial_matrix(ExponentVector(tuple(r), rep.order))
+            for r in exponents.tolist()]
+    return np.array([np.trace(mats[a] @ mats[b] @ e) for a, b in zip(s, t)])
+
+
+def dense_rp_matrix(rows, rep, e, cols=None):
+    """Reference for rp.rp_matrix, or for its block over ``rows`` and
+    ``cols``, from dense triple products."""
+    cols = rows if cols is None else cols
+    xs, ys = ([Polynomial.monomial(1.0, ExponentVector(tuple(r), rep.order))
+               for r in side.tolist()] for side in (rows, cols))
+    return dense_forms(xs, ys, rep, e).reshape(len(rows), len(cols))
 
 
 def random_minus_poly(n, L, rng, max_terms=4):
@@ -93,9 +102,10 @@ def assert_close(got, ref):
 class TestKernelAgainstDense:
     @pytest.mark.parametrize("n,L", CELLS)
     def test_rp_matrix_and_its_forms(self, n, L):
-        """M over minus rows, observable or not, and the forms P M P^H of
-        multi-term probes over the rows they use, against Tr(X theta(Y) E)
-        for a random E that commutes with the gauge shift."""
+        """M over minus rows, observable or not, blocks of it in one call,
+        and the forms P M P^H of pairs of multi-term probes, against
+        Tr(X theta(Y) E) for a random E that commutes with the gauge
+        shift."""
         rng = np.random.default_rng(1000 * n + L)
         rep = rep_for(n, L)
         blocks = random_blocks(rep, rng)
@@ -103,13 +113,19 @@ class TestKernelAgainstDense:
         rows = np.zeros((6, L), dtype=np.int64)
         rows[1:, :L // 2] = rng.integers(0, n, size=(5, L // 2))
         assert_close(rp.rp_matrix(rows, rep, table), dense_rp_matrix(rows, rep, e))
+        spans = np.array([[0, 2, 0, 2], [2, 6, 1, 3], [0, 6, 4, 6]])
+        coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
+        m, f = rp._forms(rows, coeffs, spans, rep, table)
+        for (i0, i1, j0, j1), got, form in zip(spans, np.split(m, [4, 12]), f):
+            block = dense_rp_matrix(rows[i0:i1], rep, e, rows[j0:j1])
+            assert_close(got, block.ravel())
+            assert_close(form, coeffs[i0:i1] @ block @ coeffs[j0:j1].conj())
         xs = [random_minus_poly(n, L, rng) for _ in range(4)]
         xs.append(Polynomial.identity(n, L))
-        got = rp._forms(np.concatenate([x.exponents for x in xs]),
-                        np.concatenate([x.coeffs for x in xs]),
-                        np.repeat(np.arange(5), [len(x.coeffs) for x in xs]),
-                        5, rep, table)
-        assert_close(got, dense_forms(xs, xs, rep, e))
+        for x in xs:
+            for y in xs[:3]:
+                assert_close(rp._pair(x, y, rep, table),
+                             dense_forms([x, y], [x, y], rep, e))
 
     @pytest.mark.parametrize("n,L", [(2, 8), (3, 6), (5, 4)])
     def test_monomial_pairs(self, n, L):
@@ -193,8 +209,8 @@ class TestRoutedFunctionals:
     @pytest.mark.parametrize("n,L", [(2, 4), (3, 4), (3, 6), (4, 4)])
     def test_rp_functional_on_each_side(self, n, L):
         """f(A, B) against the dense trace with the dense e^{-H}: on the
-        minus side, observable or not, and on the plus side, where it is
-        the form of the reflected pair."""
+        minus side and on the plus side, observable or not; a pair on two
+        sides raises."""
         rep = rep_for(n, L)
         t = [1.0] * (L - 1)
         t[L // 2 - 1] = -0.5
@@ -209,9 +225,14 @@ class TestRoutedFunctionals:
             b = reflect(random_minus_poly(n, L, rng))
             [[ref]] = dense_forms([a], [b], rep, e)
             assert_close(rp.rp_functional(a, b, spec, rep), ref)
+            a = reflect(random_minus_poly(n, L, rng))
+            [[ref]] = dense_forms([a], [b], rep, e)
+            assert_close(rp.rp_functional(a, b, spec, rep), ref)
         c = Polynomial.monomial(1.0, ExponentVector((0,) * (L - 1) + (1,), n))
+        [[ref]] = dense_forms([c], [c], rep, e)
+        assert_close(rp.rp_functional(c, c, spec, rep), ref)
         with pytest.raises(ValueError):
-            rp.rp_functional(c, c, spec, rep)
+            rp.rp_functional(c, reflect(c), spec, rep)
 
     def test_no_dense_matrix_of_observables(self, monkeypatch):
         """check_rp builds one dense matrix, that of H, whatever the number
@@ -275,14 +296,14 @@ def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
     """One Weyl table per Boltzmann factor and one RP matrix per job: each
     rp-check, gram and bounds job builds one table, from the sector blocks of
     e^{-H} with no dense e^{-H} (sector_matrix), and reads every trace it
-    needs from it in one rp_matrix, one pair_traces call, however many
+    needs from it in one _forms, one pair_traces call, however many
     probes it draws."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(
         {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.6, -0.5, 0.6, 1.0]}}
     ))
     calls = {"weyl_table": 0, "pair_traces": 0, "sector_matrix": 0,
-             "rp_matrix": 0}
+             "_forms": 0}
     for name in calls:
         original = getattr(rp, name)
 
@@ -294,7 +315,7 @@ def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
     code, _ = run_cli(command + ["--spec", str(path)])
     assert code == 0
     assert calls == {"weyl_table": 1, "pair_traces": 1, "sector_matrix": 0,
-                     "rp_matrix": 1}
+                     "_forms": 1}
 
 
 # -- CLI reports against the dense reference --------------------------------
@@ -362,9 +383,9 @@ def assert_error_lines_close(got, ref):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_cli_report_matches_dense_reference(argv, name, tmp_path, monkeypatch,
                                             capsys):
-    """Each report against the one whose RP matrix is built from dense
-    triple products with the E whose blocks the job's one table was built
-    from: exit code, keys and labels exact, floats within 1e-12.  With 6
+    """Each report against the one whose monomial traces Tr(C_s C_t E) are
+    dense triple products with the E whose blocks the job's one table was
+    built from: exit code, keys and labels exact, floats within 1e-12.  With 6
     samples at seed 3, bounds on the violating spec stops at a later pair
     with f(B, B) < 0, and the error lines agree."""
     path = tmp_path / "spec.json"
@@ -378,8 +399,8 @@ def test_cli_report_matches_dense_reference(argv, name, tmp_path, monkeypatch,
         seen.append(sector_matrix(blocks, rep)) or table_orig(blocks, rep)
     )
     monkeypatch.setattr(
-        rp, "rp_matrix", lambda rows, rep, table:
-        dense_rp_matrix(rows, rep, seen[-1])
+        rp, "pair_traces", lambda rep, exponents, s, t, table: dense_traces(
+            exponents, s, t, rep, seen[-1])
     )
     ref_code, ref_out, ref_err = run_cli_lines(argv, capsys)
     assert len(seen) == 1
@@ -392,6 +413,67 @@ def test_cli_report_matches_dense_reference(argv, name, tmp_path, monkeypatch,
     assert_reports_close(json.loads(out), json.loads(ref_out))
     if name == "baxter-violating" and argv[0] != "bounds":
         assert code == cli.VIOLATIONS
+
+
+def drawn_probes(n, L, seed, count):
+    """The probes random_minus_rows draws from ``seed``, as polynomials."""
+    rows, coeffs, owner = rp.random_minus_rows(
+        n, L, np.random.default_rng(seed), count)
+    return [Polynomial._from_arrays(rows[owner == p], coeffs[owner == p], n, L)
+            for p in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 6])
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_probe_forms_match_dense(name, seed):
+    """check_rp's f(A, A), and f(A, B), f(A, A), f(B, B) of sampled_bounds
+    and rp_bounds_check, against dense triple products of the probes each draws, with the dense
+    e^{-H} of the same sector blocks: diagonal statistics and violations,
+    and each pair's f(A, B) and squared bound f(A, A) f(B, B), up to the
+    first f < 0, within 1e-12 (the square root would amplify the rounding
+    of a small f(A, A)).  The plus pairs are traced as they are, with no
+    use of the commutation."""
+    spec = spec_from_dict(SPECS[name])
+    n, L = spec.order, spec.sites
+    rep = rep_for(n, L)
+    e = rp.boltzmann(spec.total(), rep)
+
+    def f(x, y):
+        return complex(dense_forms([x], [y], rep, e)[0, 0])
+
+    labels, rows = rp.structured_probes(n, L)
+    probes = [Polynomial._from_arrays(r[None], np.ones(1), n, L) for r in rows]
+    probes += drawn_probes(n, L, seed, 6)
+    labels += [f"random[{i}]" for i in range(6)]
+    diagonal = [v / (1 + abs(v)) for v in (f(x, x) for x in probes)]
+    report = rp.check_rp(spec, rep, samples=6, seed=seed)
+    assert_reports_close(
+        [report.min_diagonal_real, report.max_diagonal_imag_abs,
+         [v for v in report.violations if ":diagonal" in v[0]]],
+        [min(v.real for v in diagonal), max(abs(v.imag) for v in diagonal),
+         [[f"{label}:diagonal_{part}", value]
+          for label, v in zip(labels, diagonal)
+          for part, value, sign in (("real", v.real, -1), ("imag", abs(v.imag), 1))
+          if sign * value > rp.DEFAULT_TOL]])
+
+    draws = [reflect(x) for x in drawn_probes(n, L, seed, 12)]
+    one = Polynomial.identity(n, L)
+    expected = []
+    for a, b in [(one, one)] + list(zip(draws[::2], draws[1::2])):
+        sq_a, sq_b, f_ab = f(a, a), f(b, b), f(a, b)
+        if any(v.real < -rp.DEFAULT_TOL * (1 + abs(v)) for v in (sq_a, sq_b)):
+            break
+        expected.append(
+            [f_ab.real, f_ab.imag, max(sq_a.real, 0) * max(sq_b.real, 0)])
+        got = rp.rp_bounds_check(a, b, spec, rep)
+        assert_reports_close([*got["f_ab"], got["bound1"] ** 2], expected[-1])
+    try:
+        pairs = rp.sampled_bounds(spec, rep, 6, seed)
+    except ValueError:
+        assert len(expected) < 7
+    else:
+        assert_reports_close(
+            [[*r["f_ab"], r["bound1"] ** 2] for r in pairs], expected)
 
 
 # -- the Schwarz check in cmd_gram and ExponentVector validation -------------
