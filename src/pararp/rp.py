@@ -36,13 +36,15 @@ f(A, B) = a^T M conj(b), a, b the coefficient rows of A, B over the rows
 and columns of a block of M, and a job builds in one pair_traces call the
 blocks its forms read (``_forms``): gram is M, check_rp's structured Gram
 matrix M over the structured monomials; each random probe, and each bounds
-pair, reads M over its own monomials.
+pair, reads M over its own monomials.  Random probes are drawn inside the
+gauge-invariant algebra, in three generator calls (``random_minus_rows``).
 
 Bounds and Trotter products rest on the form H = H_- + H_0 + theta(H_-),
 which every ``HamiltonianSpec`` has by construction: the bounds' auxiliary
 Hamiltonians are H, so they are Cauchy-Schwarz for the one RP form with
 e^{-H}, and H_-, theta(H_-) are commuting observables on disjoint halves, so
-e^{-H_-/k} e^{-theta(H_-)/k} is one exponential.
+e^{-H_-/k} e^{-theta(H_-)/k} is one exponential; theta pairs sector q with
+-q, so Trotter errors are computed on sectors 0..n/2 only.
 
 Positivity tolerances are relative: a value v counts as a violation when
 it falls below -tol * (1 + |v|).  Aggregate report statistics are stored in
@@ -55,7 +57,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -64,7 +65,9 @@ import numpy as np
 from .algebra import (
     Polynomial,
     Side,
+    _codes,
     _conjugate_terms,
+    _merge,
     canonical_product,
     classify,
     omega_power,
@@ -229,20 +232,17 @@ class RPReport:
 # -- probes -----------------------------------------------------------------
 
 
-def _minus_head(
-    n: int, half: int, rng: np.random.Generator, observable: bool,
-    nonzero: bool = False,
-) -> list[int]:
-    """Uniform exponents on sites 1..half, drawn until they are of degree
-    = 0 mod n (``observable``) and nonzero (``nonzero``), as asked: one
-    ``rng.integers`` call per try, so the loop defines the seeded stream."""
-    while True:
-        head = rng.integers(0, n, size=half).tolist()
-        if observable and sum(head) % n != 0:
-            continue
-        if nonzero and not any(head):
-            continue
-        return head
+def _minus_draw(n: int, L: int, rng: np.random.Generator, size: int,
+                observable: bool) -> np.ndarray:
+    """``size`` uniform exponent rows on sites 1..L/2 in one ``rng.integers``
+    call; with ``observable``, uniform over the n^{L/2-1} rows of degree = 0
+    mod n: free digits on sites 1..L/2-1, the last minus their sum mod n."""
+    free = L // 2 - observable
+    rows = np.zeros((size, L), dtype=np.int64)
+    rows[:, :free] = rng.integers(0, n, size=(size, free))
+    if observable:
+        rows[:, free] = -rows.sum(axis=1) % n
+    return rows
 
 
 def random_minus_vector(
@@ -251,35 +251,26 @@ def random_minus_vector(
 ) -> ExponentVector:
     """Uniform exponent vector supported on sites 1..L/2, optionally
     conditioned on degree = 0 mod n and/or on being nonzero."""
-    half = L // 2
-    head = _minus_head(n, half, rng, observable, nonzero)
-    return ExponentVector(tuple(head) + (0,) * half, n)
+    if observable and nonzero and L < 4:
+        raise ValueError("the identity is the only observable monomial at L = 2")
+    while True:
+        row = _minus_draw(n, L, rng, 1, observable)[0].tolist()
+        if not nonzero or any(row):
+            return ExponentVector(tuple(row), n)
 
 
 def random_minus_rows(
     n: int, L: int, rng: np.random.Generator, count: int, max_terms: int = 8
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` draws of random_minus_observable as the exponent rows
-    (T, L), coefficients (T,) and probe index (T,) of all their terms, from
-    the same ``rng`` calls in the same order: per probe the number of
-    terms, then per term its exponents and its coefficient.  A repeated
-    monomial adds its coefficient to the first one's term, and zero sums
-    are dropped, as the dict constructor of Polynomial does."""
-    half = L // 2
-    heads, coeffs, sizes = [], [], []
-    for _ in range(count):
-        terms: dict[tuple[int, ...], complex] = {}
-        for _ in range(int(rng.integers(1, max_terms + 1))):
-            head = tuple(_minus_head(n, half, rng, observable=True))
-            terms[head] = terms.get(head, 0) + complex(rng.normal(), rng.normal())
-        kept = {head: c for head, c in terms.items() if c != 0}
-        heads += kept
-        coeffs += kept.values()
-        sizes.append(len(kept))
-    rows = np.zeros((len(heads), L), dtype=np.int64)
-    rows[:, :half] = np.array(heads, dtype=np.int64).reshape(-1, half)
-    return (rows, np.array(coeffs, dtype=complex),
-            np.repeat(np.arange(count), sizes))
+    """``count`` random elements of the gauge-invariant minus algebra as the
+    exponent rows (T, L), coefficients (T,) and probe index (T,) of all
+    their terms, in three ``rng`` calls: term counts in 1..max_terms,
+    observable monomials (``_minus_draw``), standard complex Gaussian
+    coefficients.  A probe may repeat a monomial; its form is unchanged."""
+    sizes = rng.integers(1, max_terms + 1, size=count)
+    rows = _minus_draw(n, L, rng, int(sizes.sum()), observable=True)
+    coeffs = rng.normal(size=(len(rows), 2)).view(complex)[:, 0]
+    return rows, coeffs, np.repeat(np.arange(count), sizes)
 
 
 def random_minus_observable(
@@ -287,9 +278,10 @@ def random_minus_observable(
 ) -> Polynomial:
     """Random element of the gauge-invariant minus algebra: up to
     ``max_terms`` observable monomials with standard complex Gaussian
-    coefficients."""
+    coefficients (random_minus_rows, repeated monomials merged)."""
     rows, coeffs, _ = random_minus_rows(n, L, rng, 1, max_terms)
-    return Polynomial._from_arrays(rows, coeffs, n, L)
+    first, sums = _merge(_codes(rows, n), coeffs)
+    return Polynomial._from_arrays(rows[first], sums, n, L)
 
 
 def minus_rows(n: int, L: int, degrees) -> np.ndarray:
@@ -493,22 +485,27 @@ def trotter_convergence(
 ) -> dict:
     """Errors ||approximant(k) - e^{-H}|| (Frobenius) and consecutive ratios.
 
-    Everything is computed on the charge-sector blocks, whose stacked
-    Frobenius norm is that of the full matrix.  The blocks of H are those of
-    H_0 plus those of H_- + H_+, and e^{-(H_- + H_+)/k} is the square of the
-    one for 2k whenever 2k is among ``ks``.
+    Everything is computed on the charge-sector blocks q = 0..n/2: theta is
+    an antiunitary that fixes H_0 and H_- + H_+ and maps sector q onto -q,
+    so the error is sqrt(sum_q w_q ||block q||^2), w_q = 1 when 2q = 0 mod
+    n and 2 otherwise.  The blocks of H are those of H_0 plus those of
+    H_- + H_+, and e^{-(H_- + H_+)/k} is the square of the one for 2k
+    whenever 2k is among ``ks``.
     """
     ks = [int(k) for k in ks]
     if min(ks, default=1) < 1:
         raise ValueError("k must be >= 1")
-    h0, halves = _trotter_parts(spec, rep)
+    q = np.arange(rep.order // 2 + 1)
+    weights = np.where(2 * q % rep.order, 2.0, 1.0)
+    h0, halves = (blocks[q] for blocks in _trotter_parts(spec, rep))
     exact = matrix_exp(-(h0 + halves))
     factors: dict[int, np.ndarray] = {}
     for k in sorted(set(ks), reverse=True):
         twice = factors.get(2 * k)
         factors[k] = matrix_exp(-halves / k) if twice is None else twice @ twice
     errors = {
-        k: float(np.linalg.norm(_trotter_power(h0, factors[k], k) - exact))
+        k: math.sqrt(weights @ np.linalg.norm(
+            _trotter_power(h0, factors[k], k) - exact, axis=(1, 2)) ** 2)
         for k in ks
     }
     ks_sorted = sorted(errors)
@@ -718,22 +715,24 @@ def _counterexample_sums(n: int, j: int) -> list[Fraction]:
     zeta^{p_k - 2 (-j mod n)(k mod n)}: the identity when k = -j mod n."""
     if not 1 <= j <= n:
         raise ValueError(f"j must be in 1..{n}, got {j}")
-    sums: dict[int, Fraction] = defaultdict(Fraction)
-    first = None
-    p_k = 0
-    for k in itertools.count():
-        if (j + k) % n == 0:
-            # Each term is at most half the previous one, so the ones left
-            # out sum to less than 2^-63 of the first.
-            term = Fraction(n, math.factorial(k))
-            if first is not None and term * 2**64 < first:
+    # k = k0 + t n, p_k = k - 2 (k - 1) n + k (k - 1) for 1 <= k <= n and
+    # p_{k + n} = p_k + n (2 - n).  Each term is at most half the previous,
+    # so those with k! / k0! > 2^64 sum to below 2^-63 of the first.
+    k0 = -j % n
+    p0 = k0 - 2 * (k0 - 1) * n + k0 * (k0 - 1) if k0 else 0
+    first = Fraction(n, math.factorial(k0))
+    sums = [Fraction(0)] * n
+    k, ratio = k0, 1  # ratio = k! / k0!
+    while ratio <= 2**64:
+        # (-1)^k = zeta^{n k} and zeta^n = -1.
+        phase = (p0 + (k - k0) * (2 - n) - 2 * k0 * k0 + n * k) % (2 * n)
+        sums[phase % n] += first / ratio if phase < n else -first / ratio
+        for factor in range(k + 1, k + n + 1):
+            ratio *= factor
+            if ratio > 2**64:
                 break
-            if first is None:
-                first = term
-            phase = p_k - 2 * (-j % n) * (k % n)
-            sums[(phase + n * k) % (2 * n)] += term  # (-1)^k = zeta^{n k}
-        p_k += 1 - 2 * (-k % n)
-    return [sums[p] - sums[p + n] for p in range(n)]  # zeta^n = -1
+        k += n
+    return sums
 
 
 def counterexample_f(n: int, j: int) -> complex:

@@ -1,0 +1,41 @@
+"""tools/report_diff.py: the package's source tree against itself on the
+benchmark's tiny grids, and the comparison of two reports."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "report_diff.py"
+
+
+@pytest.fixture(scope="module")
+def report_diff():
+    spec = importlib.util.spec_from_file_location("report_diff", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_tree_against_itself_is_identical(report_diff, capsys):
+    src = str(ROOT / "src")
+    code = report_diff.main([src, src, "--workload", "rp_suite", "basis",
+                             "--seeds", "3", "--tiny",
+                             "--argv", "counterexample --n 5 --j 2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    total = int(lines[0].rsplit(" ", 1)[1])
+    assert lines[0] == f"identical reports: {total} of {total}" and total > 10
+    assert "  counterexample: 1 of 1 identical" in lines
+    assert "  rp-check: 6 of 6 identical" in lines
+    assert "changed:" not in lines
+
+
+def test_compare_names_the_first_key_and_the_largest_gap(report_diff):
+    old = json.dumps({"a": 1.0, "b": [1.0, 2.0], "c": True, "d": 4.0})
+    new = json.dumps({"a": 1.0, "b": [1.0, 2.5], "c": False, "d": 4.0000004})
+    assert report_diff.compare(old, new) == ("b[1]", 0.2)
+    assert report_diff.compare(old, old) == (None, 0.0)
+    assert report_diff.compare(old, "") == ("<output>", 0.0)

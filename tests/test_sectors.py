@@ -9,7 +9,11 @@ reports with the sector transforms switched off.
 
 import contextlib
 import io
+import itertools
 import json
+import math
+from collections import defaultdict
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -17,7 +21,7 @@ import pytest
 import scipy.linalg
 
 from pararp import cli, rp
-from pararp.algebra import Polynomial, adjoint
+from pararp.algebra import Polynomial, adjoint, sum_polynomials
 from pararp.exponents import ExponentVector, unit_vector
 from pararp.hamiltonian import CouplingTable, assemble, baxter
 from pararp.representation import (
@@ -248,7 +252,75 @@ def test_trotter_matches_dense_reference(n, L, kind):
     assert set(conv["ratios"]) == {4, 8}
 
 
+PAIRING_CELLS = RP_CELLS + [(2, 2), (6, 4), (7, 4)]
+
+
+def pairing_spec(n, L, kind):
+    rng = np.random.default_rng(7 * n + L)
+    return (baxter_spec if kind == "baxter" else general_spec)(n, L, rng)
+
+
+@pytest.mark.parametrize("kind", ["baxter", "general"])
+@pytest.mark.parametrize("n,L", PAIRING_CELLS)
+def test_theta_pairs_sector_q_with_minus_q(n, L, kind):
+    """theta is an antiunitary that fixes H, H_0 and H_- + H_+ and maps
+    sector q onto sector -q, so e^{-H} and the Trotter product have blocks
+    q and -q of equal Frobenius norm."""
+    spec, rep = pairing_spec(n, L, kind), rep_for(n, L)
+    h0, halves = rp._trotter_parts(spec, rep)
+    for stack in (rp.matrix_exp(-(h0 + halves)),
+                  rp._trotter_power(h0, rp.matrix_exp(-halves / 4), 4)):
+        norms = np.linalg.norm(stack, axis=(1, 2))
+        assert np.abs(norms - norms[-np.arange(n) % n]).max() <= 1e-12 * norms.max()
+
+
+@pytest.mark.parametrize("kind", ["baxter", "general"])
+@pytest.mark.parametrize("n,L", PAIRING_CELLS)
+def test_trotter_convergence_matches_all_sectors(n, L, kind):
+    """The errors from sectors 0..n/2 against the same computation on all n
+    sectors, squarings included."""
+    spec, rep = pairing_spec(n, L, kind), rep_for(n, L)
+    ks = [4, 8, 16, 3]
+    h0, halves = rp._trotter_parts(spec, rep)
+    exact = rp.matrix_exp(-(h0 + halves))
+    factors = {16: rp.matrix_exp(-halves / 16), 3: rp.matrix_exp(-halves / 3)}
+    factors[8] = factors[16] @ factors[16]
+    factors[4] = factors[8] @ factors[8]
+    conv = rp.trotter_convergence(spec, rep, ks)
+    for k in ks:
+        ref = float(np.linalg.norm(rp._trotter_power(h0, factors[k], k) - exact))
+        assert abs(conv["errors"][k] - ref) <= 1e-12 * ref
+    assert conv["ratios"] == {4: conv["errors"][4] / conv["errors"][8],
+                              8: conv["errors"][8] / conv["errors"][16]}
+
+
 # -- the exact two-site counterexample ----------------------------------------------
+
+
+def stepped_counterexample_sums(n, j):
+    """The sums of f(c^j) with k stepped one at a time: p_{k+1} = p_k + 1 -
+    2 (-k mod n), and only k = -j mod n contributes, stopping at the first
+    term below 2^-64 of the first one."""
+    sums, first, p_k = defaultdict(Fraction), None, 0
+    for k in itertools.count():
+        if (j + k) % n == 0:
+            term = Fraction(n, math.factorial(k))
+            if first is not None and term * 2**64 < first:
+                break
+            first = first or term
+            phase = p_k - 2 * (-j % n) * (k % n)
+            sums[(phase + n * k) % (2 * n)] += term
+        p_k += 1 - 2 * (-k % n)
+    return [sums[p] - sums[p + n] for p in range(n)]
+
+
+@pytest.mark.parametrize("low", range(2, 65, 9))
+def test_counterexample_sums_match_the_stepping_loop(low):
+    for n in range(low, min(low + 9, 65)):
+        for j in range(1, n + 1):
+            got = rp._counterexample_sums(n, j)
+            assert got == stepped_counterexample_sums(n, j), (n, j)
+            assert all(type(r) is Fraction for r in got)
 
 
 @pytest.mark.parametrize("n", range(2, 41))
@@ -374,24 +446,51 @@ def assert_reports_close(got, ref, path="report"):
         assert got == ref, (path, got, ref)
 
 
+def dense_trotter_convergence(spec, rep, ks):
+    """trotter_convergence on the dense matrices: the same exponential of
+    one block holding the whole matrix, and every sector in the norm."""
+    h0, halves = (to_matrix(h, rep) for h in
+                  (spec.h_zero, sum_polynomials((spec.h_minus, spec.h_plus))))
+    exact = rp.matrix_exp(-(h0 + halves))
+    errors = {}
+    for k in ks:
+        step = (np.eye(rep.dim) - h0 / k) @ rp.matrix_exp(-halves / k)
+        errors[k] = float(np.linalg.norm(np.linalg.matrix_power(step, k) - exact))
+    return {"errors": errors, "ratios": {ks[0]: errors[ks[0]] / errors[ks[1]]}}
+
+
 @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_cli_report_matches_dense_boltzmann(command, name, tmp_path,
-                                           monkeypatch):
+                                           monkeypatch, capsys):
+    """Exit code, keys and labels exact, floats within 1e-11; bounds on the
+    violating spec stops at a pair with f(B, B) < 0, and the error lines
+    agree."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(SPECS[name]))
     argv = command + ["--spec", str(path)]
-    code, report = run_cli(argv)
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
     # The dense path: e^{-H} from the full matrix, its Weyl table gathered
-    # from the dense e^{-H}, and Trotter products on one block holding the
-    # whole matrix.
+    # from the dense e^{-H}, and dense Trotter products.
     monkeypatch.setattr(rp, "boltzmann", dense_boltzmann)
     monkeypatch.setattr(rp, "sector_blocks", lambda a, rep: a[None])
     monkeypatch.setattr(rp, "sector_matrix", lambda blocks, rep: blocks[0])
     monkeypatch.setattr(rp, "weyl_table",
                         lambda blocks, rep: dense_weyl_table(blocks[0], rep))
-    ref_code, ref_report = run_cli(argv)
+    monkeypatch.setattr(rp, "trotter_convergence", dense_trotter_convergence)
+    ref_code = cli.main(argv)
+    ref_out, ref_err = capsys.readouterr()
     assert code == ref_code
+    if code == cli.ERROR:
+        assert out == ref_out == ""
+        (head, _, val), (ref_head, _, ref_val) = (
+            line.rpartition(" = ") for line in (err, ref_err))
+        assert head == ref_head, (err, ref_err)
+        assert abs(complex(val) - complex(ref_val)) <= 1e-11 * (
+            1 + abs(complex(ref_val))), (err, ref_err)
+        return
+    report, ref_report = json.loads(out), json.loads(ref_out)
     if command[0] == "decompose":
         terms = {tuple(t["exponents"]): t["coefficient"] for t in report["terms"]}
         ref_terms = {

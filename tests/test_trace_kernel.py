@@ -385,9 +385,9 @@ def test_cli_report_matches_dense_reference(argv, name, tmp_path, monkeypatch,
                                             capsys):
     """Each report against the one whose monomial traces Tr(C_s C_t E) are
     dense triple products with the E whose blocks the job's one table was
-    built from: exit code, keys and labels exact, floats within 1e-12.  With 6
-    samples at seed 3, bounds on the violating spec stops at a later pair
-    with f(B, B) < 0, and the error lines agree."""
+    built from: exit code, keys and labels exact, floats within 1e-12.  With 3
+    samples at seed 4, bounds on the violating spec stops at a pair with
+    f(B, B) < 0, and the error lines agree."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(SPECS[name]))
     argv = argv + ["--spec", str(path)]
