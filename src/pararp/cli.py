@@ -1,10 +1,14 @@
 """Batch front-end: run named verification suites and emit JSON reports.
 
-Exit codes: 0 all checks passed, 2 the suite ran and found mathematical
-violations (the report is still written), 1 usage / IO / parse errors,
-with one line on stderr.  Each subcommand accepts only the flags it reads.
-Reports are deterministic: sorted keys, shortest round-trip floats, so the
-same configuration and seed produce byte-identical output.
+Each subcommand returns its verdict and its own report fields; ``main``
+resolves the spec for the ones that read ``--spec``, fills the ``--tol``
+default, and adds ``command`` to every report and the spec's ``n`` and
+``L`` to the ones that read a spec.  Exit codes: 0 all checks passed, 2 the
+suite ran and found mathematical violations (the report is still written),
+1 usage / IO / parse / out-of-memory errors, with one line on stderr.  Each
+subcommand accepts only the flags it reads.  Reports are deterministic:
+sorted keys, shortest round-trip floats, so the same configuration and seed
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -66,180 +70,103 @@ def _resolve_spec(args) -> tuple[HamiltonianSpec, Representation]:
 
 
 def cmd_verify_relations(args):
-    rep = build_generators(args.n, args.L)
-    residuals = verify_yamazaki(rep)
-    tol = args.tol if args.tol is not None else 1e-11
-    ok = max(residuals.values()) <= tol
-    report = {
-        "command": "verify-relations",
-        "n": args.n,
-        "L": args.L,
-        "tolerance": tol,
-        "residuals": residuals,
-        "passed": ok,
-    }
-    return (PASS if ok else VIOLATIONS), report
+    if args.n is None or args.L is None:
+        raise UsageError("verify-relations requires --n and --L")
+    residuals = verify_yamazaki(build_generators(args.n, args.L))
+    ok = max(residuals.values()) <= args.tol
+    return ok, {"n": args.n, "L": args.L, "tolerance": args.tol,
+                "residuals": residuals, "passed": ok}
 
 
-def cmd_rp_check(args):
-    spec, rep = _resolve_spec(args)
-    tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
+def cmd_rp_check(spec, rep, args):
     result = rp.check_rp(
-        spec, rep, samples=args.samples, seed=args.seed, tol=tol
+        spec, rep, samples=args.samples, seed=args.seed, tol=args.tol
     )
-    report = {
-        "command": "rp-check",
-        "n": spec.order,
-        "L": spec.sites,
-        "validated_rule": spec.validated_rule.value,
-    }
-    report.update(result.to_dict())
-    return (PASS if result.passed() else VIOLATIONS), report
+    return result.passed(), {"validated_rule": spec.validated_rule.value,
+                             **result.to_dict()}
 
 
-def cmd_gram(args):
-    spec, rep = _resolve_spec(args)
-    tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
+def cmd_gram(spec, rep, args):
     n, L = spec.order, spec.sites
     basis = rp.minus_rows(n, L, range(0, L // 2 * (n - 1) + 1, n))
     gram, min_eig = rp.gram_psd(spec, rep, basis)
     # Schwarz |G_ij|^2 <= G_ii G_jj in min_eig's scale, which PSD implies.
-    eps = tol * (1 + np.abs(gram).max(initial=0.0))
+    eps = args.tol * (1 + np.abs(gram).max(initial=0.0))
     diag = gram.diagonal().real + eps
     schwarz_ok = not (np.abs(gram) ** 2 > np.outer(diag, diag)).any()
-    ok = min_eig >= -tol and schwarz_ok
-    report = {
-        "command": "gram",
-        "n": n,
-        "L": L,
-        "basis_size": len(basis),
-        "gram_min_eigenvalue": min_eig,
-        "schwarz_ok": schwarz_ok,
-        "tolerance": tol,
-        "passed": ok,
-    }
-    return (PASS if ok else VIOLATIONS), report
+    ok = min_eig >= -args.tol and schwarz_ok
+    return ok, {"basis_size": len(basis), "gram_min_eigenvalue": min_eig,
+                "schwarz_ok": schwarz_ok, "tolerance": args.tol, "passed": ok}
 
 
-def cmd_trotter(args):
-    spec, rep = _resolve_spec(args)
+def cmd_trotter(spec, rep, args):
     conv = rp.trotter_convergence(spec, rep, [args.k, 2 * args.k])
     ratio = conv["ratios"].get(args.k)
     ok = ratio is not None and 1.6 <= ratio <= 2.4
-    report = {
-        "command": "trotter",
-        "n": spec.order,
-        "L": spec.sites,
-        "k": args.k,
-        "errors": {str(k): v for k, v in conv["errors"].items()},
-        "ratio": ratio,
-        "passed": ok,
-    }
-    return (PASS if ok else VIOLATIONS), report
+    return ok, {"k": args.k, "ratio": ratio, "passed": ok,
+                "errors": {str(k): v for k, v in conv["errors"].items()}}
 
 
-def cmd_bounds(args):
-    spec, rep = _resolve_spec(args)
-    tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
-    pairs = rp.sampled_bounds(spec, rep, args.samples, args.seed, tol)
+def cmd_bounds(spec, rep, args):
+    pairs = rp.sampled_bounds(spec, rep, args.samples, args.seed, args.tol)
     worst = None
-    all_ok = True
-    for res in pairs:
-        all_ok = all_ok and res["ok"]
-        margin = min(res["margin1"], res["margin2"], res["partition_margin"])
-        # The margins are normalised, so a pair within WORST_TIE of the
-        # current worst ties with it, and ties keep the earlier pair
-        # (identity first) however they round.
+    # Pair 0, A = B = I, meets its bound with equality and partition_margin
+    # is the same on every pair, so only the drawn pairs compete.  The
+    # margins are normalised, so a pair within WORST_TIE of the current
+    # worst ties with it, and ties keep the earlier pair however they round.
+    for res in pairs[1:]:
+        margin = min(res["margin1"], res["margin2"])
         if worst is None or margin < worst["min_margin"] - WORST_TIE:
             worst = {"min_margin": margin, **res}
-    report = {
-        "command": "bounds",
-        "n": spec.order,
-        "L": spec.sites,
-        "pairs": len(pairs),
-        "seed": args.seed,
-        "tolerance": tol,
-        "worst": worst,
-        "passed": all_ok,
-    }
-    return (PASS if all_ok else VIOLATIONS), report
+    ok = all(res["ok"] for res in pairs)
+    return ok, {"pairs": len(pairs), "seed": args.seed, "tolerance": args.tol,
+                "worst": worst, "passed": ok}
 
 
 def cmd_counterexample(args):
     if args.n is None:
         raise SpecError("--n is required")
     j = args.j if args.j is not None else 1
-    tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
-    positive, val = rp.counterexample_check(args.n, j, tol=tol)
-    report = {
-        "command": "counterexample",
-        "n": args.n,
-        "j": j,
-        "value": [val.real, val.imag],
-        "positive": positive,
-    }
+    positive, val = rp.counterexample_check(args.n, j, tol=args.tol)
+    fields = {"n": args.n, "j": j, "value": [val.real, val.imag],
+              "positive": positive}
     if j == 1:
         ref = rp.counterexample_reference(args.n)
-        report["series_reference"] = [ref.real, ref.imag]
-        report["series_gap"] = abs(val - ref)
-    return (PASS if positive else VIOLATIONS), report
+        fields["series_reference"] = [ref.real, ref.imag]
+        fields["series_gap"] = abs(val - ref)
+    return positive, fields
 
 
 def cmd_families(args):
     if args.family is None or args.kparam is None:
         raise SpecError("--family and --kparam are required")
-    tol = args.tol if args.tol is not None else rp.DEFAULT_TOL
     n, j = rp.family_pair(args.family, args.kparam, args.jprime)
-    ok, val = rp.family_check(args.family, args.kparam, args.jprime, tol=tol)
-    report = {
-        "command": "families",
-        "family": args.family,
-        "description": rp.FAMILY_DESCRIPTIONS[args.family],
-        "n": n,
-        "j": j,
-        "value": [val.real, val.imag],
-        "positive_real": ok,
-    }
-    return (PASS if ok else VIOLATIONS), report
+    ok, val = rp.counterexample_check(n, j, tol=args.tol)
+    return ok, {"family": args.family, "n": n, "j": j,
+                "description": rp.FAMILY_DESCRIPTIONS[args.family],
+                "value": [val.real, val.imag], "positive_real": ok}
 
 
-def cmd_baxter(args):
-    if args.spec is None:
-        raise SpecError("--spec with a baxter shortcut is required")
-    spec, rep = _resolve_spec(args)
+def cmd_baxter(spec, rep, args):
     sym = check_symmetries(spec, rep)
     ok = sym["reflection_symbolic"] and sym["gauge_symbolic"] and sym["matrix_ok"]
-    report = {
-        "command": "baxter",
-        "n": spec.order,
-        "L": spec.sites,
+    return ok, {
         "validated_rule": spec.validated_rule.value,
         "rp_hypotheses_met": spec.validated_rule is not CouplingRule.NONE,
         "symmetries": sym,
         "passed": ok,
     }
-    return (PASS if ok else VIOLATIONS), report
 
 
-def cmd_decompose(args):
-    spec, rep = _resolve_spec(args)
+def cmd_decompose(spec, rep, args):
     boltzmann = rp.boltzmann(spec.total(), rep)
     poly = decompose(boltzmann, rep)
     gap = float(np.linalg.norm(to_matrix(poly, rep) - boltzmann))
     ok = gap <= 1e-10 * (1 + float(np.linalg.norm(boltzmann)))
-    report = {
-        "command": "decompose",
-        "n": spec.order,
-        "L": spec.sites,
-        # decompose returns its terms in lexicographic order.
-        "terms": [
-            {"exponents": row, "coefficient": [c.real, c.imag]}
-            for row, c in zip(poly.exponents.tolist(), poly.coeffs.tolist())
-        ],
-        "roundtrip_gap": gap,
-        "passed": ok,
-    }
-    return (PASS if ok else VIOLATIONS), report
+    # decompose returns its terms in lexicographic order.
+    terms = [{"exponents": row, "coefficient": [c.real, c.imag]}
+             for row, c in zip(poly.exponents.tolist(), poly.coeffs.tolist())]
+    return ok, {"terms": terms, "roundtrip_gap": gap, "passed": ok}
 
 
 # Each subcommand with the flags it reads; --out is read by every one.
@@ -313,6 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and emit its report: the subcommand's verdict and
+    fields, with ``command`` and, for one that reads a spec, its ``n`` and
+    ``L`` added here."""
     try:
         args, extra = build_parser().parse_known_args(argv)
         if extra:
@@ -320,19 +250,28 @@ def main(argv=None) -> int:
                 f"pararp {args.command}: unrecognized arguments: "
                 + " ".join(extra)
             )
-        if args.command == "verify-relations" and (
-            args.n is None or args.L is None
-        ):
-            raise UsageError("verify-relations requires --n and --L")
-        code, report = COMMANDS[args.command][0](args)
-        emit_report(report, args.out)
-        return code
+        run, flags = COMMANDS[args.command]
+        if "--tol" in flags and args.tol is None:
+            args.tol = 1e-11 if run is cmd_verify_relations else rp.DEFAULT_TOL
+        report = {"command": args.command}
+        if "--spec" not in flags:
+            ok, fields = run(args)
+        else:
+            if run is cmd_baxter and args.spec is None:
+                raise SpecError("--spec with a baxter shortcut is required")
+            spec, rep = _resolve_spec(args)
+            report.update(n=spec.order, L=spec.sites)
+            ok, fields = run(spec, rep, args)
+        emit_report({**report, **fields}, args.out)
+        return PASS if ok else VIOLATIONS
     except (
         SpecError, DimensionCapError, ValueError, OSError,
         OverflowError, rp.OverflowError_,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return ERROR
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+    return ERROR
 
 
 if __name__ == "__main__":

@@ -57,7 +57,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -211,19 +211,8 @@ class RPReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "partition_function": [
-                self.partition_function.real,
-                self.partition_function.imag,
-            ],
-            "min_diagonal_real": self.min_diagonal_real,
-            "max_diagonal_imag_abs": self.max_diagonal_imag_abs,
-            "gram_min_eigenvalue": self.gram_min_eigenvalue,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-            "violations": self.violations,
-        }
+        z = self.partition_function
+        return {**asdict(self), "partition_function": [z.real, z.imag]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -85,3 +85,23 @@ def test_main_writes_the_record_without_running_a_benchmark(
 def test_last_json_line_ignores_trailing_noise(bench_record):
     assert bench_record.last_json_line('a\n{"x": 1}\nnot json\n') == {"x": 1}
     assert bench_record.last_json_line("no result\n") is None
+
+
+def test_a_timed_out_run_is_recorded_as_missing(bench_record, monkeypatch, capsys):
+    def fake_run(argv, **kwargs):
+        if argv[argv.index("--trace") + 1] == "1":
+            raise bench_record.subprocess.TimeoutExpired(argv, kwargs["timeout"])
+        return bench_record.subprocess.CompletedProcess(
+            argv, 0, canned(True, {"jobs_per_s": 280.5}), "")
+
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    outputs = {(w, t): bench_record.run_benchmark(w, t, 3, 30)
+               for w in ("rp_suite",) for t in (0, 1)}
+    assert (f"rp_suite trace=1: timed out after {bench_record.RUN_TIMEOUT_S} s"
+            in capsys.readouterr().err)
+    record = bench_record.assemble_record(
+        "7", 3, 30, outputs, {"total": 1}, {"nproc": 2})
+    entry = record["workloads"]["rp_suite"]
+    assert entry["end_to_end"] == {"jobs_per_s": 280.5}
+    assert entry["per_layer"] is None
+    assert record["correct"] is False

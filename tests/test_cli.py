@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pararp import cli, rp
 from pararp.cli import main
 
 
@@ -212,3 +213,73 @@ class TestNumericalFailures:
         assert code == 2 and err == ""
         assert report["positive"] is False
         assert report["series_reference"] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("fault", [
+        MemoryError(),
+        MemoryError("Unable to allocate 2.98 GiB for an array"),
+    ])
+    @pytest.mark.parametrize("command,name", [
+        ("rp-check", "check_rp"), ("bounds", "sampled_bounds"),
+    ])
+    def test_out_of_memory(self, capsys, monkeypatch, command, name, fault):
+        def refuse(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(rp, name, refuse)
+        code, out, err = run(capsys, command, "--n", "2", "--samples", "3")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {str(fault) or 'out of memory'}\n"
+
+
+# -- the report envelope -------------------------------------------------------
+
+# Each command on a tiny input, with the keys of its report.
+ENVELOPE = {
+    "verify-relations": (["--n", "2", "--L", "4"],
+                         "L command n passed residuals tolerance"),
+    "rp-check": (["--spec", "SPEC", "--samples", "2"],
+                 "L command gram_min_eigenvalue max_diagonal_imag_abs "
+                 "min_diagonal_real n partition_function samples seed "
+                 "tolerance validated_rule violations"),
+    "gram": (["--spec", "SPEC"],
+             "L basis_size command gram_min_eigenvalue n passed schwarz_ok "
+             "tolerance"),
+    "trotter": (["--spec", "SPEC", "--k", "4"],
+                "L command errors k n passed ratio"),
+    "bounds": (["--spec", "SPEC", "--samples", "2"],
+               "L command n pairs passed seed tolerance worst"),
+    "counterexample": (["--n", "2"],
+                       "command j n positive series_gap series_reference value"),
+    "families": (["--family", "2", "--kparam", "2", "--jprime", "1"],
+                 "command description family j n positive_real value"),
+    "baxter": (["--spec", "SPEC"],
+               "L command n passed rp_hypotheses_met symmetries validated_rule"),
+    "decompose": (["--spec", "SPEC"], "L command n passed roundtrip_gap terms"),
+}
+
+
+def test_envelope_covers_every_command():
+    assert sorted(ENVELOPE) == sorted(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_report_envelope(command, capsys, tmp_path):
+    """Every report names its command; one that reads a spec carries the
+    spec's n and L; its keys are fixed; and the exit code follows the
+    report's own verdict."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"baxter": {"n": 3, "L": 4, "t": [0.8, -0.5, 0.8]}}))
+    flags, keys = ENVELOPE[command]
+    argv = [command] + [str(path) if f == "SPEC" else f for f in flags]
+    code, out, err = run(capsys, *argv)
+    assert err == ""
+    report = json.loads(out)
+    assert report["command"] == argv[0]
+    if "--spec" in flags:
+        assert (report["n"], report["L"]) == (3, 4)
+    assert sorted(report) == keys.split()
+    verdict = next(report[key] == value for key, value in (
+        ("passed", True), ("violations", []), ("positive", True),
+        ("positive_real", True)) if key in report)
+    assert code == (cli.PASS if verdict else cli.VIOLATIONS)

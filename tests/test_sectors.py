@@ -23,7 +23,7 @@ import scipy.linalg
 from pararp import cli, rp
 from pararp.algebra import Polynomial, adjoint, sum_polynomials
 from pararp.exponents import ExponentVector, unit_vector
-from pararp.hamiltonian import CouplingTable, assemble, baxter
+from pararp.hamiltonian import CouplingTable, assemble, baxter, spec_from_dict
 from pararp.representation import (
     build_generators,
     clock_shift,
@@ -378,28 +378,55 @@ def run_cli(argv):
 
 
 @pytest.mark.parametrize("offsets,expected", [
-    ([0.0, -1e-16, -2e-16, 1e-16], 0),   # ties within rounding: identity
+    ([0.0, -1e-16, -2e-16, 1e-16], 0),   # ties within rounding: first draw
     ([0.0, 1e-3, -1e-16, -1e-9], 3),     # a real drop replaces the worst
     ([0.0, -1e-9, -1e-9 - 1e-16, 0.0], 1),
 ])
 def test_bounds_worst_breaks_ties_towards_the_earlier_pair(
     offsets, expected, tmp_path, monkeypatch
 ):
+    """The worst pair is the drawn pair (numbered from 0) with the smallest
+    margin, ties kept by the earlier one; the identity pair, whose margin
+    here is the smallest of all, is never reported."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"baxter": {"n": 2, "L": 4, "t": [1, -0.5, 1]}}))
 
+    def pair(i, margin):
+        return {"f_ab": [float(i), 0.0], "bound1": 1.0, "bound2": 1.0,
+                "margin1": margin, "margin2": 0.5,
+                "partition_margin": 0.0, "ok": True}
+
     def fake(spec, rep, samples, seed, tol):
-        assert samples == len(offsets) - 1
-        return [{"f_ab": [float(i), 0.0], "bound1": 1.0, "bound2": 1.0,
-                 "margin1": 0.25 + offset, "margin2": 0.5,
-                 "partition_margin": 0.5, "ok": True}
-                for i, offset in enumerate(offsets)]
+        assert samples == len(offsets)
+        return [pair(-1, 0.0)] + [pair(i, 0.25 + offset)
+                                  for i, offset in enumerate(offsets)]
 
     monkeypatch.setattr(rp, "sampled_bounds", fake)
     code, report = run_cli(["bounds", "--spec", str(path), "--samples",
-                            str(len(offsets) - 1)])
+                            str(len(offsets))])
     assert code == cli.PASS
     assert report["worst"]["f_ab"] == [float(expected), 0.0]
+    assert report["worst"]["min_margin"] == 0.25 + offsets[expected]
+
+
+@pytest.mark.parametrize("name", ["baxter-valid", "baxter-even", "general"])
+def test_bounds_worst_is_the_drawn_pair_with_the_smallest_margin(
+    name, tmp_path
+):
+    """On an RP spec the worst pair of a bounds report is the drawn pair
+    with the smallest min(margin1, margin2), not the identity pair, which
+    meets its bound with equality."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(SPECS[name]))
+    code, report = run_cli(["bounds", "--spec", str(path), "--samples", "6",
+                            "--seed", "3"])
+    assert code == cli.PASS
+    spec = spec_from_dict(SPECS[name])
+    pairs = rp.sampled_bounds(spec, rep_for(spec.order, spec.sites), 6, 3)
+    margins = [min(res["margin1"], res["margin2"]) for res in pairs]
+    drawn = 1 + int(np.argmin(margins[1:]))
+    assert abs(margins[0]) < cli.WORST_TIE < margins[drawn]
+    assert report["worst"] == {"min_margin": margins[drawn], **pairs[drawn]}
 
 
 # -- CLI reports against the dense Boltzmann factor ----------------------------------

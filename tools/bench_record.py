@@ -33,13 +33,19 @@ def workloads() -> list[str]:
 
 def run_benchmark(workload: str, trace: int, seed: int, seconds: int) -> str:
     """Standard output of one perfbench run; its failure is recorded, not
-    raised, so the other runs still happen."""
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"),
-         "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
-    )
+    raised, so the other runs still happen.  A run that hits RUN_TIMEOUT_S
+    has no output, so its entry is recorded as missing."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "run.py"),
+             "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        sys.stderr.write(f"{workload} trace={trace}: timed out after "
+                         f"{RUN_TIMEOUT_S} s\n")
+        return ""
     if proc.returncode not in (0, 1):  # 1: a job failed its output check
         sys.stderr.write(proc.stderr)
     return proc.stdout
