@@ -42,13 +42,10 @@ into n blocks of size dim/n,
 
     A_q[o, o'] = sum_m omega^{q m} A[T^m o, o'],
 
-one gather and one length-n DFT over m (``sector_blocks``); the inverse DFT
-and one gather rebuild A (``sector_matrix``).  The map is an
-algebra homomorphism, so e^{A} has blocks e^{A_q}, and by Parseval
-sum_q ||A_q||_F^2 = ||A||_F^2.  A dense exponential at dim 4096 (n = 4,
-L = 12) thus becomes four of dimension 1024, which take 8 s on a 2-vCPU
-Xeon host with one BLAS thread; the dense one costs about as much as 64 of
-them.
+which ``sector_blocks`` scatters from the polynomial's terms, columns o'
+only, and transforms over m, with no dense A; ``sector_matrix`` rebuilds A.
+The map is an algebra homomorphism, so e^{A} has blocks e^{A_q}, and by
+Parseval sum_q ||A_q||_F^2 = ||A||_F^2.
 
 This module is the numerical oracle for every symbolic identity in
 :mod:`pararp.algebra`.
@@ -61,8 +58,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import _BLOCK, Polynomial, _zeta_array
-from .exponents import ExponentVector
+from .algebra import _BLOCK, Polynomial, _zeta_array, classify
+from .exponents import ExponentVector, unit_vector
 
 DIM_CAP = 4096
 ENUM_CAP = 100_000
@@ -115,15 +112,16 @@ class Representation:
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
         if self._generators is None:
-            rows, phase = self.generator_columns()
-            self._generators = tuple(map(_dense, rows, self.zeta[phase]))
+            self._generators = tuple(
+                self.monomial_matrix(unit_vector(self.order, self.sites, j))
+                for j in range(1, self.sites + 1))
             for g in self._generators:
                 g.flags.writeable = False
         return self._generators
 
     def generator_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """``monomials`` of the unit vectors e_j, whose phase form is
-        phi(e_j) = zeta_exp[j]: column k of c_{j+1} holds
+        """Rows and zeta exponents of the generators c_{j+1}, the monomials
+        e_j, whose phase is phi(e_j) = zeta_exp[j]: column k of c_{j+1} holds
         zeta^{zeta_exp[j] + 2 z_exp[j].d(k)} in row k (+) x_exp[j]."""
         n = self.order
         rows = _digit_sum(n, self.digits, self.x_exp.T[:, :, None])
@@ -141,31 +139,9 @@ class Representation:
         own = (exponents * (exponents - 1)) @ g.diagonal()
         return (exponents @ self.zeta_exp + own + 2 * cross) % (2 * n)
 
-    def monomials(self, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and zeta exponents (mod 2n) of the ordered monomials whose
-        exponent vectors are the rows of the (T, L) integer array
-        ``exponents``: two (T, dim) arrays; column k of C_I holds
-        zeta^phase[t, k] in row rows[t, k]."""
-        n = self.order
-        a = exponents @ self.x_exp % n
-        b = exponents @ self.z_exp % n
-        rows = _digit_sum(n, self.digits, a.T[:, :, None])
-        phase = self.phases(exponents)[:, None] + 2 * (b @ self.digits)
-        return rows, phase % (2 * n)
-
     def monomial_matrix(self, vec: ExponentVector) -> np.ndarray:
         """Dense matrix of the ordered monomial C_I."""
-        if vec.order != self.order or vec.sites != self.sites:
-            raise ValueError("exponent vector does not match representation")
-        rows, phase = self.monomials(np.array([vec.entries]))
-        return _dense(rows[0], self.zeta[phase[0]])
-
-
-def _dense(rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Matrix with values[k] in row rows[k] of column k, zero elsewhere."""
-    m = np.zeros((len(rows), len(rows)), dtype=complex)
-    m[rows, np.arange(len(rows))] = values
-    return m
+        return to_matrix(Polynomial.monomial(1.0, vec), self)
 
 
 def _digit_sum(n: int, k_digits, s_digits):
@@ -210,12 +186,15 @@ def build_generators(n: int, L: int) -> Representation:
     )
 
 
-def sector_blocks(a: np.ndarray, rep: Representation) -> np.ndarray:
+def sector_blocks(p: Polynomial, rep: Representation) -> np.ndarray:
     """The (n, dim/n, dim/n) charge-sector blocks
-    A_q[o, o'] = sum_m omega^{q m} A[T^m o, o'] of a matrix A that commutes
-    with the gauge shift T, such as the matrix of a gauge-invariant
-    polynomial.  For any other A the result is meaningless."""
-    g = a[rep.orbit[:, :, None], rep.orbit[0]]
+    A_q[o, o'] = sum_m omega^{q m} A[T^m o, o'] of the matrix A of a
+    gauge-invariant polynomial p, ValueError for any other p: each term's
+    columns o' < dim/n go to (m, o) of their row T^m o, with no dense A."""
+    if not classify(p).observable:
+        raise ValueError("polynomial is not gauge invariant: no sector blocks")
+    n, r = rep.order, rep.dim // rep.order
+    g = _scatter(p, rep, rep.orbit_index, r).reshape(n, r, r)
     return np.fft.ifft(g, axis=0, norm="forward")
 
 
@@ -236,26 +215,36 @@ def sector_matrix(blocks: np.ndarray, rep: Representation) -> np.ndarray:
 
 def to_matrix(p: Polynomial, rep: Representation) -> np.ndarray:
     """Evaluate a normal-ordered polynomial in the representation."""
+    return _scatter(p, rep, np.arange(rep.dim), rep.dim).reshape(rep.dim, -1)
+
+
+def _scatter(p: Polynomial, rep: Representation, place, width: int):
+    """The columns k < width of the matrix of p, row k' moved to place[k'],
+    as a flat (dim, width) array: to_matrix with place the identity,
+    sector_blocks with place = orbit_index."""
     if p.order != rep.order or p.sites != rep.sites:
         raise ValueError("polynomial does not match representation")
-    dim = rep.dim
-    m = np.zeros(dim * dim, dtype=complex)
-    step = max(1, _BLOCK // dim)
+    n, digits = rep.order, rep.digits[:, :width]
+    out = np.zeros(rep.dim * width, dtype=complex)
+    step = max(1, _BLOCK // width)
     for start in range(0, len(p.coeffs), step):
-        # Column k of term t holds coeff_t zeta^phase[t, k] in row rows[t, k];
-        # add.at sums each entry over the terms in order.
-        rows, phase = rep.monomials(p.exponents[start:start + step])
+        # Column k of term I holds zeta^{phi(I) + 2 b.d(k)} in row k (+) a
+        # (module docstring); add.at sums each entry over the terms in order.
+        e = p.exponents[start:start + step]
+        rows = _digit_sum(n, digits, (e @ rep.x_exp % n).T[:, :, None])
+        phase = rep.phases(e)[:, None] + 2 * ((e @ rep.z_exp % n) @ digits)
+        phase %= 2 * n
         values = p.coeffs[start:start + step, None] * rep.zeta[phase]
-        np.add.at(m, rows * dim + np.arange(dim), values)
-    return m.reshape(dim, dim)
+        np.add.at(out, place[rows] * width + np.arange(width), values)
+    return out
 
 
 def weyl_table(blocks: np.ndarray, rep: Representation) -> np.ndarray:
     """The (dim, dim/n) Weyl table of the matrix E whose (n, dim/n, dim/n)
-    charge-sector blocks are ``blocks`` (``sector_blocks``), such as e^{-H}:
-    entry [a, b'] is F[a, b] = sum_k omega^{b.d(k)} E[k, k (+) a] =
-    Tr(X^a Z^b E) for every digit vector b whose digits sum to 0 mod n and
-    end in b'.  For any other b, F[a, b] = 0.
+    charge-sector blocks are ``blocks`` (as ``sector_blocks`` gives them),
+    such as e^{-H}: entry [a, b'] is F[a, b] = sum_k omega^{b.d(k)}
+    E[k, k (+) a] = Tr(X^a Z^b E) for every digit vector b whose digits sum
+    to 0 mod n and end in b'.  For any other b, F[a, b] = 0.
 
     E commutes with T, so E[k, k (+) a] is constant on T-orbits and F[a, b]
     is n times the character sum G[a, b'] = sum_o omega^{b'.d'(o)} D[a, o]

@@ -13,19 +13,18 @@ states.  The conservation law behind the positivity proof is checked
 symbolically.
 
 H is gauge invariant, so its matrix is block-diagonal across the n charge
-sectors of :mod:`pararp.representation`, and e^{-H} costs one stacked
-``matrix_exp`` of n blocks of size dim/n instead of one of size dim, about
-n^2 times fewer flops: at n = 4, L = 12 (dim 4096) ``rp-check --samples 4``
-takes 6-8 s on a 2-vCPU Xeon host with one BLAS thread, most of it the four
-dim-1024 exponentials.  The trace functionals read e^{-H} only as those
-blocks; ``boltzmann`` assembles the dense matrix where one is the output
-(``decompose``).  ``matrix_exp`` is the degree-13
-scaling-and-squaring Pade method in numpy, with its own scaling per block,
-so numpy is the one numerical dependency.  Trotter products are computed
-blockwise the same way.  Entries of e^{-H} far below ||e^{-H}|| come out
-of a cancellation across the sectors and so lose relative accuracy; the
-two-site counterexample, where that would show, is computed exactly
-without matrices.
+sectors of :mod:`pararp.representation`, and H reaches every job only as
+those blocks (``sector_blocks``): no job forms a dense H.  e^{-H} is one
+stacked ``matrix_exp`` of n blocks of size dim/n, about n^2 times fewer
+flops than one of size dim: at n = 4, L = 12 (dim 4096) ``rp-check
+--samples 4`` takes 6-8 s on a 2-vCPU Xeon host with one BLAS thread, most
+of it the four dim-1024 exponentials.  ``boltzmann`` assembles the dense
+e^{-H} only where it is the output (``decompose``).  ``matrix_exp`` is the
+degree-13 scaling-and-squaring Pade method in numpy, with its own scaling
+per block, so numpy is the one numerical dependency.  Entries of e^{-H}
+far below ||e^{-H}|| come out of a cancellation across the sectors and so
+lose relative accuracy; the two-site counterexample, where that would
+show, is computed exactly without matrices.
 
 RP reduces to one object (Jaffe-Pedrocchi): the matrix M_IJ =
 Tr(C_I theta(C_J) e^{-H}) over the monomials C_I of the minus half
@@ -82,7 +81,6 @@ from .representation import (
     pair_traces,
     sector_blocks,
     sector_matrix,
-    to_matrix,
     weyl_table,
 )
 
@@ -168,26 +166,16 @@ def _pade_sum(powers, k, eye, out, scratch):
     return out
 
 
-def _sectors(h: Polynomial, rep: Representation) -> np.ndarray:
-    """The charge-sector blocks of the matrix of H; ValueError unless H is
-    gauge invariant, the one case where they determine it."""
-    if not classify(h).observable:
-        raise ValueError(
-            "Hamiltonian is not gauge invariant: no charge-sector form"
-        )
-    return sector_blocks(to_matrix(h, rep), rep)
-
-
 def boltzmann(h: Polynomial, rep: Representation) -> np.ndarray:
     """e^{-H} for a gauge-invariant polynomial H, as one stacked matrix
     exponential over its n charge-sector blocks."""
-    return sector_matrix(matrix_exp(-_sectors(h, rep)), rep)
+    return sector_matrix(matrix_exp(-sector_blocks(h, rep)), rep)
 
 
 def boltzmann_table(spec: HamiltonianSpec, rep: Representation) -> np.ndarray:
     """The Weyl table of e^{-H}, H = spec.total(), that every trace against
     e^{-H} is read from (``rp_matrix``), built from its sector blocks."""
-    return weyl_table(matrix_exp(-_sectors(spec.total(), rep)), rep)
+    return weyl_table(matrix_exp(-sector_blocks(spec.total(), rep)), rep)
 
 
 @dataclass
@@ -461,7 +449,7 @@ def trotter_approximant(
 def _trotter_parts(spec: HamiltonianSpec, rep: Representation) -> tuple:
     """The charge-sector blocks of H_0 and of H_- + H_+."""
     halves = sum_polynomials((spec.h_minus, spec.h_plus))
-    return _sectors(spec.h_zero, rep), _sectors(halves, rep)
+    return sector_blocks(spec.h_zero, rep), sector_blocks(halves, rep)
 
 
 def _trotter_power(h0, e_halves, k: int) -> np.ndarray:
@@ -675,15 +663,14 @@ def series_sum(n: int) -> float:
 
     S_2 = sinh(1); for n > 2 this generalizes the closed form."""
     total = 0.0
-    ell = 1
-    while True:
-        k = math.factorial(ell * n - 1)
-        # float(k) overflows past 170! (1027 bits); 1 / k rounds once.
+    # float(k) overflows past 170! (1027 bits); 1 / k rounds once, to 0.0
+    # from 178! > 2^1076 on, so no larger factorial is built.
+    for k in map(math.factorial, range(n - 1, 178, n)):
         term = 1.0 / k if k.bit_length() < 1024 else 1 / k
         total += term
         if term < 1e-18:
-            return total
-        ell += 1
+            break
+    return total
 
 
 def counterexample_reference(n: int) -> complex:
@@ -691,9 +678,9 @@ def counterexample_reference(n: int) -> complex:
     return zeta_power(n, n - 1) * series_sum(n) * n
 
 
-def _counterexample_sums(n: int, j: int) -> list[Fraction]:
-    """The exact rationals r_p, p = 0..n-1, with f(c^j) = sum_p r_p zeta^p
-    (see counterexample_f).
+def _counterexample_sums(n: int, j: int) -> tuple[int, list[Fraction]]:
+    """(k0, s) with f(c^j) = sum_p r_p zeta^p, p = 0..n-1, for the exact
+    rationals r_p = n s_p / k0!, k0 = -j mod n (see counterexample_f).
 
     A monomial c_1^a c_2^b is the pair (a, b) mod n, so circ((a, b), (a', b'))
     = b a', a product adds the pairs at phase zeta^{-2 b a'}, and
@@ -706,22 +693,22 @@ def _counterexample_sums(n: int, j: int) -> list[Fraction]:
         raise ValueError(f"j must be in 1..{n}, got {j}")
     # k = k0 + t n, p_k = k - 2 (k - 1) n + k (k - 1) for 1 <= k <= n and
     # p_{k + n} = p_k + n (2 - n).  Each term is at most half the previous,
-    # so those with k! / k0! > 2^64 sum to below 2^-63 of the first.
+    # so those with k! / k0! > 2^64 sum to below 2^-63 of the first, and
+    # |s_p| <= 2.
     k0 = -j % n
     p0 = k0 - 2 * (k0 - 1) * n + k0 * (k0 - 1) if k0 else 0
-    first = Fraction(n, math.factorial(k0))
     sums = [Fraction(0)] * n
     k, ratio = k0, 1  # ratio = k! / k0!
     while ratio <= 2**64:
         # (-1)^k = zeta^{n k} and zeta^n = -1.
         phase = (p0 + (k - k0) * (2 - n) - 2 * k0 * k0 + n * k) % (2 * n)
-        sums[phase % n] += first / ratio if phase < n else -first / ratio
+        sums[phase % n] += Fraction(1 if phase < n else -1, ratio)
         for factor in range(k + 1, k + n + 1):
             ratio *= factor
             if ratio > 2**64:
                 break
         k += n
-    return sums
+    return k0, sums
 
 
 def counterexample_f(n: int, j: int) -> complex:
@@ -734,12 +721,20 @@ def counterexample_f(n: int, j: int) -> complex:
     rationals n / k! are summed exactly per phase mod 2n, and the result is
     rounded once at the end.
     """
-    return _rounded(n, _counterexample_sums(n, j))
+    return _rounded(n, *_counterexample_sums(n, j))
 
 
-def _rounded(n: int, sums: list[Fraction]) -> complex:
-    """sum_p sums[p] zeta^p, each rational rounded once."""
-    parts = [(float(r), zeta_power(n, p)) for p, r in enumerate(sums)]
+def _rounded(n: int, k0: int, sums: list[Fraction]) -> complex:
+    """sum_p r_p zeta^p, r_p = n sums[p] / k0!, each r_p rounded once.  A
+    zero r_p adds nothing, and |sums[p]| <= 2, so once k0! > n 2^1076 every
+    r_p rounds to a zero: no larger factorial is built."""
+    f = 1
+    for factor in range(2, k0 + 1):
+        f *= factor
+        if f > n << 1076:
+            return 0j
+    parts = [(float(Fraction(n, f) * r), zeta_power(n, p))
+             for p, r in enumerate(sums) if r]
     return complex(
         math.fsum(r * z.real for r, z in parts),
         math.fsum(r * z.imag for r, z in parts),
@@ -755,8 +750,11 @@ def _cyclotomic_cofactor(n: int) -> tuple[int, np.ndarray]:
     (1 - x^d)^{-mu(r / d)} over the divisors d < r of r, of degree
     r - phi(r): a power series to that degree, each factor one shifted
     subtraction or one running sum per residue mod d."""
-    primes = [p for p in range(2, 2 * n + 1) if 2 * n % p == 0
+    # Trial division up to sqrt(2n); what it leaves is 1 or one prime.
+    primes = [p for p in range(2, math.isqrt(2 * n) + 1) if 2 * n % p == 0
               and all(p % q for q in range(2, math.isqrt(p) + 1))]
+    rest = 2 * n // math.gcd(2 * n, math.prod(primes) ** n.bit_length())
+    primes += [rest] * (rest > 1)
     r = math.prod(primes)
     size = r - math.prod(p - 1 for p in primes) + 1
     psi = np.zeros(size, dtype=object)
@@ -782,9 +780,10 @@ def is_real_cyclotomic(n: int, coeffs: list[Fraction]) -> bool:
     D(zeta) = 0 exactly when Phi_2n, the minimal polynomial of zeta,
     divides D, that is when D times the cofactor (x^2n - 1) / Phi_2n is
     0 mod x^2n - 1, denominators cleared: one shifted copy of the cofactor
-    per nonzero term of D.
+    per nonzero term of D.  Realness does not change under scaling.
     """
-    d = {q: c for q in range(1, n) if (c := coeffs[q] + coeffs[n - q])}
+    support = {q for p, c in enumerate(coeffs) if c for q in (p, n - p)}
+    d = {q: c for q in support - {0, n} if (c := coeffs[q] + coeffs[n - q])}
     s, psi = _cyclotomic_cofactor(n)
     nonzero = np.flatnonzero(psi)
     scale = math.lcm(*(c.denominator for c in d.values()))
@@ -801,8 +800,8 @@ def counterexample_check(
     is_real_cyclotomic decides, and its real part is at least -tol (1 +
     |f|).  A value that is not exactly real is never positive, however
     small it is."""
-    sums = _counterexample_sums(n, j)
-    val = _rounded(n, sums)
+    k0, sums = _counterexample_sums(n, j)
+    val = _rounded(n, k0, sums)
     real = is_real_cyclotomic(n, sums)
     return real and val.real >= -tol * (1.0 + abs(val)), val
 
@@ -857,36 +856,41 @@ def loop_expectation(
     Requires a hermitian Hamiltonian and A in the minus observable algebra.
     Reports whether W_A leaves the ground space diagonal (no transitions
     between ground states) and, if so, whether all expectations are
-    non-negative.
+    non-negative.  H and W_A are read as sector blocks (Parseval gives the
+    hermiticity gap), with one stacked eigh, so the ground states are
+    charge eigenstates, listed by sector.  Where the ground space is
+    degenerate, another eigenbasis may change the expectations and w_order,
+    not their sum.
     """
     herm_tol, ground_tol = 1e-10, 1e-8
     sc = classify(a)
     if sc.side not in (Side.MINUS, Side.SCALAR) or not sc.observable:
         raise ValueError("A must be in the minus observable algebra")
-    h = to_matrix(spec.total(), rep)
-    h_gap = float(np.linalg.norm(h - h.conj().T))
+    h = sector_blocks(spec.total(), rep)
+    h_adj = h.conj().transpose(0, 2, 1)
+    h_gap = float(np.linalg.norm(h - h_adj))
     if h_gap > herm_tol * (1.0 + float(np.linalg.norm(h))):
         raise ValueError(
             f"Hamiltonian is not hermitian (gap {h_gap:.3e}); unsupported"
         )
-    evals, evecs = np.linalg.eigh((h + h.conj().T) / 2)
-    width = float(evals[-1] - evals[0])
-    mask = evals - evals[0] <= ground_tol * max(1.0, width)
-    ground = evecs[:, mask]
-
-    w = to_matrix(canonical_product(a, reflect(a)), rep)
-    block = ground.conj().T @ w @ ground
-    off = block - np.diag(np.diag(block))
+    evals, evecs = np.linalg.eigh((h + h_adj) / 2)
+    low = float(evals.min())
+    mask = evals - low <= ground_tol * max(1.0, float(evals.max()) - low)
+    w = sector_blocks(canonical_product(a, reflect(a)), rep)
+    blocks = [v[:, keep].conj().T @ w_q @ v[:, keep]
+              for v, keep, w_q in zip(evecs, mask, w)]
+    off = math.hypot(*(np.linalg.norm(b - np.diag(b.diagonal()))
+                       for b in blocks))
     w_scale = 1.0 + float(np.linalg.norm(w))
-    w_order = float(np.linalg.norm(off)) <= ground_tol * w_scale
-    expectations = [complex(x) for x in np.diag(block)]
+    w_order = off <= ground_tol * w_scale
+    expectations = [complex(x) for b in blocks for x in b.diagonal()]
     positive = w_order and all(
         x.real >= -ground_tol * w_scale and abs(x.imag) <= ground_tol * w_scale
         for x in expectations
     )
     return {
         "ground_degeneracy": int(mask.sum()),
-        "ground_energy": float(evals[0]),
+        "ground_energy": low,
         "w_order": w_order,
         "expectations": [[x.real, x.imag] for x in expectations],
         "positive": positive,

@@ -18,6 +18,13 @@ def rep():
     return rep_for
 
 
+def dense_sector_blocks(a, rep):
+    """The charge-sector blocks of a dense A that commutes with the gauge
+    shift, gathered from A's own entries A[T^m o, o'] and transformed over
+    m: the reference for representation.sector_blocks, which scatters them
+    from the terms of a polynomial."""
+    g = a[rep.orbit[:, :, None], rep.orbit[0]]
+    return np.fft.ifft(g, axis=0, norm="forward")
 
 
 def dense_weyl_table(e, rep):

@@ -517,7 +517,7 @@ def test_trotter_convergence_reuses_parts(monkeypatch):
         ))
         for k in (8, 16)
     }
-    calls = {"matrix_exp": 0, "to_matrix": 0}
+    calls = {"matrix_exp": 0, "sector_blocks": 0}
     for name in calls:
         original = getattr(rp, name)
 
@@ -527,7 +527,7 @@ def test_trotter_convergence_reuses_parts(monkeypatch):
 
         monkeypatch.setattr(rp, name, counting)
     conv = rp.trotter_convergence(spec, rep, [8, 16])
-    assert calls == {"matrix_exp": 2, "to_matrix": 2}
+    assert calls == {"matrix_exp": 2, "sector_blocks": 2}
     for k, err in conv["errors"].items():
         assert abs(err - expected[k]) <= 1e-10 * expected[k]
     with pytest.raises(ValueError):

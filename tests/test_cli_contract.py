@@ -232,19 +232,23 @@ def is_real_by_division(n, coeffs):
 @pytest.mark.parametrize("low", range(2, 151, 30))
 def test_is_real_cyclotomic_matches_the_division(low):
     """Every n <= 150, at each j with n | j^2 (where the positive families
-    lie) and at five seeded others, on the sums of f(c^j)."""
+    lie) and at five seeded others, on the sums of f(c^j), scaled as
+    _counterexample_sums gives them: realness does not change under
+    scaling."""
     for n in range(low, low + 30):
         rng = np.random.default_rng(n)
         js = {j for j in range(1, n + 1) if j * j % n == 0}
         js |= set(rng.integers(1, n + 1, size=5).tolist())
         for j in sorted(js):
-            sums = rp._counterexample_sums(n, j)
+            _, sums = rp._counterexample_sums(n, j)
             assert rp.is_real_cyclotomic(n, sums) == is_real_by_division(n, sums), (n, j)
 
 
 @pytest.mark.parametrize("argv", [
     ["counterexample", "--n", "20000"],
     ["families", "--family", "1", "--kparam", "30"],  # n = 27000
+    ["counterexample", "--n", "1000000"],
+    ["families", "--family", "1", "--kparam", "100"],  # n = 10^6
 ])
 def test_large_n_exact_verdicts_are_fast(argv, capsys):
     start = time.perf_counter()
@@ -252,7 +256,7 @@ def test_large_n_exact_verdicts_are_fast(argv, capsys):
     assert time.perf_counter() - start < 10.0
     assert (code, err) == (cli.VIOLATIONS if argv[0] == "counterexample"
                            else cli.PASS, "")
-    assert json.loads(out)["n"] in (20000, 27000)
+    assert json.loads(out)["n"] in (20000, 27000, 10**6)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -36,6 +36,25 @@ def test_a_tree_against_itself_is_identical(report_diff, capsys):
 def test_compare_names_the_first_key_and_the_largest_gap(report_diff):
     old = json.dumps({"a": 1.0, "b": [1.0, 2.0], "c": True, "d": 4.0})
     new = json.dumps({"a": 1.0, "b": [1.0, 2.5], "c": False, "d": 4.0000004})
-    assert report_diff.compare(old, new) == ("b[1]", 0.2)
-    assert report_diff.compare(old, old) == (None, 0.0)
-    assert report_diff.compare(old, "") == ("<output>", 0.0)
+    assert report_diff.compare(old, new) == (["b[1]", "c", "d"], 0.2)
+    assert report_diff.compare(old, old) == ([], 0.0)
+    assert report_diff.compare(old, "") == (["<output>"], 0.0)
+
+
+def test_compare_names_every_differing_top_level_key(report_diff):
+    """Two top-level keys differ, one of them at two nested keys and one
+    only in the new report: each is named once, by its first differing key,
+    the old report's keys first, and the report line lists both."""
+    old = {"command": "bounds", "pairs": 4,
+           "worst": {"bound1": 1.0, "f_ab": [0.5, 0.0], "ok": True}}
+    new = {"command": "bounds", "pairs": 4, "seed": 3,
+           "worst": {"bound1": 1.5, "f_ab": [0.25, 0.0], "ok": True}}
+    old, new = json.dumps(old), json.dumps(new)
+    assert report_diff.compare(old, new) == (["worst.bound1", "seed"], 0.5)
+    jobs = [{"label": "bounds job", "argv": ["bounds"]}]
+    lines, identical = report_diff.report(jobs, [[0, old, ""]],
+                                          [[0, new, "warning"]])
+    assert not identical
+    assert lines[-1] == ("  bounds job: exit 0 -> 0, differences at "
+                         "worst.bound1, seed, <stderr>, largest relative "
+                         "gap 0.5")

@@ -353,7 +353,77 @@ class TestFamilies:
             rp.family_pair(4, 2, 1)
 
 
+def hermitian_spec(L, rng):
+    """A random hermitian n = 2 spec: H_- = Y + Y^* for a random minus
+    observable Y, and up to three crossing couplings."""
+    n, half = 2, L // 2
+    y = rp.random_minus_observable(n, L, rng)
+    couplings = {}
+    for _ in range(int(rng.integers(0, 4))):
+        entries = [int(x) for x in rng.integers(0, n, size=half)] + [0] * half
+        if any(entries):
+            couplings[ExponentVector(tuple(entries), n)] = float(rng.normal())
+    return assemble(y + adjoint(y), CouplingTable(couplings))
+
+
+def dense_ground(spec, a, rep):
+    """Ground degeneracy and energy of H, and P W_A P for P the projector
+    onto its ground space, from one dense eigh of the matrix of H: the
+    reference that loop_expectation on the sector blocks is compared with."""
+    h = to_matrix(spec.total(), rep)
+    assert np.abs(h - h.conj().T).max() < 1e-12
+    evals, evecs = np.linalg.eigh(h)
+    mask = evals - evals[0] <= 1e-8 * max(1.0, evals[-1] - evals[0])
+    p = evecs[:, mask] @ evecs[:, mask].conj().T
+    w = to_matrix(canonical_product(a, reflect(a)), rep)
+    return int(mask.sum()), float(evals[0]), p @ w @ p
+
+
+LOOP_CASES = [(L, seed) for L in (4, 6, 8, 10) for seed in range(6)]
+
+
 class TestLoopExpectation:
+    @pytest.mark.parametrize("L,seed", LOOP_CASES + [(L, None) for L in (4, 6)])
+    def test_matches_dense_eigh(self, L, seed):
+        """Degeneracy, ground energy, and the trace and Frobenius norm of
+        P W_A P, which no choice of ground basis changes, against a dense
+        eigh; seed None is H = 0, where every state is a ground state."""
+        n = 2
+        rng = np.random.default_rng(seed)
+        spec = zero_spec(n, L) if seed is None else hermitian_spec(L, rng)
+        a = rp.random_minus_observable(n, L, np.random.default_rng(L))
+        rep = rep_for(n, L)
+        degeneracy, energy, pwp = dense_ground(spec, a, rep)
+        out = rp.loop_expectation(a, spec, rep)
+        assert out["ground_degeneracy"] == degeneracy
+        assert abs(out["ground_energy"] - energy) <= 1e-10 * (1 + abs(energy))
+        x = np.array(out["expectations"]) @ [1, 1j]
+        assert len(x) == degeneracy
+        scale = 1 + np.abs(pwp).max()
+        assert abs(x.sum() - np.trace(pwp)) <= 1e-10 * scale * degeneracy
+        # The diagonal of P W_A P in the reported basis is all of it when
+        # w_order holds, and part of it otherwise.
+        frobenius = float(np.linalg.norm(pwp))
+        assert np.linalg.norm(x) <= frobenius + 1e-10 * scale
+        if out["w_order"]:
+            assert abs(np.linalg.norm(x) - frobenius) <= 1e-8 * scale
+
+    def test_degenerate_ground_space_in_charge_eigenstates(self):
+        """At H = 0 every state is a ground state.  In the charge
+        eigenbasis W_A of A = c_1 c_2 is diagonal, so w_order holds where
+        the standard basis of a dense eigh would not give it; W_A has a
+        negative eigenvalue, so it is not positive."""
+        n, L = 2, 4
+        a = mono((1, 1, 0, 0), n)
+        rep = rep_for(n, L)
+        out = rp.loop_expectation(a, zero_spec(n, L), rep)
+        assert out["ground_degeneracy"] == 4 and out["ground_energy"] == 0.0
+        assert out["w_order"] and not out["positive"]
+        w = to_matrix(canonical_product(a, reflect(a)), rep)
+        assert np.abs(w - np.diag(w.diagonal())).max() > 0.5
+        x = np.array(out["expectations"]) @ [1, 1j]
+        assert abs(x.sum() - np.trace(w)) < 1e-12
+
     def test_identity_on_zero_hamiltonian(self):
         n, L = 2, 4
         spec = zero_spec(n, L)

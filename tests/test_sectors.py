@@ -21,7 +21,9 @@ import pytest
 import scipy.linalg
 
 from pararp import cli, rp
-from pararp.algebra import Polynomial, adjoint, sum_polynomials
+from pararp.algebra import (
+    Polynomial, adjoint, canonical_product, sum_polynomials, zeta_power,
+)
 from pararp.exponents import ExponentVector, unit_vector
 from pararp.hamiltonian import CouplingTable, assemble, baxter, spec_from_dict
 from pararp.representation import (
@@ -33,7 +35,7 @@ from pararp.representation import (
     verify_yamazaki,
 )
 
-from conftest import dense_weyl_table, rep_for
+from conftest import dense_sector_blocks, dense_weyl_table, rep_for
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256, L = 2 included.
 CELLS = [
@@ -131,18 +133,18 @@ def test_round_trip_parseval_and_products(n, L):
     rng = np.random.default_rng(7 * n + L)
     rep = rep_for(n, L)
     p, q = random_invariant(n, L, rng), random_invariant(n, L, rng)
-    a, b = to_matrix(p, rep), to_matrix(q, rep)
-    blocks_a, blocks_b = sector_blocks(a, rep), sector_blocks(b, rep)
+    a = to_matrix(p, rep)
+    blocks_a, blocks_b = sector_blocks(p, rep), sector_blocks(q, rep)
     assert blocks_a.shape == (n, rep.dim // n, rep.dim // n)
     assert scaled_gap(sector_matrix(blocks_a, rep), a) < 1e-13
     parseval = (np.abs(blocks_a) ** 2).sum()
     assert abs(parseval - (np.abs(a) ** 2).sum()) < 1e-12 * parseval
     # The block map is an algebra homomorphism: the blocks of AB are the
     # products of the blocks, and the blocks of A^* their adjoints.
-    assert scaled_gap(sector_blocks(a @ b, rep), blocks_a @ blocks_b) < 1e-12
+    assert scaled_gap(sector_blocks(canonical_product(p, q), rep),
+                      blocks_a @ blocks_b) < 1e-12
     assert scaled_gap(
-        sector_blocks(to_matrix(adjoint(p), rep), rep),
-        blocks_a.conj().transpose(0, 2, 1),
+        sector_blocks(adjoint(p), rep), blocks_a.conj().transpose(0, 2, 1),
     ) < 1e-12
     # Block q is the action on the eigenspace of T with eigenvalue omega^-q:
     # a T-eigenvector rebuilt from block q's coordinates.
@@ -157,6 +159,37 @@ def test_round_trip_parseval_and_products(n, L):
         assert np.abs(w[rep.orbit[0]] - blocks_a[charge] @ coords).max() < (
             1e-12 * (1 + np.abs(w).max())
         )
+
+
+@pytest.mark.parametrize("n,L", CELLS)
+def test_scattered_blocks_are_the_dense_gather(n, L):
+    """sector_blocks of a polynomial equals, bit for bit, the blocks
+    gathered from its dense matrix: each entry sums the same terms in the
+    same order."""
+    rng = np.random.default_rng(3 * n + L)
+    rep = rep_for(n, L)
+    for terms in (1, 6, 40):
+        p = random_invariant(n, L, rng, terms)
+        assert np.array_equal(sector_blocks(p, rep),
+                              dense_sector_blocks(to_matrix(p, rep), rep))
+
+
+def test_scattered_blocks_of_the_baxter_test_spec():
+    n, L = 4, 12
+    rep = rep_for(n, L)
+    t = [1.0] * (L - 1)
+    t[L // 2 - 1] = -0.5
+    h = baxter(n, L, t).total()
+    assert np.array_equal(sector_blocks(h, rep),
+                          dense_sector_blocks(to_matrix(h, rep), rep))
+
+
+@pytest.mark.parametrize("n,L", [(2, 2), (3, 4), (4, 6)])
+def test_sector_blocks_rejects_a_polynomial_that_is_not_gauge_invariant(n, L):
+    rep = rep_for(n, L)
+    charged = Polynomial.monomial(1.0, unit_vector(n, L, 1))
+    with pytest.raises(ValueError, match="not gauge invariant"):
+        sector_blocks(charged + Polynomial.identity(n, L), rep)
 
 
 # -- boltzmann ------------------------------------------------------------------
@@ -318,9 +351,26 @@ def stepped_counterexample_sums(n, j):
 def test_counterexample_sums_match_the_stepping_loop(low):
     for n in range(low, min(low + 9, 65)):
         for j in range(1, n + 1):
-            got = rp._counterexample_sums(n, j)
+            k0, scaled = rp._counterexample_sums(n, j)
+            assert all(type(r) is Fraction for r in scaled)
+            got = [Fraction(n, math.factorial(k0)) * r for r in scaled]
             assert got == stepped_counterexample_sums(n, j), (n, j)
-            assert all(type(r) is Fraction for r in got)
+
+
+@pytest.mark.parametrize("n", [190, 200, 257])
+def test_counterexample_value_where_the_factorial_underflows(n):
+    """Around k0 = 178, past which n / k0! rounds to 0.0, f(c^j) equals the
+    exact sums of the stepping loop, each rounded once, bit for bit."""
+    values = []
+    for j in (n - k0 for k0 in range(165, 186)):
+        sums = stepped_counterexample_sums(n, j)
+        parts = [(float(r), zeta_power(n, p)) for p, r in enumerate(sums)]
+        ref = complex(math.fsum(r * z.real for r, z in parts),
+                      math.fsum(r * z.imag for r, z in parts))
+        values.append(rp.counterexample_f(n, j))
+        assert values[-1] == ref, (n, j)
+    assert values[0] != 0 and values[-1] == 0
+    assert 0 < min(abs(v) for v in values if v) < 1e-320
 
 
 @pytest.mark.parametrize("n", range(2, 41))
@@ -501,7 +551,7 @@ def test_cli_report_matches_dense_boltzmann(command, name, tmp_path,
     # The dense path: e^{-H} from the full matrix, its Weyl table gathered
     # from the dense e^{-H}, and dense Trotter products.
     monkeypatch.setattr(rp, "boltzmann", dense_boltzmann)
-    monkeypatch.setattr(rp, "sector_blocks", lambda a, rep: a[None])
+    monkeypatch.setattr(rp, "sector_blocks", lambda p, rep: to_matrix(p, rep)[None])
     monkeypatch.setattr(rp, "sector_matrix", lambda blocks, rep: blocks[0])
     monkeypatch.setattr(rp, "weyl_table",
                         lambda blocks, rep: dense_weyl_table(blocks[0], rep))

@@ -19,12 +19,13 @@ import math
 import numpy as np
 import pytest
 
-from pararp import cli, rp
+from pararp import cli, representation, rp
 from pararp.algebra import Polynomial, reflect
 from pararp.exponents import ExponentVector
 from pararp.hamiltonian import baxter, spec_from_dict
 from pararp.representation import (
-    _digit_sum, pair_traces, sector_matrix, to_matrix, weyl_table,
+    _digit_sum, pair_traces, sector_blocks, sector_matrix, to_matrix,
+    weyl_table,
 )
 
 from conftest import dense_weyl_table, rep_for
@@ -186,9 +187,32 @@ class TestKernelAgainstDense:
         t[L // 2 - 1] = -0.5
         spec = baxter(n, L, t)
         for blocks in (random_blocks(rep, np.random.default_rng(n * L)),
-                       rp.matrix_exp(-rp._sectors(spec.total(), rep))):
+                       rp.matrix_exp(-sector_blocks(spec.total(), rep))):
             dense = dense_weyl_table(sector_matrix(blocks, rep), rep)
             assert np.array_equal(weyl_table(blocks, rep), dense)
+
+
+def count_calls(monkeypatch, *names):
+    """Calls of each named function of pararp.rp, and under "dense" the
+    dense matrices of polynomials built: representation._scatter, which
+    to_matrix and sector_blocks share, over all dim columns."""
+    calls = dict.fromkeys(names + ("dense",), 0)
+    for name in names:
+        original = getattr(rp, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(rp, name, counting)
+    scatter = representation._scatter
+
+    def counting_scatter(p, rep, place, width):
+        calls["dense"] += width == rep.dim
+        return scatter(p, rep, place, width)
+
+    monkeypatch.setattr(representation, "_scatter", counting_scatter)
+    return calls
 
 
 class TestRoutedFunctionals:
@@ -235,27 +259,15 @@ class TestRoutedFunctionals:
             rp.rp_functional(c, reflect(c), spec, rep)
 
     def test_no_dense_matrix_of_observables(self, monkeypatch):
-        """check_rp builds one dense matrix, that of H, whatever the number
-        of probes, and builds the structured observables once."""
+        """check_rp builds no dense matrix, only the sector blocks of H,
+        whatever the number of probes, and builds the structured
+        observables once."""
         n, L = 3, 6
         spec = baxter(n, L, [1.0, 0.7, -0.4, 0.7, 1.0])
         rep = rep_for(n, L)
-        calls = {"to_matrix": 0, "structured": 0}
-        to_matrix_orig = rp.to_matrix
-        structured_orig = rp.structured_probes
-
-        def counting_to_matrix(p, r):
-            calls["to_matrix"] += 1
-            return to_matrix_orig(p, r)
-
-        def counting_structured(*args):
-            calls["structured"] += 1
-            return structured_orig(*args)
-
-        monkeypatch.setattr(rp, "to_matrix", counting_to_matrix)
-        monkeypatch.setattr(rp, "structured_probes", counting_structured)
+        calls = count_calls(monkeypatch, "sector_blocks", "structured_probes")
         rp.check_rp(spec, rep, samples=10, seed=2)
-        assert calls == {"to_matrix": 1, "structured": 1}
+        assert calls == {"sector_blocks": 1, "structured_probes": 1, "dense": 0}
 
     def test_counterexample_matches_dense(self):
         for n in (2, 3, 5):
@@ -291,31 +303,28 @@ class TestBoundsFactors:
     pytest.param(["rp-check", "--samples", "20", "--seed", "3"], id="rp-check-20"),
     pytest.param(["gram"], id="gram"),
     pytest.param(["bounds", "--samples", "4", "--seed", "4"], id="bounds"),
+    pytest.param(["trotter", "--k", "8"], id="trotter"),
 ])
 def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
     """One Weyl table per Boltzmann factor and one RP matrix per job: each
     rp-check, gram and bounds job builds one table, from the sector blocks of
     e^{-H} with no dense e^{-H} (sector_matrix), and reads every trace it
     needs from it in one _forms, one pair_traces call, however many
-    probes it draws."""
+    probes it draws.  No job builds a dense matrix of a polynomial: H
+    reaches it only as sector blocks, one sector_blocks call per distinct
+    Hamiltonian, H or, for trotter, H_0 and H_- + H_+."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(
         {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.6, -0.5, 0.6, 1.0]}}
     ))
-    calls = {"weyl_table": 0, "pair_traces": 0, "sector_matrix": 0,
-             "_forms": 0}
-    for name in calls:
-        original = getattr(rp, name)
-
-        def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(*args)
-
-        monkeypatch.setattr(rp, name, counting)
+    calls = count_calls(monkeypatch, "weyl_table", "pair_traces",
+                        "sector_matrix", "_forms", "sector_blocks")
     code, _ = run_cli(command + ["--spec", str(path)])
     assert code == 0
-    assert calls == {"weyl_table": 1, "pair_traces": 1, "sector_matrix": 0,
-                     "_forms": 1}
+    table = int(command[0] != "trotter")
+    assert calls == {"weyl_table": table, "pair_traces": table,
+                     "sector_matrix": 0, "_forms": table,
+                     "sector_blocks": 2 - table, "dense": 0}
 
 
 # -- CLI reports against the dense reference --------------------------------

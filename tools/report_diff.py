@@ -7,8 +7,9 @@ perfbench/workloads.py, runs all of them in one fresh interpreter per tree,
 with that tree's ``src`` directory first on the path, and prints the number
 of identical reports (exit code, standard output and error output byte for
 byte), a count per command, and for each changed job its command, cell,
-exit codes, the first differing key and the largest relative gap
-|a - b| / max(|a|, |b|) between floats at the same key.  ``--argv`` adds
+exit codes, every top-level key that differs (each by the first key under
+it that differs) and the largest relative gap |a - b| / max(|a|, |b|)
+between floats at the same key.  ``--argv`` adds
 command lines outside the cycles, such as ``"counterexample --n 30030"``.
 The exit code is 0 when every report is identical and 2 otherwise.
 """
@@ -21,6 +22,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -101,20 +103,23 @@ def relative_gap(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def compare(old: str, new: str) -> tuple[str | None, float]:
-    """The first key at which two JSON reports differ (None if none does),
-    and the largest relative gap between floats at the same key."""
+def compare(old: str, new: str) -> tuple[list[str], float]:
+    """For each top-level key at which two JSON reports differ, the first
+    key under it that differs ([] if none does), and the largest relative
+    gap between floats at the same key."""
     try:
         a, b = dict(flatten(json.loads(old))), dict(flatten(json.loads(new)))
     except json.JSONDecodeError:
-        return ("<output>" if old != new else None), 0.0
+        return (["<output>"] if old != new else []), 0.0
     missing = object()
-    first = next((key for key in [*a, *(k for k in b if k not in a)]
-                  if a.get(key, missing) != b.get(key, missing)), None)
+    first: dict[str, str] = {}
+    for key in [*a, *(k for k in b if k not in a)]:
+        if a.get(key, missing) != b.get(key, missing):
+            first.setdefault(re.match(r"[^.[]*", key).group(), key)
     gap = max((relative_gap(a[k], b[k]) for k in a.keys() & b.keys()
                if isinstance(a[k], float) and isinstance(b[k], float)),
               default=0.0)
-    return first, gap
+    return list(first.values()), gap
 
 
 def report(jobs, old, new) -> tuple[list[str], bool]:
@@ -126,11 +131,11 @@ def report(jobs, old, new) -> tuple[list[str], bool]:
         if a == b:
             same[command] += 1
             continue
-        key, gap = compare(a[1], b[1])
-        if key is None:
-            key = "<stderr>" if a[2] != b[2] else None
-        lines.append(f"  {job['label']}: exit {a[0]} -> {b[0]}, first "
-                     f"difference at {key}, largest relative gap {gap:.3g}")
+        keys, gap = compare(a[1], b[1])
+        keys += ["<stderr>"] if a[2] != b[2] else []
+        lines.append(f"  {job['label']}: exit {a[0]} -> {b[0]}, differences "
+                     f"at {', '.join(keys) or None}, largest relative gap "
+                     f"{gap:.3g}")
     head = [f"identical reports: {sum(same.values())} of {len(jobs)}"] + [
         f"  {command}: {same[command]} of {count} identical"
         for command, count in sorted(total.items())
