@@ -182,18 +182,22 @@ def check_symmetries(
     }
     if rep is not None:
         hm = to_matrix(h, rep)
-        scale = 1.0 + float(np.linalg.norm(hm))
-        report["reflection_matrix_gap"] = float(
-            np.linalg.norm(to_matrix(reflect(h), rep) - hm)
-        )
-        report["gauge_matrix_gap"] = float(
-            np.linalg.norm(to_matrix(gauge_apply(h), rep) - hm)
-        )
-        report["matrix_ok"] = (
-            report["reflection_matrix_gap"] <= tol * scale
-            and report["gauge_matrix_gap"] <= tol * scale
-        )
+        gaps = [_norm(to_matrix(f(h), rep) - hm) for f in (reflect, gauge_apply)]
+        scale = 1.0 + _norm(hm)  # last: _norm scales hm in place
+        report["reflection_matrix_gap"], report["gauge_matrix_gap"] = gaps
+        report["matrix_ok"] = all(
+            math.isfinite(gap) and gap <= tol * scale for gap in gaps)
     return report
+
+
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm of x as s ||x / s||, s >= 1 the power of two at least
+    max |x_ij| (2^1023 at most), dividing x in place: an exact scaling, so
+    no square overflows, and no second dim x dim array is held."""
+    exponent = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    s = math.ldexp(1.0, min(max(exponent, 0), 1023))
+    x /= s
+    return s * float(np.linalg.norm(x))
 
 
 def baxter(n: int, L: int, t) -> HamiltonianSpec:

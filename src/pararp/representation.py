@@ -48,13 +48,15 @@ The map is an algebra homomorphism, so e^{A} has blocks e^{A_q}, and by
 Parseval sum_q ||A_q||_F^2 = ||A||_F^2.
 
 This module is the numerical oracle for every symbolic identity in
-:mod:`pararp.algebra`.
+:mod:`pararp.algebra`; ``build_generators`` builds each (n, L) once.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -83,16 +85,19 @@ def clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
     return sigma, tau
 
 
-@dataclass
+@dataclass(frozen=True)
 class Representation:
-    """L generators acting on the full chain, of dimension n^{L/2}.
+    """L generators acting on the full chain, of dimension n^{L/2}: an
+    immutable value, one per (n, L) and process (``build_generators``).
 
     c_{j+1} = zeta^{zeta_exp[j]} X^{x_exp[j]} Z^{z_exp[j]}, with digit rows
     ``x_exp[j]`` and ``z_exp[j]``; ``digits[f, k]`` is digit f of state k.
     ``orbit[m, o]`` is the state T^m o of the charge-sector index (o, m),
     and ``orbit_index[k]`` is m * dim/n + o for the state k = T^m o.
-    ``generators`` is a read-only view of the same data: the c_j as a tuple
-    of non-writeable dense matrices, built on first access and then kept.
+    __post_init__ derives the rest, O(L dim) each, so a ``replace`` copy is
+    consistent: the generator columns, g of ``phases`` and the characters of
+    ``weyl_table``.  Every array is read-only; ``generators``, the dense c_j,
+    are built on each read and never kept.
     """
 
     order: int
@@ -105,39 +110,48 @@ class Representation:
     zeta: np.ndarray
     orbit: np.ndarray
     orbit_index: np.ndarray
-    _generators: tuple[np.ndarray, ...] | None = field(
-        default=None, repr=False, compare=False
-    )
+    generator_rows: np.ndarray = field(init=False, repr=False)
+    generator_phases: np.ndarray = field(init=False, repr=False)
+    _g_upper: np.ndarray = field(init=False, repr=False)
+    _g_diagonal: np.ndarray = field(init=False, repr=False)
+    _w_lo: np.ndarray = field(init=False, repr=False)
+    _w_hi: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n, digits = self.order, self.digits
+        # Column k of c_{j+1}, the monomial e_j of phase zeta_exp[j], holds
+        # zeta^{zeta_exp[j] + 2 z_exp[j].d(k)} in row k (+) x_exp[j].
+        phase = self.zeta_exp[:, None] + 2 * (self.z_exp @ digits)
+        # g[j, j'] = beta_j.alpha_j', taken mod n: it multiplies even numbers.
+        g = self.z_exp @ self.x_exp.T % n
+        free = digits[1:, : self.dim // n]  # d'(o), o = o_lo * r_hi + o_hi
+        cut = len(free) // 2
+        r_hi = n ** (len(free) - cut)
+        w_lo, w_hi = (self.zeta[2 * (x.T @ x % n)]
+                      for x in (free[:cut, ::r_hi], free[cut:, :r_hi]))
+        derived = dict(
+            generator_rows=_digit_sum(n, digits, self.x_exp.T[:, :, None]),
+            generator_phases=phase % (2 * n), _g_upper=np.triu(g, 1),
+            _g_diagonal=g.diagonal(), _w_lo=w_lo, _w_hi=w_hi)
+        for name, value in {**vars(self), **derived}.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
-        if self._generators is None:
-            self._generators = tuple(
-                self.monomial_matrix(unit_vector(self.order, self.sites, j))
-                for j in range(1, self.sites + 1))
-            for g in self._generators:
-                g.flags.writeable = False
-        return self._generators
-
-    def generator_columns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and zeta exponents of the generators c_{j+1}, the monomials
-        e_j, whose phase is phi(e_j) = zeta_exp[j]: column k of c_{j+1} holds
-        zeta^{zeta_exp[j] + 2 z_exp[j].d(k)} in row k (+) x_exp[j]."""
-        n = self.order
-        rows = _digit_sum(n, self.digits, self.x_exp.T[:, :, None])
-        phase = self.zeta_exp[:, None] + 2 * (self.z_exp @ self.digits)
-        return rows, phase % (2 * n)
+        gens = [self.monomial_matrix(unit_vector(self.order, self.sites, j))
+                for j in range(1, self.sites + 1)]
+        for g in gens:
+            g.flags.writeable = False
+        return tuple(gens)
 
     def phases(self, exponents: np.ndarray) -> np.ndarray:
         """phi(I) mod 2n (see the module docstring) for each row I of the
         (T, L) integer array ``exponents``."""
-        n = self.order
-        # g[j, j'] = beta_j.alpha_j'; it only ever multiplies even numbers,
-        # so mod n suffices.
-        g = self.z_exp @ self.x_exp.T % n
-        cross = (exponents @ np.triu(g, 1) * exponents).sum(axis=1)
-        own = (exponents * (exponents - 1)) @ g.diagonal()
-        return (exponents @ self.zeta_exp + own + 2 * cross) % (2 * n)
+        cross = (exponents @ self._g_upper * exponents).sum(axis=1)
+        own = (exponents * (exponents - 1)) @ self._g_diagonal
+        return (exponents @ self.zeta_exp + own + 2 * cross) % (2 * self.order)
 
     def monomial_matrix(self, vec: ExponentVector) -> np.ndarray:
         """Dense matrix of the ordered monomial C_I."""
@@ -155,7 +169,8 @@ def _digit_sum(n: int, k_digits, s_digits):
 
 
 def build_generators(n: int, L: int) -> Representation:
-    """Construct the clock/shift ladder representation for L (even) sites."""
+    """The clock/shift ladder representation for L (even) sites, built once
+    per (n, L) and process: every call with the same size shares it."""
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
     if L < 2 or L % 2 != 0:
@@ -166,6 +181,14 @@ def build_generators(n: int, L: int) -> Representation:
         raise DimensionCapError(
             f"representation dimension {n}^{half} exceeds cap {DIM_CAP}"
         )
+    return _build(operator.index(n), operator.index(L))
+
+
+# An entry is O(L dim) integers, at most 2.1 MiB (digits, orbits and
+# generator columns at (2, 24)), so 32 of them hold under 68 MiB.
+@lru_cache(maxsize=32)
+def _build(n: int, L: int) -> Representation:
+    half = L // 2
     dim = n**half
     digits = np.array(np.unravel_index(np.arange(dim), (n,) * half))
     # c_{j+1} has X on each factor g with 2 g < j and Z on factor j // 2.
@@ -260,12 +283,7 @@ def weyl_table(blocks: np.ndarray, rep: Representation) -> np.ndarray:
     a = np.fft.fft(blocks, axis=0, norm="forward")
     m, o = np.divmod(rep.orbit_index[_orbit_sums(n, rep.digits)], r)
     d = a[-m % n, np.arange(r), o]
-    free = rep.digits[1:, :r]  # d'(o), o = o_lo * r_hi + o_hi
-    cut = len(free) // 2
-    r_hi = n ** (len(free) - cut)
-    w_lo, w_hi = (rep.zeta[2 * (x.T @ x % n)]
-                  for x in (free[:cut, ::r_hi], free[cut:, :r_hi]))
-    g = np.matmul(w_lo, d.reshape(dim, r // r_hi, r_hi) @ w_hi)
+    g = np.matmul(rep._w_lo, d.reshape(dim, len(rep._w_lo), -1) @ rep._w_hi)
     return n * g.reshape(dim, r)
 
 
@@ -390,8 +408,7 @@ def verify_yamazaki(rep: Representation) -> dict[str, float]:
     representation is built: each generator has one nonzero entry per
     column.
     """
-    rows, phase = rep.generator_columns()
-    gens = rows, vals = rows, rep.zeta[phase]
+    gens = rows, vals = rep.generator_rows, rep.zeta[rep.generator_phases]
 
     power = gens
     for _ in range(rep.order - 1):
@@ -442,25 +459,3 @@ def _distance(a, b) -> np.ndarray:
         np.abs(a_vals) ** 2 + np.abs(b_vals) ** 2,
     )
     return np.sqrt(sq.sum(axis=-1))
-
-
-def _verify_dense(rep: Representation) -> dict[str, float]:
-    """verify_yamazaki from dense products of ``rep.generators``: the
-    reference it is tested against."""
-    n = rep.order
-    eye = np.eye(rep.dim, dtype=complex)
-    omega = np.exp(2j * np.pi / n)
-    norm = np.linalg.norm  # Frobenius, bounding the operator norm
-    r_order = 0.0
-    r_unitary = 0.0
-    r_commute = 0.0
-    for j, g in enumerate(rep.generators):
-        r_order = max(r_order, float(norm(np.linalg.matrix_power(g, n) - eye)))
-        r_unitary = max(r_unitary, float(norm(g @ g.conj().T - eye)))
-        for gp in rep.generators[j + 1:]:
-            r_commute = max(r_commute, float(norm(g @ gp - omega * gp @ g)))
-    return {
-        "order_residual": r_order,
-        "unitarity_residual": r_unitary,
-        "commutation_residual": r_commute,
-    }

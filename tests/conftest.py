@@ -3,19 +3,20 @@ import pytest
 
 from pararp.representation import _orbit_sums, build_generators
 
-_CACHE = {}
-
-
-def rep_for(n, L):
-    key = (n, L)
-    if key not in _CACHE:
-        _CACHE[key] = build_generators(n, L)
-    return _CACHE[key]
+# build_generators keeps one representation per (n, L) and process.
+rep_for = build_generators
 
 
 @pytest.fixture
 def rep():
     return rep_for
+
+
+def random_blocks(rep, rng):
+    """n random charge-sector blocks: those of a dense non-hermitian matrix
+    that commutes with the gauge shift T."""
+    n, r = rep.order, rep.dim // rep.order
+    return rng.normal(size=(n, r, r)) + 1j * rng.normal(size=(n, r, r))
 
 
 def dense_sector_blocks(a, rep):
@@ -32,9 +33,25 @@ def dense_weyl_table(e, rep):
     the gather D[a, o] = E[o, o (+) a] of E's own entries and the character
     matmuls of representation.weyl_table: the reference for the table read
     from the sector blocks."""
+    r = rep.dim // rep.order
+    return _characters(e[np.arange(r), _orbit_sums(rep.order, rep.digits)], rep)
+
+
+def reference_weyl_table(blocks, rep):
+    """representation.weyl_table with its character factors built on each
+    call from ``rep.digits`` and ``rep.zeta``: the reference for the
+    factors derived once per representation."""
+    n, r = rep.order, rep.dim // rep.order
+    a = np.fft.fft(blocks, axis=0, norm="forward")
+    m, o = np.divmod(rep.orbit_index[_orbit_sums(n, rep.digits)], r)
+    return _characters(a[-m % n, np.arange(r), o], rep)
+
+
+def _characters(d, rep):
+    """n sum_o omega^{b'.d'(o)} D[a, o], as two matmuls with the Kronecker
+    factors of the character matrix over the first and last half of d'."""
     n, dim = rep.order, rep.dim
     r = dim // n
-    d = e[np.arange(r), _orbit_sums(n, rep.digits)]
     free = rep.digits[1:, :r]
     cut = len(free) // 2
     r_hi = n ** (len(free) - cut)
@@ -42,3 +59,14 @@ def dense_weyl_table(e, rep):
                   for x in (free[:cut, ::r_hi], free[cut:, :r_hi]))
     g = np.matmul(w_lo, d.reshape(dim, r // r_hi, r_hi) @ w_hi)
     return n * g.reshape(dim, r)
+
+
+def reference_phases(rep, exponents):
+    """phi(I) mod 2n of each row I of ``exponents``, with g = z_exp x_exp^T
+    built on each call: the reference for Representation.phases, which
+    reads the triangle and diagonal of g derived once per representation."""
+    n = rep.order
+    g = rep.z_exp @ rep.x_exp.T % n
+    cross = (exponents @ np.triu(g, 1) * exponents).sum(axis=1)
+    own = (exponents * (exponents - 1)) @ g.diagonal()
+    return (exponents @ rep.zeta_exp + own + 2 * cross) % (2 * n)

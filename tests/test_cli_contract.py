@@ -134,6 +134,25 @@ def test_non_finite_h_exits_1_with_one_line(tmp_path, name):
     assert result.stderr == "error: H has a non-finite coefficient\n"
 
 
+def test_huge_baxter_couplings_report_finite_gaps(tmp_path):
+    """|H_ij| near 1e200: exit 0 with finite matrix gaps and nothing on
+    stderr, in a fresh interpreter, so that a RuntimeWarning would show."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"baxter": {"n": 3, "L": 4,
+                                           "t": [1e200, -1e200, 1e200]}}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "pararp.cli", "baxter", "--spec", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": env_path},
+    )
+    assert result.returncode == 0 and result.stderr == ""
+    report = json.loads(result.stdout)["symmetries"]
+    gaps = report["reflection_matrix_gap"], report["gauge_matrix_gap"]
+    assert all(map(math.isfinite, gaps)) and report["matrix_ok"]
+
+
 def test_verify_relations_far_past_the_cap(capsys):
     code, out, err = run(capsys, "verify-relations", "--n", "3", "--L", "2000000")
     assert code == cli.ERROR and out == ""

@@ -1,11 +1,13 @@
 import dataclasses
 import inspect
 import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from pararp import hamiltonian
 from pararp.algebra import (
     Polynomial,
     canonical_product,
@@ -141,6 +143,32 @@ class TestCheckSymmetries:
         report = check_symmetries(Asymmetric())
         assert not report["reflection_symbolic"]
         assert report["gauge_symbolic"]
+
+    def test_huge_couplings_give_finite_gaps(self):
+        # |H_ij| near 1e200: the squares of the plain Frobenius norm overflow.
+        spec = baxter(3, 4, [1e200, -1e200, 1e200])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_symmetries(spec, rep_for(3, 4))
+        gaps = report["reflection_matrix_gap"], report["gauge_matrix_gap"]
+        assert all(map(math.isfinite, gaps)) and report["matrix_ok"]
+
+    def test_non_finite_gap_is_not_ok(self, monkeypatch):
+        # inf <= tol * inf: an infinite gap under an infinite scale.
+        monkeypatch.setattr(hamiltonian, "_norm", lambda x: math.inf)
+        spec = baxter(3, 4, [1.0, -0.5, 1.0])
+        assert not check_symmetries(spec, rep_for(3, 4))["matrix_ok"]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 3.0, 1e200, 1e305])
+    def test_scaled_norm_is_the_frobenius_norm(self, scale):
+        rng = np.random.default_rng(5)
+        x = scale * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        with np.errstate(over="ignore"):
+            plain = float(np.linalg.norm(x))
+        if math.isfinite(plain):
+            assert hamiltonian._norm(x) == plain
+        else:  # the exact value is about 12.7 scale
+            assert hamiltonian._norm(x) == pytest.approx(12.7 * scale, rel=0.2)
 
 
 class TestSpecIsDerived:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,19 +7,24 @@ from pararp.algebra import (
     Polynomial, adjoint, canonical_product, reflect, zeta_power,
 )
 from pararp.exponents import ExponentVector
+from pararp import representation
 from pararp.representation import (
     DimensionCapError,
-    _verify_dense,
     all_exponent_vectors,
     build_generators,
     clock_shift,
     decompose,
+    sector_matrix,
     to_matrix,
     trace_monomial,
     verify_yamazaki,
+    weyl_table,
 )
 
-from conftest import rep_for
+from conftest import (
+    dense_weyl_table, random_blocks, reference_phases, reference_weyl_table,
+    rep_for,
+)
 
 
 class TestClockShift:
@@ -87,9 +94,98 @@ class TestBuildGenerators:
 
     def test_corrupted_generator_reported_not_raised(self):
         rep = build_generators(3, 2)
-        rep.zeta_exp[0] += 1  # c_1 -> zeta c_1
-        residuals = verify_yamazaki(rep)
+        zeta_exp = rep.zeta_exp.copy()
+        zeta_exp[0] += 1  # c_1 -> zeta c_1
+        residuals = verify_yamazaki(dataclasses.replace(rep, zeta_exp=zeta_exp))
         assert max(residuals.values()) > 0.1
+
+
+class TestSharedRepresentation:
+    """build_generators returns one immutable value per (n, L) and process,
+    with its derived fields computed once, in __post_init__."""
+
+    def test_one_value_per_size_holding_python_ints(self):
+        representation._build.cache_clear()
+        rep = build_generators(np.int64(3), np.int64(4))
+        assert rep is build_generators(3, 4) is build_generators(3, 4)
+        assert build_generators(np.int64(3), 4) is rep
+        for value in (rep.order, rep.sites, rep.dim):
+            assert type(value) is int
+        assert (rep.order, rep.sites, rep.dim) == (3, 4, 9)
+
+    @pytest.mark.parametrize("n,L", [(2, 2), (3, 4), (4, 6), (2, 10)])
+    def test_every_array_is_read_only(self, n, L):
+        rep = build_generators(n, L)
+        arrays = {k: v for k, v in vars(rep).items()
+                  if isinstance(v, np.ndarray)}
+        assert len(arrays) == 13
+        for name, value in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.digits = rep.digits.copy()
+
+    @pytest.mark.parametrize("name", ["x_exp", "z_exp", "zeta_exp", "digits",
+                                      "zeta"])
+    def test_replace_recomputes_every_derived_field(self, name):
+        rep = build_generators(3, 6)
+        value = getattr(rep, name).copy()
+        if name == "zeta":
+            value = value.conj()
+        elif name == "zeta_exp":
+            value[1] += 3
+        else:
+            value[..., [0, 1]] = value[..., [1, 0]]
+        copy = dataclasses.replace(rep, **{name: value})
+        # The generator columns: the one entry of column k of c_{j+1}.
+        cols = np.arange(copy.dim)
+        for j, g in enumerate(copy.generators):
+            rows = copy.generator_rows[j]
+            assert np.array_equal(g[rows, cols],
+                                  copy.zeta[copy.generator_phases[j]])
+            assert np.count_nonzero(g) == copy.dim
+        # g of phases, and the character factors of weyl_table.
+        rng = np.random.default_rng(7)
+        e = rng.integers(0, 3, size=(40, 6))
+        assert np.array_equal(copy.phases(e), reference_phases(copy, e))
+        blocks = random_blocks(copy, rng)
+        table = weyl_table(blocks, copy)
+        assert np.array_equal(table, reference_weyl_table(blocks, copy))
+        changed = [
+            not np.array_equal(getattr(copy, f), getattr(rep, f))
+            for f in ("generator_rows", "generator_phases", "_g_upper",
+                      "_g_diagonal", "_w_lo", "_w_hi")]
+        assert any(changed)
+        assert not copy.orbit.flags.writeable and not value.flags.writeable
+
+    def test_errors_are_raised_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(DimensionCapError, match="2\\^13 exceeds"):
+                build_generators(2, 26)
+            with pytest.raises(ValueError, match="order must be >= 2"):
+                build_generators(1, 4)
+            with pytest.raises(ValueError, match="sites must be even"):
+                build_generators(3, 5)
+            with pytest.raises(TypeError):
+                build_generators(3.0, 4)
+
+    @pytest.mark.parametrize("L", range(2, 17, 2))
+    def test_tables_and_phases_equal_the_references(self, L):
+        """At every cell with dim <= 256: the Weyl table against both
+        conftest references, bit for bit, and phi(I) against g built on
+        each call."""
+        for n in range(2, 257):
+            if n ** (L // 2) > 256:
+                break
+            rep = build_generators(n, L)
+            rng = np.random.default_rng(1000 * L + n)
+            blocks = random_blocks(rep, rng)
+            table = weyl_table(blocks, rep)
+            assert np.array_equal(table, reference_weyl_table(blocks, rep))
+            dense = dense_weyl_table(sector_matrix(blocks, rep), rep)
+            assert np.array_equal(table, dense)
+            e = rng.integers(0, n, size=(64, L))
+            assert np.array_equal(rep.phases(e), reference_phases(rep, e))
 
 
 class TestToMatrix:
@@ -287,6 +383,29 @@ def test_permutation_kernel_matches_dense(n, L):
     assert set(decompose(dense_sum, rep).terms) == set(chosen)
 
 
+def _verify_dense(rep):
+    """verify_yamazaki from dense products of ``rep.generators``: the
+    reference it is tested against."""
+    n = rep.order
+    eye = np.eye(rep.dim, dtype=complex)
+    omega = np.exp(2j * np.pi / n)
+    norm = np.linalg.norm  # Frobenius, bounding the operator norm
+    r_order = 0.0
+    r_unitary = 0.0
+    r_commute = 0.0
+    gens = rep.generators
+    for j, g in enumerate(gens):
+        r_order = max(r_order, float(norm(np.linalg.matrix_power(g, n) - eye)))
+        r_unitary = max(r_unitary, float(norm(g @ g.conj().T - eye)))
+        for gp in gens[j + 1:]:
+            r_commute = max(r_commute, float(norm(g @ gp - omega * gp @ g)))
+    return {
+        "order_residual": r_order,
+        "unitarity_residual": r_unitary,
+        "commutation_residual": r_commute,
+    }
+
+
 class TestVerifyFastPath:
     """The generators are verified from their Weyl data; the residuals
     must equal the dense computation's."""
@@ -305,19 +424,25 @@ class TestVerifyFastPath:
 
     def test_flipped_phase_reported(self):
         rep = build_generators(3, 4)
-        rep.zeta_exp[1] += 3  # zeta^n = -1: c_2 -> -c_2
+        zeta_exp = rep.zeta_exp.copy()
+        zeta_exp[1] += 3  # zeta^n = -1: c_2 -> -c_2
+        rep = dataclasses.replace(rep, zeta_exp=zeta_exp)
         assert max(self._assert_matches_dense(rep).values()) > 0.1
 
     def test_swapped_columns_reported(self):
         rep = build_generators(3, 4)
-        rep.x_exp[[2, 3]] = rep.x_exp[[3, 2]]  # c_3 and c_4 swap X rows
+        x_exp = rep.x_exp.copy()
+        x_exp[[2, 3]] = x_exp[[3, 2]]  # c_3 and c_4 swap X rows
+        rep = dataclasses.replace(rep, x_exp=x_exp)
         assert max(self._assert_matches_dense(rep).values()) > 0.1
 
     def test_swapped_digit_columns_reported(self):
         # Any X row gives a digit translation, whose powers and commutators
         # keep their rows; two swapped states do not.
         rep = build_generators(3, 4)
-        rep.digits[:, [0, 1]] = rep.digits[:, [1, 0]]
+        digits = rep.digits.copy()
+        digits[:, [0, 1]] = digits[:, [1, 0]]
+        rep = dataclasses.replace(rep, digits=digits)
         assert max(self._assert_matches_dense(rep).values()) > 0.1
 
 

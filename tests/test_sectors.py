@@ -8,6 +8,7 @@ reports with the sector transforms switched off.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -398,23 +399,29 @@ def test_family_values_are_exactly_real(n, j):
     assert val.imag == 0.0 and val.real > 0
 
 
-# -- lazily built dense generators --------------------------------------------------
+# -- dense generators, built on each read -------------------------------------------
 
 
-def test_generators_are_built_on_first_access_and_kept():
+def test_generators_are_built_on_each_read_and_never_kept():
     rep = build_generators(3, 4)
     spec = baxter(3, 4, [1.0, -0.5, 1.0])
     rp.check_rp(spec, rep, samples=3)
     rp.trotter_convergence(spec, rep, [4, 8])
-    assert rep._generators is None
     fast = verify_yamazaki(rep)
-    assert rep._generators is None
-    gens = rep.generators
-    assert rep.generators is gens and len(gens) == 4
+    gens, again = rep.generators, rep.generators
+    assert len(gens) == len(again) == 4
+    assert all(g is not h and np.array_equal(g, h) for g, h in zip(gens, again))
     assert verify_yamazaki(rep) == fast
-    assert all(not g.flags.writeable for g in gens)
-    rep.zeta_exp[0] += 1
-    assert max(verify_yamazaki(rep).values()) > 0.1
+    assert all(not g.flags.writeable for g in gens + again)
+    # No field holds a dense dim x dim matrix, or a tuple of them.
+    for value in vars(rep).values():
+        assert not isinstance(value, (tuple, list))
+        assert np.ndim(value) < 2 or np.shape(value)[-2:] != (rep.dim,) * 2
+    zeta_exp = rep.zeta_exp.copy()
+    zeta_exp[0] += 1
+    corrupted = dataclasses.replace(rep, zeta_exp=zeta_exp)
+    assert max(verify_yamazaki(corrupted).values()) > 0.1
+    assert verify_yamazaki(rep) == fast
 
 
 # -- deterministic worst pair in bounds ---------------------------------------------

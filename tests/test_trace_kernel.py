@@ -28,7 +28,7 @@ from pararp.representation import (
     weyl_table,
 )
 
-from conftest import dense_weyl_table, rep_for
+from conftest import dense_weyl_table, random_blocks, rep_for
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256.
 CELLS = [
@@ -83,13 +83,6 @@ def random_minus_poly(n, L, rng, max_terms=4):
             entries[0] = (entries[0] - sum(entries)) % n
         terms[ExponentVector(tuple(entries), n)] = complex(rng.normal(), rng.normal())
     return Polynomial(terms, n, L)
-
-
-def random_blocks(rep, rng):
-    """n random charge-sector blocks: those of a dense non-hermitian matrix
-    that commutes with the gauge shift T."""
-    n, r = rep.order, rep.dim // rep.order
-    return rng.normal(size=(n, r, r)) + 1j * rng.normal(size=(n, r, r))
 
 
 def assert_close(got, ref):
