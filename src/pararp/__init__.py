@@ -27,7 +27,6 @@ from .representation import (
     clock_shift,
     decompose,
     sector_blocks,
-    sector_matrix,
     to_matrix,
     trace_monomial,
     verify_yamazaki,
@@ -45,7 +44,6 @@ from .hamiltonian import (
 )
 from .rp import (
     RPReport,
-    boltzmann,
     check_rp,
     conservation_law_check,
     counterexample_check,
@@ -56,7 +54,6 @@ from .rp import (
     matrix_exp,
     rp_bounds_check,
     rp_functional,
-    trotter_approximant,
 )
 
 __version__ = "0.1.0"

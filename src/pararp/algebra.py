@@ -295,13 +295,17 @@ class Polynomial:
         return sum(map(abs, self.coeffs.tolist()))
 
     def almost_equal(self, other: "Polynomial", tol: float = COEFF_TOL) -> bool:
-        if self.exponents is other.exponents:  # the same terms in the same order
-            diff = self.coeffs - other.coeffs
-        else:
-            _, diff, rows = _union((self, other))
-            diff[rows] -= other.coeffs
+        diff = self._difference(other)
         scale = 1.0 + max(self.norm1(), other.norm1())
         return bool((np.abs(diff) <= tol * scale).all())
+
+    def _difference(self, other: "Polynomial") -> np.ndarray:
+        """The coefficients of self - other over the union of their terms."""
+        if self.exponents is other.exponents:  # the same terms in the same order
+            return self.coeffs - other.coeffs
+        _, diff, rows = _union((self, other))
+        diff[rows] -= other.coeffs
+        return diff
 
     def __repr__(self):
         if self.is_zero():

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -24,6 +25,7 @@ from .hamiltonian import (
     CouplingRule,
     HamiltonianSpec,
     SpecError,
+    _norm,
     check_symmetries,
     read_spec,
     spec_from_dict,
@@ -35,7 +37,7 @@ from .representation import (
     Representation,
     build_generators,
     decompose,
-    to_matrix,
+    sector_blocks,
     verify_yamazaki,
 )
 
@@ -159,10 +161,11 @@ def cmd_baxter(spec, rep, args):
 
 
 def cmd_decompose(spec, rep, args):
-    boltzmann = rp.boltzmann(spec.total(), rep)
-    poly = decompose(boltzmann, rep)
-    gap = float(np.linalg.norm(to_matrix(poly, rep) - boltzmann))
-    ok = gap <= 1e-10 * (1 + float(np.linalg.norm(boltzmann)))
+    blocks = rp.boltzmann(spec.total(), rep)
+    poly = decompose(blocks, rep)
+    # Parseval: the blocks hold the Frobenius norm of the matrix.
+    gap = _norm(sector_blocks(poly, rep) - blocks)
+    ok = math.isfinite(gap) and gap <= 1e-10 * (1 + _norm(blocks))
     # decompose returns its terms in lexicographic order.
     terms = [{"exponents": row, "coefficient": [c.real, c.imag]}
              for row, c in zip(poly.exponents.tolist(), poly.coeffs.tolist())]

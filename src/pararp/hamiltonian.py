@@ -37,7 +37,7 @@ from .algebra import (
     zeta_power,
 )
 from .exponents import ExponentVector, degree, unit_vector
-from .representation import Representation, to_matrix
+from .representation import Representation
 
 
 class CouplingRule(Enum):
@@ -172,18 +172,22 @@ def assemble(h_minus: Polynomial, couplings: CouplingTable) -> HamiltonianSpec:
 def check_symmetries(
     spec: HamiltonianSpec, rep: Representation | None = None
 ) -> dict:
-    """Verify theta(H) = H and U(H) = H, symbolically and (optionally)
-    at matrix level, to 1e-10 relative."""
+    """Verify theta(H) = H and U(H) = H on the coefficients of H, and given
+    the representation, their matrices' Frobenius gaps to 1e-10 relative:
+    the monomials are orthogonal unitaries, Tr(C_I^* C_J) = dim delta_IJ,
+    so by Parseval ||matrix of p||_F = sqrt(dim) ||coefficients of p||_2,
+    and no matrix is built."""
     tol = 1e-10
     h = spec.total()
+    images = reflect(h), gauge_apply(h)
     report = {
-        "reflection_symbolic": reflect(h).almost_equal(h),
-        "gauge_symbolic": gauge_apply(h).almost_equal(h),
+        "reflection_symbolic": images[0].almost_equal(h),
+        "gauge_symbolic": images[1].almost_equal(h),
     }
     if rep is not None:
-        hm = to_matrix(h, rep)
-        gaps = [_norm(to_matrix(f(h), rep) - hm) for f in (reflect, gauge_apply)]
-        scale = 1.0 + _norm(hm)  # last: _norm scales hm in place
+        root = math.sqrt(rep.dim)
+        gaps = [root * _norm(image._difference(h)) for image in images]
+        scale = 1.0 + root * _norm(h.coeffs)
         report["reflection_matrix_gap"], report["gauge_matrix_gap"] = gaps
         report["matrix_ok"] = all(
             math.isfinite(gap) and gap <= tol * scale for gap in gaps)
@@ -192,12 +196,10 @@ def check_symmetries(
 
 def _norm(x: np.ndarray) -> float:
     """Frobenius norm of x as s ||x / s||, s >= 1 the power of two at least
-    max |x_ij| (2^1023 at most), dividing x in place: an exact scaling, so
-    no square overflows, and no second dim x dim array is held."""
+    max |x_ij| (2^1023 at most): an exact scaling, so no square overflows."""
     exponent = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
     s = math.ldexp(1.0, min(max(exponent, 0), 1023))
-    x /= s
-    return s * float(np.linalg.norm(x))
+    return s * float(np.linalg.norm(x / s))
 
 
 def baxter(n: int, L: int, t) -> HamiltonianSpec:

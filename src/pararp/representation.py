@@ -24,13 +24,13 @@ digits mod n: a polynomial's matrix is O(L dim) integer arithmetic and a
 scatter of O(dim) values per row of its exponent matrix
 (``Polynomial.exponents``, the encoding the symbolic algebra computes on).
 Conversely Tr(C_I^* A) = zeta^{-phi} sum_k omega^{-b.d(k)} A[k (+) a, k] is,
-for each a, an n-ary FFT over the digits of k: ``decompose`` finds all
-n^L = dim^2 coefficients in O(dim^2 log dim), for n = 2 the Walsh-Hadamard
+for each a, an n-ary FFT over the digits of k, for n = 2 the Walsh-Hadamard
 form of the Pauli decomposition.  For a matrix E that commutes with the
-gauge shift T below, such as e^{-H}, the same transform of E[k, k (+) a]
+gauge shift T below, such as e^{-H}, that transform of E[k, k (+) a]
 needs one state per T-orbit: ``weyl_table`` builds it from E's sector
-blocks, and Tr(C_s C_t E) is one lookup in it (``pair_traces``), so one
-call fills the blocks of the RP matrix M that a job of :mod:`pararp.rp` reads.
+blocks, Tr(C_s C_t E) is one lookup in it (``pair_traces``), so one call
+fills the blocks of the RP matrix M that a job of :mod:`pararp.rp` reads,
+and ``decompose`` reads E's dim^2/n coefficients of degree 0 mod n from it.
 
 Charge sectors.  The shift T = tau^{tensor L/2}, applied to every tensor
 factor, implements the global gauge automorphism: T c_j T^{-1} = omega^{-1}
@@ -43,9 +43,11 @@ into n blocks of size dim/n,
     A_q[o, o'] = sum_m omega^{q m} A[T^m o, o'],
 
 which ``sector_blocks`` scatters from the polynomial's terms, columns o'
-only, and transforms over m, with no dense A; ``sector_matrix`` rebuilds A.
-The map is an algebra homomorphism, so e^{A} has blocks e^{A_q}, and by
-Parseval sum_q ||A_q||_F^2 = ||A||_F^2.
+only, and transforms over m, with no dense A.  The map is an algebra
+homomorphism, so e^{A} has blocks e^{A_q}, and by Parseval
+sum_q ||A_q||_F^2 = ||A||_F^2.  Only ``to_matrix``, and the
+``monomial_matrix`` and ``generators`` built on it, form a dense matrix:
+the oracle of the tests, which no command calls.
 
 This module is the numerical oracle for every symbolic identity in
 :mod:`pararp.algebra`; ``build_generators`` builds each (n, L) once.
@@ -64,6 +66,7 @@ from .algebra import _BLOCK, Polynomial, _zeta_array, classify
 from .exponents import ExponentVector, unit_vector
 
 DIM_CAP = 4096
+# decompose refuses more than this many dim^2/n terms of degree 0 mod n.
 ENUM_CAP = 100_000
 # decompose drops coefficients at most this times 1 + max |A_ij|.
 DECOMPOSE_TOL = 1e-12
@@ -221,21 +224,6 @@ def sector_blocks(p: Polynomial, rep: Representation) -> np.ndarray:
     return np.fft.ifft(g, axis=0, norm="forward")
 
 
-def sector_matrix(blocks: np.ndarray, rep: Representation) -> np.ndarray:
-    """The dim x dim matrix whose charge-sector blocks are ``blocks``: the
-    inverse of sector_blocks."""
-    n, r = rep.order, rep.dim // rep.order
-    # a[d, o, o'] = A[T^d o, o'], and A commutes with T, so
-    # A[T^m o, T^s o'] = a[m - s, o, o'].  The states T^m o are those of
-    # first digit m, rows m r .. m r + r - 1: one gather from
-    # b[o, d r + o'] = a[d, o, o'] fills all rows at once.
-    a = np.fft.fft(blocks, axis=0, norm="forward")
-    b = a.transpose(1, 0, 2).reshape(r, rep.dim)
-    shift, o = np.divmod(rep.orbit_index, r)  # state k = T^shift[k] o[k]
-    cols = (np.arange(n)[:, None] - shift) % n * r + o
-    return b[o.reshape(n, r, 1), cols[:, None, :]].reshape(rep.dim, rep.dim)
-
-
 def to_matrix(p: Polynomial, rep: Representation) -> np.ndarray:
     """Evaluate a normal-ordered polynomial in the representation."""
     return _scatter(p, rep, np.arange(rep.dim), rep.dim).reshape(rep.dim, -1)
@@ -273,7 +261,8 @@ def weyl_table(blocks: np.ndarray, rep: Representation) -> np.ndarray:
     is n times the character sum G[a, b'] = sum_o omega^{b'.d'(o)} D[a, o]
     over the orbit representatives o (first digit 0, the others d'(o)) of
     D[a, o] = E[o, o (+) a] = A[-m mod n, o, o'] for o (+) a = T^m o', with
-    A[d, o, o'] = E[T^d o, o'] the DFT of the blocks (``sector_matrix``):
+    A[d, o, o'] = E[T^d o, o'] the DFT of the blocks, since A commutes with
+    T, so E[T^m o, T^s o'] = A[m - s, o, o'] holds every entry of E:
     one FFT, one gather of dim^2/n entries, no dense E, and two matmuls, the
     character matrix split into Kronecker factors over the first and the
     last half of the digits d'.
@@ -364,29 +353,35 @@ def all_exponent_vectors(n: int, L: int):
         yield ExponentVector(entries, n)
 
 
-def decompose(a: np.ndarray, rep: Representation) -> Polynomial:
-    """Expand a matrix in the monomial basis: coefficients
-    Tr(C_I^* A) / n^{L/2} for all n^L = dim^2 monomials, from one gather
-    D[a, k] = A[k (+) a, k] and an n-ary FFT over the digits of k (see the
-    module docstring); each (a, b) is then mapped back to its I.
-    """
+def decompose(blocks: np.ndarray, rep: Representation) -> Polynomial:
+    """Expand the matrix E whose (n, dim/n, dim/n) charge-sector blocks are
+    ``blocks``, such as e^{-H}, in the monomial basis: the coefficients
+    Tr(C_I^* E) / n^{L/2} above DECOMPOSE_TOL (1 + max |E_ij|), in the
+    lexicographic order of I.  Tr((X^a Z^b)^* E) is omega^{b.a} F[-a, -b]
+    (-a, -b digit-wise), F the Weyl table of E: zero unless the digits of b
+    sum to 0, so only the dim^2/n monomials of degree 0 mod n appear, each
+    (a, b) then mapped back to its I.  Every E_ij is an entry of the DFT of
+    the blocks (``weyl_table``), so no step forms a dense E."""
     n, L, dim = rep.order, rep.sites, rep.dim
-    if a.shape != (dim, dim):
+    r = dim // n
+    if blocks.shape != (n, r, r):
         raise ValueError(
-            f"matrix shape {a.shape} does not match dimension {dim}"
+            f"blocks shape {blocks.shape} does not match {(n, r, r)}"
         )
-    if dim * dim > ENUM_CAP:
+    if dim * r > ENUM_CAP:
         raise DimensionCapError(
-            f"basis size {dim * dim} exceeds enumeration cap {ENUM_CAP}"
+            f"basis size {dim * r} exceeds enumeration cap {ENUM_CAP}"
         )
-    scale = 1.0 + float(np.abs(a).max(initial=0.0))
-    half, digits = L // 2, rep.digits
-    shifted = a[_digit_sum(n, digits[:, :, None], digits), np.arange(dim)]
-    f = np.fft.fftn(shifted.reshape((dim,) + (n,) * half),
-                    axes=range(1, half + 1))
-    coeffs = f.ravel() / dim
+    entries = np.fft.fft(blocks, axis=0, norm="forward")
+    scale = 1.0 + float(np.abs(entries).max(initial=0.0))
+    digits = rep.digits
+    # The state of digits -d(k) mod n for each state k: -a, and for a first
+    # digit 0, the last digits of -b.
+    neg = n ** np.arange(L // 2 - 1, -1, -1) @ (-digits % n)
+    coeffs = weyl_table(blocks, rep)[neg[:, None], neg[:r]] / dim
     keep = np.flatnonzero(np.abs(coeffs) > DECOMPOSE_TOL * scale)
-    x, z = digits[:, keep // dim], digits[:, keep % dim]
+    x, z = digits[:, keep // r], digits[:, keep % r]
+    z[0] = -z.sum(axis=0) % n  # b has charge 0
     # Invert b_f = I_{2f} + I_{2f+1} and a_f = I_{2f+1} + sum_{g>f} b_g.
     later = np.cumsum(z[::-1], axis=0)[::-1] - z
     exponents = np.empty((len(keep), L), dtype=np.int64)
@@ -395,7 +390,9 @@ def decompose(a: np.ndarray, rep: Representation) -> Polynomial:
     # Lexicographic order of I, as the enumeration of the basis.
     order = np.lexsort(exponents.T[::-1])
     exponents = exponents[order]
-    values = coeffs[keep[order]] * rep.zeta[rep.phases(exponents)].conj()
+    # omega^{b.a} zeta^{-phi(I)}
+    phase = 2 * (x * z).sum(axis=0)[order] - rep.phases(exponents)
+    values = coeffs.ravel()[keep[order]] * rep.zeta[phase % (2 * n)]
     return Polynomial._from_arrays(exponents, values, n, L)
 
 

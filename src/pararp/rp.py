@@ -4,13 +4,13 @@ Everything here evaluates trace functionals of the form
 
     f(A, B) = Tr(A theta(B) e^{-H})
 
-against explicit matrices: positivity of f on the diagonal over the
+in the matrix representation: positivity of f on the diagonal over the
 observable algebra of the minus half, Gram positive-semidefiniteness and
-the Schwarz inequality (both at the scale 1 + max |G_ab|), Trotter product
-approximants of e^{-H}, reflection bounds, the known f(c) counterexample on
-the non-gauge-invariant algebra, and loop operator expectations in ground
-states.  The conservation law behind the positivity proof is checked
-symbolically.
+the Schwarz inequality (both at the scale 1 + max |G_ab|), the errors of
+Trotter product approximants of e^{-H}, reflection bounds, the known f(c)
+counterexample on the non-gauge-invariant algebra, and loop operator
+expectations in ground states.  The conservation law behind the
+positivity proof is checked symbolically.
 
 H is gauge invariant, so its matrix is block-diagonal across the n charge
 sectors of :mod:`pararp.representation`, and H reaches every job only as
@@ -18,13 +18,14 @@ those blocks (``sector_blocks``): no job forms a dense H.  e^{-H} is one
 stacked ``matrix_exp`` of n blocks of size dim/n, about n^2 times fewer
 flops than one of size dim: at n = 4, L = 12 (dim 4096) ``rp-check
 --samples 4`` takes 6-8 s on a 2-vCPU Xeon host with one BLAS thread, most
-of it the four dim-1024 exponentials.  ``boltzmann`` assembles the dense
-e^{-H} only where it is the output (``decompose``).  ``matrix_exp`` is the
-degree-13 scaling-and-squaring Pade method in numpy, with its own scaling
-per block, so numpy is the one numerical dependency.  Entries of e^{-H}
-far below ||e^{-H}|| come out of a cancellation across the sectors and so
-lose relative accuracy; the two-site counterexample, where that would
-show, is computed exactly without matrices.
+of it the four dim-1024 exponentials.  ``boltzmann`` returns those blocks
+of e^{-H}, and no job forms a dense e^{-H} either: the Weyl table
+(``boltzmann_table``) and ``decompose`` read the blocks.  ``matrix_exp``
+is the degree-13 scaling-and-squaring Pade method in numpy, with its own
+scaling per block, so numpy is the one numerical dependency.  Entries of
+e^{-H} far below ||e^{-H}|| come out of a cancellation across the sectors
+and so lose relative accuracy; the two-site counterexample, where that
+would show, is computed exactly without matrices.
 
 RP reduces to one object (Jaffe-Pedrocchi): the matrix M_IJ =
 Tr(C_I theta(C_J) e^{-H}) over the monomials C_I of the minus half
@@ -80,7 +81,6 @@ from .representation import (
     Representation,
     pair_traces,
     sector_blocks,
-    sector_matrix,
     weyl_table,
 )
 
@@ -167,15 +167,15 @@ def _pade_sum(powers, k, eye, out, scratch):
 
 
 def boltzmann(h: Polynomial, rep: Representation) -> np.ndarray:
-    """e^{-H} for a gauge-invariant polynomial H, as one stacked matrix
-    exponential over its n charge-sector blocks."""
-    return sector_matrix(matrix_exp(-sector_blocks(h, rep)), rep)
+    """The (n, dim/n, dim/n) charge-sector blocks of e^{-H} for a
+    gauge-invariant polynomial H: one stacked matrix exponential."""
+    return matrix_exp(-sector_blocks(h, rep))
 
 
 def boltzmann_table(spec: HamiltonianSpec, rep: Representation) -> np.ndarray:
     """The Weyl table of e^{-H}, H = spec.total(), that every trace against
     e^{-H} is read from (``rp_matrix``), built from its sector blocks."""
-    return weyl_table(matrix_exp(-sector_blocks(spec.total(), rep)), rep)
+    return weyl_table(boltzmann(spec.total(), rep), rep)
 
 
 @dataclass
@@ -432,18 +432,6 @@ def _hermitized(g: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 # -- Trotter --------------------------------------------------------------
-
-
-def trotter_approximant(
-    spec: HamiltonianSpec, rep: Representation, k: int
-) -> np.ndarray:
-    """[(Id - H_0/k) e^{-H_-/k} e^{-theta(H_-)/k}]^k, computed blockwise
-    over the charge sectors with e^{-(H_- + theta(H_-))/k} for the commuting
-    pair of exponentials."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    h0, halves = _trotter_parts(spec, rep)
-    return sector_matrix(_trotter_power(h0, matrix_exp(-halves / k), k), rep)
 
 
 def _trotter_parts(spec: HamiltonianSpec, rep: Representation) -> tuple:

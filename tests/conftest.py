@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
-from pararp.representation import _orbit_sums, build_generators
+from pararp import rp
+from pararp.algebra import Polynomial
+from pararp.representation import (
+    DECOMPOSE_TOL, _digit_sum, _orbit_sums, build_generators,
+)
 
 # build_generators keeps one representation per (n, L) and process.
 rep_for = build_generators
@@ -70,3 +74,56 @@ def reference_phases(rep, exponents):
     cross = (exponents @ np.triu(g, 1) * exponents).sum(axis=1)
     own = (exponents * (exponents - 1)) @ g.diagonal()
     return (exponents @ rep.zeta_exp + own + 2 * cross) % (2 * n)
+
+
+def dense_matrix(blocks, rep):
+    """The dense dim x dim matrix whose charge-sector blocks are ``blocks``:
+    the inverse of representation.sector_blocks, and the dense E that the
+    Weyl table, decompose and the Trotter errors stand for."""
+    n, r = rep.order, rep.dim // rep.order
+    # a[d, o, o'] = A[T^d o, o'], and A commutes with T, so
+    # A[T^m o, T^s o'] = a[m - s, o, o'].  The states T^m o are those of
+    # first digit m, rows m r .. m r + r - 1: one gather from
+    # b[o, d r + o'] = a[d, o, o'] fills all rows at once.
+    a = np.fft.fft(blocks, axis=0, norm="forward")
+    b = a.transpose(1, 0, 2).reshape(r, rep.dim)
+    shift, o = np.divmod(rep.orbit_index, r)  # state k = T^shift[k] o[k]
+    cols = (np.arange(n)[:, None] - shift) % n * r + o
+    return b[o.reshape(n, r, 1), cols[:, None, :]].reshape(rep.dim, rep.dim)
+
+
+def dense_decompose(a, rep):
+    """Any dense dim x dim matrix A in the monomial basis: the coefficients
+    Tr(C_I^* A) / dim of all n^L = dim^2 monomials above DECOMPOSE_TOL
+    (1 + max |A_ij|), from one gather D[a, k] = A[k (+) a, k] and an n-ary
+    FFT over the digits of k, in the lexicographic order of I: the
+    reference for representation.decompose, which reads the Weyl table of
+    the blocks of a matrix that commutes with the gauge shift."""
+    n, L, dim = rep.order, rep.sites, rep.dim
+    assert a.shape == (dim, dim)
+    scale = 1.0 + float(np.abs(a).max(initial=0.0))
+    half, digits = L // 2, rep.digits
+    shifted = a[_digit_sum(n, digits[:, :, None], digits), np.arange(dim)]
+    f = np.fft.fftn(shifted.reshape((dim,) + (n,) * half),
+                    axes=range(1, half + 1))
+    coeffs = f.ravel() / dim
+    keep = np.flatnonzero(np.abs(coeffs) > DECOMPOSE_TOL * scale)
+    x, z = digits[:, keep // dim], digits[:, keep % dim]
+    # Invert b_f = I_{2f} + I_{2f+1} and a_f = I_{2f+1} + sum_{g>f} b_g.
+    later = np.cumsum(z[::-1], axis=0)[::-1] - z
+    exponents = np.empty((len(keep), L), dtype=np.int64)
+    exponents[:, 1::2] = ((x - later) % n).T
+    exponents[:, 0::2] = (z.T - exponents[:, 1::2]) % n
+    order = np.lexsort(exponents.T[::-1])
+    exponents = exponents[order]
+    values = coeffs[keep[order]] * rep.zeta[rep.phases(exponents)].conj()
+    return Polynomial._from_arrays(exponents, values, n, L)
+
+
+def trotter_approximant(spec, rep, k):
+    """[(Id - H_0/k) e^{-(H_- + theta(H_-))/k}]^k as a dense matrix, from
+    the blockwise product that rp.trotter_convergence takes over the
+    charge sectors, on all n of them."""
+    h0, halves = rp._trotter_parts(spec, rep)
+    step = rp._trotter_power(h0, rp.matrix_exp(-halves / k), k)
+    return dense_matrix(step, rep)

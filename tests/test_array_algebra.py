@@ -31,11 +31,9 @@ from pararp.algebra import (
 )
 from pararp.exponents import ExponentVector, degree, unit_vector, zero_vector
 from pararp.hamiltonian import CouplingTable, baxter, build_h0
-from pararp.representation import (
-    build_generators, sector_matrix, to_matrix, weyl_table,
-)
+from pararp.representation import build_generators, to_matrix, weyl_table
 
-from conftest import rep_for
+from conftest import dense_matrix, rep_for, trotter_approximant
 
 CELLS = [(n, L) for n in (2, 3, 4, 5) for L in (2, 4, 8, 12, 20)]
 WIDE = (5, 28)  # 5^28 > 2^63: rows need two int64 codes
@@ -480,7 +478,7 @@ def test_to_matrix_and_traces_never_build_terms(count_vectors):
     b = canonical_product(a, reflect(a))
     # E from its charge-sector blocks, as the Weyl table reads it.
     blocks = rng.normal(size=(n, rep.dim // n, rep.dim // n)) + 0j
-    e, table = sector_matrix(blocks, rep), weyl_table(blocks, rep)
+    e, table = dense_matrix(blocks, rep), weyl_table(blocks, rep)
     count_vectors.clear()
     m = to_matrix(b, rep)
     forms = rp._pair(a, b, rep, table)
@@ -512,7 +510,7 @@ def test_trotter_convergence_reuses_parts(monkeypatch):
     rep = build_generators(2, 6)
     expected = {
         k: float(np.linalg.norm(
-            rp.trotter_approximant(spec, rep, k)
+            trotter_approximant(spec, rep, k)
             - rp.matrix_exp(-to_matrix(spec.total(), rep))
         ))
         for k in (8, 16)

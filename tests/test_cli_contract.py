@@ -153,6 +153,40 @@ def test_huge_baxter_couplings_report_finite_gaps(tmp_path):
     assert all(map(math.isfinite, gaps)) and report["matrix_ok"]
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_huge_decompose_reports_a_finite_gap(tmp_path):
+    """e^{-H} near 5.7e222: exit 0 with a finite round-trip gap, standard
+    JSON and nothing on stderr, in a fresh interpreter, so that a
+    RuntimeWarning would show."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"baxter": {"n": 2, "L": 4,
+                                           "t": [230, -230, 230]}}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "pararp.cli", "decompose", "--spec", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": env_path},
+    )
+    assert result.returncode == 0 and result.stderr == ""
+    report = json.loads(result.stdout, parse_constant=_reject_constant)
+    assert math.isfinite(report["roundtrip_gap"]) and report["passed"]
+    assert max(abs(c) for t in report["terms"] for c in t["coefficient"]) > 1e222
+
+
+def test_non_finite_decompose_gap_is_not_passed(tmp_path, monkeypatch, capsys):
+    # inf <= 1e-10 * (1 + inf): an infinite gap under an infinite scale.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"baxter": {"n": 2, "L": 4,
+                                           "t": [1.0, -0.5, 1.0]}}))
+    monkeypatch.setattr(cli, "_norm", lambda x: math.inf)
+    code, out, _ = run(capsys, "decompose", "--spec", str(path))
+    assert code == cli.VIOLATIONS and json.loads(out)["passed"] is False
+
+
 def test_verify_relations_far_past_the_cap(capsys):
     code, out, err = run(capsys, "verify-relations", "--n", "3", "--L", "2000000")
     assert code == cli.ERROR and out == ""

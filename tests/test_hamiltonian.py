@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from pararp.hamiltonian import (
 from pararp.representation import to_matrix
 
 from conftest import rep_for
+from test_sectors import baxter_spec, general_spec
 
 
 def mono(entries, n, coeff=1.0):
@@ -159,16 +161,64 @@ class TestCheckSymmetries:
         spec = baxter(3, 4, [1.0, -0.5, 1.0])
         assert not check_symmetries(spec, rep_for(3, 4))["matrix_ok"]
 
+    @pytest.mark.parametrize("n,L", [(2, 2), (2, 6), (3, 4), (3, 6), (4, 4),
+                                     (5, 2), (2, 8)])
+    def test_parseval_gaps_are_the_dense_gaps(self, n, L):
+        """The gaps from the coefficients equal the dense matrices' gaps
+        ||to_matrix(f(H)) - to_matrix(H)||_F, on specs and on a stand-in
+        whose H is neither theta- nor gauge-invariant, where both gaps are
+        far from zero."""
+        rep = rep_for(n, L)
+        rng = np.random.default_rng(11 * n + L)
+        charged = mono([1] + [0] * (L - 1), n, coeff=0.3 - 0.2j)
+        stand_in = general_spec(n, L, rng).total() + charged
+
+        class StandIn:
+            def total(self):
+                return stand_in
+
+        for spec in (baxter_spec(n, L, rng), general_spec(n, L, rng), StandIn()):
+            h = spec.total()
+            m = to_matrix(h, rep)
+            dense = [float(np.linalg.norm(to_matrix(f(h), rep) - m))
+                     for f in (reflect, gauge_apply)]
+            scale = 1.0 + float(np.linalg.norm(m))
+            report = check_symmetries(spec, rep)
+            gaps = [report["reflection_matrix_gap"], report["gauge_matrix_gap"]]
+            assert np.allclose(gaps, dense, rtol=1e-12, atol=1e-13 * scale)
+            if isinstance(spec, StandIn):
+                assert min(gaps) > 0.1 and not report["matrix_ok"]
+            else:
+                assert report["matrix_ok"]
+
+    def test_check_symmetries_holds_no_matrix(self):
+        """The Baxter test spec at (4, 12), dim 4096: a dense matrix of H
+        alone would take 256 MiB; the whole check peaks below 1 MiB."""
+        n, L = 4, 12
+        t = [1.0] * (L - 1)
+        t[L // 2 - 1] = -0.5
+        spec, rep = baxter(n, L, t), rep_for(n, L)
+        check_symmetries(spec, rep)  # the caches of the first call
+        tracemalloc.start()
+        try:
+            report = check_symmetries(spec, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["matrix_ok"] and peak < 2**20
+
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 3.0, 1e200, 1e305])
     def test_scaled_norm_is_the_frobenius_norm(self, scale):
         rng = np.random.default_rng(5)
         x = scale * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
         with np.errstate(over="ignore"):
             plain = float(np.linalg.norm(x))
+        before = x.copy()
         if math.isfinite(plain):
             assert hamiltonian._norm(x) == plain
         else:  # the exact value is about 12.7 scale
             assert hamiltonian._norm(x) == pytest.approx(12.7 * scale, rel=0.2)
+        assert np.array_equal(x, before)  # x is read, not scaled in place
 
 
 class TestSpecIsDerived:

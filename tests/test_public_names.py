@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from pararp import rp
+from pararp import cli, hamiltonian, representation, rp
 from pararp.algebra import Polynomial, from_text, to_text
 from pararp.exponents import ExponentVector
 from pararp.hamiltonian import baxter
@@ -65,3 +65,15 @@ def test_tracer_shapes():
     assert [label for label, _ in structured] == [
         "identity", "C(1, 2, 0, 0)", "C(2, 1, 0, 0)"]
     assert all(isinstance(p, Polynomial) for _, p in structured)
+
+
+def test_program_modules_build_no_dense_matrix():
+    """rp, cli and hamiltonian work on polynomials and charge-sector blocks:
+    they hold no name of a dense builder and do not mention one, and the
+    package no longer has sector_matrix or a dense Trotter approximant."""
+    for module in (rp, cli, hamiltonian):
+        assert not {"to_matrix", "sector_matrix"} & set(vars(module))
+        source = inspect.getsource(module)
+        assert "to_matrix" not in source and "sector_matrix" not in source
+    assert not hasattr(representation, "sector_matrix")
+    assert not hasattr(rp, "trotter_approximant")

@@ -4,8 +4,10 @@ Trotter paths of pararp.rp.
 Every assembled spec has that form, so both auxiliary Hamiltonians of the
 reflection bounds are H itself and H_-, theta(H_-) commute.  The bounds are
 compared with a dense reference that exponentiates the three auxiliary
-Hamiltonians separately, and the Trotter approximant with the dense product
-of the two half-chain exponentials.  A spec of another form cannot be
+Hamiltonians separately, and the blockwise Trotter approximant
+(``trotter_approximant`` of tests/conftest.py, from the sector factors
+of rp.trotter_convergence) with the dense product of the two half-chain
+exponentials.  A spec of another form cannot be
 built (tests/test_hamiltonian.py, TestSpecIsDerived).
 """
 
@@ -22,7 +24,7 @@ from pararp.algebra import (
 )
 from pararp.representation import to_matrix
 
-from conftest import rep_for
+from conftest import rep_for, trotter_approximant
 from test_sectors import baxter_spec, general_spec
 
 CELLS = [(2, 2), (2, 4), (2, 6), (3, 4), (3, 6), (4, 4), (5, 4)]
@@ -128,5 +130,5 @@ def test_trotter_approximant_matches_the_product_of_half_exponentials(
             @ scipy.linalg.expm(-hm / k) @ scipy.linalg.expm(-hp / k)
         )
         ref = np.linalg.matrix_power(step, k)
-        got = rp.trotter_approximant(spec, rep, k)
+        got = trotter_approximant(spec, rep, k)
         assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(ref).max())

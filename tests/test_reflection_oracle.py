@@ -23,7 +23,7 @@ from pararp.exponents import ExponentVector
 from pararp.hamiltonian import baxter
 from pararp.representation import to_matrix
 
-from conftest import rep_for
+from conftest import dense_matrix, rep_for
 
 # Every (n, L) with dim = n^{L/2} <= 64.
 ORACLE_CELLS = [(n, L) for n in range(2, 9) for L in range(2, 13, 2)
@@ -97,7 +97,7 @@ def test_an_observable_commutes_with_its_reflection(n, L):
     rng = np.random.default_rng(10 * n + L)
     t = [1.0] * (L - 1)
     t[L // 2 - 1] = -0.5
-    e = rp.boltzmann(baxter(n, L, t).total(), rep)
+    e = dense_matrix(rp.boltzmann(baxter(n, L, t).total(), rep), rep)
     for _ in range(3):
         a = rp.random_minus_observable(n, L, rng)
         ta = reflect(a)

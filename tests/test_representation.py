@@ -14,7 +14,7 @@ from pararp.representation import (
     build_generators,
     clock_shift,
     decompose,
-    sector_matrix,
+    sector_blocks,
     to_matrix,
     trace_monomial,
     verify_yamazaki,
@@ -22,8 +22,8 @@ from pararp.representation import (
 )
 
 from conftest import (
-    dense_weyl_table, random_blocks, reference_phases, reference_weyl_table,
-    rep_for,
+    dense_decompose, dense_matrix, dense_sector_blocks, dense_weyl_table,
+    random_blocks, reference_phases, reference_weyl_table, rep_for,
 )
 
 
@@ -182,7 +182,7 @@ class TestSharedRepresentation:
             blocks = random_blocks(rep, rng)
             table = weyl_table(blocks, rep)
             assert np.array_equal(table, reference_weyl_table(blocks, rep))
-            dense = dense_weyl_table(sector_matrix(blocks, rep), rep)
+            dense = dense_weyl_table(dense_matrix(blocks, rep), rep)
             assert np.array_equal(table, dense)
             e = rng.integers(0, n, size=(64, L))
             assert np.array_equal(rep.phases(e), reference_phases(rep, e))
@@ -259,29 +259,56 @@ class TestTraceTheorem:
 
 
 class TestDecompose:
+    """decompose reads the charge-sector blocks of a matrix that commutes
+    with the gauge shift; dense_decompose expands any dense matrix."""
+
     def test_identity(self):
         rep = rep_for(3, 2)
-        p = decompose(np.eye(3, dtype=complex), rep)
+        # The identity in each of the three sectors of dimension 1.
+        p = decompose(np.ones((3, 1, 1), dtype=complex), rep)
+        assert p.almost_equal(Polynomial.identity(3, 2))
+        p = dense_decompose(np.eye(3, dtype=complex), rep)
         assert p.almost_equal(Polynomial.identity(3, 2))
 
     def test_single_monomial(self):
         rep = rep_for(3, 2)
-        vec = ExponentVector((1, 2), 3)
-        p = decompose(rep.monomial_matrix(vec), rep)
-        assert list(p.terms) == [vec]
-        assert abs(p.terms[vec] - 1) < 1e-12
+        vec = ExponentVector((1, 2), 3)  # degree 3: gauge invariant
+        m = rep.monomial_matrix(vec)
+        for p in (decompose(dense_sector_blocks(m, rep), rep),
+                  dense_decompose(m, rep)):
+            assert list(p.terms) == [vec]
+            assert abs(p.terms[vec] - 1) < 1e-12
 
     def test_round_trip_random(self):
         rep = rep_for(2, 4)
         rng = np.random.default_rng(31)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        p = decompose(a, rep)
+        p = dense_decompose(a, rep)
         assert np.abs(to_matrix(p, rep) - a).max() < 1e-10
+        blocks = random_blocks(rep, rng)
+        p = decompose(blocks, rep)
+        assert np.abs(to_matrix(p, rep) - dense_matrix(blocks, rep)).max() < 1e-10
+        assert np.abs(sector_blocks(p, rep) - blocks).max() < 1e-10
 
     def test_shape_mismatch(self):
         rep = rep_for(3, 2)
         with pytest.raises(ValueError):
             decompose(np.eye(4), rep)
+        with pytest.raises(ValueError, match="does not match"):
+            decompose(np.eye(3, dtype=complex), rep)
+
+    def test_enumeration_cap_bounds_the_invariant_terms(self):
+        """ENUM_CAP bounds the dim^2/n charge-0 terms: (7, 6), 16807 of
+        them, runs, where all dim^2 = 117649 once passed the cap."""
+        rep = rep_for(7, 6)
+        blocks = random_blocks(rep, np.random.default_rng(2))
+        p = decompose(blocks, rep)
+        assert len(p.coeffs) == 7**5
+        assert (p.exponents.sum(axis=1) % 7 == 0).all()
+        rep = rep_for(2, 18)
+        with pytest.raises(DimensionCapError,
+                           match="basis size 131072 exceeds enumeration cap"):
+            decompose(random_blocks(rep, np.random.default_rng(2)), rep)
 
 
 class TestPrimitiveRP:
@@ -358,29 +385,40 @@ def test_permutation_kernel_matches_dense(n, L):
     dim = rep.dim
     rng = np.random.default_rng(100 * n + L)
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    ref_coeffs = {}
-    chosen = {}
+    # e commutes with the gauge shift, as decompose needs.
+    blocks = random_blocks(rep, rng)
+    e = dense_matrix(blocks, rep)
+    ref_coeffs, e_coeffs = {}, {}
+    chosen, invariant = {}, {}
     dense_sum = np.zeros((dim, dim), dtype=complex)
+    invariant_sum = np.zeros((dim, dim), dtype=complex)
     for entries, c_ref in _dense_monomials(gens, n):
         vec = ExponentVector(entries, n)
         assert np.abs(rep.monomial_matrix(vec) - c_ref).max() < 1e-12
         ref_coeffs[vec] = np.vdot(c_ref, a) / dim  # Tr(C_I^* A) / dim
+        e_coeffs[vec] = np.vdot(c_ref, e) / dim
         if rng.random() < 0.3:
             chosen[vec] = complex(rng.normal(), rng.normal())
             dense_sum += chosen[vec] * c_ref
+            if sum(entries) % n == 0:
+                invariant[vec] = chosen[vec]
+                invariant_sum += chosen[vec] * c_ref
 
-    p = decompose(a, rep)
-    scale = 1.0 + np.abs(a).max()
-    assert set(p.terms) == {
-        v for v, c in ref_coeffs.items() if abs(c) > 1e-12 * scale
-    }
-    assert max(abs(c - ref_coeffs[v]) for v, c in p.terms.items()) < 1e-12
+    for p, x, coeffs in ((dense_decompose(a, rep), a, ref_coeffs),
+                         (decompose(blocks, rep), e, e_coeffs)):
+        scale = 1.0 + np.abs(x).max()
+        assert set(p.terms) == {
+            v for v, c in coeffs.items() if abs(c) > 1e-12 * scale
+        }
+        assert max(abs(c - coeffs[v]) for v, c in p.terms.items()) < 1e-12
 
     q = Polynomial(chosen, n, L)
     # Relative: each of the terms carries the reference's rounding.
     gap = np.abs(to_matrix(q, rep) - dense_sum).max()
     assert gap < 1e-12 * (1.0 + np.abs(dense_sum).max())
-    assert set(decompose(dense_sum, rep).terms) == set(chosen)
+    assert set(dense_decompose(dense_sum, rep).terms) == set(chosen)
+    invariant_blocks = dense_sector_blocks(invariant_sum, rep)
+    assert set(decompose(invariant_blocks, rep).terms) == set(invariant)
 
 
 def _verify_dense(rep):
@@ -448,13 +486,15 @@ class TestVerifyFastPath:
 
 @pytest.mark.parametrize("n,L", [(4, 8), (3, 10), (2, 16)])
 def test_weyl_transform_matches_traces(n, L):
-    """decompose (one gather and an FFT) against Tr(C_I^* A) / dim from the
-    dense monomial matrices, on sampled I."""
+    """decompose (from the Weyl table of the blocks) against
+    Tr(C_I^* A) / dim from the dense monomial matrices, on sampled I, for a
+    random A that commutes with the gauge shift."""
     rep = build_generators(n, L)
     dim = rep.dim
     rng = np.random.default_rng(10 * n + L)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    p = decompose(a, rep)
+    blocks = random_blocks(rep, rng)
+    a = dense_matrix(blocks, rep)
+    p = decompose(blocks, rep)
     terms = p.terms
     for entries in rng.integers(0, n, size=(200, L)):
         vec = ExponentVector(tuple(int(e) for e in entries), n)

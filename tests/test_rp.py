@@ -21,7 +21,7 @@ from pararp.hamiltonian import (
 from pararp import rp
 from pararp.representation import to_matrix
 
-from conftest import rep_for
+from conftest import rep_for, trotter_approximant
 
 
 def mono(entries, n, coeff=1.0):
@@ -186,13 +186,13 @@ class TestTrotter:
         eye = np.eye(rep.dim, dtype=complex)
         h0 = to_matrix(spec.h_zero, rep)
         expected = (eye - h0) @ eye @ eye  # H_- = 0
-        assert np.abs(rp.trotter_approximant(spec, rep, 1) - expected).max() < 1e-13
+        assert np.abs(trotter_approximant(spec, rep, 1) - expected).max() < 1e-13
 
     def test_pure_crossing_limit(self):
         spec = rp.crossing_only_spec(2)
         rep = rep_for(2, 2)
         exact = rp.matrix_exp(-to_matrix(spec.h_zero, rep))
-        err = np.linalg.norm(rp.trotter_approximant(spec, rep, 512) - exact)
+        err = np.linalg.norm(trotter_approximant(spec, rep, 512) - exact)
         assert err < 0.01
 
     @pytest.mark.parametrize(

@@ -30,13 +30,16 @@ from pararp.hamiltonian import CouplingTable, assemble, baxter, spec_from_dict
 from pararp.representation import (
     build_generators,
     clock_shift,
+    decompose,
     sector_blocks,
-    sector_matrix,
     to_matrix,
     verify_yamazaki,
 )
 
-from conftest import dense_sector_blocks, dense_weyl_table, rep_for
+from conftest import (
+    dense_decompose, dense_matrix, dense_sector_blocks, dense_weyl_table,
+    random_blocks, rep_for, trotter_approximant,
+)
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256, L = 2 included.
 CELLS = [
@@ -126,7 +129,7 @@ def test_gauge_shift_scales_generators_and_has_orbits_of_n(n, L):
     assert (rep.orbit_index[rep.orbit.ravel()] == np.arange(rep.dim)).all()
 
 
-# -- sector_blocks and sector_matrix -------------------------------------------
+# -- sector_blocks ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n,L", CELLS)
@@ -137,7 +140,7 @@ def test_round_trip_parseval_and_products(n, L):
     a = to_matrix(p, rep)
     blocks_a, blocks_b = sector_blocks(p, rep), sector_blocks(q, rep)
     assert blocks_a.shape == (n, rep.dim // n, rep.dim // n)
-    assert scaled_gap(sector_matrix(blocks_a, rep), a) < 1e-13
+    assert scaled_gap(dense_matrix(blocks_a, rep), a) < 1e-13
     parseval = (np.abs(blocks_a) ** 2).sum()
     assert abs(parseval - (np.abs(a) ** 2).sum()) < 1e-12 * parseval
     # The block map is an algebra homomorphism: the blocks of AB are the
@@ -210,7 +213,8 @@ def test_boltzmann_matches_dense_expm(n, L, kind):
     if kind != "baxter":
         assert (np.abs(m - m.conj().T).max() < 1e-12) == (kind == "hermitian")
     ref = scipy.linalg.expm(-m)
-    got = rp.boltzmann(h, build_generators(n, L))
+    rep = build_generators(n, L)
+    got = dense_matrix(rp.boltzmann(h, rep), rep)
     assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(ref).max())
 
 
@@ -223,7 +227,37 @@ def test_boltzmann_rejects_non_observable():
 
 def test_boltzmann_of_zero_is_identity():
     rep = rep_for(3, 6)
-    assert np.array_equal(rp.boltzmann(Polynomial.zero(3, 6), rep), np.eye(27))
+    blocks = rp.boltzmann(Polynomial.zero(3, 6), rep)
+    assert np.array_equal(blocks, np.broadcast_to(np.eye(9), (3, 9, 9)))
+    assert np.array_equal(dense_matrix(blocks, rep), np.eye(27))
+
+
+# -- decompose ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["hermitian", "non-hermitian", "baxter", "random"])
+@pytest.mark.parametrize("n,L", CELLS)
+def test_decompose_matches_the_dense_reference(n, L, kind):
+    """decompose of the blocks of e^{-H}, or of random blocks, against the
+    dense expansion of the matrix E they stand for, at every cell with
+    dim <= 256: the same exponent arrays, and coefficients within
+    1e-13 (1 + max |E_ij|)."""
+    rng = np.random.default_rng(5 * n + L)
+    rep = rep_for(n, L)
+    if kind == "random":
+        blocks = random_blocks(rep, rng)
+    else:
+        make = baxter_spec if kind == "baxter" else general_spec
+        h = make(n, L, rng).total()
+        if kind == "hermitian":
+            h = h + adjoint(h)
+        blocks = rp.boltzmann(h, rep)
+    e = dense_matrix(blocks, rep)
+    got, ref = decompose(blocks, rep), dense_decompose(e, rep)
+    assert len(got.coeffs) > 0
+    assert np.array_equal(got.exponents, ref.exponents)
+    gap = np.abs(got.coeffs - ref.coeffs).max()
+    assert gap <= 1e-13 * (1 + np.abs(e).max())
 
 
 # -- stacked matrix_exp ----------------------------------------------------------
@@ -282,7 +316,7 @@ def test_trotter_matches_dense_reference(n, L, kind):
         approx = dense_trotter(spec, rep, k)
         ref = float(np.linalg.norm(approx - exact))
         assert abs(conv["errors"][k] - ref) <= 1e-10 * ref
-        assert scaled_gap(rp.trotter_approximant(spec, rep, k), approx) < 1e-12
+        assert scaled_gap(trotter_approximant(spec, rep, k), approx) < 1e-12
     assert set(conv["ratios"]) == {4, 8}
 
 
@@ -511,8 +545,14 @@ COMMANDS = (
 )
 
 
+def dense_block(p, rep):
+    """The dense matrix of p, as one block."""
+    return to_matrix(p, rep)[None]
+
+
 def dense_boltzmann(h, rep):
-    return rp.matrix_exp(-to_matrix(h, rep))
+    """e^{-H} from the dense matrix of H, as one block."""
+    return rp.matrix_exp(-dense_block(h, rep))
 
 
 def assert_reports_close(got, ref, path="report"):
@@ -555,16 +595,29 @@ def test_cli_report_matches_dense_boltzmann(command, name, tmp_path,
     argv = command + ["--spec", str(path)]
     code = cli.main(argv)
     out, err = capsys.readouterr()
-    # The dense path: e^{-H} from the full matrix, its Weyl table gathered
-    # from the dense e^{-H}, and dense Trotter products.
-    monkeypatch.setattr(rp, "boltzmann", dense_boltzmann)
-    monkeypatch.setattr(rp, "sector_blocks", lambda p, rep: to_matrix(p, rep)[None])
-    monkeypatch.setattr(rp, "sector_matrix", lambda blocks, rep: blocks[0])
+    # The dense path: e^{-H} from the full matrix, as one block; its Weyl
+    # table gathered from the dense e^{-H}; dense Trotter products; and the
+    # expansion of the dense e^{-H} over all monomials, its round trip gap
+    # taken on to_matrix of the terms.
+    used = []
+
+    def recorded(name, fn):
+        return lambda *args: used.append(name) or fn(*args)
+
+    monkeypatch.setattr(rp, "boltzmann", recorded("boltzmann", dense_boltzmann))
+    monkeypatch.setattr(rp, "sector_blocks", dense_block)
     monkeypatch.setattr(rp, "weyl_table",
                         lambda blocks, rep: dense_weyl_table(blocks[0], rep))
     monkeypatch.setattr(rp, "trotter_convergence", dense_trotter_convergence)
+    monkeypatch.setattr(cli, "decompose", recorded(
+        "decompose", lambda blocks, rep: dense_decompose(blocks[0], rep)))
+    monkeypatch.setattr(cli, "sector_blocks",
+                        recorded("sector_blocks", dense_block))
     ref_code = cli.main(argv)
     ref_out, ref_err = capsys.readouterr()
+    # The reference ran on the dense path, not on the one under test.
+    assert used == {"trotter": [], "decompose": [
+        "boltzmann", "decompose", "sector_blocks"]}.get(command[0], ["boltzmann"])
     assert code == ref_code
     if code == cli.ERROR:
         assert out == ref_out == ""

@@ -6,8 +6,8 @@ M_IJ = Tr(C_I theta(C_J) E) over monomials of the minus half
 (``rp.rp_matrix``), read by one kernel, ``representation.pair_traces``:
 one lookup per monomial pair in the Weyl table of E (``weyl_table``), built
 once per Boltzmann factor from the charge-sector blocks of E.  Here the
-blocks are random, and the dense E they stand for is ``sector_matrix`` of
-them.  The references multiply dense matrices instead:
+blocks are random, and the dense E they stand for is ``dense_matrix`` of
+them (tests/conftest.py).  The references multiply dense matrices instead:
 Tr(to_matrix(X) @ to_matrix(theta(Y)) @ E).
 """
 
@@ -24,11 +24,10 @@ from pararp.algebra import Polynomial, reflect
 from pararp.exponents import ExponentVector
 from pararp.hamiltonian import baxter, spec_from_dict
 from pararp.representation import (
-    _digit_sum, pair_traces, sector_blocks, sector_matrix, to_matrix,
-    weyl_table,
+    _digit_sum, pair_traces, sector_blocks, to_matrix, weyl_table,
 )
 
-from conftest import dense_weyl_table, random_blocks, rep_for
+from conftest import dense_matrix, dense_weyl_table, random_blocks, rep_for
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256.
 CELLS = [
@@ -103,7 +102,7 @@ class TestKernelAgainstDense:
         rng = np.random.default_rng(1000 * n + L)
         rep = rep_for(n, L)
         blocks = random_blocks(rep, rng)
-        e, table = sector_matrix(blocks, rep), weyl_table(blocks, rep)
+        e, table = dense_matrix(blocks, rep), weyl_table(blocks, rep)
         rows = np.zeros((6, L), dtype=np.int64)
         rows[1:, :L // 2] = rng.integers(0, n, size=(5, L // 2))
         assert_close(rp.rp_matrix(rows, rep, table), dense_rp_matrix(rows, rep, e))
@@ -126,7 +125,7 @@ class TestKernelAgainstDense:
         rng = np.random.default_rng(n * L)
         rep = rep_for(n, L)
         blocks = random_blocks(rep, rng)
-        e = sector_matrix(blocks, rep)
+        e = dense_matrix(blocks, rep)
         exponents = rng.integers(0, n, size=(6, L))
         exponents[0] = 0  # the identity
         s, t = rng.integers(0, 6, size=40), rng.integers(0, 6, size=40)
@@ -158,7 +157,7 @@ class TestKernelAgainstDense:
         else 0."""
         rep = rep_for(n, L)
         blocks = random_blocks(rep, np.random.default_rng(n + L))
-        e = sector_matrix(blocks, rep)
+        e = dense_matrix(blocks, rep)
         d = rep.digits
         gathered = e[np.arange(rep.dim), _digit_sum(n, d[:, None], d[:, :, None])]
         f = gathered @ np.exp(2j * np.pi / n * (d.T @ d))  # F[a, b]
@@ -173,7 +172,7 @@ class TestKernelAgainstDense:
     @pytest.mark.parametrize("n,L", TABLE_CELLS)
     def test_table_from_blocks_is_the_dense_gather(self, n, L):
         """weyl_table of the blocks equals, bit for bit, the table gathered
-        from the dense sector_matrix of the same blocks, for random blocks
+        from the dense matrix of the same blocks, for random blocks
         and for those of e^{-H} of the Baxter test spec."""
         rep = rep_for(n, L)
         t = [1.0] * (L - 1)
@@ -181,7 +180,7 @@ class TestKernelAgainstDense:
         spec = baxter(n, L, t)
         for blocks in (random_blocks(rep, np.random.default_rng(n * L)),
                        rp.matrix_exp(-sector_blocks(spec.total(), rep))):
-            dense = dense_weyl_table(sector_matrix(blocks, rep), rep)
+            dense = dense_weyl_table(dense_matrix(blocks, rep), rep)
             assert np.array_equal(weyl_table(blocks, rep), dense)
 
 
@@ -301,9 +300,9 @@ class TestBoundsFactors:
 def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
     """One Weyl table per Boltzmann factor and one RP matrix per job: each
     rp-check, gram and bounds job builds one table, from the sector blocks of
-    e^{-H} with no dense e^{-H} (sector_matrix), and reads every trace it
-    needs from it in one _forms, one pair_traces call, however many
-    probes it draws.  No job builds a dense matrix of a polynomial: H
+    e^{-H} with no dense e^{-H} (rp holds no sector_matrix to build one),
+    and reads every trace it needs from it in one _forms, one pair_traces
+    call, however many probes it draws.  No job builds a dense matrix of a polynomial: H
     reaches it only as sector blocks, one sector_blocks call per distinct
     Hamiltonian, H or, for trotter, H_0 and H_- + H_+."""
     path = tmp_path / "spec.json"
@@ -311,13 +310,13 @@ def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
         {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.6, -0.5, 0.6, 1.0]}}
     ))
     calls = count_calls(monkeypatch, "weyl_table", "pair_traces",
-                        "sector_matrix", "_forms", "sector_blocks")
+                        "_forms", "sector_blocks")
     code, _ = run_cli(command + ["--spec", str(path)])
     assert code == 0
     table = int(command[0] != "trotter")
     assert calls == {"weyl_table": table, "pair_traces": table,
-                     "sector_matrix": 0, "_forms": table,
-                     "sector_blocks": 2 - table, "dense": 0}
+                     "_forms": table, "sector_blocks": 2 - table, "dense": 0}
+    assert "sector_matrix" not in vars(rp)
 
 
 # -- CLI reports against the dense reference --------------------------------
@@ -398,7 +397,7 @@ def test_cli_report_matches_dense_reference(argv, name, tmp_path, monkeypatch,
     table_orig = rp.weyl_table
     monkeypatch.setattr(
         rp, "weyl_table", lambda blocks, rep:
-        seen.append(sector_matrix(blocks, rep)) or table_orig(blocks, rep)
+        seen.append(dense_matrix(blocks, rep)) or table_orig(blocks, rep)
     )
     monkeypatch.setattr(
         rp, "pair_traces", lambda rep, exponents, s, t, table: dense_traces(
@@ -438,7 +437,7 @@ def test_probe_forms_match_dense(name, seed):
     spec = spec_from_dict(SPECS[name])
     n, L = spec.order, spec.sites
     rep = rep_for(n, L)
-    e = rp.boltzmann(spec.total(), rep)
+    e = dense_matrix(rp.boltzmann(spec.total(), rep), rep)
 
     def f(x, y):
         return complex(dense_forms([x], [y], rep, e)[0, 0])
