@@ -129,7 +129,7 @@ def cmd_counterexample(args):
     if args.n is None:
         raise SpecError("--n is required")
     j = args.j if args.j is not None else 1
-    positive, val = rp.counterexample_check(args.n, j, tol=args.tol)
+    positive, val = rp.counterexample_check(args.n, j)
     fields = {"n": args.n, "j": j, "value": [val.real, val.imag],
               "positive": positive}
     if j == 1:
@@ -143,7 +143,7 @@ def cmd_families(args):
     if args.family is None or args.kparam is None:
         raise SpecError("--family and --kparam are required")
     n, j = rp.family_pair(args.family, args.kparam, args.jprime)
-    ok, val = rp.counterexample_check(n, j, tol=args.tol)
+    ok, val = rp.counterexample_check(n, j)
     return ok, {"family": args.family, "n": n, "j": j,
                 "description": rp.FAMILY_DESCRIPTIONS[args.family],
                 "value": [val.real, val.imag], "positive_real": ok}
@@ -179,8 +179,8 @@ COMMANDS = {
     "gram": (cmd_gram, "--spec --n --tol"),
     "trotter": (cmd_trotter, "--spec --n --k"),
     "bounds": (cmd_bounds, "--spec --n --samples --seed --tol"),
-    "counterexample": (cmd_counterexample, "--n --j --tol"),
-    "families": (cmd_families, "--family --kparam --jprime --tol"),
+    "counterexample": (cmd_counterexample, "--n --j"),
+    "families": (cmd_families, "--family --kparam --jprime"),
     "baxter": (cmd_baxter, "--spec"),
     "decompose": (cmd_decompose, "--spec --n"),
 }

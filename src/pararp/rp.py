@@ -25,7 +25,9 @@ is the degree-13 scaling-and-squaring Pade method in numpy, with its own
 scaling per block, so numpy is the one numerical dependency.  Entries of
 e^{-H} far below ||e^{-H}|| come out of a cancellation across the sectors
 and so lose relative accuracy; the two-site counterexample, where that
-would show, is computed exactly without matrices.
+would show, is computed exactly without matrices, in closed form: f(c^j)
+is one root of unity zeta^p, p = j (n - j) mod 2n, times a positive
+rational, so its verdict is the integer test p = 0.
 
 RP reduces to one object (Jaffe-Pedrocchi): the matrix M_IJ =
 Tr(C_I theta(C_J) e^{-H}) over the monomials C_I of the minus half
@@ -54,7 +56,6 @@ aggregates within tolerance) holds exactly.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
@@ -666,9 +667,9 @@ def counterexample_reference(n: int) -> complex:
     return zeta_power(n, n - 1) * series_sum(n) * n
 
 
-def _counterexample_sums(n: int, j: int) -> tuple[int, list[Fraction]]:
-    """(k0, s) with f(c^j) = sum_p r_p zeta^p, p = 0..n-1, for the exact
-    rationals r_p = n s_p / k0!, k0 = -j mod n (see counterexample_f).
+def _counterexample_sums(n: int, j: int) -> tuple[int, int, Fraction]:
+    """(k0, p, s) with f(c^j) = n zeta^p s / k0!, k0 = -j mod n, p = j (n - j)
+    mod 2n and s = sum_t k0! / (k0 + t n)! > 0 (see counterexample_f).
 
     A monomial c_1^a c_2^b is the pair (a, b) mod n, so circ((a, b), (a', b'))
     = b a', a product adds the pairs at phase zeta^{-2 b a'}, and
@@ -676,27 +677,23 @@ def _counterexample_sums(n: int, j: int) -> tuple[int, list[Fraction]]:
     is (j, -j) at phase 1, and zeta c theta(c) is (1, -1) at phase zeta, so
     its k-th power is (k, -k) at zeta^{p_k}, p_{k+1} = p_k + 1 - 2 (-k mod n),
     and c^j theta(c^j) times that power is (j + k, -j - k) at
-    zeta^{p_k - 2 (-j mod n)(k mod n)}: the identity when k = -j mod n."""
+    zeta^{p_k - 2 (-j mod n)(k mod n)}: the identity when k = k0 + t n.
+    With (-1)^k = zeta^{n k}, the term k has the phase -k0 (k0 + n) = j (n - j)
+    mod 2n: stepping k by n adds n (2 - n) to p_k and n^2 to n k, 2n in all.
+    Each term is at most half the previous, so those with k! / k0! > 2^64,
+    dropped, sum to below 2^-63 of the first, and s <= 2."""
     if not 1 <= j <= n:
         raise ValueError(f"j must be in 1..{n}, got {j}")
-    # k = k0 + t n, p_k = k - 2 (k - 1) n + k (k - 1) for 1 <= k <= n and
-    # p_{k + n} = p_k + n (2 - n).  Each term is at most half the previous,
-    # so those with k! / k0! > 2^64 sum to below 2^-63 of the first, and
-    # |s_p| <= 2.
     k0 = -j % n
-    p0 = k0 - 2 * (k0 - 1) * n + k0 * (k0 - 1) if k0 else 0
-    sums = [Fraction(0)] * n
-    k, ratio = k0, 1  # ratio = k! / k0!
+    s, k, ratio = Fraction(0), k0, 1  # ratio = k! / k0!
     while ratio <= 2**64:
-        # (-1)^k = zeta^{n k} and zeta^n = -1.
-        phase = (p0 + (k - k0) * (2 - n) - 2 * k0 * k0 + n * k) % (2 * n)
-        sums[phase % n] += Fraction(1 if phase < n else -1, ratio)
+        s += Fraction(1, ratio)
         for factor in range(k + 1, k + n + 1):
             ratio *= factor
             if ratio > 2**64:
                 break
         k += n
-    return k0, sums
+    return k0, j * (n - j) % (2 * n), s
 
 
 def counterexample_f(n: int, j: int) -> complex:
@@ -705,93 +702,34 @@ def counterexample_f(n: int, j: int) -> complex:
 
     c^j theta(c^j) H^k is one monomial zeta^{p_k} C_{I_k}, so the term
     (-1)^k Tr(c^j theta(c^j) H^k) / k! of the series is (-1)^k n zeta^{p_k}
-    / k! when C_{I_k} is the identity (k = -j mod n) and 0 otherwise.  The
-    rationals n / k! are summed exactly per phase mod 2n, and the result is
-    rounded once at the end.
+    / k! when C_{I_k} is the identity (k = -j mod n) and 0 otherwise.  Every
+    such term has the same phase zeta^p, so f(c^j) is zeta^p times the
+    rational n s / k0!, summed exactly and rounded once at the end.
     """
     return _rounded(n, *_counterexample_sums(n, j))
 
 
-def _rounded(n: int, k0: int, sums: list[Fraction]) -> complex:
-    """sum_p r_p zeta^p, r_p = n sums[p] / k0!, each r_p rounded once.  A
-    zero r_p adds nothing, and |sums[p]| <= 2, so once k0! > n 2^1076 every
-    r_p rounds to a zero: no larger factorial is built."""
+def _rounded(n: int, k0: int, p: int, s: Fraction) -> complex:
+    """n zeta^p s / k0!, the rational rounded once, zeta^p as zeta^{p mod n}
+    with its sign.  s <= 2, so once k0! > n 2^1076 the rational rounds to
+    zero: no larger factorial is built."""
     f = 1
     for factor in range(2, k0 + 1):
         f *= factor
         if f > n << 1076:
             return 0j
-    parts = [(float(Fraction(n, f) * r), zeta_power(n, p))
-             for p, r in enumerate(sums) if r]
-    return complex(
-        math.fsum(r * z.real for r, z in parts),
-        math.fsum(r * z.imag for r, z in parts),
-    )
+    r = float(Fraction(n, f) * (s if p < n else -s))
+    z = zeta_power(n, p % n)
+    # + 0.0: a zero part reads 0.0, never -0.0.
+    return complex(r * z.real + 0.0, r * z.imag + 0.0)
 
 
-def _cyclotomic_cofactor(n: int) -> tuple[int, np.ndarray]:
-    """(s, psi) with (x^2n - 1) / Phi_2n(x) = +-psi(x^s), psi's integer
-    coefficients constant term first.
-
-    With r = 2n / s the radical of 2n, Phi_2n(x) = Phi_r(x^s), and by
-    Moebius inversion the cofactor of Phi_r is the product of
-    (1 - x^d)^{-mu(r / d)} over the divisors d < r of r, of degree
-    r - phi(r): a power series to that degree, each factor one shifted
-    subtraction or one running sum per residue mod d."""
-    # Trial division up to sqrt(2n); what it leaves is 1 or one prime.
-    primes = [p for p in range(2, math.isqrt(2 * n) + 1) if 2 * n % p == 0
-              and all(p % q for q in range(2, math.isqrt(p) + 1))]
-    rest = 2 * n // math.gcd(2 * n, math.prod(primes) ** n.bit_length())
-    primes += [rest] * (rest > 1)
-    r = math.prod(primes)
-    size = r - math.prod(p - 1 for p in primes) + 1
-    psi = np.zeros(size, dtype=object)
-    psi[0] = 1
-    # d = r / e over squarefree e > 1, mu(e) = -1 for an odd number of
-    # primes: the factors multiplied go before those divided.
-    for k in sorted(range(1, len(primes) + 1), key=lambda k: k % 2 == 0):
-        for d in (r // math.prod(sub) for sub in itertools.combinations(primes, k)):
-            if k % 2:
-                psi[d:] = psi[d:] - psi[:size - d]
-            else:
-                padded = np.concatenate([psi, np.zeros(-size % d, dtype=object)])
-                psi = np.cumsum(padded.reshape(-1, d), axis=0).ravel()[:size]
-    return 2 * n // r, psi
-
-
-def is_real_cyclotomic(n: int, coeffs: list[Fraction]) -> bool:
-    """Whether sum_p coeffs[p] zeta^p over p < n, with rational coefficients
-    and zeta = e^{i pi / n}, is real, decided exactly in Q(zeta).
-
-    With zeta^{-q} = -zeta^{n - q}, twice i times its imaginary part is
-    D(zeta) = sum_q (coeffs[q] + coeffs[n - q]) zeta^q over q = 1..n-1, and
-    D(zeta) = 0 exactly when Phi_2n, the minimal polynomial of zeta,
-    divides D, that is when D times the cofactor (x^2n - 1) / Phi_2n is
-    0 mod x^2n - 1, denominators cleared: one shifted copy of the cofactor
-    per nonzero term of D.  Realness does not change under scaling.
-    """
-    support = {q for p, c in enumerate(coeffs) if c for q in (p, n - p)}
-    d = {q: c for q in support - {0, n} if (c := coeffs[q] + coeffs[n - q])}
-    s, psi = _cyclotomic_cofactor(n)
-    nonzero = np.flatnonzero(psi)
-    scale = math.lcm(*(c.denominator for c in d.values()))
-    product = np.zeros(2 * n, dtype=object)
-    for q, c in d.items():
-        product[(q + s * nonzero) % (2 * n)] += int(c * scale) * psi[nonzero]
-    return not product.any()
-
-
-def counterexample_check(
-    n: int, j: int, tol: float = DEFAULT_TOL
-) -> tuple[bool, complex]:
-    """(positive, f(c^j)): f(c^j) is positive when it is exactly real, as
-    is_real_cyclotomic decides, and its real part is at least -tol (1 +
-    |f|).  A value that is not exactly real is never positive, however
-    small it is."""
-    k0, sums = _counterexample_sums(n, j)
-    val = _rounded(n, k0, sums)
-    real = is_real_cyclotomic(n, sums)
-    return real and val.real >= -tol * (1.0 + abs(val)), val
+def counterexample_check(n: int, j: int) -> tuple[bool, complex]:
+    """(positive, f(c^j)), decided in integers: f(c^j) = n zeta^p s / k0!
+    with s > 0, so it is real exactly when p = 0 mod n, that is when n
+    divides j^2, and positive exactly when p = 0 mod 2n."""
+    k0, p, s = _counterexample_sums(n, j)
+    return p == 0, _rounded(n, k0, p, s)
 
 
 FAMILY_DESCRIPTIONS = {
@@ -827,8 +765,9 @@ def family_check(
     tol: float = DEFAULT_TOL,
 ) -> tuple[bool, complex]:
     """Evaluate f(c^j) for one of the known positive (n, j) families and
-    report whether it is exactly real and non-negative."""
-    return counterexample_check(*family_pair(family, k, jprime), tol=tol)
+    report whether it is exactly positive.  ``tol`` is not read: the verdict
+    is exact."""
+    return counterexample_check(*family_pair(family, k, jprime))
 
 
 # -- loop operators and ground states -------------------------------------

@@ -1,3 +1,8 @@
+import itertools
+import math
+from collections import defaultdict
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -127,3 +132,20 @@ def trotter_approximant(spec, rep, k):
     h0, halves = rp._trotter_parts(spec, rep)
     step = rp._trotter_power(h0, rp.matrix_exp(-halves / k), k)
     return dense_matrix(step, rep)
+
+
+def stepped_counterexample_sums(n, j):
+    """The sums of f(c^j) with k stepped one at a time: p_{k+1} = p_k + 1 -
+    2 (-k mod n), and only k = -j mod n contributes, stopping at the first
+    term below 2^-64 of the first one."""
+    sums, first, p_k = defaultdict(Fraction), None, 0
+    for k in itertools.count():
+        if (j + k) % n == 0:
+            term = Fraction(n, math.factorial(k))
+            if first is not None and term * 2**64 < first:
+                break
+            first = first or term
+            phase = p_k - 2 * (-j % n) * (k % n)
+            sums[(phase + n * k) % (2 * n)] += term
+        p_k += 1 - 2 * (-k % n)
+    return [sums[p] - sums[p + n] for p in range(n)]

@@ -34,10 +34,10 @@ def canned(correct, metrics, attempted=120, failed=0):
 
 def test_assemble_record_keeps_the_last_json_line_of_each_run(bench_record):
     outputs = {
-        ("rp_suite", 0): canned(True, {"jobs_per_s": 280.5, "setup_s": 0.27}),
-        ("rp_suite", 1): canned(True, {"rp.matrix_exp_calls": 1.0}),
-        ("basis", 0): canned(False, {"jobs_per_s": 650.0}, failed=2),
-        ("basis", 1): "Traceback (most recent call last):\n",
+        ("rp_suite", 0): [canned(True, {"jobs_per_s": 280.5, "setup_s": 0.27})],
+        ("rp_suite", 1): [canned(True, {"rp.matrix_exp_calls": 1.0})],
+        ("basis", 0): [canned(False, {"jobs_per_s": 650.0}, failed=2)],
+        ("basis", 1): ["Traceback (most recent call last):\n"],
     }
     record = bench_record.assemble_record(
         "6", 3, 30, outputs, {"rp.py": 700, "total": 700}, {"nproc": 2})
@@ -73,13 +73,35 @@ def test_main_writes_the_record_without_running_a_benchmark(
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "run_benchmark", fake_run)
     assert bench_record.main(["7", "--seed", "5", "--seconds", "2"]) == 0
-    assert calls == [("rp_suite", 0, 5, 2), ("rp_suite", 1, 5, 2),
-                     ("symbolic", 0, 5, 2), ("symbolic", 1, 5, 2)]
+    traced = bench_record.TRACED_RUNS
+    assert calls == ([("rp_suite", 0, 5, 2)] + [("rp_suite", 1, 5, 2)] * traced
+                     + [("symbolic", 0, 5, 2)] + [("symbolic", 1, 5, 2)] * traced)
     record = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert record["src_lines"] == {"a.py": 2, "b.py": 1, "total": 3}
     assert record["workloads"]["symbolic"]["per_layer"] == {"jobs_per_s": 101.0}
     assert record["correct"] is True
     assert {"python", "numpy", "scipy", "nproc"} <= set(record["machine"])
+
+
+def test_traced_metrics_are_the_median_of_the_traced_runs(bench_record):
+    """Each per-layer metric is the median over TRACED_RUNS runs, the job
+    counts are their sums, and one run without a result makes the entry
+    missing."""
+    assert bench_record.TRACED_RUNS == 3
+    runs = [canned(True, {"trace.job_ms": ms, "rp.matrix_exp_calls": 1.0},
+                   attempted=100 + i, failed=i % 2)
+            for i, ms in enumerate([2.9, 2.2, 2.4])]
+    outputs = {("rp_suite", 0): [canned(True, {"jobs_per_s": 280.5})],
+               ("rp_suite", 1): runs,
+               ("symbolic", 1): runs[:2] + ["killed\n"]}
+    record = bench_record.assemble_record(
+        "23", 3, 30, outputs, {"total": 1}, {"nproc": 2})
+    entry = record["workloads"]["rp_suite"]
+    assert entry["per_layer"] == {"trace.job_ms": 2.4, "rp.matrix_exp_calls": 1.0}
+    assert entry["per_layer_jobs"] == {"attempted": 303, "failed": 1}
+    assert entry["end_to_end"] == {"jobs_per_s": 280.5}
+    assert record["workloads"]["symbolic"] == {"per_layer": None}
+    assert record["correct"] is False
 
 
 def test_last_json_line_ignores_trailing_noise(bench_record):
@@ -95,7 +117,7 @@ def test_a_timed_out_run_is_recorded_as_missing(bench_record, monkeypatch, capsy
             argv, 0, canned(True, {"jobs_per_s": 280.5}), "")
 
     monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
-    outputs = {(w, t): bench_record.run_benchmark(w, t, 3, 30)
+    outputs = {(w, t): [bench_record.run_benchmark(w, t, 3, 30)]
                for w in ("rp_suite",) for t in (0, 1)}
     assert (f"rp_suite trace=1: timed out after {bench_record.RUN_TIMEOUT_S} s"
             in capsys.readouterr().err)

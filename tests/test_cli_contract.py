@@ -1,7 +1,9 @@
 """The command-line contract: every argument error exits 1 with one line on
 stderr, each subcommand takes only the flags it reads, and the two-site
-counterexample's verdict is exact about whether the value is real; the
-CLI runs on numpy alone."""
+counterexample's verdict is exact: f(c^j) = n zeta^p s / k0! with s > 0, so
+it is positive exactly when the integer p = j (n - j) mod 2n is 0, checked
+against the exact sums of the stepping loop and, for realness, against long
+division by Phi_2n; the CLI runs on numpy alone."""
 
 import functools
 import json
@@ -10,14 +12,16 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pararp import cli, hamiltonian, rp
-from pararp.algebra import zeta_power
 from pararp.cli import main
+
+from conftest import stepped_counterexample_sums
 
 
 def run(capsys, *argv):
@@ -44,6 +48,9 @@ def run(capsys, *argv):
         ["gram", "--n", "3", "--tol", "nan"],
         ["rp-check", "--n", "3", "--seed", "-1"],
         ["bounds", "--n", "3", "--seed", "-1"],
+        ["counterexample", "--n", "3", "--tol", "1e-3"],  # exact verdicts
+        ["families", "--family", "2", "--kparam", "2", "--jprime", "1",
+         "--tol", "1e-3"],
     ],
 )
 def test_argument_errors_exit_1_with_one_line(capsys, argv):
@@ -225,7 +232,8 @@ def test_counterexample_verdicts_up_to_n_40():
                 assert positive == float_verdict(val), (n, j, val)
             elif positive != float_verdict(val):
                 # Below the tolerance the float test calls every value
-                # positive; the exact one calls a non-real value negative.
+                # positive; the exact one calls a non-real value, or a
+                # real one at or below 0, not positive.
                 assert not positive and abs(val) < 1e-8, (n, j, val)
         # f(c) carries the phase omega^{(n-1)/2} != 1 for every n.
         assert not rp.counterexample_check(n, 1)[0]
@@ -274,8 +282,10 @@ def cyclotomic(m):
 
 
 def is_real_by_division(n, coeffs):
-    """is_real_cyclotomic by dense long division of D by Phi_2n: the
-    reference for the cofactor test."""
+    """Whether sum_p coeffs[p] zeta^p over p < n is real, by dense long
+    division by Phi_2n, the minimal polynomial of zeta, of D(x) = sum_q
+    (coeffs[q] + coeffs[n - q]) x^q over q = 1..n-1, with D(zeta) twice i
+    times the imaginary part: the reference for the integer verdict."""
     d = [Fraction(0)] + [coeffs[q] + coeffs[n - q] for q in range(1, n)]
     scale = math.lcm(*(x.denominator for x in d))
     _, rem = divmod_monic([int(x * scale) for x in d], cyclotomic(2 * n))
@@ -285,16 +295,42 @@ def is_real_by_division(n, coeffs):
 @pytest.mark.parametrize("low", range(2, 151, 30))
 def test_is_real_cyclotomic_matches_the_division(low):
     """Every n <= 150, at each j with n | j^2 (where the positive families
-    lie) and at five seeded others, on the sums of f(c^j), scaled as
-    _counterexample_sums gives them: realness does not change under
-    scaling."""
+    lie) and at five seeded others: the verdict's realness, p = 0 mod n,
+    against the division on the sums of the stepping loop."""
     for n in range(low, low + 30):
         rng = np.random.default_rng(n)
         js = {j for j in range(1, n + 1) if j * j % n == 0}
         js |= set(rng.integers(1, n + 1, size=5).tolist())
         for j in sorted(js):
-            _, sums = rp._counterexample_sums(n, j)
-            assert rp.is_real_cyclotomic(n, sums) == is_real_by_division(n, sums), (n, j)
+            _, p, _ = rp._counterexample_sums(n, j)
+            real = p % n == 0
+            assert real == (j * j % n == 0), (n, j)
+            sums = stepped_counterexample_sums(n, j)
+            assert real == is_real_by_division(n, sums), (n, j)
+
+
+@pytest.mark.parametrize("low", range(2, 151, 30))
+def test_verdict_is_the_sign_of_the_stepped_sums(low):
+    """Every n <= 150 and every j: f(c^j) is positive exactly when the
+    stepping loop's exact sums are one positive rational at zeta^0."""
+    for n in range(low, low + 30):
+        for j in range(1, n + 1):
+            sums = stepped_counterexample_sums(n, j)
+            positive = sums[0] > 0 and not any(sums[1:])
+            assert rp.counterexample_check(n, j)[0] == positive, (n, j)
+
+
+@pytest.mark.parametrize("argv,value", [
+    (["counterexample", "--n", "28", "--j", "14"], [-3.2118087673643227e-10, 0.0]),
+    (["counterexample", "--n", "196", "--j", "14"], [0.0, 0.0]),  # underflows
+])
+def test_exactly_real_non_positive_values_are_not_positive(capsys, argv, value):
+    """Exactly real with real part <= 0: within any float tolerance of 0,
+    and still not positive."""
+    code, out, _ = run(capsys, *argv)
+    report = json.loads(out)
+    assert code == cli.VIOLATIONS and report["positive"] is False
+    assert report["value"] == value
 
 
 @pytest.mark.parametrize("argv", [
@@ -302,37 +338,21 @@ def test_is_real_cyclotomic_matches_the_division(low):
     ["families", "--family", "1", "--kparam", "30"],  # n = 27000
     ["counterexample", "--n", "1000000"],
     ["families", "--family", "1", "--kparam", "100"],  # n = 10^6
+    ["families", "--family", "1", "--kparam", "500"],  # n = 1.25 * 10^8
+    ["families", "--family", "1", "--kparam", "10000"],  # n = 10^12
+    ["counterexample", "--n", "1000000000000", "--j", "3"],
 ])
 def test_large_n_exact_verdicts_are_fast(argv, capsys):
+    tracemalloc.start()
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
-    assert time.perf_counter() - start < 10.0
+    elapsed = time.perf_counter() - start
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert elapsed < 10.0 and peak < 2**20
     assert (code, err) == (cli.VIOLATIONS if argv[0] == "counterexample"
                            else cli.PASS, "")
-    assert json.loads(out)["n"] in (20000, 27000, 10**6)
-
-
-@pytest.mark.parametrize("n", range(2, 13))
-def test_is_real_cyclotomic_against_floats(n):
-    """Random rational combinations against the float imaginary part, and
-    real ones alpha + conj(alpha) plus multiples of x^s Phi_2n(x), which
-    vanish at zeta although they break the symmetry of the coefficients."""
-    rng = np.random.default_rng(n)
-    phi = cyclotomic(2 * n)
-
-    def value(coeffs):
-        return sum(float(c) * zeta_power(n, p) for p, c in enumerate(coeffs))
-
-    assert abs(value(phi)) < 1e-12
-    for _ in range(20):
-        c = [Fraction(int(x), 7) for x in rng.integers(-3, 4, size=n)]
-        assert rp.is_real_cyclotomic(n, c) == (abs(value(c).imag) < 1e-9)
-        real = [2 * c[0]] + [c[q] - c[n - q] for q in range(1, n)]
-        for s in range(n - len(phi) + 1):
-            for p, y in enumerate(phi):
-                real[s + p] += Fraction(3 * y, s + 2)
-        assert abs(value(real).imag) < 1e-9
-        assert rp.is_real_cyclotomic(n, real)
+    assert json.loads(out)["n"] in (20000, 27000, 10**6, 500**3, 10**12)
 
 
 def test_cli_never_imports_scipy(tmp_path):

@@ -10,10 +10,8 @@ reports with the sector transforms switched off.
 import contextlib
 import dataclasses
 import io
-import itertools
 import json
 import math
-from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
 
@@ -38,7 +36,7 @@ from pararp.representation import (
 
 from conftest import (
     dense_decompose, dense_matrix, dense_sector_blocks, dense_weyl_table,
-    random_blocks, rep_for, trotter_approximant,
+    random_blocks, rep_for, stepped_counterexample_sums, trotter_approximant,
 )
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256, L = 2 included.
@@ -365,31 +363,19 @@ def test_trotter_convergence_matches_all_sectors(n, L, kind):
 # -- the exact two-site counterexample ----------------------------------------------
 
 
-def stepped_counterexample_sums(n, j):
-    """The sums of f(c^j) with k stepped one at a time: p_{k+1} = p_k + 1 -
-    2 (-k mod n), and only k = -j mod n contributes, stopping at the first
-    term below 2^-64 of the first one."""
-    sums, first, p_k = defaultdict(Fraction), None, 0
-    for k in itertools.count():
-        if (j + k) % n == 0:
-            term = Fraction(n, math.factorial(k))
-            if first is not None and term * 2**64 < first:
-                break
-            first = first or term
-            phase = p_k - 2 * (-j % n) * (k % n)
-            sums[(phase + n * k) % (2 * n)] += term
-        p_k += 1 - 2 * (-k % n)
-    return [sums[p] - sums[p + n] for p in range(n)]
-
-
 @pytest.mark.parametrize("low", range(2, 65, 9))
 def test_counterexample_sums_match_the_stepping_loop(low):
+    """The stepping loop's sums have one nonzero entry, at p mod n, and it
+    is +-n s / k0!, + when p < n: every term has the phase zeta^p."""
     for n in range(low, min(low + 9, 65)):
         for j in range(1, n + 1):
-            k0, scaled = rp._counterexample_sums(n, j)
-            assert all(type(r) is Fraction for r in scaled)
-            got = [Fraction(n, math.factorial(k0)) * r for r in scaled]
-            assert got == stepped_counterexample_sums(n, j), (n, j)
+            k0, p, s = rp._counterexample_sums(n, j)
+            assert type(s) is Fraction and s > 0 and 0 <= p < 2 * n
+            assert p == -k0 * (k0 + n) % (2 * n)
+            r = Fraction(n, math.factorial(k0)) * s
+            expected = [Fraction(0)] * n
+            expected[p % n] = r if p < n else -r
+            assert stepped_counterexample_sums(n, j) == expected, (n, j)
 
 
 @pytest.mark.parametrize("n", [190, 200, 257])

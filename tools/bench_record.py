@@ -3,8 +3,10 @@
     python3 tools/bench_record.py 6 --seed 3 --seconds 30
 
 For each workload declared in BENCHMARK.json this runs perfbench/run.py
-twice, with ``--trace 0`` (end-to-end metrics) and ``--trace 1`` (per-layer
-metrics), and keeps the last JSON line of each run.  The record also holds
+once with ``--trace 0`` (end-to-end metrics) and TRACED_RUNS times with
+``--trace 1`` (per-layer metrics), and keeps the last JSON line of each run.
+Each per-layer metric is the median over the traced runs, since one traced
+run is too noisy to compare layer times between records.  The record also holds
 ``wc -l src/pararp/*.py`` and the machine and library versions, so that
 records of different changes can be compared line by line.  The file is
 written to the repository root; the exit code is 1 when a run failed or
@@ -17,6 +19,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from importlib import metadata
@@ -24,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
+TRACED_RUNS = 3
 
 
 def workloads() -> list[str]:
@@ -89,25 +93,33 @@ def machine() -> dict:
 
 
 def assemble_record(label: str, seed: int, seconds: int,
-                    outputs: dict[tuple[str, int], str],
+                    outputs: dict[tuple[str, int], list[str]],
                     src_lines: dict, host: dict) -> dict:
-    """The BENCH record from each run's standard output, keyed by
-    (workload, trace)."""
+    """The BENCH record from the standard output of each run, listed by
+    (workload, trace): each metric is the median over the runs, and the job
+    counts are their sums.  If any run of a list has no result, the entry is
+    recorded as missing."""
     record = {"label": label, "seed": seed, "seconds": seconds,
               "correct": True, "workloads": {},
               "src_lines": src_lines, "machine": host}
-    for (workload, trace), stdout in outputs.items():
-        line = last_json_line(stdout)
+    for (workload, trace), stdouts in outputs.items():
+        lines = [last_json_line(stdout) for stdout in stdouts]
         entry = record["workloads"].setdefault(workload, {})
         key = "per_layer" if trace else "end_to_end"
-        if line is None:
+        if None in lines:
             record["correct"] = False
             entry[key] = None
             continue
-        record["correct"] = record["correct"] and line["correct"]
-        entry[key] = {name: m["value"] for name, m in line["metrics"].items()}
+        record["correct"] = record["correct"] and all(
+            line["correct"] for line in lines)
+        entry[key] = {
+            name: statistics.median(line["metrics"][name]["value"]
+                                    for line in lines)
+            for name in lines[0]["metrics"]
+        }
         entry[f"{key}_jobs"] = {
-            "attempted": line["attempted"], "failed": line["failed"],
+            count: sum(line[count] for line in lines)
+            for count in ("attempted", "failed")
         }
     return record
 
@@ -119,7 +131,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=int, default=30)
     args = ap.parse_args(argv)
     outputs = {
-        (workload, trace): run_benchmark(workload, trace, args.seed, args.seconds)
+        (workload, trace): [run_benchmark(workload, trace, args.seed, args.seconds)
+                            for _ in range(TRACED_RUNS if trace else 1)]
         for workload in workloads()
         for trace in (0, 1)
     }
