@@ -25,7 +25,6 @@ from .hamiltonian import (
     CouplingRule,
     HamiltonianSpec,
     SpecError,
-    _norm,
     check_symmetries,
     read_spec,
     spec_from_dict,
@@ -92,10 +91,12 @@ def cmd_gram(spec, rep, args):
     n, L = spec.order, spec.sites
     basis = rp.minus_rows(n, L, range(0, L // 2 * (n - 1) + 1, n))
     gram, min_eig = rp.gram_psd(spec, rep, basis)
-    # Schwarz |G_ij|^2 <= G_ii G_jj in min_eig's scale, which PSD implies.
+    # Schwarz |G_ij|^2 <= G_ii G_jj in min_eig's scale, which PSD implies,
+    # compared at the power-of-two scale s, so that no square overflows.
+    s = rp._pow2(gram)
     eps = args.tol * (1 + np.abs(gram).max(initial=0.0))
-    diag = gram.diagonal().real + eps
-    schwarz_ok = not (np.abs(gram) ** 2 > np.outer(diag, diag)).any()
+    diag = (gram.diagonal().real + eps) / s
+    schwarz_ok = not ((np.abs(gram) / s) ** 2 > np.outer(diag, diag)).any()
     ok = min_eig >= -args.tol and schwarz_ok
     return ok, {"basis_size": len(basis), "gram_min_eigenvalue": min_eig,
                 "schwarz_ok": schwarz_ok, "tolerance": args.tol, "passed": ok}
@@ -113,13 +114,13 @@ def cmd_bounds(spec, rep, args):
     pairs = rp.sampled_bounds(spec, rep, args.samples, args.seed, args.tol)
     worst = None
     # Pair 0, A = B = I, meets its bound with equality and partition_margin
-    # is the same on every pair, so only the drawn pairs compete.  The
-    # margins are normalised, so a pair within WORST_TIE of the current
-    # worst ties with it, and ties keep the earlier pair however they round.
+    # is the same on every pair, so only the drawn pairs compete, by margin1
+    # (margin2 equals it).  The margins are normalised, so a pair within
+    # WORST_TIE of the current worst ties with it, and ties keep the earlier
+    # pair however they round.
     for res in pairs[1:]:
-        margin = min(res["margin1"], res["margin2"])
-        if worst is None or margin < worst["min_margin"] - WORST_TIE:
-            worst = {"min_margin": margin, **res}
+        if worst is None or res["margin1"] < worst["min_margin"] - WORST_TIE:
+            worst = {"min_margin": res["margin1"], **res}
     ok = all(res["ok"] for res in pairs)
     return ok, {"pairs": len(pairs), "seed": args.seed, "tolerance": args.tol,
                 "worst": worst, "passed": ok}
@@ -150,8 +151,8 @@ def cmd_families(args):
 
 
 def cmd_baxter(spec, rep, args):
-    sym = check_symmetries(spec, rep)
-    ok = sym["reflection_symbolic"] and sym["gauge_symbolic"] and sym["matrix_ok"]
+    sym = check_symmetries(spec)
+    ok = all(sym.values())
     return ok, {
         "validated_rule": spec.validated_rule.value,
         "rp_hypotheses_met": spec.validated_rule is not CouplingRule.NONE,
@@ -164,8 +165,8 @@ def cmd_decompose(spec, rep, args):
     blocks = rp.boltzmann(spec.total(), rep)
     poly = decompose(blocks, rep)
     # Parseval: the blocks hold the Frobenius norm of the matrix.
-    gap = _norm(sector_blocks(poly, rep) - blocks)
-    ok = math.isfinite(gap) and gap <= 1e-10 * (1 + _norm(blocks))
+    gap = rp._norm(sector_blocks(poly, rep) - blocks)
+    ok = math.isfinite(gap) and gap <= 1e-10 * (1 + rp._norm(blocks))
     # decompose returns its terms in lexicographic order.
     terms = [{"exponents": row, "coefficient": [c.real, c.imag]}
              for row, c in zip(poly.exponents.tolist(), poly.coeffs.tolist())]
@@ -269,7 +270,7 @@ def main(argv=None) -> int:
         return PASS if ok else VIOLATIONS
     except (
         SpecError, DimensionCapError, ValueError, OSError,
-        OverflowError, rp.OverflowError_,
+        ArithmeticError, rp.OverflowError_,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError as exc:

@@ -216,12 +216,14 @@ def sector_blocks(p: Polynomial, rep: Representation) -> np.ndarray:
     """The (n, dim/n, dim/n) charge-sector blocks
     A_q[o, o'] = sum_m omega^{q m} A[T^m o, o'] of the matrix A of a
     gauge-invariant polynomial p, ValueError for any other p: each term's
-    columns o' < dim/n go to (m, o) of their row T^m o, with no dense A."""
+    columns o' < dim/n go to (m, o) of their row T^m o, with no dense A.
+    An entry that overflows raises FloatingPointError."""
     if not classify(p).observable:
         raise ValueError("polynomial is not gauge invariant: no sector blocks")
     n, r = rep.order, rep.dim // rep.order
-    g = _scatter(p, rep, rep.orbit_index, r).reshape(n, r, r)
-    return np.fft.ifft(g, axis=0, norm="forward")
+    with np.errstate(over="raise"):
+        g = _scatter(p, rep, rep.orbit_index, r).reshape(n, r, r)
+        return np.fft.ifft(g, axis=0, norm="forward")
 
 
 def to_matrix(p: Polynomial, rep: Representation) -> np.ndarray:

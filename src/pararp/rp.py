@@ -167,6 +167,19 @@ def _pade_sum(powers, k, eye, out, scratch):
     return out
 
 
+def _pow2(x: np.ndarray) -> float:
+    """The power of two s >= 1 at least max |x_ij| (2^1023 at most): x / s
+    is exact, and no square of an entry of x / s overflows."""
+    exponent = math.frexp(float(np.abs(x).max(initial=0.0)))[1]
+    return math.ldexp(1.0, min(max(exponent, 0), 1023))
+
+
+def _norm(x: np.ndarray) -> float:
+    """The Frobenius norm s ||x / s||, s = _pow2(x): no square overflows."""
+    s = _pow2(x)
+    return s * float(np.linalg.norm(x / s))
+
+
 def boltzmann(h: Polynomial, rep: Representation) -> np.ndarray:
     """The (n, dim/n, dim/n) charge-sector blocks of e^{-H} for a
     gauge-invariant polynomial H: one stacked matrix exponential."""
@@ -456,7 +469,7 @@ def trotter_convergence(
     so the error is sqrt(sum_q w_q ||block q||^2), w_q = 1 when 2q = 0 mod
     n and 2 otherwise.  The blocks of H are those of H_0 plus those of
     H_- + H_+, and e^{-(H_- + H_+)/k} is the square of the one for 2k
-    whenever 2k is among ``ks``.
+    whenever 2k is among ``ks``.  Errors are taken in units of ``_pow2``.
     """
     ks = [int(k) for k in ks]
     if min(ks, default=1) < 1:
@@ -469,11 +482,12 @@ def trotter_convergence(
     for k in sorted(set(ks), reverse=True):
         twice = factors.get(2 * k)
         factors[k] = matrix_exp(-halves / k) if twice is None else twice @ twice
-    errors = {
-        k: math.sqrt(weights @ np.linalg.norm(
-            _trotter_power(h0, factors[k], k) - exact, axis=(1, 2)) ** 2)
-        for k in ks
-    }
+    errors = {}
+    for k in ks:
+        diff = _trotter_power(h0, factors[k], k) - exact
+        s = _pow2(diff)
+        errors[k] = s * math.sqrt(
+            weights @ np.linalg.norm(diff / s, axis=(1, 2)) ** 2)
     ks_sorted = sorted(errors)
     ratios = {
         int(k): errors[k] / errors[k2] if errors[k2] > 0 else math.inf
@@ -591,7 +605,7 @@ def sampled_bounds(
     """rp_bounds_check of the pair A = B = I and of ``samples`` pairs (A, B),
     each the reflection of two fresh random_minus_observable draws, seeded
     by ``seed``: the blocks of M they read in one call, then each pair's
-    bounds in order, so the first RP-violating pair raises."""
+    bounds in order, not ok where f(A, A) or f(B, B) < 0 (see _bounds)."""
     n, L = spec.order, spec.sites
     rng = np.random.default_rng(seed)
     terms, coeffs, owner = random_minus_rows(n, L, rng, 2 * samples)
@@ -611,21 +625,17 @@ def sampled_bounds(
 def _bounds(forms: np.ndarray, z: complex, tol: float) -> list[dict]:
     """The rp_bounds_check report of each pair (A, B) of plus observables
     from its row [f(A, B), f(A, A), f(B, B)] of ``forms``, with z =
-    Tr(e^{-H}); ValueError at the first f(A, A) or f(B, B) < 0.  A and
-    theta(B), gauge invariant on disjoint halves, commute, so the callers
-    read f(A, B) = Tr(theta(B) A E) as f(theta(B), theta(A))."""
-
-    def norm(val: complex, label: str) -> float:
-        if val.real < -tol * (1 + abs(val)):
-            raise ValueError(f"H is RP-violating: f({label}, {label}) = {val}")
-        return math.sqrt(max(val.real, 0.0))
-
+    Tr(e^{-H}).  A pair with f(A, A) or f(B, B) below -tol (1 + |f|)
+    violates RP: it is not ok, and that norm counts as 0.  A and theta(B),
+    gauge invariant on disjoint halves, commute, so the callers read
+    f(A, B) = Tr(theta(B) A E) as f(theta(B), theta(A))."""
     z_bound = max(z.real, 0.0)
     margin_z = (z_bound - abs(z)) / (1.0 + z_bound)
     out = []
     for f_ab, sq_a, sq_b in forms.tolist():
-        bound = norm(sq_a, "A") * norm(sq_b, "B")
+        bound = math.sqrt(max(sq_a.real, 0.0)) * math.sqrt(max(sq_b.real, 0.0))
         margin = (bound - abs(f_ab)) / (1.0 + bound)
+        positive = all(v.real >= -tol * (1 + abs(v)) for v in (sq_a, sq_b))
         out.append({
             "f_ab": [f_ab.real, f_ab.imag],
             "bound1": bound,
@@ -633,7 +643,7 @@ def _bounds(forms: np.ndarray, z: complex, tol: float) -> list[dict]:
             "margin1": margin,
             "margin2": margin,
             "partition_margin": margin_z,
-            "ok": margin >= -tol and margin_z >= -tol,
+            "ok": positive and margin >= -tol and margin_z >= -tol,
         })
     return out
 
@@ -795,8 +805,8 @@ def loop_expectation(
         raise ValueError("A must be in the minus observable algebra")
     h = sector_blocks(spec.total(), rep)
     h_adj = h.conj().transpose(0, 2, 1)
-    h_gap = float(np.linalg.norm(h - h_adj))
-    if h_gap > herm_tol * (1.0 + float(np.linalg.norm(h))):
+    h_gap = _norm(h - h_adj)
+    if h_gap > herm_tol * (1.0 + _norm(h)):
         raise ValueError(
             f"Hamiltonian is not hermitian (gap {h_gap:.3e}); unsupported"
         )

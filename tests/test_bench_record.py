@@ -73,9 +73,9 @@ def test_main_writes_the_record_without_running_a_benchmark(
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     monkeypatch.setattr(bench_record, "run_benchmark", fake_run)
     assert bench_record.main(["7", "--seed", "5", "--seconds", "2"]) == 0
-    traced = bench_record.TRACED_RUNS
-    assert calls == ([("rp_suite", 0, 5, 2)] + [("rp_suite", 1, 5, 2)] * traced
-                     + [("symbolic", 0, 5, 2)] + [("symbolic", 1, 5, 2)] * traced)
+    assert calls == [(workload, trace, 5, 2)
+                     for workload in ("rp_suite", "symbolic") for trace in (0, 1)
+                     for _ in range(bench_record.RUNS)]
     record = json.loads((tmp_path / "BENCH_7.json").read_text())
     assert record["src_lines"] == {"a.py": 2, "b.py": 1, "total": 3}
     assert record["workloads"]["symbolic"]["per_layer"] == {"jobs_per_s": 101.0}
@@ -84,10 +84,10 @@ def test_main_writes_the_record_without_running_a_benchmark(
 
 
 def test_traced_metrics_are_the_median_of_the_traced_runs(bench_record):
-    """Each per-layer metric is the median over TRACED_RUNS runs, the job
-    counts are their sums, and one run without a result makes the entry
+    """Each per-layer metric is the median over RUNS runs, the job counts
+    are their sums, and one run without a result makes the entry
     missing."""
-    assert bench_record.TRACED_RUNS == 3
+    assert bench_record.RUNS == 3
     runs = [canned(True, {"trace.job_ms": ms, "rp.matrix_exp_calls": 1.0},
                    attempted=100 + i, failed=i % 2)
             for i, ms in enumerate([2.9, 2.2, 2.4])]
@@ -102,6 +102,27 @@ def test_traced_metrics_are_the_median_of_the_traced_runs(bench_record):
     assert entry["end_to_end"] == {"jobs_per_s": 280.5}
     assert record["workloads"]["symbolic"] == {"per_layer": None}
     assert record["correct"] is False
+
+
+def test_end_to_end_metrics_are_the_median_of_three_runs(
+    bench_record, tmp_path, monkeypatch
+):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "rp_suite"}]}))
+    (tmp_path / "src" / "pararp").mkdir(parents=True)
+    rates = iter([300.0, 100.0, 200.0, 5.0, 7.0, 6.0])
+
+    def fake_run(workload, trace, seed, seconds):
+        return canned(True, {"jobs_per_s": next(rates)}, attempted=10)
+
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_record, "run_benchmark", fake_run)
+    assert bench_record.main(["24", "--seed", "3", "--seconds", "1"]) == 0
+    entry = json.loads((tmp_path / "BENCH_24.json").read_text())["workloads"][
+        "rp_suite"]
+    assert entry["end_to_end"] == {"jobs_per_s": 200.0}
+    assert entry["end_to_end_jobs"] == {"attempted": 30, "failed": 0}
+    assert entry["per_layer"] == {"jobs_per_s": 6.0}
 
 
 def test_last_json_line_ignores_trailing_noise(bench_record):

@@ -30,6 +30,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(tmp_path, spec, *argv):
+    """The CLI on ``spec`` in a fresh interpreter, so that stderr holds
+    every RuntimeWarning: (exit code, stdout, stderr)."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "pararp.cli", *argv, "--spec", str(path)],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": env_path},
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -124,62 +143,86 @@ def test_oversized_spec_refused_before_assembly(
 def test_non_finite_h_exits_1_with_one_line(tmp_path, name):
     """The constant term of H is 2 * 1e308 = inf: refused with one line and
     no RuntimeWarning, in a fresh interpreter so that stderr is all there."""
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps({
+    code, out, err = run_fresh(tmp_path, {
         "n": 3, "L": 4,
         "h_minus": [{"coefficient": [1e308, 0], "exponents": [0, 0, 0, 0]}],
         "couplings": [{"exponents": [1, 2, 0, 0], "J": 0.4}],
-    }))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "pararp.cli", name, "--spec", str(path)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": env_path},
-    )
-    assert result.returncode == cli.ERROR and result.stdout == ""
-    assert result.stderr == "error: H has a non-finite coefficient\n"
+    }, name)
+    assert code == cli.ERROR and out == ""
+    assert err == "error: H has a non-finite coefficient\n"
+
+
+@pytest.mark.parametrize("name", ["rp-check", "gram", "bounds", "trotter",
+                                  "decompose"])
+def test_overflowing_blocks_exit_1_with_one_line(tmp_path, name):
+    """H is finite, but an entry of its sector blocks, 2 * 1e308, is not:
+    one line naming the overflow, and no RuntimeWarning."""
+    code, out, err = run_fresh(tmp_path, {
+        "n": 2, "L": 4,
+        "h_minus": [{"coefficient": [1e308, 0], "exponents": [1, 1, 0, 0]}],
+        "couplings": [],
+    }, name)
+    assert code == cli.ERROR and out == ""
+    assert err == "error: overflow encountered in ifft\n"
 
 
 def test_huge_baxter_couplings_report_finite_gaps(tmp_path):
-    """|H_ij| near 1e200: exit 0 with finite matrix gaps and nothing on
-    stderr, in a fresh interpreter, so that a RuntimeWarning would show."""
+    """|H_ij| near 1e200: exit 0 with both symbolic verdicts, a standard
+    JSON report and nothing on stderr."""
+    code, out, err = run_fresh(
+        tmp_path, {"baxter": {"n": 3, "L": 4, "t": [1e200, -1e200, 1e200]}},
+        "baxter")
+    assert code == 0 and err == ""
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["symmetries"] == {"reflection_symbolic": True,
+                                    "gauge_symbolic": True}
+
+
+def test_baxter_report_has_exactly_its_keys(capsys, tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"baxter": {"n": 3, "L": 4,
-                                           "t": [1e200, -1e200, 1e200]}}))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "pararp.cli", "baxter", "--spec", str(path)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": env_path},
-    )
-    assert result.returncode == 0 and result.stderr == ""
-    report = json.loads(result.stdout)["symmetries"]
-    gaps = report["reflection_matrix_gap"], report["gauge_matrix_gap"]
-    assert all(map(math.isfinite, gaps)) and report["matrix_ok"]
+    path.write_text(json.dumps({"baxter": {"n": 3, "L": 4, "t": [1, -0.5, 1]}}))
+    code, out, _ = run(capsys, "baxter", "--spec", str(path))
+    report = json.loads(out)
+    assert code == cli.PASS and set(report) == {
+        "command", "n", "L", "validated_rule", "rp_hypotheses_met",
+        "symmetries", "passed"}
+    assert set(report["symmetries"]) == {"reflection_symbolic", "gauge_symbolic"}
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-standard JSON constant {name}")
+@pytest.mark.parametrize("name", ["gram", "trotter"])
+def test_huge_boltzmann_factor_gives_standard_json(tmp_path, name):
+    """e^{-H} near 5.7e222, whose squares overflow: finite values, standard
+    JSON and nothing on stderr."""
+    code, out, err = run_fresh(
+        tmp_path, {"baxter": {"n": 2, "L": 4, "t": [230, -230, 230]}}, name)
+    assert code in (cli.PASS, cli.VIOLATIONS) and err == ""
+    report = json.loads(out, parse_constant=_reject_constant)
+    if name == "trotter":
+        assert all(math.isfinite(e) for e in report["errors"].values())
+        assert math.isfinite(report["ratio"])
+
+
+def test_violating_bounds_exit_2_with_a_report(tmp_path):
+    """f(A, A) < 0 is a violation, not an error: exit 2, the report
+    written, its worst pair not ok."""
+    code, out, err = run_fresh(
+        tmp_path, {"baxter": {"n": 3, "L": 4, "t": [1, 2, 1]}},
+        "bounds", "--samples", "200")
+    assert code == cli.VIOLATIONS and err == ""
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["passed"] is False and report["pairs"] == 201
+    assert report["worst"]["ok"] is False
 
 
 def test_huge_decompose_reports_a_finite_gap(tmp_path):
     """e^{-H} near 5.7e222: exit 0 with a finite round-trip gap, standard
     JSON and nothing on stderr, in a fresh interpreter, so that a
     RuntimeWarning would show."""
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps({"baxter": {"n": 2, "L": 4,
-                                           "t": [230, -230, 230]}}))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "pararp.cli", "decompose", "--spec", str(path)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": env_path},
-    )
-    assert result.returncode == 0 and result.stderr == ""
-    report = json.loads(result.stdout, parse_constant=_reject_constant)
+    code, out, err = run_fresh(
+        tmp_path, {"baxter": {"n": 2, "L": 4, "t": [230, -230, 230]}},
+        "decompose")
+    assert code == 0 and err == ""
+    report = json.loads(out, parse_constant=_reject_constant)
     assert math.isfinite(report["roundtrip_gap"]) and report["passed"]
     assert max(abs(c) for t in report["terms"] for c in t["coefficient"]) > 1e222
 
@@ -189,7 +232,7 @@ def test_non_finite_decompose_gap_is_not_passed(tmp_path, monkeypatch, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"baxter": {"n": 2, "L": 4,
                                            "t": [1.0, -0.5, 1.0]}}))
-    monkeypatch.setattr(cli, "_norm", lambda x: math.inf)
+    monkeypatch.setattr(rp, "_norm", lambda x: math.inf)
     code, out, _ = run(capsys, "decompose", "--spec", str(path))
     assert code == cli.VIOLATIONS and json.loads(out)["passed"] is False
 
@@ -394,19 +437,11 @@ def test_huge_finite_coefficient_exits_1_with_one_line(tmp_path):
     read, not refused by the modulus test: its reflection overflows, and
     rp-check exits 1 with one line naming the non-finite H, in a fresh
     interpreter so that stderr is all there."""
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps({
+    code, out, err = run_fresh(tmp_path, {
         "n": 3, "L": 4,
         "h_minus": [{"coefficient": [1.7e308, 1.7e308], "exponents": [1, 2, 0, 0]}],
         "couplings": [{"exponents": [1, 2, 0, 0], "J": 0.4}],
-    }))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-m", "pararp.cli", "rp-check", "--spec", str(path)],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": env_path},
-    )
-    assert result.returncode == cli.ERROR and result.stdout == ""
-    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    assert "absolute value too large" not in result.stderr
+    }, "rp-check")
+    assert code == cli.ERROR and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "absolute value too large" not in err

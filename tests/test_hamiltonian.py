@@ -8,7 +8,6 @@ import warnings
 import numpy as np
 import pytest
 
-from pararp import hamiltonian
 from pararp.algebra import (
     Polynomial,
     canonical_product,
@@ -112,15 +111,13 @@ class TestAssemble:
         assert spec.validated_rule is CouplingRule.ALL_NONNEG
 
     def test_with_h_minus(self):
-        n, L = 3, 4
+        n = 3
         h_minus = mono((1, 2, 0, 0), n, coeff=0.7 + 0.1j)
         table = CouplingTable({ExponentVector((1, 1, 0, 0), n): 0.3})
         spec = assemble(h_minus, table)
         assert spec.h_plus.almost_equal(reflect(h_minus))
-        rep = rep_for(n, L)
-        report = check_symmetries(spec, rep)
-        assert report["reflection_symbolic"] and report["gauge_symbolic"]
-        assert report["matrix_ok"]
+        report = check_symmetries(spec)
+        assert report == {"reflection_symbolic": True, "gauge_symbolic": True}
 
     def test_rejects_non_observable(self):
         with pytest.raises(SpecError, match="offending"):
@@ -146,28 +143,17 @@ class TestCheckSymmetries:
         assert not report["reflection_symbolic"]
         assert report["gauge_symbolic"]
 
-    def test_huge_couplings_give_finite_gaps(self):
-        # |H_ij| near 1e200: the squares of the plain Frobenius norm overflow.
-        spec = baxter(3, 4, [1e200, -1e200, 1e200])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            report = check_symmetries(spec, rep_for(3, 4))
-        gaps = report["reflection_matrix_gap"], report["gauge_matrix_gap"]
-        assert all(map(math.isfinite, gaps)) and report["matrix_ok"]
-
-    def test_non_finite_gap_is_not_ok(self, monkeypatch):
-        # inf <= tol * inf: an infinite gap under an infinite scale.
-        monkeypatch.setattr(hamiltonian, "_norm", lambda x: math.inf)
-        spec = baxter(3, 4, [1.0, -0.5, 1.0])
-        assert not check_symmetries(spec, rep_for(3, 4))["matrix_ok"]
+    def test_reads_the_spec_alone(self):
+        assert list(inspect.signature(check_symmetries).parameters) == ["spec"]
 
     @pytest.mark.parametrize("n,L", [(2, 2), (2, 6), (3, 4), (3, 6), (4, 4),
                                      (5, 2), (2, 8)])
     def test_parseval_gaps_are_the_dense_gaps(self, n, L):
-        """The gaps from the coefficients equal the dense matrices' gaps
-        ||to_matrix(f(H)) - to_matrix(H)||_F, on specs and on a stand-in
-        whose H is neither theta- nor gauge-invariant, where both gaps are
-        far from zero."""
+        """sqrt(dim) times the 2-norm of the coefficient difference is the
+        dense gap ||to_matrix(f(H)) - to_matrix(H)||_F, and each symbolic
+        verdict holds exactly when that gap is at most 1e-10 of the scale:
+        on specs, and on a stand-in whose H is neither theta- nor
+        gauge-invariant, where both gaps are far from zero."""
         rep = rep_for(n, L)
         rng = np.random.default_rng(11 * n + L)
         charged = mono([1] + [0] * (L - 1), n, coeff=0.3 - 0.2j)
@@ -183,13 +169,16 @@ class TestCheckSymmetries:
             dense = [float(np.linalg.norm(to_matrix(f(h), rep) - m))
                      for f in (reflect, gauge_apply)]
             scale = 1.0 + float(np.linalg.norm(m))
-            report = check_symmetries(spec, rep)
-            gaps = [report["reflection_matrix_gap"], report["gauge_matrix_gap"]]
+            gaps = [math.sqrt(rep.dim) * float(np.linalg.norm(
+                f(h)._difference(h))) for f in (reflect, gauge_apply)]
             assert np.allclose(gaps, dense, rtol=1e-12, atol=1e-13 * scale)
+            report = check_symmetries(spec)
+            verdicts = [report["reflection_symbolic"], report["gauge_symbolic"]]
+            assert verdicts == [gap <= 1e-10 * scale for gap in dense]
             if isinstance(spec, StandIn):
-                assert min(gaps) > 0.1 and not report["matrix_ok"]
+                assert min(dense) > 0.1 and verdicts == [False, False]
             else:
-                assert report["matrix_ok"]
+                assert verdicts == [True, True]
 
     def test_check_symmetries_holds_no_matrix(self):
         """The Baxter test spec at (4, 12), dim 4096: a dense matrix of H
@@ -197,28 +186,15 @@ class TestCheckSymmetries:
         n, L = 4, 12
         t = [1.0] * (L - 1)
         t[L // 2 - 1] = -0.5
-        spec, rep = baxter(n, L, t), rep_for(n, L)
-        check_symmetries(spec, rep)  # the caches of the first call
+        spec = baxter(n, L, t)
+        check_symmetries(spec)  # the caches of the first call
         tracemalloc.start()
         try:
-            report = check_symmetries(spec, rep)
+            report = check_symmetries(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report["matrix_ok"] and peak < 2**20
-
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 3.0, 1e200, 1e305])
-    def test_scaled_norm_is_the_frobenius_norm(self, scale):
-        rng = np.random.default_rng(5)
-        x = scale * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
-        with np.errstate(over="ignore"):
-            plain = float(np.linalg.norm(x))
-        before = x.copy()
-        if math.isfinite(plain):
-            assert hamiltonian._norm(x) == plain
-        else:  # the exact value is about 12.7 scale
-            assert hamiltonian._norm(x) == pytest.approx(12.7 * scale, rel=0.2)
-        assert np.array_equal(x, before)  # x is read, not scaled in place
+        assert all(report.values()) and peak < 2**20
 
 
 class TestSpecIsDerived:
@@ -333,8 +309,8 @@ class TestBaxter:
         # equal couplings keep the chain reflection symmetric for every
         # (even) relabeling of the cut position
         spec = baxter(3, L, [-0.7] * (L - 1))
-        report = check_symmetries(spec, rep_for(3, L))
-        assert report["reflection_symbolic"] and report["matrix_ok"]
+        report = check_symmetries(spec)
+        assert report["reflection_symbolic"] and report["gauge_symbolic"]
 
 
 class TestSpecFiles:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ class TestMatrixExp:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             rp.matrix_exp(np.array([[np.nan, 0], [0, 0]]))
+
+
+class TestScaledNorm:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 3.0, 1e200, 1e305])
+    def test_scaled_norm_is_the_frobenius_norm(self, scale):
+        rng = np.random.default_rng(5)
+        x = scale * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        with np.errstate(over="ignore"):
+            plain = float(np.linalg.norm(x))
+        before = x.copy()
+        if math.isfinite(plain):
+            assert rp._norm(x) == plain
+        else:  # the exact value is about 12.7 scale
+            assert rp._norm(x) == pytest.approx(12.7 * scale, rel=0.2)
+        assert np.array_equal(x, before)  # x is read, not scaled in place
 
 
 class TestRPFunctional:
@@ -275,6 +291,38 @@ class TestBounds:
             out = rp.rp_bounds_check(a, b, spec, rep)
             assert out["margin1"] >= -1e-9 and out["margin2"] >= -1e-9
 
+    def test_violating_pair_is_reported_not_raised(self):
+        # Z = f(I, I) < 0 on this rule-none spec.
+        spec = baxter(3, 4, [1.0, 2.0, 1.0])
+        one = Polynomial.identity(3, 4)
+        out = rp.rp_bounds_check(one, one, spec, rep_for(3, 4))
+        assert not out["ok"] and out["bound1"] == out["bound2"] == 0.0
+
+    def test_sampled_bounds_flags_exactly_the_pairs_with_a_negative_f(
+        self, monkeypatch
+    ):
+        """Every pair comes back; a pair is not ok exactly when its f(A, A)
+        or f(B, B) is below -tol (1 + |f|), even where its margin is 0."""
+        spec, rep = baxter(3, 6, [1.0, 0.7, -0.4, 0.7, 1.0]), rep_for(3, 6)
+        honest = rp.sampled_bounds(spec, rep, 8, 3)
+        assert len(honest) == 9 and all(r["ok"] for r in honest)
+        forms = rp._forms
+
+        def tampered(*args):
+            m, f = forms(*args)
+            f = f.reshape(-1, 3).copy()  # [f(A, B), f(A, A), f(B, B)]
+            f[2, 1] *= -1
+            f[5, 2] *= -1
+            f[6] = [0.0, -1.0, f[6, 2]]  # bound 0, margin 0
+            f[7] = [0.0, -1e-12, f[7, 2]]  # within the tolerance
+            return m, f.ravel()
+
+        monkeypatch.setattr(rp, "_forms", tampered)
+        pairs = rp.sampled_bounds(spec, rep, 8, 3)
+        assert len(pairs) == 9 and pairs[6]["margin1"] == 0.0
+        assert [p for p, r in enumerate(pairs) if not r["ok"]] == [2, 5, 6]
+        assert pairs[2]["bound1"] == pairs[5]["bound1"] == 0.0
+
     def test_rejects_minus_side(self):
         n, L = 3, 4
         spec = zero_spec(n, L)
@@ -454,6 +502,16 @@ class TestLoopExpectation:
         rep = rep_for(3, 2)
         with pytest.raises(ValueError, match="hermitian"):
             rp.loop_expectation(Polynomial.identity(3, 2), spec, rep)
+
+    @pytest.mark.parametrize("t", [1.0, 1e160])
+    def test_rejects_non_hermitian_of_any_size(self, t):
+        # At t = 1e160 the squares of the plain Frobenius norm overflow.
+        spec, rep = baxter(3, 4, [t, -t, t]), rep_for(3, 4)
+        a = mono((1, 2, 0, 0), 3)  # c_1 c_2^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not hermitian"):
+                rp.loop_expectation(a, spec, rep)
 
     def test_rejects_non_observable(self):
         n, L = 3, 4

@@ -3,10 +3,10 @@
     python3 tools/bench_record.py 6 --seed 3 --seconds 30
 
 For each workload declared in BENCHMARK.json this runs perfbench/run.py
-once with ``--trace 0`` (end-to-end metrics) and TRACED_RUNS times with
+RUNS times with ``--trace 0`` (end-to-end metrics) and RUNS times with
 ``--trace 1`` (per-layer metrics), and keeps the last JSON line of each run.
-Each per-layer metric is the median over the traced runs, since one traced
-run is too noisy to compare layer times between records.  The record also holds
+Each metric is the median over its runs, since one run is too noisy to
+compare times between records.  The record also holds
 ``wc -l src/pararp/*.py`` and the machine and library versions, so that
 records of different changes can be compared line by line.  The file is
 written to the repository root; the exit code is 1 when a run failed or
@@ -27,7 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600
-TRACED_RUNS = 3
+RUNS = 3
 
 
 def workloads() -> list[str]:
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     outputs = {
         (workload, trace): [run_benchmark(workload, trace, args.seed, args.seconds)
-                            for _ in range(TRACED_RUNS if trace else 1)]
+                            for _ in range(RUNS)]
         for workload in workloads()
         for trace in (0, 1)
     }
