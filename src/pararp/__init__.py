@@ -24,7 +24,6 @@ from .algebra import (
 from .representation import (
     Representation,
     build_generators,
-    clock_shift,
     decompose,
     sector_blocks,
     to_matrix,
@@ -50,10 +49,8 @@ from .rp import (
     counterexample_f,
     family_check,
     gram_psd,
-    loop_expectation,
     matrix_exp,
     rp_bounds_check,
-    rp_functional,
 )
 
 __version__ = "0.1.0"

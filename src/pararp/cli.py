@@ -268,10 +268,7 @@ def main(argv=None) -> int:
             ok, fields = run(spec, rep, args)
         emit_report({**report, **fields}, args.out)
         return PASS if ok else VIOLATIONS
-    except (
-        SpecError, DimensionCapError, ValueError, OSError,
-        ArithmeticError, rp.OverflowError_,
-    ) as exc:
+    except (DimensionCapError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

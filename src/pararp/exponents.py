@@ -70,11 +70,6 @@ class ExponentVector:
         half = self.sites // 2
         return all(e == 0 for e in self.entries[half:])
 
-    def supported_on_plus(self) -> bool:
-        """All nonzero entries on sites L/2+1..L."""
-        half = self.sites // 2
-        return all(e == 0 for e in self.entries[:half])
-
 
 def zero_vector(n: int, L: int) -> ExponentVector:
     return ExponentVector((0,) * L, n)

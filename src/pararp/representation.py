@@ -76,18 +76,6 @@ class DimensionCapError(RuntimeError):
     """Requested representation exceeds the configured resource cap."""
 
 
-def clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n x n clock and shift matrices (sigma, tau)."""
-    if n < 2:
-        raise ValueError(f"order must be >= 2, got {n}")
-    omega = np.exp(2j * np.pi / n)
-    sigma = np.diag(omega ** np.arange(n))
-    tau = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        tau[(k + 1) % n, k] = 1.0
-    return sigma, tau
-
-
 @dataclass(frozen=True)
 class Representation:
     """L generators acting on the full chain, of dimension n^{L/2}: an

@@ -7,10 +7,9 @@ Everything here evaluates trace functionals of the form
 in the matrix representation: positivity of f on the diagonal over the
 observable algebra of the minus half, Gram positive-semidefiniteness and
 the Schwarz inequality (both at the scale 1 + max |G_ab|), the errors of
-Trotter product approximants of e^{-H}, reflection bounds, the known f(c)
-counterexample on the non-gauge-invariant algebra, and loop operator
-expectations in ground states.  The conservation law behind the
-positivity proof is checked symbolically.
+Trotter product approximants of e^{-H}, reflection bounds, and the known
+f(c) counterexample on the non-gauge-invariant algebra.  The conservation
+law behind the positivity proof is checked symbolically.
 
 H is gauge invariant, so its matrix is block-diagonal across the n charge
 sectors of :mod:`pararp.representation`, and H reaches every job only as
@@ -98,10 +97,6 @@ _PADE_13 = (
 _THETA_13 = 5.371920351148152
 
 
-class OverflowError_(RuntimeError):
-    """Matrix exponential overflowed."""
-
-
 def matrix_exp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of a matrix, or of each matrix in a stack of shape
     (..., m, m): the degree-13 scaling-and-squaring Pade method (Higham,
@@ -148,7 +143,7 @@ def matrix_exp(a: np.ndarray) -> np.ndarray:
             half = e[more]
             e[more] = half @ half
     if not np.all(np.isfinite(e)):
-        raise OverflowError_("matrix exponential overflowed")
+        raise OverflowError("matrix exponential overflowed")
     return e.reshape(shape)
 
 
@@ -343,26 +338,6 @@ def _forms(rows, coeffs, spans, rep: Representation, table) -> tuple:
     terms = coeffs[i] * m * coeffs[j].conj()
     return m, (np.bincount(block, terms.real, len(spans))
                + 1j * np.bincount(block, terms.imag, len(spans)))
-
-
-def _pair(x: Polynomial, y: Polynomial, rep, table) -> np.ndarray:
-    """[f(X_p, X_q)] over the pair (X_0, X_1) = (x, y)."""
-    ends = np.cumsum([0, len(x.coeffs), len(y.coeffs)])
-    spans = np.array([[ends[p], ends[p + 1], ends[q], ends[q + 1]]
-                      for p in (0, 1) for q in (0, 1)])
-    _, f = _forms(np.concatenate([x.exponents, y.exponents]),
-                  np.concatenate([x.coeffs, y.coeffs]), spans, rep, table)
-    return f.reshape(2, 2)
-
-
-def rp_functional(a: Polynomial, b: Polynomial, spec: HamiltonianSpec,
-                  rep: Representation) -> complex:
-    """f(A, B) = Tr(A theta(B) e^{-H}) for A and B on one side; linear in
-    A, anti-linear in B."""
-    sides = {classify(a).side, classify(b).side} - {Side.SCALAR}
-    if Side.CROSSING in sides or len(sides) > 1:
-        raise ValueError("A and B must be localized on the same side")
-    return complex(_pair(a, b, rep, boltzmann_table(spec, rep))[0, 1])
 
 
 def check_rp(
@@ -592,10 +567,12 @@ def rp_bounds_check(
         if sc.side not in (Side.PLUS, Side.SCALAR) or not sc.observable:
             raise ValueError(f"{name} must be in the plus observable algebra")
 
-    table = boltzmann_table(spec, rep)
-    g = _pair(reflect(a), reflect(b), rep, table)
-    forms = np.array([[g[1, 0], g[0, 0], g[1, 1]]])
-    return _bounds(forms, complex(table[0, 0]), tol)[0]
+    ta, tb = reflect(a), reflect(b)
+    k = len(ta.coeffs)
+    return _pair_bounds(np.concatenate([ta.exponents, tb.exponents]),
+                        np.concatenate([ta.coeffs, tb.coeffs]),
+                        np.array([[0, k]]), np.array([[k, k + len(tb.coeffs)]]),
+                        spec, rep, tol)[0]
 
 
 def sampled_bounds(
@@ -610,14 +587,22 @@ def sampled_bounds(
     rng = np.random.default_rng(seed)
     terms, coeffs, owner = random_minus_rows(n, L, rng, 2 * samples)
     # Row 0 is the identity, A = B = I at pair 0; pair k holds theta(A),
-    # theta(B), draws 2k - 2, 2k - 1, at rows a, b, and f(A, B), f(A, A),
-    # f(B, B) are the forms of the blocks (b, a), (a, a), (b, b).
+    # theta(B), draws 2k - 2, 2k - 1.
     ends = 1 + np.searchsorted(owner, np.arange(2 * samples + 1))
     a = np.concatenate([[[0, 1]], np.stack([ends[:-1:2], ends[1::2]], 1)])
     b = np.concatenate([[[0, 1]], np.stack([ends[1::2], ends[2::2]], 1)])
+    return _pair_bounds(np.concatenate([np.zeros((1, L), dtype=np.int64), terms]),
+                        np.concatenate([[1], coeffs]), a, b, spec, rep, tol)
+
+
+def _pair_bounds(rows, coeffs, a, b, spec: HamiltonianSpec,
+                 rep: Representation, tol: float) -> list[dict]:
+    """The bounds of each pair k of plus observables (A, B), with theta(A)
+    and theta(B) the sums of coeffs[r] C_{rows[r]} over the row spans a[k]
+    and b[k]: f(A, B), f(A, A), f(B, B) are the forms of the blocks (b, a),
+    (a, a), (b, b) of M, all read in one _forms call (see _bounds)."""
     table = boltzmann_table(spec, rep)
-    _, f = _forms(np.concatenate([np.zeros((1, L), dtype=np.int64), terms]),
-                  np.concatenate([[1], coeffs]),
+    _, f = _forms(rows, coeffs,
                   np.concatenate([b, a, a, a, b, b], 1).reshape(-1, 4), rep, table)
     return _bounds(f.reshape(-1, 3), complex(table[0, 0]), tol)
 
@@ -779,56 +764,3 @@ def family_check(
     is exact."""
     return counterexample_check(*family_pair(family, k, jprime))
 
-
-# -- loop operators and ground states -------------------------------------
-
-
-def loop_expectation(
-    a: Polynomial,
-    spec: HamiltonianSpec,
-    rep: Representation,
-) -> dict:
-    """Ground-state expectations of the loop operator W_A = A theta(A).
-
-    Requires a hermitian Hamiltonian and A in the minus observable algebra.
-    Reports whether W_A leaves the ground space diagonal (no transitions
-    between ground states) and, if so, whether all expectations are
-    non-negative.  H and W_A are read as sector blocks (Parseval gives the
-    hermiticity gap), with one stacked eigh, so the ground states are
-    charge eigenstates, listed by sector.  Where the ground space is
-    degenerate, another eigenbasis may change the expectations and w_order,
-    not their sum.
-    """
-    herm_tol, ground_tol = 1e-10, 1e-8
-    sc = classify(a)
-    if sc.side not in (Side.MINUS, Side.SCALAR) or not sc.observable:
-        raise ValueError("A must be in the minus observable algebra")
-    h = sector_blocks(spec.total(), rep)
-    h_adj = h.conj().transpose(0, 2, 1)
-    h_gap = _norm(h - h_adj)
-    if h_gap > herm_tol * (1.0 + _norm(h)):
-        raise ValueError(
-            f"Hamiltonian is not hermitian (gap {h_gap:.3e}); unsupported"
-        )
-    evals, evecs = np.linalg.eigh((h + h_adj) / 2)
-    low = float(evals.min())
-    mask = evals - low <= ground_tol * max(1.0, float(evals.max()) - low)
-    w = sector_blocks(canonical_product(a, reflect(a)), rep)
-    blocks = [v[:, keep].conj().T @ w_q @ v[:, keep]
-              for v, keep, w_q in zip(evecs, mask, w)]
-    off = math.hypot(*(np.linalg.norm(b - np.diag(b.diagonal()))
-                       for b in blocks))
-    w_scale = 1.0 + float(np.linalg.norm(w))
-    w_order = off <= ground_tol * w_scale
-    expectations = [complex(x) for b in blocks for x in b.diagonal()]
-    positive = w_order and all(
-        x.real >= -ground_tol * w_scale and abs(x.imag) <= ground_tol * w_scale
-        for x in expectations
-    )
-    return {
-        "ground_degeneracy": int(mask.sum()),
-        "ground_energy": low,
-        "w_order": w_order,
-        "expectations": [[x.real, x.imag] for x in expectations],
-        "positive": positive,
-    }

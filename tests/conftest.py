@@ -21,11 +21,35 @@ def rep():
     return rep_for
 
 
+def clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n x n clock and shift matrices (sigma, tau)."""
+    if n < 2:
+        raise ValueError(f"order must be >= 2, got {n}")
+    omega = np.exp(2j * np.pi / n)
+    sigma = np.diag(omega ** np.arange(n))
+    tau = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        tau[(k + 1) % n, k] = 1.0
+    return sigma, tau
+
+
 def random_blocks(rep, rng):
     """n random charge-sector blocks: those of a dense non-hermitian matrix
     that commutes with the gauge shift T."""
     n, r = rep.order, rep.dim // rep.order
     return rng.normal(size=(n, r, r)) + 1j * rng.normal(size=(n, r, r))
+
+
+def pair_forms(x, y, rep, table):
+    """[f(X_p, X_q)] over the pair (X_0, X_1) = (x, y): the forms of the
+    four blocks of the RP matrix over the terms of x, then of y, read with
+    rp._forms."""
+    ends = np.cumsum([0, len(x.coeffs), len(y.coeffs)])
+    spans = np.array([[ends[p], ends[p + 1], ends[q], ends[q + 1]]
+                      for p in (0, 1) for q in (0, 1)])
+    _, f = rp._forms(np.concatenate([x.exponents, y.exponents]),
+                     np.concatenate([x.coeffs, y.coeffs]), spans, rep, table)
+    return f.reshape(2, 2)
 
 
 def dense_sector_blocks(a, rep):

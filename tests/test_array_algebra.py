@@ -33,7 +33,7 @@ from pararp.exponents import ExponentVector, degree, unit_vector, zero_vector
 from pararp.hamiltonian import CouplingTable, baxter, build_h0
 from pararp.representation import build_generators, to_matrix, weyl_table
 
-from conftest import dense_matrix, rep_for, trotter_approximant
+from conftest import dense_matrix, pair_forms, rep_for, trotter_approximant
 
 CELLS = [(n, L) for n in (2, 3, 4, 5) for L in (2, 4, 8, 12, 20)]
 WIDE = (5, 28)  # 5^28 > 2^63: rows need two int64 codes
@@ -211,11 +211,12 @@ def ref_from_text(text):
 def ref_classify(p):
     observable = all(degree(v) % p.order == 0 for v in p.terms)
     nonscalar = [v for v in p.terms if not v.is_zero()]
+    half = p.sites // 2
     if not nonscalar:
         return algebra.Side.SCALAR, observable
     if all(v.supported_on_minus() for v in nonscalar):
         return algebra.Side.MINUS, observable
-    if all(v.supported_on_plus() for v in nonscalar):
+    if all(not any(v.entries[:half]) for v in nonscalar):
         return algebra.Side.PLUS, observable
     return algebra.Side.CROSSING, observable
 
@@ -481,7 +482,7 @@ def test_to_matrix_and_traces_never_build_terms(count_vectors):
     e, table = dense_matrix(blocks, rep), weyl_table(blocks, rep)
     count_vectors.clear()
     m = to_matrix(b, rep)
-    forms = rp._pair(a, b, rep, table)
+    forms = pair_forms(a, b, rep, table)
     assert count_vectors == []
     # The values agree with the dense products of the terms' matrices.
     dense = sum(c * rep.monomial_matrix(v) for v, c in b.terms.items())

@@ -113,14 +113,14 @@ def test_overflow_in_one_block_of_a_stack():
     stack[0] = -np.eye(3)
     stack[2] = 800.0 * np.eye(3)  # e^800 is past the float range
     stack[3] = -1e3 * np.ones((3, 3))
-    with pytest.raises(rp.OverflowError_):
+    with pytest.raises(OverflowError):
         rp.matrix_exp(stack)
     finite = stack[[0, 1, 3]]
     assert_close(rp.matrix_exp(finite), scipy.linalg.expm(finite))
 
 
 def test_overflow_and_underflow_raise_no_warnings(recwarn):
-    with pytest.raises(rp.OverflowError_):
+    with pytest.raises(OverflowError):
         rp.matrix_exp(1e3 * np.ones((6, 6)))
     rp.matrix_exp(np.array([[1e-300, 0.0], [0.0, 0.0]]))
     assert not recwarn.list

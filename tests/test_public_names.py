@@ -8,6 +8,7 @@ import inspect
 import json
 
 import numpy as np
+import pytest
 
 from pararp import cli, hamiltonian, representation, rp
 from pararp.algebra import Polynomial, from_text, to_text
@@ -77,3 +78,30 @@ def test_program_modules_build_no_dense_matrix():
         assert "to_matrix" not in source and "sector_matrix" not in source
     assert not hasattr(representation, "sector_matrix")
     assert not hasattr(rp, "trotter_approximant")
+
+
+def test_retired_names_are_gone_and_kept_names_stay():
+    """The second bounds layout, the test-only entry points and the private
+    overflow class are gone from the package; the names the acceptance gate,
+    the README and the benchmark's tracer read are all still there."""
+    import pararp
+
+    retired = {"rp_functional", "_pair", "loop_expectation", "clock_shift",
+               "OverflowError_"}
+    for module in (pararp, rp, representation):
+        assert not retired & set(vars(module)), module.__name__
+    assert not hasattr(ExponentVector, "supported_on_plus")
+    kept = {
+        representation: ["all_exponent_vectors", "trace_monomial",
+                         "build_generators", "sector_blocks", "decompose"],
+        rp: ["minus_monomials_of_degree", "random_minus_observable",
+             "random_minus_vector", "rp_bounds_check", "sampled_bounds",
+             "conservation_law_check", "check_rp", "gram_psd", "rp_matrix",
+             "structured_observables", "matrix_exp", "family_pair"],
+    }
+    for module, names in kept.items():
+        assert all(callable(getattr(module, name)) for name in names)
+    assert callable(representation.Representation.monomial_matrix)
+    assert callable(rp.RPReport.to_json) and callable(from_text)
+    with pytest.raises(OverflowError, match="^matrix exponential overflowed$"):
+        rp.matrix_exp(np.full((2, 2), 1e3))

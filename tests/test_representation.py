@@ -12,7 +12,6 @@ from pararp.representation import (
     DimensionCapError,
     all_exponent_vectors,
     build_generators,
-    clock_shift,
     decompose,
     sector_blocks,
     to_matrix,
@@ -22,8 +21,8 @@ from pararp.representation import (
 )
 
 from conftest import (
-    dense_decompose, dense_matrix, dense_sector_blocks, dense_weyl_table,
-    random_blocks, reference_phases, reference_weyl_table, rep_for,
+    clock_shift, dense_decompose, dense_matrix, dense_sector_blocks,
+    dense_weyl_table, random_blocks, reference_phases, reference_weyl_table, rep_for,
 )
 
 
@@ -47,10 +46,6 @@ class TestClockShift:
             sigma, tau = clock_shift(n)
             assert abs(np.trace(sigma)) < 1e-12
             assert abs(np.trace(tau)) < 1e-12
-
-    def test_rejects_small_order(self):
-        with pytest.raises(ValueError):
-            clock_shift(1)
 
 
 class TestBuildGenerators:

@@ -1,17 +1,9 @@
-import cmath
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from pararp.algebra import (
-    Polynomial,
-    adjoint,
-    canonical_product,
-    reflect,
-    zeta_power,
-)
+from pararp.algebra import Polynomial, canonical_product, reflect
 from pararp.exponents import ExponentVector, unit_vector
 from pararp.hamiltonian import (
     CouplingRule,
@@ -71,42 +63,43 @@ class TestScaledNorm:
         assert np.array_equal(x, before)  # x is read, not scaled in place
 
 
+def form(x, y, spec, rep):
+    """f(X, Y) = x^T M conj(y), M = rp_matrix over the terms of X, then of
+    Y, with the Weyl table of e^{-H}."""
+    k = len(x.coeffs)
+    m = rp.rp_matrix(np.concatenate([x.exponents, y.exponents]), rep,
+                     rp.boltzmann_table(spec, rep))
+    return complex(x.coeffs @ m[:k, k:] @ y.coeffs.conj())
+
+
 class TestRPFunctional:
     def test_identity_no_hamiltonian(self):
         for n, L in [(2, 2), (3, 2), (3, 4)]:
             spec = zero_spec(n, L)
             rep = rep_for(n, L)
             one = Polynomial.identity(n, L)
-            val = rp.rp_functional(one, one, spec, rep)
-            assert abs(val - n ** (L // 2)) < 1e-12
+            assert abs(form(one, one, spec, rep) - n ** (L // 2)) < 1e-12
 
     def test_partition_function_real_positive(self):
         spec = rp.crossing_only_spec(3)
         rep = rep_for(3, 2)
-        one = Polynomial.identity(3, 2)
-        z = rp.rp_functional(one, one, spec, rep)
+        [[z]] = rp.rp_matrix(np.zeros((1, 2), dtype=np.int64), rep,
+                             rp.boltzmann_table(spec, rep))
         assert z.real > 0 and abs(z.imag) < 1e-12
 
     def test_sesquilinearity(self):
+        """Linear in A, anti-linear in B, and additive in A across the
+        different monomials of A, A' and A + A'."""
         n, L = 3, 4
         spec = baxter(n, L, [0.4, -0.2, 0.4])
         rep = rep_for(n, L)
         rng = np.random.default_rng(5)
-        a = rp.random_minus_observable(n, L, rng)
-        b = rp.random_minus_observable(n, L, rng)
+        a, a2, b = (rp.random_minus_observable(n, L, rng) for _ in range(3))
         alpha = complex(rng.normal(), rng.normal())
-        f = rp.rp_functional(a, b, spec, rep)
-        assert abs(rp.rp_functional(alpha * a, b, spec, rep) - alpha * f) < 1e-9
-        assert abs(
-            rp.rp_functional(a, alpha * b, spec, rep) - alpha.conjugate() * f
-        ) < 1e-9
-
-    def test_rejects_mixed_sides(self):
-        n, L = 3, 4
-        spec = zero_spec(n, L)
-        rep = rep_for(n, L)
-        with pytest.raises(ValueError):
-            rp.rp_functional(mono((1, 2, 0, 0), n), mono((0, 0, 1, 2), n), spec, rep)
+        f = form(a, b, spec, rep)
+        assert abs(form(alpha * a, b, spec, rep) - alpha * f) < 1e-9
+        assert abs(form(a, alpha * b, spec, rep) - alpha.conjugate() * f) < 1e-9
+        assert abs(form(a + a2, b, spec, rep) - f - form(a2, b, spec, rep)) < 1e-9
 
 
 class TestCheckRP:
@@ -323,6 +316,38 @@ class TestBounds:
         assert [p for p, r in enumerate(pairs) if not r["ok"]] == [2, 5, 6]
         assert pairs[2]["bound1"] == pairs[5]["bound1"] == 0.0
 
+    @pytest.mark.parametrize("n,L,t", [
+        (2, 8, [0.9, 1.1, 0.8, -0.6, 0.8, 1.1, 0.9]),
+        (3, 6, [1.0, 0.7, -0.4, 0.7, 1.0]),
+        (3, 4, [1.0, 0.8, 1.0]),  # rule none: some pairs are not ok
+        (4, 6, [1.0, 1.0, -0.5, 1.0, 1.0]),
+        (5, 4, [1.0, -0.5, 1.0]),
+    ])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_bounds_check_is_the_sampled_pair(self, n, L, t, seed, monkeypatch):
+        """rp_bounds_check(theta(A), theta(B)) of the draws A, B of each
+        pair of sampled_bounds equals that pair's report, bit for bit.
+        rp_bounds_check reads the rows of theta(theta(A)), whose coefficients
+        round differently from A's for odd n (omega is not a power of i), so
+        sampled_bounds here draws those rounded coefficients."""
+        spec, rep = baxter(n, L, t), rep_for(n, L)
+        draw = rp.random_minus_rows
+
+        def twice_reflected(*args):
+            rows, coeffs, owner = draw(*args)
+            p = Polynomial._from_arrays(rows, coeffs, n, L)
+            return rows, reflect(reflect(p)).coeffs, owner
+
+        monkeypatch.setattr(rp, "random_minus_rows", twice_reflected)
+        pairs = rp.sampled_bounds(spec, rep, 6, seed)
+        rows, coeffs, owner = draw(n, L, np.random.default_rng(seed), 12)
+        draws = [reflect(Polynomial._from_arrays(rows[owner == k], coeffs[owner == k],
+                                                 n, L)) for k in range(12)]
+        one = Polynomial.identity(n, L)
+        assert [rp.rp_bounds_check(a, b, spec, rep) for a, b in
+                [(one, one)] + list(zip(draws[::2], draws[1::2]))] == pairs
+        assert all(r["ok"] for r in pairs) == (t[L // 2 - 1] < 0)
+
     def test_rejects_minus_side(self):
         n, L = 3, 4
         spec = zero_spec(n, L)
@@ -400,121 +425,3 @@ class TestFamilies:
         with pytest.raises(ValueError):
             rp.family_pair(4, 2, 1)
 
-
-def hermitian_spec(L, rng):
-    """A random hermitian n = 2 spec: H_- = Y + Y^* for a random minus
-    observable Y, and up to three crossing couplings."""
-    n, half = 2, L // 2
-    y = rp.random_minus_observable(n, L, rng)
-    couplings = {}
-    for _ in range(int(rng.integers(0, 4))):
-        entries = [int(x) for x in rng.integers(0, n, size=half)] + [0] * half
-        if any(entries):
-            couplings[ExponentVector(tuple(entries), n)] = float(rng.normal())
-    return assemble(y + adjoint(y), CouplingTable(couplings))
-
-
-def dense_ground(spec, a, rep):
-    """Ground degeneracy and energy of H, and P W_A P for P the projector
-    onto its ground space, from one dense eigh of the matrix of H: the
-    reference that loop_expectation on the sector blocks is compared with."""
-    h = to_matrix(spec.total(), rep)
-    assert np.abs(h - h.conj().T).max() < 1e-12
-    evals, evecs = np.linalg.eigh(h)
-    mask = evals - evals[0] <= 1e-8 * max(1.0, evals[-1] - evals[0])
-    p = evecs[:, mask] @ evecs[:, mask].conj().T
-    w = to_matrix(canonical_product(a, reflect(a)), rep)
-    return int(mask.sum()), float(evals[0]), p @ w @ p
-
-
-LOOP_CASES = [(L, seed) for L in (4, 6, 8, 10) for seed in range(6)]
-
-
-class TestLoopExpectation:
-    @pytest.mark.parametrize("L,seed", LOOP_CASES + [(L, None) for L in (4, 6)])
-    def test_matches_dense_eigh(self, L, seed):
-        """Degeneracy, ground energy, and the trace and Frobenius norm of
-        P W_A P, which no choice of ground basis changes, against a dense
-        eigh; seed None is H = 0, where every state is a ground state."""
-        n = 2
-        rng = np.random.default_rng(seed)
-        spec = zero_spec(n, L) if seed is None else hermitian_spec(L, rng)
-        a = rp.random_minus_observable(n, L, np.random.default_rng(L))
-        rep = rep_for(n, L)
-        degeneracy, energy, pwp = dense_ground(spec, a, rep)
-        out = rp.loop_expectation(a, spec, rep)
-        assert out["ground_degeneracy"] == degeneracy
-        assert abs(out["ground_energy"] - energy) <= 1e-10 * (1 + abs(energy))
-        x = np.array(out["expectations"]) @ [1, 1j]
-        assert len(x) == degeneracy
-        scale = 1 + np.abs(pwp).max()
-        assert abs(x.sum() - np.trace(pwp)) <= 1e-10 * scale * degeneracy
-        # The diagonal of P W_A P in the reported basis is all of it when
-        # w_order holds, and part of it otherwise.
-        frobenius = float(np.linalg.norm(pwp))
-        assert np.linalg.norm(x) <= frobenius + 1e-10 * scale
-        if out["w_order"]:
-            assert abs(np.linalg.norm(x) - frobenius) <= 1e-8 * scale
-
-    def test_degenerate_ground_space_in_charge_eigenstates(self):
-        """At H = 0 every state is a ground state.  In the charge
-        eigenbasis W_A of A = c_1 c_2 is diagonal, so w_order holds where
-        the standard basis of a dense eigh would not give it; W_A has a
-        negative eigenvalue, so it is not positive."""
-        n, L = 2, 4
-        a = mono((1, 1, 0, 0), n)
-        rep = rep_for(n, L)
-        out = rp.loop_expectation(a, zero_spec(n, L), rep)
-        assert out["ground_degeneracy"] == 4 and out["ground_energy"] == 0.0
-        assert out["w_order"] and not out["positive"]
-        w = to_matrix(canonical_product(a, reflect(a)), rep)
-        assert np.abs(w - np.diag(w.diagonal())).max() > 0.5
-        x = np.array(out["expectations"]) @ [1, 1j]
-        assert abs(x.sum() - np.trace(w)) < 1e-12
-
-    def test_identity_on_zero_hamiltonian(self):
-        n, L = 2, 4
-        spec = zero_spec(n, L)
-        rep = rep_for(n, L)
-        out = rp.loop_expectation(Polynomial.identity(n, L), spec, rep)
-        assert out["w_order"]
-        assert out["positive"]
-        assert all(abs(x[0] - 1) < 1e-10 for x in out["expectations"])
-
-    def test_hermitian_majorana_chain(self):
-        n, L = 2, 4
-        y = mono((1, 1, 0, 0), n, coeff=0.5j)
-        h_minus = y + adjoint(y)
-        spec = assemble(
-            h_minus, CouplingTable({ExponentVector((0, 1, 0, 0), n): 0.8})
-        )
-        rep = rep_for(n, L)
-        h = to_matrix(spec.total(), rep)
-        assert np.abs(h - h.conj().T).max() < 1e-12
-        a = mono((1, 1, 0, 0), n)
-        out = rp.loop_expectation(a, spec, rep)
-        assert out["ground_degeneracy"] >= 1
-        if out["w_order"]:
-            assert out["positive"]
-
-    def test_rejects_non_hermitian(self):
-        spec = rp.crossing_only_spec(3)  # zeta c theta(c) is not hermitian
-        rep = rep_for(3, 2)
-        with pytest.raises(ValueError, match="hermitian"):
-            rp.loop_expectation(Polynomial.identity(3, 2), spec, rep)
-
-    @pytest.mark.parametrize("t", [1.0, 1e160])
-    def test_rejects_non_hermitian_of_any_size(self, t):
-        # At t = 1e160 the squares of the plain Frobenius norm overflow.
-        spec, rep = baxter(3, 4, [t, -t, t]), rep_for(3, 4)
-        a = mono((1, 2, 0, 0), 3)  # c_1 c_2^2
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="not hermitian"):
-                rp.loop_expectation(a, spec, rep)
-
-    def test_rejects_non_observable(self):
-        n, L = 3, 4
-        spec = zero_spec(n, L)
-        with pytest.raises(ValueError, match="observable"):
-            rp.loop_expectation(mono((1, 0, 0, 0), n), spec, rep_for(n, L))

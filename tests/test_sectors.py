@@ -27,7 +27,6 @@ from pararp.exponents import ExponentVector, unit_vector
 from pararp.hamiltonian import CouplingTable, assemble, baxter, spec_from_dict
 from pararp.representation import (
     build_generators,
-    clock_shift,
     decompose,
     sector_blocks,
     to_matrix,
@@ -35,8 +34,9 @@ from pararp.representation import (
 )
 
 from conftest import (
-    dense_decompose, dense_matrix, dense_sector_blocks, dense_weyl_table,
-    random_blocks, rep_for, stepped_counterexample_sums, trotter_approximant,
+    clock_shift, dense_decompose, dense_matrix, dense_sector_blocks,
+    dense_weyl_table, random_blocks, rep_for, stepped_counterexample_sums,
+    trotter_approximant,
 )
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256, L = 2 included.
@@ -283,7 +283,7 @@ def test_stacked_matrix_exp_zero_nonfinite_and_overflow():
         rp.matrix_exp(bad)
     big = np.zeros((3, 4, 4))
     big[1] = 1e4 * np.ones((4, 4))
-    with pytest.raises(rp.OverflowError_):
+    with pytest.raises(OverflowError):
         rp.matrix_exp(big)
 
 

@@ -27,7 +27,9 @@ from pararp.representation import (
     _digit_sum, pair_traces, sector_blocks, to_matrix, weyl_table,
 )
 
-from conftest import dense_matrix, dense_weyl_table, random_blocks, rep_for
+from conftest import (
+    dense_matrix, dense_weyl_table, pair_forms, random_blocks, rep_for,
+)
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256.
 CELLS = [
@@ -117,7 +119,7 @@ class TestKernelAgainstDense:
         xs.append(Polynomial.identity(n, L))
         for x in xs:
             for y in xs[:3]:
-                assert_close(rp._pair(x, y, rep, table),
+                assert_close(pair_forms(x, y, rep, table),
                              dense_forms([x, y], [x, y], rep, e))
 
     @pytest.mark.parametrize("n,L", [(2, 8), (3, 6), (5, 4)])
@@ -143,7 +145,7 @@ class TestKernelAgainstDense:
         table = weyl_table(random_blocks(rep, rng), rep)
         zero, x = Polynomial.zero(3, 4), random_minus_poly(3, 4, rng)
         # f(zero, x), f(x, zero) and f(zero, zero).
-        got = rp._pair(zero, x, rep, table)
+        got = pair_forms(zero, x, rep, table)
         assert [got[0, 1], got[1, 0], got[0, 0]] == [0j, 0j, 0j]
         empty = np.zeros((0, 4), dtype=np.intp)
         none = np.zeros(0, dtype=np.intp)
@@ -221,34 +223,6 @@ class TestRoutedFunctionals:
         got, got_min = rp.gram_psd(spec, rep, basis)
         assert_close(got, gh)
         assert abs(got_min - ref_min) <= 1e-12 * (1 + abs(ref_min))
-
-    @pytest.mark.parametrize("n,L", [(2, 4), (3, 4), (3, 6), (4, 4)])
-    def test_rp_functional_on_each_side(self, n, L):
-        """f(A, B) against the dense trace with the dense e^{-H}: on the
-        minus side and on the plus side, observable or not; a pair on two
-        sides raises."""
-        rep = rep_for(n, L)
-        t = [1.0] * (L - 1)
-        t[L // 2 - 1] = -0.5
-        spec = baxter(n, L, t)
-        e = rp.matrix_exp(-to_matrix(spec.total(), rep))
-        rng = np.random.default_rng(n + L)
-        for _ in range(3):
-            a, b = random_minus_poly(n, L, rng), random_minus_poly(n, L, rng)
-            [[ref]] = dense_forms([a], [b], rep, e)
-            assert_close(rp.rp_functional(a, b, spec, rep), ref)
-            a = reflect(rp.random_minus_observable(n, L, rng))
-            b = reflect(random_minus_poly(n, L, rng))
-            [[ref]] = dense_forms([a], [b], rep, e)
-            assert_close(rp.rp_functional(a, b, spec, rep), ref)
-            a = reflect(random_minus_poly(n, L, rng))
-            [[ref]] = dense_forms([a], [b], rep, e)
-            assert_close(rp.rp_functional(a, b, spec, rep), ref)
-        c = Polynomial.monomial(1.0, ExponentVector((0,) * (L - 1) + (1,), n))
-        [[ref]] = dense_forms([c], [c], rep, e)
-        assert_close(rp.rp_functional(c, c, spec, rep), ref)
-        with pytest.raises(ValueError):
-            rp.rp_functional(c, reflect(c), spec, rep)
 
     def test_no_dense_matrix_of_observables(self, monkeypatch):
         """check_rp builds no dense matrix, only the sector blocks of H,
