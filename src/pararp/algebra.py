@@ -51,7 +51,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, filterfalse, repeat
 from operator import itemgetter, methodcaller
 
 import numpy as np
@@ -500,44 +500,24 @@ def _header(line: str) -> tuple[int, int]:
         raise ValueError("header is not '# n=.. L=..'") from None
 
 
-def _term_lines(text: str):
-    """(line number, line) of every term line, stripped: a ValueError at
-    the first line that is neither blank, a comment nor a term after the
-    header."""
-    header = False
-    for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1):
-        if not line:
-            continue
-        if line.startswith("#"):
-            if not header:
-                try:
-                    _header(line)
-                except ValueError as exc:
-                    raise ValueError(f"line {lineno}: {exc}") from None
-                header = True
-        elif not header:
-            raise ValueError(f"line {lineno}: term before '# n=.. L=..' header")
-        else:
-            yield lineno, line
-    if not header:
-        raise ValueError("missing '# n=.. L=..' header")
+def _term_lines(text: str) -> list[tuple[int, str]]:
+    """(line number, line) of every term line, stripped, of a text whose
+    first line that is not blank is its header."""
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    return [(i, line) for i, line in lines if line and not line.startswith("#")]
 
 
 def _syntax_error(text: str) -> ValueError:
-    """The error of the first line that does not parse, read line by line:
-    a bad header, a term before it, then per term line a bad coefficient or
-    a bad monomial."""
-    try:
-        for lineno, line in _term_lines(text):
-            coeff, _, mono = line.partition("*")
-            try:
-                complex(coeff)
-            except ValueError as exc:
-                return ValueError(f"line {lineno}: {exc}")
-            if _MONOMIAL.fullmatch(mono) is None:
-                return ValueError(f"line {lineno}: bad monomial {mono.strip()!r}")
-    except ValueError as exc:
-        return exc
+    """The error of the first term line that does not parse, read line by
+    line: a bad coefficient or a bad monomial."""
+    for lineno, line in _term_lines(text):
+        coeff, _, mono = line.partition("*")
+        try:
+            complex(coeff)
+        except ValueError as exc:
+            return ValueError(f"line {lineno}: {exc}")
+        if _MONOMIAL.fullmatch(mono) is None:
+            return ValueError(f"line {lineno}: bad monomial {mono.strip()!r}")
 
 
 def _factors(monomials: bytes) -> tuple[np.ndarray, ...]:
@@ -575,12 +555,16 @@ def from_text(text: str) -> Polynomial:
     one numpy pass over their digits.  Only a text that fails is read again
     line by line, to name the line."""
     lines = list(filter(None, map(str.strip, text.splitlines())))
-    if not lines or not lines[0].startswith("#"):
-        raise _syntax_error(text)
+    if not lines:
+        raise ValueError("missing '# n=.. L=..' header")
     try:
+        if not lines[0].startswith("#"):
+            raise ValueError("term before '# n=.. L=..' header")
         n, L = _header(lines[0])
-    except ValueError:
-        raise _syntax_error(text) from None
+    except ValueError as exc:
+        lineno = next(i for i, line in enumerate(text.splitlines(), 1)
+                      if line.strip())
+        raise ValueError(f"line {lineno}: {exc}") from None
     terms = filterfalse(methodcaller("startswith", "#"), lines)
     parts = list(map(str.partition, terms, repeat("*")))
     del lines
@@ -611,7 +595,7 @@ def from_text(text: str) -> Polynomial:
             else f"exponent {e} of site {s} outside 0..{n - 1}" if e >= n
             else f"site {s} appears twice"
         )
-        lineno = next(islice(_term_lines(text), int(term[k]), None))[0]
+        lineno = _term_lines(text)[int(term[k])][0]
         raise ValueError(f"line {lineno}: {reason}")
     exponents = np.zeros((K, L), dtype=np.int64)
     exponents.ravel()[slot] = power

@@ -129,11 +129,10 @@ def cmd_bounds(spec, rep, args):
 def cmd_counterexample(args):
     if args.n is None:
         raise SpecError("--n is required")
-    j = args.j if args.j is not None else 1
-    positive, val = rp.counterexample_check(args.n, j)
-    fields = {"n": args.n, "j": j, "value": [val.real, val.imag],
+    positive, val = rp.counterexample_check(args.n, args.j)
+    fields = {"n": args.n, "j": args.j, "value": [val.real, val.imag],
               "positive": positive}
-    if j == 1:
+    if args.j == 1:
         ref = rp.counterexample_reference(args.n)
         fields["series_reference"] = [ref.real, ref.imag]
         fields["series_gap"] = abs(val - ref)
@@ -202,7 +201,7 @@ FLAGS = {
     "--n": dict(type=_checked(int, lambda n: n >= 2, ">= 2")),
     "--L": dict(type=_checked(int, lambda L: L >= 2 and L % 2 == 0,
                               "even and >= 2")),
-    "--j": dict(type=int),
+    "--j": dict(type=int, default=1),
     "--k": dict(type=_checked(int, lambda k: k >= 1, ">= 1"), default=64),
     "--samples": dict(type=_checked(int, lambda s: s >= 1, ">= 1"),
                       default=100),

@@ -423,21 +423,11 @@ def _hermitized(g: np.ndarray) -> tuple[np.ndarray, float]:
 # -- Trotter --------------------------------------------------------------
 
 
-def _trotter_parts(spec: HamiltonianSpec, rep: Representation) -> tuple:
-    """The charge-sector blocks of H_0 and of H_- + H_+."""
-    halves = sum_polynomials((spec.h_minus, spec.h_plus))
-    return sector_blocks(spec.h_zero, rep), sector_blocks(halves, rep)
-
-
-def _trotter_power(h0, e_halves, k: int) -> np.ndarray:
-    step = (np.eye(h0.shape[-1], dtype=complex) - h0 / k) @ e_halves
-    return np.linalg.matrix_power(step, k)
-
-
 def trotter_convergence(
     spec: HamiltonianSpec, rep: Representation, ks
 ) -> dict:
-    """Errors ||approximant(k) - e^{-H}|| (Frobenius) and consecutive ratios.
+    """Errors ||[(1 - H_0/k) e^{-(H_- + H_+)/k}]^k - e^{-H}|| (Frobenius)
+    and consecutive ratios.
 
     Everything is computed on the charge-sector blocks q = 0..n/2: theta is
     an antiunitary that fixes H_0 and H_- + H_+ and maps sector q onto -q,
@@ -451,15 +441,16 @@ def trotter_convergence(
         raise ValueError("k must be >= 1")
     q = np.arange(rep.order // 2 + 1)
     weights = np.where(2 * q % rep.order, 2.0, 1.0)
-    h0, halves = (blocks[q] for blocks in _trotter_parts(spec, rep))
+    h0 = sector_blocks(spec.h_zero, rep)[q]
+    halves = sector_blocks(sum_polynomials((spec.h_minus, spec.h_plus)), rep)[q]
     exact = matrix_exp(-(h0 + halves))
     factors: dict[int, np.ndarray] = {}
     for k in sorted(set(ks), reverse=True):
         twice = factors.get(2 * k)
         factors[k] = matrix_exp(-halves / k) if twice is None else twice @ twice
-    errors = {}
+    eye, errors = np.eye(h0.shape[-1], dtype=complex), {}
     for k in ks:
-        diff = _trotter_power(h0, factors[k], k) - exact
+        diff = np.linalg.matrix_power((eye - h0 / k) @ factors[k], k) - exact
         s = _pow2(diff)
         errors[k] = s * math.sqrt(
             weights @ np.linalg.norm(diff / s, axis=(1, 2)) ** 2)

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pararp import rp
 from pararp.algebra import Polynomial
 from pararp.representation import (
-    DECOMPOSE_TOL, _digit_sum, _orbit_sums, build_generators,
+    DECOMPOSE_TOL, _digit_sum, _orbit_sums, build_generators, to_matrix,
 )
 
 # build_generators keeps one representation per (n, L) and process.
@@ -108,7 +109,7 @@ def reference_phases(rep, exponents):
 def dense_matrix(blocks, rep):
     """The dense dim x dim matrix whose charge-sector blocks are ``blocks``:
     the inverse of representation.sector_blocks, and the dense E that the
-    Weyl table, decompose and the Trotter errors stand for."""
+    Weyl table and decompose stand for."""
     n, r = rep.order, rep.dim // rep.order
     # a[d, o, o'] = A[T^d o, o'], and A commutes with T, so
     # A[T^m o, T^s o'] = a[m - s, o, o'].  The states T^m o are those of
@@ -135,27 +136,28 @@ def dense_decompose(a, rep):
     shifted = a[_digit_sum(n, digits[:, :, None], digits), np.arange(dim)]
     f = np.fft.fftn(shifted.reshape((dim,) + (n,) * half),
                     axes=range(1, half + 1))
-    coeffs = f.ravel() / dim
-    keep = np.flatnonzero(np.abs(coeffs) > DECOMPOSE_TOL * scale)
-    x, z = digits[:, keep // dim], digits[:, keep % dim]
-    # Invert b_f = I_{2f} + I_{2f+1} and a_f = I_{2f+1} + sum_{g>f} b_g.
-    later = np.cumsum(z[::-1], axis=0)[::-1] - z
-    exponents = np.empty((len(keep), L), dtype=np.int64)
-    exponents[:, 1::2] = ((x - later) % n).T
-    exponents[:, 0::2] = (z.T - exponents[:, 1::2]) % n
-    order = np.lexsort(exponents.T[::-1])
-    exponents = exponents[order]
-    values = coeffs[keep[order]] * rep.zeta[rep.phases(exponents)].conj()
+    # Every exponent row I, in lexicographic order, at its entry of the
+    # table: the shift I.x and the frequency I.z as n-ary numbers.
+    exponents = np.indices((n,) * L).reshape(L, -1).T
+    place = n ** np.arange(half - 1, -1, -1)
+    coeffs = f.ravel()[(exponents @ rep.x_exp % n) @ place * dim
+                       + (exponents @ rep.z_exp % n) @ place] / dim
+    keep = np.abs(coeffs) > DECOMPOSE_TOL * scale
+    exponents = exponents[keep]
+    values = coeffs[keep] * rep.zeta[rep.phases(exponents)].conj()
     return Polynomial._from_arrays(exponents, values, n, L)
 
 
-def trotter_approximant(spec, rep, k):
-    """[(Id - H_0/k) e^{-(H_- + theta(H_-))/k}]^k as a dense matrix, from
-    the blockwise product that rp.trotter_convergence takes over the
-    charge sectors, on all n of them."""
-    h0, halves = rp._trotter_parts(spec, rep)
-    step = rp._trotter_power(h0, rp.matrix_exp(-halves / k), k)
-    return dense_matrix(step, rep)
+def dense_trotter(spec, rep, k):
+    """[(Id - H_0/k) e^{-H_-/k} e^{-H_+/k}]^k from the dense matrices of
+    to_matrix and scipy.linalg.expm of each half: the Trotter reference."""
+    h0, hm, hp = (to_matrix(h, rep) for h in
+                  (spec.h_zero, spec.h_minus, spec.h_plus))
+    step = (
+        (np.eye(rep.dim) - h0 / k)
+        @ scipy.linalg.expm(-hm / k) @ scipy.linalg.expm(-hp / k)
+    )
+    return np.linalg.matrix_power(step, k)
 
 
 def stepped_counterexample_sums(n, j):

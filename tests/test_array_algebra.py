@@ -33,7 +33,7 @@ from pararp.exponents import ExponentVector, degree, unit_vector, zero_vector
 from pararp.hamiltonian import CouplingTable, baxter, build_h0
 from pararp.representation import build_generators, to_matrix, weyl_table
 
-from conftest import dense_matrix, pair_forms, rep_for, trotter_approximant
+from conftest import dense_matrix, dense_trotter, pair_forms, rep_for
 
 CELLS = [(n, L) for n in (2, 3, 4, 5) for L in (2, 4, 8, 12, 20)]
 WIDE = (5, 28)  # 5^28 > 2^63: rows need two int64 codes
@@ -511,7 +511,7 @@ def test_trotter_convergence_reuses_parts(monkeypatch):
     rep = build_generators(2, 6)
     expected = {
         k: float(np.linalg.norm(
-            trotter_approximant(spec, rep, k)
+            dense_trotter(spec, rep, k)
             - rp.matrix_exp(-to_matrix(spec.total(), rep))
         ))
         for k in (8, 16)

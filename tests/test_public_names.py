@@ -1,8 +1,10 @@
 """The names that readers outside the package use: the acceptance gate, the
-README and the benchmark's tracer (perfbench/tracer.py), which wraps
+README, the benchmark's tracer (perfbench/tracer.py), which wraps
 rp.check_rp, rp.gram_psd, rp.rp_bounds_check and rp.structured_observables
-by name and reads their arguments.  Each still imports, runs and keeps the
-shape those readers rely on."""
+by name and reads their arguments, and the benchmark's tests
+(perfbench/test_perfbench.py), which count rp.structured_observables.  Each
+still imports, runs and keeps the shape those readers rely on; the retired
+helpers stay gone."""
 
 import inspect
 import json
@@ -81,16 +83,20 @@ def test_program_modules_build_no_dense_matrix():
 
 
 def test_retired_names_are_gone_and_kept_names_stay():
-    """The second bounds layout, the test-only entry points and the private
-    overflow class are gone from the package; the names the acceptance gate,
-    the README and the benchmark's tracer read are all still there."""
+    """The second bounds layout, the test-only entry points, the split-out
+    Trotter step and the private overflow class are gone from the package;
+    the names the acceptance gate, the README and the benchmark read are
+    all still there."""
     import pararp
 
     retired = {"rp_functional", "_pair", "loop_expectation", "clock_shift",
-               "OverflowError_"}
+               "OverflowError_", "_trotter_parts", "_trotter_power"}
     for module in (pararp, rp, representation):
         assert not retired & set(vars(module)), module.__name__
     assert not hasattr(ExponentVector, "supported_on_plus")
+    # structured_observables stays while the tracer and perfbench's
+    # test_structured_probe_count_matches_rp read it, and gram_psd while the
+    # tracer's busy metric rp.gram_entries counts its calls.
     kept = {
         representation: ["all_exponent_vectors", "trace_monomial",
                          "build_generators", "sector_blocks", "decompose"],

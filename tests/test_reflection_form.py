@@ -4,11 +4,11 @@ Trotter paths of pararp.rp.
 Every assembled spec has that form, so both auxiliary Hamiltonians of the
 reflection bounds are H itself and H_-, theta(H_-) commute.  The bounds are
 compared with a dense reference that exponentiates the three auxiliary
-Hamiltonians separately, and the blockwise Trotter approximant
-(``trotter_approximant`` of tests/conftest.py, from the sector factors
-of rp.trotter_convergence) with the dense product of the two half-chain
-exponentials.  A spec of another form cannot be
-built (tests/test_hamiltonian.py, TestSpecIsDerived).
+Hamiltonians separately, and the errors of rp.trotter_convergence, whose
+approximant exponentiates H_- + theta(H_-) as one, with those of the dense
+product of the two half-chain exponentials (``dense_trotter`` of
+tests/conftest.py).  A spec of another form cannot be built
+(tests/test_hamiltonian.py, TestSpecIsDerived).
 """
 
 import numpy as np
@@ -24,7 +24,7 @@ from pararp.algebra import (
 )
 from pararp.representation import to_matrix
 
-from conftest import rep_for, trotter_approximant
+from conftest import dense_trotter, rep_for
 from test_sectors import baxter_spec, general_spec
 
 CELLS = [(2, 2), (2, 4), (2, 6), (3, 4), (3, 6), (4, 4), (5, 4)]
@@ -121,14 +121,8 @@ def test_trotter_approximant_matches_the_product_of_half_exponentials(
 ):
     spec = make(kind, n, L)
     rep = rep_for(n, L)
-    h0, hm, hp = (
-        to_matrix(h, rep) for h in (spec.h_zero, spec.h_minus, spec.h_plus)
-    )
-    for k in (1, 3, 8):
-        step = (
-            (np.eye(rep.dim) - h0 / k)
-            @ scipy.linalg.expm(-hm / k) @ scipy.linalg.expm(-hp / k)
-        )
-        ref = np.linalg.matrix_power(step, k)
-        got = trotter_approximant(spec, rep, k)
-        assert np.abs(got - ref).max() <= 1e-12 * (1 + np.abs(ref).max())
+    exact = scipy.linalg.expm(-to_matrix(spec.total(), rep))
+    errors = rp.trotter_convergence(spec, rep, [1, 3, 8])["errors"]
+    for k, err in errors.items():
+        ref = float(np.linalg.norm(dense_trotter(spec, rep, k) - exact))
+        assert abs(err - ref) <= 1e-10 * ref

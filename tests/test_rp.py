@@ -14,7 +14,7 @@ from pararp.hamiltonian import (
 from pararp import rp
 from pararp.representation import to_matrix
 
-from conftest import rep_for, trotter_approximant
+from conftest import rep_for
 
 
 def mono(entries, n, coeff=1.0):
@@ -192,17 +192,16 @@ class TestTrotter:
     def test_k1_definition(self):
         spec = rp.crossing_only_spec(3)
         rep = rep_for(3, 2)
-        eye = np.eye(rep.dim, dtype=complex)
         h0 = to_matrix(spec.h_zero, rep)
-        expected = (eye - h0) @ eye @ eye  # H_- = 0
-        assert np.abs(trotter_approximant(spec, rep, 1) - expected).max() < 1e-13
+        # H_- = 0, so the approximant at k = 1 is Id - H_0.
+        expected = np.linalg.norm(np.eye(rep.dim) - h0 - rp.matrix_exp(-h0))
+        err = rp.trotter_convergence(spec, rep, [1])["errors"][1]
+        assert abs(err - expected) < 1e-13 * expected
 
     def test_pure_crossing_limit(self):
         spec = rp.crossing_only_spec(2)
         rep = rep_for(2, 2)
-        exact = rp.matrix_exp(-to_matrix(spec.h_zero, rep))
-        err = np.linalg.norm(trotter_approximant(spec, rep, 512) - exact)
-        assert err < 0.01
+        assert rp.trotter_convergence(spec, rep, [512])["errors"][512] < 0.01
 
     @pytest.mark.parametrize(
         "make_spec,n,L",

@@ -35,8 +35,8 @@ from pararp.representation import (
 
 from conftest import (
     clock_shift, dense_decompose, dense_matrix, dense_sector_blocks,
-    dense_weyl_table, random_blocks, rep_for, stepped_counterexample_sums,
-    trotter_approximant,
+    dense_trotter, dense_weyl_table, random_blocks, rep_for,
+    stepped_counterexample_sums,
 )
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256, L = 2 included.
@@ -290,16 +290,6 @@ def test_stacked_matrix_exp_zero_nonfinite_and_overflow():
 # -- Trotter -----------------------------------------------------------------------
 
 
-def dense_trotter(spec, rep, k):
-    h0, hm, hp = (to_matrix(h, rep) for h in
-                  (spec.h_zero, spec.h_minus, spec.h_plus))
-    step = (
-        (np.eye(rep.dim) - h0 / k)
-        @ scipy.linalg.expm(-hm / k) @ scipy.linalg.expm(-hp / k)
-    )
-    return np.linalg.matrix_power(step, k)
-
-
 @pytest.mark.parametrize("kind", ["hermitian", "non-hermitian"])
 @pytest.mark.parametrize("n,L", [(2, 8), (3, 6), (4, 6), (5, 4), (2, 2)])
 def test_trotter_matches_dense_reference(n, L, kind):
@@ -311,10 +301,8 @@ def test_trotter_matches_dense_reference(n, L, kind):
     ks = [4, 8, 16, 3]
     conv = rp.trotter_convergence(spec, rep, ks)
     for k in ks:
-        approx = dense_trotter(spec, rep, k)
-        ref = float(np.linalg.norm(approx - exact))
+        ref = float(np.linalg.norm(dense_trotter(spec, rep, k) - exact))
         assert abs(conv["errors"][k] - ref) <= 1e-10 * ref
-        assert scaled_gap(trotter_approximant(spec, rep, k), approx) < 1e-12
     assert set(conv["ratios"]) == {4, 8}
 
 
@@ -333,9 +321,8 @@ def test_theta_pairs_sector_q_with_minus_q(n, L, kind):
     sector q onto sector -q, so e^{-H} and the Trotter product have blocks
     q and -q of equal Frobenius norm."""
     spec, rep = pairing_spec(n, L, kind), rep_for(n, L)
-    h0, halves = rp._trotter_parts(spec, rep)
-    for stack in (rp.matrix_exp(-(h0 + halves)),
-                  rp._trotter_power(h0, rp.matrix_exp(-halves / 4), 4)):
+    for stack in (rp.boltzmann(spec.total(), rep),
+                  dense_sector_blocks(dense_trotter(spec, rep, 4), rep)):
         norms = np.linalg.norm(stack, axis=(1, 2))
         assert np.abs(norms - norms[-np.arange(n) % n]).max() <= 1e-12 * norms.max()
 
@@ -347,14 +334,16 @@ def test_trotter_convergence_matches_all_sectors(n, L, kind):
     sectors, squarings included."""
     spec, rep = pairing_spec(n, L, kind), rep_for(n, L)
     ks = [4, 8, 16, 3]
-    h0, halves = rp._trotter_parts(spec, rep)
+    h0 = sector_blocks(spec.h_zero, rep)
+    halves = sector_blocks(sum_polynomials((spec.h_minus, spec.h_plus)), rep)
     exact = rp.matrix_exp(-(h0 + halves))
     factors = {16: rp.matrix_exp(-halves / 16), 3: rp.matrix_exp(-halves / 3)}
     factors[8] = factors[16] @ factors[16]
     factors[4] = factors[8] @ factors[8]
     conv = rp.trotter_convergence(spec, rep, ks)
     for k in ks:
-        ref = float(np.linalg.norm(rp._trotter_power(h0, factors[k], k) - exact))
+        step = (np.eye(h0.shape[-1]) - h0 / k) @ factors[k]
+        ref = float(np.linalg.norm(np.linalg.matrix_power(step, k) - exact))
         assert abs(conv["errors"][k] - ref) <= 1e-12 * ref
     assert conv["ratios"] == {4: conv["errors"][4] / conv["errors"][8],
                               8: conv["errors"][8] / conv["errors"][16]}
@@ -557,15 +546,12 @@ def assert_reports_close(got, ref, path="report"):
 
 
 def dense_trotter_convergence(spec, rep, ks):
-    """trotter_convergence on the dense matrices: the same exponential of
-    one block holding the whole matrix, and every sector in the norm."""
-    h0, halves = (to_matrix(h, rep) for h in
-                  (spec.h_zero, sum_polynomials((spec.h_minus, spec.h_plus))))
-    exact = rp.matrix_exp(-(h0 + halves))
-    errors = {}
-    for k in ks:
-        step = (np.eye(rep.dim) - h0 / k) @ rp.matrix_exp(-halves / k)
-        errors[k] = float(np.linalg.norm(np.linalg.matrix_power(step, k) - exact))
+    """trotter_convergence on the dense matrices: the Trotter reference
+    against scipy.linalg.expm of the whole matrix, every sector in the
+    norm."""
+    exact = scipy.linalg.expm(-to_matrix(spec.total(), rep))
+    errors = {k: float(np.linalg.norm(dense_trotter(spec, rep, k) - exact))
+              for k in ks}
     return {"errors": errors, "ratios": {ks[0]: errors[ks[0]] / errors[ks[1]]}}
 
 

@@ -9,9 +9,11 @@ of identical reports (exit code, standard output and error output byte for
 byte), a count per command, and for each changed job its command, cell,
 exit codes, every top-level key that differs (each by the first key under
 it that differs) and the largest relative gap |a - b| / max(|a|, |b|)
-between floats at the same key.  ``--argv`` adds
-command lines outside the cycles, such as ``"counterexample --n 30030"``.
-The exit code is 0 when every report is identical and 2 otherwise.
+between floats at the same key.  Every run also takes the edge lines:
+``rp-check``, ``gram``, ``bounds``, ``trotter`` and ``decompose`` on each
+spec of EDGE_SPECS, and the command lines of EDGE_LINES.  ``--argv`` adds
+more command lines outside the cycles.  The exit code is 0 when every
+report is identical and 2 otherwise.
 """
 
 from __future__ import annotations
@@ -32,10 +34,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# Specs at the edges of the reports: an exponential that overflows, a spec
+# that meets no sign rule, and H_0 = 0.
+EDGE_SPECS = {
+    "overflow": {"baxter": {"n": 3, "L": 6, "t": [400, -400, 400, -400, 400]}},
+    "rule-none": {"baxter": {"n": 3, "L": 4, "t": [1, 0.5, 1]}},
+    "h0-zero": {"n": 2, "L": 4, "couplings": [], "h_minus": [
+        {"coefficient": [0.5, 0], "exponents": [1, 1, 0, 0]}]},
+}
+EDGE_COMMANDS = ["rp-check", "gram", "bounds", "trotter", "decompose"]
+EDGE_LINES = ["counterexample --n 28 --j 14", "counterexample --n 30030",
+              "families --family 1 --kparam 3"]
+
 
 def build_jobs(workloads, seeds, extra, directory: str, tiny=False) -> list[dict]:
-    """Every CLI job of the cycles, spec files written to ``directory``,
-    then the ``extra`` command lines."""
+    """Every CLI job of the cycles, then the edge lines, spec files written
+    to ``directory``, then the ``extra`` command lines."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads as bench
@@ -52,7 +66,15 @@ def build_jobs(workloads, seeds, extra, directory: str, tiny=False) -> list[dict
             jobs += [{"label": f"{workload} seed {seed} #{i} {job['command']} "
                                f"({job['n']},{job['L']})", "argv": job["argv"]}
                      for i, job in enumerate(cycle)]
-    jobs += [{"label": line, "argv": shlex.split(line)} for line in extra]
+    for name, spec in EDGE_SPECS.items():
+        path = os.path.join(directory, f"{name}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+        jobs += [{"label": f"{command} {name}",
+                  "argv": [command, "--spec", path]}
+                 for command in EDGE_COMMANDS]
+    jobs += [{"label": line, "argv": shlex.split(line)}
+             for line in EDGE_LINES + extra]
     return jobs
 
 
