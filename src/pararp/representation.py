@@ -86,9 +86,10 @@ class Representation:
     ``orbit[m, o]`` is the state T^m o of the charge-sector index (o, m),
     and ``orbit_index[k]`` is m * dim/n + o for the state k = T^m o.
     __post_init__ derives the rest, O(L dim) each, so a ``replace`` copy is
-    consistent: the generator columns, g of ``phases`` and the characters of
-    ``weyl_table``.  Every array is read-only; ``generators``, the dense c_j,
-    are built on each read and never kept.
+    consistent: the generator columns, g of ``phases``, the characters of
+    ``weyl_table``, and the pair index (j, k), j < k, and flat offsets j dim
+    of ``verify_yamazaki``.  Every array is read-only; ``generators``, the
+    dense c_j, are built on each read and never kept.
     """
 
     order: int
@@ -107,6 +108,8 @@ class Representation:
     _g_diagonal: np.ndarray = field(init=False, repr=False)
     _w_lo: np.ndarray = field(init=False, repr=False)
     _w_hi: np.ndarray = field(init=False, repr=False)
+    _pairs: np.ndarray = field(init=False, repr=False)
+    _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n, digits = self.order, self.digits
@@ -123,7 +126,9 @@ class Representation:
         derived = dict(
             generator_rows=_digit_sum(n, digits, self.x_exp.T[:, :, None]),
             generator_phases=phase % (2 * n), _g_upper=np.triu(g, 1),
-            _g_diagonal=g.diagonal(), _w_lo=w_lo, _w_hi=w_hi)
+            _g_diagonal=g.diagonal(), _w_lo=w_lo, _w_hi=w_hi,
+            _pairs=np.array(np.triu_indices(self.sites, 1)),
+            _offsets=self.dim * np.arange(self.sites)[:, None])
         for name, value in {**vars(self), **derived}.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -393,56 +398,44 @@ def verify_yamazaki(rep: Representation) -> dict[str, float]:
     c_j c_k - omega c_k c_j (j < k).  They are computed in O(L^2 dim) from
     the generators' Weyl data, from which every matrix of the
     representation is built: each generator has one nonzero entry per
-    column.
+    column, so a product of two generators is one flat gather of their
+    raveled rows and values at indices the representation holds.
     """
-    gens = rows, vals = rep.generator_rows, rep.zeta[rep.generator_phases]
-
-    power = gens
-    for _ in range(rep.order - 1):
-        power = _product(gens, power)
-    identity = np.broadcast_to(np.arange(rep.dim), rows.shape)
-    r_order = _distance(power, (identity, np.ones(rows.shape)))
+    rows, vals = rep.generator_rows, rep.zeta[rep.generator_phases]
+    flat_rows, flat_vals = rows.ravel(), vals.ravel()
+    # Row r of c_{j+1} sits at j dim + r in the raveled rows and values.
+    at = rep._offsets + rows
 
     # c c^* is diagonal, holding per row the sum of |v|^2 of the columns
     # mapped there.
-    weight = np.zeros(rows.shape)
-    np.add.at(weight, (np.arange(len(rows))[:, None], rows), np.abs(vals) ** 2)
-    r_unitary = np.sqrt(((weight - 1.0) ** 2).sum(axis=1))
+    weight = np.bincount(at.ravel(), np.abs(flat_vals) ** 2, rows.size)
+    r_unitary = np.sqrt(((weight.reshape(rows.shape) - 1.0) ** 2).sum(axis=1))
 
-    # c_j c_k - omega c_k c_j for all pairs j < k at once.
-    j, k = np.triu_indices(len(rows), 1)
-    c_j, c_k = (rows[j], vals[j]), (rows[k], vals[k])
-    kj_rows, kj_vals = _product(c_k, c_j)
-    omega = np.exp(2j * np.pi / rep.order)
-    r_commute = _distance(_product(c_j, c_k), (kj_rows, omega * kj_vals))
+    # c^n column by column: c maps column k of the power p, p_v[k] e_{p_r[k]},
+    # to p_v[k] c_v[p_r[k]] e_{c_r[p_r[k]]}.
+    power_rows, power_vals = flat_rows[at], vals * flat_vals[at]
+    for _ in range(rep.order - 2):
+        at = rep._offsets + power_rows
+        power_rows, power_vals = flat_rows[at], power_vals * flat_vals[at]
+    sq = np.abs(power_vals - 1.0) ** 2
+    # Per column, entries in different rows add in square, not subtract;
+    # on a valid representation no row differs.
+    moved = power_rows != np.arange(rep.dim)
+    sq[moved] = np.abs(power_vals[moved]) ** 2 + 1.0
+    r_order = np.sqrt(sq.sum(axis=-1))
+
+    # c_j c_k - omega c_k c_j for all pairs j < k at once: c_j c_k gathers
+    # c_j at the rows of c_k, c_k c_j gathers c_k at those of c_j.
+    j, k = rep._pairs
+    at_jk, at_kj = rep._offsets[j] + rows[k], rep._offsets[k] + rows[j]
+    jk = vals[k] * flat_vals[at_jk]
+    kj = np.exp(2j * np.pi / rep.order) * (vals[j] * flat_vals[at_kj])
+    sq = np.abs(jk - kj) ** 2
+    moved = flat_rows[at_jk] != flat_rows[at_kj]
+    sq[moved] = np.abs(jk[moved]) ** 2 + np.abs(kj[moved]) ** 2
+    r_commute = np.sqrt(sq.sum(axis=-1))
     return {
         "order_residual": float(r_order.max(initial=0.0)),
         "unitarity_residual": float(r_unitary.max(initial=0.0)),
         "commutation_residual": float(r_commute.max(initial=0.0)),
     }
-
-
-# Below, a matrix with at most one nonzero entry per column is a pair
-# (rows, values) of arrays over its columns, with any leading batch axes.
-
-
-def _product(a, b):
-    """The product A B: column k of B is b_v[k] e_{b_r[k]}, which A maps
-    to b_v[k] a_v[b_r[k]] e_{a_r[b_r[k]]}."""
-    (a_rows, a_vals), (b_rows, b_vals) = a, b
-    return (
-        np.take_along_axis(a_rows, b_rows, axis=-1),
-        b_vals * np.take_along_axis(a_vals, b_rows, axis=-1),
-    )
-
-
-def _distance(a, b) -> np.ndarray:
-    """Frobenius norm of A - B: per column, the entries subtract when they
-    share a row and add in square otherwise."""
-    (a_rows, a_vals), (b_rows, b_vals) = a, b
-    sq = np.where(
-        a_rows == b_rows,
-        np.abs(a_vals - b_vals) ** 2,
-        np.abs(a_vals) ** 2 + np.abs(b_vals) ** 2,
-    )
-    return np.sqrt(sq.sum(axis=-1))

@@ -113,7 +113,7 @@ class TestSharedRepresentation:
         rep = build_generators(n, L)
         arrays = {k: v for k, v in vars(rep).items()
                   if isinstance(v, np.ndarray)}
-        assert len(arrays) == 13
+        assert len(arrays) == 15
         for name, value in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 value[...] = 0
@@ -152,6 +152,29 @@ class TestSharedRepresentation:
                       "_g_diagonal", "_w_lo", "_w_hi")]
         assert any(changed)
         assert not copy.orbit.flags.writeable and not value.flags.writeable
+        # The verify_yamazaki index depends on (n, L) alone: a copy derives
+        # its own, equal to the original's.
+        for f in ("_pairs", "_offsets"):
+            assert getattr(copy, f) is not getattr(rep, f)
+            assert np.array_equal(getattr(copy, f), getattr(rep, f))
+            assert not getattr(copy, f).flags.writeable
+
+    @pytest.mark.parametrize("n,L", [(2, 2), (3, 4), (4, 6), (2, 10)])
+    def test_verify_index_is_built_once(self, n, L, monkeypatch):
+        """The pair index and flat offsets of verify_yamazaki are read-only
+        fields of the shared value, and a call builds no index."""
+        rep = build_generators(n, L)
+        again = build_generators(n, L)
+        assert again._pairs is rep._pairs and again._offsets is rep._offsets
+        assert np.array_equal(rep._pairs, np.triu_indices(L, 1))
+        assert np.array_equal(rep._offsets, rep.dim * np.arange(L)[:, None])
+        for value in (rep._pairs, rep._offsets):
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 0
+        expected = verify_yamazaki(rep)
+        for name in ("triu_indices", "broadcast_to", "take_along_axis"):
+            monkeypatch.setattr(np, name, None)
+        assert verify_yamazaki(again) == expected
 
     def test_errors_are_raised_on_every_call(self):
         for _ in range(2):
@@ -439,43 +462,109 @@ def _verify_dense(rep):
     }
 
 
+def _verify_gathers(rep):
+    """verify_yamazaki as batched take_along_axis products over the
+    generators' (rows, values) columns: the reference that the flat-gather
+    kernel must equal bit for bit."""
+
+    # A matrix with one nonzero entry per column is a pair (rows, values)
+    # of arrays over its columns, with any leading batch axes.
+    def product(a, b):
+        # Column k of B is b_v[k] e_{b_r[k]}, which A maps to
+        # b_v[k] a_v[b_r[k]] e_{a_r[b_r[k]]}.
+        (a_rows, a_vals), (b_rows, b_vals) = a, b
+        return (np.take_along_axis(a_rows, b_rows, axis=-1),
+                b_vals * np.take_along_axis(a_vals, b_rows, axis=-1))
+
+    def distance(a, b):
+        # Frobenius norm of A - B: per column, the entries subtract when
+        # they share a row and add in square otherwise.
+        (a_rows, a_vals), (b_rows, b_vals) = a, b
+        sq = np.where(a_rows == b_rows, np.abs(a_vals - b_vals) ** 2,
+                      np.abs(a_vals) ** 2 + np.abs(b_vals) ** 2)
+        return np.sqrt(sq.sum(axis=-1))
+
+    gens = rows, vals = rep.generator_rows, rep.zeta[rep.generator_phases]
+    power = gens
+    for _ in range(rep.order - 1):
+        power = product(gens, power)
+    identity = np.broadcast_to(np.arange(rep.dim), rows.shape)
+    r_order = distance(power, (identity, np.ones(rows.shape)))
+    weight = np.zeros(rows.shape)
+    np.add.at(weight, (np.arange(len(rows))[:, None], rows), np.abs(vals) ** 2)
+    r_unitary = np.sqrt(((weight - 1.0) ** 2).sum(axis=1))
+    j, k = np.triu_indices(len(rows), 1)
+    c_j, c_k = (rows[j], vals[j]), (rows[k], vals[k])
+    kj_rows, kj_vals = product(c_k, c_j)
+    omega = np.exp(2j * np.pi / rep.order)
+    r_commute = distance(product(c_j, c_k), (kj_rows, omega * kj_vals))
+    return {
+        "order_residual": float(r_order.max(initial=0.0)),
+        "unitarity_residual": float(r_unitary.max(initial=0.0)),
+        "commutation_residual": float(r_commute.max(initial=0.0)),
+    }
+
+
+def _cells(max_dim):
+    """Every (n, L) with 2 <= n <= 8 and dim = n^{L/2} <= max_dim."""
+    return [(n, L) for n in range(2, 9) for L in range(2, 40, 2)
+            if n ** (L // 2) <= max_dim]
+
+
+def _flipped_phase():
+    rep = build_generators(3, 4)
+    zeta_exp = rep.zeta_exp.copy()
+    zeta_exp[1] += 3  # zeta^n = -1: c_2 -> -c_2
+    return dataclasses.replace(rep, zeta_exp=zeta_exp)
+
+
+def _swapped_x_rows():
+    rep = build_generators(3, 4)
+    x_exp = rep.x_exp.copy()
+    x_exp[[2, 3]] = x_exp[[3, 2]]  # c_3 and c_4 swap X rows
+    return dataclasses.replace(rep, x_exp=x_exp)
+
+
+def _swapped_digit_columns():
+    # Any X row gives a digit translation, whose powers and commutators
+    # keep their rows; two swapped states do not.
+    rep = build_generators(3, 4)
+    digits = rep.digits.copy()
+    digits[:, [0, 1]] = digits[:, [1, 0]]
+    return dataclasses.replace(rep, digits=digits)
+
+
 class TestVerifyFastPath:
     """The generators are verified from their Weyl data; the residuals
-    must equal the dense computation's."""
+    must equal the dense computation's, and bit for bit those of the
+    take_along_axis reference."""
 
     @staticmethod
     def _assert_matches_dense(rep):
         fast, dense = verify_yamazaki(rep), _verify_dense(rep)
         for key in dense:
             assert abs(fast[key] - dense[key]) < 1e-12
+        assert fast == _verify_gathers(rep)
         return fast
 
-    @pytest.mark.parametrize("n,L", [(2, 2), (2, 6), (3, 4), (4, 4), (5, 2)])
+    @pytest.mark.parametrize("n,L", _cells(64))
     def test_exact_generators(self, n, L):
         residuals = self._assert_matches_dense(build_generators(n, L))
         assert max(residuals.values()) < 1e-12
 
+    @pytest.mark.parametrize("n,L", _cells(256))
+    def test_equals_the_gather_reference(self, n, L):
+        rep = build_generators(n, L)
+        assert verify_yamazaki(rep) == _verify_gathers(rep)
+
     def test_flipped_phase_reported(self):
-        rep = build_generators(3, 4)
-        zeta_exp = rep.zeta_exp.copy()
-        zeta_exp[1] += 3  # zeta^n = -1: c_2 -> -c_2
-        rep = dataclasses.replace(rep, zeta_exp=zeta_exp)
-        assert max(self._assert_matches_dense(rep).values()) > 0.1
+        assert max(self._assert_matches_dense(_flipped_phase()).values()) > 0.1
 
     def test_swapped_columns_reported(self):
-        rep = build_generators(3, 4)
-        x_exp = rep.x_exp.copy()
-        x_exp[[2, 3]] = x_exp[[3, 2]]  # c_3 and c_4 swap X rows
-        rep = dataclasses.replace(rep, x_exp=x_exp)
-        assert max(self._assert_matches_dense(rep).values()) > 0.1
+        assert max(self._assert_matches_dense(_swapped_x_rows()).values()) > 0.1
 
     def test_swapped_digit_columns_reported(self):
-        # Any X row gives a digit translation, whose powers and commutators
-        # keep their rows; two swapped states do not.
-        rep = build_generators(3, 4)
-        digits = rep.digits.copy()
-        digits[:, [0, 1]] = digits[:, [1, 0]]
-        rep = dataclasses.replace(rep, digits=digits)
+        rep = _swapped_digit_columns()
         assert max(self._assert_matches_dense(rep).values()) > 0.1
 
 
