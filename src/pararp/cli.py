@@ -229,14 +229,16 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
     state between calls.  A flag a subcommand does not read, or an
-    abbreviated one, is an error."""
+    abbreviated one, is an error.  ``commands`` holds each subcommand's own
+    parser by name."""
     parser = _Parser(
         prog="pararp",
         description="Parafermion algebra and reflection-positivity checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
     for name, (_, flags) in COMMANDS.items():
-        p = sub.add_parser(name, allow_abbrev=False)
+        p = parser.commands[name] = sub.add_parser(name, allow_abbrev=False)
         for flag in flags.split() + ["--out"]:
             p.add_argument(flag, **FLAGS[flag])
     return parser
@@ -245,14 +247,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand and emit its report: the subcommand's verdict and
     fields, with ``command`` and, for one that reads a spec, its ``n`` and
-    ``L`` added here."""
+    ``L`` added here.  A known subcommand's argv goes straight to its own
+    parser; a missing or unknown one, or a top-level flag, to the full one."""
     try:
-        args, extra = build_parser().parse_known_args(argv)
+        argv, parser = sys.argv[1:] if argv is None else list(argv), build_parser()
+        if argv and argv[0] in parser.commands:  # as the full parser passes it
+            args, extra = parser.commands[argv[0]].parse_known_args(argv[1:])
+            args.command = argv[0]
+        else:
+            args, extra = parser.parse_known_args(argv)
         if extra:
-            raise UsageError(
-                f"pararp {args.command}: unrecognized arguments: "
-                + " ".join(extra)
-            )
+            raise UsageError(f"pararp {args.command}: unrecognized arguments: "
+                             + " ".join(extra))
         run, flags = COMMANDS[args.command]
         if "--tol" in flags and args.tol is None:
             args.tol = 1e-11 if run is cmd_verify_relations else rp.DEFAULT_TOL

@@ -236,6 +236,8 @@ def read_spec(path: str):
         raise SpecError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise SpecError(f"{path}: nested too deeply") from None
 
 
 def spec_size(data) -> tuple[int, int]:

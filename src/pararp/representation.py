@@ -58,7 +58,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,6 +77,16 @@ class DimensionCapError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class WeylPlan:
+    """``index[a, o]``: the flat position of E[o, o (+) a] in the DFT of the
+    sector blocks (``weyl_table``, ``sector_blocks``); ``weights``: the place
+    values of the digits of a row [a | b] in a flat Weyl table."""
+
+    index: np.ndarray
+    weights: np.ndarray
+
+
+@dataclass(frozen=True)
 class Representation:
     """L generators acting on the full chain, of dimension n^{L/2}: an
     immutable value, one per (n, L) and process (``build_generators``).
@@ -89,7 +99,8 @@ class Representation:
     consistent: the generator columns, g of ``phases``, the characters of
     ``weyl_table``, and the pair index (j, k), j < k, and flat offsets j dim
     of ``verify_yamazaki``.  Every array is read-only; ``generators``, the
-    dense c_j, are built on each read and never kept.
+    dense c_j, are built on each read and never kept; ``weyl_plan`` is kept
+    on the instance from its first use, so a ``replace`` copy derives its own.
     """
 
     order: int
@@ -133,6 +144,22 @@ class Representation:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def weyl_plan(self) -> WeylPlan:
+        """Built on first use: dim^2/n int32, 16 MiB at (4, 12).  The DFT
+        A[d, o, o'] = E[T^d o, o'] of the blocks holds every entry of E, as
+        E[T^m o, T^s o'] = A[m - s, o, o']: for o (+) a = T^m o', E[o, o (+) a]
+        is at ((-m mod n) r + o) r + o', r = dim/n, a lookup per state
+        o (+) a plus o r."""
+        n, r = self.order, self.dim // self.order
+        m, o = np.divmod(self.orbit_index, r)
+        index = ((-m % n) * r * r + o).astype(np.int32)[_orbit_sums(n, self.digits)]
+        index += np.arange(0, r * r, r, dtype=np.int32)
+        place = n ** np.arange(self.sites // 2 - 1, -1, -1)
+        weights = np.concatenate([place * r, place % r])
+        index.flags.writeable = weights.flags.writeable = False
+        return WeylPlan(index, weights)
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
@@ -181,7 +208,8 @@ def build_generators(n: int, L: int) -> Representation:
 
 
 # An entry is O(L dim) integers, at most 2.1 MiB (digits, orbits and
-# generator columns at (2, 24)), so 32 of them hold under 68 MiB.
+# generator columns at (2, 24)), so 32 of them hold under 68 MiB, plus the
+# weyl_plan of each size a sector command read: 32 MiB at (2, 24).
 @lru_cache(maxsize=32)
 def _build(n: int, L: int) -> Representation:
     half = L // 2
@@ -209,39 +237,49 @@ def sector_blocks(p: Polynomial, rep: Representation) -> np.ndarray:
     """The (n, dim/n, dim/n) charge-sector blocks
     A_q[o, o'] = sum_m omega^{q m} A[T^m o, o'] of the matrix A of a
     gauge-invariant polynomial p, ValueError for any other p: each term's
-    columns o' < dim/n go to (m, o) of their row T^m o, with no dense A.
-    An entry that overflows raises FloatingPointError."""
+    columns o' < dim/n go to (m, o) of their row T^m o, read off the row of
+    ``rep.weyl_plan`` for the term's X-part, with no dense A.  An entry that
+    overflows raises FloatingPointError."""
     if not classify(p).observable:
         raise ValueError("polynomial is not gauge invariant: no sector blocks")
     n, r = rep.order, rep.dim // rep.order
+    index, place = rep.weyl_plan.index, n ** np.arange(rep.sites // 2 - 1, -1, -1)
+
+    def locate(a):
+        # index[a, o'] = ((-m mod n) r + o') r + o for o' (+) a = T^m o.
+        at = index[a @ place]
+        return ((-(at // (r * r)) % n) * r + at % r) * r + np.arange(r)
+
     with np.errstate(over="raise"):
-        g = _scatter(p, rep, rep.orbit_index, r).reshape(n, r, r)
+        g = _scatter(p, rep, r, locate).reshape(n, r, r)
         return np.fft.ifft(g, axis=0, norm="forward")
 
 
 def to_matrix(p: Polynomial, rep: Representation) -> np.ndarray:
-    """Evaluate a normal-ordered polynomial in the representation."""
-    return _scatter(p, rep, np.arange(rep.dim), rep.dim).reshape(rep.dim, -1)
+    """Evaluate a normal-ordered polynomial in the representation: the
+    scatter of sector_blocks, each column k to its row k (+) a."""
+    dim = rep.dim
+    return _scatter(p, rep, dim, lambda a: dim * _digit_sum(
+        rep.order, rep.digits, a.T[:, :, None]) + np.arange(dim)).reshape(dim, dim)
 
 
-def _scatter(p: Polynomial, rep: Representation, place, width: int):
-    """The columns k < width of the matrix of p, row k' moved to place[k'],
-    as a flat (dim, width) array: to_matrix with place the identity,
-    sector_blocks with place = orbit_index."""
+def _scatter(p: Polynomial, rep: Representation, width: int, locate):
+    """The columns k < width of the matrix of p as a flat array: column k
+    of term I, of X-part a, holds zeta^{phi(I) + 2 b.d(k)} (module
+    docstring) at locate(a)[I, k], its row placed as the caller lays out
+    the array."""
     if p.order != rep.order or p.sites != rep.sites:
         raise ValueError("polynomial does not match representation")
     n, digits = rep.order, rep.digits[:, :width]
     out = np.zeros(rep.dim * width, dtype=complex)
     step = max(1, _BLOCK // width)
     for start in range(0, len(p.coeffs), step):
-        # Column k of term I holds zeta^{phi(I) + 2 b.d(k)} in row k (+) a
-        # (module docstring); add.at sums each entry over the terms in order.
+        # add.at sums each entry over the terms in order.
         e = p.exponents[start:start + step]
-        rows = _digit_sum(n, digits, (e @ rep.x_exp % n).T[:, :, None])
         phase = rep.phases(e)[:, None] + 2 * ((e @ rep.z_exp % n) @ digits)
         phase %= 2 * n
         values = p.coeffs[start:start + step, None] * rep.zeta[phase]
-        np.add.at(out, place[rows] * width + np.arange(width), values)
+        np.add.at(out, locate(e @ rep.x_exp % n), values)
     return out
 
 
@@ -255,20 +293,16 @@ def weyl_table(blocks: np.ndarray, rep: Representation) -> np.ndarray:
     E commutes with T, so E[k, k (+) a] is constant on T-orbits and F[a, b]
     is n times the character sum G[a, b'] = sum_o omega^{b'.d'(o)} D[a, o]
     over the orbit representatives o (first digit 0, the others d'(o)) of
-    D[a, o] = E[o, o (+) a] = A[-m mod n, o, o'] for o (+) a = T^m o', with
-    A[d, o, o'] = E[T^d o, o'] the DFT of the blocks, since A commutes with
-    T, so E[T^m o, T^s o'] = A[m - s, o, o'] holds every entry of E:
-    one FFT, one gather of dim^2/n entries, no dense E, and two matmuls, the
+    D[a, o] = E[o, o (+) a], an entry of the DFT of the blocks: one FFT,
+    one flat gather at ``rep.weyl_plan``, no dense E, and two matmuls, the
     character matrix split into Kronecker factors over the first and the
     last half of the digits d'.
     """
     n, dim = rep.order, rep.dim
-    r = dim // n
     a = np.fft.fft(blocks, axis=0, norm="forward")
-    m, o = np.divmod(rep.orbit_index[_orbit_sums(n, rep.digits)], r)
-    d = a[-m % n, np.arange(r), o]
+    d = a.take(rep.weyl_plan.index)
     g = np.matmul(rep._w_lo, d.reshape(dim, len(rep._w_lo), -1) @ rep._w_hi)
-    return n * g.reshape(dim, r)
+    return n * g.reshape(dim, dim // n)
 
 
 def _orbit_sums(n: int, digits: np.ndarray) -> np.ndarray:
@@ -313,11 +347,10 @@ def pair_traces(
     """
     n, half = rep.order, rep.sites // 2
     # Rows [a | b], and the place value of each digit in the flattened
-    # table: a (+) a' and b (+) b' are the digit-wise sums mod n, and the
-    # first digit of b is not in the index.
+    # table (``WeylPlan.weights``): a (+) a' and b (+) b' are the digit-wise
+    # sums mod n, and the first digit of b is not in the index.
     ab = np.concatenate([exponents @ rep.x_exp, exponents @ rep.z_exp], 1) % n
-    place = n ** np.arange(half - 1, -1, -1)
-    weights = np.concatenate([place * place[0], place % place[0]])
+    weights = rep.weyl_plan.weights
     phi = rep.phases(exponents)
     charge = exponents.sum(axis=1) % n
     flat = table.ravel()

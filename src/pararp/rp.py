@@ -59,6 +59,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -270,15 +271,18 @@ def random_minus_observable(
     return Polynomial._from_arrays(rows[first], sums, n, L)
 
 
+@lru_cache(maxsize=64)
 def minus_rows(n: int, L: int, degrees) -> np.ndarray:
-    """Exponent rows of the monomials on sites 1..L/2 of each degree in
-    ``degrees``, degree by degree, each degree in lexicographic order."""
+    """Exponent rows of the monomials on sites 1..L/2 of each degree in the
+    tuple or range ``degrees``, degree by degree, each degree in
+    lexicographic order: one read-only array per argument and process."""
     half = L // 2
     heads = np.indices((n,) * half).reshape(half, -1).T
     total = heads.sum(axis=1)
     picked = np.concatenate([np.flatnonzero(total == d) for d in degrees])
     rows = np.zeros((len(picked), L), dtype=np.int64)
     rows[:, :half] = heads[picked]
+    rows.flags.writeable = False
     return rows
 
 
@@ -288,11 +292,12 @@ def minus_monomials_of_degree(n: int, L: int, d: int):
         yield ExponentVector(tuple(row), n)
 
 
-def structured_probes(n: int, L: int) -> tuple[list[str], np.ndarray]:
+@lru_cache(maxsize=64)
+def structured_probes(n: int, L: int) -> tuple[tuple[str, ...], np.ndarray]:
     """Identity plus every degree-n monomial on the minus half: their labels
-    and their exponent rows."""
+    and their read-only exponent rows, built once per (n, L) and process."""
     rows = minus_rows(n, L, (0, n))
-    labels = ["identity"] + [f"C{tuple(row)}" for row in rows[1:].tolist()]
+    labels = ("identity", *(f"C{tuple(row)}" for row in rows[1:].tolist()))
     return labels, rows
 
 
@@ -364,8 +369,8 @@ def check_rp(
     if abs(z.imag) > tol * (1.0 + abs(z)) or z.real <= 0:
         violations.append(["partition_function", z.imag if z.real > 0 else z.real])
 
-    labels, rows = structured_probes(n, L)
-    labels += [f"random[{i}]" for i in range(samples)]
+    structured, rows = structured_probes(n, L)
+    labels = [*structured, *(f"random[{i}]" for i in range(samples))]
     terms, coeffs, owner = random_minus_rows(n, L, rng, samples)
     # Structured probes are monomials: their Gram matrix is M over them.  A
     # random probe reads f(A, A) from M over its own terms, rows [s, e).

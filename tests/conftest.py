@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from pararp import rp
-from pararp.algebra import Polynomial
+from pararp.algebra import _BLOCK, Polynomial
 from pararp.representation import (
     DECOMPOSE_TOL, _digit_sum, _orbit_sums, build_generators, to_matrix,
 )
@@ -79,6 +79,45 @@ def reference_weyl_table(blocks, rep):
     a = np.fft.fft(blocks, axis=0, norm="forward")
     m, o = np.divmod(rep.orbit_index[_orbit_sums(n, rep.digits)], r)
     return _characters(a[-m % n, np.arange(r), o], rep)
+
+
+def reference_scatter(p, rep, place, width):
+    """The columns k < width of the matrix of p, row k' moved to place[k'],
+    as a flat (dim, width) array, each term's rows k (+) a built by
+    _digit_sum and summed by add.at in term order, _BLOCK entries at a
+    time: the scatter that representation.sector_blocks and to_matrix
+    replaced by rows of the Weyl plan and a locator per chunk."""
+    n, digits = rep.order, rep.digits[:, :width]
+    out = np.zeros(rep.dim * width, dtype=complex)
+    step = max(1, _BLOCK // width)
+    for start in range(0, len(p.coeffs), step):
+        e = p.exponents[start:start + step]
+        rows = _digit_sum(n, digits, (e @ rep.x_exp % n).T[:, :, None])
+        phase = rep.phases(e)[:, None] + 2 * ((e @ rep.z_exp % n) @ digits)
+        values = p.coeffs[start:start + step, None] * rep.zeta[phase % (2 * n)]
+        np.add.at(out, place[rows] * width + np.arange(width), values)
+    return out
+
+
+def reference_sector_blocks(p, rep):
+    """The charge-sector blocks of a gauge-invariant p by reference_scatter,
+    each row T^m o moved to (m, o) by ``orbit_index``."""
+    n, r = rep.order, rep.dim // rep.order
+    g = reference_scatter(p, rep, rep.orbit_index, r).reshape(n, r, r)
+    return np.fft.ifft(g, axis=0, norm="forward")
+
+
+def reference_to_matrix(p, rep):
+    """The dense matrix of p by reference_scatter."""
+    return reference_scatter(p, rep, np.arange(rep.dim), rep.dim).reshape(rep.dim, -1)
+
+
+def reference_plan(rep):
+    """The Weyl plan's index from the fields of ``rep``, as weyl_table read
+    it before the plan: (-m mod n, o, o') of o (+) a = T^m o', flattened."""
+    n, r = rep.order, rep.dim // rep.order
+    m, o = np.divmod(rep.orbit_index[_orbit_sums(n, rep.digits)], r)
+    return ((-m % n) * r + np.arange(r)) * r + o
 
 
 def _characters(d, rep):

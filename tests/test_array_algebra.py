@@ -707,3 +707,29 @@ def test_to_text_orders_rows_as_lexsort(n, L, terms):
     assert to_text(p) == lexsort_to_text(p)
     for q in polys_for(n, min(L, 12), seed=L):
         assert to_text(q) == lexsort_to_text(q) == ref_to_text(q)
+
+
+@pytest.mark.parametrize("text", [
+    "# n=3 L=4\n(1+0j) * c1^x\n(1+0j) * c2^1\n(1+0j) * c3^1\n",
+    "# n=3 L=4\n(1+0j) * c1^1\n(1+0j) * c2^1 c\n(1+0j) * c3^1\n",
+    "# n=3 L=4\n(1+0j) * c1^1\n(1+0j) * c2^1\n(1+0j) * c3^1 1\n",
+    "# n=3 L=4\n(1+0j) *\tc1^1\tc2^1\n(1+0j) * c3^1\x1fc4^2\n(1+0j) *\xa0c2^2\n",
+    "# n=3 L=4\n(1+0j) * c1^1\t\n(1+0j) * c1^1\x1f\x1fc2^x\n",
+    "# n=3 L=4\n(1+0j) * c1^1 \xa0c2^1\n(1+0j) * \xa0\n",
+    "# n=3 L=4\n(1+0j) * c1^1\x1c c2^1\n",  # \x1c ends a line
+])
+def test_one_match_over_the_monomials_names_the_line_like_the_reference(text):
+    """A bad monomial on the first, a middle or the last line, and monomials
+    apart by tab, \\x1f or \\xa0 blanks: the same outcome as the per-line
+    reference."""
+    assert_same_outcome(text)
+
+
+def test_failing_long_text_is_rejected_in_linear_time():
+    """200 000 valid lines and a bad last one: one match over all the
+    monomials does not backtrack into the lines before."""
+    text = "# n=3 L=4\n" + "(1+0j) * c1^1 c2^2 c3^1\n" * 200_000 + "1 * c1^1 c2\n"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^line 200002: bad monomial 'c1\^1 c2'$"):
+        from_text(text)
+    assert time.perf_counter() - start < 10.0

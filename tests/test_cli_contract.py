@@ -25,8 +25,15 @@ from conftest import stepped_counterexample_sums
 
 
 def run(capsys, *argv):
+    """main on ``argv`` by both routes of the parse, a known subcommand's
+    argv straight to its own parser and every argv through the full
+    parser: the same exit code, report and stderr line."""
     code = main(list(argv))
     captured = capsys.readouterr()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli.build_parser(), "commands", {})
+        again = main(list(argv)), *capsys.readouterr()
+    assert again == (code, captured.out, captured.err), argv
     return code, captured.out, captured.err
 
 
@@ -445,3 +452,54 @@ def test_huge_finite_coefficient_exits_1_with_one_line(tmp_path):
     assert code == cli.ERROR and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "absolute value too large" not in err
+
+
+def test_deeply_nested_spec_exits_1_with_one_line(capsys, tmp_path):
+    """json.loads gives up on 100 000 nested lists with RecursionError: a
+    SpecError naming the file, one line on stderr."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "gram", "--spec", str(path))
+    assert (code, out, err) == (cli.ERROR, "", f"error: {path}: nested too deeply\n")
+    with pytest.raises(hamiltonian.SpecError, match="nested too deeply"):
+        hamiltonian.load_spec(str(path))
+
+
+def test_every_command_reports_the_same_by_both_parse_routes(capsys, tmp_path):
+    """Each of the nine subcommands on a tiny input, through run: its own
+    parser and the full parser give the same exit code, report and
+    stderr."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"baxter": {"n": 2, "L": 4, "t": [0.8, -0.5, 0.8]}}))
+    runs = [
+        ["verify-relations", "--n", "2", "--L", "4"],
+        ["rp-check", "--spec", str(spec), "--samples", "2", "--seed", "3"],
+        ["gram", "--spec", str(spec)],
+        ["trotter", "--spec", str(spec), "--k", "4"],
+        ["bounds", "--spec", str(spec), "--samples", "2"],
+        ["counterexample", "--n", "2"],
+        ["families", "--family", "2", "--kparam", "2", "--jprime", "1"],
+        ["baxter", "--spec", str(spec)],
+        ["decompose", "--spec", str(spec)],
+    ]
+    assert sorted(argv[0] for argv in runs) == sorted(cli.COMMANDS)
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert code in (cli.PASS, cli.VIOLATIONS) and err == "", argv
+        assert json.loads(out)["command"] == argv[0]
+
+
+@pytest.mark.parametrize("argv", [[name, "--help"] for name in sorted(cli.COMMANDS)]
+                         + [["--help"], ["-h"], ["gram", "-h"]])
+def test_help_is_the_same_by_both_parse_routes(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    direct = exc.value.code, capsys.readouterr().out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli.build_parser(), "commands", {})
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert (exc.value.code, capsys.readouterr().out) == direct
+    assert direct[0] == 0 and direct[1].startswith("usage: pararp")
+    if argv[0] in cli.COMMANDS:
+        assert direct[1] == cli.build_parser().commands[argv[0]].format_help()

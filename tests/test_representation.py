@@ -22,7 +22,8 @@ from pararp.representation import (
 
 from conftest import (
     clock_shift, dense_decompose, dense_matrix, dense_sector_blocks,
-    dense_weyl_table, random_blocks, reference_phases, reference_weyl_table, rep_for,
+    dense_weyl_table, random_blocks, reference_phases, reference_plan,
+    reference_weyl_table, rep_for,
 )
 
 
@@ -152,6 +153,11 @@ class TestSharedRepresentation:
                       "_g_diagonal", "_w_lo", "_w_hi")]
         assert any(changed)
         assert not copy.orbit.flags.writeable and not value.flags.writeable
+        # The Weyl plan: the copy derives its own from its own fields.
+        assert copy.weyl_plan is not rep.weyl_plan
+        assert np.array_equal(copy.weyl_plan.index, reference_plan(copy))
+        assert np.array_equal(copy.weyl_plan.weights, rep.weyl_plan.weights)
+        assert not copy.weyl_plan.index.flags.writeable
         # The verify_yamazaki index depends on (n, L) alone: a copy derives
         # its own, equal to the original's.
         for f in ("_pairs", "_offsets"):

@@ -134,7 +134,7 @@ def test_monomial_rows_in_enumeration_order(n, L):
         ("identity", Polynomial.identity(n, L).terms)] + [
         (f"C{v.entries}", Polynomial.monomial(1.0, v).terms)
         for v in ref_monomials_of_degree(n, L, n)]
-    assert labels == [label for label, _ in rp.structured_observables(n, L)]
+    assert labels == tuple(label for label, _ in rp.structured_observables(n, L))
     assert len(probes) == len(labels)
 
 

@@ -405,7 +405,7 @@ def test_probe_forms_match_dense(name, seed):
     labels, rows = rp.structured_probes(n, L)
     probes = [Polynomial._from_arrays(r[None], np.ones(1), n, L) for r in rows]
     probes += drawn_probes(n, L, seed, 6)
-    labels += [f"random[{i}]" for i in range(6)]
+    labels = [*labels, *(f"random[{i}]" for i in range(6))]
     diagonal = [v / (1 + abs(v)) for v in (f(x, x) for x in probes)]
     report = rp.check_rp(spec, rep, samples=6, seed=seed)
     assert_reports_close(
