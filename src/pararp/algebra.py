@@ -486,11 +486,9 @@ def _text_block(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 _FACTOR = r"c[0-9]{1,18}\^[0-9]{1,18}"
-# The monomial of a term line after its '*': '1', or factors c<site>^<power>
-# apart by whitespace.
-_MONOMIAL = re.compile(rf"\s*(?:1|{_FACTOR}(?:\s+{_FACTOR})*)")
-# Lines of _MONOMIAL's grammar, each ended by a newline: a valid line
-# matches in one way only, so a failing text is rejected in linear time.
+# The monomials of term lines after their '*', each ended by a newline: '1',
+# or factors c<site>^<power> apart by blanks.  A valid line matches in one
+# way only, so a failing text is rejected in linear time.
 _MONOMIALS = re.compile(
     rf"(?:[^\S\n]*(?:1|{_FACTOR}(?:[^\S\n]+{_FACTOR})*)\n)*")
 
@@ -520,7 +518,7 @@ def _syntax_error(text: str) -> ValueError:
             complex(coeff)
         except ValueError as exc:
             return ValueError(f"line {lineno}: {exc}")
-        if _MONOMIAL.fullmatch(mono) is None:
+        if _MONOMIALS.fullmatch(mono + "\n") is None:
             return ValueError(f"line {lineno}: bad monomial {mono.strip()!r}")
 
 

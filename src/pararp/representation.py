@@ -27,10 +27,12 @@ Conversely Tr(C_I^* A) = zeta^{-phi} sum_k omega^{-b.d(k)} A[k (+) a, k] is,
 for each a, an n-ary FFT over the digits of k, for n = 2 the Walsh-Hadamard
 form of the Pauli decomposition.  For a matrix E that commutes with the
 gauge shift T below, such as e^{-H}, that transform of E[k, k (+) a]
-needs one state per T-orbit: ``weyl_table`` builds it from E's sector
-blocks, Tr(C_s C_t E) is one lookup in it (``pair_traces``), so one call
-fills the blocks of the RP matrix M that a job of :mod:`pararp.rp` reads,
-and ``decompose`` reads E's dim^2/n coefficients of degree 0 mod n from it.
+needs one state per T-orbit: ``weyl_table`` gathers it from E's sector
+blocks at ``weyl_plan``, built from the digit sums of the orbits'
+representatives.  Tr(C_s C_t E) is one lookup in it (``pair_traces``):
+one call fills the blocks of the RP matrix M that a job of
+:mod:`pararp.rp` reads.  ``decompose`` reads E's dim^2/n coefficients of
+degree 0 mod n from it.
 
 Charge sectors.  The shift T = tau^{tensor L/2}, applied to every tensor
 factor, implements the global gauge automorphism: T c_j T^{-1} = omega^{-1}
@@ -77,28 +79,18 @@ class DimensionCapError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class WeylPlan:
-    """``index[a, o]``: the flat position of E[o, o (+) a] in the DFT of the
-    sector blocks (``weyl_table``, ``sector_blocks``); ``weights``: the place
-    values of the digits of a row [a | b] in a flat Weyl table."""
-
-    index: np.ndarray
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
 class Representation:
     """L generators acting on the full chain, of dimension n^{L/2}: an
     immutable value, one per (n, L) and process (``build_generators``).
 
     c_{j+1} = zeta^{zeta_exp[j]} X^{x_exp[j]} Z^{z_exp[j]}, with digit rows
     ``x_exp[j]`` and ``z_exp[j]``; ``digits[f, k]`` is digit f of state k.
-    ``orbit[m, o]`` is the state T^m o of the charge-sector index (o, m),
-    and ``orbit_index[k]`` is m * dim/n + o for the state k = T^m o.
-    __post_init__ derives the rest, O(L dim) each, so a ``replace`` copy is
-    consistent: the generator columns, g of ``phases``, the characters of
-    ``weyl_table``, and the pair index (j, k), j < k, and flat offsets j dim
-    of ``verify_yamazaki``.  Every array is read-only; ``generators``, the
+    ``orbit_index[k]`` is m * dim/n + o for the state k = T^m o of the
+    charge-sector index (o, m).  __post_init__ derives the rest, O(L dim)
+    each, so a ``replace`` copy is consistent: the generator columns, g of
+    ``phases``, the characters of ``weyl_table``, the digits' place values
+    ``place``, and the pair index (j, k), j < k, and flat offsets j dim of
+    ``verify_yamazaki``.  Every array is read-only; ``generators``, the
     dense c_j, are built on each read and never kept; ``weyl_plan`` is kept
     on the instance from its first use, so a ``replace`` copy derives its own.
     """
@@ -111,7 +103,6 @@ class Representation:
     zeta_exp: np.ndarray
     digits: np.ndarray
     zeta: np.ndarray
-    orbit: np.ndarray
     orbit_index: np.ndarray
     generator_rows: np.ndarray = field(init=False, repr=False)
     generator_phases: np.ndarray = field(init=False, repr=False)
@@ -119,6 +110,7 @@ class Representation:
     _g_diagonal: np.ndarray = field(init=False, repr=False)
     _w_lo: np.ndarray = field(init=False, repr=False)
     _w_hi: np.ndarray = field(init=False, repr=False)
+    place: np.ndarray = field(init=False, repr=False)
     _pairs: np.ndarray = field(init=False, repr=False)
     _offsets: np.ndarray = field(init=False, repr=False)
 
@@ -138,6 +130,7 @@ class Representation:
             generator_rows=_digit_sum(n, digits, self.x_exp.T[:, :, None]),
             generator_phases=phase % (2 * n), _g_upper=np.triu(g, 1),
             _g_diagonal=g.diagonal(), _w_lo=w_lo, _w_hi=w_hi,
+            place=n ** np.arange(self.sites // 2 - 1, -1, -1),
             _pairs=np.array(np.triu_indices(self.sites, 1)),
             _offsets=self.dim * np.arange(self.sites)[:, None])
         for name, value in {**vars(self), **derived}.items():
@@ -146,20 +139,26 @@ class Representation:
             object.__setattr__(self, name, value)
 
     @cached_property
-    def weyl_plan(self) -> WeylPlan:
-        """Built on first use: dim^2/n int32, 16 MiB at (4, 12).  The DFT
-        A[d, o, o'] = E[T^d o, o'] of the blocks holds every entry of E, as
-        E[T^m o, T^s o'] = A[m - s, o, o']: for o (+) a = T^m o', E[o, o (+) a]
-        is at ((-m mod n) r + o) r + o', r = dim/n, a lookup per state
-        o (+) a plus o r."""
+    def weyl_plan(self) -> np.ndarray:
+        """Built on first use: the (dim, dim/n) int32 index, 16 MiB at
+        (4, 12), of E[o, o (+) a] in the DFT A[d, o, o'] = E[T^d o, o'] of
+        the sector blocks, which holds every entry of E, as
+        E[T^m o, T^s o'] = A[m - s, o, o'].  For a = T^m c, o (+) a is
+        T^m (c (+) o), and c (+) o is an orbit representative (first digit 0)
+        read off their (r, r) table of digit sums, r = dim/n: E[o, o (+) a]
+        is at ((-m mod n) r + o) r + sums[c, o]."""
         n, r = self.order, self.dim // self.order
-        m, o = np.divmod(self.orbit_index, r)
-        index = ((-m % n) * r * r + o).astype(np.int32)[_orbit_sums(n, self.digits)]
-        index += np.arange(0, r * r, r, dtype=np.int32)
-        place = n ** np.arange(self.sites // 2 - 1, -1, -1)
-        weights = np.concatenate([place * r, place % r])
-        index.flags.writeable = weights.flags.writeable = False
-        return WeylPlan(index, weights)
+        add = np.add.outer(*[np.arange(n, dtype=np.int32)] * 2) % n
+        sums = np.zeros((1, 1), dtype=np.int32)
+        for _ in range(self.sites // 2 - 1):  # one digit at a time
+            k = n * len(sums)
+            sums = (n * sums[:, None, :, None] + add[:, None]).reshape(k, k)
+        m, c = np.divmod(self.orbit_index, r)
+        plan = sums[c]
+        plan += ((-m % n) * r * r).astype(np.int32)[:, None]
+        plan += np.arange(0, r * r, r, dtype=np.int32)
+        plan.flags.writeable = False
+        return plan
 
     @property
     def generators(self) -> tuple[np.ndarray, ...]:
@@ -207,8 +206,8 @@ def build_generators(n: int, L: int) -> Representation:
     return _build(operator.index(n), operator.index(L))
 
 
-# An entry is O(L dim) integers, at most 2.1 MiB (digits, orbits and
-# generator columns at (2, 24)), so 32 of them hold under 68 MiB, plus the
+# An entry is O(L dim) integers, at most 2.0 MiB (digits, orbit index and
+# generator columns at (2, 24)), so 32 of them hold under 64 MiB, plus the
 # weyl_plan of each size a sector command read: 32 MiB at (2, 24).
 @lru_cache(maxsize=32)
 def _build(n: int, L: int) -> Representation:
@@ -220,16 +219,13 @@ def _build(n: int, L: int) -> Representation:
     x_exp = (2 * g < j).astype(np.int64)
     z_exp = (g == j // 2).astype(np.int64)
     zeta_exp = np.tile([0, n + 1], half)
-    # T^m o adds m to every digit of o, whose first digit is 0; o runs over
-    # the states 0 .. dim/n - 1, those with first digit 0.
-    m = np.arange(n)[:, None]
-    orbit = _digit_sum(n, digits[:, : dim // n], [m] * half)
-    orbit_index = np.empty(dim, dtype=np.intp)
-    orbit_index[orbit.ravel()] = np.arange(dim)
+    # T^m adds m to every digit: the state of digits d is T^{d_0} o, o the
+    # state of digits d - d_0 mod n, first digit 0, one of 0 .. dim/n - 1.
+    o = n ** np.arange(half - 2, -1, -1) @ ((digits[1:] - digits[0]) % n)
     return Representation(
         order=n, sites=L, dim=dim, x_exp=x_exp, z_exp=z_exp,
-        zeta_exp=zeta_exp, digits=digits, zeta=_zeta_array(n), orbit=orbit,
-        orbit_index=orbit_index,
+        zeta_exp=zeta_exp, digits=digits, zeta=_zeta_array(n),
+        orbit_index=digits[0] * (dim // n) + o,
     )
 
 
@@ -243,11 +239,10 @@ def sector_blocks(p: Polynomial, rep: Representation) -> np.ndarray:
     if not classify(p).observable:
         raise ValueError("polynomial is not gauge invariant: no sector blocks")
     n, r = rep.order, rep.dim // rep.order
-    index, place = rep.weyl_plan.index, n ** np.arange(rep.sites // 2 - 1, -1, -1)
 
     def locate(a):
-        # index[a, o'] = ((-m mod n) r + o') r + o for o' (+) a = T^m o.
-        at = index[a @ place]
+        # plan[a, o'] = ((-m mod n) r + o') r + o for o' (+) a = T^m o.
+        at = rep.weyl_plan[a @ rep.place]
         return ((-(at // (r * r)) % n) * r + at % r) * r + np.arange(r)
 
     with np.errstate(over="raise"):
@@ -300,35 +295,9 @@ def weyl_table(blocks: np.ndarray, rep: Representation) -> np.ndarray:
     """
     n, dim = rep.order, rep.dim
     a = np.fft.fft(blocks, axis=0, norm="forward")
-    d = a.take(rep.weyl_plan.index)
+    d = a.take(rep.weyl_plan)
     g = np.matmul(rep._w_lo, d.reshape(dim, len(rep._w_lo), -1) @ rep._w_hi)
     return n * g.reshape(dim, dim // n)
-
-
-def _orbit_sums(n: int, digits: np.ndarray) -> np.ndarray:
-    """The (dim, dim/n) array of o (+) a over the states a and the orbit
-    representatives o, from ``digits``, those of the states.
-
-    The first digit of o is 0, so o (+) a is a's first digit times dim/n
-    plus the digit-wise sum over the f = L/2 - 1 others, and that sum splits
-    into one over the first hi and one over the last lo of them: with
-    x = x_hi n^lo + x_lo, x (+) y = (x_hi (+) y_hi) n^lo + (x_lo (+) y_lo).
-    So two tables of digit sums, one when hi = lo, and one broadcast add
-    give it."""
-    f = len(digits) - 1
-    lo = f // 2
-    hi = f - lo
-
-    def table(c):  # k (+) s over the c-digit numbers k, s
-        m = n**c
-        last = digits[f + 1 - c:, :m]  # the digits of 0 .. m - 1
-        return np.reshape(_digit_sum(n, last[:, :, None], last[:, None]), (m, m))
-
-    low = table(lo)
-    high = n**lo * (low if hi == lo else table(hi))
-    high = np.arange(0, n ** (f + 1), n**f)[:, None, None] + high
-    sums = high[:, :, None, :, None] + low[:, None, :]
-    return sums.reshape(n ** (f + 1), n**f)
 
 
 def pair_traces(
@@ -345,12 +314,12 @@ def pair_traces(
     divisible by n: O(L) integer arithmetic per pair after O(L^2) per
     monomial.
     """
-    n, half = rep.order, rep.sites // 2
+    n, half, r = rep.order, rep.sites // 2, rep.dim // rep.order
     # Rows [a | b], and the place value of each digit in the flattened
-    # table (``WeylPlan.weights``): a (+) a' and b (+) b' are the digit-wise
-    # sums mod n, and the first digit of b is not in the index.
+    # table: a (+) a' and b (+) b' are the digit-wise sums mod n, and the
+    # first digit of b, of place value r, is not in the index.
     ab = np.concatenate([exponents @ rep.x_exp, exponents @ rep.z_exp], 1) % n
-    weights = rep.weyl_plan.weights
+    weights = np.concatenate([rep.place * r, rep.place % r])
     phi = rep.phases(exponents)
     charge = exponents.sum(axis=1) % n
     flat = table.ravel()
@@ -405,7 +374,7 @@ def decompose(blocks: np.ndarray, rep: Representation) -> Polynomial:
     digits = rep.digits
     # The state of digits -d(k) mod n for each state k: -a, and for a first
     # digit 0, the last digits of -b.
-    neg = n ** np.arange(L // 2 - 1, -1, -1) @ (-digits % n)
+    neg = rep.place @ (-digits % n)
     coeffs = weyl_table(blocks, rep)[neg[:, None], neg[:r]] / dim
     keep = np.flatnonzero(np.abs(coeffs) > DECOMPOSE_TOL * scale)
     x, z = digits[:, keep // r], digits[:, keep % r]

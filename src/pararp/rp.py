@@ -556,7 +556,7 @@ def rp_bounds_check(
     function bound.
 
     Both auxiliary Hamiltonians are H, so ||A||_-^2 = ||A||_+^2 = f(A, A):
-    the bounds are Cauchy-Schwarz for the one RP form f (see _bounds).
+    the bounds are Cauchy-Schwarz for the one RP form f (see _pair_bounds).
     """
     for name, p in (("A", a), ("B", b)):
         sc = classify(p)
@@ -578,7 +578,7 @@ def sampled_bounds(
     """rp_bounds_check of the pair A = B = I and of ``samples`` pairs (A, B),
     each the reflection of two fresh random_minus_observable draws, seeded
     by ``seed``: the blocks of M they read in one call, then each pair's
-    bounds in order, not ok where f(A, A) or f(B, B) < 0 (see _bounds)."""
+    bounds in order, not ok where f(A, A) or f(B, B) < 0 (see _pair_bounds)."""
     n, L = spec.order, spec.sites
     rng = np.random.default_rng(seed)
     terms, coeffs, owner = random_minus_rows(n, L, rng, 2 * samples)
@@ -593,27 +593,22 @@ def sampled_bounds(
 
 def _pair_bounds(rows, coeffs, a, b, spec: HamiltonianSpec,
                  rep: Representation, tol: float) -> list[dict]:
-    """The bounds of each pair k of plus observables (A, B), with theta(A)
-    and theta(B) the sums of coeffs[r] C_{rows[r]} over the row spans a[k]
-    and b[k]: f(A, B), f(A, A), f(B, B) are the forms of the blocks (b, a),
-    (a, a), (b, b) of M, all read in one _forms call (see _bounds)."""
+    """The rp_bounds_check report of each pair k of plus observables
+    (A, B), with theta(A) and theta(B) the sums of coeffs[r] C_{rows[r]}
+    over the row spans a[k] and b[k]: f(A, B), f(A, A), f(B, B) are the
+    forms of the blocks (b, a), (a, a), (b, b) of M, all read in one _forms
+    call, and z = Tr(e^{-H}).  A pair with f(A, A) or f(B, B) below
+    -tol (1 + |f|) violates RP: it is not ok, and that norm counts as 0.
+    A and theta(B), gauge invariant on disjoint halves, commute, so
+    f(A, B) = Tr(theta(B) A E) is read as f(theta(B), theta(A))."""
     table = boltzmann_table(spec, rep)
     _, f = _forms(rows, coeffs,
                   np.concatenate([b, a, a, a, b, b], 1).reshape(-1, 4), rep, table)
-    return _bounds(f.reshape(-1, 3), complex(table[0, 0]), tol)
-
-
-def _bounds(forms: np.ndarray, z: complex, tol: float) -> list[dict]:
-    """The rp_bounds_check report of each pair (A, B) of plus observables
-    from its row [f(A, B), f(A, A), f(B, B)] of ``forms``, with z =
-    Tr(e^{-H}).  A pair with f(A, A) or f(B, B) below -tol (1 + |f|)
-    violates RP: it is not ok, and that norm counts as 0.  A and theta(B),
-    gauge invariant on disjoint halves, commute, so the callers read
-    f(A, B) = Tr(theta(B) A E) as f(theta(B), theta(A))."""
+    z = complex(table[0, 0])
     z_bound = max(z.real, 0.0)
     margin_z = (z_bound - abs(z)) / (1.0 + z_bound)
     out = []
-    for f_ab, sq_a, sq_b in forms.tolist():
+    for f_ab, sq_a, sq_b in f.reshape(-1, 3).tolist():
         bound = math.sqrt(max(sq_a.real, 0.0)) * math.sqrt(max(sq_b.real, 0.0))
         margin = (bound - abs(f_ab)) / (1.0 + bound)
         positive = all(v.real >= -tol * (1 + abs(v)) for v in (sq_a, sq_b))

@@ -10,7 +10,7 @@ import scipy.linalg
 from pararp import rp
 from pararp.algebra import _BLOCK, Polynomial
 from pararp.representation import (
-    DECOMPOSE_TOL, _digit_sum, _orbit_sums, build_generators, to_matrix,
+    DECOMPOSE_TOL, _digit_sum, build_generators, to_matrix,
 )
 
 # build_generators keeps one representation per (n, L) and process.
@@ -58,8 +58,55 @@ def dense_sector_blocks(a, rep):
     shift, gathered from A's own entries A[T^m o, o'] and transformed over
     m: the reference for representation.sector_blocks, which scatters them
     from the terms of a polynomial."""
-    g = a[rep.orbit[:, :, None], rep.orbit[0]]
+    orbit = orbits(rep)
+    g = a[orbit[:, :, None], orbit[0]]
     return np.fft.ifft(g, axis=0, norm="forward")
+
+
+def orbits(rep):
+    """The (n, dim/n) array of the state T^m o at [m, o]: the inverse
+    permutation of ``rep.orbit_index``."""
+    orbit = np.empty(rep.dim, dtype=np.intp)
+    orbit[rep.orbit_index] = np.arange(rep.dim)
+    return orbit.reshape(rep.order, -1)
+
+
+def reference_orbit_index(rep):
+    """m dim/n + o for each state T^m o, from the orbits built by
+    _digit_sum from ``rep.digits``: T^m o adds m to every digit of the
+    representative o, one of the states of first digit 0."""
+    n, half, r = rep.order, rep.sites // 2, rep.dim // rep.order
+    orbit = _digit_sum(n, rep.digits[:, :r], [np.arange(n)[:, None]] * half)
+    index = np.empty(rep.dim, dtype=np.intp)
+    index[orbit.ravel()] = np.arange(rep.dim)
+    return index
+
+
+def _orbit_sums(n, digits):
+    """The (dim, dim/n) array of o (+) a over the states a and the orbit
+    representatives o, from ``digits``, those of the states.
+
+    The first digit of o is 0, so o (+) a is a's first digit times dim/n
+    plus the digit-wise sum over the f = L/2 - 1 others, and that sum splits
+    into one over the first hi and one over the last lo of them: with
+    x = x_hi n^lo + x_lo, x (+) y = (x_hi (+) y_hi) n^lo + (x_lo (+) y_lo).
+    So two tables of digit sums, one when hi = lo, and one broadcast add
+    give it: the table the Weyl plan was built from before it read the
+    representatives' own."""
+    f = len(digits) - 1
+    lo = f // 2
+    hi = f - lo
+
+    def table(c):  # k (+) s over the c-digit numbers k, s
+        m = n**c
+        last = digits[f + 1 - c:, :m]  # the digits of 0 .. m - 1
+        return np.reshape(_digit_sum(n, last[:, :, None], last[:, None]), (m, m))
+
+    low = table(lo)
+    high = n**lo * (low if hi == lo else table(hi))
+    high = np.arange(0, n ** (f + 1), n**f)[:, None, None] + high
+    sums = high[:, :, None, :, None] + low[:, None, :]
+    return sums.reshape(n ** (f + 1), n**f)
 
 
 def dense_weyl_table(e, rep):
@@ -68,7 +115,7 @@ def dense_weyl_table(e, rep):
     matmuls of representation.weyl_table: the reference for the table read
     from the sector blocks."""
     r = rep.dim // rep.order
-    return _characters(e[np.arange(r), _orbit_sums(rep.order, rep.digits)], rep)
+    return characters(e[np.arange(r), _orbit_sums(rep.order, rep.digits)], rep)
 
 
 def reference_weyl_table(blocks, rep):
@@ -78,7 +125,7 @@ def reference_weyl_table(blocks, rep):
     n, r = rep.order, rep.dim // rep.order
     a = np.fft.fft(blocks, axis=0, norm="forward")
     m, o = np.divmod(rep.orbit_index[_orbit_sums(n, rep.digits)], r)
-    return _characters(a[-m % n, np.arange(r), o], rep)
+    return characters(a[-m % n, np.arange(r), o], rep)
 
 
 def reference_scatter(p, rep, place, width):
@@ -113,14 +160,15 @@ def reference_to_matrix(p, rep):
 
 
 def reference_plan(rep):
-    """The Weyl plan's index from the fields of ``rep``, as weyl_table read
-    it before the plan: (-m mod n, o, o') of o (+) a = T^m o', flattened."""
+    """The Weyl plan from ``rep.digits`` and ``rep.orbit_index``, as
+    weyl_table read it before the plan: (-m mod n, o, o') of
+    o (+) a = T^m o', flattened, with o (+) a from _orbit_sums."""
     n, r = rep.order, rep.dim // rep.order
     m, o = np.divmod(rep.orbit_index[_orbit_sums(n, rep.digits)], r)
     return ((-m % n) * r + np.arange(r)) * r + o
 
 
-def _characters(d, rep):
+def characters(d, rep):
     """n sum_o omega^{b'.d'(o)} D[a, o], as two matmuls with the Kronecker
     factors of the character matrix over the first and last half of d'."""
     n, dim = rep.order, rep.dim

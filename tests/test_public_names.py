@@ -12,11 +12,13 @@ import json
 import numpy as np
 import pytest
 
-from pararp import cli, hamiltonian, representation, rp
+from pararp import algebra, cli, hamiltonian, representation, rp
 from pararp.algebra import Polynomial, from_text, to_text
 from pararp.exponents import ExponentVector
 from pararp.hamiltonian import baxter
-from pararp.representation import all_exponent_vectors, trace_monomial
+from pararp.representation import (
+    all_exponent_vectors, build_generators, trace_monomial,
+)
 
 from conftest import rep_for
 
@@ -84,16 +86,20 @@ def test_program_modules_build_no_dense_matrix():
 
 def test_retired_names_are_gone_and_kept_names_stay():
     """The second bounds layout, the test-only entry points, the split-out
-    Trotter step and the private overflow class are gone from the package;
+    Trotter step, the private overflow class, the Weyl plan's wrapper class
+    and second digit-sum table, the per-line monomial grammar and the split
+    bounds report are gone from the package, and so is the orbit field;
     the names the acceptance gate, the README and the benchmark read are
     all still there."""
     import pararp
 
     retired = {"rp_functional", "_pair", "loop_expectation", "clock_shift",
-               "OverflowError_", "_trotter_parts", "_trotter_power"}
-    for module in (pararp, rp, representation):
+               "OverflowError_", "_trotter_parts", "_trotter_power",
+               "WeylPlan", "_orbit_sums", "_MONOMIAL", "_bounds"}
+    for module in (pararp, rp, representation, algebra):
         assert not retired & set(vars(module)), module.__name__
     assert not hasattr(ExponentVector, "supported_on_plus")
+    assert not hasattr(build_generators(N, L), "orbit")
     # structured_observables stays while the tracer and perfbench's
     # test_structured_probe_count_matches_rp read it, and gram_psd while the
     # tracer's busy metric rp.gram_entries counts its calls.

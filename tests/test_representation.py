@@ -21,9 +21,9 @@ from pararp.representation import (
 )
 
 from conftest import (
-    clock_shift, dense_decompose, dense_matrix, dense_sector_blocks,
-    dense_weyl_table, random_blocks, reference_phases, reference_plan,
-    reference_weyl_table, rep_for,
+    characters, clock_shift, dense_decompose, dense_matrix,
+    dense_sector_blocks, dense_weyl_table, random_blocks, reference_phases,
+    reference_plan, reference_weyl_table, rep_for,
 )
 
 
@@ -114,7 +114,7 @@ class TestSharedRepresentation:
         rep = build_generators(n, L)
         arrays = {k: v for k, v in vars(rep).items()
                   if isinstance(v, np.ndarray)}
-        assert len(arrays) == 15
+        assert len(arrays) == 15 + ("weyl_plan" in arrays)
         for name, value in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 value[...] = 0
@@ -146,21 +146,29 @@ class TestSharedRepresentation:
         assert np.array_equal(copy.phases(e), reference_phases(copy, e))
         blocks = random_blocks(copy, rng)
         table = weyl_table(blocks, copy)
-        assert np.array_equal(table, reference_weyl_table(blocks, copy))
+        if name == "digits":
+            # The plan reads orbit_index, which a digits replace leaves as it
+            # is: the table is the copy's own characters of the gather at it.
+            dft = np.fft.fft(blocks, axis=0, norm="forward")
+            assert np.array_equal(table, characters(dft.take(copy.weyl_plan), copy))
+        else:
+            assert np.array_equal(table, reference_weyl_table(blocks, copy))
         changed = [
             not np.array_equal(getattr(copy, f), getattr(rep, f))
             for f in ("generator_rows", "generator_phases", "_g_upper",
                       "_g_diagonal", "_w_lo", "_w_hi")]
         assert any(changed)
-        assert not copy.orbit.flags.writeable and not value.flags.writeable
-        # The Weyl plan: the copy derives its own from its own fields.
+        assert not copy.orbit_index.flags.writeable and not value.flags.writeable
+        # The Weyl plan: the copy derives its own, from orbit_index, which
+        # no replace here changes.
         assert copy.weyl_plan is not rep.weyl_plan
-        assert np.array_equal(copy.weyl_plan.index, reference_plan(copy))
-        assert np.array_equal(copy.weyl_plan.weights, rep.weyl_plan.weights)
-        assert not copy.weyl_plan.index.flags.writeable
-        # The verify_yamazaki index depends on (n, L) alone: a copy derives
-        # its own, equal to the original's.
-        for f in ("_pairs", "_offsets"):
+        assert np.array_equal(copy.weyl_plan, rep.weyl_plan)
+        if name != "digits":
+            assert np.array_equal(copy.weyl_plan, reference_plan(copy))
+        assert not copy.weyl_plan.flags.writeable
+        # The place values and the verify_yamazaki index depend on (n, L)
+        # alone: a copy derives its own, equal to the original's.
+        for f in ("place", "_pairs", "_offsets"):
             assert getattr(copy, f) is not getattr(rep, f)
             assert np.array_equal(getattr(copy, f), getattr(rep, f))
             assert not getattr(copy, f).flags.writeable

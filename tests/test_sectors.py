@@ -35,7 +35,7 @@ from pararp.representation import (
 
 from conftest import (
     clock_shift, dense_decompose, dense_matrix, dense_sector_blocks,
-    dense_trotter, dense_weyl_table, random_blocks, rep_for,
+    dense_trotter, dense_weyl_table, orbits, random_blocks, rep_for,
     stepped_counterexample_sums,
 )
 
@@ -116,15 +116,16 @@ def test_gauge_shift_scales_generators_and_has_orbits_of_n(n, L):
         assert np.abs(t @ c @ t.conj().T - c / omega).max() < 1e-12
     # orbit[m, o] is T^m o, with o running over the states of first digit 0.
     r = rep.dim // n
-    assert rep.orbit.shape == (n, r)
-    assert rep.orbit[0].tolist() == list(range(r))
+    orbit = orbits(rep)
+    assert orbit.shape == (n, r)
+    assert orbit[0].tolist() == list(range(r))
     power = np.eye(rep.dim)
     for m in range(n):
-        assert power[:, :r].argmax(axis=0).tolist() == rep.orbit[m].tolist()
+        assert power[:, :r].argmax(axis=0).tolist() == orbit[m].tolist()
         power = t @ power
     # n distinct states per orbit, and the orbits partition the states.
-    assert sorted(rep.orbit.ravel().tolist()) == list(range(rep.dim))
-    assert (rep.orbit_index[rep.orbit.ravel()] == np.arange(rep.dim)).all()
+    assert sorted(orbit.ravel().tolist()) == list(range(rep.dim))
+    assert (rep.orbit_index[orbit.ravel()] == np.arange(rep.dim)).all()
 
 
 # -- sector_blocks ----------------------------------------------------------------
@@ -150,15 +151,15 @@ def test_round_trip_parseval_and_products(n, L):
     ) < 1e-12
     # Block q is the action on the eigenspace of T with eigenvalue omega^-q:
     # a T-eigenvector rebuilt from block q's coordinates.
-    t = gauge_shift(n, L)
+    t, orbit = gauge_shift(n, L), orbits(rep)
     for charge in range(n):
         v = np.zeros(rep.dim, dtype=complex)
         coords = rng.normal(size=rep.dim // n)
         for m in range(n):
-            v[rep.orbit[m]] = np.exp(-2j * np.pi * charge * m / n) * coords
+            v[orbit[m]] = np.exp(-2j * np.pi * charge * m / n) * coords
         assert np.abs(t @ v - np.exp(2j * np.pi * charge / n) * v).max() < 1e-12
         w = a @ v  # stays in the eigenspace, with coordinates A_q coords
-        assert np.abs(w[rep.orbit[0]] - blocks_a[charge] @ coords).max() < (
+        assert np.abs(w[orbit[0]] - blocks_a[charge] @ coords).max() < (
             1e-12 * (1 + np.abs(w).max())
         )
 

@@ -1,7 +1,8 @@
 """The Weyl plan: one (dim, dim/n) int32 index per representation, built on
-first sector use, that weyl_table gathers the DFT of the sector blocks at and
-sector_blocks scatters a polynomial's terms through.  Every output is bit
-for bit that of the per-call index it replaced (conftest references)."""
+first sector use from the digit-sum table of the orbit representatives, that
+weyl_table gathers the DFT of the sector blocks at and sector_blocks
+scatters a polynomial's terms through.  Every output is bit for bit that of
+the per-call index it replaced (conftest references)."""
 
 import dataclasses
 
@@ -16,12 +17,15 @@ from pararp.representation import (
 )
 
 from conftest import (
-    random_blocks, reference_plan, reference_sector_blocks,
-    reference_to_matrix, reference_weyl_table,
+    random_blocks, reference_orbit_index, reference_plan,
+    reference_sector_blocks, reference_to_matrix, reference_weyl_table,
 )
 
 CELLS = [(n, L) for L in range(2, 21, 2) for n in range(2, 1025)
          if n ** (L // 2) <= 1024]
+# Every cell above dim 1024 up to DIM_CAP with at least two digits.
+LARGE_CELLS = [(n, L) for L in range(4, 25, 2) for n in range(2, 65)
+               if 1024 < n ** (L // 2) <= representation.DIM_CAP]
 
 
 def random_poly(rep, rng, terms, invariant):
@@ -66,21 +70,35 @@ def test_long_polynomial_spans_several_block_chunks():
     assert np.array_equal(to_matrix(h, rep), reference_to_matrix(h, rep))
 
 
+def test_plan_and_orbit_index_match_the_references_above_dim_1024():
+    """The plan read off the representatives' (dim/n, dim/n) table equals
+    the one read off the (dim, dim/n) table of every state, and
+    orbit_index the inverse of the orbits built digit by digit."""
+    assert len(LARGE_CELLS) == 46
+    for n, L in LARGE_CELLS:
+        # A copy builds its own plan, so the cache keeps none of the 46
+        # (109 MiB in all).
+        rep = dataclasses.replace(build_generators(n, L))
+        assert np.array_equal(rep.orbit_index, reference_orbit_index(rep)), (n, L)
+        assert np.array_equal(rep.weyl_plan, reference_plan(rep)), (n, L)
+
+
 @pytest.mark.parametrize("n,L", [(2, 2), (3, 4), (4, 6), (2, 10), (5, 4)])
 def test_plan_is_one_read_only_int32_index_per_representation(n, L):
     rep = build_generators(n, L)
     plan = rep.weyl_plan
     assert rep.weyl_plan is plan and build_generators(n, L).weyl_plan is plan
-    assert plan.index.dtype == np.int32
-    assert plan.index.shape == (rep.dim, rep.dim // n)
-    assert np.array_equal(plan.index, reference_plan(rep))
-    for value in (plan.index, plan.weights):
+    assert plan.dtype == np.int32
+    assert plan.shape == (rep.dim, rep.dim // n)
+    assert np.array_equal(plan, reference_plan(rep))
+    assert np.array_equal(rep.orbit_index, reference_orbit_index(rep))
+    for value in (plan, rep.place):
         with pytest.raises(ValueError, match="read-only"):
             value[...] = 0
     copy = dataclasses.replace(rep)
     assert "weyl_plan" not in vars(copy)
     assert copy.weyl_plan is not plan
-    assert np.array_equal(copy.weyl_plan.index, plan.index)
+    assert np.array_equal(copy.weyl_plan, plan)
 
 
 def test_plan_is_built_on_first_sector_use_only(capsys, tmp_path):
