@@ -46,13 +46,13 @@ its reference loops:
 from __future__ import annotations
 
 import cmath
+import codecs
 import math
 import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import chain, filterfalse, repeat
-from operator import itemgetter, methodcaller
+from operator import itemgetter
 
 import numpy as np
 
@@ -485,16 +485,25 @@ def _text_block(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
     return block
 
 
+# A term line's monomial after its '*': '1', or factors c<site>^<power> apart
+# by blanks.  It matches in one way only, so in linear time.
 _FACTOR = r"c[0-9]{1,18}\^[0-9]{1,18}"
-# The monomials of term lines after their '*', each ended by a newline: '1',
-# or factors c<site>^<power> apart by blanks.  A valid line matches in one
-# way only, so a failing text is rejected in linear time.
-_MONOMIALS = re.compile(
-    rf"(?:[^\S\n]*(?:1|{_FACTOR}(?:[^\S\n]+{_FACTOR})*)\n)*")
+_MONOMIALS = re.compile(rf"\s*(?:1|{_FACTOR}(?:\s+{_FACTOR})*)\s*")
+
+# from_text reads a character beyond ASCII as a byte of its class, '\n' for a
+# line break, ' ' for another blank, '\x7f' for the rest, and then classifies
+# bytes as line breaks of str.splitlines and as blanks inside a line.
+codecs.register_error("pararp.classes", lambda error: ("".join(
+    "\n" if ch in "\x85\u2028\u2029" else " " if ch.isspace() else "\x7f"
+    for ch in error.object[error.start:error.end]), error.end))
+_BREAK, _BLANK = np.zeros((2, 256), dtype=bool)
+_BREAK[[10, 11, 12, 13, 28, 29, 30]] = _BLANK[[9, 31, 32]] = True
 
 
 def _header(line: str) -> tuple[int, int]:
-    """n and L of a header line ``# n=.. L=..``."""
+    """n and L of a text's first line that is not blank, ``# n=.. L=..``."""
+    if not line.startswith("#"):
+        raise ValueError("term before '# n=.. L=..' header")
     try:
         fields = dict(f.split("=") for f in line[1:].split())
         return int(fields["n"]), int(fields["L"])
@@ -502,48 +511,46 @@ def _header(line: str) -> tuple[int, int]:
         raise ValueError("header is not '# n=.. L=..'") from None
 
 
-def _term_lines(text: str) -> list[tuple[int, str]]:
-    """(line number, line) of every term line, stripped, of a text whose
-    first line that is not blank is its header."""
-    lines = enumerate(map(str.strip, text.splitlines()), start=1)
-    return [(i, line) for i, line in lines if line and not line.startswith("#")]
-
-
 def _syntax_error(text: str) -> ValueError:
-    """The error of the first term line that does not parse, read line by
-    line: a bad coefficient or a bad monomial."""
-    for lineno, line in _term_lines(text):
+    """The first syntax error of a text, read line by line: no header, a bad
+    header, a term before it, a bad coefficient or a bad monomial."""
+    lines = enumerate(map(str.strip, text.splitlines()), 1)
+    for k, (lineno, line) in enumerate((i, s) for i, s in lines if s):
         coeff, _, mono = line.partition("*")
         try:
-            complex(coeff)
+            if not k:
+                _header(line)
+            elif not line.startswith("#"):
+                complex(coeff)
+                if _MONOMIALS.fullmatch(mono) is None:
+                    raise ValueError(f"bad monomial {mono.strip()!r}")
         except ValueError as exc:
             return ValueError(f"line {lineno}: {exc}")
-        if _MONOMIALS.fullmatch(mono + "\n") is None:
-            return ValueError(f"line {lineno}: bad monomial {mono.strip()!r}")
+    return ValueError("missing '# n=.. L=..' header")
 
 
-def _factors(monomials: bytes) -> tuple[np.ndarray, ...]:
-    """(term, site - 1, power) of every factor c<site>^<power> in lines of
-    valid monomials, each line ended by a newline: a factor's term is the
-    number of newlines before its 'c', its site the digits after the 'c'
-    and its power the digits after the '^'."""
-    chars = np.frombuffer(monomials, dtype=np.uint8)
-    c, ends = np.flatnonzero(chars == ord("c")), np.flatnonzero(chars == ord("\n"))
-    starts = np.concatenate([c, np.flatnonzero(chars == ord("^"))]) + 1
-    per_term = np.diff(np.searchsorted(c, ends), prepend=0)
-    term = np.repeat(np.arange(len(ends)), per_term)
-    # Horner's rule on all numbers at once, one digit position per step;
-    # every number is followed by a non-digit, where its position stops.
-    value = np.zeros(len(starts), dtype=np.int64)
-    for _ in range(19):  # at most 18 digits
-        digit = chars[starts] - 48  # a non-digit byte wraps to >= 10
-        live = digit < 10
-        if not live.any():
-            break
-        np.multiply(value, 10, out=value, where=live)
-        np.add(value, digit, out=value, where=live)
-        starts += live
-    return term, value[:len(c)] - 1, value[len(c):]
+def _factors(chars: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Site, power and end of the factor c<site>^<power> at each position of
+    ``c`` in ``chars``, a byte array ended by two zeros, and whether each is
+    one: after a blank or a zero, 'c', 1 to 18 digits, '^', 1 to 18 digits.
+    Horner's rule reads all numbers at once, a digit position per step."""
+    before = chars[c - 1]
+    numbers, at, ok = [], c, _BLANK[before] | (before == 0)
+    for mark in b"c^":
+        ok &= chars[at] == mark
+        digit = chars[at + 1] - 48  # a non-digit byte wraps to >= 10
+        value, start, at = digit.astype(np.int64), at + 1, at + 1 + (digit < 10)
+        for _ in range(18):  # digits 2 to 19; a 19th fails the length test
+            digit = chars[at] - 48
+            live = digit < 10
+            if not live.any():
+                break
+            np.multiply(value, 10, out=value, where=live)
+            np.add(value, digit, out=value, where=live)
+            at += live
+        ok &= (at > start) & (at - start <= 18)
+        numbers.append(value)
+    return *numbers, at, ok
 
 
 def from_text(text: str) -> Polynomial:
@@ -552,41 +559,47 @@ def from_text(text: str) -> Polynomial:
     exponent outside 0..n-1 or a site written twice in one monomial is a
     ValueError naming the line; lines that do not parse are named first.
 
-    The lines are read in bulk: one ``map(complex, ...)`` over the
-    coefficients, one regular expression match per 32 monomials, one numpy
-    pass over their digits.  Only a text that fails is read again
-    line by line, to name the line."""
-    lines = list(filter(None, map(str.strip, text.splitlines())))
-    if not lines:
-        raise ValueError("missing '# n=.. L=..' header")
-    try:
-        if not lines[0].startswith("#"):
-            raise ValueError("term before '# n=.. L=..' header")
-        n, L = _header(lines[0])
-    except ValueError as exc:
-        lineno = next(i for i, line in enumerate(text.splitlines(), 1)
-                      if line.strip())
-        raise ValueError(f"line {lineno}: {exc}") from None
-    terms = filterfalse(methodcaller("startswith", "#"), lines)
-    parts = list(map(str.partition, terms, repeat("*")))
-    del lines
-    try:
-        coeffs = np.fromiter(map(complex, map(itemgetter(0), parts)),
-                             dtype=complex, count=len(parts))
+    One pass reads a valid text: numpy finds the lines and each term line's
+    '*', ``complex`` parses the coefficients and ``_factors`` the monomials.
+    Only a text that fails is read again, line by line, to name the line."""
+    size = len(text)
+    chars = np.frombuffer(text.encode("ascii", "pararp.classes"), np.uint8)
+    chars = np.append(chars, np.uint8([0, 0]))  # two zeros end every number
+    low = np.flatnonzero(chars[:size] < 32)  # line breaks, tabs, other controls
+    breaks = low[_BREAK[chars[low]]]
+    starts, ends = np.append(0, breaks + 1), np.append(breaks, size)
+    for i in np.flatnonzero(_BLANK[chars[starts]]).tolist():  # leading blanks
+        line = text[starts[i]:ends[i]]
+        starts[i] += len(line) - len(line.lstrip())
+    lines = np.flatnonzero(starts < ends)  # not blank
+    try:  # the header: the first line that is not blank, if there is one
+        n, L = _header(text[starts[lines[0]]:ends[lines[0]]] if len(lines) else "")
+        lines = lines[1:][chars[starts[lines[1:]]] != ord("#")]  # terms
+        starts, ends, K = starts[lines], ends[lines], len(lines)
+        stars = np.flatnonzero(chars == ord("*"))
+        star = np.append(stars, size)[np.searchsorted(stars, starts)]
+        if not (star < ends).all():
+            raise ValueError("a term line without '*'")
+        coeffs = [text[a:b] for a, b in zip(starts.tolist(), star.tolist())]
+        coeffs = np.fromiter(map(complex, coeffs), dtype=complex, count=K)
     except ValueError:
         raise _syntax_error(text) from None
-    monomials = "\n".join(chain(map(itemgetter(2), parts), [""]))
-    # One match per 32 lines, as one over all of them keeps a backtracking
-    # frame per line: 77 MiB at 20 000 lines.
-    ends = np.cumsum([len(part[2]) + 1 for part in parts])[31::32].tolist()
-    cuts = [0, *ends, len(monomials)]
-    if not all(map(_MONOMIALS.fullmatch, repeat(monomials), cuts, cuts[1:])):
+    # Zero all but the monomials, the bytes after each '*' to its line's end.
+    edges = np.zeros(2 * K + 2, dtype=np.int64)
+    edges[1:-1:2], edges[2:-1:2], edges[-1] = star + 1, ends, size
+    chars[:size] *= np.repeat(np.tile(np.uint8([0, 1]), K + 1)[:-1], np.diff(edges))
+    c = np.flatnonzero(chars == ord("c"))
+    per_term = np.diff(np.searchsorted(c, ends), prepend=0)
+    identity = np.flatnonzero(per_term == 0).tolist()
+    site, power, end, ok = _factors(chars, c)
+    # Each byte of the monomials is a blank, in a factor, or a lone '1'.
+    filled = end.sum() - c.sum() + len(identity) + np.count_nonzero(chars == 32)
+    filled += np.count_nonzero(_BLANK[chars[low]])
+    if (not ok.all() or filled != (ends - star - 1).sum()
+            or any(text[star[k] + 1:ends[k]].strip() != "1" for k in identity)):
         raise _syntax_error(text)
     zero_vector(n, L)  # validates n and L
-    del parts
-    term, site, power = _factors(monomials.encode())
-    del monomials
-    K = len(coeffs)
+    term, site = np.repeat(np.arange(K), per_term), site - 1
     bad = (site < 0) | (site >= L) | (power >= n)
     slot = term * L + site
     if bad.any() or np.bincount(slot, minlength=K * L).max(initial=0) > 1:
@@ -601,7 +614,7 @@ def from_text(text: str) -> Polynomial:
             else f"exponent {e} of site {s} outside 0..{n - 1}" if e >= n
             else f"site {s} appears twice"
         )
-        lineno = _term_lines(text)[int(term[k])][0]
+        lineno = len(text[:star[term[k]]].splitlines())
         raise ValueError(f"line {lineno}: {reason}")
     exponents = np.zeros((K, L), dtype=np.int64)
     exponents.ravel()[slot] = power

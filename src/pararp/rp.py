@@ -370,7 +370,6 @@ def check_rp(
         violations.append(["partition_function", z.imag if z.real > 0 else z.real])
 
     structured, rows = structured_probes(n, L)
-    labels = [*structured, *(f"random[{i}]" for i in range(samples))]
     terms, coeffs, owner = random_minus_rows(n, L, rng, samples)
     # Structured probes are monomials: their Gram matrix is M over them.  A
     # random probe reads f(A, A) from M over its own terms, rows [s, e).
@@ -383,15 +382,17 @@ def check_rp(
     diagonal = np.concatenate([gram.diagonal(), f[1:]])
 
     min_diag, max_imag = math.inf, 0.0
-    for label, val in zip(labels, diagonal.tolist()):
+    for i, val in enumerate(diagonal.tolist()):
         scale = 1.0 + abs(val)
         re_n, im_n = val.real / scale, abs(val.imag) / scale
         min_diag = min(min_diag, re_n)
         max_imag = max(max_imag, im_n)
-        if re_n < -tol:
-            violations.append([f"{label}:diagonal_real", re_n])
-        if im_n > tol:
-            violations.append([f"{label}:diagonal_imag", im_n])
+        if re_n < -tol or im_n > tol:  # a label only for a violation
+            label = structured[i] if i < c else f"random[{i - c}]"
+            if re_n < -tol:
+                violations.append([f"{label}:diagonal_real", re_n])
+            if im_n > tol:
+                violations.append([f"{label}:diagonal_imag", im_n])
 
     _, min_eig = _hermitized(gram)
     if min_eig < -tol:

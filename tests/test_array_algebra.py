@@ -733,3 +733,143 @@ def test_failing_long_text_is_rejected_in_linear_time():
     with pytest.raises(ValueError, match=r"^line 200002: bad monomial 'c1\^1 c2'$"):
         from_text(text)
     assert time.perf_counter() - start < 10.0
+
+
+# -- from_text's single pass ------------------------------------------------
+
+# Blanks of str.isspace that do not end a line, one of each kind (ASCII,
+# Latin-1, Ogham, the U+2000 block, narrow, mathematical, ideographic), and
+# every line break of str.splitlines.
+BLANKS = [" ", "\t", "\x1f", "\xa0", "\u1680", "\u2000", "\u200a", "\u202f",
+          "\u205f", "\u3000"]
+BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+          "\u2028", "\u2029"]
+
+
+def assert_reads_like_reference(text):
+    """from_text accepts ``text`` and gives the reference's terms bit for
+    bit."""
+    assert_same(from_text(text), ref_clean(ref_from_text(text)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("L", [12, 16, 20])
+def test_from_text_reads_the_symbolic_workload_texts(n, L):
+    """H^3 of a mirror-symmetric Baxter chain and the loop operator
+    A theta(A) of a random minus observable A, the texts the symbolic
+    workload round-trips: from_text gives the reference's terms and p's,
+    bit for bit."""
+    rng = np.random.default_rng(n * L)
+    half = rng.uniform(-1, 1, size=L // 2).tolist()
+    h = baxter(n, L, half + half[-2::-1]).total()
+    a = rp.random_minus_observable(n, L, rng, max_terms=6)
+    for p in (canonical_product(canonical_product(h, h), h),
+              canonical_product(a, reflect(a))):
+        text = to_text(p)
+        assert_reads_like_reference(text)
+        # Lines are summed from 0, which makes a -0.0 part 0.0.
+        assert_same(from_text(text), {v: 0 + c for v, c in p.terms.items()})
+
+
+def test_from_text_reads_two_digit_sites_and_powers():
+    """At n = 12, L = 14 sites 10..14 and powers 10, 11 have two digits."""
+    rng = np.random.default_rng(1214)
+    texts = [to_text(random_poly(12, 14, rng, terms=k)) for k in (1, 5, 40)]
+    texts.append("# n=12 L=14\n(1+0j) * c10^11 c14^10 c9^9\n")
+    assert re.search(r"c1[0-4]\^1[01]\b", "".join(texts))
+    for text in texts:
+        assert_reads_like_reference(text)
+
+
+@pytest.mark.parametrize("factor", [
+    "c123456789012345678^1", "c1234567890123456789^1",
+    "c1^123456789012345678", "c1^1234567890123456789",
+    "c999999999999999999^1", "c1^999999999999999999",
+    "c000000000000000001^000000000000000011", "c0000000000000000001^1",
+    "c1^0000000000000000001", "c10^1 c1234567890123456789^1",
+])
+def test_from_text_digit_runs_of_18_and_19_digits(factor):
+    """Numbers of 18 digits are read, range errors aside; one of 19 digits
+    is a bad monomial, leading zeros included."""
+    assert_same_outcome(f"# n=12 L=14\n(1+0j) * c2^1\n(2+0j) * {factor}\n")
+
+
+@pytest.mark.parametrize("blank", BLANKS)
+def test_from_text_reads_every_blank_like_the_reference(blank):
+    """A blank around lines and headers, on blank lines, after the '*' and
+    between factors."""
+    b = blank
+    assert_reads_like_reference(
+        f"{b}# n=3 L=4{b}\n{b}\n{b}(1+0j) *{b}c1^1{b}c2^2{b}\n"
+        f"(2-1j) * c3^1{b}{b}c4^2\n{b}(0.5+0j) *{b}1{b}\n")
+
+
+def test_from_text_reads_a_line_that_starts_with_x1f():
+    """str.strip drops a leading \\x1f and complex() would not."""
+    assert_reads_like_reference("# n=3 L=4\n\x1f(1+0j) * c1^1\n")
+    assert_same(from_text("# n=3 L=4\n\x1f(1+0j) * c1^1\n"),
+                {ExponentVector((1, 0, 0, 0), 3): 1 + 0j})
+
+
+@pytest.mark.parametrize("brk", BREAKS)
+def test_from_text_reads_every_line_break_like_the_reference(brk):
+    """Lines ended by one break, blank lines between them, a comment, and
+    a last line without a break."""
+    text = brk.join(["", "# n=3 L=4", "(1+0j) * c1^1 c2^2", "", "# c9^9 * x",
+                     "(2-1j) * c3^1", "(0.5+0j) * 1"])
+    assert_reads_like_reference(text)
+    assert_reads_like_reference(text + brk)
+    assert len(from_text(text).coeffs) == 3
+
+
+@pytest.mark.parametrize("text", [
+    "# n=3 L=4\n(1+0j) * 2\n", "# n=3 L=4\n(1+0j) * x\n",
+    "# n=3 L=4\n(1+0j) * ^\n", "# n=3 L=4\n(1+0j) *\u3000 1 \x1f\n",
+    "# n=3 L=4\n(1+0j) *\n(2+0j) * c1^1 1\n",
+    "# n=3 L=4\n(1+0j) * 1 1\n(2+0j) * \n(3+0j) * 1\n",
+])
+def test_from_text_reads_lines_without_a_factor_like_the_reference(text):
+    """A monomial without a factor is '1' between blanks; the count of the
+    monomials' bytes over the whole text cannot stand for that check."""
+    assert_same_outcome(text)
+
+
+def test_from_text_matches_reference_on_edited_two_digit_texts():
+    """Random edits of texts with two-digit sites and powers, with the
+    characters of the text grammar, blanks beyond ASCII and every kind of
+    line break: the same terms or the same error as the reference."""
+    rng = np.random.default_rng(30)
+    alphabet = (list("c^0123456789 *#()+-j.") + BLANKS + BREAKS
+                + ["c12^1 ", "c1^10", "\x00", "\x7f", "١", "é"])
+    texts = [to_text(random_poly(n, L, np.random.default_rng(n + L), terms=6))
+             for n, L in [(12, 14), (11, 20), (3, 12)]]
+    for _ in range(600):
+        text = texts[rng.integers(len(texts))]
+        for _ in range(rng.integers(1, 4)):
+            at = int(rng.integers(len(text) + 1))
+            cut, insert = int(rng.integers(0, 3)), int(rng.integers(0, 2))
+            text = text[:at] + str(rng.choice(alphabet)) * insert + text[at + cut:]
+        assert_same_outcome(text)
+
+
+def test_from_text_matches_no_regular_expression_on_a_valid_text(monkeypatch):
+    """The monomials of a valid text are checked from the factors' bytes;
+    only a text that fails is matched against the pattern, line by line,
+    to name the line."""
+    calls = []
+
+    class Counting:
+        def fullmatch(self, string):
+            calls.append(string)
+            return pattern.fullmatch(string)
+
+    pattern = algebra._MONOMIALS
+    monkeypatch.setattr(algebra, "_MONOMIALS", Counting())
+    for n, L in [(2, 4), (12, 14)]:
+        for p in polys_for(n, L, seed=n + L):
+            from_text(to_text(p))
+    from_text("# n=3 L=4\n\xa0(1+0j) *\u3000c1^1\x1fc2^2\r\n(2+0j) * 1\x85")
+    assert calls == []
+    with pytest.raises(ValueError, match="^line 3: bad monomial 'c1'$"):
+        from_text("# n=3 L=4\n(1+0j) * c2^1\n(2+0j) * c1\n")
+    assert calls == [" c2^1", " c1"]

@@ -9,6 +9,7 @@ import functools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -207,6 +208,45 @@ def test_huge_boltzmann_factor_gives_standard_json(tmp_path, name):
     if name == "trotter":
         assert all(math.isfinite(e) for e in report["errors"].values())
         assert math.isfinite(report["ratio"])
+
+
+@pytest.mark.parametrize("spec", [{"n": 2, "L": 2},
+                                  {"baxter": {"n": 3, "L": 4, "t": [0, 0, 0]}}])
+def test_trotter_with_zero_errors_reports_a_null_ratio(capsys, tmp_path, spec):
+    """H = 0 makes both Trotter errors exactly 0 and their ratio inf, which
+    JSON has no constant for: the ratio is null and the run is not passed."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "trotter", "--spec", str(path))
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert code == cli.VIOLATIONS and err == ""
+    assert report["ratio"] is None and report["passed"] is False
+    assert report["errors"] == {"64": 0.0, "128": 0.0}
+
+
+def test_huge_sample_count_fails_at_once_naming_the_allocation(tmp_path):
+    """rp-check --samples 10^12 draws its probes before it labels any: the
+    draw's allocation fails at once, exit 1 with numpy's message.  The run
+    has an address-space limit and a timeout, so that a regression, which
+    would fill memory with labels first, cannot exhaust the machine."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"baxter": {"n": 3, "L": 6, "t": [1] * 5}}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "pararp.cli", "rp-check", "--samples",
+         str(10**12), "--spec", str(path)],
+        capture_output=True, text=True, timeout=60, preexec_fn=limit,
+        env={**os.environ, "PYTHONPATH": env_path, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert result.returncode == cli.ERROR and result.stdout == ""
+    assert result.stderr.startswith("error: Unable to allocate ")
+    assert time.perf_counter() - start < 30
 
 
 def test_violating_bounds_exit_2_with_a_report(tmp_path):
