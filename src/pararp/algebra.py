@@ -25,7 +25,7 @@ and adjoint are column reversals and complements, and terms with equal
 exponent rows are merged through their mixed-radix codes (one int64 per
 chunk of sites, from one power of n per site) and ``np.bincount``; the
 same codes of the reversed rows sort the lines of ``to_text``.  The matrix
-oracle (``representation.to_matrix`` and the trace kernel
+oracle (``representation.to_matrix`` and the RP-matrix kernel
 ``representation.pair_traces``) reads the same exponent matrix.  ``terms``
 builds a new dict ExponentVector -> coefficient on every call and is not
 cached; nothing in the package reads it.
@@ -61,8 +61,8 @@ from .exponents import ExponentVector, circ, zero_vector
 COEFF_TOL = 1e-12
 
 # Entries per temporary array (4 MiB of complex values): bounds the P*Q*L
-# exponent sums of a product here, and the blocks of to_matrix and
-# pair_traces in representation, independently of the input size.
+# exponent sums of a product here, and the chunks of the scatter of
+# to_matrix and sector_blocks in representation, whatever the input size.
 _BLOCK = 1 << 18
 
 

@@ -29,10 +29,11 @@ form of the Pauli decomposition.  For a matrix E that commutes with the
 gauge shift T below, such as e^{-H}, that transform of E[k, k (+) a]
 needs one state per T-orbit: ``weyl_table`` gathers it from E's sector
 blocks at ``weyl_plan``, built from the digit sums of the orbits'
-representatives.  Tr(C_s C_t E) is one lookup in it (``pair_traces``):
-one call fills the blocks of the RP matrix M that a job of
-:mod:`pararp.rp` reads.  ``decompose`` reads E's dim^2/n coefficients of
-degree 0 mod n from it.
+representatives.  An entry Tr(C_I theta(C_J) E) of the RP matrix M over
+minus-half rows is one lookup in it, at an index and a phase that are a
+part of I plus a part of J (``pair_traces``): one call fills the blocks
+of M that a job of :mod:`pararp.rp` reads.  ``decompose`` reads E's
+dim^2/n coefficients of degree 0 mod n from it.
 
 Charge sectors.  The shift T = tau^{tensor L/2}, applied to every tensor
 factor, implements the global gauge automorphism: T c_j T^{-1} = omega^{-1}
@@ -64,7 +65,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import _BLOCK, Polynomial, _zeta_array, classify
+from .algebra import _BLOCK, Polynomial, _conjugate_terms, _zeta_array, classify
 from .exponents import ExponentVector, unit_vector
 
 DIM_CAP = 4096
@@ -300,41 +301,40 @@ def weyl_table(blocks: np.ndarray, rep: Representation) -> np.ndarray:
     return n * g.reshape(dim, dim // n)
 
 
-def pair_traces(
-    rep: Representation, exponents: np.ndarray, s: np.ndarray, t: np.ndarray,
-    table: np.ndarray,
-) -> np.ndarray:
-    """Tr(C_s C_t E) for each index pair (s[p], t[p]) into the rows of the
-    (M, L) integer array ``exponents``, with ``table`` the Weyl table of E
-    (``weyl_table``).
+def pair_traces(rep: Representation, rows, i, j, table) -> np.ndarray:
+    """M_ij = Tr(C_I theta(C_J) E), I = rows[i[p]] and J = rows[j[p]], over
+    the minus-half rows of the (k, L) integer array ``rows`` (ValueError for
+    any other), with ``table`` the Weyl table of E (``weyl_table``).
 
-    Z^b X^a = omega^{b.a} X^a Z^b gives C_s C_t = zeta^{phi_s + phi_t +
-    2 b_s.a_t} X^{a_s (+) a_t} Z^{b_s (+) b_t}, so each trace is one entry
-    of the table times a root of unity, or 0 when s + t has a degree not
-    divisible by n: O(L) integer arithmetic per pair after O(L^2) per
-    monomial.
+    theta(C_J) = w_J C_{J'}, J' = n - reverse(J) on the plus half, and
+    C_I C_{J'} = zeta^{phi_I + phi_J' + 2 b_I.a_J'} X^{a_I (+) a_J'}
+    Z^{b_I (+) b_J'} has a trace only when deg I = deg J mod n.  Then a_J'
+    is -deg I on each factor g with 2 g < L/2, the only ones where a_I or
+    b_I is nonzero, so b_I.a_J' = -deg I sum b_I, and I and J' share only
+    the Z-digit of factor f = (L/2 - 1) // 2: the table index and the phase
+    are a part of I plus a part of J, less n times the place value of that
+    digit where it carries.  O(L) integer work per row, O(1) per entry.
     """
     n, half, r = rep.order, rep.sites // 2, rep.dim // rep.order
-    # Rows [a | b], and the place value of each digit in the flattened
-    # table: a (+) a' and b (+) b' are the digit-wise sums mod n, and the
-    # first digit of b, of place value r, is not in the index.
-    ab = np.concatenate([exponents @ rep.x_exp, exponents @ rep.z_exp], 1) % n
-    weights = np.concatenate([rep.place * r, rep.place % r])
-    phi = rep.phases(exponents)
-    charge = exponents.sum(axis=1) % n
-    flat = table.ravel()
-    out = np.empty(len(s), dtype=complex)
-    step = max(1, _BLOCK // rep.sites)
-    for start in range(0, len(s), step):
-        bs, bt = s[start:start + step], t[start:start + step]
-        w_s, w_t = ab[bs], ab[bt]
-        index = ((w_s + w_t) % n) @ weights
-        cross = (w_s[:, half:] * w_t[:, :half]).sum(axis=1)  # b_s.a_t
-        phase = (phi[bs] + phi[bt] + 2 * cross) % (2 * n)
-        values = rep.zeta[phase] * flat[index]
-        values[(charge[bs] + charge[bt]) % n != 0] = 0
-        out[start:start + step] = values
-    return out
+    if rows[:, half:].any():
+        raise ValueError("RP matrix rows must be on the minus half, sites 1..L/2")
+    charge = rows.sum(axis=1) % n
+    mirror = (n - rows[:, ::-1]) % n  # J'
+    low = 2 * np.arange(half) < half  # the factors where a_J' = -deg J
+    a_i = (rows @ rep.x_exp - charge[:, None] * low) % n
+    a_j = mirror @ rep.x_exp % n * ~low
+    b_i, b_j = rows @ rep.z_exp % n, mirror @ rep.z_exp % n
+    # Place values in the flattened table, without the first digit of b.
+    z_place, f = rep.place % r, (half - 1) // 2
+    k_i = a_i @ (rep.place * r) + b_i @ z_place
+    k_j = a_j @ (rep.place * r) + b_j @ z_place
+    p_i = (rep.phases(rows) - 2 * charge * b_i.sum(axis=1)) % (2 * n)
+    index = k_i[i] + k_j[j]
+    index[b_i[i, f] + b_j[j, f] >= n] -= n * z_place[f]
+    phase = (p_i[i] + rep.phases(mirror)[j]) % (2 * n)
+    values = rep.zeta[phase] * table.ravel()[index]
+    values[charge[i] != charge[j]] = 0
+    return _conjugate_terms(rows, np.ones(len(rows), dtype=complex), n)[j] * values
 
 
 def trace_monomial(vec: ExponentVector) -> complex:

@@ -32,7 +32,8 @@ RP reduces to one object (Jaffe-Pedrocchi): the matrix M_IJ =
 Tr(C_I theta(C_J) e^{-H}) over the monomials C_I of the minus half
 (``rp_matrix``), each entry a root of unity times one lookup in the Weyl
 table of e^{-H} (``boltzmann_table``, from the sector blocks), whose entry
-F[0, 0] is the partition function.  Every functional here is a form
+F[0, 0] is the partition function, or 0 between different charges
+(``representation.pair_traces``).  Every functional here is a form
 f(A, B) = a^T M conj(b), a, b the coefficient rows of A, B over the rows
 and columns of a block of M, and a job builds in one pair_traces call the
 blocks its forms read (``_forms``): gram is M, check_rp's structured Gram
@@ -67,7 +68,6 @@ from .algebra import (
     Polynomial,
     Side,
     _codes,
-    _conjugate_terms,
     _merge,
     canonical_product,
     classify,
@@ -314,9 +314,10 @@ def structured_observables(n: int, L: int) -> list[tuple[str, Polynomial]]:
 
 def rp_matrix(rows, rep: Representation, table: np.ndarray) -> np.ndarray:
     """M_IJ = Tr(C_I theta(C_J) E) over the rows I, J of the (k, L) array
-    ``rows`` of exponents, with ``table`` the Weyl table of E: one
-    ``pair_traces`` call on the grid of the rows and their reflections,
-    theta(C_J) = w_J C_{J'}, times the phase w_J of column J.
+    ``rows`` of exponents on the minus half (ValueError otherwise), with
+    ``table`` the Weyl table of E: one ``pair_traces`` call on the grid of
+    the rows.  M_IJ = 0 unless deg I = deg J mod n: M is block-diagonal by
+    charge, and M^{(d)} is its block over the rows of charge d.
 
     f(A, B) = Tr(A theta(B) E) is linear in A and anti-linear in B, so for
     A, B with coefficient rows a, b over ``rows``, f(A, B) = a^T M conj(b).
@@ -332,14 +333,11 @@ def _forms(rows, coeffs, spans, rep: Representation, table) -> tuple:
     block by block and row-major, in one ``pair_traces`` call; and per
     block f(X, Y) = x^T M conj(y), X and Y the sums of coeffs[r] C_{rows[r]}
     over its rows and over its columns."""
-    n = rep.order
     h, w = spans[:, 1] - spans[:, 0], spans[:, 3] - spans[:, 2]
     block = np.repeat(np.arange(len(spans)), h * w)
     e = np.arange(len(block)) - (np.cumsum(h * w) - h * w)[block]
     i, j = spans[block, 0] + e // w[block], spans[block, 2] + e % w[block]
-    traces = pair_traces(rep, np.concatenate([rows, (n - rows[:, ::-1]) % n]),
-                         i, len(rows) + j, table)
-    m = _conjugate_terms(rows, np.ones(len(rows), dtype=complex), n)[j] * traces
+    m = pair_traces(rep, rows, i, j, table)
     terms = coeffs[i] * m * coeffs[j].conj()
     return m, (np.bincount(block, terms.real, len(spans))
                + 1j * np.bincount(block, terms.imag, len(spans)))

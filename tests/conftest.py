@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from pararp import rp
-from pararp.algebra import _BLOCK, Polynomial
+from pararp.algebra import _BLOCK, Polynomial, _conjugate_terms
 from pararp.representation import (
     DECOMPOSE_TOL, _digit_sum, build_generators, to_matrix,
 )
@@ -51,6 +51,39 @@ def pair_forms(x, y, rep, table):
     _, f = rp._forms(np.concatenate([x.exponents, y.exponents]),
                      np.concatenate([x.coeffs, y.coeffs]), spans, rep, table)
     return f.reshape(2, 2)
+
+
+def general_pair_traces(rep, exponents, s, t, table):
+    """Tr(C_s C_t E) for each index pair (s[p], t[p]) into the rows of the
+    integer array ``exponents``, any monomials, with ``table`` the Weyl
+    table of E: C_s C_t = zeta^{phi_s + phi_t + 2 b_s.a_t}
+    X^{a_s (+) a_t} Z^{b_s (+) b_t}, one entry of the table times a root of
+    unity, or 0 when s + t has a degree not divisible by n.  The kernel
+    that representation.pair_traces replaced, O(L) per pair."""
+    n, half, r = rep.order, rep.sites // 2, rep.dim // rep.order
+    ab = np.concatenate([exponents @ rep.x_exp, exponents @ rep.z_exp], 1) % n
+    weights = np.concatenate([rep.place * r, rep.place % r])
+    phi = rep.phases(exponents)
+    charge = exponents.sum(axis=1) % n
+    w_s, w_t = ab[s], ab[t]
+    index = ((w_s + w_t) % n) @ weights
+    cross = (w_s[:, half:] * w_t[:, :half]).sum(axis=1)  # b_s.a_t
+    phase = (phi[s] + phi[t] + 2 * cross) % (2 * n)
+    values = rep.zeta[phase] * table.ravel()[index]
+    values[(charge[s] + charge[t]) % n != 0] = 0
+    return values
+
+
+def reference_rp_entries(rep, rows, i, j, table):
+    """M_ij = Tr(C_I theta(C_J) E) over the rows I = rows[i], J = rows[j]
+    as rp._forms read them before representation.pair_traces took over the
+    reflection: general_pair_traces of I and J' = n - reverse(J), times the
+    phase w_J of theta(C_J) = w_J C_{J'}."""
+    n = rep.order
+    traces = general_pair_traces(
+        rep, np.concatenate([rows, (n - rows[:, ::-1]) % n]), i, len(rows) + j,
+        table)
+    return _conjugate_terms(rows, np.ones(len(rows), dtype=complex), n)[j] * traces
 
 
 def dense_sector_blocks(a, rep):

@@ -477,18 +477,22 @@ def test_to_matrix_and_traces_never_build_terms(count_vectors):
     rng = np.random.default_rng(2)
     a = reflect(random_poly(n, L, rng, terms=5))
     b = canonical_product(a, reflect(a))
+    # Probes of the RP forms, which read minus-half rows only.
+    x = random_poly(n, L, rng, terms=5, support=L // 2)
+    y = canonical_product(x, x)
     # E from its charge-sector blocks, as the Weyl table reads it.
     blocks = rng.normal(size=(n, rep.dim // n, rep.dim // n)) + 0j
     e, table = dense_matrix(blocks, rep), weyl_table(blocks, rep)
     count_vectors.clear()
     m = to_matrix(b, rep)
-    forms = pair_forms(a, b, rep, table)
+    forms = pair_forms(x, y, rep, table)
     assert count_vectors == []
     # The values agree with the dense products of the terms' matrices.
     dense = sum(c * rep.monomial_matrix(v) for v, c in b.terms.items())
     assert np.abs(m - dense).max() < 1e-12 * (1 + np.abs(dense).max())
-    ma, mtb = to_matrix(a, rep), to_matrix(reflect(b), rep)
-    ref = [np.trace(ma @ mtb @ e), np.trace(m @ to_matrix(reflect(a), rep) @ e)]
+    mx, my = to_matrix(x, rep), to_matrix(y, rep)
+    ref = [np.trace(mx @ to_matrix(reflect(y), rep) @ e),
+           np.trace(my @ to_matrix(reflect(x), rep) @ e)]
     got = [forms[0, 1], forms[1, 0]]
     assert np.abs(np.subtract(got, ref)).max() < 1e-12 * (1 + np.abs(ref).max())
 

@@ -401,6 +401,14 @@ def test_exact_counterexample_matches_dense_for_every_power(n):
         ta = np.linalg.matrix_power(rep.generators[1], (n - j) % n)
         ref = complex(np.trace(a @ ta @ e))
         assert abs(rp.counterexample_f(n, j) - ref) <= 1e-12 * (1 + abs(ref))
+    # The same values as the diagonal of M over the rows (j mod n, 0), one
+    # of each charge: the charge-d block M^{(d)} is M_jj, and M holds
+    # exactly 0 between different charges.
+    rows = np.array([[j % n, 0] for j in range(1, n + 1)])
+    m = rp.rp_matrix(rows, rep, rp.boltzmann_table(rp.crossing_only_spec(n), rep))
+    f = np.array([rp.counterexample_f(n, j) for j in range(1, n + 1)])
+    assert np.abs(m.diagonal() - f).max() <= 1e-14 * np.abs(f).max()
+    assert not m[~np.eye(n, dtype=bool)].any()
 
 
 @pytest.mark.parametrize("n,j", [(8, 4), (27, 9), (9, 3)])

@@ -1,14 +1,16 @@
-"""The Weyl-table trace kernel and the RP matrix against dense matrix
-products.
+"""The RP-matrix kernel and the RP matrix against dense matrix products.
 
 Every trace functional in pararp.rp is a form on one matrix
 M_IJ = Tr(C_I theta(C_J) E) over monomials of the minus half
 (``rp.rp_matrix``), read by one kernel, ``representation.pair_traces``:
-one lookup per monomial pair in the Weyl table of E (``weyl_table``), built
-once per Boltzmann factor from the charge-sector blocks of E.  Here the
-blocks are random, and the dense E they stand for is ``dense_matrix`` of
-them (tests/conftest.py).  The references multiply dense matrices instead:
-Tr(to_matrix(X) @ to_matrix(theta(Y)) @ E).
+each entry is one lookup in the Weyl table of E (``weyl_table``), built
+once per Boltzmann factor from the charge-sector blocks of E, at an index
+and a phase that are a part of I plus a part of J.  Here the blocks are
+random, and the dense E they stand for is ``dense_matrix`` of them
+(tests/conftest.py).  The references multiply dense matrices instead,
+Tr(to_matrix(X) @ to_matrix(theta(Y)) @ E), or, bit for bit, read the
+table through the general kernel of any monomial pair
+(``general_pair_traces``).
 """
 
 import contextlib
@@ -28,7 +30,8 @@ from pararp.representation import (
 )
 
 from conftest import (
-    dense_matrix, dense_weyl_table, pair_forms, random_blocks, rep_for,
+    dense_matrix, dense_weyl_table, pair_forms, random_blocks,
+    reference_rp_entries, rep_for,
 )
 
 # Every (n, L) with n in 2..5 and dim = n^{L/2} <= 256.
@@ -45,6 +48,14 @@ TABLE_CELLS = [
     for L in range(2, 21, 2)
     if n ** (L // 2) <= 1024
 ]
+# Every (n, L) with n in 2..7 and dim <= 1024: L = 2, and L/2 odd at
+# (3, 6), (5, 6), (3, 10) and (2, 14), among them.
+BIT_CELLS = [
+    (n, L)
+    for n in range(2, 8)
+    for L in range(2, 21, 2)
+    if n ** (L // 2) <= 1024
+]
 
 
 def dense_forms(xs, ys, rep, e):
@@ -54,11 +65,15 @@ def dense_forms(xs, ys, rep, e):
     return np.array([[np.trace(a @ b @ e) for b in my] for a in mx])
 
 
-def dense_traces(exponents, s, t, rep, e):
-    """Reference for representation.pair_traces from dense products."""
-    mats = [rep.monomial_matrix(ExponentVector(tuple(r), rep.order))
-            for r in exponents.tolist()]
-    return np.array([np.trace(mats[a] @ mats[b] @ e) for a, b in zip(s, t)])
+def dense_entries(rows, i, j, rep, e):
+    """Reference for representation.pair_traces: Tr(C_I theta(C_J) E) for
+    I = rows[i[p]], J = rows[j[p]], from dense triple products."""
+    xs = [Polynomial.monomial(1.0, ExponentVector(tuple(r), rep.order))
+          for r in rows.tolist()]
+    mx = [to_matrix(x, rep) for x in xs]
+    my = [to_matrix(reflect(x), rep) @ e for x in xs]
+    return np.array([(mx[a] * my[b].T).sum() for a, b in zip(i, j)],
+                    dtype=complex)
 
 
 def dense_rp_matrix(rows, rep, e, cols=None):
@@ -122,22 +137,46 @@ class TestKernelAgainstDense:
                 assert_close(pair_forms(x, y, rep, table),
                              dense_forms([x, y], [x, y], rep, e))
 
-    @pytest.mark.parametrize("n,L", [(2, 8), (3, 6), (5, 4)])
-    def test_monomial_pairs(self, n, L):
-        rng = np.random.default_rng(n * L)
+    @pytest.mark.parametrize("n,L", BIT_CELLS)
+    def test_kernel_is_the_general_kernel_bit_for_bit(self, n, L):
+        """M and its forms over rows of mixed charge equal, bit for bit,
+        those read through the general kernel of any monomial pair, with
+        the reflection and w_J outside it, on a random table."""
+        rng = np.random.default_rng(100 * n + L)
         rep = rep_for(n, L)
-        blocks = random_blocks(rep, rng)
-        e = dense_matrix(blocks, rep)
-        exponents = rng.integers(0, n, size=(6, L))
-        exponents[0] = 0  # the identity
-        s, t = rng.integers(0, 6, size=40), rng.integers(0, 6, size=40)
-        got = pair_traces(rep, exponents, s, t, weyl_table(blocks, rep))
+        table = weyl_table(random_blocks(rep, rng), rep)
+        # Random minus rows, row r of charge r mod n: every charge, mixed.
+        k = 24
+        rows = np.zeros((k, L), dtype=np.int64)
+        rows[:, 1:L // 2] = rng.integers(0, n, size=(k, L // 2 - 1))
+        rows[:, 0] = (np.arange(k) - rows.sum(axis=1)) % n
+        i, j = np.repeat(np.arange(k), k), np.tile(np.arange(k), k)
+        full = reference_rp_entries(rep, rows, i, j, table).reshape(k, k)
+        assert np.array_equal(rp.rp_matrix(rows, rep, table).view(float),
+                              full.view(float))
+        spans = np.array([[0, 5, 3, 20], [2, 24, 0, 24], [7, 9, 1, 2]])
+        coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+        m, f = rp._forms(rows, coeffs, spans, rep, table)
+        blocks = [full[i0:i1, j0:j1] for i0, i1, j0, j1 in spans]
+        assert np.array_equal(m.view(float),
+                              np.concatenate(blocks, axis=None).view(float))
+        # Each form summed from 0 in row-major order, as bincount sums.
+        terms = [(coeffs[i0:i1, None] * b * coeffs[j0:j1].conj()).ravel()
+                 for b, (i0, i1, j0, j1) in zip(blocks, spans)]
+        ref = (np.array([sum(t.real.tolist()) for t in terms])
+               + 1j * np.array([sum(t.imag.tolist()) for t in terms]))
+        assert np.array_equal(f.view(float), ref.view(float))
 
-        def monomial(i):
-            return rep.monomial_matrix(ExponentVector(tuple(exponents[i]), n))
-
-        ref = [np.trace(monomial(i) @ monomial(j) @ e) for i, j in zip(s, t)]
-        assert_close(got, ref)
+    def test_rows_off_the_minus_half_are_refused(self):
+        """The kernel reads I and the reflection of J on opposite halves, so
+        rp_matrix and _forms refuse a row with an exponent on L/2+1..L."""
+        rep = rep_for(3, 4)
+        table = weyl_table(random_blocks(rep, np.random.default_rng(0)), rep)
+        rows = np.array([[0, 0, 0, 0], [1, 2, 0, 0], [0, 1, 0, 2]])
+        with pytest.raises(ValueError, match="minus half"):
+            rp.rp_matrix(rows, rep, table)
+        with pytest.raises(ValueError, match="minus half"):
+            rp._forms(rows, np.ones(3), np.array([[0, 2, 0, 2]]), rep, table)
 
     def test_empty_polynomial_gives_zero(self):
         rep = rep_for(3, 4)
@@ -273,12 +312,13 @@ class TestBoundsFactors:
 ])
 def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
     """One Weyl table per Boltzmann factor and one RP matrix per job: each
-    rp-check, gram and bounds job builds one table, from the sector blocks of
-    e^{-H} with no dense e^{-H} (rp holds no sector_matrix to build one),
-    and reads every trace it needs from it in one _forms, one pair_traces
-    call, however many probes it draws.  No job builds a dense matrix of a polynomial: H
-    reaches it only as sector blocks, one sector_blocks call per distinct
-    Hamiltonian, H or, for trotter, H_0 and H_- + H_+."""
+    rp-check, gram and bounds job builds one table, from the sector blocks
+    of e^{-H} with no dense e^{-H} (rp holds no sector_matrix to build
+    one), and reads every entry of M it needs from it in one _forms call,
+    which makes one pair_traces call, however many probes it draws.  No
+    job builds a dense matrix of a polynomial: H reaches it only as sector
+    blocks, one sector_blocks call per distinct Hamiltonian, H or, for
+    trotter, H_0 and H_- + H_+."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(
         {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.6, -0.5, 0.6, 1.0]}}
@@ -348,9 +388,9 @@ def run_cli_lines(argv, capsys):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_cli_report_matches_dense_reference(argv, name, tmp_path, monkeypatch,
                                             capsys):
-    """Each report against the one whose monomial traces Tr(C_s C_t E) are
-    dense triple products with the E whose blocks the job's one table was
-    built from: exit code, keys and labels exact, floats within 1e-12.  No
+    """Each report against the one whose entries Tr(C_I theta(C_J) E) of M
+    are dense triple products with the E whose blocks the job's one table
+    was built from: exit code, keys and labels exact, floats within 1e-12.  No
     run is an error: on the violating spec every command, bounds too,
     exits 2 with its report."""
     path = tmp_path / "spec.json"
@@ -364,8 +404,8 @@ def test_cli_report_matches_dense_reference(argv, name, tmp_path, monkeypatch,
         seen.append(dense_matrix(blocks, rep)) or table_orig(blocks, rep)
     )
     monkeypatch.setattr(
-        rp, "pair_traces", lambda rep, exponents, s, t, table: dense_traces(
-            exponents, s, t, rep, seen[-1])
+        rp, "pair_traces", lambda rep, rows, i, j, table: dense_entries(
+            rows, i, j, rep, seen[-1])
     )
     ref_code, ref_out, ref_err = run_cli_lines(argv, capsys)
     assert len(seen) == 1
