@@ -48,7 +48,7 @@ from __future__ import annotations
 import cmath
 import codecs
 import math
-import re
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -485,11 +485,6 @@ def _text_block(coeffs: np.ndarray, a: np.ndarray) -> np.ndarray:
     return block
 
 
-# A term line's monomial after its '*': '1', or factors c<site>^<power> apart
-# by blanks.  It matches in one way only, so in linear time.
-_FACTOR = r"c[0-9]{1,18}\^[0-9]{1,18}"
-_MONOMIALS = re.compile(rf"\s*(?:1|{_FACTOR}(?:\s+{_FACTOR})*)\s*")
-
 # from_text reads a character beyond ASCII as a byte of its class, '\n' for a
 # line break, ' ' for another blank, '\x7f' for the rest, and then classifies
 # bytes as line breaks of str.splitlines and as blanks inside a line.
@@ -498,35 +493,6 @@ codecs.register_error("pararp.classes", lambda error: ("".join(
     for ch in error.object[error.start:error.end]), error.end))
 _BREAK, _BLANK = np.zeros((2, 256), dtype=bool)
 _BREAK[[10, 11, 12, 13, 28, 29, 30]] = _BLANK[[9, 31, 32]] = True
-
-
-def _header(line: str) -> tuple[int, int]:
-    """n and L of a text's first line that is not blank, ``# n=.. L=..``."""
-    if not line.startswith("#"):
-        raise ValueError("term before '# n=.. L=..' header")
-    try:
-        fields = dict(f.split("=") for f in line[1:].split())
-        return int(fields["n"]), int(fields["L"])
-    except (KeyError, ValueError):
-        raise ValueError("header is not '# n=.. L=..'") from None
-
-
-def _syntax_error(text: str) -> ValueError:
-    """The first syntax error of a text, read line by line: no header, a bad
-    header, a term before it, a bad coefficient or a bad monomial."""
-    lines = enumerate(map(str.strip, text.splitlines()), 1)
-    for k, (lineno, line) in enumerate((i, s) for i, s in lines if s):
-        coeff, _, mono = line.partition("*")
-        try:
-            if not k:
-                _header(line)
-            elif not line.startswith("#"):
-                complex(coeff)
-                if _MONOMIALS.fullmatch(mono) is None:
-                    raise ValueError(f"bad monomial {mono.strip()!r}")
-        except ValueError as exc:
-            return ValueError(f"line {lineno}: {exc}")
-    return ValueError("missing '# n=.. L=..' header")
 
 
 def _factors(chars: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -559,9 +525,10 @@ def from_text(text: str) -> Polynomial:
     exponent outside 0..n-1 or a site written twice in one monomial is a
     ValueError naming the line; lines that do not parse are named first.
 
-    One pass reads a valid text: numpy finds the lines and each term line's
-    '*', ``complex`` parses the coefficients and ``_factors`` the monomials.
-    Only a text that fails is read again, line by line, to name the line."""
+    One pass reads every text: numpy finds the lines and each term line's
+    '*', ``complex`` parses the coefficients and ``_factors`` the monomials,
+    and the first line whose coefficient or monomial fails is named from
+    the same arrays."""
     size = len(text)
     chars = np.frombuffer(text.encode("ascii", "pararp.classes"), np.uint8)
     chars = np.append(chars, np.uint8([0, 0]))  # two zeros end every number
@@ -572,32 +539,59 @@ def from_text(text: str) -> Polynomial:
         line = text[starts[i]:ends[i]]
         starts[i] += len(line) - len(line.lstrip())
     lines = np.flatnonzero(starts < ends)  # not blank
-    try:  # the header: the first line that is not blank, if there is one
-        n, L = _header(text[starts[lines[0]]:ends[lines[0]]] if len(lines) else "")
-        lines = lines[1:][chars[starts[lines[1:]]] != ord("#")]  # terms
-        starts, ends, K = starts[lines], ends[lines], len(lines)
-        stars = np.flatnonzero(chars == ord("*"))
-        star = np.append(stars, size)[np.searchsorted(stars, starts)]
-        if not (star < ends).all():
-            raise ValueError("a term line without '*'")
-        coeffs = [text[a:b] for a, b in zip(starts.tolist(), star.tolist())]
-        coeffs = np.fromiter(map(complex, coeffs), dtype=complex, count=K)
-    except ValueError:
-        raise _syntax_error(text) from None
+    if not len(lines):
+        raise ValueError("missing '# n=.. L=..' header")
+    # The header, '# n=.. L=..', is the first line that is not blank.
+    head = text[starts[lines[0]]:ends[lines[0]]]
+    where = len(text[:ends[lines[0]]].splitlines())
+    if not head.startswith("#"):
+        raise ValueError(f"line {where}: term before '# n=.. L=..' header")
+    try:
+        fields = dict(f.split("=") for f in head[1:].split())
+        n, L = int(fields["n"]), int(fields["L"])
+    except (KeyError, ValueError):
+        raise ValueError(f"line {where}: header is not '# n=.. L=..'") from None
+    lines = lines[1:][chars[starts[lines[1:]]] != ord("#")]  # terms
+    starts, ends, K = starts[lines], ends[lines], len(lines)
+    stars = np.flatnonzero(chars == ord("*"))
+    star = np.append(stars, size)[np.searchsorted(stars, starts)]
+    # A line without '*' is all coefficient, stripped as str.partition reads it.
+    for k in np.flatnonzero(star >= ends).tolist():
+        star[k] = starts[k] + len(text[starts[k]:ends[k]].rstrip())
+    coeffs = iter([text[a:b] for a, b in zip(starts.tolist(), star.tolist())])
+    try:
+        failed, values = K, np.fromiter(map(complex, coeffs), dtype=complex, count=K)
+    except ValueError as exc:  # at the last coefficient taken
+        failed, reason = K - operator.length_hint(coeffs) - 1, str(exc)
     # Zero all but the monomials, the bytes after each '*' to its line's end.
     edges = np.zeros(2 * K + 2, dtype=np.int64)
-    edges[1:-1:2], edges[2:-1:2], edges[-1] = star + 1, ends, size
+    edges[1:-1:2], edges[2:-1:2], edges[-1] = np.minimum(star + 1, ends), ends, size
     chars[:size] *= np.repeat(np.tile(np.uint8([0, 1]), K + 1)[:-1], np.diff(edges))
     c = np.flatnonzero(chars == ord("c"))
-    per_term = np.diff(np.searchsorted(c, ends), prepend=0)
-    identity = np.flatnonzero(per_term == 0).tolist()
+    bounds = np.searchsorted(c, ends)  # each line's factors end there
+    per_term = np.diff(bounds, prepend=0)
     site, power, end, ok = _factors(chars, c)
-    # Each byte of the monomials is a blank, in a factor, or a lone '1'.
-    filled = end.sum() - c.sum() + len(identity) + np.count_nonzero(chars == 32)
-    filled += np.count_nonzero(_BLANK[chars[low]])
-    if (not ok.all() or filled != (ends - star - 1).sum()
-            or any(text[star[k] + 1:ends[k]].strip() != "1" for k in identity)):
-        raise _syntax_error(text)
+    # Each byte of a good monomial is a blank, in a factor, or a lone '1'.
+    # Lines without a factor are checked one by one and the others as a
+    # whole; only if that fails are the bytes added up line by line, where
+    # a bad factor covers more bytes than any line has.
+    identity, length = per_term == 0, ends - star - 1
+    bad = np.zeros(K, dtype=bool)
+    for k in np.flatnonzero(identity).tolist():
+        bad[k] = text[star[k] + 1:ends[k]].strip() != "1"
+    blanks = low[_BLANK[chars[low]]]  # the blanks other than ' '
+    filled = end.sum() - c.sum() + np.count_nonzero(chars == 32) + len(blanks)
+    if bad.any() or not ok.all() or filled + identity.sum() != length.sum():
+        chars[blanks] = 32
+        filled = np.append(0, np.cumsum(np.where(ok, end - c, size + 2)))[bounds]
+        filled = np.diff(filled, prepend=0) + identity
+        filled += np.diff(np.searchsorted(np.flatnonzero(chars == 32), ends), prepend=0)
+        first = int(np.argmax(bad | (filled != length)))
+        if first < failed:
+            mono = text[star[first] + 1:ends[first]].strip()
+            failed, reason = first, f"bad monomial {mono!r}"
+    if failed < K:
+        raise ValueError(f"line {len(text[:ends[failed]].splitlines())}: {reason}")
     zero_vector(n, L)  # validates n and L
     term, site = np.repeat(np.arange(K), per_term), site - 1
     bad = (site < 0) | (site >= L) | (power >= n)
@@ -618,5 +612,5 @@ def from_text(text: str) -> Polynomial:
         raise ValueError(f"line {lineno}: {reason}")
     exponents = np.zeros((K, L), dtype=np.int64)
     exponents.ravel()[slot] = power
-    first, sums = _merge(_codes(exponents, n), coeffs)
+    first, sums = _merge(_codes(exponents, n), values)
     return Polynomial._from_arrays(exponents[first], sums, n, L)

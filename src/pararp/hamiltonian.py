@@ -279,6 +279,9 @@ def spec_from_dict(data) -> HamiltonianSpec:
         vec = _parse_exponents(
             entry.get("exponents"), n, L, f"couplings[{pos}]"
         )
+        if vec in couplings.entries:  # entry k holds couplings[k]
+            raise SpecError(f"couplings[{pos}]: exponents repeat "
+                            f"couplings[{list(couplings.entries).index(vec)}]")
         j = entry.get("J")
         if not _is_real(j):
             raise SpecError(f"couplings[{pos}]: J must be a finite real")

@@ -302,9 +302,10 @@ def weyl_table(blocks: np.ndarray, rep: Representation) -> np.ndarray:
 
 
 def pair_traces(rep: Representation, rows, i, j, table) -> np.ndarray:
-    """M_ij = Tr(C_I theta(C_J) E), I = rows[i[p]] and J = rows[j[p]], over
-    the minus-half rows of the (k, L) integer array ``rows`` (ValueError for
-    any other), with ``table`` the Weyl table of E (``weyl_table``).
+    """M_ij = Tr(C_I theta(C_J) E), I = rows[i], J = rows[j], over the
+    minus-half rows of the (k, L) integer array ``rows`` (ValueError for any
+    other), with ``table`` the Weyl table of E (``weyl_table``); i and j are
+    index arrays that broadcast together; the result has their shape.
 
     theta(C_J) = w_J C_{J'}, J' = n - reverse(J) on the plus half, and
     C_I C_{J'} = zeta^{phi_I + phi_J' + 2 b_I.a_J'} X^{a_I (+) a_J'}

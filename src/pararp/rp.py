@@ -35,10 +35,11 @@ table of e^{-H} (``boltzmann_table``, from the sector blocks), whose entry
 F[0, 0] is the partition function, or 0 between different charges
 (``representation.pair_traces``).  Every functional here is a form
 f(A, B) = a^T M conj(b), a, b the coefficient rows of A, B over the rows
-and columns of a block of M, and a job builds in one pair_traces call the
-blocks its forms read (``_forms``): gram is M, check_rp's structured Gram
-matrix M over the structured monomials; each random probe, and each bounds
-pair, reads M over its own monomials.  Random probes are drawn inside the
+and columns of a block of M.  gram reads M in one pair_traces call on the
+grid of its rows; check_rp and bounds build in one pair_traces call the
+blocks their forms read (``_forms``): check_rp's structured Gram matrix is M
+over the structured monomials, and each random probe, and each bounds pair,
+reads M over its own monomials.  Random probes are drawn inside the
 gauge-invariant algebra, in three generator calls (``random_minus_rows``).
 
 Bounds and Trotter products rest on the form H = H_- + H_0 + theta(H_-),
@@ -322,9 +323,8 @@ def rp_matrix(rows, rep: Representation, table: np.ndarray) -> np.ndarray:
     f(A, B) = Tr(A theta(B) E) is linear in A and anti-linear in B, so for
     A, B with coefficient rows a, b over ``rows``, f(A, B) = a^T M conj(b).
     """
-    k = len(rows)
-    m, _ = _forms(rows, np.ones(k), np.array([[0, k, 0, k]]), rep, table)
-    return m.reshape(k, k)
+    grid = np.arange(len(rows))
+    return pair_traces(rep, rows, grid[:, None], grid, table)
 
 
 def _forms(rows, coeffs, spans, rep: Representation, table) -> tuple:

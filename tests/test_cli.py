@@ -125,6 +125,16 @@ class TestSpecFiles:
         assert code == 1
         assert "line 2" in err
 
+    def test_repeated_coupling_exponents(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 3, "L": 4, "couplings": [
+            {"exponents": [1, 0, 0, 0], "J": 1.0},
+            {"exponents": [1, 0, 0, 0], "J": -2.0}]}))
+        code, out, err = run(capsys, "gram", "--spec", str(path))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "error: couplings[1]: exponents repeat couplings[0]"]
+
 
 class TestValidation:
     @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from pararp.hamiltonian import (
     build_h0,
     check_symmetries,
     load_spec,
+    spec_from_dict,
     validate_couplings,
 )
 from pararp.representation import to_matrix
@@ -350,6 +351,16 @@ class TestSpecFiles:
         }))
         with pytest.raises(SpecError, match=r"couplings\[0\].*site 1"):
             load_spec(str(path))
+
+    def test_rejects_repeated_coupling_exponents(self):
+        """A coupling key listed twice would keep only its last J."""
+        data = {"n": 3, "L": 4, "couplings": [
+            {"exponents": [1, 0, 0, 0], "J": 1.0},
+            {"exponents": [0, 1, 0, 0], "J": 0.5},
+            {"exponents": [1, 0, 0, 0], "J": -2.0}]}
+        with pytest.raises(SpecError) as exc:
+            spec_from_dict(data)
+        assert str(exc.value) == "couplings[2]: exponents repeat couplings[0]"
 
     def test_parse_error_has_position(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -87,15 +87,17 @@ def test_program_modules_build_no_dense_matrix():
 def test_retired_names_are_gone_and_kept_names_stay():
     """The second bounds layout, the test-only entry points, the split-out
     Trotter step, the private overflow class, the Weyl plan's wrapper class
-    and second digit-sum table, the per-line monomial grammar and the split
-    bounds report are gone from the package, and so is the orbit field;
+    and second digit-sum table, the per-line monomial grammar, the regular
+    expression that re-read a failing text and the split bounds report are
+    gone from the package, and so is the orbit field;
     the names the acceptance gate, the README and the benchmark read are
     all still there."""
     import pararp
 
     retired = {"rp_functional", "_pair", "loop_expectation", "clock_shift",
                "OverflowError_", "_trotter_parts", "_trotter_power",
-               "WeylPlan", "_orbit_sums", "_MONOMIAL", "_bounds"}
+               "WeylPlan", "_orbit_sums", "_MONOMIAL", "_bounds",
+               "_MONOMIALS", "_FACTOR", "_syntax_error"}
     for module in (pararp, rp, representation, algebra):
         assert not retired & set(vars(module)), module.__name__
     assert not hasattr(ExponentVector, "supported_on_plus")

@@ -411,6 +411,38 @@ def test_exact_counterexample_matches_dense_for_every_power(n):
     assert not m[~np.eye(n, dtype=bool)].any()
 
 
+# (rule, crossing t_{L/2}, twist exponent of zeta for charge d, cells)
+TWISTS = [
+    ("all_nonneg", -0.5, lambda n, d: -d * (n - d),
+     [(2, 8), (3, 4), (3, 6), (4, 6), (5, 4), (6, 4)]),
+    ("even_n_alternating", 0.4, lambda n, d: d * d, [(2, 8), (4, 6), (6, 4)]),
+]
+
+
+@pytest.mark.parametrize("rule,crossing,twist,n,L", [
+    (rule, crossing, twist, n, L)
+    for rule, crossing, twist, cells in TWISTS for n, L in cells
+])
+def test_twisted_charge_blocks_are_psd(rule, crossing, twist, n, L):
+    """Every charge block M^{(d)} of the RP matrix over the minus monomials
+    of degree d mod n, on the Baxter spec with t_j = 1 but the crossing:
+    zeta^twist(n, d) M^{(d)} is hermitian and PSD (ROADMAP item 5)."""
+    rep = rep_for(n, L)
+    t = [1.0] * (L - 1)
+    t[L // 2 - 1] = crossing
+    spec = baxter(n, L, t)
+    assert spec.validated_rule.value == rule
+    table = rp.boltzmann_table(spec, rep)
+    for d in range(n):
+        m = rp.rp_matrix(rp.minus_rows(n, L, range(d, L // 2 * (n - 1) + 1, n)),
+                         rep, table)
+        scale = np.abs(m).max()
+        twisted = zeta_power(n, twist(n, d)) * m
+        assert np.abs(twisted - twisted.conj().T).max() <= 1e-10 * scale, d
+        low = np.linalg.eigvalsh((twisted + twisted.conj().T) / 2).min()
+        assert low >= -1e-12 * scale, d
+
+
 @pytest.mark.parametrize("n,j", [(8, 4), (27, 9), (9, 3)])
 def test_family_values_are_exactly_real(n, j):
     val = rp.counterexample_f(n, j)

@@ -67,13 +67,15 @@ def dense_forms(xs, ys, rep, e):
 
 def dense_entries(rows, i, j, rep, e):
     """Reference for representation.pair_traces: Tr(C_I theta(C_J) E) for
-    I = rows[i[p]], J = rows[j[p]], from dense triple products."""
+    I = rows[i], J = rows[j], i and j broadcast together, from dense triple
+    products."""
     xs = [Polynomial.monomial(1.0, ExponentVector(tuple(r), rep.order))
           for r in rows.tolist()]
     mx = [to_matrix(x, rep) for x in xs]
     my = [to_matrix(reflect(x), rep) @ e for x in xs]
-    return np.array([(mx[a] * my[b].T).sum() for a, b in zip(i, j)],
-                    dtype=complex)
+    i, j = np.broadcast_arrays(i, j)
+    return np.array([(mx[a] * my[b].T).sum() for a, b in zip(i.ravel(), j.ravel())],
+                    dtype=complex).reshape(i.shape)
 
 
 def dense_rp_matrix(rows, rep, e, cols=None):
@@ -314,8 +316,9 @@ def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
     """One Weyl table per Boltzmann factor and one RP matrix per job: each
     rp-check, gram and bounds job builds one table, from the sector blocks
     of e^{-H} with no dense e^{-H} (rp holds no sector_matrix to build
-    one), and reads every entry of M it needs from it in one _forms call,
-    which makes one pair_traces call, however many probes it draws.  No
+    one), and reads every entry of M it needs from it in one pair_traces
+    call: gram on the grid of its rows, rp-check and bounds through one
+    _forms call, however many probes they draw.  No
     job builds a dense matrix of a polynomial: H reaches it only as sector
     blocks, one sector_blocks call per distinct Hamiltonian, H or, for
     trotter, H_0 and H_- + H_+."""
@@ -328,8 +331,9 @@ def test_each_job_builds_one_table(command, tmp_path, monkeypatch):
     code, _ = run_cli(command + ["--spec", str(path)])
     assert code == 0
     table = int(command[0] != "trotter")
+    forms = int(command[0] in ("rp-check", "bounds"))
     assert calls == {"weyl_table": table, "pair_traces": table,
-                     "_forms": table, "sector_blocks": 2 - table, "dense": 0}
+                     "_forms": forms, "sector_blocks": 2 - table, "dense": 0}
     assert "sector_matrix" not in vars(rp)
 
 

@@ -39,7 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # "wrong-pass" meets no sign rule and violates RP, but its gram eigenvalue,
 # -8.5e-11, is inside the default tolerance at an odd L/2: the report of M
 # most sensitive to its last bits.  The diff pins its bytes, not its
-# verdict, which is wrong today.
+# verdict, which is wrong today.  "repeated-key" lists one coupling key
+# twice, which the spec reader refuses.
 EDGE_SPECS = {
     "overflow": {"baxter": {"n": 3, "L": 6, "t": [400, -400, 400, -400, 400]}},
     "rule-none": {"baxter": {"n": 3, "L": 4, "t": [1, 0.5, 1]}},
@@ -47,6 +48,9 @@ EDGE_SPECS = {
         {"coefficient": [0.5, 0], "exponents": [1, 1, 0, 0]}]},
     "zero-h": {"n": 2, "L": 2},
     "wrong-pass": {"baxter": {"n": 5, "L": 6, "t": [1, 1, 0.025, 1, 1]}},
+    "repeated-key": {"n": 3, "L": 4, "couplings": [
+        {"exponents": [1, 0, 0, 0], "J": 1.0},
+        {"exponents": [1, 0, 0, 0], "J": -2.0}]},
 }
 EDGE_COMMANDS = ["rp-check", "gram", "bounds", "trotter", "decompose"]
 EDGE_LINES = ["counterexample --n 28 --j 14", "counterexample --n 30030",
