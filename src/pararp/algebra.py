@@ -141,16 +141,13 @@ def _codes(exponents: np.ndarray, n: int) -> np.ndarray:
 
 def _group(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group rows of equal codes: the group of every row, groups numbered in
-    order of first occurrence, and the first row of each group."""
+    order of first occurrence, and the first row of each group.  A row of
+    several codes (n^L beyond int64) is keyed by its rank among the
+    distinct rows, from ``np.unique``."""
     if codes.shape[1] == 1:
         keys = codes[:, 0]
-    else:  # n^L beyond int64: number the distinct rows of codes first
-        order = np.lexsort(codes.T)
-        ranked = codes[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        keys = np.empty(len(order), dtype=np.int64)
-        keys[order] = np.cumsum(new)
+    else:
+        keys = np.unique(codes, axis=0, return_inverse=True)[1].reshape(-1)
     order = np.argsort(keys)
     ranked = keys[order]
     starts = np.empty(len(keys), dtype=bool)
@@ -192,19 +189,19 @@ class Polynomial:
     __slots__ = ("exponents", "coeffs", "order", "sites")
 
     def __init__(self, terms, n: int, L: int):
-        clean: dict[ExponentVector, complex] = {}
-        for vec, coeff in dict(terms).items():
-            if vec.order != n or vec.sites != L:
-                raise ValueError("term key does not match polynomial n, L")
-            c = complex(coeff)
-            if c != 0 and not cmath.isnan(c):  # drops zero and NaN coefficients
-                clean[vec] = c
-        exponents = np.array([v.entries for v in clean], dtype=np.int64)
-        coeffs = np.fromiter(clean.values(), dtype=complex, count=len(clean))
-        exponents = exponents.reshape(len(clean), L)
-        self._init(exponents, coeffs, n, L)
+        terms = dict(terms)
+        if any(vec.order != n or vec.sites != L for vec in terms):
+            raise ValueError("term key does not match polynomial n, L")
+        exponents = np.array([vec.entries for vec in terms], dtype=np.int64)
+        coeffs = np.fromiter(map(complex, terms.values()), complex, len(terms))
+        self._init(exponents.reshape(len(terms), L), coeffs, n, L)
 
     def _init(self, exponents, coeffs, n, L) -> None:
+        """Keep the terms whose coefficient is nonzero and has no NaN part:
+        the one term filter of every constructor."""
+        if np.isnan(coeffs).any() or not coeffs.all():
+            keep = (coeffs != 0) & ~np.isnan(coeffs)
+            exponents, coeffs = exponents[keep], coeffs[keep]
         exponents.flags.writeable = False
         coeffs.flags.writeable = False
         _set(self, "exponents", exponents)
@@ -214,11 +211,8 @@ class Polynomial:
 
     @classmethod
     def _from_arrays(cls, exponents, coeffs, n: int, L: int) -> "Polynomial":
-        """Polynomial of distinct int64 exponent rows, dropping zero (and
-        NaN) coefficients as the dict constructor does."""
-        if not np.abs(coeffs).min(initial=1.0) > 0:
-            keep = np.abs(coeffs) > 0
-            exponents, coeffs = exponents[keep], coeffs[keep]
+        """Polynomial of distinct int64 exponent rows, dropping zero and NaN
+        coefficients as the dict constructor does."""
         p = cls.__new__(cls)
         p._init(exponents, coeffs, n, L)
         return p
@@ -376,18 +370,22 @@ def canonical_product(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def _conjugate_terms(a: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
     """0 + conj(c) omega^{-circ(I, I)} for the terms with exponent rows a and
-    coefficients c, shared by adjoint and reflect, with Python's rounding:
-    conj(c) w has real part cr wr + ci wi and imaginary part cr wi - ci wr.
+    coefficients c, shared by adjoint and theta: ``_cmul`` of the conjugate,
+    and 0 added to turn -0.0 into 0.0.
     Here -2 circ(I, I) = -2 sum_{i > j} a_i a_j = sum a^2 - (sum a)^2, and
     sum a is reduced mod 2n before it is squared."""
     wide = _exact(a, a.shape[1] * (n - 1) ** 2 + 4 * n * n)
     index = (wide * wide).sum(axis=1) - (wide.sum(axis=1) % (2 * n)) ** 2
     w = _zeta_array(n)[np.asarray(index % (2 * n), dtype=np.int64)]
-    out = np.empty(len(c), dtype=complex)
-    out.real = c.real * w.real + c.imag * w.imag
-    out.imag = c.real * w.imag - c.imag * w.real
-    out += 0
-    return out
+    return _cmul(c.conj(), w) + 0
+
+
+def _theta(a: np.ndarray, c: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reflection theta on the terms with exponent rows a and
+    coefficients c: C_I -> omega^{-circ(I, I)} C_{n - reverse(I)}, the
+    coefficient conjugated.  The rows n - reverse(I) mod n and their
+    coefficients."""
+    return (n - a[:, ::-1]) % n, _conjugate_terms(a, c, n)
 
 
 def adjoint(p: Polynomial) -> Polynomial:
@@ -404,10 +402,8 @@ def reflect(p: Polynomial) -> Polynomial:
     Sends c_i to c_{L-i+1}^{n-1}; on monomials
     C_I -> omega^{-circ(I, I)} C_{reverse(I^c)} with conjugated coefficient.
     """
-    n, a = p.order, p.exponents
-    return Polynomial._from_arrays(
-        (n - a[:, ::-1]) % n, _conjugate_terms(a, p.coeffs, n), n, p.sites
-    )
+    n = p.order
+    return Polynomial._from_arrays(*_theta(p.exponents, p.coeffs, n), n, p.sites)
 
 
 def gauge_apply(p: Polynomial, site: int | None = None) -> Polynomial:

@@ -28,7 +28,7 @@ from .algebra import (
     Polynomial,
     Side,
     _cmul,
-    _conjugate_terms,
+    _theta,
     _zeta_array,
     classify,
     gauge_apply,
@@ -87,8 +87,8 @@ def build_h0(couplings: CouplingTable, n: int, L: int) -> Polynomial:
     theta(C_I) = omega^{-circ(I, I)} C_{reverse(I^c)} lies on the plus half,
     so circ(I, reverse(I^c)) = 0 and each term is the single monomial
     (-1)^{d+1} J zeta^{d^2} omega^{-circ(I, I)} C_{I + reverse(I^c)}, its
-    phase from the kernel of reflect, with Python's complex rounding.
-    Distinct I give distinct keys, so no terms merge."""
+    phase and rows from ``_theta``, the kernel of reflect, with Python's
+    complex rounding.  Distinct I give distinct keys, so no terms merge."""
     if any(vec.order != n or vec.sites != L for vec in couplings.entries):
         raise SpecError("coupling key does not match n, L")
     a = np.array([vec.entries for vec in couplings.entries], dtype=np.int64)
@@ -97,11 +97,8 @@ def build_h0(couplings: CouplingTable, n: int, L: int) -> Polynomial:
     d = a.sum(axis=1) % (2 * n)
     zeta_d2 = _zeta_array(n)[d * d % (2 * n)]
     signed = _cmul(np.where(d % 2 == 0, -j, j), zeta_d2)
-    # _conjugate_terms gives conj(c) omega^{-circ(I, I)}: c = conj(signed).
-    keys = a + (n - a[:, ::-1]) % n
-    return Polynomial._from_arrays(
-        keys, _conjugate_terms(a, signed.conj(), n), n, L
-    )
+    rows, c = _theta(a, signed.conj(), n)
+    return Polynomial._from_arrays(a + rows, c, n, L)
 
 
 def validate_couplings(couplings: CouplingTable, n: int) -> CouplingRule:
@@ -221,7 +218,7 @@ def load_spec(path: str) -> HamiltonianSpec:
     Either {"baxter": {"n":.., "L":.., "t": [...]}} or
     {"n":.., "L":.., "h_minus": [{"coefficient": [re, im],
     "exponents": [...]}, ...], "couplings": [{"exponents": [...],
-    "J": x}, ...]}.
+    "J": x}, ...]}, with no other fields.
     """
     return spec_from_dict(read_spec(path))
 
@@ -262,10 +259,14 @@ def spec_from_dict(data) -> HamiltonianSpec:
     naming the field, for a document of any other shape."""
     n, L = spec_size(data)
     if "baxter" in data:
+        _known(data, ("baxter",), "")
+        _known(data["baxter"], ("n", "L", "t"), "baxter: ")
         t = _get_list(data["baxter"], "t", _is_real, "finite reals")
         return baxter(n, L, t)
+    _known(data, ("n", "L", "h_minus", "couplings"), "")
     terms = {}
     for pos, term in enumerate(_get_list(data, "h_minus", _is_object, "objects")):
+        _known(term, ("coefficient", "exponents"), f"h_minus[{pos}]: ")
         coeff = term.get("coefficient")
         if (
             not isinstance(coeff, (list, tuple)) or len(coeff) != 2
@@ -276,6 +277,7 @@ def spec_from_dict(data) -> HamiltonianSpec:
         terms[vec] = terms.get(vec, 0) + complex(coeff[0], coeff[1])
     couplings = CouplingTable()
     for pos, entry in enumerate(_get_list(data, "couplings", _is_object, "objects")):
+        _known(entry, ("exponents", "J"), f"couplings[{pos}]: ")
         vec = _parse_exponents(
             entry.get("exponents"), n, L, f"couplings[{pos}]"
         )
@@ -290,6 +292,14 @@ def spec_from_dict(data) -> HamiltonianSpec:
         except SpecError as exc:
             raise SpecError(f"couplings[{pos}]: {exc}") from exc
     return assemble(Polynomial(terms, n, L), couplings)
+
+
+def _known(obj: dict, fields, where: str) -> None:
+    """SpecError naming the first key of ``obj``, in document order, that is
+    not one of ``fields``."""
+    for key in obj:
+        if key not in fields:
+            raise SpecError(f"{where}unknown field {key!r}")
 
 
 def _is_real(val) -> bool:

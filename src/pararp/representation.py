@@ -65,7 +65,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import _BLOCK, Polynomial, _conjugate_terms, _zeta_array, classify
+from .algebra import _BLOCK, Polynomial, _theta, _zeta_array, classify
 from .exponents import ExponentVector, unit_vector
 
 DIM_CAP = 4096
@@ -307,9 +307,10 @@ def pair_traces(rep: Representation, rows, i, j, table) -> np.ndarray:
     other), with ``table`` the Weyl table of E (``weyl_table``); i and j are
     index arrays that broadcast together; the result has their shape.
 
-    theta(C_J) = w_J C_{J'}, J' = n - reverse(J) on the plus half, and
-    C_I C_{J'} = zeta^{phi_I + phi_J' + 2 b_I.a_J'} X^{a_I (+) a_J'}
-    Z^{b_I (+) b_J'} has a trace only when deg I = deg J mod n.  Then a_J'
+    theta(C_J) = w_J C_{J'}, J' = n - reverse(J) on the plus half, with w_J
+    and J' from ``_theta``, and C_I C_{J'} = zeta^{phi_I + phi_J' + 2
+    b_I.a_J'} X^{a_I (+) a_J'} Z^{b_I (+) b_J'} has a trace only when
+    deg I = deg J mod n.  Then a_J'
     is -deg I on each factor g with 2 g < L/2, the only ones where a_I or
     b_I is nonzero, so b_I.a_J' = -deg I sum b_I, and I and J' share only
     the Z-digit of factor f = (L/2 - 1) // 2: the table index and the phase
@@ -320,7 +321,7 @@ def pair_traces(rep: Representation, rows, i, j, table) -> np.ndarray:
     if rows[:, half:].any():
         raise ValueError("RP matrix rows must be on the minus half, sites 1..L/2")
     charge = rows.sum(axis=1) % n
-    mirror = (n - rows[:, ::-1]) % n  # J'
+    mirror, w = _theta(rows, np.ones(len(rows), dtype=complex), n)  # J', w_J
     low = 2 * np.arange(half) < half  # the factors where a_J' = -deg J
     a_i = (rows @ rep.x_exp - charge[:, None] * low) % n
     a_j = mirror @ rep.x_exp % n * ~low
@@ -335,7 +336,7 @@ def pair_traces(rep: Representation, rows, i, j, table) -> np.ndarray:
     phase = (p_i[i] + rep.phases(mirror)[j]) % (2 * n)
     values = rep.zeta[phase] * table.ravel()[index]
     values[charge[i] != charge[j]] = 0
-    return _conjugate_terms(rows, np.ones(len(rows), dtype=complex), n)[j] * values
+    return w[j] * values
 
 
 def trace_monomial(vec: ExponentVector) -> complex:

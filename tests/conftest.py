@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from pararp import rp
-from pararp.algebra import _BLOCK, Polynomial, _conjugate_terms
+from pararp.algebra import _BLOCK, Polynomial, _theta
 from pararp.representation import (
     DECOMPOSE_TOL, _digit_sum, build_generators, to_matrix,
 )
@@ -79,11 +79,10 @@ def reference_rp_entries(rep, rows, i, j, table):
     as rp._forms read them before representation.pair_traces took over the
     reflection: general_pair_traces of I and J' = n - reverse(J), times the
     phase w_J of theta(C_J) = w_J C_{J'}."""
-    n = rep.order
+    mirror, w = _theta(rows, np.ones(len(rows), dtype=complex), rep.order)
     traces = general_pair_traces(
-        rep, np.concatenate([rows, (n - rows[:, ::-1]) % n]), i, len(rows) + j,
-        table)
-    return _conjugate_terms(rows, np.ones(len(rows), dtype=complex), n)[j] * traces
+        rep, np.concatenate([rows, mirror]), i, len(rows) + j, table)
+    return w[j] * traces
 
 
 def dense_sector_blocks(a, rep):

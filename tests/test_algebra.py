@@ -15,6 +15,7 @@ from pararp.algebra import (
     gauge_apply,
     omega_power,
     reflect,
+    sum_polynomials,
     to_text,
     zeta_power,
 )
@@ -369,7 +370,8 @@ def test_zeta_table_memory_is_one_array():
 
 def test_huge_finite_coefficient_is_kept_and_nan_dropped():
     """The dict constructor keeps a finite coefficient whose modulus is
-    beyond the float range, and drops zero and NaN ones."""
+    beyond the float range, and drops zero and NaN ones; ``_from_arrays``,
+    sums and products drop a NaN part as it does."""
     vecs = [ExponentVector((k, 0), 3) for k in range(3)]
     big = 1.7e308 + 1.7e308j
     p = Polynomial({vecs[0]: big, vecs[1]: complex(math.nan, 1.0),
@@ -377,3 +379,24 @@ def test_huge_finite_coefficient_is_kept_and_nan_dropped():
     assert p.terms == {vecs[0]: big}
     q = Polynomial({vecs[0]: complex(1.0, math.nan), vecs[1]: -0.0}, 3, 2)
     assert q.is_zero()
+    # One term filter: a NaN part drops a term whatever the other part is,
+    # in every constructor, though the modulus of such a term is infinite.
+    inf, rows = math.inf, np.array([[0, 0], [1, 0]])
+    cases = [(complex(inf, math.nan), complex(1.0, -inf), 10.0),
+             (complex(math.nan, inf), complex(-inf, 1.0), 10j)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for bad, other, y in cases:
+            p = Polynomial({vecs[0]: bad, vecs[1]: big}, 3, 2)
+            assert p.terms == {vecs[1]: big}
+            p = Polynomial._from_arrays(rows, np.array([bad, big]), 3, 2)
+            assert p.terms == {vecs[1]: big}
+            # (inf + inf i) + other is ``bad``.
+            p = Polynomial({vecs[0]: complex(inf, inf), vecs[1]: big}, 3, 2)
+            q = Polynomial({vecs[0]: other}, 3, 2)
+            assert sum_polynomials([p, q]).terms == {vecs[1]: big}
+            # 1e308 y times the phase 1 + 0i of C_0 C_0 is ``bad`` too, with
+            # Python's complex product.
+            assert repr((1e308 + 0j) * y * (1 + 0j)) == repr(bad)
+            p = Polynomial({vecs[0]: 1e308}, 3, 2)
+            q = Polynomial({vecs[0]: y, vecs[1]: 1.0}, 3, 2)
+            assert canonical_product(p, q).terms == {vecs[1]: 1e308 + 0j}

@@ -135,6 +135,14 @@ class TestSpecFiles:
         assert err.splitlines() == [
             "error: couplings[1]: exponents repeat couplings[0]"]
 
+    def test_unknown_spec_field(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 3, "L": 4, "coupling": [
+            {"exponents": [1, 0, 0, 0], "J": -1.0}]}))
+        code, out, err = run(capsys, "gram", "--spec", str(path))
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["error: unknown field 'coupling'"]
+
 
 class TestValidation:
     @pytest.mark.parametrize(

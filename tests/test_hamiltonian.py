@@ -362,6 +362,30 @@ class TestSpecFiles:
             spec_from_dict(data)
         assert str(exc.value) == "couplings[2]: exponents repeat couplings[0]"
 
+    @pytest.mark.parametrize("data, message", [
+        ({"n": 3, "L": 4, "coupling": [{"exponents": [1, 0, 0, 0], "J": -1.0}]},
+         "unknown field 'coupling'"),
+        ({"baxter": {"n": 3, "L": 4, "t": [1.0, -0.5, 1.0]},
+          "couplings": [{"exponents": [1, 0, 0, 0], "J": 1.0}]},
+         "unknown field 'couplings'"),
+        ({"baxter": {"n": 3, "L": 4, "t": [1.0, -0.5, 1.0], "J": 1, "K": 2}},
+         "baxter: unknown field 'J'"),
+        ({"n": 3, "L": 4, "h_minus": [
+            {"coefficient": [0.5, 0], "exponents": [1, 2, 0, 0]},
+            {"coefficient": [0.5, 0], "exponents": [2, 1, 0, 0], "coeff": 1}]},
+         "h_minus[1]: unknown field 'coeff'"),
+        ({"n": 3, "L": 4, "couplings": [
+            {"exponents": [1, 0, 0, 0], "j": 1.0, "J": 1.0}]},
+         "couplings[0]: unknown field 'j'"),
+        ({"L": 4, "extra": 1, "n": 3, "other": 2}, "unknown field 'extra'"),
+    ])
+    def test_rejects_unknown_fields(self, data, message):
+        """A misspelt key would otherwise drop a part of H in silence; the
+        first unknown key in document order is named."""
+        with pytest.raises(SpecError) as exc:
+            spec_from_dict(data)
+        assert str(exc.value) == message
+
     def test_parse_error_has_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"n": 3,\n  "L": }')

@@ -28,11 +28,11 @@ def test_a_tree_against_itself_is_identical(report_diff, capsys):
     assert code == 0
     total = int(lines[0].rsplit(" ", 1)[1])
     assert lines[0] == f"identical reports: {total} of {total}" and total > 10
-    # The cycles' 6 rp-check jobs and the 6 on the edge specs; the --argv
+    # The cycles' 6 rp-check jobs and the 7 on the edge specs; the --argv
     # line and the 2 edge lines of counterexample.
     assert "  counterexample: 3 of 3 identical" in lines
     assert "  families: 1 of 1 identical" in lines
-    assert "  rp-check: 12 of 12 identical" in lines
+    assert "  rp-check: 13 of 13 identical" in lines
     assert "changed:" not in lines
 
 

@@ -443,6 +443,34 @@ def test_twisted_charge_blocks_are_psd(rule, crossing, twist, n, L):
         assert low >= -1e-12 * scale, d
 
 
+@pytest.mark.parametrize("n,L", [
+    (n, L) for n in range(2, 9) for L in range(4, 17, 2) if n ** (L // 2) <= 256
+])
+def test_twisted_charge_blocks_of_random_baxter_specs(n, L):
+    """The twisted blocks of test_twisted_charge_blocks_are_psd on three
+    seeded Baxter specs per rule: mirrored side couplings t_j ~ U(0.5, 1.5)
+    and a crossing of the sign of the rule's, of size U(0.2, 1); the rule
+    even_n_alternating at even n only.  Both bounds are relative to max|M|
+    over all charge blocks: a block may be 1e-7 of that, and against its
+    own maximum it then misses them at the resolution floor."""
+    rep, rng = rep_for(n, L), np.random.default_rng(1000 * n + L)
+    for rule, crossing, twist, _ in TWISTS[:2 - n % 2]:
+        for _ in range(3):
+            side = list(rng.uniform(0.5, 1.5, size=L // 2 - 1))
+            t_half = math.copysign(rng.uniform(0.2, 1.0), crossing)
+            spec = baxter(n, L, side + [t_half] + side[::-1])
+            assert spec.validated_rule.value == rule
+            table = rp.boltzmann_table(spec, rep)
+            blocks = [zeta_power(n, twist(n, d)) * rp.rp_matrix(
+                rp.minus_rows(n, L, range(d, L // 2 * (n - 1) + 1, n)), rep, table)
+                for d in range(n)]
+            scale = max(np.abs(m).max() for m in blocks)
+            for d, m in enumerate(blocks):
+                assert np.abs(m - m.conj().T).max() <= 1e-12 * scale, (rule, d)
+                low = np.linalg.eigvalsh((m + m.conj().T) / 2).min()
+                assert low >= -1e-12 * scale, (rule, d)
+
+
 @pytest.mark.parametrize("n,j", [(8, 4), (27, 9), (9, 3)])
 def test_family_values_are_exactly_real(n, j):
     val = rp.counterexample_f(n, j)

@@ -40,7 +40,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # -8.5e-11, is inside the default tolerance at an odd L/2: the report of M
 # most sensitive to its last bits.  The diff pins its bytes, not its
 # verdict, which is wrong today.  "repeated-key" lists one coupling key
-# twice, which the spec reader refuses.
+# twice and "unknown-field" misspells "couplings": the spec reader refuses
+# both.
 EDGE_SPECS = {
     "overflow": {"baxter": {"n": 3, "L": 6, "t": [400, -400, 400, -400, 400]}},
     "rule-none": {"baxter": {"n": 3, "L": 4, "t": [1, 0.5, 1]}},
@@ -51,6 +52,8 @@ EDGE_SPECS = {
     "repeated-key": {"n": 3, "L": 4, "couplings": [
         {"exponents": [1, 0, 0, 0], "J": 1.0},
         {"exponents": [1, 0, 0, 0], "J": -2.0}]},
+    "unknown-field": {"n": 3, "L": 4, "coupling": [
+        {"exponents": [1, 0, 0, 0], "J": -1.0}]},
 }
 EDGE_COMMANDS = ["rp-check", "gram", "bounds", "trotter", "decompose"]
 EDGE_LINES = ["counterexample --n 28 --j 14", "counterexample --n 30030",
