@@ -3,8 +3,9 @@
 A monomial c_1^{a_1} ... c_L^{a_L} is described by its vector of exponents,
 each taken mod n.  The algebra stores the exponent vectors of a polynomial's
 terms as the rows of one integer array; ``ExponentVector`` is the checked
-form of a single vector where one enters the package (spec files, coupling
-tables, the dict constructor of ``Polynomial``).
+form of a single vector where one enters through the library (coupling
+tables, the dict constructor of ``Polynomial``).  Spec files do not build
+them: their reader writes exponent rows straight into arrays.
 
 The bilinear form ``circ`` carries all the phase bookkeeping of the algebra:
 reordering, adjoints and reflection reduce to evaluating it.  ``circ(a, b)``

@@ -8,7 +8,12 @@ import pytest
 import scipy.linalg
 
 from pararp import rp
-from pararp.algebra import _BLOCK, Polynomial, _theta
+from pararp.algebra import (
+    _BLOCK, Polynomial, _cmul, _theta, _zeta_array, reflect, sum_polynomials,
+    zeta_power,
+)
+from pararp.exponents import ExponentVector, unit_vector
+from pararp.hamiltonian import CouplingRule, SpecError
 from pararp.representation import (
     DECOMPOSE_TOL, _digit_sum, build_generators, to_matrix,
 )
@@ -20,6 +25,52 @@ rep_for = build_generators
 @pytest.fixture
 def rep():
     return rep_for
+
+
+def reference_spec(data):
+    """H_-, H_0, H_+, H and the coupling rule of a valid parsed spec document
+    along the route the spec reader took before it wrote rows into arrays,
+    and the coupling dict it read: an ExponentVector per term and key, the
+    dict constructor of Polynomial, H_0 from the coupling dict, theta(H_-)
+    by reflect, and H = H_- + H_0 + H_+ by one sum_polynomials merge.
+    SpecError if H_- or H has a non-finite coefficient."""
+    if "baxter" in data:
+        n, L = data["baxter"]["n"], data["baxter"]["L"]
+        t, half, zeta = data["baxter"]["t"], L // 2, zeta_power(n, 1)
+        terms = {}
+        for j in range(1, half):
+            entries = [0] * L
+            entries[j - 1], entries[j] = 1, n - 1
+            terms[ExponentVector(tuple(entries), n)] = 0 + -zeta * float(t[j - 1])
+        couplings = {unit_vector(n, L, half): -float(t[half - 1])}
+    else:
+        n, L, terms = data["n"], data["L"], {}
+        for term in data.get("h_minus", []):
+            vec = ExponentVector(tuple(term["exponents"]), n)
+            terms[vec] = terms.get(vec, 0) + complex(*term["coefficient"])
+        couplings = {ExponentVector(tuple(entry["exponents"]), n): float(entry["J"])
+                     for entry in data.get("couplings", [])}
+    h_minus = Polynomial(terms, n, L)
+    a = np.array([vec.entries for vec in couplings], dtype=np.int64)
+    a = a.reshape(len(couplings), L)
+    j = np.fromiter(couplings.values(), dtype=float, count=len(a))
+    d = a.sum(axis=1) % (2 * n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        signed = _cmul(np.where(d % 2 == 0, -j, j), _zeta_array(n)[d * d % (2 * n)])
+        rows, c = _theta(a, signed.conj(), n)
+        h_zero = Polynomial._from_arrays(a + rows, c, n, L)
+        h_plus = reflect(h_minus)
+        total = sum_polynomials((h_minus, h_zero, h_plus))
+    if not all(np.isfinite(p.coeffs).all() for p in (h_minus, total)):
+        raise SpecError("H has a non-finite coefficient")
+    degrees = [(sum(vec.entries), x) for vec, x in couplings.items()]
+    if all(x >= 0 for _, x in degrees):
+        rule = CouplingRule.ALL_NONNEG
+    elif n % 2 == 0 and all((-1) ** d * x >= 0 for d, x in degrees):
+        rule = CouplingRule.EVEN_N_ALTERNATING
+    else:
+        rule = CouplingRule.NONE
+    return (h_minus, h_zero, h_plus, total, rule), couplings
 
 
 def clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:

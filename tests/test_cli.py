@@ -143,6 +143,20 @@ class TestSpecFiles:
         assert code == 1 and out == ""
         assert err.splitlines() == ["error: unknown field 'coupling'"]
 
+    @pytest.mark.parametrize("exponents, reason", [
+        ([0, 0, 1, 2], "exponents (0, 0, 1, 2) not supported on sites 1..L/2"),
+        ([1, 1, 0, 0], "exponents (1, 1, 0, 0) have degree 2, not a multiple "
+                       "of n = 3"),
+    ])
+    def test_bad_h_minus_term_is_named(self, capsys, tmp_path, exponents, reason):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"n": 3, "L": 4, "h_minus": [
+            {"coefficient": [0.5, 0], "exponents": [1, 2, 0, 0]},
+            {"coefficient": [0.5, 0], "exponents": exponents}]}))
+        code, out, err = run(capsys, "rp-check", "--spec", str(path))
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: h_minus[1]: {reason}"]
+
 
 class TestValidation:
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+from collections import Counter
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pararp import algebra, hamiltonian
 from pararp.algebra import (
     Polynomial,
     canonical_product,
@@ -31,7 +33,7 @@ from pararp.hamiltonian import (
 )
 from pararp.representation import to_matrix
 
-from conftest import rep_for
+from conftest import reference_spec, rep_for
 from test_sectors import baxter_spec, general_spec
 
 
@@ -391,3 +393,180 @@ class TestSpecFiles:
         path.write_text('{"n": 3,\n  "L": }')
         with pytest.raises(SpecError, match="line 2"):
             load_spec(str(path))
+
+
+class TestSpecReaderRows:
+    """The reader writes each term's row as it checks it, and names the
+    first bad h_minus term in document order."""
+
+    @pytest.mark.parametrize("h_minus, message", [
+        ([([1, 2, 0, 0], [0.5, 0]), ([0, 0, 1, 2], [0.5, 0])],
+         "h_minus[1]: exponents (0, 0, 1, 2) not supported on sites 1..L/2"),
+        ([([1, 0, 0, 0], [0.5, 0])],
+         "h_minus[0]: exponents (1, 0, 0, 0) have degree 1, not a multiple "
+         "of n = 3"),
+        # A later term that cancels a bad one, or a zero coefficient, does
+        # not make it good: each term is checked as it is read.
+        ([([0, 0, 2, 1], [0.5, 0]), ([0, 0, 2, 1], [-0.5, 0])],
+         "h_minus[0]: exponents (0, 0, 2, 1) not supported on sites 1..L/2"),
+        ([([1, 2, 0, 0], [0.5, 0]), ([2, 0, 0, 0], [0, 0])],
+         "h_minus[1]: exponents (2, 0, 0, 0) have degree 2, not a multiple "
+         "of n = 3"),
+    ])
+    def test_bad_h_minus_term_is_named(self, h_minus, message):
+        data = {"n": 3, "L": 4, "h_minus": [
+            {"coefficient": c, "exponents": e} for e, c in h_minus]}
+        with pytest.raises(SpecError) as exc:
+            spec_from_dict(data)
+        assert str(exc.value) == message
+
+    def test_reader_builds_no_vector_and_merges_nothing(self, monkeypatch):
+        """A full spec (with an identity term and a repeated row) and a
+        Baxter spec reach H with no ExponentVector, no grouping of equal
+        rows and no sum of polynomials."""
+        calls = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ExponentVector, "__post_init__", counting(
+            "ExponentVector", ExponentVector.__post_init__))
+        for name in ("_group", "sum_polynomials"):
+            monkeypatch.setattr(algebra, name, counting(name, getattr(algebra, name)))
+        assert "sum_polynomials" not in vars(hamiltonian)
+        full = {"n": 3, "L": 6, "h_minus": [
+            {"coefficient": [0.5, 0.25], "exponents": [1, 2, 0, 0, 0, 0]},
+            {"coefficient": [0.5, 0.1], "exponents": [0, 0, 0, 0, 0, 0]},
+            {"coefficient": [0.5, 0.25], "exponents": [1, 2, 0, 0, 0, 0]}],
+            "couplings": [{"exponents": [1, 1, 1, 0, 0, 0], "J": 0.5},
+                          {"exponents": [2, 0, 0, 0, 0, 0], "J": 0.25}]}
+        specs = [spec_from_dict(full), spec_from_dict(
+            {"baxter": {"n": 3, "L": 6, "t": [1.0, 0.5, -0.5, 0.5, 1.0]}})]
+        assert calls == Counter()
+        assert [len(spec.total().coeffs) for spec in specs] == [5, 5]
+
+
+# Every (n, L) with n in 2..8, L in 2..16 and dim = n^{L/2} <= 1024.
+PARITY_CELLS = [(n, L) for n in range(2, 9) for L in range(2, 17, 2)
+                if n ** (L // 2) <= 1024]
+SCALES = [1.0, -1.0, 1e300, -1e-300, 0.0, -0.0]
+
+
+def random_document(n, L, rng):
+    """A full spec document: up to five h_minus terms drawn from three
+    observable rows of the minus half and the identity, so rows repeat,
+    and up to four distinct coupling keys, at every scale down to signed
+    zeros."""
+    half = L // 2
+
+    def head(observable):
+        while True:
+            row = [int(x) for x in rng.integers(0, n, size=half)]
+            if observable:
+                row[-1] = (row[-1] - sum(row)) % n
+            if observable or any(row):
+                return row + [0] * half
+
+    def number():
+        return float(rng.choice(SCALES) * rng.normal())
+
+    pool = [head(True) for _ in range(3)] + [[0] * L]
+    h_minus = [{"coefficient": [number(), number()],
+                "exponents": pool[int(rng.integers(len(pool)))]}
+               for _ in range(int(rng.integers(6)))]
+    keys = {tuple(head(False)) for _ in range(int(rng.integers(5)))}
+    couplings = [{"exponents": list(key), "J": number()} for key in keys]
+    return {"n": n, "L": L, "h_minus": h_minus, "couplings": couplings}
+
+
+def random_baxter(n, L, rng):
+    side = [float(x) for x in rng.choice([1.0, -1.0, 0.0], size=L // 2 - 1)
+            * rng.uniform(0.2, 1.5, size=L // 2 - 1)]
+    middle = float(rng.choice(SCALES) * rng.normal())
+    return {"baxter": {"n": n, "L": L, "t": side + [middle] + side[::-1]}}
+
+
+def assert_same_parts(spec, ref):
+    """H_-, H_0, H_+ and H row for row, in order and bit for bit, and the
+    coupling rule."""
+    *parts, rule = ref
+    for got, want in zip((spec.h_minus, spec.h_zero, spec.h_plus, spec.total()),
+                         parts):
+        assert got.exponents.tolist() == want.exponents.tolist()
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert spec.validated_rule is rule
+
+
+@pytest.mark.parametrize("n,L", PARITY_CELLS)
+def test_concatenation_is_the_merge(n, L):
+    """The reader and assemble give the parts of the merge route, on
+    seeded full and Baxter specs."""
+    rng = np.random.default_rng(1000 * n + L)
+    for _ in range(8):
+        for data in (random_document(n, L, rng), random_baxter(n, L, rng)):
+            ref, couplings = reference_spec(data)
+            assert_same_parts(spec_from_dict(data), ref)
+            assert_same_parts(assemble(ref[0], CouplingTable(couplings)), ref)
+
+
+def term(exponents, re, im=0.0):
+    return {"coefficient": [re, im], "exponents": exponents}
+
+
+EDGE_DOCUMENTS = {
+    "real identity": {"n": 3, "L": 4, "h_minus": [
+        term([1, 2, 0, 0], 0.2, -0.1), term([0, 0, 0, 0], 0.7)],
+        "couplings": [{"exponents": [1, 0, 0, 0], "J": 0.5}]},
+    "imaginary identity": {"n": 3, "L": 4, "h_minus": [
+        term([0, 0, 0, 0], 0.0, 0.5), term([1, 2, 0, 0], 0.4, 0.3)],
+        "couplings": [{"exponents": [1, 2, 0, 0], "J": 0.6}]},
+    "zero couplings": {"n": 2, "L": 4, "couplings": [
+        {"exponents": [1, 0, 0, 0], "J": 0.0},
+        {"exponents": [1, 1, 0, 0], "J": -0.0},
+        {"exponents": [0, 1, 0, 0], "J": -0.5}]},
+    "repeated rows": {"n": 4, "L": 6, "h_minus": [
+        term([1, 3, 0, 0, 0, 0], 0.1, 0.2), term([0, 0, 0, 0, 0, 0], 0.3),
+        term([1, 3, 0, 0, 0, 0], -0.3, 1e-17), term([0, 0, 0, 0, 0, 0], 0.0, 0.4)]},
+    "two sites": {"n": 5, "L": 2, "h_minus": [term([0, 0], 0.25, -2.0)],
+                  "couplings": [{"exponents": [3, 0], "J": 1.5}]},
+}
+
+
+@pytest.mark.parametrize("name", EDGE_DOCUMENTS)
+def test_concatenation_edges(name):
+    data = EDGE_DOCUMENTS[name]
+    ref, couplings = reference_spec(data)
+    spec = spec_from_dict(data)
+    assert_same_parts(spec, ref)
+    assert_same_parts(assemble(ref[0], CouplingTable(couplings)), ref)
+    identity = ~spec.total().exponents.any(axis=1)
+    if name == "imaginary identity":  # c + conj(c) = 0: dropped from H
+        assert spec.h_plus.constant_term() == -0.5j and not identity.any()
+    if name == "zero couplings":
+        assert len(spec.h_zero.coeffs) == 1
+        assert spec.validated_rule is CouplingRule.EVEN_N_ALTERNATING
+    if name == "repeated rows":
+        assert spec.h_minus.coefficient(ExponentVector((1, 3, 0, 0, 0, 0), 4)) == (
+            0 + complex(0.1, 0.2) + complex(-0.3, 1e-17))
+    if name in ("real identity", "repeated rows", "two sites"):
+        assert identity.sum() == 1 and spec.total().constant_term() == (
+            2 * spec.h_minus.constant_term().real)
+
+
+@pytest.mark.parametrize("data", [
+    # The identity's c + conj(c) = 2e308 overflows in the sum.
+    {"n": 3, "L": 4, "h_minus": [term([0, 0, 0, 0], 1e308)]},
+    # conj(c) omega of theta overflows in the imaginary part.
+    {"n": 3, "L": 4, "h_minus": [term([1, 2, 0, 0], 1.5e308, 1.5e308)],
+     "couplings": [{"exponents": [1, 0, 0, 0], "J": 1.0}]},
+])
+def test_overflowing_parts_are_refused(data):
+    with pytest.raises(SpecError, match="non-finite"):
+        reference_spec(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpecError, match="non-finite"):
+            spec_from_dict(data)

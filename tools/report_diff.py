@@ -10,10 +10,10 @@ byte), a count per command, and for each changed job its command, cell,
 exit codes, every top-level key that differs (each by the first key under
 it that differs) and the largest relative gap |a - b| / max(|a|, |b|)
 between floats at the same key.  Every run also takes the edge lines:
-``rp-check``, ``gram``, ``bounds``, ``trotter`` and ``decompose`` on each
-spec of EDGE_SPECS, and the command lines of EDGE_LINES.  ``--argv`` adds
-more command lines outside the cycles.  The exit code is 0 when every
-report is identical and 2 otherwise.
+``rp-check``, ``gram``, ``bounds``, ``trotter``, ``decompose`` and
+``baxter`` on each spec of EDGE_SPECS, and the command lines of EDGE_LINES.
+``--argv`` adds more command lines outside the cycles.  The exit code is 0
+when every report is identical and 2 otherwise.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # most sensitive to its last bits.  The diff pins its bytes, not its
 # verdict, which is wrong today.  "repeated-key" lists one coupling key
 # twice and "unknown-field" misspells "couplings": the spec reader refuses
-# both.
+# both.  "identity-term" has an imaginary identity term in H_-, which
+# theta(H_-) cancels: the one row that H_- and H_+ share.
 EDGE_SPECS = {
     "overflow": {"baxter": {"n": 3, "L": 6, "t": [400, -400, 400, -400, 400]}},
     "rule-none": {"baxter": {"n": 3, "L": 4, "t": [1, 0.5, 1]}},
@@ -54,8 +55,11 @@ EDGE_SPECS = {
         {"exponents": [1, 0, 0, 0], "J": -2.0}]},
     "unknown-field": {"n": 3, "L": 4, "coupling": [
         {"exponents": [1, 0, 0, 0], "J": -1.0}]},
+    "identity-term": {"n": 3, "L": 4, "h_minus": [
+        {"coefficient": [0, 0.5], "exponents": [0, 0, 0, 0]}],
+        "couplings": [{"exponents": [1, 2, 0, 0], "J": 0.6}]},
 }
-EDGE_COMMANDS = ["rp-check", "gram", "bounds", "trotter", "decompose"]
+EDGE_COMMANDS = ["rp-check", "gram", "bounds", "trotter", "decompose", "baxter"]
 EDGE_LINES = ["counterexample --n 28 --j 14", "counterexample --n 30030",
               "families --family 1 --kparam 3"]
 
