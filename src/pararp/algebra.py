@@ -517,9 +517,10 @@ def _factors(chars: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def from_text(text: str) -> Polynomial:
     """Inverse of to_text.  Equal monomials on several lines add up.  A
-    header or term line that does not parse, a site outside 1..L, an
-    exponent outside 0..n-1 or a site written twice in one monomial is a
-    ValueError naming the line; lines that do not parse are named first.
+    header or term line that does not parse, a header whose n or L is not
+    an algebra, a site outside 1..L, an exponent outside 0..n-1 or a site
+    written twice in one monomial is a ValueError naming the line; lines
+    that do not parse are named first.
 
     One pass reads every text: numpy finds the lines and each term line's
     '*', ``complex`` parses the coefficients and ``_factors`` the monomials,
@@ -547,6 +548,10 @@ def from_text(text: str) -> Polynomial:
         n, L = int(fields["n"]), int(fields["L"])
     except (KeyError, ValueError):
         raise ValueError(f"line {where}: header is not '# n=.. L=..'") from None
+    try:
+        zero_vector(n, L)  # validates n and L
+    except ValueError as exc:
+        raise ValueError(f"line {where}: {exc}") from None
     lines = lines[1:][chars[starts[lines[1:]]] != ord("#")]  # terms
     starts, ends, K = starts[lines], ends[lines], len(lines)
     stars = np.flatnonzero(chars == ord("*"))
@@ -588,7 +593,6 @@ def from_text(text: str) -> Polynomial:
             failed, reason = first, f"bad monomial {mono!r}"
     if failed < K:
         raise ValueError(f"line {len(text[:ends[failed]].splitlines())}: {reason}")
-    zero_vector(n, L)  # validates n and L
     term, site = np.repeat(np.arange(K), per_term), site - 1
     bad = (site < 0) | (site >= L) | (power >= n)
     slot = term * L + site

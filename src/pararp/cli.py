@@ -1,8 +1,9 @@
 """Batch front-end: run named verification suites and emit JSON reports.
 
-Each subcommand returns its verdict and its own report fields; ``main``
-resolves the spec for the ones that read ``--spec``, fills the ``--tol``
-default, and adds ``command`` to every report and the spec's ``n`` and
+Each subcommand returns its verdict and its own report fields; its row of
+``COMMANDS`` declares the flags it reads, requires and defaults, and the
+parser enforces them.  ``main`` resolves the spec for the ones that read
+``--spec`` and adds ``command`` to every report and the spec's ``n`` and
 ``L`` to the ones that read a spec.  Exit codes: 0 all checks passed, 2 the
 suite ran and found mathematical violations (the report is still written),
 1 usage / IO / parse / out-of-memory errors, with one line on stderr.  Each
@@ -24,7 +25,6 @@ import numpy as np
 from .hamiltonian import (
     CouplingRule,
     HamiltonianSpec,
-    SpecError,
     check_symmetries,
     read_spec,
     spec_from_dict,
@@ -67,12 +67,10 @@ def _resolve_spec(args) -> tuple[HamiltonianSpec, Representation]:
     if args.n is not None:
         rep = build_generators(args.n, 2)
         return rp.crossing_only_spec(args.n), rep
-    raise SpecError("either --spec or --n is required")
+    raise UsageError("either --spec or --n is required")
 
 
 def cmd_verify_relations(args):
-    if args.n is None or args.L is None:
-        raise UsageError("verify-relations requires --n and --L")
     residuals = verify_yamazaki(build_generators(args.n, args.L))
     ok = max(residuals.values()) <= args.tol
     return ok, {"n": args.n, "L": args.L, "tolerance": args.tol,
@@ -128,8 +126,6 @@ def cmd_bounds(spec, rep, args):
 
 
 def cmd_counterexample(args):
-    if args.n is None:
-        raise SpecError("--n is required")
     positive, val = rp.counterexample_check(args.n, args.j)
     fields = {"n": args.n, "j": args.j, "value": [val.real, val.imag],
               "positive": positive}
@@ -141,8 +137,6 @@ def cmd_counterexample(args):
 
 
 def cmd_families(args):
-    if args.family is None or args.kparam is None:
-        raise SpecError("--family and --kparam are required")
     n, j = rp.family_pair(args.family, args.kparam, args.jprime)
     ok, val = rp.counterexample_check(n, j)
     return ok, {"family": args.family, "n": n, "j": j,
@@ -173,16 +167,18 @@ def cmd_decompose(spec, rep, args):
     return ok, {"terms": terms, "roundtrip_gap": gap, "passed": ok}
 
 
-# Each subcommand with the flags it reads; --out is read by every one.
+# Each subcommand with the flags it reads; --out is read by every one.  A
+# flag marked ``!`` is required, and ``=value`` is the command's own default
+# in place of the one in FLAGS.
 COMMANDS = {
-    "verify-relations": (cmd_verify_relations, "--n --L --tol"),
+    "verify-relations": (cmd_verify_relations, "--n! --L! --tol=1e-11"),
     "rp-check": (cmd_rp_check, "--spec --n --samples --seed --tol"),
     "gram": (cmd_gram, "--spec --n --tol"),
     "trotter": (cmd_trotter, "--spec --n --k"),
     "bounds": (cmd_bounds, "--spec --n --samples --seed --tol"),
-    "counterexample": (cmd_counterexample, "--n --j"),
-    "families": (cmd_families, "--family --kparam --jprime"),
-    "baxter": (cmd_baxter, "--spec"),
+    "counterexample": (cmd_counterexample, "--n! --j"),
+    "families": (cmd_families, "--family! --kparam! --jprime"),
+    "baxter": (cmd_baxter, "--spec!"),
     "decompose": (cmd_decompose, "--spec --n"),
 }
 
@@ -208,7 +204,7 @@ FLAGS = {
                       default=100),
     "--seed": dict(type=_checked(int, lambda s: s >= 0, ">= 0"), default=0),
     "--tol": dict(type=_checked(float, lambda t: 0 < t < float("inf"),
-                                "finite and > 0")),
+                                "finite and > 0"), default=rp.DEFAULT_TOL),
     "--spec": dict(),
     "--out": dict(),
     "--family": dict(type=int, choices=(1, 2, 3)),
@@ -230,8 +226,9 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args keeps no
     state between calls.  A flag a subcommand does not read, or an
-    abbreviated one, is an error.  ``commands`` holds each subcommand's own
-    parser by name."""
+    abbreviated one, is an error, and so is a missing required one.  A
+    command's own default stays text, which argparse converts with the
+    flag's type.  ``commands`` holds each subcommand's own parser by name."""
     parser = _Parser(
         prog="pararp",
         description="Parafermion algebra and reflection-positivity checks",
@@ -240,8 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.commands = {}
     for name, (_, flags) in COMMANDS.items():
         p = parser.commands[name] = sub.add_parser(name, allow_abbrev=False)
-        for flag in flags.split() + ["--out"]:
-            p.add_argument(flag, **FLAGS[flag])
+        for word in flags.split() + ["--out"]:
+            marked, own, default = word.partition("=")
+            flag = marked.rstrip("!")
+            kwargs = dict(FLAGS[flag], required=flag != marked)
+            if own:
+                kwargs["default"] = default
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -260,15 +262,10 @@ def main(argv=None) -> int:
         if extra:
             raise UsageError(f"pararp {args.command}: unrecognized arguments: "
                              + " ".join(extra))
-        run, flags = COMMANDS[args.command]
-        if "--tol" in flags and args.tol is None:
-            args.tol = 1e-11 if run is cmd_verify_relations else rp.DEFAULT_TOL
-        report = {"command": args.command}
-        if "--spec" not in flags:
+        run, report = COMMANDS[args.command][0], {"command": args.command}
+        if "spec" not in args:
             ok, fields = run(args)
         else:
-            if run is cmd_baxter and args.spec is None:
-                raise SpecError("--spec with a baxter shortcut is required")
             spec, rep = _resolve_spec(args)
             report.update(n=spec.order, L=spec.sites)
             ok, fields = run(spec, rep, args)

@@ -21,6 +21,7 @@ suite pins it down.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,21 +44,16 @@ class ExponentVector:
         L = len(self.entries)
         if L < 2 or L % 2 != 0:
             raise ValueError(f"number of sites must be even and >= 2, got {L}")
-        # One min/max test; if it fails, or int() refuses a NaN that min/max
-        # let through, the per-site loop names the first offending site.
-        try:
-            ok = 0 <= min(self.entries) and max(self.entries) < self.order
-            ints = tuple(map(int, self.entries)) if ok else ()
-        except (TypeError, ValueError):
-            ok = False
-        if not ok:
-            for j, e in enumerate(self.entries):
-                if not (0 <= e < self.order):
-                    raise ValueError(
-                        f"entry {e} at site {j + 1} outside 0..{self.order - 1}"
-                    )
-            ints = tuple(int(e) for e in self.entries)
-        object.__setattr__(self, "entries", ints)
+        ints = []
+        for j, e in enumerate(self.entries, 1):
+            try:
+                i = operator.index(e)
+            except TypeError:
+                raise ValueError(f"entry {e!r} at site {j} is not an integer") from None
+            if not 0 <= i < self.order:
+                raise ValueError(f"entry {e} at site {j} outside 0..{self.order - 1}")
+            ints.append(i)
+        object.__setattr__(self, "entries", tuple(ints))
 
     @property
     def sites(self) -> int:
@@ -65,11 +61,6 @@ class ExponentVector:
 
     def is_zero(self) -> bool:
         return all(e == 0 for e in self.entries)
-
-    def supported_on_minus(self) -> bool:
-        """All nonzero entries on sites 1..L/2."""
-        half = self.sites // 2
-        return all(e == 0 for e in self.entries[half:])
 
 
 def zero_vector(n: int, L: int) -> ExponentVector:

@@ -303,8 +303,12 @@ def _known(obj: dict, fields, where: str) -> None:
 
 
 def _is_real(val) -> bool:
-    """A finite JSON number; true and false are not numbers here."""
-    return type(val) in (int, float) and math.isfinite(val)
+    """A JSON number that a float holds finitely, so no integer past the
+    float range; true and false are not numbers here."""
+    try:
+        return type(val) in (int, float) and math.isfinite(val)
+    except OverflowError:
+        return False
 
 
 def _is_object(val) -> bool:

@@ -331,6 +331,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             from_text("(1+0j) * c1^1\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("# n=1 L=2\n1 * 1\n", "line 1: order must be >= 2, got 1"),
+        ("\n# n=3 L=3\n1 * c9^1\n",
+         "line 2: number of sites must be even and >= 2, got 3"),
+    ])
+    def test_header_out_of_range_names_its_line(self, text, message):
+        """The header is checked before the terms below it."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_text(text)
+
 
 def test_zeta_table_is_the_per_exponent_expression():
     """zeta_power, omega_power and _zeta_array give, bit for bit, the

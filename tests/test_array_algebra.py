@@ -164,6 +164,10 @@ def ref_from_text(text):
                     raise ValueError(
                         f"line {lineno}: header is not '# n=.. L=..'"
                     ) from None
+                try:
+                    zero_vector(n, L)  # validates n and L
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
             continue
         if n is None:
             raise ValueError(f"line {lineno}: term before '# n=.. L=..' header")
@@ -181,7 +185,6 @@ def ref_from_text(text):
         linenos.append(lineno)
     if n is None:
         raise ValueError("missing '# n=.. L=..' header")
-    zero_vector(n, L)  # validates n and L
     numbers = " ".join(monomials).replace("c", " ").replace("^", " ").split()
     site, power = (np.array(numbers, dtype=np.int64).reshape(-1, 2) - (1, 0)).T
     term = np.repeat(np.arange(len(monomials)), [m.count("^") for m in monomials])
@@ -214,7 +217,7 @@ def ref_classify(p):
     half = p.sites // 2
     if not nonscalar:
         return algebra.Side.SCALAR, observable
-    if all(v.supported_on_minus() for v in nonscalar):
+    if all(not any(v.entries[half:]) for v in nonscalar):
         return algebra.Side.MINUS, observable
     if all(not any(v.entries[:half]) for v in nonscalar):
         return algebra.Side.PLUS, observable

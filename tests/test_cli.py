@@ -21,9 +21,10 @@ class TestExitCodes:
         assert max(report["residuals"].values()) < 1e-11
 
     def test_verify_relations_missing_args(self, capsys):
-        code, _, err = run(capsys, "verify-relations", "--n", "3")
-        assert code == 1
-        assert "requires" in err
+        code, out, err = run(capsys, "verify-relations", "--n", "3")
+        assert code == 1 and out == ""
+        assert err == ("error: pararp verify-relations: the following "
+                       "arguments are required: --L\n")
 
     def test_rp_check_crossing_only(self, capsys):
         code, out, _ = run(capsys, "rp-check", "--n", "3", "--samples", "50")

@@ -9,6 +9,7 @@ import functools
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -295,11 +296,69 @@ def test_unread_flag_names_the_command(capsys):
     assert err == "error: pararp rp-check: unrecognized arguments: --L 30\n"
 
 
+@pytest.mark.parametrize("argv,missing", [
+    (["verify-relations", "--n", "3"], "--L"),
+    (["counterexample"], "--n"),
+    (["families", "--family", "1"], "--kparam"),
+    (["baxter"], "--spec"),
+])
+def test_a_missing_required_flag_is_one_line(capsys, argv, missing):
+    code, out, err = run(capsys, *argv)
+    assert code == cli.ERROR and out == ""
+    assert err == (f"error: pararp {argv[0]}: the following arguments are "
+                   f"required: {missing}\n")
+
+
+@pytest.mark.parametrize("argv,tol", [
+    (["verify-relations", "--n", "3", "--L", "2"], 1e-11),
+    (["rp-check", "--n", "3", "--samples", "4"], 1e-9),
+    (["gram", "--n", "3"], 1e-9),
+    (["bounds", "--n", "3", "--samples", "4"], 1e-9),
+])
+def test_tolerance_defaults(capsys, argv, tol):
+    """verify-relations declares its own --tol default; the others take the
+    shared one, rp.DEFAULT_TOL."""
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.PASS
+    assert json.loads(out)["tolerance"] == tol
+
+
+HUGE = 10 ** 400  # an integer past the float range
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"n": 2, "L": 2, "couplings": [{"exponents": [1, 1], "J": HUGE}]},
+     "couplings[0]: J must be a finite real"),
+    ({"baxter": {"n": 3, "L": 4, "t": [1, HUGE, 1]}},
+     "field 't' must be a list of finite reals"),
+    ({"n": 2, "L": 2, "h_minus": [{"exponents": [0, 0],
+                                   "coefficient": [HUGE, 0]}]},
+     "h_minus[0]: coefficient must be [re, im]"),
+    ({"n": 2, "L": 2, "h_minus": [{"exponents": [0, 0],
+                                   "coefficient": [0, -HUGE]}]},
+     "h_minus[0]: coefficient must be [re, im]"),
+])
+def test_an_integer_past_the_float_range_is_named(capsys, tmp_path, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "gram", "--spec", str(path))
+    assert (code, out, err) == (cli.ERROR, "", f"error: {message}\n")
+
+
+# A valid value of each flag a command may require.
+REQUIRED_VALUES = {"--n": "3", "--L": "2", "--family": "1", "--kparam": "3",
+                   "--spec": "spec.json"}
+
+
 @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
 def test_each_command_rejects_every_flag_it_does_not_read(capsys, name):
+    """With every flag the command requires given, each flag it does not
+    read is refused as unrecognized, before any spec is read."""
     _, reads = cli.COMMANDS[name]
-    for flag in set(cli.FLAGS) - set(reads.split()) - {"--out"}:
-        code, out, err = run(capsys, name, flag, "1")
+    required = [w for f in re.findall(r"(--\w+)!", reads)
+                for w in (f, REQUIRED_VALUES[f])]
+    for flag in set(cli.FLAGS) - set(re.findall(r"--\w+", reads)) - {"--out"}:
+        code, out, err = run(capsys, name, *required, flag, "1")
         assert code == cli.ERROR and out == "", (name, flag)
         assert "unrecognized arguments" in err, (name, flag)
 

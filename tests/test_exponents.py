@@ -73,6 +73,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             ExponentVector((0, 3), 3)
 
+    @pytest.mark.parametrize("entries,bad", [
+        ((2.9, 0.2), "entry 2.9 at site 1"), ((1.0, 0), "entry 1.0 at site 1"),
+        ((0, float("nan")), "entry nan at site 2"),
+    ])
+    def test_rejects_non_integer_entry(self, entries, bad):
+        """A float is refused, not truncated: (2.9, 0.2) is not (2, 0)."""
+        with pytest.raises(ValueError, match=f"^{bad} is not an integer$"):
+            ExponentVector(entries, 3)
+
     def test_rejects_small_order(self):
         with pytest.raises(ValueError):
             ExponentVector((0, 0), 1)

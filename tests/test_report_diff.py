@@ -28,12 +28,13 @@ def test_a_tree_against_itself_is_identical(report_diff, capsys):
     assert code == 0
     total = int(lines[0].rsplit(" ", 1)[1])
     assert lines[0] == f"identical reports: {total} of {total}" and total > 10
-    # The cycles' 6 rp-check and 6 baxter jobs and the 8 of each on the
-    # edge specs; the --argv line and the 2 edge lines of counterexample.
-    assert "  counterexample: 3 of 3 identical" in lines
-    assert "  families: 1 of 1 identical" in lines
-    assert "  rp-check: 14 of 14 identical" in lines
-    assert "  baxter: 14 of 14 identical" in lines
+    # The cycles' 6 rp-check and 6 baxter jobs, the 9 of each on the edge
+    # specs and the edge line of baxter; the --argv line and the 3 edge
+    # lines of counterexample, and the 2 of families.
+    assert "  counterexample: 4 of 4 identical" in lines
+    assert "  families: 2 of 2 identical" in lines
+    assert "  rp-check: 15 of 15 identical" in lines
+    assert "  baxter: 16 of 16 identical" in lines
     assert "changed:" not in lines
 
 

@@ -542,8 +542,11 @@ def test_schwarz_verdict(n, L, crossing, expected, tmp_path):
 
 def exponent_vector_loop(entries, order):
     """ExponentVector's per-site validation: the message of the first
-    offending site, or the int-normalized entries."""
+    offending site, which is a non-integer (a float, even a whole one, NaN
+    or a string) or an integer outside 0..order-1, or the entries as ints."""
     for j, e in enumerate(entries):
+        if not isinstance(e, (int, np.integer)):
+            raise ValueError(f"entry {e!r} at site {j + 1} is not an integer")
         if not (0 <= e < order):
             raise ValueError(f"entry {e} at site {j + 1} outside 0..{order - 1}")
     return tuple(int(e) for e in entries)

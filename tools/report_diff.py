@@ -42,7 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # verdict, which is wrong today.  "repeated-key" lists one coupling key
 # twice and "unknown-field" misspells "couplings": the spec reader refuses
 # both.  "identity-term" has an imaginary identity term in H_-, which
-# theta(H_-) cancels: the one row that H_- and H_+ share.
+# theta(H_-) cancels: the one row that H_- and H_+ share.  "huge-number"
+# has a J past the float range, which the reader refuses by its field.
 EDGE_SPECS = {
     "overflow": {"baxter": {"n": 3, "L": 6, "t": [400, -400, 400, -400, 400]}},
     "rule-none": {"baxter": {"n": 3, "L": 4, "t": [1, 0.5, 1]}},
@@ -58,10 +59,14 @@ EDGE_SPECS = {
     "identity-term": {"n": 3, "L": 4, "h_minus": [
         {"coefficient": [0, 0.5], "exponents": [0, 0, 0, 0]}],
         "couplings": [{"exponents": [1, 2, 0, 0], "J": 0.6}]},
+    "huge-number": {"n": 3, "L": 4, "couplings": [
+        {"exponents": [1, 2, 0, 0], "J": 10 ** 400}]},
 }
 EDGE_COMMANDS = ["rp-check", "gram", "bounds", "trotter", "decompose", "baxter"]
+# The last four each lack a flag their command requires.
 EDGE_LINES = ["counterexample --n 28 --j 14", "counterexample --n 30030",
-              "families --family 1 --kparam 3"]
+              "families --family 1 --kparam 3", "verify-relations --n 3",
+              "counterexample", "families --family 1", "baxter"]
 
 
 def build_jobs(workloads, seeds, extra, directory: str, tiny=False) -> list[dict]:
